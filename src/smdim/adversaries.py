@@ -50,7 +50,6 @@ class ShatteringAdversary:
         self._depth = certificate.depth
         self._pending = None
         self.rounds_played = 0
-        self.last_threshold: Optional[Fraction] = None
 
     @property
     def remaining_depth(self) -> int:
@@ -74,13 +73,16 @@ class ShatteringAdversary:
             for cand, _ in node.candidates
         )
         index, value = best_response(mixture, rows)
-        assert value >= node.value, "certificate game value not met by best response"
+        if value < node.value:
+            raise RuntimeError(
+                f"best response reaches {value}, below the certificate game value "
+                f"{node.value}; the certificate is inconsistent"
+            )
         cand, child = node.candidates[index]
         self._pending = None
         self._members = child.members
         self._depth -= 1
         self.rounds_played += 1
-        self.last_threshold = cand.threshold
         return cand.label, None
 
     def surviving_hypothesis(self) -> int:

@@ -105,9 +105,6 @@ class Problem:
     def num_predictions(self) -> int:
         return len(self.predictions)
 
-    def loss_at(self, y: int, z: int) -> Fraction:
-        return self.loss[y][z]
-
 
 @dataclass(frozen=True)
 class HypothesisClass:
@@ -301,9 +298,9 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
     """Validate a (problem, hypothesis class) pair; returns the checked pair.
 
     Checks: nonempty spaces, nonnegative losses, no loss above the declared
-    bound, table indices in range, duplicate hypothesis rows. The effective
-    `bound_c` is tightened to the maximum loss entry when the declared bound
-    is larger; the declared bound is kept in `declared_bound` for reporting.
+    bound, table indices in range. The effective `bound_c` is tightened to the
+    maximum loss entry when the declared bound is larger; the declared bound is
+    kept in `declared_bound` for reporting.
     """
     if problem.num_instances == 0:
         raise ValidationError("problem has no instances")
@@ -324,7 +321,6 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
                 )
             if v > max_entry:
                 max_entry = v
-    seen = {}
     for h, row in enumerate(cls.table):
         if len(row) != problem.num_instances:
             raise ValidationError(
@@ -333,9 +329,6 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
         for x, z in enumerate(row):
             if not 0 <= z < problem.num_predictions:
                 raise ValidationError(f"hypothesis {h} predicts out-of-range index {z} at x={x}")
-        if row in seen:
-            raise ValidationError(f"duplicate hypothesis rows {seen[row]} and {h}")
-        seen[row] = h
     if max_entry < problem.bound_c:
         problem = replace(problem, bound_c=max_entry)
     return problem, cls
@@ -348,31 +341,13 @@ def expected_loss(problem: Problem, mixture: Mixture, y: int) -> Fraction:
         raise ValidationError(
             f"mixture has {len(mixture.weights)} entries, problem has {len(row)} predictions"
         )
-    total = Fraction(0)
-    for w, v in zip(mixture.weights, row):
+    return weighted_sum(Fraction(0), mixture.weights, row)
+
+
+def weighted_sum(start: Fraction, weights, values) -> Fraction:
+    """start + sum of w * v over paired entries, exactly, skipping zero weights."""
+    total = start
+    for w, v in zip(weights, values):
         if w:
             total += w * v
     return total
-
-
-def restrict(
-    problem: Problem,
-    cls: HypothesisClass,
-    space: VersionSpace,
-    x: int,
-    cand: Candidate,
-) -> VersionSpace:
-    """Keep the hypotheses whose loss against the candidate label is within threshold.
-
-    The result is a subset of the input and may be empty; callers that need a
-    nonempty result (realizable-mode learners) must check.
-    """
-    if not 0 <= x < problem.num_instances:
-        raise ValidationError(f"instance index {x} out of range")
-    if not 0 <= cand.label < problem.num_labels:
-        raise ValidationError(f"label index {cand.label} out of range")
-    if cand.threshold > problem.bound_c:
-        raise ValidationError(f"threshold {cand.threshold} exceeds loss bound {problem.bound_c}")
-    row = problem.loss[cand.label]
-    kept = tuple(h for h in space.members if row[cls.table[h][x]] <= cand.threshold)
-    return VersionSpace(kept)

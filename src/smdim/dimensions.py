@@ -28,6 +28,12 @@ set-valued-label dimension, computed by delegating to `smdim` on the 0/1
 membership loss (the expected membership loss of a mixture is exactly the mass
 it puts outside the label set). `msdim_direct` recomputes it from the
 definition without threshold enumeration, as an independent cross-check.
+
+All four routes (the engine, `ldim_k`, `seqfat`, `msdim_direct`) share one
+memoized recursion, `_shatter_memo`, which holds the depth-0 and |V| - 1 base
+cases and the memo, and one bottom-up depth loop, `_max_depth`. They differ
+only in their branching rule, which decides depth d+1 from depth-d children;
+keeping those rules separate keeps the oracles independent cross-checks.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .core import (
@@ -54,6 +61,7 @@ from .instances import canonical_json
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
 DEFAULT_MEMO_CAP = 200_000
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -153,11 +161,12 @@ class DimensionEngine:
 
     The memo table is keyed by (version-space members, depth) and is shared by
     every query against this engine, so learners that probe many sub-spaces of
-    the same class reuse all prior work. Lookups are idempotent pure values:
-    concurrent readers are safe, and a duplicated insert computes the same
-    entry. The number of distinct version spaces visited is capped
-    (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
-    cap raises BudgetError rather than thrashing.
+    the same class reuse all prior work. Each entry is the CertificateNode
+    chosen there, or None when the space is not shatterable to that depth.
+    Lookups are idempotent pure values: concurrent readers are safe, and a
+    duplicated insert computes the same entry. The number of distinct version
+    spaces visited is capped (`memo_cap`, or the SMDIM_MEMO_CAP environment
+    variable) and exceeding the cap raises BudgetError rather than thrashing.
     """
 
     def __init__(
@@ -173,7 +182,10 @@ class DimensionEngine:
         self.gamma = GammaValue.of(gamma)
         if memo_cap is None:
             env = os.environ.get(MEMO_CAP_ENV)
-            memo_cap = int(env) if env else DEFAULT_MEMO_CAP
+            try:
+                memo_cap = int(env) if env else DEFAULT_MEMO_CAP
+            except ValueError as exc:
+                raise ValidationError(f"{MEMO_CAP_ENV} must be an integer, got {env!r}") from exc
         if memo_cap <= 0:
             raise ValidationError(f"memo cap must be positive, got {memo_cap}")
         self.memo_cap = memo_cap
@@ -182,7 +194,6 @@ class DimensionEngine:
         self._num_x = problem.num_instances
         self._num_y = problem.num_labels
         self._memo = {}
-        self._nodes = {}
         self._spaces = set()
 
     # -- public API ---------------------------------------------------------
@@ -207,7 +218,7 @@ class DimensionEngine:
             members, d = stack.pop()
             if d < 1 or (members, d) in nodes:
                 continue
-            node = self._nodes[(members, d)]
+            node = self._memo[(members, d)]
             nodes[(members, d)] = node
             for _, child in node.candidates:
                 stack.append((child.members, d - 1))
@@ -227,12 +238,7 @@ class DimensionEngine:
 
     def dim_members(self, members) -> int:
         """Dimension of the version space given as a sorted member tuple."""
-        if not members:
-            raise ValidationError("dimension of an empty version space is undefined")
-        depth = 0
-        while depth < len(members) - 1 and self._shatter(members, depth + 1):
-            depth += 1
-        return depth
+        return _max_depth(members, self._shatter)
 
     def candidate_rows(self, members, x):
         """(label, threshold, child member tuple) at each realized distinct loss."""
@@ -259,15 +265,13 @@ class DimensionEngine:
             return value > 0
         return value >= self.gamma.gamma
 
+    # A method, not a closure stored on the engine: that would be a reference
+    # cycle, so engines would outlive their last reference until a gc pass.
     def _shatter(self, members, depth) -> bool:
-        if depth == 0:
-            return bool(members)
-        if depth > len(members) - 1:
-            return False
-        key = (members, depth)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        return _shatter_memo(self._memo, self._branch, members, depth)
+
+    def _branch(self, members, depth) -> Optional[CertificateNode]:
+        """The node at the first instance whose qualifying game passes, else None."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -275,7 +279,6 @@ class DimensionEngine:
                     f"raise {MEMO_CAP_ENV} or pass a larger memo_cap"
                 )
             self._spaces.add(members)
-        result = False
         for x in range(self._num_x):
             qualifying = [
                 (y, eps, child)
@@ -284,9 +287,9 @@ class DimensionEngine:
             ]
             if not qualifying:
                 continue
-            sol = solve_min_max(self._dominant_rows(qualifying))
+            sol = solve_min_max(dominant_rows(self._loss, qualifying))
             if self._passes(sol.value):
-                self._nodes[key] = CertificateNode(
+                return CertificateNode(
                     space=VersionSpace(members),
                     depth=depth,
                     instance=x,
@@ -295,18 +298,16 @@ class DimensionEngine:
                         (Candidate(y, eps), VersionSpace(child)) for y, eps, child in qualifying
                     ),
                 )
-                result = True
-                break
-        self._memo[key] = result
-        return result
+        return None
 
-    def _dominant_rows(self, qualifying):
-        """One row per label at its smallest qualifying threshold."""
-        best = {}
-        for y, eps, _ in qualifying:
-            if y not in best or eps < best[y]:
-                best[y] = eps
-        return tuple(AffineRow(self._loss[y], -eps) for y, eps in sorted(best.items()))
+
+def dominant_rows(loss, triples) -> tuple:
+    """One affine row per label, at its smallest threshold among (y, eps, _) triples."""
+    best = {}
+    for y, eps, _ in triples:
+        if y not in best or eps < best[y]:
+            best[y] = eps
+    return tuple(AffineRow(loss[y], -eps) for y, eps in sorted(best.items()))
 
 
 def smdim(
@@ -338,22 +339,10 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
                 f"prediction {z} has zero loss against {zeros} labels; "
                 f"the depth-{k + 1} branching recursion does not terminate"
             )
-    if not space.members:
-        raise ValidationError("dimension of an empty version space is undefined")
     table = cls.table
     loss = problem.loss
-    memo = {}
 
-    def shatter(members, depth):
-        if depth == 0:
-            return bool(members)
-        if depth > len(members) - 1:
-            return False
-        key = (members, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = False
+    def branch(members, depth):
         for x in range(problem.num_instances):
             fanout = 0
             for y in range(problem.num_labels):
@@ -361,17 +350,11 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
                 if child and shatter(child, depth - 1):
                     fanout += 1
                     if fanout > k:
-                        break
-            if fanout > k:
-                result = True
-                break
-        memo[key] = result
-        return result
+                        return True
+        return False
 
-    depth = 0
-    while depth < len(space.members) - 1 and shatter(space.members, depth + 1):
-        depth += 1
-    return depth
+    shatter = partial(_shatter_memo, {}, branch)
+    return _max_depth(space.members, shatter)
 
 
 def seqfat(
@@ -395,21 +378,9 @@ def seqfat(
         values = tuple(parse_rational(v) for v in problem.predictions)
     except ValidationError as exc:
         raise ValidationError(f"seqfat needs numeric labels: {exc}") from exc
-    if not space.members:
-        raise ValidationError("dimension of an empty version space is undefined")
     table = cls.table
-    memo = {}
 
-    def shatter(members, depth):
-        if depth == 0:
-            return bool(members)
-        if depth > len(members) - 1:
-            return False
-        key = (members, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = False
+    def branch(members, depth):
         for x in range(problem.num_instances):
             for s in values:
                 upper = tuple(h for h in members if values[table[h][x]] >= s + gamma)
@@ -419,17 +390,11 @@ def seqfat(
                 if not lower:
                     continue
                 if shatter(upper, depth - 1) and shatter(lower, depth - 1):
-                    result = True
-                    break
-            if result:
-                break
-        memo[key] = result
-        return result
+                    return True
+        return False
 
-    depth = 0
-    while depth < len(space.members) - 1 and shatter(space.members, depth + 1):
-        depth += 1
-    return depth
+    shatter = partial(_shatter_memo, {}, branch)
+    return _max_depth(space.members, shatter)
 
 
 def msdim(
@@ -464,25 +429,13 @@ def msdim_direct(
     """
     gv = GammaValue.of(gamma)
     _check_binary_loss(problem)
-    if not space.members:
-        raise ValidationError("dimension of an empty version space is undefined")
     table = cls.table
     loss = problem.loss
-    memo = {}
 
     def passes(value):
         return value > 0 if gv.strict else value >= gv.gamma
 
-    def shatter(members, depth):
-        if depth == 0:
-            return bool(members)
-        if depth > len(members) - 1:
-            return False
-        key = (members, depth)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = False
+    def branch(members, depth):
         for x in range(problem.num_instances):
             rows = []
             for y in range(problem.num_labels):
@@ -490,13 +443,38 @@ def msdim_direct(
                 if child and shatter(child, depth - 1):
                     rows.append(AffineRow(loss[y], Fraction(0)))
             if rows and passes(solve_min_max(rows).value):
-                result = True
-                break
-        memo[key] = result
-        return result
+                return True
+        return False
 
+    shatter = partial(_shatter_memo, {}, branch)
+    return _max_depth(space.members, shatter)
+
+
+def _shatter_memo(memo, branch, members, depth) -> bool:
+    """Whether `members` is shatterable to `depth`, with `branch` deciding depth >= 1.
+
+    Depth 0 needs a nonempty space and depths above |V| - 1 never hold (see
+    the module docstring). In between, `branch(members, depth)` returns a
+    truthy value exactly when some instance branches into children of depth
+    `depth - 1`; it is stored in `memo` under (members, depth).
+    """
+    if depth == 0:
+        return bool(members)
+    if depth > len(members) - 1:
+        return False
+    key = (members, depth)
+    hit = memo.get(key, _MISSING)
+    if hit is _MISSING:
+        hit = memo[key] = branch(members, depth)
+    return bool(hit)
+
+
+def _max_depth(members, shatter) -> int:
+    """Largest depth to which `shatter(members, depth)` holds, probed bottom-up."""
+    if not members:
+        raise ValidationError("dimension of an empty version space is undefined")
     depth = 0
-    while depth < len(space.members) - 1 and shatter(space.members, depth + 1):
+    while depth < len(members) - 1 and shatter(members, depth + 1):
         depth += 1
     return depth
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .core import Mixture, ValidationError
+from .core import Mixture, ValidationError, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,7 @@ class AffineRow:
             raise ValidationError(f"row offset {self.offset!r} is not a Fraction")
 
     def value_at(self, mixture: Mixture) -> Fraction:
-        total = self.offset
-        for w, v in zip(mixture.weights, self.coefficients):
-            if w:
-                total += w * v
-        return total
+        return weighted_sum(self.offset, mixture.weights, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def _solve_cached(key) -> GameSolution:
     # total > 0: any single coordinate can be raised above zero while staying feasible.
     mu = tuple(x / total for x in u)
     mixture = Mixture(mu)
-    values = [AffineRow(tuple(coeffs[i]), offsets[i]).value_at(mixture) for i in range(m)]
+    values = [weighted_sum(offsets[i], mu, coeffs[i]) for i in range(m)]
     value = max(values)
     if value != Fraction(1, 1) / total - shift:
         raise AssertionError("simplex optimum disagrees with recovered game value")

@@ -114,16 +114,7 @@ def multilabel_instance(k: int = 2, constants=((0, 0), (1, 1))):
 
 def hilbert_instance():
     """Squared-norm loss on {e1, e2, 0} in the plane; hypotheses are the constants."""
-    e1 = (Fraction(1), Fraction(0))
-    e2 = (Fraction(0), Fraction(1))
-    origin = (Fraction(0), Fraction(0))
-    ids = (e1, e2, origin)
-    loss = [
-        [sum((a - b) ** 2 for a, b in zip(y, z)) for z in ids]
-        for y in ids
-    ]
-    cls = HypothesisClass(((0,), (1,), (2,)))
-    return validate_problem(make_problem(("x0",), ids, ids, loss), cls)
+    return vector_instance(((1, 0), (0, 1), (0, 0)), p=2)
 
 
 def vector_instance(points=((0, 0), (1, 0), (0, 1)), p: int = 1):
@@ -154,15 +145,7 @@ _PRESETS = {
     "vector:taxicab-triangle": lambda: vector_instance(((0, 0), (1, 0), (0, 1)), p=1),
 }
 
-_DEFAULT_PRESET = {
-    "multiclass": "multiclass:binary-constants",
-    "list": "list:singleton-constants",
-    "setvalued": "setvalued:pair",
-    "regression": "regression:three-point",
-    "multilabel": "multilabel:pair-constants",
-    "hilbert": "hilbert:orthonormal",
-    "vector": "vector:taxicab-triangle",
-}
+_DEFAULT_PRESET = {name.partition(":")[0]: name for name in _PRESETS}
 
 
 def builtin_names() -> tuple:

@@ -37,8 +37,8 @@ from .core import (
     expected_loss,
     parse_rational,
 )
-from .dimensions import DimensionEngine, GammaValue
-from .game import AffineRow, solve_min_max
+from .dimensions import DimensionEngine, GammaValue, dominant_rows
+from .game import solve_min_max
 
 
 def _realizable_gamma(engine: DimensionEngine) -> Fraction:
@@ -123,17 +123,9 @@ class Mrsoa:
 def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members, x: int) -> Mixture:
     loss = engine.problem.loss
     cands = engine.candidate_rows(members, x)
-
-    def dominant_rows(triples):
-        best = {}
-        for y, eps, _ in triples:
-            if y not in best or eps < best[y]:
-                best[y] = eps
-        return tuple(AffineRow(loss[y], -eps) for y, eps in sorted(best.items()))
-
     dim = engine.dim_members(members)
     if dim == 0:
-        sol = solve_min_max(dominant_rows(cands))
+        sol = solve_min_max(dominant_rows(loss, cands))
         if not sol.value < gamma:
             raise RuntimeError(
                 "dimension-zero version space admits no mixture below gamma "
@@ -143,7 +135,7 @@ def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members, x: int) 
     with_dims = [(y, eps, engine.dim_members(child)) for y, eps, child in cands]
     best_sol = None
     for level in range(dim - 1, -1, -1):
-        rows = dominant_rows((y, eps, None) for y, eps, d in with_dims if d > level)
+        rows = dominant_rows(loss, ((y, eps, None) for y, eps, d in with_dims if d > level))
         if not rows:
             # No candidate exceeds this level; the level is achieved by any
             # mixture, keep sweeping for a sharper one.
@@ -157,7 +149,7 @@ def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members, x: int) 
         # Every candidate child has dimension 0 (only possible at dim <= 1):
         # any feedback already shrinks the dimension, so just minimize the
         # worst realizable threshold violation.
-        best_sol = solve_min_max(dominant_rows(cands))
+        best_sol = solve_min_max(dominant_rows(loss, cands))
     return best_sol.mixture
 
 

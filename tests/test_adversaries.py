@@ -1,6 +1,7 @@
 """Adversary behavior: certificate-driven play and the Rademacher witness."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,18 @@ class TestShatteringAdversary:
             adv.next_instance()  # depth 1 certificate is exhausted
         assert adv.remaining_depth == 0
         assert adv.rounds_played == 1
+
+    def test_unmet_certificate_value_raises(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        cert = make_certificate(problem, cls, F(1, 4))
+        key, node = next(iter(cert.nodes.items()))
+        # No mixture lets the best response reach a value above the loss bound.
+        inflated = replace(node, value=node.value + problem.bound_c + 1)
+        forged = replace(cert, nodes={**cert.nodes, key: inflated})
+        adv = ShatteringAdversary(problem, cls, forged)
+        adv.next_instance()
+        with pytest.raises(RuntimeError, match="certificate game value"):
+            adv.observe_mixture(Mixture.uniform(2))
 
     def test_zero_depth_certificate_plays_nothing(self):
         problem, cls = make_builtin("multiclass:binary-constants")

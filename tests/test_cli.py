@@ -139,6 +139,14 @@ class TestDimErrors:
         )
         assert code == 2 and "seqfat needs gamma > 0" in err
 
+    def test_non_integer_memo_cap_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SMDIM_MEMO_CAP", "abc")
+        code, _, err = run_cli(
+            capsys, "dim", "--dimension", "smdim", "--gamma", "1/4",
+            "--builtin", "multiclass",
+        )
+        assert code == 2 and err.startswith("error:") and "SMDIM_MEMO_CAP" in err
+
     def test_missing_instance_file(self, capsys):
         code, _, err = run_cli(
             capsys, "dim", "--instance", "/nonexistent/path.json",

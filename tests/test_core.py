@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdim.core import (
-    Candidate,
     HypothesisClass,
     Mixture,
     ValidationError,
@@ -16,7 +15,6 @@ from smdim.core import (
     make_problem,
     make_stream,
     parse_rational,
-    restrict,
     validate_problem,
     validate_stream,
 )
@@ -97,8 +95,8 @@ class TestProblem:
     def test_loss_at_and_predict(self):
         problem, cls = binary_problem()
         assert cls.predict(1, 0) == 1
-        assert problem.loss_at(0, cls.predict(1, 0)) == 1
-        assert problem.loss_at(1, cls.predict(1, 0)) == 0
+        assert problem.loss[0][cls.predict(1, 0)] == 1
+        assert problem.loss[1][cls.predict(1, 0)] == 0
 
 
 class TestVersionSpace:
@@ -164,22 +162,6 @@ class TestExpectedLossAndRestrict:
         problem, _ = binary_problem()
         with pytest.raises(ValidationError):
             expected_loss(problem, Mixture.uniform(3), 0)
-
-    def test_restrict_keeps_at_most_threshold(self):
-        problem, cls = binary_problem()
-        space = VersionSpace.full(2)
-        assert restrict(problem, cls, space, 0, Candidate(0, F(0))).members == (0,)
-        assert restrict(problem, cls, space, 0, Candidate(0, F(1))).members == (0, 1)
-
-    def test_restrict_may_empty(self):
-        problem, cls = binary_problem()
-        only_one = VersionSpace.of([1])
-        assert restrict(problem, cls, only_one, 0, Candidate(0, F(0))).members == ()
-
-    def test_restrict_threshold_above_bound(self):
-        problem, cls = binary_problem()
-        with pytest.raises(ValidationError):
-            restrict(problem, cls, VersionSpace.full(2), 0, Candidate(0, F(2)))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8))

@@ -7,8 +7,10 @@ and the inner game solved by the support-enumeration oracle from test_game
 instead of the simplex solver.
 """
 
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -377,6 +379,12 @@ class TestEngineBudget:
         with pytest.raises(BudgetError):
             engine.smdim(VersionSpace.full(3))
 
+    def test_non_integer_env_cap_is_a_validation_error(self, monkeypatch):
+        monkeypatch.setenv("SMDIM_MEMO_CAP", "1.5")
+        problem, cls = make_builtin("hilbert:orthonormal")
+        with pytest.raises(ValidationError, match="SMDIM_MEMO_CAP"):
+            DimensionEngine(problem, cls, F(1, 2))
+
     def test_env_var_cap(self, monkeypatch):
         monkeypatch.setenv("SMDIM_MEMO_CAP", "1")
         problem, cls = make_builtin("hilbert:orthonormal")
@@ -392,6 +400,21 @@ class TestEngineBudget:
         before = len(engine._memo)
         engine.smdim(VersionSpace.full(3))
         assert len(engine._memo) == before
+
+    def test_engine_freed_by_refcount(self):
+        # An engine must not sit in a reference cycle: a large memo would
+        # otherwise stay alive until the cyclic collector happens to run.
+        problem, cls = make_builtin("regression:three-point")
+        gc.disable()
+        try:
+            engine = DimensionEngine(problem, cls, F(1, 2))
+            engine.smdim(VersionSpace.full(2))
+            engine.certificate(VersionSpace.full(2))
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_candidates_accessor_lists_realized_thresholds():
