@@ -104,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adv.add_argument("--gamma", required=True, help="rational margin for the certificate")
     adv.add_argument("-T", "--rounds", type=int, help="rounds to play (default: the dimension)")
+    adv.add_argument("--alpha", help="agnostic threshold grid step (default 1/T)")
     adv.add_argument("--memo-cap", type=int)
     _add_instance_args(adv)
     _add_output_args(adv)

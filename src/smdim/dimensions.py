@@ -16,6 +16,27 @@ smallest threshold dominates the others pointwise (same coefficients, larger
 offset), so each LP is solved over one row per label while certificates record
 the full qualifying candidate list; both have the same value and minimizer.
 
+Shatterability is monotone under inclusion: if V is a subset of V' and V is
+shatterable to depth d, so is V'. By induction on d (depth 0 only needs a
+nonempty space): at V's instance x, each qualifying (y, eps) of V has a
+superset child in V' at the same threshold, which qualifies by induction; its
+realized threshold eps' on V' is at most eps, so V' has a pointwise higher
+row loss(y, .) - eps', and its game value is at least V's. The engine uses
+this to prune: children grow with the threshold, so for each label it
+recurses over realized thresholds in ascending order only until the first
+one qualifies, and every larger realized threshold of that label qualifies
+without recursion. The qualifying list, the LP rows, the chosen instance and
+the node value are the ones the unpruned recursion finds. The nodes of
+children that pruning skipped are computed when `certificate()` first walks
+into them, and the memo cap (`SMDIM_MEMO_CAP`) counts only the version
+spaces actually visited.
+
+All four routes represent a version space as an `int` bitmask (bit h set when
+hypothesis h is a member). The engine precomputes, for each (x, y), the
+ascending thresholds realized over the whole class, each with the mask of
+hypotheses within it; a child of V is then `V & mask`, and a threshold is
+realized on V exactly when its child differs from the previous threshold's.
+
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
 (margin gamma below, in the non-strict case) the played one, so every branch
@@ -32,8 +53,9 @@ definition without threshold enumeration, as an independent cross-check.
 All four routes (the engine, `ldim_k`, `seqfat`, `msdim_direct`) share one
 memoized recursion, `_shatter_memo`, which holds the depth-0 and |V| - 1 base
 cases and the memo, and one bottom-up depth loop, `_max_depth`. They differ
-only in their branching rule, which decides depth d+1 from depth-d children;
-keeping those rules separate keeps the oracles independent cross-checks.
+only in their branching rule, which decides depth d+1 from depth-d children,
+and each builds its own child masks; keeping those rules separate keeps the
+oracles independent cross-checks.
 """
 
 from __future__ import annotations
@@ -159,14 +181,16 @@ class ShatteringCertificate:
 class DimensionEngine:
     """Memoized shattering computations for one (problem, class, gamma) context.
 
-    The memo table is keyed by (version-space members, depth) and is shared by
-    every query against this engine, so learners that probe many sub-spaces of
-    the same class reuse all prior work. Each entry is the CertificateNode
-    chosen there, or None when the space is not shatterable to that depth.
-    Lookups are idempotent pure values: concurrent readers are safe, and a
-    duplicated insert computes the same entry. The number of distinct version
-    spaces visited is capped (`memo_cap`, or the SMDIM_MEMO_CAP environment
-    variable) and exceeding the cap raises BudgetError rather than thrashing.
+    Version spaces are `int` bitmasks over hypothesis indices. The memo table
+    is keyed by (mask, depth) and is shared by every query against this
+    engine, so learners that probe many sub-spaces of the same class reuse all
+    prior work. Each entry is (instance, value, qualifying (label, threshold,
+    child mask) triples) for the node chosen there, or None when the space is
+    not shatterable to that depth. Lookups are idempotent pure values:
+    concurrent readers are safe, and a duplicated insert computes the same
+    entry. The number of distinct version spaces visited is capped
+    (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
+    cap raises BudgetError rather than thrashing.
     """
 
     def __init__(
@@ -189,10 +213,19 @@ class DimensionEngine:
         if memo_cap <= 0:
             raise ValidationError(f"memo cap must be positive, got {memo_cap}")
         self.memo_cap = memo_cap
-        self._loss = problem.loss
-        self._table = cls.table
-        self._num_x = problem.num_instances
-        self._num_y = problem.num_labels
+        # _steps[x][y]: the thresholds realized at (x, y) over the whole class,
+        # ascending, each with the mask of hypotheses within it and its LP row.
+        self._steps = []
+        for x in range(problem.num_instances):
+            per_label = []
+            for row in problem.loss:
+                losses = [row[h_row[x]] for h_row in cls.table]
+                steps = []
+                for eps in sorted(set(losses)):
+                    within = _mask(h for h, v in enumerate(losses) if v <= eps)
+                    steps.append((eps, within, AffineRow(row, -eps)))
+                per_label.append(tuple(steps))
+            self._steps.append(per_label)
         self._memo = {}
         self._spaces = set()
 
@@ -206,28 +239,46 @@ class DimensionEngine:
         self._check_space(space)
         if depth < 0:
             raise ValidationError(f"negative depth {depth}")
-        return self._shatter(space.members, depth)
+        return self._shatter(_mask(space.members), depth)
 
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
-        """Certificate for the full dimension of `space` (depth 0 gives no nodes)."""
+        """Certificate for the full dimension of `space` (depth 0 gives no nodes).
+
+        Children that threshold pruning never visited are shatterable by
+        monotonicity; their nodes are computed here, on first use.
+        """
         self._check_space(space)
         depth = self.dim_members(space.members)
         nodes = {}
-        stack = [(space.members, depth)]
+        stack = [(_mask(space.members), depth)]
         while stack:
-            members, d = stack.pop()
-            if d < 1 or (members, d) in nodes:
+            mask, d = stack.pop()
+            if d < 1:
                 continue
-            node = self._memo[(members, d)]
-            nodes[(members, d)] = node
-            for _, child in node.candidates:
-                stack.append((child.members, d - 1))
+            members = _members(mask)
+            if (members, d) in nodes:
+                continue
+            if not self._shatter(mask, d):
+                raise AssertionError("a child above a qualifying threshold is not shatterable")
+            x, value, qualifying = self._memo[(mask, d)]
+            nodes[(members, d)] = CertificateNode(
+                space=VersionSpace(members),
+                depth=d,
+                instance=x,
+                value=value,
+                candidates=tuple(
+                    (Candidate(y, eps), VersionSpace(_members(child)))
+                    for y, eps, child in qualifying
+                ),
+            )
+            for _, _, child in qualifying:
+                stack.append((child, d - 1))
         return ShatteringCertificate(gamma=self.gamma, root=space, depth=depth, nodes=nodes)
 
     def candidates(self, space: VersionSpace, x: int):
         """Every (Candidate, child) pair at the realized distinct thresholds."""
         self._check_space(space)
-        if not 0 <= x < self._num_x:
+        if not 0 <= x < self.problem.num_instances:
             raise ValidationError(f"instance index {x} out of range")
         return tuple(
             (Candidate(y, eps), VersionSpace(child))
@@ -238,19 +289,14 @@ class DimensionEngine:
 
     def dim_members(self, members) -> int:
         """Dimension of the version space given as a sorted member tuple."""
-        return _max_depth(members, self._shatter)
+        return _max_depth(_mask(members), self._shatter)
 
     def candidate_rows(self, members, x):
         """(label, threshold, child member tuple) at each realized distinct loss."""
-        out = []
-        table = self._table
-        for y in range(self._num_y):
-            row = self._loss[y]
-            realized = sorted({row[table[h][x]] for h in members})
-            for eps in realized:
-                child = tuple(h for h in members if row[table[h][x]] <= eps)
-                out.append((y, eps, child))
-        return out
+        return [
+            (y, eps, _members(child))
+            for y, eps, child, _ in self._realized(_mask(members), x)
+        ]
 
     # -- internals ----------------------------------------------------------
 
@@ -265,13 +311,36 @@ class DimensionEngine:
             return value > 0
         return value >= self.gamma.gamma
 
+    def _realized(self, members: int, x: int):
+        """(label, threshold, child mask, LP row) at each threshold realized on `members`.
+
+        A threshold is realized exactly when its child differs from the one at
+        the label's previous threshold; labels ascend, thresholds ascend within
+        a label.
+        """
+        for y, steps in enumerate(self._steps[x]):
+            previous = 0
+            for eps, within, row in steps:
+                child = members & within
+                if child != previous:
+                    yield y, eps, child, row
+                    if child == members:
+                        break
+                    previous = child
+
     # A method, not a closure stored on the engine: that would be a reference
     # cycle, so engines would outlive their last reference until a gc pass.
-    def _shatter(self, members, depth) -> bool:
+    def _shatter(self, members: int, depth: int) -> bool:
         return _shatter_memo(self._memo, self._branch, members, depth)
 
-    def _branch(self, members, depth) -> Optional[CertificateNode]:
-        """The node at the first instance whose qualifying game passes, else None."""
+    def _branch(self, members: int, depth: int):
+        """(instance, value, qualifying triples) at the first instance whose
+        qualifying game passes, else None.
+
+        For each label only thresholds up to its first qualifying one are
+        recursed on: every larger realized threshold has a superset child, so
+        it qualifies too (module docstring), and its LP row is dominated.
+        """
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -279,25 +348,22 @@ class DimensionEngine:
                     f"raise {MEMO_CAP_ENV} or pass a larger memo_cap"
                 )
             self._spaces.add(members)
-        for x in range(self._num_x):
-            qualifying = [
-                (y, eps, child)
-                for y, eps, child in self.candidate_rows(members, x)
-                if self._shatter(child, depth - 1)
-            ]
-            if not qualifying:
+        for x in range(self.problem.num_instances):
+            qualifying = []
+            rows = []
+            found = -1
+            for y, eps, child, row in self._realized(members, x):
+                if y != found:
+                    if not self._shatter(child, depth - 1):
+                        continue
+                    found = y
+                    rows.append(row)
+                qualifying.append((y, eps, child))
+            if not rows:
                 continue
-            sol = solve_min_max(dominant_rows(self._loss, qualifying))
+            sol = solve_min_max(rows)
             if self._passes(sol.value):
-                return CertificateNode(
-                    space=VersionSpace(members),
-                    depth=depth,
-                    instance=x,
-                    value=sol.value,
-                    candidates=tuple(
-                        (Candidate(y, eps), VersionSpace(child)) for y, eps, child in qualifying
-                    ),
-                )
+                return x, sol.value, tuple(qualifying)
         return None
 
 
@@ -339,14 +405,13 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
                 f"prediction {z} has zero loss against {zeros} labels; "
                 f"the depth-{k + 1} branching recursion does not terminate"
             )
-    table = cls.table
-    loss = problem.loss
+    zero_loss = _zero_loss_masks(problem, cls)
 
     def branch(members, depth):
-        for x in range(problem.num_instances):
+        for masks in zero_loss:
             fanout = 0
-            for y in range(problem.num_labels):
-                child = tuple(h for h in members if loss[y][table[h][x]] == 0)
+            for within in masks:
+                child = members & within
                 if child and shatter(child, depth - 1):
                     fanout += 1
                     if fanout > k:
@@ -354,7 +419,7 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(space.members, shatter)
+    return _max_depth(_mask(space.members), shatter)
 
 
 def seqfat(
@@ -378,15 +443,26 @@ def seqfat(
         values = tuple(parse_rational(v) for v in problem.predictions)
     except ValidationError as exc:
         raise ValidationError(f"seqfat needs numeric labels: {exc}") from exc
-    table = cls.table
+    # (upper, lower) masks per instance and witness s: hypotheses predicting
+    # at least s + gamma, and at most s - gamma.
+    splits = [
+        [
+            (
+                _mask(h for h, row in enumerate(cls.table) if values[row[x]] >= s + gamma),
+                _mask(h for h, row in enumerate(cls.table) if values[row[x]] <= s - gamma),
+            )
+            for s in values
+        ]
+        for x in range(problem.num_instances)
+    ]
 
     def branch(members, depth):
-        for x in range(problem.num_instances):
-            for s in values:
-                upper = tuple(h for h in members if values[table[h][x]] >= s + gamma)
+        for per_witness in splits:
+            for above, below in per_witness:
+                upper = members & above
                 if not upper:
                     continue
-                lower = tuple(h for h in members if values[table[h][x]] <= s - gamma)
+                lower = members & below
                 if not lower:
                     continue
                 if shatter(upper, depth - 1) and shatter(lower, depth - 1):
@@ -394,7 +470,7 @@ def seqfat(
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(space.members, shatter)
+    return _max_depth(_mask(space.members), shatter)
 
 
 def msdim(
@@ -429,17 +505,17 @@ def msdim_direct(
     """
     gv = GammaValue.of(gamma)
     _check_binary_loss(problem)
-    table = cls.table
     loss = problem.loss
+    zero_loss = _zero_loss_masks(problem, cls)
 
     def passes(value):
         return value > 0 if gv.strict else value >= gv.gamma
 
     def branch(members, depth):
-        for x in range(problem.num_instances):
+        for masks in zero_loss:
             rows = []
-            for y in range(problem.num_labels):
-                child = tuple(h for h in members if loss[y][table[h][x]] == 0)
+            for y, within in enumerate(masks):
+                child = members & within
                 if child and shatter(child, depth - 1):
                     rows.append(AffineRow(loss[y], Fraction(0)))
             if rows and passes(solve_min_max(rows).value):
@@ -447,11 +523,11 @@ def msdim_direct(
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(space.members, shatter)
+    return _max_depth(_mask(space.members), shatter)
 
 
 def _shatter_memo(memo, branch, members, depth) -> bool:
-    """Whether `members` is shatterable to `depth`, with `branch` deciding depth >= 1.
+    """Whether bitmask `members` is shatterable to `depth`, with `branch` deciding depth >= 1.
 
     Depth 0 needs a nonempty space and depths above |V| - 1 never hold (see
     the module docstring). In between, `branch(members, depth)` returns a
@@ -460,7 +536,7 @@ def _shatter_memo(memo, branch, members, depth) -> bool:
     """
     if depth == 0:
         return bool(members)
-    if depth > len(members) - 1:
+    if depth > members.bit_count() - 1:
         return False
     key = (members, depth)
     hit = memo.get(key, _MISSING)
@@ -469,14 +545,43 @@ def _shatter_memo(memo, branch, members, depth) -> bool:
     return bool(hit)
 
 
+def _mask(members) -> int:
+    """The bitmask of an iterable of hypothesis indices."""
+    mask = 0
+    for h in members:
+        mask |= 1 << h
+    return mask
+
+
+def _members(mask: int) -> tuple:
+    """The ascending hypothesis indices of a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _max_depth(members, shatter) -> int:
     """Largest depth to which `shatter(members, depth)` holds, probed bottom-up."""
     if not members:
         raise ValidationError("dimension of an empty version space is undefined")
     depth = 0
-    while depth < len(members) - 1 and shatter(members, depth + 1):
+    while depth < members.bit_count() - 1 and shatter(members, depth + 1):
         depth += 1
     return depth
+
+
+def _zero_loss_masks(problem: Problem, cls: HypothesisClass) -> list:
+    """Per instance, per label: the mask of hypotheses with zero loss there."""
+    return [
+        [
+            _mask(h for h, row in enumerate(cls.table) if loss_row[row[x]] == 0)
+            for loss_row in problem.loss
+        ]
+        for x in range(problem.num_instances)
+    ]
 
 
 def _check_binary_loss(problem: Problem):

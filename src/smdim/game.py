@@ -13,17 +13,38 @@ whose optimum S satisfies value = 1/S and mu* = u*/S. That LP has the origin
 as a basic feasible point, so a single-phase dense tableau simplex suffices.
 Pivoting follows Bland's rule (lowest-index entering column, lowest-index
 basic variable on ratio ties), which cannot cycle and makes the output a
-deterministic function of the input. All arithmetic is `fractions.Fraction`.
+deterministic function of the input.
+
+The tableau is integer-preserving (Edmonds' fraction-free elimination, as in
+Bareiss). The LP is first scaled by the least common multiple of its
+denominators, which multiplies every ratio and reduced cost the pivot rule
+looks at by a positive constant. Every entry is then kept as an integer
+numerator over one common denominator, the determinant `det` of the current
+basis in the scaled matrix. A pivot on entry p at (r, c) keeps row r and
+replaces each other entry a at (i, j) by (p*a - a_ic*a_rj) / det, then det
+becomes p. That quotient is always exact: by Sylvester's determinant identity
+it is a minor of the initial integer tableau, so it is an integer. Entering
+and leaving variables are chosen by the same Bland's rule, with ratios
+compared by integer cross-multiplication, so the pivot sequence is the one
+rational arithmetic takes. The game value, mixture and tight rows are
+recovered from the final integers and checked exactly; only they become
+Fractions. Solutions are cached per row set in a bounded LRU cache of
+LP_CACHE_SIZE entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .core import Mixture, ValidationError, weighted_sum
+
+# Distinct row sets whose solutions are kept; the cache is process-wide, so a
+# bound keeps long-lived processes from growing without limit.
+LP_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -85,49 +106,54 @@ def best_response(mixture: Mixture, rows: Sequence[AffineRow]):
     return best_i, best_v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LP_CACHE_SIZE)
 def _solve_cached(key) -> GameSolution:
-    coeffs = [k[0] for k in key]
-    offsets = [k[1] for k in key]
-    m = len(coeffs)
-    n = len(coeffs[0])
-    # Shift every effective entry to exactly >= 1 so the game value is positive
-    # and the reciprocal LP applies; the shift is undone at the end.
-    low = min(coeffs[i][j] + offsets[i] for i in range(m) for j in range(n))
-    shift = Fraction(1) - low
-    matrix = [[coeffs[i][j] + offsets[i] + shift for j in range(n)] for i in range(m)]
-    u = _simplex_max_sum(matrix)
+    # Every effective entry coefficient + offset, as an integer numerator over
+    # the common denominator `scale`.
+    scale = math.lcm(*(v.denominator for coeffs, offset in key for v in (*coeffs, offset)))
+    entries = []
+    for coeffs, offset in key:
+        base = offset.numerator * (scale // offset.denominator)
+        entries.append([c.numerator * (scale // c.denominator) + base for c in coeffs])
+    # Shift every entry to exactly >= 1 (numerator >= scale) so the game value
+    # is positive and the reciprocal LP applies; the shift is undone at the end.
+    low = min(min(row) for row in entries)
+    u, det = _simplex_max_sum([[v - low + scale for v in row] for row in entries], scale)
     total = sum(u)
     # total > 0: any single coordinate can be raised above zero while staying feasible.
-    mu = tuple(x / total for x in u)
-    mixture = Mixture(mu)
-    values = [weighted_sum(offsets[i], mu, coeffs[i]) for i in range(m)]
-    value = max(values)
-    if value != Fraction(1, 1) / total - shift:
+    mixture = Mixture(tuple(Fraction(x, total) for x in u))
+    # Row i's value at the mixture, times scale * total (the weights sum to 1).
+    values = [sum(v * x for v, x in zip(row, u)) for row in entries]
+    top = max(values)
+    # The LP optimum is total/det and the shift (scale - low)/scale, so the
+    # game value det/total - (scale - low)/scale must equal top/(scale*total).
+    if top != det * scale - (scale - low) * total:
         raise AssertionError("simplex optimum disagrees with recovered game value")
-    tight = tuple(i for i, v in enumerate(values) if v == value)
-    return GameSolution(value=value, mixture=mixture, tight_rows=tight)
+    tight = tuple(i for i, v in enumerate(values) if v == top)
+    return GameSolution(value=Fraction(top, scale * total), mixture=mixture, tight_rows=tight)
 
 
-def _simplex_max_sum(matrix):
-    """Maximize sum(u) subject to matrix @ u <= 1, u >= 0, entries all positive.
+def _simplex_max_sum(matrix, rhs):
+    """Maximize sum(u) subject to matrix @ u <= rhs, u >= 0.
 
-    Dense tableau with Bland's rule. Returns the optimal u as Fractions.
+    `matrix` holds positive integers and `rhs` is a positive integer. Dense
+    integer-preserving tableau with Bland's rule. Returns (numerators, det):
+    the optimal u is numerators / det.
     """
     m = len(matrix)
     n = len(matrix[0])
-    zero = Fraction(0)
-    one = Fraction(1)
-    # Columns: n structural, m slacks, then the right-hand side.
+    # Columns: n structural, m slacks, then the right-hand side; the last row
+    # is the reduced-cost row of sum(u).
     tableau = []
     for i in range(m):
-        row = list(matrix[i]) + [zero] * m + [one]
-        row[n + i] = one
+        row = list(matrix[i]) + [0] * m + [rhs]
+        row[n + i] = 1
         tableau.append(row)
-    # Reduced-cost row for the maximization objective sum(u).
-    cost = [one] * n + [zero] * (m + 1)
+    tableau.append([1] * n + [0] * (m + 1))
     basis = list(range(n, n + m))
+    det = 1
     while True:
+        cost = tableau[m]
         enter = -1
         for j in range(n + m):
             if cost[j] > 0:
@@ -135,46 +161,39 @@ def _simplex_max_sum(matrix):
                 break
         if enter < 0:
             break
+        # Ratios rhs/a compare by cross-multiplication: every a taking part is
+        # positive, and the common denominator det cancels.
         leave = -1
-        best_ratio = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                here = tableau[i][-1] * tableau[leave][enter]
+                best = tableau[leave][-1] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            # Impossible for positive matrices: sum(u) is bounded by 1/min-entry.
+            # Impossible for positive matrices: sum(u) is bounded by rhs/min-entry.
             raise AssertionError("unbounded reciprocal game LP")
         pivot_row = tableau[leave]
         p = pivot_row[enter]
-        if p != 1:
-            inv = one / p
-            for j in range(n + m + 1):
-                if pivot_row[j]:
-                    pivot_row[j] *= inv
-        for i in range(m):
+        # Fraction-free pivot: the pivot row keeps its integers and becomes
+        # exact over the new denominator p; every other row takes the 2x2
+        # determinant with it, which det divides exactly (module docstring).
+        for i, row in enumerate(tableau):
             if i == leave:
                 continue
-            row = tableau[i]
             f = row[enter]
             if f:
-                for j in range(n + m + 1):
-                    if pivot_row[j]:
-                        row[j] -= f * pivot_row[j]
-        f = cost[enter]
-        if f:
-            for j in range(n + m + 1):
-                if pivot_row[j]:
-                    cost[j] -= f * pivot_row[j]
+                tableau[i] = [(p * a - f * b) // det for a, b in zip(row, pivot_row)]
+            elif p != det:
+                tableau[i] = [p * a // det for a in row]
+        det = p
         basis[leave] = enter
-    u = [zero] * n
+    u = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             u[b] = tableau[i][-1]
-    return u
+    return u, det

@@ -246,6 +246,23 @@ class TestAdversary:
         )
         assert code == 2 and "at most 1 rounds" in err
 
+    def test_agnostic_learner_runs(self, capsys):
+        code, out, err = run_cli(
+            capsys, "adversary", "--builtin", "multiclass", "--learner", "agnostic",
+            "--gamma", "1/4",
+        )
+        assert (code, err) == (0, "")
+        assert "rounds: 1\n" in out
+        assert "guaranteed regret: >= 1/4\n" in out
+
+    def test_agnostic_learner_takes_alpha(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "adversary", "--builtin", "multiclass", "--learner", "agnostic",
+            "--gamma", "1/4", "--alpha", "1/2", "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(out)["rounds"]) == 1
+
     def test_uniform_csv_transcript(self, capsys):
         code, out, _ = run_cli(
             capsys, "adversary", "--builtin", "hilbert", "--learner", "uniform",

@@ -14,6 +14,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from smdim.core import (
     BudgetError,
@@ -42,9 +43,8 @@ from test_game import oracle_min_max
 F = Fraction
 
 
-def oracle_smdim(problem, cls, members, gv):
-    table = cls.table
-    loss = problem.loss
+def oracle_shatter(problem, cls, gv):
+    """The definition's shatter(members, depth) on member tuples, memoized."""
     memo = {}
 
     def passes(value):
@@ -61,19 +61,35 @@ def oracle_smdim(problem, cls, members, gv):
         memo[key] = False  # self-referential children recurse at lower depth only
         result = False
         for x in range(problem.num_instances):
-            rows = []
-            for y in range(problem.num_labels):
-                realized = sorted({loss[y][table[h][x]] for h in members})
-                for eps in realized:
-                    child = tuple(h for h in members if loss[y][table[h][x]] <= eps)
-                    if shatter(child, depth - 1):
-                        rows.append(AffineRow(loss[y], -eps))
+            rows = [
+                AffineRow(problem.loss[y], -eps)
+                for y, eps, _ in oracle_qualifying(problem, cls, shatter, members, x, depth)
+            ]
             if rows and passes(oracle_min_max(rows)):
                 result = True
                 break
         memo[key] = result
         return result
 
+    return shatter
+
+
+def oracle_qualifying(problem, cls, shatter, members, x, depth):
+    """Every (y, eps, child) at a realized threshold whose child has depth - 1."""
+    table = cls.table
+    loss = problem.loss
+    out = []
+    for y in range(problem.num_labels):
+        realized = sorted({loss[y][table[h][x]] for h in members})
+        for eps in realized:
+            child = tuple(h for h in members if loss[y][table[h][x]] <= eps)
+            if shatter(child, depth - 1):
+                out.append((y, eps, child))
+    return out
+
+
+def oracle_smdim(problem, cls, members, gv):
+    shatter = oracle_shatter(problem, cls, gv)
     depth = 0
     while shatter(members, depth + 1):
         depth += 1
@@ -245,6 +261,32 @@ class TestCertificate:
                     assert problem.loss[cand.label][cls.table[h][node.instance]] <= cand.threshold
                 members = child.members
 
+    def test_candidate_lists_match_unpruned_oracle(self):
+        # The engine recurses on each label only up to its first qualifying
+        # threshold; the rest of every node's list is produced by monotonicity.
+        # Regression grids add nodes of depth >= 2, where pruning takes effect.
+        cases = [make_builtin(name) for name in BUILTIN_DIMENSIONS]
+        rng = random.Random(29)
+        cases += [small_random_instance(rng) for _ in range(30)]
+        cases += [gen_regression(rng) for _ in range(20)]
+        deep = 0
+        for problem, cls in cases:
+            for gv in ORACLE_GAMMAS:
+                engine = DimensionEngine(problem, cls, gv)
+                cert = engine.certificate(VersionSpace.full(cls.num_hypotheses))
+                shatter = oracle_shatter(problem, cls, gv)
+                for (members, depth), node in cert.nodes.items():
+                    listed = [
+                        (cand.label, cand.threshold, child.members)
+                        for cand, child in node.candidates
+                    ]
+                    expected = oracle_qualifying(
+                        problem, cls, shatter, members, node.instance, depth
+                    )
+                    assert listed == expected
+                    deep += depth >= 2
+        assert deep >= 40
+
     def test_zero_depth_certificate_has_no_nodes(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         engine = DimensionEngine(problem, cls, F(1, 4))
@@ -265,17 +307,20 @@ class TestMonotonicity:
             ]
             assert values == sorted(values, reverse=True)
 
-    def test_subset_monotonicity(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            problem, cls = small_random_instance(rng)
-            engine = DimensionEngine(problem, cls, F(1, 4))
-            full = tuple(range(cls.num_hypotheses))
-            full_dim = engine.dim_members(full)
-            for drop in range(cls.num_hypotheses):
-                sub = tuple(h for h in full if h != drop)
-                if sub:
-                    assert engine.dim_members(sub) <= full_dim
+    # The engine's threshold pruning rests on this property, so it is checked
+    # with the oracle, which neither prunes nor caps depth.
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from((GammaValue.strict_zero(), GammaValue.of(F(1, 4)))),
+        st.data(),
+    )
+    def test_subset_monotonicity(self, rng, gv, data):
+        problem, cls = small_random_instance(rng)
+        everyone = range(cls.num_hypotheses)
+        outer = data.draw(st.sets(st.sampled_from(everyone), min_size=1))
+        inner = data.draw(st.sets(st.sampled_from(sorted(outer)), min_size=1))
+        bigger = oracle_smdim(problem, cls, tuple(sorted(outer)), gv)
+        assert oracle_smdim(problem, cls, tuple(sorted(inner)), gv) <= bigger
 
     def test_depth_cap(self):
         rng = random.Random(17)

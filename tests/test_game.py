@@ -13,6 +13,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from smdim import game
 from smdim.core import Mixture, ValidationError
 from smdim.game import AffineRow, best_response, solve_min_max
 
@@ -105,6 +106,50 @@ def test_dominated_row_changes_nothing():
     extended = base + (row((0, 1), F(-1, 2)),)
     assert solve_min_max(extended).value == solve_min_max(base).value
     assert solve_min_max(extended).mixture == solve_min_max(base).mixture
+
+
+@pytest.mark.parametrize(
+    "rows, value, weights, tight",
+    [
+        # Optimal mixtures (0, 1/2 - a, 1/2, a) for a in [0, 1/2].
+        (
+            (
+                row((1, 1, 0, 0)),
+                row((1, 1, 0, 1)),
+                row((1, 0, 1, 0)),
+                row((1, 0, 0, 1)),
+                row((0, 0, 0, 0)),
+            ),
+            F(1, 2),
+            (F(0), F(1, 2), F(1, 2), F(0)),
+            (0, 1, 2),
+        ),
+        # Optimal mixtures (0, 3/4, 1/4 - a, a) for a in [0, 1/4].
+        (
+            (row((0, 0, 1, 0)), row((1, 1, 0, 0), F(-1, 2)), row((1, 0, 1, 1)), row((1, 0, 0, 1))),
+            F(1, 4),
+            (F(0), F(3, 4), F(1, 4), F(0)),
+            (0, 1, 2),
+        ),
+    ],
+)
+def test_degenerate_game_keeps_blands_pivots(rows, value, weights, tight):
+    # Every optimal vertex gives the value; Bland's pivot sequence (lowest
+    # entering column, lowest basic index on ratio ties) picks this mixture
+    # and these tight rows.
+    sol = solve_min_max(rows)
+    assert sol.value == value == oracle_min_max(rows)
+    assert sol.mixture.weights == weights
+    assert sol.tight_rows == tight
+
+
+def test_lp_cache_is_bounded():
+    game._solve_cached.cache_clear()
+    assert game._solve_cached.cache_info().maxsize == game.LP_CACHE_SIZE
+    for k in range(game.LP_CACHE_SIZE + 10):
+        solve_min_max((row((1, 2), F(k, 7)),))
+    assert game._solve_cached.cache_info().currsize == game.LP_CACHE_SIZE
+    game._solve_cached.cache_clear()
 
 
 def test_grid_search_brackets_the_value():
