@@ -298,7 +298,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_adversary(args) -> int:
     problem, cls = _load_instance(args)
-    gv = _parse_gammas(args.gamma)[0]
+    gv = _require_gamma(args, "adversary")
     engine = DimensionEngine(problem, cls, gv, args.memo_cap)
     space = VersionSpace.full(cls.num_hypotheses)
     certificate = engine.certificate(space)
@@ -363,7 +363,7 @@ def _cmd_sqrt_lower(args) -> int:
     witness = find_sqrt_witness(problem, cls)
     if witness is None:
         raise ValidationError("instance admits no two-point sign witness")
-    gv = _parse_gammas(args.gamma)[0]
+    gv = _require_gamma(args, "sqrt-lower")
 
     def factory():
         if rounds == 0:

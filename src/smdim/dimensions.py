@@ -31,11 +31,13 @@ children that pruning skipped are computed when `certificate()` first walks
 into them, and the memo cap (`SMDIM_MEMO_CAP`) counts only the version
 spaces actually visited.
 
-All four routes represent a version space as an `int` bitmask (bit h set when
-hypothesis h is a member). The engine precomputes, for each (x, y), the
-ascending thresholds realized over the whole class, each with the mask of
-hypotheses within it; a child of V is then `V & mask`, and a threshold is
-realized on V exactly when its child differs from the previous threshold's.
+All four routes, and the learners, represent a version space as an `int`
+bitmask (bit h set when hypothesis h is a member); `to_mask` and `to_members`
+convert at the `VersionSpace` boundary. The engine precomputes, for each
+(x, y), the ascending thresholds realized over the whole class, each with the
+mask of hypotheses within it; a child of V is then `V & mask` (`restrict`),
+and a threshold is realized on V exactly when its child differs from the
+previous threshold's (`candidate_rows`).
 
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
@@ -222,7 +224,7 @@ class DimensionEngine:
                 losses = [row[h_row[x]] for h_row in cls.table]
                 steps = []
                 for eps in sorted(set(losses)):
-                    within = _mask(h for h, v in enumerate(losses) if v <= eps)
+                    within = to_mask(h for h, v in enumerate(losses) if v <= eps)
                     steps.append((eps, within, AffineRow(row, -eps)))
                 per_label.append(tuple(steps))
             self._steps.append(per_label)
@@ -233,13 +235,13 @@ class DimensionEngine:
 
     def smdim(self, space: VersionSpace) -> int:
         self._check_space(space)
-        return self.dim_members(space.members)
+        return self.dim_members(to_mask(space.members))
 
     def shatterable(self, space: VersionSpace, depth: int) -> bool:
         self._check_space(space)
         if depth < 0:
             raise ValidationError(f"negative depth {depth}")
-        return self._shatter(_mask(space.members), depth)
+        return self._shatter(to_mask(space.members), depth)
 
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
         """Certificate for the full dimension of `space` (depth 0 gives no nodes).
@@ -248,14 +250,15 @@ class DimensionEngine:
         monotonicity; their nodes are computed here, on first use.
         """
         self._check_space(space)
-        depth = self.dim_members(space.members)
+        root = to_mask(space.members)
+        depth = self.dim_members(root)
         nodes = {}
-        stack = [(_mask(space.members), depth)]
+        stack = [(root, depth)]
         while stack:
             mask, d = stack.pop()
             if d < 1:
                 continue
-            members = _members(mask)
+            members = to_members(mask)
             if (members, d) in nodes:
                 continue
             if not self._shatter(mask, d):
@@ -267,7 +270,7 @@ class DimensionEngine:
                 instance=x,
                 value=value,
                 candidates=tuple(
-                    (Candidate(y, eps), VersionSpace(_members(child)))
+                    (Candidate(y, eps), VersionSpace(to_members(child)))
                     for y, eps, child in qualifying
                 ),
             )
@@ -281,22 +284,52 @@ class DimensionEngine:
         if not 0 <= x < self.problem.num_instances:
             raise ValidationError(f"instance index {x} out of range")
         return tuple(
-            (Candidate(y, eps), VersionSpace(child))
-            for y, eps, child in self.candidate_rows(space.members, x)
+            (Candidate(y, eps), VersionSpace(to_members(child)))
+            for y, eps, child, _ in self.candidate_rows(to_mask(space.members), x)
         )
 
-    # -- low-level API (raw member tuples, shared with the learners) ---------
+    # -- low-level API (bitmask version spaces, shared with the learners) ----
+    # No validation: callers pass masks within the class and indices in range.
 
-    def dim_members(self, members) -> int:
-        """Dimension of the version space given as a sorted member tuple."""
-        return _max_depth(_mask(members), self._shatter)
+    def dim_members(self, members: int) -> int:
+        """Dimension of the version space given as a bitmask."""
+        return _max_depth(members, self._shatter)
 
-    def candidate_rows(self, members, x):
-        """(label, threshold, child member tuple) at each realized distinct loss."""
-        return [
-            (y, eps, _members(child))
-            for y, eps, child, _ in self._realized(_mask(members), x)
-        ]
+    def candidate_rows(self, members: int, x: int) -> list:
+        """(label, threshold, child mask, LP row) at each threshold realized on `members`.
+
+        A threshold is realized exactly when its child differs from the one at
+        the label's previous threshold; labels ascend, thresholds ascend within
+        a label, so each label's first entry has its smallest threshold and the
+        LP row that dominates the label's others.
+        """
+        out = []
+        for y, steps in enumerate(self._steps[x]):
+            previous = 0
+            for eps, within, row in steps:
+                child = members & within
+                if child != previous:
+                    out.append((y, eps, child, row))
+                    if child == members:
+                        break
+                    previous = child
+        return out
+
+    def restrict(self, members: int, x: int, y: int, eps: Optional[Fraction] = None) -> int:
+        """The child {h in members : loss(y, h(x)) <= eps} as a bitmask.
+
+        eps=None takes the smallest loss realized on `members`. A threshold
+        below every loss gives the empty space 0, one at or above every loss
+        gives `members` itself.
+        """
+        child = 0
+        for threshold, within, _ in self._steps[x][y]:
+            if eps is not None and threshold > eps:
+                break
+            child = members & within
+            if eps is None and child:
+                break
+        return child
 
     # -- internals ----------------------------------------------------------
 
@@ -310,23 +343,6 @@ class DimensionEngine:
         if self.gamma.strict:
             return value > 0
         return value >= self.gamma.gamma
-
-    def _realized(self, members: int, x: int):
-        """(label, threshold, child mask, LP row) at each threshold realized on `members`.
-
-        A threshold is realized exactly when its child differs from the one at
-        the label's previous threshold; labels ascend, thresholds ascend within
-        a label.
-        """
-        for y, steps in enumerate(self._steps[x]):
-            previous = 0
-            for eps, within, row in steps:
-                child = members & within
-                if child != previous:
-                    yield y, eps, child, row
-                    if child == members:
-                        break
-                    previous = child
 
     # A method, not a closure stored on the engine: that would be a reference
     # cycle, so engines would outlive their last reference until a gc pass.
@@ -352,7 +368,7 @@ class DimensionEngine:
             qualifying = []
             rows = []
             found = -1
-            for y, eps, child, row in self._realized(members, x):
+            for y, eps, child, row in self.candidate_rows(members, x):
                 if y != found:
                     if not self._shatter(child, depth - 1):
                         continue
@@ -365,15 +381,6 @@ class DimensionEngine:
             if self._passes(sol.value):
                 return x, sol.value, tuple(qualifying)
         return None
-
-
-def dominant_rows(loss, triples) -> tuple:
-    """One affine row per label, at its smallest threshold among (y, eps, _) triples."""
-    best = {}
-    for y, eps, _ in triples:
-        if y not in best or eps < best[y]:
-            best[y] = eps
-    return tuple(AffineRow(loss[y], -eps) for y, eps in sorted(best.items()))
 
 
 def smdim(
@@ -419,7 +426,7 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(_mask(space.members), shatter)
+    return _max_depth(to_mask(space.members), shatter)
 
 
 def seqfat(
@@ -448,8 +455,8 @@ def seqfat(
     splits = [
         [
             (
-                _mask(h for h, row in enumerate(cls.table) if values[row[x]] >= s + gamma),
-                _mask(h for h, row in enumerate(cls.table) if values[row[x]] <= s - gamma),
+                to_mask(h for h, row in enumerate(cls.table) if values[row[x]] >= s + gamma),
+                to_mask(h for h, row in enumerate(cls.table) if values[row[x]] <= s - gamma),
             )
             for s in values
         ]
@@ -470,7 +477,7 @@ def seqfat(
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(_mask(space.members), shatter)
+    return _max_depth(to_mask(space.members), shatter)
 
 
 def msdim(
@@ -523,7 +530,7 @@ def msdim_direct(
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(_mask(space.members), shatter)
+    return _max_depth(to_mask(space.members), shatter)
 
 
 def _shatter_memo(memo, branch, members, depth) -> bool:
@@ -545,7 +552,7 @@ def _shatter_memo(memo, branch, members, depth) -> bool:
     return bool(hit)
 
 
-def _mask(members) -> int:
+def to_mask(members) -> int:
     """The bitmask of an iterable of hypothesis indices."""
     mask = 0
     for h in members:
@@ -553,7 +560,7 @@ def _mask(members) -> int:
     return mask
 
 
-def _members(mask: int) -> tuple:
+def to_members(mask: int) -> tuple:
     """The ascending hypothesis indices of a bitmask."""
     out = []
     while mask:
@@ -577,7 +584,7 @@ def _zero_loss_masks(problem: Problem, cls: HypothesisClass) -> list:
     """Per instance, per label: the mask of hypotheses with zero loss there."""
     return [
         [
-            _mask(h for h, row in enumerate(cls.table) if loss_row[row[x]] == 0)
+            to_mask(h for h, row in enumerate(cls.table) if loss_row[row[x]] == 0)
             for loss_row in problem.loss
         ]
         for x in range(problem.num_instances)

@@ -6,9 +6,13 @@ thresholded label that would keep a high-dimensional version space alive is
 safe by margin gamma, so each over-margin round strictly shrinks the
 dimension and at most dim_gamma of them can ever happen.
 
-`AgnosticLearner` wraps a pool of Mrsoa experts, one per (timepoint subset,
+`AgnosticLearner` runs a pool of Mrsoa experts, one per (timepoint subset,
 threshold assignment) on a quantized loss grid, aggregated by multiplicative
 weights. `FollowTheLeader` and `UniformLearner` are baselines.
+
+Both version-space learners keep their version spaces as the engine's `int`
+bitmasks, restrict them with `DimensionEngine.restrict` and play mixtures from
+`_cached_mixture`, memoized per (mask, instance).
 
 All learners speak the same protocol: predict(x) -> Mixture, then
 update(x, y, eps) with eps optional. Everything except the MW learning rate
@@ -37,7 +41,7 @@ from .core import (
     expected_loss,
     parse_rational,
 )
-from .dimensions import DimensionEngine, GammaValue, dominant_rows
+from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
 from .game import solve_min_max
 
 
@@ -45,6 +49,11 @@ def _realizable_gamma(engine: DimensionEngine) -> Fraction:
     if engine.gamma.strict:
         raise ValidationError("version-space learners need gamma > 0, not the strict variant")
     return engine.gamma.gamma
+
+
+def _check_index(kind: str, index: int, size: int) -> None:
+    if not 0 <= index < size:
+        raise ValidationError(f"{kind} index {index} out of range")
 
 
 class Mrsoa:
@@ -80,62 +89,66 @@ class Mrsoa:
         self.problem = engine.problem
         self.cls = engine.cls
         self._gamma = _realizable_gamma(engine)
-        self._members = tuple(range(self.cls.num_hypotheses))
+        self._space = to_mask(range(self.cls.num_hypotheses))
         self._cache = mixture_cache if mixture_cache is not None else {}
         self.last_mixture: Optional[Mixture] = None
 
     @property
     def version_space(self) -> VersionSpace:
-        return VersionSpace(self._members)
+        return VersionSpace(to_members(self._space))
 
     @property
     def dimension(self) -> int:
-        return self.engine.dim_members(self._members)
+        return self.engine.dim_members(self._space)
 
     def predict(self, x: int) -> Mixture:
-        if not 0 <= x < self.problem.num_instances:
-            raise ValidationError(f"instance index {x} out of range")
-        key = (self._members, x)
-        mu = self._cache.get(key)
-        if mu is None:
-            mu = _minimax_mixture(self.engine, self._gamma, self._members, x)
-            self._cache[key] = mu
-        self.last_mixture = mu
-        return mu
+        _check_index("instance", x, self.problem.num_instances)
+        self.last_mixture = _cached_mixture(self.engine, self._gamma, self._cache, self._space, x)
+        return self.last_mixture
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
-        if not 0 <= y < self.problem.num_labels:
-            raise ValidationError(f"label index {y} out of range")
-        row = self.problem.loss[y]
-        table = self.cls.table
-        if eps is None:
-            eps = min(row[table[h][x]] for h in self._members)
-        else:
+        _check_index("instance", x, self.problem.num_instances)
+        _check_index("label", y, self.problem.num_labels)
+        if eps is not None:
             eps = parse_rational(eps)
             if not 0 <= eps <= self.problem.bound_c:
                 raise ValidationError(f"threshold {eps} outside [0, {self.problem.bound_c}]")
-        kept = tuple(h for h in self._members if row[table[h][x]] <= eps)
+        kept = self.engine.restrict(self._space, x, y, eps)
         if not kept:
             raise RealizabilityError("stream not eps_t-realizable")
-        self._members = kept
+        self._space = kept
 
 
-def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members, x: int) -> Mixture:
-    loss = engine.problem.loss
+def _cached_mixture(
+    engine: DimensionEngine, gamma: Fraction, cache: dict, members: int, x: int
+) -> Mixture:
+    """Mrsoa's mixture on bitmask `members` at instance x, memoized in `cache`.
+
+    Equal (members, x) keys get the same Mixture object, which lets
+    `aggregate_mixture` group agnostic experts in identical states.
+    """
+    key = (members, x)
+    mu = cache.get(key)
+    if mu is None:
+        mu = cache[key] = _minimax_mixture(engine, gamma, members, x)
+    return mu
+
+
+def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members: int, x: int) -> Mixture:
     cands = engine.candidate_rows(members, x)
     dim = engine.dim_members(members)
     if dim == 0:
-        sol = solve_min_max(dominant_rows(loss, cands))
+        sol = solve_min_max(_first_rows(cands))
         if not sol.value < gamma:
             raise RuntimeError(
                 "dimension-zero version space admits no mixture below gamma "
                 "for every realizable threshold; dimension accounting is inconsistent"
             )
         return sol.mixture
-    with_dims = [(y, eps, engine.dim_members(child)) for y, eps, child in cands]
+    dims = [engine.dim_members(child) for _, _, child, _ in cands]
     best_sol = None
     for level in range(dim - 1, -1, -1):
-        rows = dominant_rows(loss, ((y, eps, None) for y, eps, d in with_dims if d > level))
+        rows = _first_rows(c for c, d in zip(cands, dims) if d > level)
         if not rows:
             # No candidate exceeds this level; the level is achieved by any
             # mixture, keep sweeping for a sharper one.
@@ -149,8 +162,20 @@ def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members, x: int) 
         # Every candidate child has dimension 0 (only possible at dim <= 1):
         # any feedback already shrinks the dimension, so just minimize the
         # worst realizable threshold violation.
-        best_sol = solve_min_max(dominant_rows(loss, cands))
+        best_sol = solve_min_max(_first_rows(cands))
     return best_sol.mixture
+
+
+def _first_rows(cands) -> list:
+    """The LP row of each label's first candidate, in label order.
+
+    Candidates list thresholds ascending within a label, so the first one
+    kept has the label's smallest threshold, whose row dominates the rest.
+    """
+    rows = {}
+    for y, _, _, row in cands:
+        rows.setdefault(y, row)
+    return list(rows.values())
 
 
 @dataclass(frozen=True)
@@ -216,15 +241,6 @@ def build_expert_pool(
     return tuple(pool)
 
 
-@dataclass
-class MwState:
-    """Multiplicative-weights state: positive weights, double eta, loss bound c."""
-
-    weights: list
-    eta: float
-    c: Fraction
-
-
 def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
     if c == 0 or loss == 0 or eta == 0.0:
         return Fraction(1)
@@ -257,35 +273,17 @@ def aggregate_mixture(weights: Sequence[Fraction], mixtures: Sequence[Mixture]) 
     return Mixture(tuple(s / total for s in sums))
 
 
-def mw_step(problem: Problem, state: MwState, mixtures: Sequence[Mixture], y: int):
-    """One aggregate-then-reweight step; returns (played mixture, new state)."""
-    played = aggregate_mixture(state.weights, mixtures)
-    new_weights = [
-        w * _exp_factor(state.eta, state.c, expected_loss(problem, m, y))
-        for w, m in zip(state.weights, mixtures)
-    ]
-    return played, MwState(new_weights, state.eta, state.c)
-
-
-class _ExpertSlot:
-    __slots__ = ("ident", "mrsoa", "pos")
-
-    def __init__(self, ident: ExpertId):
-        self.ident = ident
-        self.mrsoa = None
-        self.pos = 0
-
-
 class AgnosticLearner:
     """Multiplicative weights over the timepoint/threshold expert pool.
 
-    Each expert is an Mrsoa copy that only updates on its own timepoints, with
-    its own quantized thresholds in place of observed losses; expert states are
-    materialized on first prediction and share one mixture cache, so experts in
-    identical version-space states cost one computation. An expert whose
-    threshold assignment turns out unrealizable skips that update and keeps
-    playing (only consistent experts matter for the regret guarantee; the rest
-    just need to be deterministic).
+    Each expert is an Mrsoa version space, kept as a bitmask beside its weight,
+    that only updates on its own timepoints, with its own quantized thresholds
+    in place of observed losses. Experts share one mixture cache, so experts in
+    identical version-space states cost one computation. A grid threshold at or
+    above every loss (the grid can end above c when alpha does not divide it)
+    keeps the expert's space. An expert whose threshold turns out unrealizable
+    skips that update and keeps playing (only consistent experts matter for the
+    regret guarantee; the rest just need to be deterministic).
     """
 
     def __init__(
@@ -309,13 +307,14 @@ class AgnosticLearner:
         self._gamma = _realizable_gamma(engine)
         self.horizon = horizon
         self.alpha = Fraction(1, horizon) if alpha is None else parse_rational(alpha)
-        self.dimension = engine.dim_members(tuple(range(self.cls.num_hypotheses)))
+        full = to_mask(range(self.cls.num_hypotheses))
+        self.dimension = engine.dim_members(full)
         self.pool = build_expert_pool(
             horizon, self.dimension, self.alpha, self.problem.bound_c, pool_budget
         )
         self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
         self.weights = [Fraction(1)] * len(self.pool)
-        self._experts = [_ExpertSlot(e) for e in self.pool]
+        self._spaces = [full] * len(self.pool)
         self._mixture_cache: dict = {}
         self._factor_cache: dict = {}
         self.round = 0
@@ -324,16 +323,11 @@ class AgnosticLearner:
     def predict(self, x: int) -> Mixture:
         if self.round >= self.horizon:
             raise ProtocolError(f"horizon {self.horizon} exhausted")
-        mixtures = []
-        for slot in self._experts:
-            if slot.mrsoa is None:
-                slot.mrsoa = Mrsoa(
-                    self.problem,
-                    self.cls,
-                    engine=self.engine,
-                    mixture_cache=self._mixture_cache,
-                )
-            mixtures.append(slot.mrsoa.predict(x))
+        _check_index("instance", x, self.problem.num_instances)
+        mixtures = [
+            _cached_mixture(self.engine, self._gamma, self._mixture_cache, space, x)
+            for space in self._spaces
+        ]
         self._pending = (x, tuple(mixtures))
         return aggregate_mixture(self.weights, mixtures)
 
@@ -342,6 +336,7 @@ class AgnosticLearner:
         # it: experts use their own quantized thresholds.
         if self._pending is None or self._pending[0] != x:
             raise ProtocolError("update without a matching predict")
+        _check_index("label", y, self.problem.num_labels)
         mixtures = self._pending[1]
         self._pending = None
         t = self.round + 1
@@ -353,14 +348,12 @@ class AgnosticLearner:
                 self._factor_cache[loss] = factor
             if factor != 1:
                 self.weights[i] *= factor
-        for slot in self._experts:
-            ident = slot.ident
-            if slot.pos < len(ident.timepoints) and ident.timepoints[slot.pos] == t:
-                try:
-                    slot.mrsoa.update(x, y, ident.thresholds[slot.pos])
-                except RealizabilityError:
-                    pass
-                slot.pos += 1
+        for i, ident in enumerate(self.pool):
+            if t in ident.timepoints:
+                threshold = ident.thresholds[ident.timepoints.index(t)]
+                kept = self.engine.restrict(self._spaces[i], x, y, threshold)
+                if kept:
+                    self._spaces[i] = kept
         self.round = t
 
 

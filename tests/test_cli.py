@@ -217,6 +217,16 @@ class TestLearn:
         assert len(doc["rounds"]) == 4
         assert doc["hindsight_loss"] == "1"
 
+    def test_agnostic_alpha_not_dividing_c(self, capsys, tmp_path):
+        # The grid {0, 2/3, 4/3} ends above c = 1; that threshold keeps V.
+        stream = write_stream(tmp_path, [(0, 1), (0, 0), (0, 1)])
+        code, out, err = run_cli(
+            capsys, "learn", "--builtin", "multiclass", "--learner", "agnostic",
+            "--gamma", "1/4", "--alpha", "2/3", "--stream", stream,
+        )
+        assert (code, err) == (0, "")
+        assert "rounds: 3\n" in out
+
     def test_monte_carlo_line(self, capsys, tmp_path):
         stream = write_stream(tmp_path, [(0, 1)] * 3)
         code, out, _ = run_cli(
@@ -245,6 +255,14 @@ class TestAdversary:
             "--gamma", "1/4", "-T", "5",
         )
         assert code == 2 and "at most 1 rounds" in err
+
+    def test_several_gammas_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "adversary", "--builtin", "multiclass", "--learner", "mrsoa",
+            "--gamma", "1/4,1/2",
+        )
+        assert (code, out) == (2, "")
+        assert "adversary takes a single gamma" in err
 
     def test_agnostic_learner_runs(self, capsys):
         code, out, err = run_cli(
@@ -336,6 +354,14 @@ class TestSqrtLower:
             "x": 0, "h_minus": 0, "h_plus": 1, "y_minus": 0, "y_plus": 1, "eta": "1",
         }
         assert doc["satisfied"] is True
+
+    def test_several_gammas_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sqrt-lower", "--builtin", "multiclass", "-T", "2",
+            "--gamma", "1/4,1/2",
+        )
+        assert (code, out) == (2, "")
+        assert "sqrt-lower takes a single gamma" in err
 
     def test_witnessless_instance_rejected(self, capsys, tmp_path):
         # single-hypothesis class: no two-point pattern exists

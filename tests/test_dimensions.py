@@ -33,6 +33,7 @@ from smdim.dimensions import (
     msdim_direct,
     seqfat,
     smdim,
+    to_mask,
 )
 from smdim.game import AffineRow, best_response
 from smdim.instances import make_builtin
@@ -176,7 +177,7 @@ def test_empty_space_rejected():
     problem, cls = make_builtin("multiclass:binary-constants")
     engine = DimensionEngine(problem, cls, F(1, 4))
     with pytest.raises(ValidationError):
-        engine.dim_members(())
+        engine.dim_members(0)
 
 
 class TestGammaValue:
@@ -471,3 +472,44 @@ def test_candidates_accessor_lists_realized_thresholds():
         by_label.setdefault(cand.label, []).append((cand.threshold, child.members))
     # label 0 is grid point -1; losses against predictions (-1, +1) are 0 and 2
     assert by_label[0] == [(F(0), (0,)), (F(2), (0, 1))]
+
+
+class TestRestrict:
+    """`DimensionEngine.restrict` is the one place that applies the rule
+    {h in V : loss(y, h(x)) <= eps}; here it is checked against the table."""
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_restrict_matches_definition(self, rng, data):
+        problem, cls = small_random_instance(rng)
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        members = sorted(
+            data.draw(st.sets(st.sampled_from(range(cls.num_hypotheses)), min_size=1))
+        )
+        x = data.draw(st.sampled_from(range(problem.num_instances)))
+        y = data.draw(st.sampled_from(range(problem.num_labels)))
+        loss = {h: problem.loss[y][cls.table[h][x]] for h in members}
+        realized = sorted(set(loss.values()))
+        midpoints = [(a + b) / 2 for a, b in zip(realized, realized[1:])]
+        above = [problem.bound_c + F(1, 3)]
+        eps = data.draw(st.sampled_from([None] + realized + midpoints + above))
+        cut = realized[0] if eps is None else eps
+        expected = to_mask(h for h in members if loss[h] <= cut)
+        assert engine.restrict(to_mask(members), x, y, eps) == expected
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_first_candidate_of_each_label_has_its_smallest_threshold(self, rng, data):
+        problem, cls = small_random_instance(rng)
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        members = sorted(
+            data.draw(st.sets(st.sampled_from(range(cls.num_hypotheses)), min_size=1))
+        )
+        x = data.draw(st.sampled_from(range(problem.num_instances)))
+        first = {}
+        for y, eps, child, row in engine.candidate_rows(to_mask(members), x):
+            first.setdefault(y, (eps, child, row))
+        for y in range(problem.num_labels):
+            smallest = min(problem.loss[y][cls.table[h][x]] for h in members)
+            eps, child, row = first[y]
+            assert eps == smallest
+            assert child == engine.restrict(to_mask(members), x, y)
+            assert row == AffineRow(problem.loss[y], -smallest)

@@ -13,27 +13,32 @@ from smdim.core import (
     ProtocolError,
     RealizabilityError,
     ValidationError,
+    expected_loss,
     make_problem,
     validate_problem,
 )
-from smdim.dimensions import DimensionEngine, GammaValue
+from smdim.dimensions import DimensionEngine, GammaValue, to_mask
 from smdim.instances import make_builtin
 from smdim.learners import (
     AgnosticLearner,
     ExpertId,
     FollowTheLeader,
     Mrsoa,
-    MwState,
     UniformLearner,
     aggregate_mixture,
     build_expert_pool,
     loss_grid,
-    mw_step,
     pool_size,
 )
 from smdim.verify import gen_multiclass
 
 F = Fraction
+
+
+def three_quarter_constants():
+    """Two constant hypotheses on two labels with 0/(3/4) loss, so c = 3/4."""
+    problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "3/4"], ["3/4", "0"]])
+    return validate_problem(problem, HypothesisClass(((0,), (1,))))
 
 
 class TestMrsoa:
@@ -91,7 +96,7 @@ class TestMrsoa:
                 mixture = learner.predict(x)
                 y = rng.randrange(problem.num_labels)
                 before_members = learner.version_space.members
-                before_dim = engine.dim_members(before_members)
+                before_dim = engine.dim_members(to_mask(before_members))
                 eps = min(
                     problem.loss[y][cls.table[h][x]] for h in before_members
                 )
@@ -101,7 +106,7 @@ class TestMrsoa:
                 )
                 learner.update(x, y)
                 if expected >= gamma + eps:
-                    after_dim = engine.dim_members(learner.version_space.members)
+                    after_dim = engine.dim_members(to_mask(learner.version_space.members))
                     assert after_dim < before_dim
 
     def test_shared_mixture_cache(self):
@@ -120,6 +125,14 @@ class TestMrsoa:
             learner.predict(5)
         with pytest.raises(ValidationError):
             learner.update(0, 9)
+
+    def test_update_rejects_bad_instance(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        learner = Mrsoa(problem, cls, F(1, 4))
+        for x in (-1, 7):
+            with pytest.raises(ValidationError, match="instance index"):
+                learner.update(x, 0)
+        assert learner.version_space.members == (0, 1)
 
 
 class TestExpertPool:
@@ -163,22 +176,6 @@ class TestMultiplicativeWeights:
         mixtures = [Mixture.dirac(2, 0), Mixture.dirac(2, 1)]
         out = aggregate_mixture([F(1), F(3)], mixtures)
         assert out.weights == (F(1, 4), F(3, 4))
-
-    def test_mw_step_reweights_by_loss(self):
-        problem, _ = make_builtin("multiclass:binary-constants")
-        state = MwState([F(1), F(1)], eta=1.0, c=F(1))
-        mixtures = [Mixture.dirac(2, 0), Mixture.dirac(2, 1)]
-        played, new_state = mw_step(problem, state, mixtures, y=0)
-        assert played.weights == (F(1, 2), F(1, 2))
-        assert new_state.weights[0] == F(1)  # zero loss keeps weight exactly
-        assert new_state.weights[1] < F(1)
-        assert isinstance(new_state.weights[1], F)
-
-    def test_zero_eta_keeps_weights(self):
-        problem, _ = make_builtin("multiclass:binary-constants")
-        state = MwState([F(2), F(3)], eta=0.0, c=F(1))
-        _, new_state = mw_step(problem, state, [Mixture.dirac(2, 0)] * 2, y=1)
-        assert new_state.weights == [F(2), F(3)]
 
     def test_aggregate_validation(self):
         with pytest.raises(ValidationError):
@@ -230,8 +227,71 @@ class TestAgnosticLearner:
         learner.update(0, mixed_label)
         mixture = learner.predict(0)
         assert sum(mixture.weights) == 1
-        for slot in learner._experts:
-            assert slot.mrsoa.version_space.members
+        assert all(learner._spaces)
+
+    def test_weights_follow_exact_exp_factors(self):
+        # Each expert's weight is multiplied by Fraction(exp(-eta * loss / c))
+        # of its own mixture's expected loss, and kept exactly at zero loss.
+        # Experts are replayed independently with Mrsoa; c = 3/4 here.
+        problem, cls = three_quarter_constants()
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3, alpha=F(1, 4), engine=engine)
+        stream = [(0, 0), (0, 0), (0, 1)]
+        experts = [(ident, Mrsoa(problem, cls, engine=engine)) for ident in learner.pool]
+        zero_losses = 0
+        for t, (x, y) in enumerate(stream, start=1):
+            before = list(learner.weights)
+            learner.predict(x)
+            learner.update(x, y)
+            for i, (ident, expert) in enumerate(experts):
+                loss = expected_loss(problem, expert.predict(x), y)
+                if loss == 0:
+                    zero_losses += 1
+                    assert learner.weights[i] == before[i]
+                else:
+                    factor = F(math.exp(-learner.eta * float(loss / problem.bound_c)))
+                    assert learner.weights[i] == before[i] * factor
+                if t in ident.timepoints:
+                    expert.update(x, y, ident.thresholds[ident.timepoints.index(t)])
+        assert zero_losses > 0
+
+    def test_zero_eta_keeps_weights(self):
+        # A one-hypothesis class has dimension 0, so the pool is the single
+        # empty expert and eta = sqrt(2 ln 1 / T) = 0.
+        problem, _ = make_builtin("multiclass:binary-constants")
+        learner = AgnosticLearner(problem, HypothesisClass(((0,),)), F(1, 4), horizon=2)
+        assert learner.eta == 0.0
+        learner.predict(0)
+        learner.update(0, 1)  # loss 1 against the Dirac on prediction 0
+        assert learner.weights == [F(1)]
+
+    def test_grid_threshold_above_c_keeps_the_space(self):
+        # alpha = 1/3 does not divide c = 3/4, so the grid ends at 1 > c; an
+        # expert thresholding there keeps its whole version space, and plays
+        # exactly like the expert with no timepoints.
+        problem, cls = three_quarter_constants()
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3)
+        assert loss_grid(learner.alpha, problem.bound_c)[-1] == F(1)
+        for y in (0, 1, 1):
+            assert sum(learner.predict(0).weights) == 1
+            learner.update(0, y)
+        top = [
+            i for i, e in enumerate(learner.pool) if e.thresholds and max(e.thresholds) == F(1)
+        ]
+        assert top
+        for i in top:
+            assert learner.weights[i] == learner.weights[0]
+
+    def test_bad_indices_rejected(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=2)
+        with pytest.raises(ValidationError, match="instance index"):
+            learner.predict(3)
+        learner.predict(0)
+        with pytest.raises(ValidationError, match="label index"):
+            learner.update(0, 5)
+        learner.update(0, 1)
+        assert learner.round == 1
 
     def test_deterministic_replay(self):
         problem, cls = make_builtin("multiclass:binary-constants")
