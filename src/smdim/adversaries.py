@@ -46,7 +46,7 @@ class ShatteringAdversary:
         self.problem = problem
         self.cls = cls
         self.certificate = certificate
-        self._members = certificate.root.members
+        self._space = certificate.root
         self._depth = certificate.depth
         self._pending = None
         self.rounds_played = 0
@@ -60,7 +60,7 @@ class ShatteringAdversary:
             raise ProtocolError("next_instance called before observe_mixture")
         if self._depth < 1:
             raise ProtocolError("certificate depth exhausted")
-        node = self.certificate.nodes[(self._members, self._depth)]
+        node = self.certificate.node(self._space, self._depth)
         self._pending = node
         return node.instance
 
@@ -80,14 +80,14 @@ class ShatteringAdversary:
             )
         cand, child = node.candidates[index]
         self._pending = None
-        self._members = child.members
+        self._space = child
         self._depth -= 1
         self.rounds_played += 1
         return cand.label, None
 
     def surviving_hypothesis(self) -> int:
         """Lowest-index hypothesis consistent with every answer given so far."""
-        return self._members[0]
+        return self._space.members[0]
 
 
 @dataclass(frozen=True)

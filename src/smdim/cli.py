@@ -49,7 +49,16 @@ from .learners import AgnosticLearner, FollowTheLeader, Mrsoa, UniformLearner
 from .simulation import exact_expectation_over_signs, run_game, transcript_rows
 from .verify import normalize_prop, run_verification
 
-_USAGE_ERRORS = (ValidationError, RealizabilityError, BudgetError, ProtocolError)
+# OSError: a file that cannot be opened; UnicodeDecodeError: an input file that
+# is not UTF-8.
+_USAGE_ERRORS = (
+    ValidationError,
+    RealizabilityError,
+    BudgetError,
+    ProtocolError,
+    OSError,
+    UnicodeDecodeError,
+)
 
 
 def _add_instance_args(sub, required: bool = True):
@@ -144,9 +153,6 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _emit(text: str, out_path) -> None:
@@ -233,21 +239,15 @@ def _cmd_dim(args) -> int:
     return 0
 
 
-def _make_learner(name, problem, cls, args, horizon):
-    if name == "mrsoa":
-        gv = _require_gamma(args, "mrsoa")
-        engine = DimensionEngine(problem, cls, gv, getattr(args, "memo_cap", None))
-        return Mrsoa(problem, cls, engine=engine)
-    if name == "agnostic":
-        gv = _require_gamma(args, "agnostic")
-        return AgnosticLearner(
-            problem,
-            cls,
-            gv,
-            horizon,
-            alpha=args.alpha,
-            memo_cap=getattr(args, "memo_cap", None),
-        )
+def _make_learner(name, problem, cls, args, horizon, engine=None):
+    """The named learner; the version-space learners run on `engine`, built
+    from --gamma and --memo-cap when not given."""
+    if name in ("mrsoa", "agnostic"):
+        if engine is None:
+            engine = DimensionEngine(problem, cls, _require_gamma(args, name), args.memo_cap)
+        if name == "mrsoa":
+            return Mrsoa(problem, cls, engine=engine)
+        return AgnosticLearner(problem, cls, engine.gamma, horizon, alpha=args.alpha, engine=engine)
     if name == "ftl":
         return FollowTheLeader(problem, cls)
     return UniformLearner(problem, cls)
@@ -309,10 +309,7 @@ def _cmd_adversary(args) -> int:
             f"certificate supports at most {depth} rounds at gamma {gv.describe()}"
         )
     adversary = ShatteringAdversary(problem, cls, certificate)
-    if args.learner == "mrsoa":
-        learner = Mrsoa(problem, cls, engine=engine)
-    else:
-        learner = _make_learner(args.learner, problem, cls, args, horizon=max(1, rounds))
+    learner = _make_learner(args.learner, problem, cls, args, max(1, rounds), engine)
     report = run_game(problem, cls, learner, adversary, rounds=rounds)
     bound = gv.gamma * rounds
     if args.format in ("json", "csv"):

@@ -26,10 +26,11 @@ this to prune: children grow with the threshold, so for each label it
 recurses over realized thresholds in ascending order only until the first
 one qualifies, and every larger realized threshold of that label qualifies
 without recursion. The qualifying list, the LP rows, the chosen instance and
-the node value are the ones the unpruned recursion finds. The nodes of
-children that pruning skipped are computed when `certificate()` first walks
-into them, and the memo cap (`SMDIM_MEMO_CAP`) counts only the version
-spaces actually visited.
+the node value are the ones the unpruned recursion finds. This rule lives in
+`qualifying_rows`, which the recursion and Mrsoa's level sweep both call.
+The nodes of children that pruning skipped are computed when
+`certificate()` first walks into them, and the memo cap (`SMDIM_MEMO_CAP`)
+counts only the version spaces actually visited.
 
 All four routes, and the learners, represent a version space as an `int`
 bitmask (bit h set when hypothesis h is a member); `to_mask` and `to_members`
@@ -192,7 +193,9 @@ class DimensionEngine:
     concurrent readers are safe, and a duplicated insert computes the same
     entry. The number of distinct version spaces visited is capped
     (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
-    cap raises BudgetError rather than thrashing.
+    cap raises BudgetError rather than thrashing. `mixtures` holds the
+    learners' Mrsoa mixtures by (mask, instance); like the memo, it lives as
+    long as the engine.
     """
 
     def __init__(
@@ -230,6 +233,7 @@ class DimensionEngine:
             self._steps.append(per_label)
         self._memo = {}
         self._spaces = set()
+        self.mixtures = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -315,6 +319,28 @@ class DimensionEngine:
                     previous = child
         return out
 
+    def qualifying_rows(self, members: int, x: int, child_depth: int) -> tuple:
+        """(qualifying (label, threshold, child mask) triples, one LP row per label) at x.
+
+        A candidate qualifies when its child is shatterable to `child_depth`.
+        For each label only thresholds up to its first qualifying one are
+        recursed on: every larger realized threshold has a superset child, so
+        it qualifies too (module docstring), and its LP row is dominated. At
+        `child_depth` 0 every candidate qualifies, so the rows are each
+        label's first candidate.
+        """
+        qualifying = []
+        rows = []
+        found = -1
+        for y, eps, child, row in self.candidate_rows(members, x):
+            if y != found:
+                if not self._shatter(child, child_depth):
+                    continue
+                found = y
+                rows.append(row)
+            qualifying.append((y, eps, child))
+        return qualifying, rows
+
     def restrict(self, members: int, x: int, y: int, eps: Optional[Fraction] = None) -> int:
         """The child {h in members : loss(y, h(x)) <= eps} as a bitmask.
 
@@ -351,12 +377,7 @@ class DimensionEngine:
 
     def _branch(self, members: int, depth: int):
         """(instance, value, qualifying triples) at the first instance whose
-        qualifying game passes, else None.
-
-        For each label only thresholds up to its first qualifying one are
-        recursed on: every larger realized threshold has a superset child, so
-        it qualifies too (module docstring), and its LP row is dominated.
-        """
+        qualifying game passes, else None."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -365,16 +386,7 @@ class DimensionEngine:
                 )
             self._spaces.add(members)
         for x in range(self.problem.num_instances):
-            qualifying = []
-            rows = []
-            found = -1
-            for y, eps, child, row in self.candidate_rows(members, x):
-                if y != found:
-                    if not self._shatter(child, depth - 1):
-                        continue
-                    found = y
-                    rows.append(row)
-                qualifying.append((y, eps, child))
+            qualifying, rows = self.qualifying_rows(members, x, depth - 1)
             if not rows:
                 continue
             sol = solve_min_max(rows)

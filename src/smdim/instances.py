@@ -206,9 +206,10 @@ class InstanceSpec:
 
 def _loads(text: str):
     # parse_float receives the raw literal text, so decimals convert exactly.
+    # Nesting deeper than the interpreter's recursion limit is a RecursionError.
     try:
         return json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
 
 
@@ -225,6 +226,15 @@ def _decode_id(value, path: str):
     if isinstance(value, list):
         return tuple(_decode_id(v, f"{path}/{i}") for i, v in enumerate(value))
     raise ValidationError(f"{path}: {value!r} is not a valid identifier")
+
+
+def _decode_ids(doc, key: str) -> list:
+    # Decoding recurses once per nesting level, so identifiers that json.loads
+    # still accepts can be nested too deeply for it.
+    try:
+        return [_decode_id(v, f"/{key}/{i}") for i, v in enumerate(_expect_list(doc, key, ""))]
+    except RecursionError as exc:
+        raise ValidationError(f"/{key}: identifiers nested too deeply") from exc
 
 
 def encode_identifier(value):
@@ -263,11 +273,9 @@ def parse_instance_document(text: str):
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ValidationError("/: instance document must be a JSON object")
-    instances = [_decode_id(v, f"/instances/{i}") for i, v in enumerate(_expect_list(doc, "instances", ""))]
-    labels = [_decode_id(v, f"/labels/{i}") for i, v in enumerate(_expect_list(doc, "labels", ""))]
-    predictions = [
-        _decode_id(v, f"/predictions/{i}") for i, v in enumerate(_expect_list(doc, "predictions", ""))
-    ]
+    instances = _decode_ids(doc, "instances")
+    labels = _decode_ids(doc, "labels")
+    predictions = _decode_ids(doc, "predictions")
     loss_rows = _expect_list(doc, "loss", "")
     if len(loss_rows) != len(labels):
         raise ValidationError(f"/loss: {len(loss_rows)} rows for {len(labels)} labels")

@@ -12,7 +12,10 @@ weights. `FollowTheLeader` and `UniformLearner` are baselines.
 
 Both version-space learners keep their version spaces as the engine's `int`
 bitmasks, restrict them with `DimensionEngine.restrict` and play mixtures from
-`_cached_mixture`, memoized per (mask, instance).
+`_cached_mixture`, memoized per (mask, instance) in the engine's `mixtures`,
+so every learner on one engine shares them. Mrsoa's level sweep takes its LP
+rows from `DimensionEngine.qualifying_rows`, the rule the dimension recursion
+uses.
 
 All learners speak the same protocol: predict(x) -> Mixture, then
 update(x, y, eps) with eps optional. Everything except the MW learning rate
@@ -45,10 +48,9 @@ from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
 from .game import solve_min_max
 
 
-def _realizable_gamma(engine: DimensionEngine) -> Fraction:
+def _check_realizable_gamma(engine: DimensionEngine) -> None:
     if engine.gamma.strict:
         raise ValidationError("version-space learners need gamma > 0, not the strict variant")
-    return engine.gamma.gamma
 
 
 def _check_index(kind: str, index: int, size: int) -> None:
@@ -79,19 +81,16 @@ class Mrsoa:
         cls: HypothesisClass,
         gamma: Union[GammaValue, RationalLike, None] = None,
         engine: Optional[DimensionEngine] = None,
-        mixture_cache: Optional[dict] = None,
     ):
         if engine is None:
             if gamma is None:
                 raise ValidationError("Mrsoa needs gamma or a prepared engine")
             engine = DimensionEngine(problem, cls, gamma)
+        _check_realizable_gamma(engine)
         self.engine = engine
         self.problem = engine.problem
         self.cls = engine.cls
-        self._gamma = _realizable_gamma(engine)
         self._space = to_mask(range(self.cls.num_hypotheses))
-        self._cache = mixture_cache if mixture_cache is not None else {}
-        self.last_mixture: Optional[Mixture] = None
 
     @property
     def version_space(self) -> VersionSpace:
@@ -103,8 +102,7 @@ class Mrsoa:
 
     def predict(self, x: int) -> Mixture:
         _check_index("instance", x, self.problem.num_instances)
-        self.last_mixture = _cached_mixture(self.engine, self._gamma, self._cache, self._space, x)
-        return self.last_mixture
+        return _cached_mixture(self.engine, self._space, x)
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
         _check_index("instance", x, self.problem.num_instances)
@@ -119,63 +117,48 @@ class Mrsoa:
         self._space = kept
 
 
-def _cached_mixture(
-    engine: DimensionEngine, gamma: Fraction, cache: dict, members: int, x: int
-) -> Mixture:
-    """Mrsoa's mixture on bitmask `members` at instance x, memoized in `cache`.
+def _cached_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
+    """Mrsoa's mixture on bitmask `members` at instance x, memoized on the engine.
 
     Equal (members, x) keys get the same Mixture object, which lets
     `aggregate_mixture` group agnostic experts in identical states.
     """
     key = (members, x)
-    mu = cache.get(key)
+    mu = engine.mixtures.get(key)
     if mu is None:
-        mu = cache[key] = _minimax_mixture(engine, gamma, members, x)
+        mu = engine.mixtures[key] = _minimax_mixture(engine, members, x)
     return mu
 
 
-def _minimax_mixture(engine: DimensionEngine, gamma: Fraction, members: int, x: int) -> Mixture:
-    cands = engine.candidate_rows(members, x)
+def _minimax_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
+    # A child has dimension above `level` exactly when it is shatterable to
+    # level + 1, and a label's children nest, so `qualifying_rows` gives the
+    # row of each label's first candidate whose child exceeds the level.
+    gamma = engine.gamma.gamma
     dim = engine.dim_members(members)
-    if dim == 0:
-        sol = solve_min_max(_first_rows(cands))
-        if not sol.value < gamma:
-            raise RuntimeError(
-                "dimension-zero version space admits no mixture below gamma "
-                "for every realizable threshold; dimension accounting is inconsistent"
-            )
-        return sol.mixture
-    dims = [engine.dim_members(child) for _, _, child, _ in cands]
     best_sol = None
     for level in range(dim - 1, -1, -1):
-        rows = _first_rows(c for c, d in zip(cands, dims) if d > level)
+        _, rows = engine.qualifying_rows(members, x, level + 1)
         if not rows:
             # No candidate exceeds this level; the level is achieved by any
             # mixture, keep sweeping for a sharper one.
             continue
         sol = solve_min_max(rows)
-        if sol.value < gamma:
-            best_sol = sol
-            continue
-        break
+        if not sol.value < gamma:
+            break
+        best_sol = sol
     if best_sol is None:
         # Every candidate child has dimension 0 (only possible at dim <= 1):
         # any feedback already shrinks the dimension, so just minimize the
         # worst realizable threshold violation.
-        best_sol = solve_min_max(_first_rows(cands))
+        _, rows = engine.qualifying_rows(members, x, 0)
+        best_sol = solve_min_max(rows)
+        if dim == 0 and not best_sol.value < gamma:
+            raise RuntimeError(
+                "dimension-zero version space admits no mixture below gamma "
+                "for every realizable threshold; dimension accounting is inconsistent"
+            )
     return best_sol.mixture
-
-
-def _first_rows(cands) -> list:
-    """The LP row of each label's first candidate, in label order.
-
-    Candidates list thresholds ascending within a label, so the first one
-    kept has the label's smallest threshold, whose row dominates the rest.
-    """
-    rows = {}
-    for y, _, _, row in cands:
-        rows.setdefault(y, row)
-    return list(rows.values())
 
 
 @dataclass(frozen=True)
@@ -278,8 +261,8 @@ class AgnosticLearner:
 
     Each expert is an Mrsoa version space, kept as a bitmask beside its weight,
     that only updates on its own timepoints, with its own quantized thresholds
-    in place of observed losses. Experts share one mixture cache, so experts in
-    identical version-space states cost one computation. A grid threshold at or
+    in place of observed losses. Experts share the engine's mixture memo, so
+    experts in identical version-space states cost one computation. A grid threshold at or
     above every loss (the grid can end above c when alpha does not divide it)
     keeps the expert's space. An expert whose threshold turns out unrealizable
     skips that update and keeps playing (only consistent experts matter for the
@@ -293,29 +276,24 @@ class AgnosticLearner:
         gamma: Union[GammaValue, RationalLike],
         horizon: int,
         alpha: Union[RationalLike, None] = None,
-        pool_budget: int = 100_000,
         engine: Optional[DimensionEngine] = None,
-        memo_cap: Optional[int] = None,
     ):
         if horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
         if engine is None:
-            engine = DimensionEngine(problem, cls, gamma, memo_cap)
+            engine = DimensionEngine(problem, cls, gamma)
+        _check_realizable_gamma(engine)
         self.engine = engine
         self.problem = engine.problem
         self.cls = engine.cls
-        self._gamma = _realizable_gamma(engine)
         self.horizon = horizon
         self.alpha = Fraction(1, horizon) if alpha is None else parse_rational(alpha)
         full = to_mask(range(self.cls.num_hypotheses))
         self.dimension = engine.dim_members(full)
-        self.pool = build_expert_pool(
-            horizon, self.dimension, self.alpha, self.problem.bound_c, pool_budget
-        )
+        self.pool = build_expert_pool(horizon, self.dimension, self.alpha, self.problem.bound_c)
         self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
         self.weights = [Fraction(1)] * len(self.pool)
         self._spaces = [full] * len(self.pool)
-        self._mixture_cache: dict = {}
         self._factor_cache: dict = {}
         self.round = 0
         self._pending = None
@@ -324,10 +302,7 @@ class AgnosticLearner:
         if self.round >= self.horizon:
             raise ProtocolError(f"horizon {self.horizon} exhausted")
         _check_index("instance", x, self.problem.num_instances)
-        mixtures = [
-            _cached_mixture(self.engine, self._gamma, self._mixture_cache, space, x)
-            for space in self._spaces
-        ]
+        mixtures = [_cached_mixture(self.engine, space, x) for space in self._spaces]
         self._pending = (x, tuple(mixtures))
         return aggregate_mixture(self.weights, mixtures)
 

@@ -252,18 +252,20 @@ def exact_expectation_over_signs(
     make_stream_for_signs: Callable[[tuple], Iterable],
     learner_factory: Callable[[], object],
     rounds: int,
-    cap: int = SIGN_ENUM_CAP,
 ) -> Fraction:
     """Average regret over all 2^rounds sign streams, exactly.
 
     Each sign vector in {+1,-1}^rounds is mapped to a stream by
     `make_stream_for_signs`, played against a fresh learner, and the exact
-    expected regrets are averaged. Capped because the cost doubles per round.
+    expected regrets are averaged. Capped at SIGN_ENUM_CAP rounds because
+    the cost doubles per round.
     """
     if rounds < 0:
         raise ValidationError(f"rounds must be >= 0, got {rounds}")
-    if rounds > cap:
-        raise ValidationError(f"sign enumeration over 2^{rounds} streams exceeds the cap of {cap}")
+    if rounds > SIGN_ENUM_CAP:
+        raise ValidationError(
+            f"sign enumeration over 2^{rounds} streams exceeds the cap of {SIGN_ENUM_CAP}"
+        )
     total = Fraction(0)
     for signs in product((1, -1), repeat=rounds):
         stream = make_stream_for_signs(signs)

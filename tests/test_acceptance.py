@@ -126,9 +126,9 @@ def sampled_streams(problem, cls, horizon, count, rng):
         yield tuple(stream)
 
 
-def replay_stream(problem, cls, engine, cache, gamma, dim, stream):
+def replay_stream(problem, cls, engine, gamma, dim, stream):
     """(over-margin rounds, prefixes violating the cumulative bound)."""
-    learner = Mrsoa(problem, cls, engine=engine, mixture_cache=cache)
+    learner = Mrsoa(problem, cls, engine=engine)
     bound_c = problem.bound_c
     mistakes = 0
     violations = 0
@@ -157,18 +157,17 @@ def stream_audit():
         for index, gamma in enumerate(AUDIT_GAMMAS):
             engine = DimensionEngine(problem, cls, gamma)
             dim = engine.smdim(VersionSpace.full(cls.num_hypotheses))
-            cache = {}
             worst = 0
             violations = 0
             streams = 0
             for stream in exhaustive_streams(problem, cls, 5):
-                mistakes, bad = replay_stream(problem, cls, engine, cache, gamma, dim, stream)
+                mistakes, bad = replay_stream(problem, cls, engine, gamma, dim, stream)
                 worst = max(worst, mistakes)
                 violations += bad
                 streams += 1
             rng = random.Random(1000 * index + len(name))
             for stream in sampled_streams(problem, cls, 10, 100, rng):
-                mistakes, bad = replay_stream(problem, cls, engine, cache, gamma, dim, stream)
+                mistakes, bad = replay_stream(problem, cls, engine, gamma, dim, stream)
                 worst = max(worst, mistakes)
                 violations += bad
                 streams += 1

@@ -84,6 +84,21 @@ class TestShatteringAdversary:
         with pytest.raises(RuntimeError, match="certificate game value"):
             adv.observe_mixture(Mixture.uniform(2))
 
+    def test_missing_child_node_is_a_validation_error(self):
+        # All four hypotheses on two instances under 0-1 loss: dimension 2.
+        problem = make_problem((0, 1), (0, 1), (0, 1), [[0, 1], [1, 0]], bound_c=1)
+        problem, cls = validate_problem(
+            problem, HypothesisClass(((0, 0), (0, 1), (1, 0), (1, 1)))
+        )
+        cert = make_certificate(problem, cls, F(1, 4))
+        assert cert.depth == 2
+        root = (cert.root.members, cert.depth)
+        adv = ShatteringAdversary(problem, cls, replace(cert, nodes={root: cert.nodes[root]}))
+        adv.next_instance()
+        adv.observe_mixture(Mixture.uniform(2))
+        with pytest.raises(ValidationError, match="certificate has no node"):
+            adv.next_instance()
+
     def test_zero_depth_certificate_plays_nothing(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         cert = make_certificate(problem, cls, F(2))  # gamma above any gap

@@ -154,6 +154,15 @@ class TestDimErrors:
         )
         assert code == 2 and err.startswith("error:")
 
+    def test_non_utf8_instance_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b"\xff{}")
+        code, _, err = run_cli(
+            capsys, "dim", "--dimension", "smdim", "--gamma", "1/4",
+            "--instance", str(path),
+        )
+        assert code == 2 and err.startswith("error:") and "utf-8" in err
+
     def test_argparse_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["dim", "--builtin", "multiclass"])  # no --dimension
@@ -226,6 +235,15 @@ class TestLearn:
         )
         assert (code, err) == (0, "")
         assert "rounds: 3\n" in out
+
+    def test_non_utf8_stream_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "stream.json"
+        path.write_bytes(b"\xff{}")
+        code, _, err = run_cli(
+            capsys, "learn", "--learner", "ftl", "--builtin", "multiclass",
+            "--stream", str(path),
+        )
+        assert code == 2 and err.startswith("error:") and "utf-8" in err
 
     def test_monte_carlo_line(self, capsys, tmp_path):
         stream = write_stream(tmp_path, [(0, 1)] * 3)

@@ -513,3 +513,18 @@ class TestRestrict:
             assert eps == smallest
             assert child == engine.restrict(to_mask(members), x, y)
             assert row == AffineRow(problem.loss[y], -smallest)
+
+    @given(st.randoms(use_true_random=False), st.data())
+    def test_depth_zero_qualifying_rows_are_first_candidates(self, rng, data):
+        problem, cls = small_random_instance(rng)
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        members = to_mask(
+            data.draw(st.sets(st.sampled_from(range(cls.num_hypotheses)), min_size=1))
+        )
+        x = data.draw(st.sampled_from(range(problem.num_instances)))
+        first = {}
+        for y, _, _, row in engine.candidate_rows(members, x):
+            first.setdefault(y, row)
+        qualifying, rows = engine.qualifying_rows(members, x, 0)
+        assert rows == list(first.values())
+        assert qualifying == [c[:3] for c in engine.candidate_rows(members, x)]

@@ -1,6 +1,7 @@
 """Built-in families and the JSON instance/stream formats."""
 
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -172,6 +173,20 @@ class TestInstanceDocuments:
         doc["loss"][0][1] = "-1/2"
         with pytest.raises(ValidationError):
             parse_instance_document(json.dumps(doc))
+
+    def test_deeply_nested_json_is_a_validation_error(self):
+        nested = "[" * 5000 + "]" * 5000
+        text = '{"instances": ' + nested + "}"
+        with pytest.raises(ValidationError, match="invalid JSON"):
+            parse_instance_document(text)
+
+    def test_deeply_nested_identifier_is_a_validation_error(self):
+        # Shallow enough for json.loads, too deep for the identifier decoder.
+        depth = sys.getrecursionlimit() * 2 // 3
+        text = P1_DOC.replace('"x0"', "[" * depth + "]" * depth, 1)
+        json.loads(text)
+        with pytest.raises(ValidationError, match="/instances: identifiers nested too deeply"):
+            parse_instance_document(text)
 
     def test_instance_spec_requires_exactly_one_source(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from smdim import game
 from smdim.core import (
     BudgetError,
     HypothesisClass,
@@ -18,6 +19,7 @@ from smdim.core import (
     validate_problem,
 )
 from smdim.dimensions import DimensionEngine, GammaValue, to_mask
+from smdim.game import solve_min_max
 from smdim.instances import make_builtin
 from smdim.learners import (
     AgnosticLearner,
@@ -30,7 +32,9 @@ from smdim.learners import (
     loss_grid,
     pool_size,
 )
-from smdim.verify import gen_multiclass
+from smdim.verify import gen_multiclass, gen_regression
+
+from test_dimensions import small_random_instance
 
 F = Fraction
 
@@ -41,7 +45,54 @@ def three_quarter_constants():
     return validate_problem(problem, HypothesisClass(((0,), (1,))))
 
 
+def reference_mixture(engine, members, x):
+    """Mrsoa's mixture written straight from the dimensions: a full
+    `dim_members` for every candidate child, then at each level the first row
+    of each label whose child has dimension above the level."""
+
+    def first_rows(cands):
+        rows = {}
+        for y, _, _, row in cands:
+            rows.setdefault(y, row)
+        return list(rows.values())
+
+    cands = engine.candidate_rows(members, x)
+    dims = [engine.dim_members(child) for _, _, child, _ in cands]
+    best = None
+    for level in range(engine.dim_members(members) - 1, -1, -1):
+        rows = first_rows(c for c, d in zip(cands, dims) if d > level)
+        if not rows:
+            continue
+        sol = solve_min_max(rows)
+        if not sol.value < engine.gamma.gamma:
+            break
+        best = sol
+    if best is None:
+        best = solve_min_max(first_rows(cands))
+    return best.mixture
+
+
 class TestMrsoa:
+    def test_mixtures_match_the_dimension_formula(self):
+        # Over states reached by random realizable streams, Mrsoa plays the
+        # mixture the per-child dimension formula gives, computed on a
+        # separate engine.
+        rng = random.Random(23)
+        classes = [small_random_instance(rng) for _ in range(30)]
+        classes += [gen_regression(rng) for _ in range(12)]
+        for problem, cls in classes:
+            for gamma in (F(1, 8), F(1, 4), F(1, 2)):
+                reference = DimensionEngine(problem, cls, gamma)
+                learner = Mrsoa(problem, cls, gamma)
+                for _ in range(6):
+                    x = rng.randrange(problem.num_instances)
+                    members = to_mask(learner.version_space.members)
+                    assert learner.predict(x) == reference_mixture(reference, members, x)
+                    h = rng.choice(learner.version_space.members)
+                    y = rng.randrange(problem.num_labels)
+                    eps = problem.loss[y][cls.table[h][x]]
+                    learner.update(x, y, rng.choice((eps, None)))
+
     def test_initial_play_on_binary_constants(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         learner = Mrsoa(problem, cls, F(1, 4))
@@ -110,13 +161,21 @@ class TestMrsoa:
                     assert after_dim < before_dim
 
     def test_shared_mixture_cache(self):
+        # Learners on one engine share its mixture memo: equal states get the
+        # same Mixture object, and the agnostic experts get it too. The LP
+        # cache is cleared before each play, so only the memo can share it.
         problem, cls = make_builtin("multiclass:binary-constants")
         engine = DimensionEngine(problem, cls, F(1, 4))
-        cache = {}
-        first = Mrsoa(problem, cls, engine=engine, mixture_cache=cache)
-        second = Mrsoa(problem, cls, engine=engine, mixture_cache=cache)
+        first = Mrsoa(problem, cls, engine=engine)
+        second = Mrsoa(problem, cls, engine=engine)
+        agnostic = AgnosticLearner(problem, cls, F(1, 4), horizon=2, engine=engine)
+        game._solve_cached.cache_clear()
         mixture = first.predict(0)
+        game._solve_cached.cache_clear()
         assert second.predict(0) is mixture
+        game._solve_cached.cache_clear()
+        agnostic.predict(0)
+        assert all(m is mixture for m in agnostic._pending[1])
 
     def test_bad_indices_rejected(self):
         problem, cls = make_builtin("multiclass:binary-constants")
