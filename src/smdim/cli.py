@@ -76,6 +76,9 @@ def _add_output_args(sub):
     sub.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
 
+_ALPHA_HELP = "agnostic threshold grid step (default min(1/T, c); 1/T when c = 0)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smdim",
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--learner", required=True, choices=("mrsoa", "agnostic", "ftl"))
     learn.add_argument("--stream", required=True, metavar="FILE")
     learn.add_argument("--gamma", help="rational margin (mrsoa and agnostic)")
-    learn.add_argument("--alpha", help="agnostic threshold grid step (default 1/T)")
+    learn.add_argument("--alpha", help=_ALPHA_HELP)
     learn.add_argument("--memo-cap", type=int)
     learn.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
     learn.add_argument("--seed", type=int, default=0)
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adv.add_argument("--gamma", required=True, help="rational margin for the certificate")
     adv.add_argument("-T", "--rounds", type=int, help="rounds to play (default: the dimension)")
-    adv.add_argument("--alpha", help="agnostic threshold grid step (default 1/T)")
+    adv.add_argument("--alpha", help=_ALPHA_HELP)
     adv.add_argument("--memo-cap", type=int)
     _add_instance_args(adv)
     _add_output_args(adv)
@@ -131,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sqrt = subs.add_parser("sqrt-lower", help="exact sign-stream lower-bound enumeration")
     sqrt.add_argument("-T", "--rounds", type=int, required=True)
     sqrt.add_argument("--gamma", default="1/4", help="margin for the aggregating learner")
-    sqrt.add_argument("--alpha", help="threshold grid step (default 1/T)")
+    sqrt.add_argument("--alpha", help=_ALPHA_HELP)
     _add_instance_args(sqrt)
     _add_output_args(sqrt)
 

@@ -15,12 +15,16 @@ bitmasks, restrict them with `DimensionEngine.restrict` and play mixtures from
 `_cached_mixture`, memoized per (mask, instance) in the engine's `mixtures`,
 so every learner on one engine shares them. Mrsoa's level sweep takes its LP
 rows from `DimensionEngine.qualifying_rows`, the rule the dimension recursion
-uses.
+uses. `AgnosticLearner` groups its experts by bitmask: experts with equal
+masks play the same mixture, so each round costs one mixture, one expected
+loss and one summed weight per group, not per expert.
 
 All learners speak the same protocol: predict(x) -> Mixture, then
-update(x, y, eps) with eps optional. Everything except the MW learning rate
-(a double, by design) is exact rational arithmetic; the exp factors are
-converted exactly into Fractions so replays are bit-identical.
+update(x, y, eps) with eps optional; snapshot() returns the learner's state
+between rounds as an immutable value, and restore(state) returns to it, so a
+caller can replay several continuations of one prefix. Everything except the
+MW learning rate (a double, by design) is exact rational arithmetic; the exp
+factors are converted exactly into Fractions so replays are bit-identical.
 """
 
 from __future__ import annotations
@@ -100,6 +104,13 @@ class Mrsoa:
     def dimension(self) -> int:
         return self.engine.dim_members(self._space)
 
+    def snapshot(self) -> int:
+        """The version space (a bitmask); `restore` returns to it."""
+        return self._space
+
+    def restore(self, state: int) -> None:
+        self._space = state
+
     def predict(self, x: int) -> Mixture:
         _check_index("instance", x, self.problem.num_instances)
         return _cached_mixture(self.engine, self._space, x)
@@ -120,8 +131,7 @@ class Mrsoa:
 def _cached_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
     """Mrsoa's mixture on bitmask `members` at instance x, memoized on the engine.
 
-    Equal (members, x) keys get the same Mixture object, which lets
-    `aggregate_mixture` group agnostic experts in identical states.
+    Equal (members, x) keys get the same Mixture object.
     """
     key = (members, x)
     mu = engine.mixtures.get(key)
@@ -177,7 +187,9 @@ class ExpertId:
                 raise ValidationError("timepoints must be strictly increasing and >= 1")
             prev = t
         for v in self.thresholds:
-            if not isinstance(v, Fraction) or v < 0:
+            # The sign of a Fraction is its numerator's; `v < 0` would go
+            # through the numbers ABCs, and pools build many experts.
+            if not isinstance(v, Fraction) or v.numerator < 0:
                 raise ValidationError(f"threshold {v!r} is not a nonnegative Fraction")
 
 
@@ -200,9 +212,10 @@ def build_expert_pool(
 ) -> tuple:
     """All experts with at most d_gamma timepoints and grid thresholds.
 
-    The pool size is checked against `budget` before any enumeration; the
-    deterministic order is by timepoint-set size, then the sets
-    lexicographically, then threshold assignments lexicographically.
+    alpha must lie in (0, c]; when c = 0 any alpha > 0 is accepted and the
+    grid is {0}. The pool size is checked against `budget` before any
+    enumeration; the deterministic order is by timepoint-set size, then the
+    sets lexicographically, then threshold assignments lexicographically.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
@@ -210,7 +223,7 @@ def build_expert_pool(
         raise ValidationError(f"d_gamma must be >= 0, got {d_gamma}")
     alpha = parse_rational(alpha)
     c = parse_rational(c)
-    if not 0 < alpha <= c:
+    if alpha <= 0 or alpha > c > 0:
         raise ValidationError(f"alpha must be in (0, c], got alpha={alpha}, c={c}")
     grid = loss_grid(alpha, c)
     size = pool_size(horizon, d_gamma, len(grid))
@@ -231,29 +244,26 @@ def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
     return Fraction(math.exp(-eta * float(loss / c)))
 
 
-def aggregate_mixture(weights: Sequence[Fraction], mixtures: Sequence[Mixture]) -> Mixture:
+def aggregate_mixture(weights: Sequence[RationalLike], mixtures: Sequence[Mixture]) -> Mixture:
     """Weight-average of mixtures (exact); expected loss is linear, so playing
-    this equals drawing an expert by weight and playing its mixture."""
+    this equals drawing an expert by weight and playing its mixture. Only the
+    ratios of the weights matter, so integer weights on any common scale work."""
     if not mixtures or len(weights) != len(mixtures):
         raise ValidationError("need equally many weights and mixtures, at least one")
-    total = Fraction(0)
-    size = len(mixtures[0].weights)
-    sums = [Fraction(0)] * size
-    groups = {}
+    total = 0
+    den = 1  # a common denominator of every mixture entry
     for w, m in zip(weights, mixtures):
         if w <= 0:
             raise ValidationError(f"non-positive weight {w}")
-        slot = groups.get(id(m))
-        if slot is None:
-            groups[id(m)] = [m, w]
-        else:
-            slot[1] += w
         total += w
-    for m, w in groups.values():
+        for entry in m.weights:
+            den = math.lcm(den, entry.denominator)
+    sums = [0] * len(mixtures[0].weights)
+    for w, m in zip(weights, mixtures):
         for j, entry in enumerate(m.weights):
             if entry:
-                sums[j] += w * entry
-    return Mixture(tuple(s / total for s in sums))
+                sums[j] += w * (entry.numerator * (den // entry.denominator))
+    return Mixture(tuple(Fraction(s, total * den) for s in sums))
 
 
 class AgnosticLearner:
@@ -261,12 +271,19 @@ class AgnosticLearner:
 
     Each expert is an Mrsoa version space, kept as a bitmask beside its weight,
     that only updates on its own timepoints, with its own quantized thresholds
-    in place of observed losses. Experts share the engine's mixture memo, so
-    experts in identical version-space states cost one computation. A grid threshold at or
-    above every loss (the grid can end above c when alpha does not divide it)
-    keeps the expert's space. An expert whose threshold turns out unrealizable
+    in place of observed losses. Experts with equal bitmasks play the same
+    memoized mixture, so each round works per group of equal bitmasks: one
+    mixture, one summed weight and one expected loss per group. A grid
+    threshold at or above every loss (the grid can end above c when alpha
+    does not divide it) keeps the expert's space. An expert whose threshold turns out unrealizable
     skips that update and keeps playing (only consistent experts matter for the
     regret guarantee; the rest just need to be deterministic).
+
+    Every exp factor `Fraction(float)` is dyadic, a / 2**k, so the weights are
+    kept as integer numerators over one shared power of two, 2**exponent: a
+    round multiplies each numerator by a * 2**(K - k), with K the largest k of
+    the round, and adds K to the exponent. `weights` gives the exact
+    Fractions. The default alpha is min(1/T, c), or 1/T when c = 0.
     """
 
     def __init__(
@@ -287,24 +304,54 @@ class AgnosticLearner:
         self.problem = engine.problem
         self.cls = engine.cls
         self.horizon = horizon
-        self.alpha = Fraction(1, horizon) if alpha is None else parse_rational(alpha)
+        c = self.problem.bound_c
+        if alpha is None:
+            self.alpha = Fraction(1, horizon)
+            if 0 < c < self.alpha:
+                self.alpha = c
+        else:
+            self.alpha = parse_rational(alpha)
         full = to_mask(range(self.cls.num_hypotheses))
         self.dimension = engine.dim_members(full)
-        self.pool = build_expert_pool(horizon, self.dimension, self.alpha, self.problem.bound_c)
+        self.pool = build_expert_pool(horizon, self.dimension, self.alpha, c)
         self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
-        self.weights = [Fraction(1)] * len(self.pool)
-        self._spaces = [full] * len(self.pool)
+        # (expert index, threshold) of the experts that update in each round.
+        self._updates = tuple([] for _ in range(horizon))
+        for i, ident in enumerate(self.pool):
+            for t, threshold in zip(ident.timepoints, ident.thresholds):
+                self._updates[t - 1].append((i, threshold))
+        self._numerators = (1,) * len(self.pool)
+        self._exponent = 0
+        self._spaces = (full,) * len(self.pool)
         self._factor_cache: dict = {}
         self.round = 0
+        self._pending = None
+
+    @property
+    def weights(self) -> list:
+        """Each expert's weight, exactly: the product of its exp factors so far."""
+        scale = 1 << self._exponent
+        return [Fraction(n, scale) for n in self._numerators]
+
+    def snapshot(self) -> tuple:
+        """The state between rounds; `restore` returns to it."""
+        return (self._numerators, self._exponent, self._spaces, self.round)
+
+    def restore(self, state: tuple) -> None:
+        self._numerators, self._exponent, self._spaces, self.round = state
         self._pending = None
 
     def predict(self, x: int) -> Mixture:
         if self.round >= self.horizon:
             raise ProtocolError(f"horizon {self.horizon} exhausted")
         _check_index("instance", x, self.problem.num_instances)
-        mixtures = [_cached_mixture(self.engine, space, x) for space in self._spaces]
-        self._pending = (x, tuple(mixtures))
-        return aggregate_mixture(self.weights, mixtures)
+        groups: dict = {}
+        for space, n in zip(self._spaces, self._numerators):
+            groups[space] = groups.get(space, 0) + n
+        spaces = tuple(groups)
+        mixtures = tuple(_cached_mixture(self.engine, space, x) for space in spaces)
+        self._pending = (x, spaces, mixtures)
+        return aggregate_mixture(tuple(groups.values()), mixtures)
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
         # eps is part of the common learner protocol but this learner ignores
@@ -312,23 +359,37 @@ class AgnosticLearner:
         if self._pending is None or self._pending[0] != x:
             raise ProtocolError("update without a matching predict")
         _check_index("label", y, self.problem.num_labels)
-        mixtures = self._pending[1]
+        _, spaces, mixtures = self._pending
         self._pending = None
-        t = self.round + 1
-        losses = [expected_loss(self.problem, m, y) for m in mixtures]
-        for i, loss in enumerate(losses):
-            factor = self._factor_cache.get(loss)
+        factors = {}
+        for space, mixture in zip(spaces, mixtures):
+            # The mixture, and so the factor, is fixed by (space, x).
+            key = (space, x, y)
+            factor = self._factor_cache.get(key)
             if factor is None:
-                factor = _exp_factor(self.eta, self.problem.bound_c, loss)
-                self._factor_cache[loss] = factor
-            if factor != 1:
-                self.weights[i] *= factor
-        for i, ident in enumerate(self.pool):
-            if t in ident.timepoints:
-                threshold = ident.thresholds[ident.timepoints.index(t)]
-                kept = self.engine.restrict(self._spaces[i], x, y, threshold)
+                loss = expected_loss(self.problem, mixture, y)
+                factor = self._factor_cache[key] = _exp_factor(
+                    self.eta, self.problem.bound_c, loss
+                )
+            factors[space] = factor
+        shift = max(f.denominator.bit_length() - 1 for f in factors.values())
+        if shift:
+            scale = {
+                space: f.numerator << (shift - f.denominator.bit_length() + 1)
+                for space, f in factors.items()
+            }
+            self._numerators = tuple(
+                n * scale[space] for n, space in zip(self._numerators, self._spaces)
+            )
+            self._exponent += shift
+        t = self.round + 1
+        if self._updates[t - 1]:
+            kept_spaces = list(self._spaces)
+            for i, threshold in self._updates[t - 1]:
+                kept = self.engine.restrict(kept_spaces[i], x, y, threshold)
                 if kept:
-                    self._spaces[i] = kept
+                    kept_spaces[i] = kept
+            self._spaces = tuple(kept_spaces)
         self.round = t
 
 
@@ -346,6 +407,13 @@ class FollowTheLeader:
         self.problem = problem
         self.cls = cls
         self._cumulative = [Fraction(0)] * problem.num_predictions
+
+    def snapshot(self) -> tuple:
+        """The cumulative losses; `restore` returns to them."""
+        return tuple(self._cumulative)
+
+    def restore(self, state: tuple) -> None:
+        self._cumulative = list(state)
 
     def predict(self, x: int) -> Mixture:
         best = 0
@@ -365,6 +433,13 @@ class UniformLearner:
 
     def __init__(self, problem: Problem, cls: Optional[HypothesisClass] = None):
         self._size = problem.num_predictions
+
+    def snapshot(self) -> None:
+        """This learner has no state."""
+        return None
+
+    def restore(self, state: None) -> None:
+        pass
 
     def predict(self, x: int) -> Mixture:
         return Mixture.uniform(self._size)

@@ -256,9 +256,13 @@ def exact_expectation_over_signs(
     """Average regret over all 2^rounds sign streams, exactly.
 
     Each sign vector in {+1,-1}^rounds is mapped to a stream by
-    `make_stream_for_signs`, played against a fresh learner, and the exact
-    expected regrets are averaged. Capped at SIGN_ENUM_CAP rounds because
-    the cost doubles per round.
+    `make_stream_for_signs`; all streams are built and validated first. The
+    average is of the exact expected regret a fresh learner from
+    `learner_factory` suffers on each stream, as `run_game` reports it, but
+    the factory is called once: the function walks the tree of stream
+    prefixes depth-first, playing each distinct prefix once and returning
+    to a branch point with the learner's snapshot()/restore(). Capped at
+    SIGN_ENUM_CAP rounds because the cost doubles per round.
     """
     if rounds < 0:
         raise ValidationError(f"rounds must be >= 0, got {rounds}")
@@ -266,9 +270,37 @@ def exact_expectation_over_signs(
         raise ValidationError(
             f"sign enumeration over 2^{rounds} streams exceeds the cap of {SIGN_ENUM_CAP}"
         )
-    total = Fraction(0)
+    streams = []
     for signs in product((1, -1), repeat=rounds):
-        stream = make_stream_for_signs(signs)
-        report = run_game(problem, cls, learner_factory(), list(stream))
-        total += report.regret
+        stream = make_stream(list(make_stream_for_signs(signs)))
+        validate_stream(problem, stream)
+        streams.append(stream)
+    learner = learner_factory()
+    total = Fraction(0)
+    # Depth-first over the tree of stream prefixes. An entry holds the streams
+    # that share their first `depth` rounds, the last of which is `example`
+    # (None at the root), with the expected loss suffered and the learner's
+    # state before that round. Siblings are pushed in reverse, so they are
+    # played in the order their first stream appears.
+    pending = [(streams, 0, Fraction(0), None, None)]
+    while pending:
+        group, depth, cumulative, state, example = pending.pop()
+        if example is not None:
+            learner.restore(state)
+            try:
+                mixture = learner.predict(example.x)
+                cumulative += expected_loss(problem, mixture, example.y)
+                learner.update(example.x, example.y, example.eps)
+            except (RealizabilityError, ProtocolError) as exc:
+                raise type(exc)(f"round {depth}: {exc}") from exc
+        branches: dict = {}
+        for stream in group:
+            if len(stream) == depth:
+                total += cumulative - best_in_hindsight(problem, cls, stream)[1]
+            else:
+                branches.setdefault(stream[depth], []).append(stream)
+        if branches:
+            state = learner.snapshot()
+            for step, rest in reversed(branches.items()):
+                pending.append((rest, depth + 1, cumulative, state, step))
     return total / Fraction(2**rounds)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from smdim import cli
-from smdim.core import make_stream
+from smdim.core import HypothesisClass, make_problem, make_stream, validate_problem
 from smdim.instances import make_builtin, serialize_instance, serialize_stream
 from smdim.verify import CaseResult
 
@@ -175,6 +175,15 @@ class TestDimErrors:
         assert info.value.code == 2
 
 
+def write_constants(tmp_path, loss, name="instance.json"):
+    """Two constant hypotheses on one instance under a 2x2 loss matrix."""
+    problem = make_problem(("x0",), (0, 1), (0, 1), loss)
+    problem, cls = validate_problem(problem, HypothesisClass(((0,), (1,))))
+    path = tmp_path / name
+    path.write_text(serialize_instance(problem, cls), encoding="utf-8")
+    return str(path)
+
+
 def write_stream(tmp_path, examples, name="stream.json"):
     path = tmp_path / name
     path.write_text(serialize_stream(make_stream(examples)), encoding="utf-8")
@@ -235,6 +244,17 @@ class TestLearn:
         )
         assert (code, err) == (0, "")
         assert "rounds: 3\n" in out
+
+    def test_agnostic_on_zero_loss_matrix(self, capsys, tmp_path):
+        # c = 0: the default alpha is 1/T and the pool is the empty expert.
+        instance = write_constants(tmp_path, [["0", "0"], ["0", "0"]])
+        stream = write_stream(tmp_path, [(0, 1), (0, 0), (0, 1)])
+        code, out, err = run_cli(
+            capsys, "learn", "--instance", instance, "--learner", "agnostic",
+            "--gamma", "1/4", "--stream", stream, "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["regret"] == "0"
 
     def test_non_utf8_stream_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "stream.json"
@@ -298,6 +318,18 @@ class TestAdversary:
         )
         assert code == 0
         assert len(json.loads(out)["rounds"]) == 1
+
+    def test_agnostic_default_alpha_when_c_is_below_one_over_t(self, capsys, tmp_path):
+        # c = 3/4 and the certificate has depth 1, so T = 1 and 1/T > c: the
+        # default alpha is c.
+        instance = write_constants(tmp_path, [["0", "3/4"], ["3/4", "0"]])
+        code, out, err = run_cli(
+            capsys, "adversary", "--instance", instance, "--learner", "agnostic",
+            "--gamma", "1/4",
+        )
+        assert (code, err) == (0, "")
+        assert "rounds: 1\n" in out
+        assert "guaranteed regret: >= 1/4\n" in out
 
     def test_uniform_csv_transcript(self, capsys):
         code, out, _ = run_cli(

@@ -3,10 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from smdim import game
+from smdim.adversaries import find_sqrt_witness
 from smdim.core import (
     BudgetError,
     HypothesisClass,
@@ -27,11 +30,13 @@ from smdim.learners import (
     FollowTheLeader,
     Mrsoa,
     UniformLearner,
+    _cached_mixture,
     aggregate_mixture,
     build_expert_pool,
     loss_grid,
     pool_size,
 )
+from smdim.simulation import run_game
 from smdim.verify import gen_multiclass, gen_regression
 
 from test_dimensions import small_random_instance
@@ -43,6 +48,78 @@ def three_quarter_constants():
     """Two constant hypotheses on two labels with 0/(3/4) loss, so c = 3/4."""
     problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "3/4"], ["3/4", "0"]])
     return validate_problem(problem, HypothesisClass(((0,), (1,))))
+
+
+UNIT_GAP = ("multiclass:binary-constants", "multilabel:pair-constants")
+
+
+def zero_loss_constants():
+    """Two constant hypotheses under an all-zero loss matrix, so c = 0."""
+    problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "0"], ["0", "0"]])
+    return validate_problem(problem, HypothesisClass(((0,), (1,))))
+
+
+def agnostic_enum_class(rng):
+    """A class shaped like the benchmark's sign-enumeration workload: absolute
+    loss on a grid in [0, 1] that contains 0 and 1 (so c = 1), one or two
+    instances, two to four hypotheses, and a two-point sign witness."""
+    while True:
+        grid = sorted([F(0), F(1)] + rng.sample((F(1, 4), F(1, 2), F(3, 4)), rng.randint(0, 1)))
+        nx = rng.randint(1, 2)
+        universe = list(product(range(len(grid)), repeat=nx))
+        rows = tuple(sorted(rng.sample(universe, min(rng.randint(2, 4), len(universe)))))
+        ids = tuple(range(len(grid)))
+        loss = [[abs(y - z) for z in grid] for y in grid]
+        problem, cls = validate_problem(
+            make_problem(tuple(range(nx)), ids, ids, loss), HypothesisClass(rows)
+        )
+        if find_sqrt_witness(problem, cls) is not None:
+            return problem, cls
+
+
+class ReferenceAgnosticLearner:
+    """The per-expert multiplicative weights that `AgnosticLearner` groups:
+    one Fraction weight and one mixture per expert, each reweighted by
+    Fraction(exp(-eta * loss / c)) of its own expected loss."""
+
+    def __init__(self, problem, cls, horizon, alpha, engine):
+        self.problem, self.engine = problem, engine
+        full = to_mask(range(cls.num_hypotheses))
+        self.pool = build_expert_pool(horizon, engine.dim_members(full), alpha, problem.bound_c)
+        self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
+        self.weights = [F(1)] * len(self.pool)
+        self.spaces = [full] * len(self.pool)
+        self.round = 0
+
+    def predict(self, x):
+        self.mixtures = [_cached_mixture(self.engine, space, x) for space in self.spaces]
+        total = sum(self.weights)
+        return Mixture(tuple(
+            sum(w * m.weights[z] for w, m in zip(self.weights, self.mixtures)) / total
+            for z in range(self.problem.num_predictions)
+        ))
+
+    def update(self, x, y, eps=None):
+        self.round += 1
+        for i, mixture in enumerate(self.mixtures):
+            loss = expected_loss(self.problem, mixture, y)
+            if loss:
+                self.weights[i] *= F(math.exp(-self.eta * float(loss / self.problem.bound_c)))
+        for i, ident in enumerate(self.pool):
+            if self.round in ident.timepoints:
+                threshold = ident.thresholds[ident.timepoints.index(self.round)]
+                kept = self.engine.restrict(self.spaces[i], x, y, threshold)
+                if kept:
+                    self.spaces[i] = kept
+
+
+def play(learner, stream):
+    """The mixtures `learner` plays on `stream`, updating after each round."""
+    played = []
+    for x, y, eps in stream:
+        played.append(learner.predict(x))
+        learner.update(x, y, eps)
+    return played
 
 
 def reference_mixture(engine, members, x):
@@ -162,8 +239,9 @@ class TestMrsoa:
 
     def test_shared_mixture_cache(self):
         # Learners on one engine share its mixture memo: equal states get the
-        # same Mixture object, and the agnostic experts get it too. The LP
-        # cache is cleared before each play, so only the memo can share it.
+        # same Mixture object, and every agnostic expert group gets it too.
+        # The LP cache is cleared before each play, so only the memo can
+        # share it.
         problem, cls = make_builtin("multiclass:binary-constants")
         engine = DimensionEngine(problem, cls, F(1, 4))
         first = Mrsoa(problem, cls, engine=engine)
@@ -175,7 +253,19 @@ class TestMrsoa:
         assert second.predict(0) is mixture
         game._solve_cached.cache_clear()
         agnostic.predict(0)
-        assert all(m is mixture for m in agnostic._pending[1])
+        _, spaces, mixtures = agnostic._pending
+        assert spaces == (to_mask(range(cls.num_hypotheses)),)
+        assert mixtures[0] is mixture
+        # After a round the experts split into groups; each group plays the
+        # memo's Mixture object for its version space.
+        agnostic.update(0, 1)
+        agnostic.predict(0)
+        _, spaces, mixtures = agnostic._pending
+        assert len(spaces) == len(set(spaces)) > 1
+        for space, group_mixture in zip(spaces, mixtures):
+            first.restore(space)
+            game._solve_cached.cache_clear()
+            assert first.predict(0) is group_mixture
 
     def test_bad_indices_rejected(self):
         problem, cls = make_builtin("multiclass:binary-constants")
@@ -222,6 +312,14 @@ class TestExpertPool:
             build_expert_pool(4, 1, F(0), F(1))
         with pytest.raises(ValidationError):
             build_expert_pool(4, 1, F(2), F(1))
+        with pytest.raises(ValidationError):
+            build_expert_pool(4, 1, F(-1), F(0))
+
+    def test_zero_loss_bound_takes_any_alpha(self):
+        # c = 0: the grid is {0} whatever alpha > 0 is.
+        for alpha in (F(1, 3), F(2)):
+            pool = build_expert_pool(3, 1, alpha, F(0))
+            assert pool == (ExpertId((), ()),) + tuple(ExpertId((t,), (F(0),)) for t in (1, 2, 3))
 
     def test_expert_id_validation(self):
         with pytest.raises(ValidationError):
@@ -352,6 +450,51 @@ class TestAgnosticLearner:
         learner.update(0, 1)
         assert learner.round == 1
 
+    def test_default_alpha_is_at_most_c(self):
+        # c = 3/4 < 1/T at T = 1, so the default alpha is c, not 1/T (which the
+        # pool rejects). The played mixture is uniform by symmetry, and
+        # hypothesis 1 has no loss on label 1.
+        problem, cls = three_quarter_constants()
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=1)
+        assert (learner.alpha, learner.dimension) == (F(3, 4), 1)
+        assert len(learner.pool) == 3
+        report = run_game(problem, cls, learner, [(0, 1)])
+        assert report.rounds[0].mixture == Mixture.uniform(2)
+        assert report.regret == F(3, 8)
+
+    def test_zero_loss_bound(self):
+        # c = 0: nothing is shatterable at gamma > 0, so the pool is the
+        # single empty expert, eta is 0 and the regret is 0.
+        problem, cls = zero_loss_constants()
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3)
+        assert (learner.alpha, learner.dimension, learner.eta) == (F(1, 3), 0, 0.0)
+        assert learner.pool == (ExpertId((), ()),)
+        report = run_game(problem, cls, learner, [(0, 0), (0, 1), (0, 1)])
+        assert report.regret == 0
+        assert learner.weights == [F(1)]
+
+    def test_matches_per_expert_reference(self):
+        # Grouping experts by version space, with integer weight numerators
+        # over a shared power of two, plays the same mixtures and keeps the
+        # same weights as per-expert Fraction MW, round by round.
+        rng = random.Random(31)
+        cases = [(make_builtin(n), range(1, 8)) for n in UNIT_GAP]
+        cases.append((three_quarter_constants(), (1, 3)))
+        cases += [(agnostic_enum_class(rng), (3, 4, 5)) for _ in range(20)]
+        for (problem, cls), horizons in cases:
+            engine = DimensionEngine(problem, cls, F(1, 4))
+            for horizon in horizons:
+                learner = AgnosticLearner(problem, cls, F(1, 4), horizon, engine=engine)
+                reference = ReferenceAgnosticLearner(problem, cls, horizon, learner.alpha, engine)
+                assert (learner.pool, learner.eta) == (reference.pool, reference.eta)
+                for _ in range(horizon):
+                    x = rng.randrange(problem.num_instances)
+                    y = rng.randrange(problem.num_labels)
+                    assert learner.predict(x) == reference.predict(x)
+                    learner.update(x, y)
+                    reference.update(x, y)
+                    assert learner.weights == reference.weights
+
     def test_deterministic_replay(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         stream = [(0, 1), (0, 0), (0, 1), (0, 1)]
@@ -364,6 +507,50 @@ class TestAgnosticLearner:
                 learner.update(x, y)
             runs.append(played)
         assert runs[0] == runs[1]
+
+
+class TestSnapshots:
+    @given(st.randoms(use_true_random=False))
+    def test_restore_replays_like_a_fresh_learner(self, rng):
+        # Play a prefix, snapshot, play another continuation, restore, and
+        # play the first continuation: the mixtures, weights and state are a
+        # fresh learner's on prefix + first continuation. Classes of dimension
+        # 0 are skipped: their agnostic pool is one expert that never updates.
+        problem, cls = small_random_instance(rng)
+        while not Mrsoa(problem, cls, F(1, 4)).dimension:
+            problem, cls = small_random_instance(rng)
+        target = rng.randrange(cls.num_hypotheses)
+
+        def examples(count):
+            out = []
+            for _ in range(count):
+                x = rng.randrange(problem.num_instances)
+                y = rng.randrange(problem.num_labels)
+                out.append((x, y, problem.loss[y][cls.table[target][x]]))
+            return out
+
+        prefix, first, other = examples(rng.randint(0, 3)), examples(3), examples(3)
+        horizon = len(prefix) + 3
+        constants = HypothesisClass(
+            tuple((z,) * problem.num_instances for z in range(problem.num_predictions))
+        )
+        makers = (
+            lambda: Mrsoa(problem, cls, F(1, 4)),
+            lambda: AgnosticLearner(problem, cls, F(1, 4), horizon),
+            lambda: FollowTheLeader(problem, constants),
+            lambda: UniformLearner(problem, cls),
+        )
+        for make in makers:
+            fresh = make()
+            expected = play(fresh, prefix + first)[len(prefix):]
+            learner = make()
+            play(learner, prefix)
+            state = learner.snapshot()
+            play(learner, other)
+            learner.restore(state)
+            assert play(learner, first) == expected
+            assert learner.snapshot() == fresh.snapshot()
+            assert getattr(learner, "weights", None) == getattr(fresh, "weights", None)
 
 
 class TestBaselines:

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,9 @@ from smdim.core import (
     ValidationError,
     expected_loss,
 )
+from smdim.dimensions import DimensionEngine
 from smdim.instances import canonical_json, make_builtin
-from smdim.learners import FollowTheLeader, Mrsoa, UniformLearner
+from smdim.learners import AgnosticLearner, FollowTheLeader, Mrsoa, UniformLearner
 from smdim.simulation import (
     SIGN_ENUM_CAP,
     TRANSCRIPT_COLUMNS,
@@ -26,7 +28,29 @@ from smdim.simulation import (
 )
 from smdim.verify import gen_multiclass
 
+from test_learners import UNIT_GAP, agnostic_enum_class
+
 F = Fraction
+
+
+def reference_expectation(problem, cls, make_stream_for_signs, learner_factory, rounds):
+    """Per-stream replay: a fresh learner plays each sign stream through
+    `run_game`, and the exact regrets are averaged."""
+    total = F(0)
+    for signs in product((1, -1), repeat=rounds):
+        stream = make_stream_for_signs(signs)
+        total += run_game(problem, cls, learner_factory(), list(stream)).regret
+    return total / 2**rounds
+
+
+def learner_factories(problem, cls, horizon):
+    engine = DimensionEngine(problem, cls, F(1, 4))
+    return (
+        lambda: AgnosticLearner(problem, cls, F(1, 4), horizon, engine=engine),
+        lambda: Mrsoa(problem, cls, engine=engine),
+        lambda: FollowTheLeader(problem, cls),
+        lambda: UniformLearner(problem, cls),
+    )
 
 
 class TestBestInHindsight:
@@ -227,3 +251,84 @@ class TestSignEnumeration:
                 problem, cls, lambda s: (), lambda: UniformLearner(problem),
                 SIGN_ENUM_CAP + 1,
             )
+
+    def test_walk_matches_per_stream_replay_on_unit_gap_builtins(self):
+        for name in UNIT_GAP:
+            problem, cls = make_builtin(name)
+            witness = find_sqrt_witness(problem, cls)
+            for horizon in range(1, 8):
+                for factory in learner_factories(problem, cls, horizon):
+                    args = (problem, cls, lambda s: rademacher_stream(witness, s), factory, horizon)
+                    assert exact_expectation_over_signs(*args) == reference_expectation(*args)
+
+    def test_walk_matches_per_stream_replay_on_random_classes(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            problem, cls = agnostic_enum_class(rng)
+            witness = find_sqrt_witness(problem, cls)
+            for horizon in (3, 4, 5):
+                engine = DimensionEngine(problem, cls, F(1, 4))
+                args = (
+                    problem,
+                    cls,
+                    lambda s: rademacher_stream(witness, s),
+                    lambda: AgnosticLearner(problem, cls, F(1, 4), horizon, engine=engine),
+                    horizon,
+                )
+                assert exact_expectation_over_signs(*args) == reference_expectation(*args)
+
+    def test_equal_prefixes_need_not_be_contiguous(self):
+        # Reversed signs put streams with equal prefixes apart in sign order,
+        # and truncating by the count of +1 signs makes some streams proper
+        # prefixes of others.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        witness = find_sqrt_witness(problem, cls)
+
+        def streams(signs):
+            return rademacher_stream(witness, signs[::-1])[: 1 + signs.count(1)]
+
+        for horizon in (3, 4, 5):
+            for factory in learner_factories(problem, cls, horizon):
+                args = (problem, cls, streams, factory, horizon)
+                assert exact_expectation_over_signs(*args) == reference_expectation(*args)
+
+    def test_streams_longer_than_the_recursion_limit(self):
+        # The walk keeps its own stack, so a callback may return streams of
+        # any length, as with per-stream replay.
+        problem, cls = make_builtin("multiclass:binary-constants")
+
+        def streams(signs):
+            return [(0, 1 if signs[0] == 1 else 0)] * 1200 + [(0, 0 if signs[1] == 1 else 1)]
+
+        args = (problem, cls, streams, lambda: FollowTheLeader(problem, cls), 2)
+        assert exact_expectation_over_signs(*args) == reference_expectation(*args)
+
+    def test_learner_errors_carry_round_numbers(self):
+        # Threshold 0 on label 0 and then on label 1 is unrealizable. Streams
+        # with signs (+1, -1, ...) switch labels at round 4, after the streams
+        # with signs (+1, +1, ...) have been played to their end; those with
+        # first sign -1 switch at round 3, but come later in sign order. A
+        # horizon-2 agnostic learner runs out of rounds at round 3.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        engine = DimensionEngine(problem, cls, F(1, 4))
+
+        def streams(signs):
+            if signs[0] == -1:
+                return [(0, y, F(0)) for y in (0, 0, 1, 0)]
+            return [(0, y, F(0)) for y in (0, 0, 0, 0 if signs[1] == 1 else 1)]
+
+        for error, factory, prefix in (
+            (RealizabilityError, lambda: Mrsoa(problem, cls, engine=engine), "round 4: "),
+            (
+                ProtocolError,
+                lambda: AgnosticLearner(problem, cls, F(1, 4), 2, engine=engine),
+                "round 3: ",
+            ),
+        ):
+            args = (problem, cls, streams, factory, 4)
+            with pytest.raises(error) as expected:
+                reference_expectation(*args)
+            with pytest.raises(error) as got:
+                exact_expectation_over_signs(*args)
+            assert str(got.value) == str(expected.value)
+            assert str(got.value).startswith(prefix)
