@@ -44,7 +44,13 @@ from .dimensions import (
     seqfat,
     smdim,
 )
-from .instances import InstanceSpec, builtin_names, canonical_json, parse_stream_document
+from .instances import (
+    builtin_names,
+    canonical_json,
+    make_builtin,
+    parse_instance_document,
+    parse_stream_document,
+)
 from .learners import AgnosticLearner, FollowTheLeader, Mrsoa, UniformLearner
 from .simulation import exact_expectation_over_signs, run_game, transcript_rows
 from .verify import normalize_prop, run_verification
@@ -61,8 +67,8 @@ _USAGE_ERRORS = (
 )
 
 
-def _add_instance_args(sub, required: bool = True):
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_instance_args(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--builtin",
         metavar="NAME[:params]",
@@ -158,9 +164,15 @@ def main(argv=None) -> int:
         return 2
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+def _output(args, doc, rows, text: str) -> None:
+    """Write `doc` as canonical JSON under --format json, `rows` as CSV under
+    --format csv, and `text` otherwise; to --out when given, else stdout."""
+    if args.format == "json":
+        text = canonical_json(doc)
+    elif args.format == "csv":
+        text = _csv_text(rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -174,7 +186,11 @@ def _csv_text(rows) -> str:
 
 
 def _load_instance(args):
-    return InstanceSpec(builtin=args.builtin, path=args.instance).load()
+    # argparse's required exclusive group guarantees exactly one source.
+    if args.builtin is not None:
+        return make_builtin(args.builtin)
+    with open(args.instance, "r", encoding="utf-8") as handle:
+        return parse_instance_document(handle.read())
 
 
 def _parse_gammas(text: str):
@@ -203,12 +219,8 @@ def _cmd_dim(args) -> int:
     if name in ("ldim", "ldimk"):
         k = 1 if name == "ldim" else args.k
         value = ldim_k(problem, cls, space, k)
-        if args.format == "json":
-            _emit(canonical_json({"dimension": name, "k": k, "value": value}), args.out)
-        elif args.format == "csv":
-            _emit(_csv_text([["k", "value"], [k, value]]), args.out)
-        else:
-            _emit(f"{value}\n", args.out)
+        doc = {"dimension": name, "k": k, "value": value}
+        _output(args, doc, [["k", "value"], [k, value]], f"{value}\n")
         return 0
     if args.gamma is None:
         raise ValidationError(f"--gamma is required for {name}")
@@ -224,21 +236,16 @@ def _cmd_dim(args) -> int:
                 raise ValidationError("seqfat needs gamma > 0")
             value = seqfat(problem, cls, space, gv.gamma)
         results.append((gv, value))
-    if args.format == "json":
-        doc = {
-            "dimension": name,
-            "results": [
-                {"gamma": format_rational(gv.gamma), "strict": gv.strict, "value": v}
-                for gv, v in results
-            ],
-        }
-        _emit(canonical_json(doc), args.out)
-    elif args.format == "csv":
-        rows = [["gamma", "strict", "value"]]
-        rows += [[format_rational(gv.gamma), str(gv.strict).lower(), v] for gv, v in results]
-        _emit(_csv_text(rows), args.out)
-    else:
-        _emit("".join(f"{v}\n" for _, v in results), args.out)
+    doc = {
+        "dimension": name,
+        "results": [
+            {"gamma": format_rational(gv.gamma), "strict": gv.strict, "value": v}
+            for gv, v in results
+        ],
+    }
+    rows = [["gamma", "strict", "value"]]
+    rows += [[format_rational(gv.gamma), str(gv.strict).lower(), v] for gv, v in results]
+    _output(args, doc, rows, "".join(f"{v}\n" for _, v in results))
     return 0
 
 
@@ -256,7 +263,9 @@ def _make_learner(name, problem, cls, args, horizon, engine=None):
     return UniformLearner(problem, cls)
 
 
-def _report_text(problem, report) -> str:
+def _emit_report(problem, report, args, *extra_lines) -> None:
+    """Output the report: its document, transcript rows, or text summary
+    followed by `extra_lines`."""
     lines = [
         f"rounds: {report.num_rounds}",
         f"cumulative expected loss: {format_rational(report.cumulative)}",
@@ -269,16 +278,9 @@ def _report_text(problem, report) -> str:
             f"sampled mean {report.mc_mean:.6f} +/- {report.mc_stderr:.6f} "
             f"({report.trials} trials, seed {report.seed})"
         )
-    return "".join(line + "\n" for line in lines)
-
-
-def _emit_report(problem, report, args) -> None:
-    if args.format == "json":
-        _emit(canonical_json(report.to_doc(problem)), args.out)
-    elif args.format == "csv":
-        _emit(_csv_text(transcript_rows(problem, report)), args.out)
-    else:
-        _emit(_report_text(problem, report), args.out)
+    lines += extra_lines
+    text = "".join(line + "\n" for line in lines)
+    _output(args, report.to_doc(problem), transcript_rows(problem, report), text)
 
 
 def _cmd_learn(args) -> int:
@@ -314,14 +316,13 @@ def _cmd_adversary(args) -> int:
     adversary = ShatteringAdversary(problem, cls, certificate)
     learner = _make_learner(args.learner, problem, cls, args, max(1, rounds), engine)
     report = run_game(problem, cls, learner, adversary, rounds=rounds)
-    bound = gv.gamma * rounds
-    if args.format in ("json", "csv"):
-        _emit_report(problem, report, args)
-    else:
-        text = _report_text(problem, report)
-        text += f"dimension: {depth}\n"
-        text += f"guaranteed regret: >= {format_rational(bound)}\n"
-        _emit(text, args.out)
+    _emit_report(
+        problem,
+        report,
+        args,
+        f"dimension: {depth}",
+        f"guaranteed regret: >= {format_rational(gv.gamma * rounds)}",
+    )
     return 0
 
 
@@ -329,26 +330,17 @@ def _cmd_verify(args) -> int:
     prop = normalize_prop(args.prop)
     results = run_verification(prop, seed=args.seed, cases=args.cases)
     failures = [r for r in results if not r.ok]
-    if args.format == "json":
-        doc = {
-            "prop": prop,
-            "seed": args.seed,
-            "cases": [
-                {"index": r.index, "ok": r.ok, "detail": r.detail} for r in results
-            ],
-            "failures": len(failures),
-        }
-        _emit(canonical_json(doc), args.out)
-    elif args.format == "csv":
-        rows = [["index", "prop", "ok", "detail"]]
-        rows += [[r.index, r.prop, str(r.ok).lower(), r.detail] for r in results]
-        _emit(_csv_text(rows), args.out)
-    else:
-        lines = [
-            f"case {r.index}: {'ok' if r.ok else 'FAIL'} - {r.detail}" for r in results
-        ]
-        lines.append(f"{len(results) - len(failures)}/{len(results)} cases passed")
-        _emit("".join(line + "\n" for line in lines), args.out)
+    doc = {
+        "prop": prop,
+        "seed": args.seed,
+        "cases": [{"index": r.index, "ok": r.ok, "detail": r.detail} for r in results],
+        "failures": len(failures),
+    }
+    rows = [["index", "prop", "ok", "detail"]]
+    rows += [[r.index, r.prop, str(r.ok).lower(), r.detail] for r in results]
+    lines = [f"case {r.index}: {'ok' if r.ok else 'FAIL'} - {r.detail}" for r in results]
+    lines.append(f"{len(results) - len(failures)}/{len(results)} cases passed")
+    _output(args, doc, rows, "".join(line + "\n" for line in lines))
     if failures:
         print(f"error: {len(failures)} verification case(s) failed", file=sys.stderr)
         return 3
@@ -394,31 +386,26 @@ def _cmd_sqrt_lower(args) -> int:
         "bound": bound,
         "satisfied": float(expected) >= bound,
     }
-    if args.format == "json":
-        _emit(canonical_json(doc), args.out)
-    elif args.format == "csv":
-        rows = [
-            ["rounds", "eta", "expected_regret", "khinchine_term", "bound", "satisfied"],
-            [
-                rounds,
-                format_rational(witness.eta),
-                format_rational(expected),
-                format_rational(khinchine),
-                repr(bound),
-                str(doc["satisfied"]).lower(),
-            ],
-        ]
-        _emit(_csv_text(rows), args.out)
-    else:
-        text = (
-            f"witness: x={witness.x} h-={witness.h_minus} h+={witness.h_plus} "
-            f"y-={witness.y_minus} y+={witness.y_plus} eta={format_rational(witness.eta)}\n"
-            f"expected regret over all sign streams: {format_rational(expected)}\n"
-            f"khinchine term eta*E|S|/2: {format_rational(khinchine)}\n"
-            f"target eta*sqrt(T/8): {bound:.6f}\n"
-            f"satisfied: {doc['satisfied']}\n"
-        )
-        _emit(text, args.out)
+    rows = [
+        ["rounds", "eta", "expected_regret", "khinchine_term", "bound", "satisfied"],
+        [
+            rounds,
+            format_rational(witness.eta),
+            format_rational(expected),
+            format_rational(khinchine),
+            repr(bound),
+            str(doc["satisfied"]).lower(),
+        ],
+    ]
+    text = (
+        f"witness: x={witness.x} h-={witness.h_minus} h+={witness.h_plus} "
+        f"y-={witness.y_minus} y+={witness.y_plus} eta={format_rational(witness.eta)}\n"
+        f"expected regret over all sign streams: {format_rational(expected)}\n"
+        f"khinchine term eta*E|S|/2: {format_rational(khinchine)}\n"
+        f"target eta*sqrt(T/8): {bound:.6f}\n"
+        f"satisfied: {doc['satisfied']}\n"
+    )
+    _output(args, doc, rows, text)
     return 0
 
 

@@ -160,10 +160,6 @@ class VersionSpace:
     def full(cls, num_hypotheses: int) -> "VersionSpace":
         return cls(tuple(range(num_hypotheses)))
 
-    @property
-    def nonempty(self) -> bool:
-        return bool(self.members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -336,16 +332,16 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
 
 def expected_loss(problem: Problem, mixture: Mixture, y: int) -> Fraction:
     """Exact expected loss of a mixture against label index y."""
-    row = problem.loss[y]
-    if len(mixture.weights) != len(row):
-        raise ValidationError(
-            f"mixture has {len(mixture.weights)} entries, problem has {len(row)} predictions"
-        )
-    return weighted_sum(Fraction(0), mixture.weights, row)
+    return weighted_sum(Fraction(0), mixture.weights, problem.loss[y])
 
 
 def weighted_sum(start: Fraction, weights, values) -> Fraction:
-    """start + sum of w * v over paired entries, exactly, skipping zero weights."""
+    """start + sum of w * v over paired entries, exactly, skipping zero weights.
+
+    Raises ValidationError when there are not exactly as many weights as values.
+    """
+    if len(weights) != len(values):
+        raise ValidationError(f"{len(weights)} mixture weights for {len(values)} values")
     total = start
     for w, v in zip(weights, values):
         if w:

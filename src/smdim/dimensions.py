@@ -119,6 +119,12 @@ class GammaValue:
     def describe(self) -> str:
         return "0 (strict)" if self.strict else format_rational(self.gamma)
 
+    def passes(self, value: Fraction) -> bool:
+        """Whether a game value reaches this margin: > 0 when strict, else >= gamma."""
+        if self.strict:
+            return value > 0
+        return value >= self.gamma
+
 
 @dataclass(frozen=True)
 class CertificateNode:
@@ -365,11 +371,6 @@ class DimensionEngine:
         if space.members and space.members[-1] >= self.cls.num_hypotheses:
             raise ValidationError(f"hypothesis index {space.members[-1]} out of range")
 
-    def _passes(self, value: Fraction) -> bool:
-        if self.gamma.strict:
-            return value > 0
-        return value >= self.gamma.gamma
-
     # A method, not a closure stored on the engine: that would be a reference
     # cycle, so engines would outlive their last reference until a gc pass.
     def _shatter(self, members: int, depth: int) -> bool:
@@ -390,7 +391,7 @@ class DimensionEngine:
             if not rows:
                 continue
             sol = solve_min_max(rows)
-            if self._passes(sol.value):
+            if self.gamma.passes(sol.value):
                 return x, sol.value, tuple(qualifying)
         return None
 
@@ -527,9 +528,6 @@ def msdim_direct(
     loss = problem.loss
     zero_loss = _zero_loss_masks(problem, cls)
 
-    def passes(value):
-        return value > 0 if gv.strict else value >= gv.gamma
-
     def branch(members, depth):
         for masks in zero_loss:
             rows = []
@@ -537,7 +535,7 @@ def msdim_direct(
                 child = members & within
                 if child and shatter(child, depth - 1):
                     rows.append(AffineRow(loss[y], Fraction(0)))
-            if rows and passes(solve_min_max(rows).value):
+            if rows and gv.passes(solve_min_max(rows).value):
                 return True
         return False
 

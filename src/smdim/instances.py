@@ -19,7 +19,6 @@ values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
@@ -185,22 +184,6 @@ def make_builtin(spec: str):
     raise ValidationError(f"builtin family {family!r} takes no parameters or is unknown")
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Where an instance comes from: a builtin name or a JSON file path."""
-
-    builtin: Optional[str] = None
-    path: Optional[str] = None
-
-    def load(self):
-        if (self.builtin is None) == (self.path is None):
-            raise ValidationError("exactly one of builtin/path must be set")
-        if self.builtin is not None:
-            return make_builtin(self.builtin)
-        with open(self.path, "r", encoding="utf-8") as fh:
-            return parse_instance_document(fh.read())
-
-
 # --- file formats ----------------------------------------------------------
 
 
@@ -247,16 +230,10 @@ def encode_identifier(value):
 
 
 def _decode_rational(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValidationError(f"{path}: expected a rational, got a boolean")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{path}: not a rational literal: {value!r}") from exc
-    raise ValidationError(f"{path}: expected a rational, got {value!r}")
+    try:
+        return parse_rational(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _expect_list(doc, key: str, path: str):

@@ -250,15 +250,18 @@ def aggregate_mixture(weights: Sequence[RationalLike], mixtures: Sequence[Mixtur
     ratios of the weights matter, so integer weights on any common scale work."""
     if not mixtures or len(weights) != len(mixtures):
         raise ValidationError("need equally many weights and mixtures, at least one")
+    width = len(mixtures[0])
     total = 0
     den = 1  # a common denominator of every mixture entry
     for w, m in zip(weights, mixtures):
         if w <= 0:
             raise ValidationError(f"non-positive weight {w}")
+        if len(m) != width:
+            raise ValidationError(f"mixtures of {width} and {len(m)} entries")
         total += w
         for entry in m.weights:
             den = math.lcm(den, entry.denominator)
-    sums = [0] * len(mixtures[0].weights)
+    sums = [0] * width
     for w, m in zip(weights, mixtures):
         for j, entry in enumerate(m.weights):
             if entry:

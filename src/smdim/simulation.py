@@ -191,27 +191,18 @@ def run_game(
         problem, cls, [(r.x, r.y) for r in records]
     )
     regret = cumulative - hindsight_loss
-    if mode == "exact":
-        return RegretReport(
-            rounds=tuple(records),
-            cumulative=cumulative,
-            hindsight_index=hindsight_index,
-            hindsight_loss=hindsight_loss,
-            regret=regret,
-            mode="exact",
-        )
-    mean, stderr = _sample_losses(problem, records, seed, trials)
+    sampled = {}
+    if mode == "monte-carlo":
+        mean, stderr = _sample_losses(problem, records, seed, trials)
+        sampled = dict(seed=seed, trials=trials, mc_mean=mean, mc_stderr=stderr)
     return RegretReport(
         rounds=tuple(records),
         cumulative=cumulative,
         hindsight_index=hindsight_index,
         hindsight_loss=hindsight_loss,
         regret=regret,
-        mode="monte-carlo",
-        seed=seed,
-        trials=trials,
-        mc_mean=mean,
-        mc_stderr=stderr,
+        mode=mode,
+        **sampled,
     )
 
 

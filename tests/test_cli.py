@@ -168,6 +168,9 @@ class TestDimErrors:
             cli.main(["dim", "--builtin", "multiclass"])  # no --dimension
         assert info.value.code == 2
         with pytest.raises(SystemExit) as info:
+            cli.main(["dim", "--dimension", "smdim", "--gamma", "1/4"])  # no source
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
             cli.main([
                 "dim", "--builtin", "multiclass", "--instance", "x.json",
                 "--dimension", "smdim", "--gamma", "1/4",

@@ -162,6 +162,8 @@ class TestExpectedLossAndRestrict:
         problem, _ = binary_problem()
         with pytest.raises(ValidationError):
             expected_loss(problem, Mixture.uniform(3), 0)
+        with pytest.raises(ValidationError):
+            expected_loss(problem, Mixture.uniform(1), 0)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8))

@@ -198,6 +198,15 @@ class TestGammaValue:
         assert GammaValue.strict_zero().describe() == "0 (strict)"
         assert GammaValue.of(F(1, 4)).describe() == "1/4"
 
+    def test_passes_at_the_boundary(self):
+        # gamma itself passes; the strict variant needs a value above 0.
+        gv = GammaValue.of(F(1, 4))
+        assert gv.passes(F(1, 4)) and gv.passes(F(1, 2))
+        assert not gv.passes(F(1, 4) - F(1, 1000))
+        strict = GammaValue.strict_zero()
+        assert strict.passes(F(1, 1000))
+        assert not strict.passes(F(0))
+
 
 class TestCertificate:
     def test_binary_constants_certificate_shape(self):

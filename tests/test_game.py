@@ -183,6 +183,16 @@ def test_best_response_prefers_strictly_larger():
     assert (index, value) == (1, F(1))
 
 
+def test_mixture_width_must_match_rows():
+    # Zipping the 2 weights against 3 coefficients would silently give 0.
+    mixture = Mixture.of((1, 0))
+    rows = (row((0, 1, 1)), row((0, 1, 0)))
+    with pytest.raises(ValidationError):
+        rows[0].value_at(mixture)
+    with pytest.raises(ValidationError):
+        best_response(mixture, rows)
+
+
 _entry = st.integers(min_value=-8, max_value=8).flatmap(
     lambda num: st.sampled_from([1, 2, 4, 8]).map(lambda den: F(num, den))
 )

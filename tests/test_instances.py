@@ -9,7 +9,6 @@ import pytest
 
 from smdim.core import ValidationError, validate_problem
 from smdim.instances import (
-    InstanceSpec,
     builtin_names,
     canonical_json,
     encode_identifier,
@@ -157,10 +156,15 @@ class TestInstanceDocuments:
             parse_instance_document(json.dumps(doc))
 
     def test_bad_loss_entry_path(self):
-        doc = json.loads(P1_DOC)
-        doc["loss"][0][1] = "x"
-        with pytest.raises(ValidationError, match="/loss/0/1"):
-            parse_instance_document(json.dumps(doc))
+        for entry, message in (
+            ("x", "not a rational literal: 'x'"),
+            (True, r"cannot interpret True as a rational"),
+            ([1], r"cannot interpret \[1\] as a rational"),
+        ):
+            doc = json.loads(P1_DOC)
+            doc["loss"][0][1] = entry
+            with pytest.raises(ValidationError, match=f"^/loss/0/1: {message}$"):
+                parse_instance_document(json.dumps(doc))
 
     def test_hypothesis_index_out_of_range_path(self):
         doc = json.loads(P1_DOC)
@@ -187,18 +191,6 @@ class TestInstanceDocuments:
         json.loads(text)
         with pytest.raises(ValidationError, match="/instances: identifiers nested too deeply"):
             parse_instance_document(text)
-
-    def test_instance_spec_requires_exactly_one_source(self):
-        with pytest.raises(ValidationError):
-            InstanceSpec().load()
-        with pytest.raises(ValidationError):
-            InstanceSpec(builtin="multiclass", path="x.json").load()
-
-    def test_instance_spec_reads_files(self, tmp_path):
-        path = tmp_path / "p1.json"
-        path.write_text(P1_DOC, encoding="utf-8")
-        problem, cls = InstanceSpec(path=str(path)).load()
-        assert problem.num_labels == 2
 
 
 class TestStreamDocuments:

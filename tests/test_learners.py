@@ -340,6 +340,13 @@ class TestMultiplicativeWeights:
         with pytest.raises(ValidationError):
             aggregate_mixture([F(0)], [Mixture.dirac(2, 0)])
 
+    def test_aggregate_rejects_unequal_widths(self):
+        # Wider second: an IndexError; narrower second: a wrong 3-entry mixture.
+        halves, thirds = Mixture.uniform(2), Mixture.uniform(3)
+        for mixtures in ([halves, thirds], [thirds, halves]):
+            with pytest.raises(ValidationError):
+                aggregate_mixture([1, 1], mixtures)
+
 
 class TestAgnosticLearner:
     def test_pool_uses_default_alpha_one_over_horizon(self):
