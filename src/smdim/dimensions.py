@@ -63,7 +63,9 @@ oracles independent cross-checks.
 
 from __future__ import annotations
 
+import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -81,7 +83,7 @@ from .core import (
     parse_rational,
     validate_problem,
 )
-from .game import AffineRow, solve_min_max
+from .game import AffineRow, GameSolution, solve_min_max
 from .instances import canonical_json
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
@@ -199,9 +201,15 @@ class DimensionEngine:
     concurrent readers are safe, and a duplicated insert computes the same
     entry. The number of distinct version spaces visited is capped
     (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
-    cap raises BudgetError rather than thrashing. `mixtures` holds the
-    learners' Mrsoa mixtures by (mask, instance); like the memo, it lives as
-    long as the engine.
+    cap raises BudgetError rather than thrashing.
+
+    Each distinct LP row, one per (label, threshold) realized over the class,
+    has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
+    the solved min-max games keyed by the tuple of row ids (`game`), so a key
+    hashes a few ints where `solve_min_max`'s own cache hashes every Fraction;
+    the recursion and the learners both go through it. `mixtures` holds the
+    learners' Mrsoa mixtures by (mask, instance). Both tables, like the memo,
+    live as long as the engine.
     """
 
     def __init__(
@@ -225,20 +233,46 @@ class DimensionEngine:
             raise ValidationError(f"memo cap must be positive, got {memo_cap}")
         self.memo_cap = memo_cap
         # _steps[x][y]: the thresholds realized at (x, y) over the whole class,
-        # ascending, each with the mask of hypotheses within it and its LP row.
+        # ascending, each with the mask of hypotheses within it and the id of
+        # its LP row. A row depends only on (label, threshold), so instances
+        # share it. _scaled[x][y]: the same thresholds times _den, a common
+        # denominator of every loss, as ints; `restrict` bisects over them.
+        den = self._den = math.lcm(*(v.denominator for row in problem.loss for v in row))
+        # Per label: its loss row, the row times den, and each scaled loss's Fraction.
+        labels = []
+        for loss_row in problem.loss:
+            scaled_row = [v.numerator * (den // v.denominator) for v in loss_row]
+            labels.append((loss_row, scaled_row, dict(zip(scaled_row, loss_row))))
+        row_ids = {}
+        rows = []
         self._steps = []
+        self._scaled = []
         for x in range(problem.num_instances):
             per_label = []
-            for row in problem.loss:
-                losses = [row[h_row[x]] for h_row in cls.table]
+            scaled = []
+            for y, (loss_row, scaled_row, value_of) in enumerate(labels):
+                at = {}  # scaled loss -> mask of the hypotheses with that loss
+                for h, h_row in enumerate(cls.table):
+                    key = scaled_row[h_row[x]]
+                    at[key] = at.get(key, 0) | 1 << h
+                cuts = tuple(sorted(at))
                 steps = []
-                for eps in sorted(set(losses)):
-                    within = to_mask(h for h, v in enumerate(losses) if v <= eps)
-                    steps.append((eps, within, AffineRow(row, -eps)))
+                within = 0
+                for key in cuts:
+                    within |= at[key]
+                    row_id = row_ids.get((y, key))
+                    if row_id is None:
+                        row_id = row_ids[(y, key)] = len(rows)
+                        rows.append(AffineRow(loss_row, -value_of[key]))
+                    steps.append((value_of[key], within, row_id))
                 per_label.append(tuple(steps))
+                scaled.append(cuts)
             self._steps.append(per_label)
+            self._scaled.append(scaled)
+        self.rows = tuple(rows)
         self._memo = {}
         self._spaces = set()
+        self.games = {}
         self.mixtures = {}
 
     # -- public API ---------------------------------------------------------
@@ -306,27 +340,29 @@ class DimensionEngine:
         return _max_depth(members, self._shatter)
 
     def candidate_rows(self, members: int, x: int) -> list:
-        """(label, threshold, child mask, LP row) at each threshold realized on `members`.
+        """(label, threshold, child mask, LP row id) at each threshold realized on `members`.
 
         A threshold is realized exactly when its child differs from the one at
         the label's previous threshold; labels ascend, thresholds ascend within
         a label, so each label's first entry has its smallest threshold and the
-        LP row that dominates the label's others.
+        LP row that dominates the label's others. `rows[row_id]` is the row.
         """
         out = []
         for y, steps in enumerate(self._steps[x]):
             previous = 0
-            for eps, within, row in steps:
+            for eps, within, row_id in steps:
                 child = members & within
                 if child != previous:
-                    out.append((y, eps, child, row))
+                    out.append((y, eps, child, row_id))
                     if child == members:
                         break
                     previous = child
         return out
 
     def qualifying_rows(self, members: int, x: int, child_depth: int) -> tuple:
-        """(qualifying (label, threshold, child mask) triples, one LP row per label) at x.
+        """(qualifying (label, threshold, child mask) triples, LP row ids) at x.
+
+        The row ids, one per label in ascending label order, are a key of `game`.
 
         A candidate qualifies when its child is shatterable to `child_depth`.
         For each label only thresholds up to its first qualifying one are
@@ -336,16 +372,24 @@ class DimensionEngine:
         label's first candidate.
         """
         qualifying = []
-        rows = []
+        ids = []
         found = -1
-        for y, eps, child, row in self.candidate_rows(members, x):
+        for y, eps, child, row_id in self.candidate_rows(members, x):
             if y != found:
                 if not self._shatter(child, child_depth):
                     continue
                 found = y
-                rows.append(row)
+                ids.append(row_id)
             qualifying.append((y, eps, child))
-        return qualifying, rows
+        return qualifying, tuple(ids)
+
+    def game(self, ids: tuple) -> GameSolution:
+        """The solved min-max game over the rows `ids`, memoized in `games`."""
+        sol = self.games.get(ids)
+        if sol is None:
+            rows = self.rows
+            sol = self.games[ids] = solve_min_max([rows[i] for i in ids])
+        return sol
 
     def restrict(self, members: int, x: int, y: int, eps: Optional[Fraction] = None) -> int:
         """The child {h in members : loss(y, h(x)) <= eps} as a bitmask.
@@ -354,14 +398,17 @@ class DimensionEngine:
         below every loss gives the empty space 0, one at or above every loss
         gives `members` itself.
         """
-        child = 0
-        for threshold, within, _ in self._steps[x][y]:
-            if eps is not None and threshold > eps:
-                break
+        steps = self._steps[x][y]
+        if eps is not None:
+            # A threshold t is at most eps exactly when t * _den, an integer,
+            # is at most floor(eps * _den).
+            cut = bisect_right(self._scaled[x][y], eps.numerator * self._den // eps.denominator)
+            return members & steps[cut - 1][1] if cut else 0
+        for _, within, _ in steps:
             child = members & within
-            if eps is None and child:
-                break
-        return child
+            if child:
+                return child
+        return 0
 
     # -- internals ----------------------------------------------------------
 
@@ -387,10 +434,10 @@ class DimensionEngine:
                 )
             self._spaces.add(members)
         for x in range(self.problem.num_instances):
-            qualifying, rows = self.qualifying_rows(members, x, depth - 1)
-            if not rows:
+            qualifying, ids = self.qualifying_rows(members, x, depth - 1)
+            if not ids:
                 continue
-            sol = solve_min_max(rows)
+            sol = self.game(ids)
             if self.gamma.passes(sol.value):
                 return x, sol.value, tuple(qualifying)
         return None

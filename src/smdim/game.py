@@ -28,8 +28,14 @@ and leaving variables are chosen by the same Bland's rule, with ratios
 compared by integer cross-multiplication, so the pivot sequence is the one
 rational arithmetic takes. The game value, mixture and tight rows are
 recovered from the final integers and checked exactly; only they become
-Fractions. Solutions are cached per row set in a bounded LRU cache of
-LP_CACHE_SIZE entries.
+Fractions. Solutions are cached per row set in a process-wide LRU cache of
+LP_CACHE_SIZE entries, whose key hashes every Fraction of every row.
+
+A `DimensionEngine` keeps its own table of solved games, `games`, keyed by
+the tuple of its integer LP row ids and living as long as the engine; it
+calls `solve_min_max` only when that table misses. The process-wide cache
+then serves what engines share: the same LPs met by several engines on one
+problem (one per margin, say) and by `msdim_direct`.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations, product
+from json.encoder import encode_basestring
 from typing import Optional
 
 from .core import (
@@ -236,6 +237,15 @@ def _decode_rational(value, path: str) -> Fraction:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
+def _decode_index(value, *path) -> int:
+    # JSON true/false decode to bools, which are ints in Python. The JSON
+    # path comes in parts and is joined only for the error, since formatting
+    # it for every valid entry slows parsing measurably.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"/{'/'.join(map(str, path))}: expected an index")
+    return value
+
+
 def _expect_list(doc, key: str, path: str):
     if key not in doc:
         raise ValidationError(f"{path}: missing key {key!r}")
@@ -271,11 +281,10 @@ def parse_instance_document(text: str):
             raise ValidationError(f"/hypotheses/{h}: expected an array of {len(instances)} entries")
         entries = []
         for x, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError(f"/hypotheses/{h}/{x}: expected a prediction index")
-            if not 0 <= v < len(predictions):
-                raise ValidationError(f"/hypotheses/{h}/{x}: prediction index {v} out of range")
-            entries.append(v)
+            index = _decode_index(v, "hypotheses", h, x)
+            if not 0 <= index < len(predictions):
+                raise ValidationError(f"/hypotheses/{h}/{x}: prediction index {index} out of range")
+            entries.append(index)
         table.append(tuple(entries))
     problem = make_problem(instances, labels, predictions, loss, bound_c=bound)
     try:
@@ -312,8 +321,7 @@ def parse_stream_document(text: str, problem: Optional[Problem] = None):
         for key in ("x", "y"):
             if key not in entry:
                 raise ValidationError(f"/stream/{t}: missing key {key!r}")
-            if isinstance(entry[key], bool) or not isinstance(entry[key], int):
-                raise ValidationError(f"/stream/{t}/{key}: expected an index")
+            _decode_index(entry[key], "stream", t, key)
         eps = None
         if "eps" in entry and entry["eps"] is not None:
             eps = _decode_rational(entry["eps"], f"/stream/{t}/eps")
@@ -343,6 +351,40 @@ def serialize_stream(stream) -> str:
     return canonical_json(doc)
 
 
+# json's own encoder for every value `_text` does not handle itself. Built
+# once: json.dumps with non-default arguments builds a new encoder per call.
+_encode_other = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).encode
+
+
 def canonical_json(doc) -> str:
-    """Canonical text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical text form: sorted keys, two-space indent, trailing newline.
+
+    The text is byte-identical to `json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\n"`, which with `indent` runs json's pure-Python
+    encoder. Nonempty dicts with `str` keys, nonempty lists and tuples,
+    strings and exact ints are written here; any other value (floats, bools,
+    None, empty containers, dicts with other keys) is written by json's own
+    encoder and re-indented to its depth, so json's rules hold for it.
+    """
+    return _text(doc, "\n") + "\n"
+
+
+def _text(value, newline: str) -> str:
+    # `newline` is a line break followed by the indent of `value`'s depth.
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_text(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        inner = newline + "  "
+        items = [f"{encode_basestring(k)}: {_text(value[k], inner)}" for k in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    # json's line breaks are all structural (strings escape theirs).
+    return _encode_other(value).replace("\n", newline)

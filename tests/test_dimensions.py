@@ -12,10 +12,12 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from smdim import dimensions
 from smdim.core import (
     BudgetError,
     HypothesisClass,
@@ -36,7 +38,8 @@ from smdim.dimensions import (
     to_mask,
 )
 from smdim.game import AffineRow, best_response
-from smdim.instances import make_builtin
+from smdim.instances import builtin_names, make_builtin
+from smdim.learners import Mrsoa
 from smdim.verify import gen_multiclass, gen_regression, gen_setvalued
 
 from test_game import oracle_min_max
@@ -472,6 +475,37 @@ class TestEngineBudget:
             gc.enable()
 
 
+def test_each_lp_is_solved_once_per_engine(monkeypatch):
+    # The engine's game table solves each distinct row-id tuple once, for the
+    # recursion, certificates and Mrsoa's mixtures alike; the results equal
+    # those of the unpatched solver.
+    rng = random.Random(41)
+    cases = [make_builtin(name) for name in builtin_names()]
+    cases += [gen_regression(rng) for _ in range(6)]
+
+    def run(problem, cls, gv):
+        engine = DimensionEngine(problem, cls, gv)
+        full = VersionSpace.full(cls.num_hypotheses)
+        out = [engine.smdim(full), engine.certificate(full).to_json()]
+        if not gv.strict:
+            learner = Mrsoa(problem, cls, engine=engine)
+            out += [learner.predict(x) for x in range(problem.num_instances)]
+        return engine, out
+
+    expected = [run(problem, cls, gv)[1] for problem, cls in cases for gv in ORACLE_GAMMAS]
+    solved = []
+    real = dimensions.solve_min_max
+    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
+    results = []
+    for problem, cls in cases:
+        for gv in ORACLE_GAMMAS:
+            solved.clear()
+            engine, out = run(problem, cls, gv)
+            results.append(out)
+            assert solved == [[engine.rows[i] for i in ids] for ids in engine.games]
+    assert results == expected
+
+
 def test_candidates_accessor_lists_realized_thresholds():
     problem, cls = make_builtin("regression:three-point")
     engine = DimensionEngine(problem, cls, F(1, 2))
@@ -505,6 +539,24 @@ class TestRestrict:
         expected = to_mask(h for h in members if loss[h] <= cut)
         assert engine.restrict(to_mask(members), x, y, eps) == expected
 
+    def test_restrict_on_every_builtin(self):
+        # Every nonempty subspace, instance and label, at eps = None, below
+        # every loss, at and between the realized thresholds and above them all.
+        for name in builtin_names():
+            problem, cls = make_builtin(name)
+            engine = DimensionEngine(problem, cls, F(1, 4))
+            for x, y in product(range(problem.num_instances), range(problem.num_labels)):
+                losses = [problem.loss[y][row[x]] for row in cls.table]
+                realized = sorted(set(losses))
+                midpoints = [(a + b) / 2 for a, b in zip(realized, realized[1:])]
+                cuts = [realized[0] - 1, *realized, *midpoints, realized[-1] + F(1, 3)]
+                for members in range(1, 1 << cls.num_hypotheses):
+                    inside = [h for h in range(cls.num_hypotheses) if members >> h & 1]
+                    for eps in [None, *cuts]:
+                        cut = min(losses[h] for h in inside) if eps is None else eps
+                        expected = to_mask(h for h in inside if losses[h] <= cut)
+                        assert engine.restrict(members, x, y, eps) == expected, (name, eps)
+
     @given(st.randoms(use_true_random=False), st.data())
     def test_first_candidate_of_each_label_has_its_smallest_threshold(self, rng, data):
         problem, cls = small_random_instance(rng)
@@ -514,14 +566,14 @@ class TestRestrict:
         )
         x = data.draw(st.sampled_from(range(problem.num_instances)))
         first = {}
-        for y, eps, child, row in engine.candidate_rows(to_mask(members), x):
-            first.setdefault(y, (eps, child, row))
+        for y, eps, child, row_id in engine.candidate_rows(to_mask(members), x):
+            first.setdefault(y, (eps, child, row_id))
         for y in range(problem.num_labels):
             smallest = min(problem.loss[y][cls.table[h][x]] for h in members)
-            eps, child, row = first[y]
+            eps, child, row_id = first[y]
             assert eps == smallest
             assert child == engine.restrict(to_mask(members), x, y)
-            assert row == AffineRow(problem.loss[y], -smallest)
+            assert engine.rows[row_id] == AffineRow(problem.loss[y], -smallest)
 
     @given(st.randoms(use_true_random=False), st.data())
     def test_depth_zero_qualifying_rows_are_first_candidates(self, rng, data):
@@ -532,8 +584,8 @@ class TestRestrict:
         )
         x = data.draw(st.sampled_from(range(problem.num_instances)))
         first = {}
-        for y, _, _, row in engine.candidate_rows(members, x):
-            first.setdefault(y, row)
-        qualifying, rows = engine.qualifying_rows(members, x, 0)
-        assert rows == list(first.values())
+        for y, _, _, row_id in engine.candidate_rows(members, x):
+            first.setdefault(y, row_id)
+        qualifying, ids = engine.qualifying_rows(members, x, 0)
+        assert ids == tuple(first.values())
         assert qualifying == [c[:3] for c in engine.candidate_rows(members, x)]

@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 
-from smdim.core import ValidationError, validate_problem
+from smdim.core import ValidationError, VersionSpace, validate_problem
+from smdim.dimensions import DimensionEngine, GammaValue
 from smdim.instances import (
     builtin_names,
     canonical_json,
@@ -166,6 +167,18 @@ class TestInstanceDocuments:
             with pytest.raises(ValidationError, match=f"^/loss/0/1: {message}$"):
                 parse_instance_document(json.dumps(doc))
 
+    def test_non_index_entries_are_rejected_with_their_path(self):
+        for entry in (True, "0", 0.5, None, [0]):
+            doc = json.loads(P1_DOC)
+            doc["hypotheses"][1] = [entry]
+            with pytest.raises(ValidationError, match="^/hypotheses/1/0: expected an index$"):
+                parse_instance_document(json.dumps(doc))
+            for key in ("x", "y"):
+                item = {"x": 0, "y": 0} | {key: entry}
+                text = json.dumps({"stream": [{"x": 0, "y": 0}, item]})
+                with pytest.raises(ValidationError, match=f"^/stream/1/{key}: expected an index$"):
+                    parse_stream_document(text)
+
     def test_hypothesis_index_out_of_range_path(self):
         doc = json.loads(P1_DOC)
         doc["hypotheses"][1] = [7]
@@ -229,10 +242,64 @@ class TestStreamDocuments:
             parse_stream_document("{nope")
 
 
+def reference_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_trailing_newline(self):
         text = canonical_json({"b": 1, "a": [1, 2]})
         assert text == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+
+    def test_equals_json_dumps_on_a_corpus(self):
+        corpus = [
+            "",
+            "é\u2028\"\\/\n\t\x00\x1f\ud800 😀",
+            {"ü": "ß", "a\nb": ["\"", "\\"], "": 0},
+            [],
+            {},
+            [[], {}, [[]], [{}], {"e": []}, {"f": {}}],
+            [[1, [2, [3, []]]], [[[4]]], (5, (6,)), ()],
+            {"k": [True, False, None, 0, -1]},
+            [True, False, None],
+            [1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+            {"big": [10**40, -(10**40), 2**64]},
+            {"nested": {"ints": {1: "a", 2: [None, {3: 4.5}]}}},
+            {"floats": {2.5: [1], -1.0: {}}},
+            {"bools": {True: 1, False: None}},
+            [{"b": [], "a": [{"d": 1, "c": [2.5, "x"]}]}, 7, "s"],
+            1,
+            -2,
+            1.25,
+            None,
+            True,
+            "top",
+        ]
+        for doc in corpus:
+            assert canonical_json(doc) == reference_json(doc), doc
+
+    def test_errors_match_json_dumps(self):
+        for doc in ({"a": [F(1, 2)]}, {1: 2, "a": 3}, [object()]):
+            with pytest.raises(TypeError) as ours:
+                canonical_json(doc)
+            with pytest.raises(TypeError) as theirs:
+                reference_json(doc)
+            assert str(ours.value) == str(theirs.value)
+
+    def test_certificates_and_documents_equal_json_dumps(self):
+        for name in builtin_names():
+            problem, cls = make_builtin(name)
+            text = serialize_instance(problem, cls)
+            assert text == reference_json(json.loads(text))
+            for gamma in (GammaValue.strict_zero(), F(1, 8), F(1, 4), F(1, 2)):
+                engine = DimensionEngine(problem, cls, gamma)
+                cert = engine.certificate(VersionSpace.full(cls.num_hypotheses))
+                text = cert.to_json()
+                assert text == reference_json(json.loads(text)), (name, gamma)
+        for items in ('{"x": 0, "y": 1, "eps": "1/3"}, {"x": 0, "y": 0, "eps": "0"}',
+                      '{"x": 0, "y": 1}, {"x": 0, "y": 0}'):
+            text = serialize_stream(parse_stream_document(f'{{"stream": [{items}]}}'))
+            assert text == reference_json(json.loads(text))
 
     def test_encode_identifier_forms(self):
         assert encode_identifier("x0") == "x0"

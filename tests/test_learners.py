@@ -129,8 +129,8 @@ def reference_mixture(engine, members, x):
 
     def first_rows(cands):
         rows = {}
-        for y, _, _, row in cands:
-            rows.setdefault(y, row)
+        for y, _, _, row_id in cands:
+            rows.setdefault(y, engine.rows[row_id])
         return list(rows.values())
 
     cands = engine.candidate_rows(members, x)
@@ -320,6 +320,15 @@ class TestExpertPool:
         for alpha in (F(1, 3), F(2)):
             pool = build_expert_pool(3, 1, alpha, F(0))
             assert pool == (ExpertId((), ()),) + tuple(ExpertId((t,), (F(0),)) for t in (1, 2, 3))
+
+    def test_learners_with_equal_parameters_share_one_pool(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        first = AgnosticLearner(problem, cls, F(1, 4), horizon=4)
+        second = AgnosticLearner(problem, cls, F(1, 4), horizon=4, engine=first.engine)
+        other = AgnosticLearner(problem, cls, F(1, 4), horizon=4, alpha=F(1, 2))
+        assert second.pool is first.pool
+        assert first.pool == build_expert_pool(4, 1, F(1, 4), F(1))
+        assert other.pool == build_expert_pool(4, 1, F(1, 2), F(1))
 
     def test_expert_id_validation(self):
         with pytest.raises(ValidationError):
