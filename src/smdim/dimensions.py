@@ -40,6 +40,16 @@ mask of hypotheses within it; a child of V is then `V & mask` (`restrict`),
 and a threshold is realized on V exactly when its child differs from the
 previous threshold's (`candidate_rows`).
 
+Those tables do not depend on gamma: an LP row is fixed by (label,
+threshold), and gamma only decides which rows qualify. So `_tables` builds
+the margin-free part once per (problem, class) pair (the threshold steps, the
+LP rows and the table of solved games), and every engine on that pair shares
+it, whatever its margin; `dim --gamma a,b,c`, `verify` and repeated top-level
+`smdim`/`msdim` calls solve each LP once. One module-level slot holds the last
+pair's tables, keyed by the identity of the objects the caller passed, so
+equal pairs parsed separately share nothing. The memo, the visited spaces,
+the memo cap and the mixture memo depend on gamma and stay on each engine.
+
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
 (margin gamma below, in the non-strict case) the played one, so every branch
@@ -205,11 +215,13 @@ class DimensionEngine:
 
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
-    the solved min-max games keyed by the tuple of row ids (`game`), so a key
-    hashes a few ints where `solve_min_max`'s own cache hashes every Fraction;
-    the recursion and the learners both go through it. `mixtures` holds the
-    learners' Mrsoa mixtures by (mask, instance). Both tables, like the memo,
-    live as long as the engine.
+    the solved min-max games keyed by the tuple of row ids (`game`); the
+    recursion and the learners both go through it. `rows`, `games` and the
+    threshold steps are shared by every engine built on the same `problem`
+    and `cls` objects, at any margin (`_tables`), and live while one of those
+    engines does or while the pair is the last one an engine was built on.
+    `mixtures` holds the learners' Mrsoa mixtures by (mask, instance); like
+    the memo, it depends on gamma and lives as long as the engine.
     """
 
     def __init__(
@@ -219,9 +231,8 @@ class DimensionEngine:
         gamma: Union[GammaValue, RationalLike],
         memo_cap: Optional[int] = None,
     ):
-        problem, cls = validate_problem(problem, cls)
-        self.problem = problem
-        self.cls = cls
+        tables = _tables(problem, cls)
+        self.problem, self.cls, self._den, self._steps, self._scaled, self.rows, self.games = tables
         self.gamma = GammaValue.of(gamma)
         if memo_cap is None:
             env = os.environ.get(MEMO_CAP_ENV)
@@ -232,47 +243,8 @@ class DimensionEngine:
         if memo_cap <= 0:
             raise ValidationError(f"memo cap must be positive, got {memo_cap}")
         self.memo_cap = memo_cap
-        # _steps[x][y]: the thresholds realized at (x, y) over the whole class,
-        # ascending, each with the mask of hypotheses within it and the id of
-        # its LP row. A row depends only on (label, threshold), so instances
-        # share it. _scaled[x][y]: the same thresholds times _den, a common
-        # denominator of every loss, as ints; `restrict` bisects over them.
-        den = self._den = math.lcm(*(v.denominator for row in problem.loss for v in row))
-        # Per label: its loss row, the row times den, and each scaled loss's Fraction.
-        labels = []
-        for loss_row in problem.loss:
-            scaled_row = [v.numerator * (den // v.denominator) for v in loss_row]
-            labels.append((loss_row, scaled_row, dict(zip(scaled_row, loss_row))))
-        row_ids = {}
-        rows = []
-        self._steps = []
-        self._scaled = []
-        for x in range(problem.num_instances):
-            per_label = []
-            scaled = []
-            for y, (loss_row, scaled_row, value_of) in enumerate(labels):
-                at = {}  # scaled loss -> mask of the hypotheses with that loss
-                for h, h_row in enumerate(cls.table):
-                    key = scaled_row[h_row[x]]
-                    at[key] = at.get(key, 0) | 1 << h
-                cuts = tuple(sorted(at))
-                steps = []
-                within = 0
-                for key in cuts:
-                    within |= at[key]
-                    row_id = row_ids.get((y, key))
-                    if row_id is None:
-                        row_id = row_ids[(y, key)] = len(rows)
-                        rows.append(AffineRow(loss_row, -value_of[key]))
-                    steps.append((value_of[key], within, row_id))
-                per_label.append(tuple(steps))
-                scaled.append(cuts)
-            self._steps.append(per_label)
-            self._scaled.append(scaled)
-        self.rows = tuple(rows)
         self._memo = {}
         self._spaces = set()
-        self.games = {}
         self.mixtures = {}
 
     # -- public API ---------------------------------------------------------
@@ -387,8 +359,7 @@ class DimensionEngine:
         """The solved min-max game over the rows `ids`, memoized in `games`."""
         sol = self.games.get(ids)
         if sol is None:
-            rows = self.rows
-            sol = self.games[ids] = solve_min_max([rows[i] for i in ids])
+            sol = self.games[ids] = solve_min_max([self.rows[i] for i in ids])
         return sol
 
     def restrict(self, members: int, x: int, y: int, eps: Optional[Fraction] = None) -> int:
@@ -441,6 +412,62 @@ class DimensionEngine:
             if self.gamma.passes(sol.value):
                 return x, sol.value, tuple(qualifying)
         return None
+
+
+# The last (problem, class) pair's tables, as (problem, cls, tables) with the
+# objects as callers passed them: strong references, so neither id can be
+# reused while the slot holds it.
+_last_tables = (None, None, None)
+
+
+def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
+    """(problem, cls, den, steps, scaled, rows, games): the validated pair and
+    the margin-free tables of every engine built on these very objects.
+
+    steps[x][y] holds the thresholds realized at (x, y) over the whole class,
+    ascending, each with the mask of hypotheses within it and the id of its LP
+    row; a row depends only on (label, threshold), so instances share it, and
+    `rows[row_id]` is its `AffineRow`. scaled[x][y] holds the same thresholds
+    times den, a common denominator of every loss, as ints. games holds the
+    solved games by row-id tuple. The one slot is keyed by identity, not
+    value: equal pairs parsed separately get tables of their own.
+    """
+    global _last_tables
+    last = _last_tables
+    if last[0] is problem and last[1] is cls:
+        return last[2]
+    checked, checked_cls = validate_problem(problem, cls)
+    den = math.lcm(*(v.denominator for row in checked.loss for v in row))
+    # Per label: its loss row, the row times den, and each scaled loss's Fraction.
+    labels = []
+    for loss_row in checked.loss:
+        scaled_row = [v.numerator * (den // v.denominator) for v in loss_row]
+        labels.append((loss_row, scaled_row, dict(zip(scaled_row, loss_row))))
+    row_ids = {}
+    rows, steps, scaled = [], [], []
+    for x in range(checked.num_instances):
+        steps.append([])
+        scaled.append([])
+        for y, (loss_row, scaled_row, value_of) in enumerate(labels):
+            at = {}  # scaled loss -> mask of the hypotheses with that loss
+            for h, h_row in enumerate(checked_cls.table):
+                key = scaled_row[h_row[x]]
+                at[key] = at.get(key, 0) | 1 << h
+            cuts = tuple(sorted(at))
+            label_steps = []
+            within = 0
+            for key in cuts:
+                within |= at[key]
+                row_id = row_ids.get((y, key))
+                if row_id is None:
+                    row_id = row_ids[(y, key)] = len(rows)
+                    rows.append(AffineRow(loss_row, -value_of[key]))
+                label_steps.append((value_of[key], within, row_id))
+            steps[x].append(tuple(label_steps))
+            scaled[x].append(cuts)
+    tables = (checked, checked_cls, den, steps, scaled, tuple(rows), {})
+    _last_tables = (problem, cls, tables)
+    return tables
 
 
 def smdim(
@@ -572,18 +599,21 @@ def msdim_direct(
     """
     gv = GammaValue.of(gamma)
     _check_binary_loss(problem)
-    loss = problem.loss
+    rows = [AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss]
     zero_loss = _zero_loss_masks(problem, cls)
+    values = {}  # qualifying labels -> the value of their game, for this call
 
     def branch(members, depth):
         for masks in zero_loss:
-            rows = []
-            for y, within in enumerate(masks):
-                child = members & within
-                if child and shatter(child, depth - 1):
-                    rows.append(AffineRow(loss[y], Fraction(0)))
-            if rows and gv.passes(solve_min_max(rows).value):
-                return True
+            # An empty child is shatterable to no depth.
+            labels = tuple(
+                y for y, within in enumerate(masks) if shatter(members & within, depth - 1)
+            )
+            if labels:
+                if labels not in values:
+                    values[labels] = solve_min_max([rows[y] for y in labels]).value
+                if gv.passes(values[labels]):
+                    return True
         return False
 
     shatter = partial(_shatter_memo, {}, branch)

@@ -28,14 +28,12 @@ and leaving variables are chosen by the same Bland's rule, with ratios
 compared by integer cross-multiplication, so the pivot sequence is the one
 rational arithmetic takes. The game value, mixture and tight rows are
 recovered from the final integers and checked exactly; only they become
-Fractions. Solutions are cached per row set in a process-wide LRU cache of
-LP_CACHE_SIZE entries, whose key hashes every Fraction of every row.
+Fractions.
 
-A `DimensionEngine` keeps its own table of solved games, `games`, keyed by
-the tuple of its integer LP row ids and living as long as the engine; it
-calls `solve_min_max` only when that table misses. The process-wide cache
-then serves what engines share: the same LPs met by several engines on one
-problem (one per margin, say) and by `msdim_direct`.
+Nothing here is cached: every call solves its LP. Callers that meet the same
+game again memoize it themselves. Engines look their games up in a table
+keyed by LP row ids (`DimensionEngine.game`), shared by the engines built on
+one (problem, class) pair, and `msdim_direct` keeps one table per call.
 """
 
 from __future__ import annotations
@@ -43,14 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .core import Mixture, ValidationError, weighted_sum
-
-# Distinct row sets whose solutions are kept; the cache is process-wide, so a
-# bound keeps long-lived processes from growing without limit.
-LP_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -92,35 +85,15 @@ def solve_min_max(rows: Sequence[AffineRow]) -> GameSolution:
     if not rows:
         raise ValidationError("solve_min_max needs at least one row")
     width = len(rows[0].coefficients)
-    for r in rows:
-        if len(r.coefficients) != width:
-            raise ValidationError("rows have mismatched coefficient widths")
-    return _solve_cached(tuple((r.coefficients, r.offset) for r in rows))
-
-
-def best_response(mixture: Mixture, rows: Sequence[AffineRow]):
-    """Index and value of the row maximizing <row, mu> + offset; lowest index on ties."""
-    rows = tuple(rows)
-    if not rows:
-        raise ValidationError("best_response needs at least one row")
-    best_i = 0
-    best_v = rows[0].value_at(mixture)
-    for i in range(1, len(rows)):
-        v = rows[i].value_at(mixture)
-        if v > best_v:
-            best_i, best_v = i, v
-    return best_i, best_v
-
-
-@lru_cache(maxsize=LP_CACHE_SIZE)
-def _solve_cached(key) -> GameSolution:
+    if any(len(r.coefficients) != width for r in rows):
+        raise ValidationError("rows have mismatched coefficient widths")
     # Every effective entry coefficient + offset, as an integer numerator over
     # the common denominator `scale`.
-    scale = math.lcm(*(v.denominator for coeffs, offset in key for v in (*coeffs, offset)))
+    scale = math.lcm(*(v.denominator for r in rows for v in (*r.coefficients, r.offset)))
     entries = []
-    for coeffs, offset in key:
-        base = offset.numerator * (scale // offset.denominator)
-        entries.append([c.numerator * (scale // c.denominator) + base for c in coeffs])
+    for r in rows:
+        base = r.offset.numerator * (scale // r.offset.denominator)
+        entries.append([c.numerator * (scale // c.denominator) + base for c in r.coefficients])
     # Shift every entry to exactly >= 1 (numerator >= scale) so the game value
     # is positive and the reciprocal LP applies; the shift is undone at the end.
     low = min(min(row) for row in entries)
@@ -137,6 +110,20 @@ def _solve_cached(key) -> GameSolution:
         raise AssertionError("simplex optimum disagrees with recovered game value")
     tight = tuple(i for i, v in enumerate(values) if v == top)
     return GameSolution(value=Fraction(top, scale * total), mixture=mixture, tight_rows=tight)
+
+
+def best_response(mixture: Mixture, rows: Sequence[AffineRow]):
+    """Index and value of the row maximizing <row, mu> + offset; lowest index on ties."""
+    rows = tuple(rows)
+    if not rows:
+        raise ValidationError("best_response needs at least one row")
+    best_i = 0
+    best_v = rows[0].value_at(mixture)
+    for i in range(1, len(rows)):
+        v = rows[i].value_at(mixture)
+        if v > best_v:
+            best_i, best_v = i, v
+    return best_i, best_v
 
 
 def _simplex_max_sum(matrix, rhs):

@@ -229,10 +229,12 @@ def build_expert_pool(
     c = parse_rational(c)
     if alpha <= 0 or alpha > c > 0:
         raise ValidationError(f"alpha must be in (0, c], got alpha={alpha}, c={c}")
-    grid = loss_grid(alpha, c)
-    size = pool_size(horizon, d_gamma, len(grid))
+    # Count the grid's points without building it: a tiny alpha makes it huge,
+    # and only experts with timepoints read it.
+    size = pool_size(horizon, d_gamma, math.ceil(c / alpha) + 1)
     if size > budget:
         raise BudgetError(f"expert pool of {size} exceeds budget {budget}")
+    grid = loss_grid(alpha, c) if d_gamma else ()
     pool = [ExpertId((), ())]
     for i in range(1, d_gamma + 1):
         for points in combinations(range(1, horizon + 1), i):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from smdim import cli
+from smdim import cli, learners
 from smdim.core import HypothesisClass, make_problem, make_stream, validate_problem
 from smdim.instances import make_builtin, serialize_instance, serialize_stream
 from smdim.verify import CaseResult
@@ -247,6 +247,17 @@ class TestLearn:
         )
         assert (code, err) == (0, "")
         assert "rounds: 3\n" in out
+
+    def test_agnostic_tiny_alpha_exits_2_before_building_the_grid(self, capsys, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(learners, "loss_grid", lambda alpha, c: built.append(alpha))
+        stream = write_stream(tmp_path, [(0, 1), (0, 0), (0, 1)])
+        code, out, err = run_cli(
+            capsys, "learn", "--builtin", "multiclass", "--learner", "agnostic",
+            "--gamma", "1/4", "--alpha", "1/1000000000", "--stream", stream,
+        )
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith("error: expert pool of ")
 
     def test_agnostic_on_zero_loss_matrix(self, capsys, tmp_path):
         # c = 0: the default alpha is 1/T and the pool is the empty expert.

@@ -38,7 +38,7 @@ from smdim.dimensions import (
     to_mask,
 )
 from smdim.game import AffineRow, best_response
-from smdim.instances import builtin_names, make_builtin
+from smdim.instances import builtin_names, make_builtin, parse_instance_document, serialize_instance
 from smdim.learners import Mrsoa
 from smdim.verify import gen_multiclass, gen_regression, gen_setvalued
 
@@ -468,6 +468,8 @@ class TestEngineBudget:
             engine = DimensionEngine(problem, cls, F(1, 2))
             engine.smdim(VersionSpace.full(2))
             engine.certificate(VersionSpace.full(2))
+            # The shared tables stay in the module's slot; the engine goes.
+            assert dimensions._last_tables[0] is problem
             ref = weakref.ref(engine)
             del engine
             assert ref() is None
@@ -475,34 +477,94 @@ class TestEngineBudget:
             gc.enable()
 
 
-def test_each_lp_is_solved_once_per_engine(monkeypatch):
-    # The engine's game table solves each distinct row-id tuple once, for the
-    # recursion, certificates and Mrsoa's mixtures alike; the results equal
-    # those of the unpatched solver.
+def lp_cases():
+    """The seven built-ins and six regression grids, as freshly built objects."""
     rng = random.Random(41)
     cases = [make_builtin(name) for name in builtin_names()]
-    cases += [gen_regression(rng) for _ in range(6)]
+    return cases + [gen_regression(rng) for _ in range(6)]
 
-    def run(problem, cls, gv):
-        engine = DimensionEngine(problem, cls, gv)
-        full = VersionSpace.full(cls.num_hypotheses)
-        out = [engine.smdim(full), engine.certificate(full).to_json()]
-        if not gv.strict:
-            learner = Mrsoa(problem, cls, engine=engine)
-            out += [learner.predict(x) for x in range(problem.num_instances)]
-        return engine, out
 
-    expected = [run(problem, cls, gv)[1] for problem, cls in cases for gv in ORACLE_GAMMAS]
+def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
+    # Engines at every margin on one (problem, class) pair share one game
+    # table, which solves each distinct row-id tuple once, for the recursion,
+    # certificates and Mrsoa's mixtures alike; the results equal those of the
+    # unpatched solver on separately built copies.
+    def run(problem, cls):
+        engines, out = [], []
+        for gv in ORACLE_GAMMAS:
+            engine = DimensionEngine(problem, cls, gv)
+            full = VersionSpace.full(cls.num_hypotheses)
+            out += [engine.smdim(full), engine.certificate(full).to_json()]
+            if not gv.strict:
+                learner = Mrsoa(problem, cls, engine=engine)
+                out += [learner.predict(x) for x in range(problem.num_instances)]
+            engines.append(engine)
+        return engines, out
+
+    expected = [run(problem, cls)[1] for problem, cls in lp_cases()]
+    solved = []
+    real = dimensions.solve_min_max
+    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
+    results = []
+    for problem, cls in lp_cases():
+        solved.clear()
+        engines, out = run(problem, cls)
+        results.append(out)
+        games = engines[0].games
+        assert all(engine.games is games for engine in engines)
+        assert solved == [[engines[0].rows[i] for i in ids] for ids in games]
+    assert results == expected
+
+
+def test_engines_on_an_unvalidated_pair_share_tables():
+    # validate_problem builds a new Problem when it tightens bound_c; the
+    # tables are keyed by the objects as passed, so engines still share them.
+    problem = make_problem(("x0",), ("a", "b"), ("a", "b"), [[0, 1], [1, 0]], bound_c=2)
+    cls = HypothesisClass(((0,), (1,)))
+    first = DimensionEngine(problem, cls, F(1, 4))
+    second = DimensionEngine(problem, cls, F(1, 2))
+    assert first.problem is not problem and first.problem.bound_c == 1
+    assert second.games is first.games and second.problem is first.problem
+
+
+def test_equal_documents_parsed_separately_do_not_share_tables():
+    doc = serialize_instance(*make_builtin("regression:three-point"))
+    full = VersionSpace.full(2)
+    pair = parse_instance_document(doc)
+    first = DimensionEngine(*pair, F(1, 2))
+    first.smdim(full)
+    assert first.games
+    again = parse_instance_document(doc)
+    second = DimensionEngine(*again, F(1, 2))
+    assert second.games is not first.games and not second.games
+    assert DimensionEngine(*again, F(1, 4)).games is second.games
+    # One slot: the first pair's tables are built afresh once another took it.
+    assert DimensionEngine(*pair, F(1, 2)).games is not first.games
+
+
+def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
+    rng = random.Random(29)
+    cases = [gen_setvalued(rng) for _ in range(15)] + [make_builtin("setvalued:pair")]
+    margins = (GammaValue.strict_zero(), F(1, 4), F(1, 2), F(1))
+
+    def run():
+        return [
+            msdim_direct(problem, cls, VersionSpace.full(cls.num_hypotheses), g)
+            for problem, cls in cases
+            for g in margins
+        ]
+
+    expected = run()
     solved = []
     real = dimensions.solve_min_max
     monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
     results = []
     for problem, cls in cases:
-        for gv in ORACLE_GAMMAS:
+        for g in margins:
             solved.clear()
-            engine, out = run(problem, cls, gv)
-            results.append(out)
-            assert solved == [[engine.rows[i] for i in ids] for ids in engine.games]
+            results.append(msdim_direct(problem, cls, VersionSpace.full(cls.num_hypotheses), g))
+            keys = [tuple(rows) for rows in solved]
+            assert len(keys) == len(set(keys))
     assert results == expected
 
 

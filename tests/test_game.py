@@ -13,7 +13,6 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from smdim import game
 from smdim.core import Mixture, ValidationError
 from smdim.game import AffineRow, best_response, solve_min_max
 
@@ -141,15 +140,6 @@ def test_degenerate_game_keeps_blands_pivots(rows, value, weights, tight):
     assert sol.value == value == oracle_min_max(rows)
     assert sol.mixture.weights == weights
     assert sol.tight_rows == tight
-
-
-def test_lp_cache_is_bounded():
-    game._solve_cached.cache_clear()
-    assert game._solve_cached.cache_info().maxsize == game.LP_CACHE_SIZE
-    for k in range(game.LP_CACHE_SIZE + 10):
-        solve_min_max((row((1, 2), F(k, 7)),))
-    assert game._solve_cached.cache_info().currsize == game.LP_CACHE_SIZE
-    game._solve_cached.cache_clear()
 
 
 def test_grid_search_brackets_the_value():

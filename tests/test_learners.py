@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from smdim import game
+from smdim import learners
 from smdim.adversaries import find_sqrt_witness
 from smdim.core import (
     BudgetError,
@@ -240,18 +240,18 @@ class TestMrsoa:
     def test_shared_mixture_cache(self):
         # Learners on one engine share its mixture memo: equal states get the
         # same Mixture object, and every agnostic expert group gets it too.
-        # The LP cache is cleared before each play, so only the memo can
-        # share it.
+        # The engine's game table is cleared before each play, so only the
+        # memo can share it.
         problem, cls = make_builtin("multiclass:binary-constants")
         engine = DimensionEngine(problem, cls, F(1, 4))
         first = Mrsoa(problem, cls, engine=engine)
         second = Mrsoa(problem, cls, engine=engine)
         agnostic = AgnosticLearner(problem, cls, F(1, 4), horizon=2, engine=engine)
-        game._solve_cached.cache_clear()
+        engine.games.clear()
         mixture = first.predict(0)
-        game._solve_cached.cache_clear()
+        engine.games.clear()
         assert second.predict(0) is mixture
-        game._solve_cached.cache_clear()
+        engine.games.clear()
         agnostic.predict(0)
         _, spaces, mixtures = agnostic._pending
         assert spaces == (to_mask(range(cls.num_hypotheses)),)
@@ -264,7 +264,7 @@ class TestMrsoa:
         assert len(spaces) == len(set(spaces)) > 1
         for space, group_mixture in zip(spaces, mixtures):
             first.restore(space)
-            game._solve_cached.cache_clear()
+            engine.games.clear()
             assert first.predict(0) is group_mixture
 
     def test_bad_indices_rejected(self):
@@ -306,6 +306,16 @@ class TestExpertPool:
     def test_budget_enforced_before_enumeration(self):
         with pytest.raises(BudgetError):
             build_expert_pool(30, 3, F(1, 30), F(1), budget=1000)
+
+    def test_budget_checked_before_the_grid_is_built(self, monkeypatch):
+        # alpha = 1/10**9 would make a grid of a billion Fractions.
+        built = []
+        monkeypatch.setattr(learners, "loss_grid", lambda alpha, c: built.append((alpha, c)))
+        with pytest.raises(BudgetError):
+            build_expert_pool(3, 1, F(1, 10**9), F(1))
+        # Only experts with timepoints read the grid.
+        assert build_expert_pool(3, 0, F(1, 10**9), F(1)) == (ExpertId((), ()),)
+        assert built == []
 
     def test_alpha_range_checked(self):
         with pytest.raises(ValidationError):
