@@ -151,6 +151,9 @@ class VersionSpace:
             if prev is not None and m <= prev:
                 raise ValidationError("version space members must be strictly increasing")
             prev = m
+        # Members ascend, so the first is the smallest.
+        if self.members and self.members[0] < 0:
+            raise ValidationError(f"negative hypothesis index {self.members[0]}")
 
     @classmethod
     def of(cls, members: Iterable[int]) -> "VersionSpace":

@@ -94,7 +94,7 @@ from .core import (
     validate_problem,
 )
 from .game import AffineRow, GameSolution, solve_min_max
-from .instances import canonical_json
+from .instances import json_array, json_object, json_text
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
 DEFAULT_MEMO_CAP = 200_000
@@ -149,13 +149,24 @@ class CertificateNode:
     candidates: tuple  # ((Candidate, VersionSpace), ...)
 
 
+# Line breaks and indents of a certificate document's nested levels.
+_DOC_FIELDS = "\n  "
+_NODE = "\n    "
+_NODE_FIELDS = "\n      "
+_CANDIDATE = "\n        "
+_CANDIDATE_FIELDS = "\n          "
+
+
 @dataclass(frozen=True)
 class ShatteringCertificate:
     """A replayable witness that `root` is shatterable to `depth` at margin `gamma`.
 
     `nodes` maps (members, depth) to the CertificateNode chosen there; every
     child of a recorded node at depth >= 2 is itself recorded, so walking
-    best responses from the root always stays inside the certificate.
+    best responses from the root always stays inside the certificate. In a
+    certificate from `DimensionEngine.certificate`, nodes and candidates
+    share one `VersionSpace` per distinct mask and one `Candidate` per
+    distinct (label, threshold).
     """
 
     gamma: GammaValue
@@ -170,33 +181,59 @@ class ShatteringCertificate:
         return self.nodes[key]
 
     def to_json(self) -> str:
+        """The certificate as canonical JSON text.
+
+        The document is {"gamma", "strict", "depth", "root", "nodes"}; "nodes"
+        lists the nodes in sorted (members, depth) order, each as {"space",
+        "depth", "x", "value", "candidates"}, and each candidate as {"y",
+        "eps", "child"}; rationals are "p/q" strings and spaces are member
+        lists. The text is written straight from `nodes` and is byte-identical
+        to `canonical_json` of that document. Each child's member list and
+        each candidate's fields are written once per object, and
+        `DimensionEngine.certificate` shares one object per distinct value.
+        """
+        # Keyed by identity, which is cheap to hash; `nodes` keeps every key
+        # object alive during the call.
+        children = {}  # id of a child VersionSpace -> its member list
+        cands = {}  # id of a Candidate -> its "eps" and "y" fields
         entries = []
-        for (members, depth) in sorted(self.nodes):
+        for members, depth in sorted(self.nodes):
             node = self.nodes[(members, depth)]
+            candidates = []
+            for cand, child in node.candidates:
+                child_members = children.get(id(child))
+                if child_members is None:
+                    child_members = children[id(child)] = json_text(child.members, _CANDIDATE_FIELDS)
+                fields = cands.get(id(cand))
+                if fields is None:
+                    fields = cands[id(cand)] = (
+                        f'"eps": {json_text(format_rational(cand.threshold), _CANDIDATE_FIELDS)},'
+                        f'{_CANDIDATE_FIELDS}"y": {json_text(cand.label, _CANDIDATE_FIELDS)}'
+                    )
+                # The keys in sorted order: child, eps, y.
+                candidates.append(
+                    f'{{{_CANDIDATE_FIELDS}"child": {child_members},{_CANDIDATE_FIELDS}{fields}{_CANDIDATE}}}'
+                )
             entries.append(
-                {
-                    "space": list(members),
-                    "depth": depth,
-                    "x": node.instance,
-                    "value": format_rational(node.value),
-                    "candidates": [
-                        {
-                            "y": cand.label,
-                            "eps": format_rational(cand.threshold),
-                            "child": list(child.members),
-                        }
-                        for cand, child in node.candidates
-                    ],
-                }
+                json_object(
+                    {
+                        "space": json_text(members, _NODE_FIELDS),
+                        "depth": json_text(depth, _NODE_FIELDS),
+                        "x": json_text(node.instance, _NODE_FIELDS),
+                        "value": json_text(format_rational(node.value), _NODE_FIELDS),
+                        "candidates": json_array(candidates, _NODE_FIELDS),
+                    },
+                    _NODE,
+                )
             )
         doc = {
-            "gamma": format_rational(self.gamma.gamma),
-            "strict": self.gamma.strict,
-            "depth": self.depth,
-            "root": list(self.root.members),
-            "nodes": entries,
+            "gamma": json_text(format_rational(self.gamma.gamma), _DOC_FIELDS),
+            "strict": json_text(self.gamma.strict, _DOC_FIELDS),
+            "depth": json_text(self.depth, _DOC_FIELDS),
+            "root": json_text(self.root.members, _DOC_FIELDS),
+            "nodes": json_array(entries, _DOC_FIELDS),
         }
-        return canonical_json(doc)
+        return json_object(doc, "\n") + "\n"
 
 
 class DimensionEngine:
@@ -268,30 +305,36 @@ class DimensionEngine:
         self._check_space(space)
         root = to_mask(space.members)
         depth = self.dim_members(root)
+        spaces = {}  # mask -> its VersionSpace
+        cands = {}  # (label, threshold) -> its Candidate
         nodes = {}
-        stack = [(root, depth)]
+        stack = [(root, depth)] if depth else []
         while stack:
             mask, d = stack.pop()
-            if d < 1:
-                continue
-            members = to_members(mask)
-            if (members, d) in nodes:
+            node_space = spaces.get(mask)
+            if node_space is None:
+                node_space = spaces[mask] = VersionSpace(to_members(mask))
+            if (node_space.members, d) in nodes:
                 continue
             if not self._shatter(mask, d):
                 raise AssertionError("a child above a qualifying threshold is not shatterable")
             x, value, qualifying = self._memo[(mask, d)]
-            nodes[(members, d)] = CertificateNode(
-                space=VersionSpace(members),
-                depth=d,
-                instance=x,
-                value=value,
-                candidates=tuple(
-                    (Candidate(y, eps), VersionSpace(to_members(child)))
-                    for y, eps, child in qualifying
-                ),
+            candidates = []
+            for y, eps, child in qualifying:
+                # A Fraction's own hash is slow; its two ints hash fast.
+                key = (y, eps.numerator, eps.denominator)
+                cand = cands.get(key)
+                if cand is None:
+                    cand = cands[key] = Candidate(y, eps)
+                child_space = spaces.get(child)
+                if child_space is None:
+                    child_space = spaces[child] = VersionSpace(to_members(child))
+                candidates.append((cand, child_space))
+                if d > 1:
+                    stack.append((child, d - 1))
+            nodes[(node_space.members, d)] = CertificateNode(
+                space=node_space, depth=d, instance=x, value=value, candidates=tuple(candidates)
             )
-            for _, _, child in qualifying:
-                stack.append((child, d - 1))
         return ShatteringCertificate(gamma=self.gamma, root=space, depth=depth, nodes=nodes)
 
     def candidates(self, space: VersionSpace, x: int):

@@ -351,7 +351,7 @@ def serialize_stream(stream) -> str:
     return canonical_json(doc)
 
 
-# json's own encoder for every value `_text` does not handle itself. Built
+# json's own encoder for every value `json_text` does not handle itself. Built
 # once: json.dumps with non-default arguments builds a new encoder per call.
 _encode_other = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).encode
 
@@ -361,30 +361,44 @@ def canonical_json(doc) -> str:
 
     The text is byte-identical to `json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False) + "\n"`, which with `indent` runs json's pure-Python
-    encoder. Nonempty dicts with `str` keys, nonempty lists and tuples,
-    strings and exact ints are written here; any other value (floats, bools,
-    None, empty containers, dicts with other keys) is written by json's own
-    encoder and re-indented to its depth, so json's rules hold for it.
+    encoder. Dicts with `str` keys, lists and tuples, strings and exact ints
+    are written here; any other value (floats, bools, None, dicts with other
+    keys) is written by json's own encoder and re-indented to its depth, so
+    json's rules hold for it.
     """
-    return _text(doc, "\n") + "\n"
+    return json_text(doc, "\n") + "\n"
 
 
-def _text(value, newline: str) -> str:
-    # `newline` is a line break followed by the indent of `value`'s depth.
+def json_text(value, newline: str) -> str:
+    """The canonical text of `value`, whose own line breaks are `newline`: a
+    line break followed by the indent of `value`'s depth in the document."""
     if isinstance(value, str):
         return encode_basestring(value)
     if type(value) is int:
         return int.__repr__(value)
-    if isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
+    if isinstance(value, (list, tuple)):
         if all(type(v) is int for v in value):
-            items = map(int.__repr__, value)
-        else:
-            items = [_text(v, inner) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+            return json_array(map(int.__repr__, value), newline)
         inner = newline + "  "
-        items = [f"{encode_basestring(k)}: {_text(value[k], inner)}" for k in sorted(value)]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+        return json_array([json_text(v, inner) for v in value], newline)
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        inner = newline + "  "
+        return json_object({k: json_text(v, inner) for k, v in value.items()}, newline)
     # json's line breaks are all structural (strings escape theirs).
     return _encode_other(value).replace("\n", newline)
+
+
+def json_array(items, newline: str) -> str:
+    """A JSON array of already written `items`, whose own line breaks are `newline`."""
+    inner = newline + "  "
+    # No written value is empty, so `text` is empty exactly when `items` is.
+    text = ("," + inner).join(items)
+    return f"[{inner}{text}{newline}]" if text else "[]"
+
+
+def json_object(fields: dict, newline: str) -> str:
+    """A JSON object of already written values, keys sorted, whose own line
+    breaks are `newline`."""
+    inner = newline + "  "
+    items = [f"{encode_basestring(k)}: {fields[k]}" for k in sorted(fields)]
+    return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"

@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 from smdim import dimensions
 from smdim.core import (
     BudgetError,
+    Candidate,
     HypothesisClass,
     Mixture,
     ValidationError,
@@ -28,6 +29,7 @@ from smdim.core import (
     validate_problem,
 )
 from smdim.dimensions import (
+    CertificateNode,
     DimensionEngine,
     GammaValue,
     ldim_k,
@@ -36,6 +38,7 @@ from smdim.dimensions import (
     seqfat,
     smdim,
     to_mask,
+    to_members,
 )
 from smdim.game import AffineRow, best_response
 from smdim.instances import builtin_names, make_builtin, parse_instance_document, serialize_instance
@@ -117,6 +120,27 @@ def small_random_instance(rng):
     ]
     problem = make_problem(tuple(range(nx)), tuple(range(ny)), tuple(range(ny)), loss)
     return validate_problem(problem, HypothesisClass(rows))
+
+
+def dim_cold_grids():
+    """Ten regression grids shaped like the dim-cold benchmark's items: absolute
+    loss on five grid points (-1, 1 and three multiples of 1/8), three
+    instances, and |H| from 8 to 17."""
+    rng = random.Random(53)
+    interior = [F(k, 8) for k in range(-7, 8)]
+    rows = list(product(range(5), repeat=3))
+    cases = []
+    for num_hypotheses in range(8, 18):
+        grid = tuple(sorted([F(-1), F(1)] + rng.sample(interior, 3)))
+        loss = [[abs(y - z) for z in grid] for y in grid]
+        problem = make_problem(tuple(range(3)), grid, grid, loss)
+        cls = HypothesisClass(tuple(sorted(rng.sample(rows, num_hypotheses))))
+        cases.append(validate_problem(problem, cls))
+    return cases
+
+
+# The margins of the dim-cold-shaped grids' certificates.
+GRID_GAMMAS = (GammaValue.strict_zero(), GammaValue.of(F(1, 8)), GammaValue.of(F(1, 4)))
 
 
 ORACLE_GAMMAS = (
@@ -306,6 +330,58 @@ class TestCertificate:
         cert = engine.certificate(VersionSpace.of([0]))
         assert cert.depth == 0
         assert cert.nodes == {}
+
+
+def reference_certificate_nodes(engine, space):
+    """The nodes of `engine.certificate(space)`, walked from the memo with a new
+    VersionSpace and Candidate for every node and candidate."""
+    root = to_mask(space.members)
+    nodes = {}
+    stack = [(root, engine.dim_members(root))]
+    while stack:
+        mask, d = stack.pop()
+        if d < 1:
+            continue
+        members = to_members(mask)
+        if (members, d) in nodes:
+            continue
+        assert engine._shatter(mask, d)
+        x, value, qualifying = engine._memo[(mask, d)]
+        nodes[(members, d)] = CertificateNode(
+            space=VersionSpace(members),
+            depth=d,
+            instance=x,
+            value=value,
+            candidates=tuple(
+                (Candidate(y, eps), VersionSpace(to_members(child)))
+                for y, eps, child in qualifying
+            ),
+        )
+        for _, _, child in qualifying:
+            stack.append((child, d - 1))
+    return nodes
+
+
+def test_certificate_nodes_equal_a_walk_that_builds_every_candidate():
+    cases = [(make_builtin(name), ORACLE_GAMMAS) for name in builtin_names()]
+    cases += [(case, GRID_GAMMAS) for case in dim_cold_grids()]
+    deep = 0
+    for (problem, cls), gammas in cases:
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in gammas:
+            # Separate engines, so the walk does not read memo entries that
+            # certificate() filled in.
+            expected = reference_certificate_nodes(DimensionEngine(problem, cls, gv), full)
+            cert = DimensionEngine(problem, cls, gv).certificate(full)
+            assert cert.nodes == expected
+            # Equal version spaces and equal candidates are one object each.
+            spaces = [node.space for node in cert.nodes.values()]
+            spaces += [child for node in cert.nodes.values() for _, child in node.candidates]
+            assert len({id(s) for s in spaces}) == len(set(spaces))
+            cands = [cand for node in cert.nodes.values() for cand, _ in node.candidates]
+            assert len({id(c) for c in cands}) == len(set(cands))
+            deep += cert.depth >= 3
+    assert deep >= 5
 
 
 class TestMonotonicity:
@@ -566,6 +642,22 @@ def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
             keys = [tuple(rows) for rows in solved]
             assert len(keys) == len(set(keys))
     assert results == expected
+
+
+def test_negative_hypothesis_index_is_a_validation_error():
+    # The space is rejected when it is built, before to_mask would shift by
+    # a negative count and raise a bare ValueError.
+    problem, cls = make_builtin("multiclass:binary-constants")
+    engine = DimensionEngine(problem, cls, F(1, 4))
+    calls = (
+        engine.smdim,
+        lambda space: engine.shatterable(space, 1),
+        engine.certificate,
+        lambda space: engine.candidates(space, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError, match="negative hypothesis index -1"):
+            call(VersionSpace((-1, 0)))
 
 
 def test_candidates_accessor_lists_realized_thresholds():

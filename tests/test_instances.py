@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from smdim.core import ValidationError, VersionSpace, validate_problem
+from smdim.core import ValidationError, VersionSpace, format_rational, validate_problem
 from smdim.dimensions import DimensionEngine, GammaValue
 from smdim.instances import (
     builtin_names,
@@ -25,6 +25,8 @@ from smdim.instances import (
     serialize_stream,
     vector_instance,
 )
+
+from test_dimensions import GRID_GAMMAS, dim_cold_grids
 
 F = Fraction
 
@@ -246,6 +248,36 @@ def reference_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def certificate_document(cert) -> dict:
+    """A certificate's JSON document, built field by field from its nodes."""
+    entries = []
+    for (members, depth) in sorted(cert.nodes):
+        node = cert.nodes[(members, depth)]
+        entries.append(
+            {
+                "space": list(members),
+                "depth": depth,
+                "x": node.instance,
+                "value": format_rational(node.value),
+                "candidates": [
+                    {
+                        "y": cand.label,
+                        "eps": format_rational(cand.threshold),
+                        "child": list(child.members),
+                    }
+                    for cand, child in node.candidates
+                ],
+            }
+        )
+    return {
+        "gamma": format_rational(cert.gamma.gamma),
+        "strict": cert.gamma.strict,
+        "depth": cert.depth,
+        "root": list(cert.root.members),
+        "nodes": entries,
+    }
+
+
 class TestCanonicalJson:
     def test_sorted_keys_and_trailing_newline(self):
         text = canonical_json({"b": 1, "a": [1, 2]})
@@ -287,15 +319,28 @@ class TestCanonicalJson:
             assert str(ours.value) == str(theirs.value)
 
     def test_certificates_and_documents_equal_json_dumps(self):
+        certs = []
         for name in builtin_names():
             problem, cls = make_builtin(name)
             text = serialize_instance(problem, cls)
             assert text == reference_json(json.loads(text))
             for gamma in (GammaValue.strict_zero(), F(1, 8), F(1, 4), F(1, 2)):
                 engine = DimensionEngine(problem, cls, gamma)
-                cert = engine.certificate(VersionSpace.full(cls.num_hypotheses))
-                text = cert.to_json()
-                assert text == reference_json(json.loads(text)), (name, gamma)
+                certs.append(engine.certificate(VersionSpace.full(cls.num_hypotheses)))
+        grids = dim_cold_grids()
+        for problem, cls in grids:
+            for gamma in GRID_GAMMAS:
+                engine = DimensionEngine(problem, cls, gamma)
+                certs.append(engine.certificate(VersionSpace.full(cls.num_hypotheses)))
+        # Rooted at a proper subspace, and of depth 0.
+        problem, cls = grids[-1]
+        sub = DimensionEngine(problem, cls, F(1, 8)).certificate(VersionSpace(tuple(range(1, 17, 2))))
+        assert sub.depth >= 2
+        zero = DimensionEngine(problem, cls, F(1, 8)).certificate(VersionSpace((3,)))
+        assert zero.depth == 0 and not zero.nodes
+        certs += [sub, zero]
+        for cert in certs:
+            assert cert.to_json() == reference_json(certificate_document(cert))
         for items in ('{"x": 0, "y": 1, "eps": "1/3"}, {"x": 0, "y": 0, "eps": "0"}',
                       '{"x": 0, "y": 1}, {"x": 0, "y": 0}'):
             text = serialize_stream(parse_stream_document(f'{{"stream": [{items}]}}'))
