@@ -16,7 +16,8 @@ fat-shattering dimension, for example).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -60,38 +61,62 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical text form: 'p/q' in lowest terms, or just 'p' for integers."""
-    return str(q)
+    """Canonical text form: 'p/q' in lowest terms, or just 'p' for integers.
+
+    Exact at any size: past `sys.get_int_max_str_digits()` digits, where
+    `str` of an int raises, `Decimal` writes the digits instead.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        text = str(Decimal(q.numerator))
+        return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 @dataclass(frozen=True)
 class Problem:
-    """A finite online decision problem.
+    """A finite online decision problem, checked when it is built.
 
-    `loss[y][z]` is the loss of prediction index `z` against label index `y`.
-    `bound_c` is the effective loss bound (tightened to the max entry by
-    `validate_problem`); `declared_bound` keeps whatever the constructor was
-    given, for reporting.
+    `loss[y][z]` is the loss of prediction index `z` against label index `y`:
+    a nonnegative `Fraction` no larger than `declared_bound`. Instances,
+    labels and predictions are nonempty. `bound_c` is not a constructor
+    argument: it is the largest loss entry, the bound c every regret
+    guarantee uses; `declared_bound` is the bound the input stated, kept for
+    reporting and serialization.
     """
 
     instances: tuple
     labels: tuple
     predictions: tuple
     loss: tuple
-    bound_c: Fraction
     declared_bound: Fraction
+    bound_c: Fraction = field(init=False)
 
     def __post_init__(self):
+        for name in ("instances", "labels", "predictions"):
+            if not getattr(self, name):
+                raise ValidationError(f"problem has no {name}")
         if len(self.loss) != len(self.labels):
             raise ValidationError(
                 f"dimension mismatch: {len(self.loss)} loss rows for {len(self.labels)} labels"
             )
-        for i, row in enumerate(self.loss):
+        for y, row in enumerate(self.loss):
             if len(row) != len(self.predictions):
                 raise ValidationError(
-                    f"dimension mismatch: loss row {i} has {len(row)} entries "
+                    f"dimension mismatch: loss row {y} has {len(row)} entries "
                     f"for {len(self.predictions)} predictions"
                 )
+            for z, v in enumerate(row):
+                if not isinstance(v, Fraction):
+                    raise ValidationError(f"loss[{y}][{z}] = {v!r} is not a Fraction")
+                if v < 0:
+                    raise ValidationError(f"negative loss at [{y}][{z}]: {v}")
+                if v > self.declared_bound:
+                    raise ValidationError(
+                        f"loss {v} at [{y}][{z}] exceeds declared bound {self.declared_bound}"
+                    )
+        entries = [v for row in self.loss for v in row]
+        object.__setattr__(self, "bound_c", max(entries, default=Fraction(0)))
 
     @property
     def num_instances(self) -> int:
@@ -278,48 +303,27 @@ def validate_stream(problem: Problem, stream: Sequence[ThresholdedExample]) -> t
 
 
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
-    """Assemble a Problem from raw entries, parsing rationals; no deep validation."""
+    """Assemble a Problem from raw entries, parsing rationals.
+
+    `bound_c` is the declared bound; without one, it is the largest entry.
+    The Problem checks itself, so a bad loss raises ValidationError here.
+    """
     rows = tuple(tuple(parse_rational(v) for v in row) for row in loss)
-    entries = [v for row in rows for v in row]
-    max_entry = max(entries) if entries else Fraction(0)
-    declared = max_entry if bound_c is None else parse_rational(bound_c)
+    declared = max((v for row in rows for v in row), default=Fraction(0))
+    if bound_c is not None:
+        declared = parse_rational(bound_c)
     return Problem(
-        instances=tuple(instances),
-        labels=tuple(labels),
-        predictions=tuple(predictions),
-        loss=rows,
-        bound_c=declared,
-        declared_bound=declared,
+        tuple(instances), tuple(labels), tuple(predictions), rows, declared_bound=declared
     )
 
 
 def validate_problem(problem: Problem, cls: HypothesisClass):
-    """Validate a (problem, hypothesis class) pair; returns the checked pair.
+    """Check that a hypothesis table fits a problem; returns the pair as given.
 
-    Checks: nonempty spaces, nonnegative losses, no loss above the declared
-    bound, table indices in range. The effective `bound_c` is tightened to the
-    maximum loss entry when the declared bound is larger; the declared bound is
-    kept in `declared_bound` for reporting.
+    The problem and the class each checked themselves when they were built;
+    what is left is that every hypothesis covers every instance with an
+    in-range prediction index.
     """
-    if problem.num_instances == 0:
-        raise ValidationError("problem has no instances")
-    if problem.num_labels == 0:
-        raise ValidationError("problem has no labels")
-    if problem.num_predictions == 0:
-        raise ValidationError("problem has no predictions")
-    max_entry = Fraction(0)
-    for y, row in enumerate(problem.loss):
-        for z, v in enumerate(row):
-            if not isinstance(v, Fraction):
-                raise ValidationError(f"loss[{y}][{z}] = {v!r} is not a Fraction")
-            if v < 0:
-                raise ValidationError(f"negative loss at [{y}][{z}]: {v}")
-            if v > problem.declared_bound:
-                raise ValidationError(
-                    f"loss {v} at [{y}][{z}] exceeds declared bound {problem.declared_bound}"
-                )
-            if v > max_entry:
-                max_entry = v
     for h, row in enumerate(cls.table):
         if len(row) != problem.num_instances:
             raise ValidationError(
@@ -328,8 +332,6 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
         for x, z in enumerate(row):
             if not 0 <= z < problem.num_predictions:
                 raise ValidationError(f"hypothesis {h} predicts out-of-range index {z} at x={x}")
-    if max_entry < problem.bound_c:
-        problem = replace(problem, bound_c=max_entry)
     return problem, cls
 
 

@@ -46,7 +46,7 @@ the margin-free part once per (problem, class) pair (the threshold steps, the
 LP rows and the table of solved games), and every engine on that pair shares
 it, whatever its margin; `dim --gamma a,b,c`, `verify` and repeated top-level
 `smdim`/`msdim` calls solve each LP once. One module-level slot holds the last
-pair's tables, keyed by the identity of the objects the caller passed, so
+pair's tables, keyed by the identity of the problem and class objects, so
 equal pairs parsed separately share nothing. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
 
@@ -259,6 +259,9 @@ class DimensionEngine:
     engines does or while the pair is the last one an engine was built on.
     `mixtures` holds the learners' Mrsoa mixtures by (mask, instance); like
     the memo, it depends on gamma and lives as long as the engine.
+
+    `problem` and `cls` are the objects the caller passed, so the engine, the
+    learners built on it and `run_game` all read one loss bound `bound_c`.
     """
 
     def __init__(
@@ -268,8 +271,8 @@ class DimensionEngine:
         gamma: Union[GammaValue, RationalLike],
         memo_cap: Optional[int] = None,
     ):
-        tables = _tables(problem, cls)
-        self.problem, self.cls, self._den, self._steps, self._scaled, self.rows, self.games = tables
+        self.problem, self.cls = problem, cls
+        self._den, self._steps, self._scaled, self.rows, self.games = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         if memo_cap is None:
             env = os.environ.get(MEMO_CAP_ENV)
@@ -457,15 +460,14 @@ class DimensionEngine:
         return None
 
 
-# The last (problem, class) pair's tables, as (problem, cls, tables) with the
-# objects as callers passed them: strong references, so neither id can be
-# reused while the slot holds it.
+# The last (problem, class) pair's tables, as (problem, cls, tables): strong
+# references, so neither id can be reused while the slot holds it.
 _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(problem, cls, den, steps, scaled, rows, games): the validated pair and
-    the margin-free tables of every engine built on these very objects.
+    """(den, steps, scaled, rows, games): the margin-free tables of every
+    engine built on these very objects, after checking that the pair fits.
 
     steps[x][y] holds the thresholds realized at (x, y) over the whole class,
     ascending, each with the mask of hypotheses within it and the id of its LP
@@ -479,21 +481,21 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     last = _last_tables
     if last[0] is problem and last[1] is cls:
         return last[2]
-    checked, checked_cls = validate_problem(problem, cls)
-    den = math.lcm(*(v.denominator for row in checked.loss for v in row))
+    validate_problem(problem, cls)
+    den = math.lcm(*(v.denominator for row in problem.loss for v in row))
     # Per label: its loss row, the row times den, and each scaled loss's Fraction.
     labels = []
-    for loss_row in checked.loss:
+    for loss_row in problem.loss:
         scaled_row = [v.numerator * (den // v.denominator) for v in loss_row]
         labels.append((loss_row, scaled_row, dict(zip(scaled_row, loss_row))))
     row_ids = {}
     rows, steps, scaled = [], [], []
-    for x in range(checked.num_instances):
+    for x in range(problem.num_instances):
         steps.append([])
         scaled.append([])
         for y, (loss_row, scaled_row, value_of) in enumerate(labels):
             at = {}  # scaled loss -> mask of the hypotheses with that loss
-            for h, h_row in enumerate(checked_cls.table):
+            for h, h_row in enumerate(cls.table):
                 key = scaled_row[h_row[x]]
                 at[key] = at.get(key, 0) | 1 << h
             cuts = tuple(sorted(at))
@@ -508,7 +510,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                 label_steps.append((value_of[key], within, row_id))
             steps[x].append(tuple(label_steps))
             scaled[x].append(cuts)
-    tables = (checked, checked_cls, den, steps, scaled, tuple(rows), {})
+    tables = (den, steps, scaled, tuple(rows), {})
     _last_tables = (problem, cls, tables)
     return tables
 

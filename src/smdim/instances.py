@@ -190,10 +190,12 @@ def make_builtin(spec: str):
 
 def _loads(text: str):
     # parse_float receives the raw literal text, so decimals convert exactly.
-    # Nesting deeper than the interpreter's recursion limit is a RecursionError.
+    # Nesting deeper than the interpreter's recursion limit is a RecursionError;
+    # a number longer than sys.get_int_max_str_digits() is a plain ValueError,
+    # of which JSONDecodeError is a subclass.
     try:
         return json.loads(text, parse_float=Fraction)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
 
 

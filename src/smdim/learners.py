@@ -55,6 +55,9 @@ from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
 # benchmark's tests check that its tracer rebinds the solver on this module.
 from .game import solve_min_max  # noqa: F401
 
+# The most experts an AgnosticLearner pool may hold.
+POOL_BUDGET = 100_000
+
 
 def _check_realizable_gamma(engine: DimensionEngine) -> None:
     if engine.gamma.strict:
@@ -212,12 +215,11 @@ def build_expert_pool(
     d_gamma: int,
     alpha: RationalLike,
     c: RationalLike,
-    budget: int = 100_000,
 ) -> tuple:
     """All experts with at most d_gamma timepoints and grid thresholds.
 
     alpha must lie in (0, c]; when c = 0 any alpha > 0 is accepted and the
-    grid is {0}. The pool size is checked against `budget` before any
+    grid is {0}. The pool size is checked against `POOL_BUDGET` before any
     enumeration; the deterministic order is by timepoint-set size, then the
     sets lexicographically, then threshold assignments lexicographically.
     """
@@ -232,8 +234,8 @@ def build_expert_pool(
     # Count the grid's points without building it: a tiny alpha makes it huge,
     # and only experts with timepoints read it.
     size = pool_size(horizon, d_gamma, math.ceil(c / alpha) + 1)
-    if size > budget:
-        raise BudgetError(f"expert pool of {size} exceeds budget {budget}")
+    if size > POOL_BUDGET:
+        raise BudgetError(f"expert pool of {size} exceeds budget {POOL_BUDGET}")
     grid = loss_grid(alpha, c) if d_gamma else ()
     pool = [ExpertId((), ())]
     for i in range(1, d_gamma + 1):

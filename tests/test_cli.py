@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, file handling."""
 
 import json
+import random
 
 import pytest
 
@@ -163,6 +164,28 @@ class TestDimErrors:
         )
         assert code == 2 and err.startswith("error:") and "utf-8" in err
 
+    def test_over_long_integer_literal_exits_2(self, capsys, tmp_path):
+        # json.loads refuses an int longer than sys.get_int_max_str_digits().
+        huge = "9" * 5000
+        instance = tmp_path / "instance.json"
+        instance.write_text(
+            '{"instances": ["x0"], "labels": [0, 1], "predictions": [0, 1], '
+            f'"loss": [["0", "1"], ["1", "0"]], "hypotheses": [[0], [{huge}]]}}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "dim", "--instance", str(instance), "--dimension", "smdim",
+            "--gamma", "1/4",
+        )
+        assert (code, out) == (2, "") and err.startswith("error: invalid JSON")
+        stream = tmp_path / "stream.json"
+        stream.write_text(f'{{"stream": [{{"x": 0, "y": {huge}}}]}}', encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "learn", "--builtin", "multiclass", "--learner", "ftl",
+            "--stream", str(stream),
+        )
+        assert (code, out) == (2, "") and err.startswith("error: invalid JSON")
+
     def test_argparse_usage_errors_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["dim", "--builtin", "multiclass"])  # no --dimension
@@ -278,6 +301,29 @@ class TestLearn:
             "--stream", str(path),
         )
         assert code == 2 and err.startswith("error:") and "utf-8" in err
+
+    def test_agnostic_output_beyond_the_int_digit_limit(self, capsys, tmp_path):
+        # The exact MW values of 30 label-only rounds run to thousands of
+        # digits, past sys.get_int_max_str_digits() (4300 by default).
+        rng = random.Random(0)
+        stream = write_stream(tmp_path, [(0, rng.randint(0, 1)) for _ in range(30)])
+        argv = (
+            "learn", "--builtin", "multiclass", "--learner", "agnostic",
+            "--gamma", "1/4", "--stream", stream,
+        )
+        code, text, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert max(len(line) for line in text.splitlines()) > 4300
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert len(doc["rounds"]) == 30
+        assert f"regret: {doc['regret']}\n" in text
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = out.split("\r\n")
+        assert len(rows) == 32 and rows[-1] == ""
+        assert rows[30].split(",")[-1] == doc["rounds"][-1]["expected_loss"]
 
     def test_monte_carlo_line(self, capsys, tmp_path):
         stream = write_stream(tmp_path, [(0, 1)] * 3)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from smdim.core import (
     HypothesisClass,
     Mixture,
+    Problem,
     ValidationError,
     VersionSpace,
     expected_loss,
@@ -57,6 +58,24 @@ class TestParseRational:
         with pytest.raises(ValidationError):
             parse_rational("1/0")
 
+    def test_format_beyond_the_int_digit_limit(self):
+        # More digits than sys.get_int_max_str_digits() allows str() to write.
+        num, den = 10**5200 + 7, 3**10900
+        assert len(format_rational(F(10**5001))) == 5002
+
+        def value(digits):
+            # int() of the text would hit the same limit: read it in chunks.
+            total = 0
+            for i in range(0, len(digits), 500):
+                chunk = digits[i:i + 500]
+                total = total * 10 ** len(chunk) + int(chunk)
+            return total
+
+        text = format_rational(F(-num, den))
+        top, bottom = text.split("/")
+        assert top[0] == "-" and (value(top[1:]), value(bottom)) == (num, den)
+        assert len(top) > 5000 and len(bottom) > 5000
+
     def test_format_round_trip(self):
         for value in (F(0), F(1, 3), F(-5, 2), F(7)):
             assert parse_rational(format_rational(value)) == value
@@ -68,20 +87,39 @@ class TestProblem:
             make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1]])
 
     def test_negative_loss_rejected(self):
-        problem = make_problem(("x0",), (0, 1), (0, 1), [[0, "-1"], [1, 0]])
-        with pytest.raises(ValidationError):
-            validate_problem(problem, HypothesisClass(((0,), (1,))))
+        with pytest.raises(ValidationError, match="negative loss"):
+            make_problem(("x0",), (0, 1), (0, 1), [[0, "-1"], [1, 0]])
 
     def test_loss_above_declared_bound_rejected(self):
-        problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 2], [1, 0]], bound_c=1)
-        with pytest.raises(ValidationError):
-            validate_problem(problem, HypothesisClass(((0,), (1,))))
+        with pytest.raises(ValidationError, match="exceeds declared bound"):
+            make_problem(("x0",), (0, 1), (0, 1), [[0, 2], [1, 0]], bound_c=1)
 
     def test_bound_tightened_to_max_entry(self):
         problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1, 0]], bound_c=5)
-        problem, _ = validate_problem(problem, HypothesisClass(((0,), (1,))))
         assert problem.bound_c == 1
         assert problem.declared_bound == 5
+        cls = HypothesisClass(((0,), (1,)))
+        checked, checked_cls = validate_problem(problem, cls)
+        assert checked is problem and checked_cls is cls
+        assert make_problem(("x0",), (0,), (0,), [[0]]).bound_c == 0
+        # bound_c is worked out, never passed.
+        with pytest.raises(TypeError):
+            Problem(("x0",), (0,), (0,), ((F(0),),), F(1), bound_c=F(1))
+
+    @pytest.mark.parametrize(
+        "instances, labels, predictions, loss, message",
+        [
+            ((), (0,), (0,), ((F(0),),), "no instances"),
+            (("x0",), (), (0,), (), "no labels"),
+            (("x0",), (0,), (), ((),), "no predictions"),
+            (("x0",), (0,), (0,), ((1,),), "is not a Fraction"),
+        ],
+    )
+    def test_problem_checks_itself_when_built(
+        self, instances, labels, predictions, loss, message
+    ):
+        with pytest.raises(ValidationError, match=message):
+            Problem(instances, labels, predictions, loss, declared_bound=F(1))
 
     def test_table_index_out_of_range(self):
         problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1, 0]])

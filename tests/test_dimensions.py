@@ -593,13 +593,13 @@ def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
 
 
 def test_engines_on_an_unvalidated_pair_share_tables():
-    # validate_problem builds a new Problem when it tightens bound_c; the
-    # tables are keyed by the objects as passed, so engines still share them.
+    # A declared bound above the largest loss: engines keep the caller's
+    # problem, whose bound_c is already the largest loss, and share tables.
     problem = make_problem(("x0",), ("a", "b"), ("a", "b"), [[0, 1], [1, 0]], bound_c=2)
     cls = HypothesisClass(((0,), (1,)))
     first = DimensionEngine(problem, cls, F(1, 4))
     second = DimensionEngine(problem, cls, F(1, 2))
-    assert first.problem is not problem and first.problem.bound_c == 1
+    assert first.problem is problem and first.cls is cls and problem.bound_c == 1
     assert second.games is first.games and second.problem is first.problem
 
 

@@ -305,7 +305,7 @@ class TestExpertPool:
 
     def test_budget_enforced_before_enumeration(self):
         with pytest.raises(BudgetError):
-            build_expert_pool(30, 3, F(1, 30), F(1), budget=1000)
+            build_expert_pool(30, 3, F(1, 30), F(1))
 
     def test_budget_checked_before_the_grid_is_built(self, monkeypatch):
         # alpha = 1/10**9 would make a grid of a billion Fractions.

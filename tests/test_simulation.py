@@ -9,11 +9,13 @@ import pytest
 
 from smdim.adversaries import find_sqrt_witness, rademacher_stream
 from smdim.core import (
+    HypothesisClass,
     Mixture,
     ProtocolError,
     RealizabilityError,
     ValidationError,
     expected_loss,
+    make_problem,
 )
 from smdim.dimensions import DimensionEngine
 from smdim.instances import canonical_json, make_builtin
@@ -332,3 +334,20 @@ class TestSignEnumeration:
                 exact_expectation_over_signs(*args)
             assert str(got.value) == str(expected.value)
             assert str(got.value).startswith(prefix)
+
+
+def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
+    # Declared bound 1, largest loss 1/2: the engine, the learner and the
+    # stream check all read the caller's problem, so c = 1/2 for all three.
+    problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "1/2"], ["1/2", "0"]], bound_c=1)
+    cls = HypothesisClass(((0,), (1,)))
+    engine = DimensionEngine(problem, cls, F(1, 8))
+    assert engine.problem is problem
+    assert engine.problem.bound_c == problem.bound_c == F(1, 2)
+    learner = Mrsoa(problem, cls, engine=engine)
+    calls = []
+    learner.predict = lambda *args: calls.append(("predict", args))
+    learner.update = lambda *args: calls.append(("update", args))
+    with pytest.raises(ValidationError, match=r"^round 1: threshold 3/4 outside \[0, 1/2\]$"):
+        run_game(problem, cls, learner, [(0, 0, "3/4")])
+    assert calls == []
