@@ -27,10 +27,13 @@ recurses over realized thresholds in ascending order only until the first
 one qualifies, and every larger realized threshold of that label qualifies
 without recursion. The qualifying list, the LP rows, the chosen instance and
 the node value are the ones the unpruned recursion finds. This rule lives in
-`qualifying_rows`, which the recursion and Mrsoa's level sweep both call.
-The nodes of children that pruning skipped are computed when
-`certificate()` first walks into them, and the memo cap (`SMDIM_MEMO_CAP`)
-counts only the version spaces actually visited.
+`qualifying_rows`, which the recursion and Mrsoa's level sweep both call; it
+returns each qualifying label's first row id and builds no candidate list.
+A memo entry keeps the instance and those row ids, and `certificate()`
+rebuilds a node's list from them: each label qualifies from its candidate
+whose row id the entry holds onward. The nodes of children that pruning
+skipped are computed when `certificate()` first walks into them, and the memo
+cap (`SMDIM_MEMO_CAP`) counts only the version spaces actually visited.
 
 All four routes, and the learners, represent a version space as an `int`
 bitmask (bit h set when hypothesis h is a member); `to_mask` and `to_members`
@@ -68,7 +71,8 @@ memoized recursion, `_shatter_memo`, which holds the depth-0 and |V| - 1 base
 cases and the memo, and one bottom-up depth loop, `_max_depth`. They differ
 only in their branching rule, which decides depth d+1 from depth-d children,
 and each builds its own child masks; keeping those rules separate keeps the
-oracles independent cross-checks.
+oracles independent cross-checks. Each checks that the class fits the problem
+(`validate_problem`) before it recurses; the engine does so in `_tables`.
 """
 
 from __future__ import annotations
@@ -242,9 +246,11 @@ class DimensionEngine:
     Version spaces are `int` bitmasks over hypothesis indices. The memo table
     is keyed by (mask, depth) and is shared by every query against this
     engine, so learners that probe many sub-spaces of the same class reuse all
-    prior work. Each entry is (instance, value, qualifying (label, threshold,
-    child mask) triples) for the node chosen there, or None when the space is
-    not shatterable to that depth. Lookups are idempotent pure values:
+    prior work. Each entry is (instance, LP row ids) for the node chosen
+    there, the ids being the key of its game in `games` (`qualifying_rows`),
+    or None when the space is not shatterable to that depth. The node's value
+    is `game(ids).value`, and `certificate()` rebuilds its candidate list from
+    the ids. Lookups are idempotent pure values:
     concurrent readers are safe, and a duplicated insert computes the same
     entry. The number of distinct version spaces visited is capped
     (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
@@ -302,8 +308,11 @@ class DimensionEngine:
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
         """Certificate for the full dimension of `space` (depth 0 gives no nodes).
 
-        Children that threshold pruning never visited are shatterable by
-        monotonicity; their nodes are computed here, on first use.
+        Each node's candidates are rebuilt from `candidate_rows`: a label
+        qualifies from the candidate whose row id is in the memo entry's ids
+        onward, and the node's value is `game(ids).value`. Children that
+        threshold pruning never visited are shatterable by monotonicity; their
+        nodes are computed here, on first use.
         """
         self._check_space(space)
         root = to_mask(space.members)
@@ -321,9 +330,17 @@ class DimensionEngine:
                 continue
             if not self._shatter(mask, d):
                 raise AssertionError("a child above a qualifying threshold is not shatterable")
-            x, value, qualifying = self._memo[(mask, d)]
+            x, ids = self._memo[(mask, d)]
+            value = self.game(ids).value
             candidates = []
-            for y, eps, child in qualifying:
+            found = -1
+            for y, eps, child, row_id in self.candidate_rows(mask, x):
+                # Row ids are unique per (label, threshold), so `ids` names
+                # each qualifying label's first candidate.
+                if y != found:
+                    if row_id not in ids:
+                        continue
+                    found = y
                 # A Fraction's own hash is slow; its two ints hash fast.
                 key = (y, eps.numerator, eps.denominator)
                 cand = cands.get(key)
@@ -378,9 +395,11 @@ class DimensionEngine:
         return out
 
     def qualifying_rows(self, members: int, x: int, child_depth: int) -> tuple:
-        """(qualifying (label, threshold, child mask) triples, LP row ids) at x.
+        """The LP row ids of the qualifying game at x, a key of `game`.
 
-        The row ids, one per label in ascending label order, are a key of `game`.
+        There is one id per qualifying label, in ascending label order: the
+        row of the label's first qualifying candidate, which dominates the
+        label's other qualifying rows. No candidate list is built.
 
         A candidate qualifies when its child is shatterable to `child_depth`.
         For each label only thresholds up to its first qualifying one are
@@ -389,17 +408,13 @@ class DimensionEngine:
         `child_depth` 0 every candidate qualifies, so the rows are each
         label's first candidate.
         """
-        qualifying = []
         ids = []
         found = -1
-        for y, eps, child, row_id in self.candidate_rows(members, x):
-            if y != found:
-                if not self._shatter(child, child_depth):
-                    continue
+        for y, _, child, row_id in self.candidate_rows(members, x):
+            if y != found and self._shatter(child, child_depth):
                 found = y
                 ids.append(row_id)
-            qualifying.append((y, eps, child))
-        return qualifying, tuple(ids)
+        return tuple(ids)
 
     def game(self, ids: tuple) -> GameSolution:
         """The solved min-max game over the rows `ids`, memoized in `games`."""
@@ -441,8 +456,8 @@ class DimensionEngine:
         return _shatter_memo(self._memo, self._branch, members, depth)
 
     def _branch(self, members: int, depth: int):
-        """(instance, value, qualifying triples) at the first instance whose
-        qualifying game passes, else None."""
+        """(instance, LP row ids) at the first instance whose qualifying game
+        passes, else None."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -451,12 +466,9 @@ class DimensionEngine:
                 )
             self._spaces.add(members)
         for x in range(self.problem.num_instances):
-            qualifying, ids = self.qualifying_rows(members, x, depth - 1)
-            if not ids:
-                continue
-            sol = self.game(ids)
-            if self.gamma.passes(sol.value):
-                return x, sol.value, tuple(qualifying)
+            ids = self.qualifying_rows(members, x, depth - 1)
+            if ids and self.gamma.passes(self.game(ids).value):
+                return x, ids
         return None
 
 
@@ -534,6 +546,7 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
     more than k labels (multiclass and size-<=k list losses satisfy this);
     otherwise the recursion has no finite value and the input is rejected.
     """
+    validate_problem(problem, cls)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     _check_binary_loss(problem)
@@ -573,6 +586,7 @@ def seqfat(
     Depth d+1 needs an instance x and witness s with both {h : h(x) >= s+gamma}
     and {h : h(x) <= s-gamma} of depth d.
     """
+    validate_problem(problem, cls)
     gamma = parse_rational(gamma)
     if gamma <= 0:
         raise ValidationError(f"seqfat needs gamma > 0, got {gamma}")
@@ -642,6 +656,7 @@ def msdim_direct(
     {h : loss(y, h(x)) = 0} has depth d. Independent of the threshold
     enumeration used by `msdim`; used to cross-check it.
     """
+    validate_problem(problem, cls)
     gv = GammaValue.of(gamma)
     _check_binary_loss(problem)
     rows = [AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss]

@@ -18,7 +18,9 @@ row ids from `DimensionEngine.qualifying_rows`, the rule the dimension
 recursion uses, and solves them through `DimensionEngine.game`, the engine's
 game table. `AgnosticLearner` groups its experts by bitmask: experts with equal
 masks play the same mixture, so each round costs one mixture, one expected
-loss and one summed weight per group, not per expert.
+loss and one summed weight per group, not per expert. A learner given an
+engine refuses one built on other problem or class objects than its own, or
+at another margin than a gamma it is also given.
 
 All learners speak the same protocol: predict(x) -> Mixture, then
 update(x, y, eps) with eps optional; snapshot() returns the learner's state
@@ -59,7 +61,18 @@ from .game import solve_min_max  # noqa: F401
 POOL_BUDGET = 100_000
 
 
-def _check_realizable_gamma(engine: DimensionEngine) -> None:
+def _check_engine(engine: DimensionEngine, problem: Problem, cls: HypothesisClass, gamma) -> None:
+    """Refuse an engine on another (problem, class) pair or margin than the
+    learner was given, and the strict margin, which has no safe mixtures.
+
+    The pair is compared by identity, the rule `dimensions._tables` keys by.
+    """
+    if engine.problem is not problem or engine.cls is not cls:
+        raise ValidationError("the engine was built on another problem or class than the learner's")
+    if gamma is not None and GammaValue.of(gamma) != engine.gamma:
+        raise ValidationError(
+            f"gamma {GammaValue.of(gamma).describe()} differs from the engine's {engine.gamma.describe()}"
+        )
     if engine.gamma.strict:
         raise ValidationError("version-space learners need gamma > 0, not the strict variant")
 
@@ -97,7 +110,7 @@ class Mrsoa:
             if gamma is None:
                 raise ValidationError("Mrsoa needs gamma or a prepared engine")
             engine = DimensionEngine(problem, cls, gamma)
-        _check_realizable_gamma(engine)
+        _check_engine(engine, problem, cls, gamma)
         self.engine = engine
         self.problem = engine.problem
         self.cls = engine.cls
@@ -155,7 +168,7 @@ def _minimax_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
     dim = engine.dim_members(members)
     best_sol = None
     for level in range(dim - 1, -1, -1):
-        _, ids = engine.qualifying_rows(members, x, level + 1)
+        ids = engine.qualifying_rows(members, x, level + 1)
         if not ids:
             # No candidate exceeds this level; the level is achieved by any
             # mixture, keep sweeping for a sharper one.
@@ -168,7 +181,7 @@ def _minimax_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
         # Every candidate child has dimension 0 (only possible at dim <= 1):
         # any feedback already shrinks the dimension, so just minimize the
         # worst realizable threshold violation.
-        _, ids = engine.qualifying_rows(members, x, 0)
+        ids = engine.qualifying_rows(members, x, 0)
         best_sol = engine.game(ids)
         if dim == 0 and not best_sol.value < gamma:
             raise RuntimeError(
@@ -325,7 +338,7 @@ class AgnosticLearner:
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
         if engine is None:
             engine = DimensionEngine(problem, cls, gamma)
-        _check_realizable_gamma(engine)
+        _check_engine(engine, problem, cls, gamma)
         self.engine = engine
         self.problem = engine.problem
         self.cls = engine.cls

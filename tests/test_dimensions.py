@@ -20,7 +20,6 @@ from hypothesis import given, strategies as st
 from smdim import dimensions
 from smdim.core import (
     BudgetError,
-    Candidate,
     HypothesisClass,
     Mixture,
     ValidationError,
@@ -334,7 +333,13 @@ class TestCertificate:
 
 def reference_certificate_nodes(engine, space):
     """The nodes of `engine.certificate(space)`, walked from the memo with a new
-    VersionSpace and Candidate for every node and candidate."""
+    VersionSpace and Candidate for every node and candidate.
+
+    Only each node's instance and game come from the memo entry (x, row ids).
+    The candidate list is derived from the public `candidates` and
+    `shatterable`: each label qualifies from its first candidate whose child
+    is shatterable to d - 1 onward.
+    """
     root = to_mask(space.members)
     nodes = {}
     stack = [(root, engine.dim_members(root))]
@@ -346,19 +351,22 @@ def reference_certificate_nodes(engine, space):
         if (members, d) in nodes:
             continue
         assert engine._shatter(mask, d)
-        x, value, qualifying = engine._memo[(mask, d)]
+        x, ids = engine._memo[(mask, d)]
+        qualified = set()
+        candidates = []
+        for cand, child in engine.candidates(VersionSpace(members), x):
+            if cand.label in qualified or engine.shatterable(child, d - 1):
+                qualified.add(cand.label)
+                candidates.append((cand, child))
         nodes[(members, d)] = CertificateNode(
             space=VersionSpace(members),
             depth=d,
             instance=x,
-            value=value,
-            candidates=tuple(
-                (Candidate(y, eps), VersionSpace(to_members(child)))
-                for y, eps, child in qualifying
-            ),
+            value=engine.game(ids).value,
+            candidates=tuple(candidates),
         )
-        for _, _, child in qualifying:
-            stack.append((child, d - 1))
+        for _, child in candidates:
+            stack.append((to_mask(child.members), d - 1))
     return nodes
 
 
@@ -660,6 +668,30 @@ def test_negative_hypothesis_index_is_a_validation_error():
             call(VersionSpace((-1, 0)))
 
 
+@pytest.mark.parametrize(
+    "builtin, route",
+    [
+        ("multiclass", ldim_k),
+        ("multiclass", lambda p, c, space: msdim_direct(p, c, space, F(1, 2))),
+        ("regression", lambda p, c, space: seqfat(p, c, space, F(1))),
+    ],
+    ids=["ldim_k", "msdim_direct", "seqfat"],
+)
+def test_oracle_routes_refuse_a_class_that_does_not_fit_the_problem(builtin, route):
+    # The engine checks the pair when it builds its tables; the independent
+    # routes check it too, so a negative index cannot wrap to the last
+    # prediction and a wider table cannot be read past the problem.
+    problem, _ = make_builtin(builtin)
+    cases = [
+        (((0,), (-1,)), "out-of-range index -1"),
+        (((0,), (3,)), "out-of-range index 3"),
+        (((0, 0), (1, 1)), "covers 2 instances, problem has 1"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            route(problem, HypothesisClass(table), VersionSpace.full(2))
+
+
 def test_candidates_accessor_lists_realized_thresholds():
     problem, cls = make_builtin("regression:three-point")
     engine = DimensionEngine(problem, cls, F(1, 2))
@@ -740,6 +772,4 @@ class TestRestrict:
         first = {}
         for y, _, _, row_id in engine.candidate_rows(members, x):
             first.setdefault(y, row_id)
-        qualifying, ids = engine.qualifying_rows(members, x, 0)
-        assert ids == tuple(first.values())
-        assert qualifying == [c[:3] for c in engine.candidate_rows(members, x)]
+        assert engine.qualifying_rows(members, x, 0) == tuple(first.values())

@@ -284,6 +284,47 @@ class TestMrsoa:
         assert learner.version_space.members == (0, 1)
 
 
+def _mrsoa(problem, cls, gamma, engine):
+    return Mrsoa(problem, cls, gamma, engine=engine)
+
+
+def _agnostic(problem, cls, gamma, engine):
+    return AgnosticLearner(problem, cls, gamma, 3, engine=engine)
+
+
+@pytest.mark.parametrize("make", [_mrsoa, _agnostic], ids=["Mrsoa", "AgnosticLearner"])
+class TestPreparedEngine:
+    """A learner given an engine plays on that engine's pair and margin, so
+    the engine must be built on the learner's own arguments."""
+
+    def test_matching_engine_is_accepted(self, make):
+        problem, cls = make_builtin("multiclass")
+        engine = DimensionEngine(problem, cls, F(1, 8))
+        for gamma in (None, F(1, 8), "1/8", GammaValue(F(1, 8))):
+            assert make(problem, cls, gamma, engine).engine is engine
+
+    def test_engine_on_another_problem_is_refused(self, make):
+        problem, cls = make_builtin("multiclass")
+        other_problem, other_cls = make_builtin("hilbert:orthonormal")
+        engine = DimensionEngine(other_problem, other_cls, F(1, 8))
+        with pytest.raises(ValidationError, match="another problem or class"):
+            make(problem, cls, None, engine)
+
+    def test_engine_on_another_class_object_is_refused(self, make):
+        # Identity, the rule the engine's shared tables are keyed by: an
+        # equal class parsed separately is another class.
+        problem, cls = make_builtin("multiclass")
+        engine = DimensionEngine(problem, HypothesisClass(cls.table), F(1, 8))
+        with pytest.raises(ValidationError, match="another problem or class"):
+            make(problem, cls, None, engine)
+
+    def test_engine_at_another_gamma_is_refused(self, make):
+        problem, cls = make_builtin("multiclass")
+        engine = DimensionEngine(problem, cls, F(1, 8))
+        with pytest.raises(ValidationError, match="gamma 1/2 differs from the engine's 1/8"):
+            make(problem, cls, "1/2", engine)
+
+
 class TestExpertPool:
     def test_grid_and_size_formula(self):
         grid = loss_grid(F(1, 2), F(1))
