@@ -26,6 +26,7 @@ from .core import (
     ProtocolError,
     ValidationError,
     make_stream,
+    validate_problem,
 )
 from .dimensions import ShatteringCertificate
 from .game import AffineRow, best_response
@@ -114,6 +115,7 @@ def find_sqrt_witness(problem: Problem, cls: HypothesisClass) -> Optional[SqrtTW
     Returns None when the problem has no such pattern (then the sqrt(T)
     argument simply does not apply to it).
     """
+    validate_problem(problem, cls)
     table = cls.table
     loss = problem.loss
     best: Optional[SqrtTWitness] = None

@@ -324,13 +324,14 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
     what is left is that every hypothesis covers every instance with an
     in-range prediction index.
     """
+    num_instances, num_predictions = problem.num_instances, problem.num_predictions
     for h, row in enumerate(cls.table):
-        if len(row) != problem.num_instances:
+        if len(row) != num_instances:
             raise ValidationError(
-                f"hypothesis {h} covers {len(row)} instances, problem has {problem.num_instances}"
+                f"hypothesis {h} covers {len(row)} instances, problem has {num_instances}"
             )
         for x, z in enumerate(row):
-            if not 0 <= z < problem.num_predictions:
+            if not 0 <= z < num_predictions:
                 raise ValidationError(f"hypothesis {h} predicts out-of-range index {z} at x={x}")
     return problem, cls
 

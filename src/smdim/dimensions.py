@@ -27,8 +27,9 @@ recurses over realized thresholds in ascending order only until the first
 one qualifies, and every larger realized threshold of that label qualifies
 without recursion. The qualifying list, the LP rows, the chosen instance and
 the node value are the ones the unpruned recursion finds. This rule lives in
-`qualifying_rows`, which the recursion and Mrsoa's level sweep both call; it
-returns each qualifying label's first row id and builds no candidate list.
+`qualifying_rows`, which the recursion and Mrsoa's mixture rule
+(`DimensionEngine.mixture`) both call; it returns each qualifying label's
+first row id and builds no candidate list.
 A memo entry keeps the instance and those row ids, and `certificate()`
 rebuilds a node's list from them: each label qualifies from its candidate
 whose row id the entry holds onward. The nodes of children that pruning
@@ -89,6 +90,7 @@ from .core import (
     BudgetError,
     Candidate,
     HypothesisClass,
+    Mixture,
     Problem,
     RationalLike,
     ValidationError,
@@ -259,12 +261,13 @@ class DimensionEngine:
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
     the solved min-max games keyed by the tuple of row ids (`game`); the
-    recursion and the learners both go through it. `rows`, `games` and the
+    recursion and `mixture` both go through it. `rows`, `games` and the
     threshold steps are shared by every engine built on the same `problem`
     and `cls` objects, at any margin (`_tables`), and live while one of those
     engines does or while the pair is the last one an engine was built on.
-    `mixtures` holds the learners' Mrsoa mixtures by (mask, instance); like
-    the memo, it depends on gamma and lives as long as the engine.
+    `mixture()` gives Mrsoa's mixture, which every learner on the engine
+    plays, from a private memo keyed by (mask, instance); like the memo, it
+    depends on gamma and lives as long as the engine.
 
     `problem` and `cls` are the objects the caller passed, so the engine, the
     learners built on it and `run_game` all read one loss bound `bound_c`.
@@ -291,7 +294,7 @@ class DimensionEngine:
         self.memo_cap = memo_cap
         self._memo = {}
         self._spaces = set()
-        self.mixtures = {}
+        self._mixtures = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -422,6 +425,38 @@ class DimensionEngine:
         if sol is None:
             sol = self.games[ids] = solve_min_max([self.rows[i] for i in ids])
         return sol
+
+    def mixture(self, members: int, x: int) -> Mixture:
+        """Mrsoa's mixture on bitmask `members` at instance x.
+
+        The depths sweep down from the dimension d of `members` to 1 (only 0
+        when d = 0), each solving the game over the rows whose children are
+        shatterable to that depth (`qualifying_rows`); the sweep stops at the
+        first game that passes the margin and plays the last one that did
+        not. Under it, any over-margin feedback restricts to a child of
+        dimension below the depth played. The top game (depth d) fails by the
+        definition of d, so a mixture always exists unless the memo and the
+        game table disagree, which raises RuntimeError. No depth's rows are
+        empty: each label's last candidate is `members` itself.
+
+        Memoized per (members, x): equal keys get the same Mixture object.
+        """
+        key = (members, x)
+        mu = self._mixtures.get(key)
+        if mu is None:
+            dim = self.dim_members(members)
+            kept = None
+            for depth in range(dim, 0, -1) if dim else (0,):
+                sol = self.game(self.qualifying_rows(members, x, depth))
+                if self.gamma.passes(sol.value):
+                    break
+                kept = sol
+            if kept is None:
+                raise RuntimeError(
+                    f"the depth-{dim} game passes at dimension {dim}: the memo and game table disagree"
+                )
+            mu = self._mixtures[key] = kept.mixture
+        return mu
 
     def restrict(self, members: int, x: int, y: int, eps: Optional[Fraction] = None) -> int:
         """The child {h in members : loss(y, h(x)) <= eps} as a bitmask.

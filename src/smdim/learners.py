@@ -11,12 +11,11 @@ threshold assignment) on a quantized loss grid, aggregated by multiplicative
 weights. `FollowTheLeader` and `UniformLearner` are baselines.
 
 Both version-space learners keep their version spaces as the engine's `int`
-bitmasks, restrict them with `DimensionEngine.restrict` and play mixtures from
-`_cached_mixture`, memoized per (mask, instance) in the engine's `mixtures`,
-so every learner on one engine shares them. Mrsoa's level sweep takes its LP
-row ids from `DimensionEngine.qualifying_rows`, the rule the dimension
-recursion uses, and solves them through `DimensionEngine.game`, the engine's
-game table. `AgnosticLearner` groups its experts by bitmask: experts with equal
+bitmasks, restrict them with `DimensionEngine.restrict` and play
+`DimensionEngine.mixture`, Mrsoa's mixture rule, which the engine memoizes per
+(mask, instance), so every learner on one engine shares each mixture; it
+sweeps the same qualifying rows, game table and margin test as the dimension
+recursion. `AgnosticLearner` groups its experts by bitmask: experts with equal
 masks play the same mixture, so each round costs one mixture, one expected
 loss and one summed weight per group, not per expert. A learner given an
 engine refuses one built on other problem or class objects than its own, or
@@ -51,6 +50,7 @@ from .core import (
     VersionSpace,
     expected_loss,
     parse_rational,
+    validate_problem,
 )
 from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
 # Not called here (the engine's `game` solves every LP), but kept bound: the
@@ -85,14 +85,13 @@ def _check_index(kind: str, index: int, size: int) -> None:
 class Mrsoa:
     """Minimax randomized version-space learner (realizable protocol).
 
-    predict(x): if the current version space has dimension 0, play the mixture
-    that is simultaneously below eps_y + gamma for the per-label minimal
-    realizable thresholds eps_y (one always exists, or the dimension were
-    positive). Otherwise sweep dimension levels downward, at each level
-    solving the minimax game over candidates whose child dimension exceeds the
-    level, and play the mixture achieving the lowest level whose game value
-    stays below gamma: under it, any feedback that is over margin restricts to
-    a child of strictly smaller dimension.
+    predict(x) plays `DimensionEngine.mixture`. At dimension 0 it is the
+    mixture that is simultaneously below eps_y + gamma for the per-label
+    minimal realizable thresholds eps_y (one always exists, or the dimension
+    were positive). Otherwise it is the mixture of the lowest level whose game
+    over the candidates with child dimension above the level stays below
+    gamma: under it, any feedback that is over margin restricts to a child of
+    strictly smaller dimension.
 
     update(x, y, eps): keep hypotheses with loss(y, h(x)) <= eps. An explicit
     eps that empties the space raises RealizabilityError; eps=None
@@ -133,7 +132,7 @@ class Mrsoa:
 
     def predict(self, x: int) -> Mixture:
         _check_index("instance", x, self.problem.num_instances)
-        return _cached_mixture(self.engine, self._space, x)
+        return self.engine.mixture(self._space, x)
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
         _check_index("instance", x, self.problem.num_instances)
@@ -146,49 +145,6 @@ class Mrsoa:
         if not kept:
             raise RealizabilityError("stream not eps_t-realizable")
         self._space = kept
-
-
-def _cached_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
-    """Mrsoa's mixture on bitmask `members` at instance x, memoized on the engine.
-
-    Equal (members, x) keys get the same Mixture object.
-    """
-    key = (members, x)
-    mu = engine.mixtures.get(key)
-    if mu is None:
-        mu = engine.mixtures[key] = _minimax_mixture(engine, members, x)
-    return mu
-
-
-def _minimax_mixture(engine: DimensionEngine, members: int, x: int) -> Mixture:
-    # A child has dimension above `level` exactly when it is shatterable to
-    # level + 1, and a label's children nest, so `qualifying_rows` gives the
-    # row of each label's first candidate whose child exceeds the level.
-    gamma = engine.gamma.gamma
-    dim = engine.dim_members(members)
-    best_sol = None
-    for level in range(dim - 1, -1, -1):
-        ids = engine.qualifying_rows(members, x, level + 1)
-        if not ids:
-            # No candidate exceeds this level; the level is achieved by any
-            # mixture, keep sweeping for a sharper one.
-            continue
-        sol = engine.game(ids)
-        if not sol.value < gamma:
-            break
-        best_sol = sol
-    if best_sol is None:
-        # Every candidate child has dimension 0 (only possible at dim <= 1):
-        # any feedback already shrinks the dimension, so just minimize the
-        # worst realizable threshold violation.
-        ids = engine.qualifying_rows(members, x, 0)
-        best_sol = engine.game(ids)
-        if dim == 0 and not best_sol.value < gamma:
-            raise RuntimeError(
-                "dimension-zero version space admits no mixture below gamma "
-                "for every realizable threshold; dimension accounting is inconsistent"
-            )
-    return best_sol.mixture
 
 
 @dataclass(frozen=True)
@@ -383,7 +339,7 @@ class AgnosticLearner:
         for space, n in zip(self._spaces, self._numerators):
             groups[space] = groups.get(space, 0) + n
         spaces = tuple(groups)
-        mixtures = tuple(_cached_mixture(self.engine, space, x) for space in spaces)
+        mixtures = tuple(self.engine.mixture(space, x) for space in spaces)
         self._pending = (x, spaces, mixtures)
         return aggregate_mixture(tuple(groups.values()), mixtures)
 
@@ -435,6 +391,7 @@ class FollowTheLeader:
     """
 
     def __init__(self, problem: Problem, cls: HypothesisClass):
+        validate_problem(problem, cls)
         for h, row in enumerate(cls.table):
             if len(set(row)) != 1:
                 raise ValidationError(f"hypothesis {h} is not constant; follow-the-leader undefined")
@@ -457,6 +414,7 @@ class FollowTheLeader:
         return Mixture.dirac(len(self._cumulative), best)
 
     def update(self, x: int, y: int, eps=None) -> None:
+        _check_index("label", y, self.problem.num_labels)
         row = self.problem.loss[y]
         for z in range(len(self._cumulative)):
             self._cumulative[z] += row[z]

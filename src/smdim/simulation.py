@@ -28,6 +28,7 @@ from .core import (
     expected_loss,
     format_rational,
     make_stream,
+    validate_problem,
     validate_stream,
 )
 from .instances import encode_identifier
@@ -153,6 +154,7 @@ def run_game(
     Rounds defaults to the stream length (mandatory for adversaries).
     Realizability and protocol errors are re-raised with the 1-based round.
     """
+    validate_problem(problem, cls)
     if mode not in ("exact", "monte-carlo"):
         raise ValidationError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}")
     is_stream = isinstance(source, (tuple, list))
@@ -255,6 +257,7 @@ def exact_expectation_over_signs(
     to a branch point with the learner's snapshot()/restore(). Capped at
     SIGN_ENUM_CAP rounds because the cost doubles per round.
     """
+    validate_problem(problem, cls)
     if rounds < 0:
         raise ValidationError(f"rounds must be >= 0, got {rounds}")
     if rounds > SIGN_ENUM_CAP:

@@ -22,7 +22,7 @@ from smdim.core import (
     validate_problem,
 )
 from smdim.dimensions import DimensionEngine, GammaValue, to_mask
-from smdim.game import solve_min_max
+from smdim.game import GameSolution, solve_min_max
 from smdim.instances import make_builtin
 from smdim.learners import (
     AgnosticLearner,
@@ -30,7 +30,6 @@ from smdim.learners import (
     FollowTheLeader,
     Mrsoa,
     UniformLearner,
-    _cached_mixture,
     aggregate_mixture,
     build_expert_pool,
     loss_grid,
@@ -92,7 +91,7 @@ class ReferenceAgnosticLearner:
         self.round = 0
 
     def predict(self, x):
-        self.mixtures = [_cached_mixture(self.engine, space, x) for space in self.spaces]
+        self.mixtures = [self.engine.mixture(space, x) for space in self.spaces]
         total = sum(self.weights)
         return Mixture(tuple(
             sum(w * m.weights[z] for w, m in zip(self.weights, self.mixtures)) / total
@@ -169,6 +168,20 @@ class TestMrsoa:
                     y = rng.randrange(problem.num_labels)
                     eps = problem.loss[y][cls.table[h][x]]
                     learner.update(x, y, rng.choice((eps, None)))
+
+    def test_a_top_game_that_passes_the_margin_raises(self):
+        # At dimension 1 the depth-1 game is below the margin, or the space
+        # would shatter to depth 2. A game table that says otherwise is
+        # inconsistent, and Mrsoa refuses to play rather than fall back to
+        # the depth-0 mixture.
+        problem, cls = make_builtin("list:singleton-constants")
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        full = to_mask(range(cls.num_hypotheses))
+        assert engine.dim_members(full) == 1
+        ids = engine.qualifying_rows(full, 0, 1)
+        engine.games[ids] = GameSolution(F(1), Mixture.uniform(problem.num_predictions), ())
+        with pytest.raises(RuntimeError, match="memo and game table disagree"):
+            Mrsoa(problem, cls, engine=engine).predict(0)
 
     def test_initial_play_on_binary_constants(self):
         problem, cls = make_builtin("multiclass:binary-constants")
@@ -630,6 +643,16 @@ class TestBaselines:
         learner.update(0, 0)
         # cumulative losses tie again: lowest index wins
         assert learner.predict(0).weights == (F(1), F(0))
+
+    def test_ftl_refuses_a_label_out_of_range(self):
+        # A negative label would wrap to the last label's losses, one past the
+        # end would be a bare IndexError.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        learner = FollowTheLeader(problem, cls)
+        for y in (-1, problem.num_labels):
+            with pytest.raises(ValidationError, match=f"label index {y} out of range"):
+                learner.update(0, y)
+        assert learner.snapshot() == (F(0), F(0))
 
     def test_ftl_requires_constant_hypotheses(self):
         problem = make_problem(

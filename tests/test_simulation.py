@@ -351,3 +351,30 @@ def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
     with pytest.raises(ValidationError, match=r"^round 1: threshold 3/4 outside \[0, 1/2\]$"):
         run_game(problem, cls, learner, [(0, 0, "3/4")])
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, c: run_game(p, c, UniformLearner(p), [(0, 1), (0, 1)]),
+        lambda p, c: exact_expectation_over_signs(
+            p, c, lambda signs: [(0, 1)] * len(signs), lambda: UniformLearner(p), 2
+        ),
+        find_sqrt_witness,
+        FollowTheLeader,
+    ],
+    ids=["run_game", "exact_expectation_over_signs", "find_sqrt_witness", "FollowTheLeader"],
+)
+def test_a_class_that_does_not_fit_the_problem_is_refused(call):
+    # A negative index would wrap to the last prediction (run_game would then
+    # name hypothesis 1 the best in hindsight, with loss 0), and a wider table
+    # would be read past the problem's instances.
+    problem, _ = make_builtin("multiclass")
+    cases = [
+        (((0,), (-1,)), "out-of-range index -1"),
+        (((0,), (3,)), "out-of-range index 3"),
+        (((0, 0), (1, 1)), "covers 2 instances, problem has 1"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            call(problem, HypothesisClass(table))
