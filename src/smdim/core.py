@@ -290,16 +290,24 @@ def make_stream(items: Iterable) -> tuple:
 
 def validate_stream(problem: Problem, stream: Sequence[ThresholdedExample]) -> tuple:
     """Check stream indices and thresholds against a problem; returns the stream."""
-    for t, ex in enumerate(stream):
-        if not 0 <= ex.x < problem.num_instances:
-            raise ValidationError(f"round {t + 1}: instance index {ex.x} out of range")
-        if not 0 <= ex.y < problem.num_labels:
-            raise ValidationError(f"round {t + 1}: label index {ex.y} out of range")
-        if ex.eps is not None and not 0 <= ex.eps <= problem.bound_c:
-            raise ValidationError(
-                f"round {t + 1}: threshold {ex.eps} outside [0, {problem.bound_c}]"
-            )
+    for t, ex in enumerate(stream, 1):
+        check_instance(problem, t, ex.x)
+        check_feedback(problem, t, ex.y, ex.eps)
     return tuple(stream)
+
+
+def check_instance(problem: Problem, t: int, x: int):
+    """Check round t's instance index against a problem."""
+    if not 0 <= x < problem.num_instances:
+        raise ValidationError(f"round {t}: instance index {x} out of range")
+
+
+def check_feedback(problem: Problem, t: int, y: int, eps: Optional[Fraction]):
+    """Check round t's label index and optional threshold against a problem."""
+    if not 0 <= y < problem.num_labels:
+        raise ValidationError(f"round {t}: label index {y} out of range")
+    if eps is not None and not 0 <= eps <= problem.bound_c:
+        raise ValidationError(f"round {t}: threshold {eps} outside [0, {problem.bound_c}]")
 
 
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:

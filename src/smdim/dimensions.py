@@ -47,12 +47,25 @@ previous threshold's (`candidate_rows`).
 Those tables do not depend on gamma: an LP row is fixed by (label,
 threshold), and gamma only decides which rows qualify. So `_tables` builds
 the margin-free part once per (problem, class) pair (the threshold steps, the
-LP rows and the table of solved games), and every engine on that pair shares
-it, whatever its margin; `dim --gamma a,b,c`, `verify` and repeated top-level
-`smdim`/`msdim` calls solve each LP once. One module-level slot holds the last
+LP rows, each row's integer values at the pure predictions and the table of
+solved games), and every engine on that pair shares it, whatever its margin;
+`dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
+solve each LP once. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
 equal pairs parsed separately share nothing. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
+
+The recursion only needs whether a node's game reaches the margin, and most
+games are decided without an LP by two exact bounds on their value (LP
+duality). A pure prediction z gives an upper bound, max_i row_i(z): when it
+is under gamma (at most 0 when strict) the game fails. The adversary's
+uniform mixture over the rows gives a lower bound, min_z of their mean at z:
+when it reaches gamma (is above 0 when strict) the game passes. Both are
+tested on integer rows over the loss denominator, against one integer cut
+per engine, and `_branch` solves only the games they leave undecided. A
+decided game is not stored: `game()`, `mixture()` and `certificate()` still
+solve every game they read, so node values and Mrsoa's mixtures are the
+solved ones. The oracles below do not use the bounds.
 
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
@@ -261,10 +274,15 @@ class DimensionEngine:
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
     the solved min-max games keyed by the tuple of row ids (`game`); the
-    recursion and `mixture` both go through it. `rows`, `games` and the
-    threshold steps are shared by every engine built on the same `problem`
-    and `cls` objects, at any margin (`_tables`), and live while one of those
-    engines does or while the pair is the last one an engine was built on.
+    recursion and `mixture` both go through it. The recursion first tries
+    the pure bounds (`_pure_verdict`, module docstring) on a game `games`
+    does not hold, and solves it only when they leave it undecided; the
+    engine's own part of them is one integer cut and, per row, the lazily
+    filled mask of predictions where the row is under it. `rows`, `games`,
+    the rows' integer values and the threshold steps are shared by every
+    engine built on the same `problem` and `cls` objects, at any margin
+    (`_tables`), and live while one of those engines does or while the pair
+    is the last one an engine was built on.
     `mixture()` gives Mrsoa's mixture, which every learner on the engine
     plays, from a private memo keyed by (mask, instance); like the memo, it
     depends on gamma and lives as long as the engine.
@@ -281,8 +299,14 @@ class DimensionEngine:
         memo_cap: Optional[int] = None,
     ):
         self.problem, self.cls = problem, cls
-        self._den, self._steps, self._scaled, self.rows, self.games = _tables(problem, cls)
-        self.gamma = GammaValue.of(gamma)
+        tables = _tables(problem, cls)
+        self._den, self._steps, self._scaled, self.rows, self._pure, self.games = tables
+        self.gamma = gv = GammaValue.of(gamma)
+        # The margin as an integer cut on the scale of `_pure`: a row is below
+        # it at z (under gamma, or at most 0 when strict) when its integer is
+        # under the cut. `_below[row_id]` is the mask of those z, filled on use.
+        self._cut = 1 if gv.strict else -(-gv.gamma.numerator * self._den // gv.gamma.denominator)
+        self._below = [None] * len(self.rows)
         if memo_cap is None:
             env = os.environ.get(MEMO_CAP_ENV)
             try:
@@ -492,7 +516,7 @@ class DimensionEngine:
 
     def _branch(self, members: int, depth: int):
         """(instance, LP row ids) at the first instance whose qualifying game
-        passes, else None."""
+        passes, else None. Games a pure bound decides are not solved."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -502,9 +526,49 @@ class DimensionEngine:
             self._spaces.add(members)
         for x in range(self.problem.num_instances):
             ids = self.qualifying_rows(members, x, depth - 1)
-            if ids and self.gamma.passes(self.game(ids).value):
+            if ids and self._passes(ids):
                 return x, ids
         return None
+
+    def _passes(self, ids: tuple) -> bool:
+        """Whether the game over rows `ids` reaches the margin: from `games`
+        when it holds the game, else by a pure bound, else by solving it."""
+        sol = self.games.get(ids)
+        if sol is None:
+            verdict = self._pure_verdict(ids)
+            if verdict is not None:
+                return verdict
+            sol = self.game(ids)
+        return self.gamma.passes(sol.value)
+
+    def _pure_verdict(self, ids: tuple) -> Optional[bool]:
+        """False when a pure prediction refutes the game over rows `ids`,
+        True when the uniform adversary mixture certifies it, else None.
+
+        Both are exact bounds on the game's value. Against a pure prediction
+        z the adversary gets max_i row_i(z), at least the value, so the game
+        fails when that is under the margin. Against any learner mixture the
+        adversary's uniform mixture over the rows gets at least the least,
+        over z, of the rows' mean at z, so the value is at least that, and
+        the game passes when that mean reaches the margin at every z.
+        """
+        below, pure, common = self._below, self._pure, -1
+        for i in ids:
+            mask = below[i]
+            if mask is None:
+                cut = self._cut
+                mask = below[i] = sum(1 << z for z, v in enumerate(pure[i]) if v < cut)
+            common &= mask
+        if common:
+            return False
+        # The rows' sum at the worst z: their mean there is low / (m * den).
+        low = min(map(sum, zip(*[pure[i] for i in ids])))
+        gv = self.gamma
+        if gv.strict:
+            certified = low > 0
+        else:
+            certified = low * gv.gamma.denominator >= len(ids) * gv.gamma.numerator * self._den
+        return True if certified else None
 
 
 # The last (problem, class) pair's tables, as (problem, cls, tables): strong
@@ -513,15 +577,16 @@ _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, scaled, rows, games): the margin-free tables of every
+    """(den, steps, scaled, rows, pure, games): the margin-free tables of every
     engine built on these very objects, after checking that the pair fits.
 
     steps[x][y] holds the thresholds realized at (x, y) over the whole class,
     ascending, each with the mask of hypotheses within it and the id of its LP
     row; a row depends only on (label, threshold), so instances share it, and
     `rows[row_id]` is its `AffineRow`. scaled[x][y] holds the same thresholds
-    times den, a common denominator of every loss, as ints. games holds the
-    solved games by row-id tuple. The one slot is keyed by identity, not
+    times den, a common denominator of every loss, as ints, and pure[row_id]
+    the row's value at each pure prediction z times den, (loss[y][z] - eps) *
+    den, as ints. games holds the solved games by row-id tuple. The one slot is keyed by identity, not
     value: equal pairs parsed separately get tables of their own.
     """
     global _last_tables
@@ -536,7 +601,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
         scaled_row = [v.numerator * (den // v.denominator) for v in loss_row]
         labels.append((loss_row, scaled_row, dict(zip(scaled_row, loss_row))))
     row_ids = {}
-    rows, steps, scaled = [], [], []
+    rows, pure, steps, scaled = [], [], [], []
     for x in range(problem.num_instances):
         steps.append([])
         scaled.append([])
@@ -554,10 +619,11 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                 if row_id is None:
                     row_id = row_ids[(y, key)] = len(rows)
                     rows.append(AffineRow(loss_row, -value_of[key]))
+                    pure.append(tuple(v - key for v in scaled_row))
                 label_steps.append((value_of[key], within, row_id))
             steps[x].append(tuple(label_steps))
             scaled[x].append(cuts)
-    tables = (den, steps, scaled, tuple(rows), {})
+    tables = (den, steps, scaled, tuple(rows), tuple(pure), {})
     _last_tables = (problem, cls, tables)
     return tables
 

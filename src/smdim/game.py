@@ -33,7 +33,8 @@ Fractions.
 Nothing here is cached: every call solves its LP. Callers that meet the same
 game again memoize it themselves. Engines look their games up in a table
 keyed by LP row ids (`DimensionEngine.game`), shared by the engines built on
-one (problem, class) pair, and `msdim_direct` keeps one table per call.
+one (problem, class) pair, and their recursion solves only the games that
+exact pure bounds leave undecided; `msdim_direct` keeps one table per call.
 """
 
 from __future__ import annotations

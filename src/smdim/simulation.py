@@ -25,6 +25,8 @@ from .core import (
     RealizabilityError,
     ThresholdedExample,
     ValidationError,
+    check_feedback,
+    check_instance,
     expected_loss,
     format_rational,
     make_stream,
@@ -151,7 +153,9 @@ def run_game(
 
     A stream is a sequence of (x, y[, eps]) or ThresholdedExample; an
     adversary is anything with next_instance() and observe_mixture(mixture).
-    Rounds defaults to the stream length (mandatory for adversaries).
+    Rounds defaults to the stream length (mandatory for adversaries). An
+    adversary's instance and feedback are checked by the rules a stream's
+    are, each before the learner or the loss reads it.
     Realizability and protocol errors are re-raised with the 1-based round.
     """
     validate_problem(problem, cls)
@@ -180,8 +184,10 @@ def run_game(
                 y, eps = example.y, example.eps
             else:
                 x = source.next_instance()
+                check_instance(problem, t, x)
                 mixture = learner.predict(x)
                 y, eps = source.observe_mixture(mixture)
+                check_feedback(problem, t, y, eps)
             value = expected_loss(problem, mixture, y)
             learner.update(x, y, eps)
         except (RealizabilityError, ProtocolError) as exc:

@@ -39,10 +39,10 @@ from smdim.dimensions import (
     to_mask,
     to_members,
 )
-from smdim.game import AffineRow, best_response
+from smdim.game import AffineRow, best_response, solve_min_max
 from smdim.instances import builtin_names, make_builtin, parse_instance_document, serialize_instance
 from smdim.learners import Mrsoa
-from smdim.verify import gen_multiclass, gen_regression, gen_setvalued
+from smdim.verify import gen_list, gen_multiclass, gen_regression, gen_setvalued
 
 from test_game import oracle_min_max
 
@@ -650,6 +650,102 @@ def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
             keys = [tuple(rows) for rows in solved]
             assert len(keys) == len(set(keys))
     assert results == expected
+
+
+def bound_cases():
+    """The built-ins, the dim-cold-shaped grids and instances of every `verify`
+    generator, as freshly built objects."""
+    rng = random.Random(67)
+    cases = [make_builtin(name) for name in builtin_names()] + dim_cold_grids()
+    for gen in (gen_multiclass, lambda r: gen_list(r, 2), gen_setvalued, gen_regression):
+        cases += [gen(rng) for _ in range(8)]
+    return cases
+
+
+def pure_bound(rows, gv):
+    """The pure bounds on the game over `rows`, from the rows' Fractions:
+    False when some pure prediction's payoff max_i row_i(z) misses the
+    margin, True when the uniform adversary mixture's payoff reaches it at
+    every z, else None."""
+    width = len(rows[0].coefficients)
+    at = [[r.coefficients[z] + r.offset for r in rows] for z in range(width)]
+    if any(not gv.passes(max(payoffs)) for payoffs in at):
+        return False
+    if all(gv.passes(sum(payoffs) / len(rows)) for payoffs in at):
+        return True
+    return None
+
+
+def test_pure_bounds_agree_with_the_simplex(monkeypatch):
+    # Every game the recursion and certificates meet: the engine's integer
+    # bounds decide it exactly when the Fraction ones do, and a decided game
+    # passes exactly when its solved value does.
+    met = []
+    real = DimensionEngine._pure_verdict
+
+    def spy(engine, ids):
+        verdict = real(engine, ids)
+        met.append((engine.gamma, tuple(engine.rows[i] for i in ids), verdict))
+        return verdict
+
+    monkeypatch.setattr(DimensionEngine, "_pure_verdict", spy)
+    for problem, cls in bound_cases():
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in ORACLE_GAMMAS:
+            DimensionEngine(problem, cls, gv).certificate(full)
+    values = {}
+    for gv, rows, verdict in met:
+        assert verdict == pure_bound(rows, gv)
+        if verdict is not None:
+            if rows not in values:
+                values[rows] = solve_min_max(rows).value
+            assert gv.passes(values[rows]) == verdict
+    verdicts = [verdict for _, _, verdict in met]
+    assert min(verdicts.count(v) for v in (False, True, None)) >= 100
+    assert any(gv.strict and verdict for gv, _, verdict in met)
+
+
+def test_the_recursion_solves_no_game_a_pure_bound_decides():
+    solved = 0
+    for gv in ORACLE_GAMMAS:
+        # Fresh objects at each margin, so the game table holds only this
+        # engine's games.
+        for problem, cls in bound_cases():
+            engine = DimensionEngine(problem, cls, gv)
+            engine.smdim(VersionSpace.full(cls.num_hypotheses))
+            for ids in engine.games:
+                assert pure_bound([engine.rows[i] for i in ids], gv) is None
+            solved += len(engine.games)
+    assert solved >= 100
+
+
+def test_a_pure_payoff_exactly_at_the_margin_does_not_refute():
+    # At prediction "h" both rows pay exactly 1/2, the game's value.
+    problem = make_problem(("x",), (0, 1), (0, 1, "h"), [[0, 1, "1/2"], [1, 0, "1/2"]])
+    cls = HypothesisClass(((0,), (1,)))
+    engine = DimensionEngine(problem, cls, F(1, 2))
+    ids = engine.qualifying_rows(0b11, 0, 0)
+    assert solve_min_max([engine.rows[i] for i in ids]).value == F(1, 2)
+    assert engine._pure_verdict(ids) is True
+    assert engine.smdim(VersionSpace.full(2)) == 1
+
+
+def test_a_strict_game_with_an_all_zero_row_is_not_certified():
+    # Label "a" costs 1 everywhere, so its row at threshold 1 is all zero;
+    # the uniform adversary mixture pays 0 at z0 and z1 and no pure
+    # prediction refutes the game, whose value is 0, so the strict game fails.
+    problem = make_problem(
+        ("x",), ("a", "b", "c"), ("z0", "z1", "z2", "z3"),
+        [[1, 1, 1, 1], [2, 0, 1, 2], [0, 2, 2, 1]],
+    )
+    cls = HypothesisClass(((2,), (3,)))
+    engine = DimensionEngine(problem, cls, GammaValue.strict_zero())
+    ids = engine.qualifying_rows(0b11, 0, 0)
+    rows = [engine.rows[i] for i in ids]
+    assert [c + rows[0].offset for c in rows[0].coefficients] == [0] * 4
+    assert solve_min_max(rows).value == 0
+    assert engine._pure_verdict(ids) is None
+    assert engine.smdim(VersionSpace.full(2)) == 0
 
 
 def test_negative_hypothesis_index_is_a_validation_error():

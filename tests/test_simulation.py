@@ -353,6 +353,46 @@ def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
     assert calls == []
 
 
+ONE_ROUND = ["predict", "update"]
+
+
+@pytest.mark.parametrize(
+    "instance, feedback, message, plays",
+    [
+        (-1, (0, None), r"^round 2: instance index -1 out of range$", ONE_ROUND),
+        (2, (0, None), r"^round 2: instance index 2 out of range$", ONE_ROUND),
+        (0, (-1, None), r"^round 2: label index -1 out of range$", ONE_ROUND + ["predict"]),
+        (0, (0, F(2)), r"^round 2: threshold 2 outside \[0, 1\]$", ONE_ROUND + ["predict"]),
+    ],
+    ids=["negative-instance", "instance-past-the-end", "negative-label", "threshold-above-c"],
+)
+def test_an_adversary_out_of_range_is_refused_before_it_is_read(instance, feedback, message, plays):
+    # Round 1 is valid; round 2's bad instance is refused before the learner
+    # predicts on it, and a bad label or threshold before the loss or the
+    # learner's update reads it (label -1 would wrap to the last label).
+    problem, cls = make_builtin("multiclass:binary-constants")
+
+    class Stub:
+        def __init__(self):
+            self.round = 0
+
+        def next_instance(self):
+            self.round += 1
+            return 0 if self.round == 1 else instance
+
+        def observe_mixture(self, mixture):
+            return (0, None) if self.round == 1 else feedback
+
+    learner = UniformLearner(problem)
+    calls = []
+    predict, update = learner.predict, learner.update
+    learner.predict = lambda *args: calls.append("predict") or predict(*args)
+    learner.update = lambda *args: calls.append("update") or update(*args)
+    with pytest.raises(ValidationError, match=message):
+        run_game(problem, cls, learner, Stub(), rounds=2)
+    assert calls == plays
+
+
 @pytest.mark.parametrize(
     "call",
     [
