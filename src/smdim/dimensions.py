@@ -11,7 +11,7 @@ where (y, eps) qualifies when the restricted child space {h in V :
 loss(y, h(x)) <= eps} is itself shatterable to depth d - 1. The restriction is
 a step function of eps, so thresholds only need to be enumerated at the loss
 values actually realized on V; the inner min-max is a finite game solved
-exactly by `solve_min_max`. For a fixed label the qualifying row with the
+exactly by the simplex in `game`. For a fixed label the qualifying row with the
 smallest threshold dominates the others pointwise (same coefficients, larger
 offset), so each LP is solved over one row per label while certificates record
 the full qualifying candidate list; both have the same value and minimizer.
@@ -29,7 +29,8 @@ without recursion. The qualifying list, the LP rows, the chosen instance and
 the node value are the ones the unpruned recursion finds. This rule lives in
 `qualifying_rows`, which the recursion and Mrsoa's mixture rule
 (`DimensionEngine.mixture`) both call; it returns each qualifying label's
-first row id and builds no candidate list.
+first row id and builds no candidate list: it walks the threshold steps
+itself and stops each label at its first qualifying child.
 A memo entry keeps the instance and those row ids, and `certificate()`
 rebuilds a node's list from them: each label qualifies from its candidate
 whose row id the entry holds onward. The nodes of children that pruning
@@ -42,7 +43,9 @@ convert at the `VersionSpace` boundary. The engine precomputes, for each
 (x, y), the ascending thresholds realized over the whole class, each with the
 mask of hypotheses within it; a child of V is then `V & mask` (`restrict`),
 and a threshold is realized on V exactly when its child differs from the
-previous threshold's (`candidate_rows`).
+previous threshold's. Two walks apply that rule: `candidate_rows` lists every
+realized threshold, for certificates and the `candidates` accessor, and
+`qualifying_rows` scans them without building a list.
 
 Those tables do not depend on gamma: an LP row is fixed by (label,
 threshold), and gamma only decides which rows qualify. So `_tables` builds
@@ -50,7 +53,10 @@ the margin-free part once per (problem, class) pair (the threshold steps, the
 LP rows, each row's integer values at the pure predictions and the table of
 solved games), and every engine on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
-solve each LP once. One module-level slot holds the last
+solve each LP once. The LPs are solved on those integer rows: `game()` hands
+them, over the loss denominator, to the simplex's integer core
+(`game.solve_scaled`), which returns what `solve_min_max` finds from the
+`AffineRow`s. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
 equal pairs parsed separately share nothing. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
@@ -87,6 +93,11 @@ only in their branching rule, which decides depth d+1 from depth-d children,
 and each builds its own child masks; keeping those rules separate keeps the
 oracles independent cross-checks. Each checks that the class fits the problem
 (`validate_problem`) before it recurses; the engine does so in `_tables`.
+The recursion is Python recursion: in the engine a depth level costs three
+frames (`_shatter_memo`, `_branch`, `qualifying_rows`), so under the default
+recursion limit of 1000 a query from a shallow stack reaches depth about 325
+(a depth-d query needs a limit of about 3d + 17) before it raises
+RecursionError.
 """
 
 from __future__ import annotations
@@ -112,7 +123,7 @@ from .core import (
     parse_rational,
     validate_problem,
 )
-from .game import AffineRow, GameSolution, solve_min_max
+from .game import AffineRow, GameSolution, solve_min_max, solve_scaled
 from .instances import json_array, json_object, json_text
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
@@ -273,7 +284,8 @@ class DimensionEngine:
 
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
-    the solved min-max games keyed by the tuple of row ids (`game`); the
+    the solved min-max games keyed by the tuple of row ids (`game`, which
+    solves them on the rows' integer values); the
     recursion and `mixture` both go through it. The recursion first tries
     the pure bounds (`_pure_verdict`, module docstring) on a game `games`
     does not hold, and solves it only when they leave it undecided; the
@@ -408,6 +420,8 @@ class DimensionEngine:
         the label's previous threshold; labels ascend, thresholds ascend within
         a label, so each label's first entry has its smallest threshold and the
         LP row that dominates the label's others. `rows[row_id]` is the row.
+        A label's list ends at its first child equal to `members`.
+        `qualifying_rows` walks the steps by the same rule without a list.
         """
         out = []
         for y, steps in enumerate(self._steps[x]):
@@ -426,28 +440,43 @@ class DimensionEngine:
 
         There is one id per qualifying label, in ascending label order: the
         row of the label's first qualifying candidate, which dominates the
-        label's other qualifying rows. No candidate list is built.
+        label's other qualifying rows. The ids are those of each label's first
+        entry in `candidate_rows` whose child is shatterable to `child_depth`.
 
-        A candidate qualifies when its child is shatterable to `child_depth`.
-        For each label only thresholds up to its first qualifying one are
-        recursed on: every larger realized threshold has a superset child, so
-        it qualifies too (module docstring), and its LP row is dominated. At
-        `child_depth` 0 every candidate qualifies, so the rows are each
-        label's first candidate.
+        The scan walks the threshold steps itself, by `candidate_rows`' rule
+        (a step counts when its child differs from the previous step's, and a
+        label ends at its first child equal to `members`), and builds no
+        list. It stops each label at its first qualifying child: every larger
+        realized threshold has a superset child, so it qualifies too (module
+        docstring), and its LP row is dominated. At `child_depth` 0 every
+        candidate qualifies, so the rows are each label's first candidate.
+        Children are tested by `_shatter_memo` directly, so a depth level of
+        the engine's recursion is three frames (module docstring).
         """
+        memo, branch = self._memo, self._branch
         ids = []
-        found = -1
-        for y, _, child, row_id in self.candidate_rows(members, x):
-            if y != found and self._shatter(child, child_depth):
-                found = y
-                ids.append(row_id)
+        for steps in self._steps[x]:
+            previous = 0
+            for _, within, row_id in steps:
+                child = members & within
+                if child != previous:
+                    if _shatter_memo(memo, branch, child, child_depth):
+                        ids.append(row_id)
+                        break
+                    if child == members:
+                        break
+                    previous = child
         return tuple(ids)
 
     def game(self, ids: tuple) -> GameSolution:
-        """The solved min-max game over the rows `ids`, memoized in `games`."""
+        """The solved min-max game over the rows `ids`, memoized in `games`.
+
+        It is solved on the rows' integer values over the loss denominator
+        (`_pure`, `_den`), and equals `solve_min_max` of `rows[i]` for i in ids.
+        """
         sol = self.games.get(ids)
         if sol is None:
-            sol = self.games[ids] = solve_min_max([self.rows[i] for i in ids])
+            sol = self.games[ids] = solve_scaled([self._pure[i] for i in ids], self._den)
         return sol
 
     def mixture(self, members: int, x: int) -> Mixture:
@@ -788,6 +817,11 @@ def _shatter_memo(memo, branch, members, depth) -> bool:
     the module docstring). In between, `branch(members, depth)` returns a
     truthy value exactly when some instance branches into children of depth
     `depth - 1`; it is stored in `memo` under (members, depth).
+
+    `branch` recurses by calling this function on the children, so each
+    depth level is a few Python frames: three in the engine (this function,
+    `DimensionEngine._branch` and `qualifying_rows`), which under the default
+    recursion limit of 1000 allows depth about 325 from a shallow stack.
     """
     if depth == 0:
         return bool(members)

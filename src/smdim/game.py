@@ -30,6 +30,18 @@ rational arithmetic takes. The game value, mixture and tight rows are
 recovered from the final integers and checked exactly; only they become
 Fractions.
 
+The integer core has its own entry, `solve_scaled(entries, scale)` (not
+exported): the rows' entries, coefficient plus offset, as integers over a
+common multiple `scale` of their denominators. `solve_min_max` converts its
+`AffineRow`s over their least common denominator and calls it; engines hold
+their rows as integers over the problem's loss denominator and call it
+directly, with no Fractions to convert. Any common multiple gives the same
+solution: replacing `scale` by k * scale multiplies every entry, the shift
+and the right-hand side by k, that is each constraint row of the LP by k.
+That leaves the feasible set, every ratio Bland's rule compares and every
+reduced cost of the rational tableau unchanged, so the pivots are the same
+and so are the value, the mixture and the tight rows.
+
 Nothing here is cached: every call solves its LP. Callers that meet the same
 game again memoize it themselves. Engines look their games up in a table
 keyed by LP row ids (`DimensionEngine.game`), shared by the engines built on
@@ -95,6 +107,17 @@ def solve_min_max(rows: Sequence[AffineRow]) -> GameSolution:
     for r in rows:
         base = r.offset.numerator * (scale // r.offset.denominator)
         entries.append([c.numerator * (scale // c.denominator) + base for c in r.coefficients])
+    return solve_scaled(entries, scale)
+
+
+def solve_scaled(entries, scale: int) -> GameSolution:
+    """`solve_min_max` over rows given as integers: `entries[i][z]` is row i's
+    coefficient z plus its offset, times the positive integer `scale`.
+
+    Any common multiple of the rows' denominators gives the same solution
+    (module docstring). No input is checked: callers pass at least one row,
+    all of one width.
+    """
     # Shift every entry to exactly >= 1 (numerator >= scale) so the game value
     # is positive and the reciprocal LP applies; the shift is undone at the end.
     low = min(min(row) for row in entries)

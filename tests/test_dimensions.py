@@ -572,7 +572,10 @@ def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
     # Engines at every margin on one (problem, class) pair share one game
     # table, which solves each distinct row-id tuple once, for the recursion,
     # certificates and Mrsoa's mixtures alike; the results equal those of the
-    # unpatched solver on separately built copies.
+    # unpatched solver on separately built copies. The engine enters the
+    # simplex at its integer core with the rows' integer values over the loss
+    # denominator, and each stored game equals the one `solve_min_max` finds
+    # from the rows' Fractions.
     def run(problem, cls):
         engines, out = [], []
         for gv in ORACLE_GAMMAS:
@@ -587,16 +590,24 @@ def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
 
     expected = [run(problem, cls)[1] for problem, cls in lp_cases()]
     solved = []
-    real = dimensions.solve_min_max
-    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
+    real = dimensions.solve_scaled
+
+    def spy(entries, scale):
+        solved.append((entries, scale))
+        return real(entries, scale)
+
+    monkeypatch.setattr(dimensions, "solve_scaled", spy)
     results = []
     for problem, cls in lp_cases():
         solved.clear()
         engines, out = run(problem, cls)
         results.append(out)
-        games = engines[0].games
-        assert all(engine.games is games for engine in engines)
-        assert solved == [[engines[0].rows[i] for i in ids] for ids in games]
+        engine = engines[0]
+        games = engine.games
+        assert all(other.games is games for other in engines)
+        assert solved == [([engine._pure[i] for i in ids], engine._den) for ids in games]
+        for ids, sol in games.items():
+            assert sol == solve_min_max([engine.rows[i] for i in ids])
     assert results == expected
 
 
@@ -746,6 +757,61 @@ def test_a_strict_game_with_an_all_zero_row_is_not_certified():
     assert solve_min_max(rows).value == 0
     assert engine._pure_verdict(ids) is None
     assert engine.smdim(VersionSpace.full(2)) == 0
+
+
+def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
+    # `qualifying_rows` walks the threshold steps itself; at every (members,
+    # x, depth) the recursion, certificates and Mrsoa's mixtures meet, it
+    # gives each label's first candidate in `candidate_rows` whose child is
+    # shatterable to the child depth.
+    met = []
+    real = DimensionEngine.qualifying_rows
+
+    def spy(engine, members, x, child_depth):
+        ids = real(engine, members, x, child_depth)
+        met.append((engine, members, x, child_depth, ids))
+        return ids
+
+    monkeypatch.setattr(DimensionEngine, "qualifying_rows", spy)
+    for problem, cls in bound_cases():
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in ORACLE_GAMMAS:
+            engine = DimensionEngine(problem, cls, gv)
+            cert = engine.certificate(full)
+            if not gv.strict:
+                for x in range(problem.num_instances):
+                    engine.mixture(to_mask(full.members), x)
+                for (members, _), node in cert.nodes.items():
+                    engine.mixture(to_mask(members), node.instance)
+    monkeypatch.undo()
+    deep = 0
+    for engine, members, x, child_depth, ids in met:
+        expected, found = [], set()
+        for y, _, child, row_id in engine.candidate_rows(members, x):
+            if y not in found and engine._shatter(child, child_depth):
+                found.add(y)
+                expected.append(row_id)
+        assert ids == tuple(expected)
+        deep += child_depth >= 2
+    assert len(met) >= 20_000 and deep >= 4_000
+
+
+def test_the_memo_cap_boundary_is_the_count_of_spaces_visited():
+    # On this grid smdim() visits 275 version spaces and certificate() one
+    # more, as before the qualifying scan walked the threshold steps itself:
+    # the scan visits no more and no fewer spaces than the candidate list.
+    problem, cls = dim_cold_grids()[9]
+    full = VersionSpace.full(cls.num_hypotheses)
+    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=276)
+    assert engine.smdim(full) == 4
+    engine.certificate(full)
+    assert len(engine._spaces) == 276
+    short = DimensionEngine(problem, cls, F(1, 8), memo_cap=275)
+    assert short.smdim(full) == 4
+    with pytest.raises(BudgetError):
+        short.certificate(full)
+    with pytest.raises(BudgetError):
+        DimensionEngine(problem, cls, F(1, 8), memo_cap=274).smdim(full)
 
 
 def test_negative_hypothesis_index_is_a_validation_error():

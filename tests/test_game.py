@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdim.core import Mixture, ValidationError
-from smdim.game import AffineRow, best_response, solve_min_max
+from smdim.game import AffineRow, best_response, solve_min_max, solve_scaled
 
 F = Fraction
 
@@ -245,3 +245,13 @@ def test_deterministic(rows):
     assert first.value == second.value
     assert first.mixture == second.mixture
     assert first.tight_rows == second.tight_rows
+
+
+@given(_row_sets(), st.sampled_from([1, 3, 8, 105]))
+def test_any_common_denominator_gives_the_same_solution(rows, k):
+    # The integer core over k times the least common denominator takes the
+    # same pivots: the same value, mixture and tight rows.
+    scale = 8 * k  # every entry's denominator divides 8
+    entries = [[(c + r.offset) * scale for c in r.coefficients] for r in rows]
+    assert all(v.denominator == 1 for row in entries for v in row)
+    assert solve_scaled([[v.numerator for v in row] for row in entries], scale) == solve_min_max(rows)
