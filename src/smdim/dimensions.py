@@ -11,7 +11,7 @@ where (y, eps) qualifies when the restricted child space {h in V :
 loss(y, h(x)) <= eps} is itself shatterable to depth d - 1. The restriction is
 a step function of eps, so thresholds only need to be enumerated at the loss
 values actually realized on V; the inner min-max is a finite game solved
-exactly by the simplex in `game`. For a fixed label the qualifying row with the
+exactly by `solve_min_max`. For a fixed label the qualifying row with the
 smallest threshold dominates the others pointwise (same coefficients, larger
 offset), so each LP is solved over one row per label while certificates record
 the full qualifying candidate list; both have the same value and minimizer.
@@ -53,10 +53,7 @@ the margin-free part once per (problem, class) pair (the threshold steps, the
 LP rows, each row's integer values at the pure predictions and the table of
 solved games), and every engine on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
-solve each LP once. The LPs are solved on those integer rows: `game()` hands
-them, over the loss denominator, to the simplex's integer core
-(`game.solve_scaled`), which returns what `solve_min_max` finds from the
-`AffineRow`s. One module-level slot holds the last
+solve each LP once. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
 equal pairs parsed separately share nothing. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
@@ -123,7 +120,7 @@ from .core import (
     parse_rational,
     validate_problem,
 )
-from .game import AffineRow, GameSolution, solve_min_max, solve_scaled
+from .game import AffineRow, GameSolution, solve_min_max
 from .instances import json_array, json_object, json_text
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
@@ -284,8 +281,7 @@ class DimensionEngine:
 
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
-    the solved min-max games keyed by the tuple of row ids (`game`, which
-    solves them on the rows' integer values); the
+    the solved min-max games keyed by the tuple of row ids (`game`); the
     recursion and `mixture` both go through it. The recursion first tries
     the pure bounds (`_pure_verdict`, module docstring) on a game `games`
     does not hold, and solves it only when they leave it undecided; the
@@ -469,14 +465,10 @@ class DimensionEngine:
         return tuple(ids)
 
     def game(self, ids: tuple) -> GameSolution:
-        """The solved min-max game over the rows `ids`, memoized in `games`.
-
-        It is solved on the rows' integer values over the loss denominator
-        (`_pure`, `_den`), and equals `solve_min_max` of `rows[i]` for i in ids.
-        """
+        """The solved min-max game over the rows `ids`, memoized in `games`."""
         sol = self.games.get(ids)
         if sol is None:
-            sol = self.games[ids] = solve_scaled([self._pure[i] for i in ids], self._den)
+            sol = self.games[ids] = solve_min_max([self.rows[i] for i in ids])
         return sol
 
     def mixture(self, members: int, x: int) -> Mixture:

@@ -33,14 +33,15 @@ Fractions.
 The integer core has its own entry, `solve_scaled(entries, scale)` (not
 exported): the rows' entries, coefficient plus offset, as integers over a
 common multiple `scale` of their denominators. `solve_min_max` converts its
-`AffineRow`s over their least common denominator and calls it; engines hold
-their rows as integers over the problem's loss denominator and call it
-directly, with no Fractions to convert. Any common multiple gives the same
-solution: replacing `scale` by k * scale multiplies every entry, the shift
-and the right-hand side by k, that is each constraint row of the LP by k.
-That leaves the feasible set, every ratio Bland's rule compares and every
-reduced cost of the rational tableau unchanged, so the pivots are the same
-and so are the value, the mixture and the tight rows.
+`AffineRow`s over their least common denominator and calls it. Engines hold
+their rows' integer values over the problem's loss denominator as well, but
+still enter through `solve_min_max`, whose calls and rows the benchmark's
+tracer counts per layer. Any common multiple gives the same solution:
+replacing `scale` by k * scale multiplies every entry, the shift and the
+right-hand side by k, that is each constraint row of the LP by k. That leaves
+the feasible set, every ratio Bland's rule compares and every reduced cost of
+the rational tableau unchanged, so the pivots are the same and so are the
+value, the mixture and the tight rows.
 
 Nothing here is cached: every call solves its LP. Callers that meet the same
 game again memoize it themselves. Engines look their games up in a table

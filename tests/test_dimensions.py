@@ -572,10 +572,7 @@ def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
     # Engines at every margin on one (problem, class) pair share one game
     # table, which solves each distinct row-id tuple once, for the recursion,
     # certificates and Mrsoa's mixtures alike; the results equal those of the
-    # unpatched solver on separately built copies. The engine enters the
-    # simplex at its integer core with the rows' integer values over the loss
-    # denominator, and each stored game equals the one `solve_min_max` finds
-    # from the rows' Fractions.
+    # unpatched solver on separately built copies.
     def run(problem, cls):
         engines, out = [], []
         for gv in ORACLE_GAMMAS:
@@ -590,24 +587,16 @@ def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
 
     expected = [run(problem, cls)[1] for problem, cls in lp_cases()]
     solved = []
-    real = dimensions.solve_scaled
-
-    def spy(entries, scale):
-        solved.append((entries, scale))
-        return real(entries, scale)
-
-    monkeypatch.setattr(dimensions, "solve_scaled", spy)
+    real = dimensions.solve_min_max
+    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
     results = []
     for problem, cls in lp_cases():
         solved.clear()
         engines, out = run(problem, cls)
         results.append(out)
-        engine = engines[0]
-        games = engine.games
-        assert all(other.games is games for other in engines)
-        assert solved == [([engine._pure[i] for i in ids], engine._den) for ids in games]
-        for ids, sol in games.items():
-            assert sol == solve_min_max([engine.rows[i] for i in ids])
+        games = engines[0].games
+        assert all(engine.games is games for engine in engines)
+        assert solved == [[engines[0].rows[i] for i in ids] for ids in games]
     assert results == expected
 
 
