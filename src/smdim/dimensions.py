@@ -65,10 +65,13 @@ is under gamma (at most 0 when strict) the game fails. The adversary's
 uniform mixture over the rows gives a lower bound, min_z of their mean at z:
 when it reaches gamma (is above 0 when strict) the game passes. Both are
 tested on integer rows over the loss denominator, against one integer cut
-per engine, and `_branch` solves only the games they leave undecided. A
-decided game is not stored: `game()`, `mixture()` and `certificate()` still
-solve every game they read, so node values and Mrsoa's mixtures are the
-solved ones. The oracles below do not use the bounds.
+per engine. Every margin decision of the engine goes through one path,
+`_passes`: it reads the game table, then the bounds, and solves only the
+games they leave undecided. The recursion (`_branch`) and Mrsoa's level sweep
+(`mixture`) both call it. A decided game is not stored: `mixture()` solves
+only the game it plays, and `game()` and `certificate()` solve every game
+they read, so node values and Mrsoa's mixtures are the solved ones. The
+oracles below do not use the bounds.
 
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
@@ -282,11 +285,11 @@ class DimensionEngine:
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
     the solved min-max games keyed by the tuple of row ids (`game`); the
-    recursion and `mixture` both go through it. The recursion first tries
-    the pure bounds (`_pure_verdict`, module docstring) on a game `games`
-    does not hold, and solves it only when they leave it undecided; the
-    engine's own part of them is one integer cut and, per row, the lazily
-    filled mask of predictions where the row is under it. `rows`, `games`,
+    recursion and `mixture` both decide a game's margin by `_passes`, which
+    tries the pure bounds (`_pure_verdict`, module docstring) on a game
+    `games` does not hold, and solves it only when they leave it undecided;
+    the engine's own part of them is, per row, the mask of predictions where
+    the row is under the margin, built with the engine. `rows`, `games`,
     the rows' integer values and the threshold steps are shared by every
     engine built on the same `problem` and `cls` objects, at any margin
     (`_tables`), and live while one of those engines does or while the pair
@@ -312,9 +315,9 @@ class DimensionEngine:
         self.gamma = gv = GammaValue.of(gamma)
         # The margin as an integer cut on the scale of `_pure`: a row is below
         # it at z (under gamma, or at most 0 when strict) when its integer is
-        # under the cut. `_below[row_id]` is the mask of those z, filled on use.
-        self._cut = 1 if gv.strict else -(-gv.gamma.numerator * self._den // gv.gamma.denominator)
-        self._below = [None] * len(self.rows)
+        # under the cut. `_below[row_id]` is the mask of those z.
+        cut = 1 if gv.strict else -(-gv.gamma.numerator * self._den // gv.gamma.denominator)
+        self._below = [sum(1 << z for z, v in enumerate(row) if v < cut) for row in self._pure]
         if memo_cap is None:
             env = os.environ.get(MEMO_CAP_ENV)
             try:
@@ -331,14 +334,13 @@ class DimensionEngine:
     # -- public API ---------------------------------------------------------
 
     def smdim(self, space: VersionSpace) -> int:
-        self._check_space(space)
-        return self.dim_members(to_mask(space.members))
+        return self.dim_members(self._mask(space))
 
     def shatterable(self, space: VersionSpace, depth: int) -> bool:
-        self._check_space(space)
+        members = self._mask(space)
         if depth < 0:
             raise ValidationError(f"negative depth {depth}")
-        return self._shatter(to_mask(space.members), depth)
+        return self._shatter(members, depth)
 
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
         """Certificate for the full dimension of `space` (depth 0 gives no nodes).
@@ -349,8 +351,7 @@ class DimensionEngine:
         threshold pruning never visited are shatterable by monotonicity; their
         nodes are computed here, on first use.
         """
-        self._check_space(space)
-        root = to_mask(space.members)
+        root = self._mask(space)
         depth = self.dim_members(root)
         spaces = {}  # mask -> its VersionSpace
         cands = {}  # (label, threshold) -> its Candidate
@@ -394,12 +395,12 @@ class DimensionEngine:
 
     def candidates(self, space: VersionSpace, x: int):
         """Every (Candidate, child) pair at the realized distinct thresholds."""
-        self._check_space(space)
+        members = self._mask(space)
         if not 0 <= x < self.problem.num_instances:
             raise ValidationError(f"instance index {x} out of range")
         return tuple(
             (Candidate(y, eps), VersionSpace(to_members(child)))
-            for y, eps, child, _ in self.candidate_rows(to_mask(space.members), x)
+            for y, eps, child, _ in self.candidate_rows(members, x)
         )
 
     # -- low-level API (bitmask version spaces, shared with the learners) ----
@@ -475,14 +476,15 @@ class DimensionEngine:
         """Mrsoa's mixture on bitmask `members` at instance x.
 
         The depths sweep down from the dimension d of `members` to 1 (only 0
-        when d = 0), each solving the game over the rows whose children are
-        shatterable to that depth (`qualifying_rows`); the sweep stops at the
-        first game that passes the margin and plays the last one that did
-        not. Under it, any over-margin feedback restricts to a child of
-        dimension below the depth played. The top game (depth d) fails by the
-        definition of d, so a mixture always exists unless the memo and the
-        game table disagree, which raises RuntimeError. No depth's rows are
-        empty: each label's last candidate is `members` itself.
+        when d = 0), each deciding the game over the rows whose children are
+        shatterable to that depth (`qualifying_rows`) by the recursion's
+        verdict (`_passes`); the sweep stops at the first game that passes the
+        margin and plays the last one that did not, the only game it solves.
+        Under it, any over-margin feedback restricts to a child of dimension
+        below the depth played. The top game (depth d) fails by the definition
+        of d, so a mixture always exists unless the memo and the game table
+        disagree, which raises RuntimeError. No depth's rows are empty: each
+        label's last candidate is `members` itself.
 
         Memoized per (members, x): equal keys get the same Mixture object.
         """
@@ -492,15 +494,15 @@ class DimensionEngine:
             dim = self.dim_members(members)
             kept = None
             for depth in range(dim, 0, -1) if dim else (0,):
-                sol = self.game(self.qualifying_rows(members, x, depth))
-                if self.gamma.passes(sol.value):
+                ids = self.qualifying_rows(members, x, depth)
+                if self._passes(ids):
                     break
-                kept = sol
+                kept = ids
             if kept is None:
                 raise RuntimeError(
                     f"the depth-{dim} game passes at dimension {dim}: the memo and game table disagree"
                 )
-            mu = self._mixtures[key] = kept.mixture
+            mu = self._mixtures[key] = self.game(kept).mixture
         return mu
 
     def restrict(self, members: int, x: int, y: int, eps: Optional[Fraction] = None) -> int:
@@ -524,11 +526,13 @@ class DimensionEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _check_space(self, space: VersionSpace):
+    def _mask(self, space: VersionSpace) -> int:
+        """The bitmask of a caller's `VersionSpace`, after checking it fits the class."""
         if not isinstance(space, VersionSpace):
             raise ValidationError(f"expected a VersionSpace, got {space!r}")
         if space.members and space.members[-1] >= self.cls.num_hypotheses:
             raise ValidationError(f"hypothesis index {space.members[-1]} out of range")
+        return to_mask(space.members)
 
     # A method, not a closure stored on the engine: that would be a reference
     # cycle, so engines would outlive their last reference until a gc pass.
@@ -553,7 +557,8 @@ class DimensionEngine:
 
     def _passes(self, ids: tuple) -> bool:
         """Whether the game over rows `ids` reaches the margin: from `games`
-        when it holds the game, else by a pure bound, else by solving it."""
+        when it holds the game, else by a pure bound, else by solving it.
+        The recursion and `mixture` both decide their games here."""
         sol = self.games.get(ids)
         if sol is None:
             verdict = self._pure_verdict(ids)
@@ -571,15 +576,12 @@ class DimensionEngine:
         fails when that is under the margin. Against any learner mixture the
         adversary's uniform mixture over the rows gets at least the least,
         over z, of the rows' mean at z, so the value is at least that, and
-        the game passes when that mean reaches the margin at every z.
+        the game passes when that mean reaches the margin at every z. The
+        refutation ANDs the rows' masks in `_below`, built with the engine.
         """
         below, pure, common = self._below, self._pure, -1
         for i in ids:
-            mask = below[i]
-            if mask is None:
-                cut = self._cut
-                mask = below[i] = sum(1 << z for z, v in enumerate(pure[i]) if v < cut)
-            common &= mask
+            common &= below[i]
         if common:
             return False
         # The rows' sum at the worst z: their mean there is low / (m * den).

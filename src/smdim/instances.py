@@ -125,6 +125,8 @@ def vector_instance(points=((0, 0), (1, 0), (0, 1)), p: int = 1):
     ids = tuple(tuple(parse_rational(c) for c in pt) for pt in points)
     if len(set(ids)) != len(ids):
         raise ValidationError("vector points must be distinct")
+    if len({len(pt) for pt in ids}) > 1:
+        raise ValidationError("vector points must all have the same length")
     if p == 1:
         loss = [[sum(abs(a - b) for a, b in zip(y, z)) for z in ids] for y in ids]
     elif p == 2:
@@ -169,8 +171,11 @@ def make_builtin(spec: str):
         key, _, raw = part.partition("=")
         if not key or not raw:
             raise ValidationError(f"malformed builtin parameter {part!r} in {spec!r}")
+        key = key.strip()
+        if key in kwargs:
+            raise ValidationError(f"builtin parameter {key!r} repeated in {spec!r}")
         try:
-            kwargs[key.strip()] = int(raw)
+            kwargs[key] = int(raw)
         except ValueError as exc:
             raise ValidationError(f"builtin parameter {part!r} is not an integer") from exc
     try:

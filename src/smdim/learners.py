@@ -14,12 +14,15 @@ Both version-space learners keep their version spaces as the engine's `int`
 bitmasks, restrict them with `DimensionEngine.restrict` and play
 `DimensionEngine.mixture`, Mrsoa's mixture rule, which the engine memoizes per
 (mask, instance), so every learner on one engine shares each mixture; it
-sweeps the same qualifying rows, game table and margin test as the dimension
-recursion. `AgnosticLearner` groups its experts by bitmask: experts with equal
-masks play the same mixture, so each round costs one mixture, one expected
-loss and one summed weight per group, not per expert. A learner given an
-engine refuses one built on other problem or class objects than its own, or
-at another margin than a gamma it is also given.
+sweeps the dimension recursion's qualifying rows, decides each level's game
+by the recursion's own verdict (`DimensionEngine._passes`) and solves only
+the game it plays. `AgnosticLearner` groups its experts by bitmask: experts
+with equal masks play the same mixture, so each round costs one mixture, one
+expected loss and one summed weight per group, not per expert. Both take
+their engine from one rule, `_engine_for`: a new engine at gamma when none is
+given, else the given one, which is refused when built on other problem or
+class objects than the learner's, or at another margin than a gamma it is
+also given.
 
 All learners speak the same protocol: predict(x) -> Mixture, then
 update(x, y, eps) with eps optional; snapshot() returns the learner's state
@@ -61,12 +64,19 @@ from .game import solve_min_max  # noqa: F401
 POOL_BUDGET = 100_000
 
 
-def _check_engine(engine: DimensionEngine, problem: Problem, cls: HypothesisClass, gamma) -> None:
-    """Refuse an engine on another (problem, class) pair or margin than the
-    learner was given, and the strict margin, which has no safe mixtures.
+def _engine_for(problem: Problem, cls: HypothesisClass, gamma, engine) -> DimensionEngine:
+    """The engine a version-space learner plays on: `engine`, or a new one at
+    `gamma` when none is given.
 
-    The pair is compared by identity, the rule `dimensions._tables` keys by.
+    An engine on another (problem, class) pair or margin than the learner was
+    given is refused, and so is the strict margin, which has no safe
+    mixtures. The pair is compared by identity, the rule `dimensions._tables`
+    keys by, so the engine's problem and class are the learner's.
     """
+    if engine is None:
+        if gamma is None:
+            raise ValidationError("a version-space learner needs gamma or a prepared engine")
+        engine = DimensionEngine(problem, cls, gamma)
     if engine.problem is not problem or engine.cls is not cls:
         raise ValidationError("the engine was built on another problem or class than the learner's")
     if gamma is not None and GammaValue.of(gamma) != engine.gamma:
@@ -75,6 +85,7 @@ def _check_engine(engine: DimensionEngine, problem: Problem, cls: HypothesisClas
         )
     if engine.gamma.strict:
         raise ValidationError("version-space learners need gamma > 0, not the strict variant")
+    return engine
 
 
 def _check_index(kind: str, index: int, size: int) -> None:
@@ -105,14 +116,8 @@ class Mrsoa:
         gamma: Union[GammaValue, RationalLike, None] = None,
         engine: Optional[DimensionEngine] = None,
     ):
-        if engine is None:
-            if gamma is None:
-                raise ValidationError("Mrsoa needs gamma or a prepared engine")
-            engine = DimensionEngine(problem, cls, gamma)
-        _check_engine(engine, problem, cls, gamma)
-        self.engine = engine
-        self.problem = engine.problem
-        self.cls = engine.cls
+        self.engine = _engine_for(problem, cls, gamma, engine)
+        self.problem, self.cls = problem, cls
         self._space = to_mask(range(self.cls.num_hypotheses))
 
     @property
@@ -170,7 +175,9 @@ class ExpertId:
 
 
 def loss_grid(alpha: Fraction, c: Fraction) -> tuple:
-    """The quantized threshold grid {0, alpha, ..., ceil(c/alpha)*alpha}."""
+    """The quantized threshold grid {0, alpha, ..., ceil(c/alpha)*alpha}, for alpha > 0."""
+    if alpha <= 0:
+        raise ValidationError(f"loss_grid needs alpha > 0, got {alpha}")
     steps = math.ceil(c / alpha)
     return tuple(i * alpha for i in range(steps + 1))
 
@@ -285,19 +292,15 @@ class AgnosticLearner:
         self,
         problem: Problem,
         cls: HypothesisClass,
-        gamma: Union[GammaValue, RationalLike],
+        gamma: Union[GammaValue, RationalLike, None],
         horizon: int,
         alpha: Union[RationalLike, None] = None,
         engine: Optional[DimensionEngine] = None,
     ):
         if horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {horizon}")
-        if engine is None:
-            engine = DimensionEngine(problem, cls, gamma)
-        _check_engine(engine, problem, cls, gamma)
-        self.engine = engine
-        self.problem = engine.problem
-        self.cls = engine.cls
+        self.engine = engine = _engine_for(problem, cls, gamma, engine)
+        self.problem, self.cls = problem, cls
         self.horizon = horizon
         c = self.problem.bound_c
         if alpha is None:

@@ -126,6 +126,13 @@ class TestDimErrors:
         )
         assert code == 2 and "unknown builtin" in err
 
+    def test_repeated_builtin_parameter(self, capsys):
+        code, out, err = run_cli(
+            capsys, "dim", "--builtin", "multiclass:m=3,m=4", "--dimension", "smdim",
+            "--gamma", "1/4",
+        )
+        assert code == 2 and out == "" and "'m' repeated" in err
+
     def test_unparseable_gamma(self, capsys):
         code, _, err = run_cli(
             capsys, "dim", "--builtin", "multiclass", "--dimension", "smdim",

@@ -706,7 +706,9 @@ def test_pure_bounds_agree_with_the_simplex(monkeypatch):
 
 
 def test_the_recursion_solves_no_game_a_pure_bound_decides():
-    solved = 0
+    # Then Mrsoa's sweep, over every (space, x): of the games a pure bound
+    # decides, it solves only those whose mixtures it plays.
+    solved = played = 0
     for gv in ORACLE_GAMMAS:
         # Fresh objects at each margin, so the game table holds only this
         # engine's games.
@@ -716,7 +718,18 @@ def test_the_recursion_solves_no_game_a_pure_bound_decides():
             for ids in engine.games:
                 assert pure_bound([engine.rows[i] for i in ids], gv) is None
             solved += len(engine.games)
-    assert solved >= 100
+            full = to_mask(range(cls.num_hypotheses))
+            spaces = range(1, full + 1) if cls.num_hypotheses <= 8 else (full,)
+            mixtures = {
+                id(engine.mixture(members, x))
+                for members in spaces
+                for x in range(problem.num_instances)
+            }
+            for ids, sol in engine.games.items():
+                if engine._pure_verdict(ids) is not None:
+                    assert id(sol.mixture) in mixtures
+                    played += 1
+    assert solved >= 100 and played >= 100
 
 
 def test_a_pure_payoff_exactly_at_the_margin_does_not_refute():

@@ -67,6 +67,12 @@ class TestBuiltins:
         with pytest.raises(ValidationError):
             make_builtin("hilbert:k=2")
 
+    def test_repeated_builtin_parameter_raises(self):
+        with pytest.raises(ValidationError, match="'m' repeated"):
+            make_builtin("multiclass:m=3,m=4")
+        with pytest.raises(ValidationError, match="'k' repeated"):
+            make_builtin("list:n=4,k=2, k=3")
+
     def test_multilabel_max_pairwise_loss(self):
         problem, cls = make_builtin("multilabel:pair-constants")
         # constants (0,0) and (1,1) disagree in both coordinates
@@ -118,6 +124,10 @@ class TestBuiltins:
     def test_vector_rejects_irrational_norms(self):
         with pytest.raises(ValidationError, match="p=1"):
             vector_instance(((0, 0), (1, 1)), p=3)
+
+    def test_vector_rejects_ragged_points(self):
+        with pytest.raises(ValidationError, match="same length"):
+            vector_instance(((0, 0), (1,)))
 
     def test_multiclass_needs_two_labels(self):
         with pytest.raises(ValidationError):

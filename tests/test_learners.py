@@ -316,6 +316,11 @@ class TestPreparedEngine:
         for gamma in (None, F(1, 8), "1/8", GammaValue(F(1, 8))):
             assert make(problem, cls, gamma, engine).engine is engine
 
+    def test_neither_gamma_nor_engine_is_refused(self, make):
+        problem, cls = make_builtin("multiclass")
+        with pytest.raises(ValidationError, match="needs gamma or a prepared engine"):
+            make(problem, cls, None, None)
+
     def test_engine_on_another_problem_is_refused(self, make):
         problem, cls = make_builtin("multiclass")
         other_problem, other_cls = make_builtin("hilbert:orthonormal")
@@ -343,6 +348,11 @@ class TestExpertPool:
         grid = loss_grid(F(1, 2), F(1))
         assert grid == (F(0), F(1, 2), F(1))
         assert pool_size(4, 1, len(grid)) == 13
+
+    def test_grid_needs_positive_alpha(self):
+        for alpha in (F(0), F(-1)):
+            with pytest.raises(ValidationError, match="alpha > 0"):
+                loss_grid(alpha, F(1))
 
     def test_pool_matches_formula(self):
         pool = build_expert_pool(4, 1, F(1, 2), F(1))
