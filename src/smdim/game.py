@@ -26,9 +26,9 @@ becomes p. That quotient is always exact: by Sylvester's determinant identity
 it is a minor of the initial integer tableau, so it is an integer. Entering
 and leaving variables are chosen by the same Bland's rule, with ratios
 compared by integer cross-multiplication, so the pivot sequence is the one
-rational arithmetic takes. The game value, mixture and tight rows are
-recovered from the final integers and checked exactly; only they become
-Fractions.
+rational arithmetic takes. The game value and tight rows are recovered from
+the final integers and checked exactly; only they, and the mixture when it is
+read, become Fractions.
 
 The integer core has its own entry, `solve_scaled(entries, scale)` (not
 exported): the rows' entries, coefficient plus offset, as integers over a
@@ -43,11 +43,16 @@ the feasible set, every ratio Bland's rule compares and every reduced cost of
 the rational tableau unchanged, so the pivots are the same and so are the
 value, the mixture and the tight rows.
 
-Nothing here is cached: every call solves its LP. Callers that meet the same
-game again memoize it themselves. Engines look their games up in a table
-keyed by LP row ids (`DimensionEngine.game`), shared by the engines built on
-one (problem, class) pair, and their recursion solves only the games that
-exact pure bounds leave undecided; `msdim_direct` keeps one table per call.
+There is no LP cache here: every call solves its LP, recovers the value and
+the tight rows and checks that the simplex optimum equals the recovered game
+value. Only the mixture waits: the engine's recursion, certificates and
+`msdim_direct` read a game's value alone, so a solution keeps the simplex's
+integer numerators and builds its validated `Mixture` on the first read of
+`mixture` (`GameSolution`). Callers that meet the same game again memoize it
+themselves. Engines look their games up in a table keyed by LP row ids
+(`DimensionEngine.game`), shared by the engines built on one (problem, class)
+pair, and their recursion solves only the games that exact pure bounds leave
+undecided; `msdim_direct` keeps one table per call.
 """
 
 from __future__ import annotations
@@ -82,11 +87,35 @@ class AffineRow:
 
 @dataclass(frozen=True)
 class GameSolution:
-    """Minimax value, an optimal mixture, and the indices of rows tight at it."""
+    """Minimax value, an optimal mixture, and the indices of rows tight at it.
+
+    A solution from `solve_scaled` is made without its `mixture` field and
+    holds the simplex's integer numerators u instead. The first read of
+    `mixture` builds `Mixture(u / sum(u))`, validated like any other, and
+    stores it, so every later read returns that same object. Equality, hash
+    and repr read the field, so they compare and show the built mixture.
+    """
 
     value: Fraction
     mixture: Mixture
     tight_rows: tuple
+
+    @classmethod
+    def _deferred(cls, value: Fraction, numerators: list, tight_rows: tuple) -> "GameSolution":
+        sol = object.__new__(cls)
+        sol.__dict__.update(value=value, tight_rows=tight_rows, _numerators=numerators)
+        return sol
+
+    def __getattr__(self, name):
+        # Python calls this only for a name missing from the instance dict:
+        # among the fields, only a deferred solution's unread mixture.
+        u = self.__dict__.get("_numerators")
+        if name != "mixture" or u is None:
+            raise AttributeError(f"'GameSolution' object has no attribute {name!r}")
+        total = sum(u)
+        mu = Mixture(tuple(Fraction(x, total) for x in u))
+        object.__setattr__(self, "mixture", mu)
+        return mu
 
 
 def solve_min_max(rows: Sequence[AffineRow]) -> GameSolution:
@@ -123,9 +152,9 @@ def solve_scaled(entries, scale: int) -> GameSolution:
     # is positive and the reciprocal LP applies; the shift is undone at the end.
     low = min(min(row) for row in entries)
     u, det = _simplex_max_sum([[v - low + scale for v in row] for row in entries], scale)
+    # total > 0: any single coordinate can be raised above zero while staying
+    # feasible. The mixture u/total is built only when read (GameSolution).
     total = sum(u)
-    # total > 0: any single coordinate can be raised above zero while staying feasible.
-    mixture = Mixture(tuple(Fraction(x, total) for x in u))
     # Row i's value at the mixture, times scale * total (the weights sum to 1).
     values = [sum(v * x for v, x in zip(row, u)) for row in entries]
     top = max(values)
@@ -134,7 +163,7 @@ def solve_scaled(entries, scale: int) -> GameSolution:
     if top != det * scale - (scale - low) * total:
         raise AssertionError("simplex optimum disagrees with recovered game value")
     tight = tuple(i for i, v in enumerate(values) if v == top)
-    return GameSolution(value=Fraction(top, scale * total), mixture=mixture, tight_rows=tight)
+    return GameSolution._deferred(Fraction(top, scale * total), u, tight)
 
 
 def best_response(mixture: Mixture, rows: Sequence[AffineRow]):

@@ -164,6 +164,7 @@ def make_builtin(spec: str):
             return _PRESETS[_DEFAULT_PRESET[spec]]()
         raise ValidationError(f"unknown builtin {spec!r}; known: {', '.join(_PRESETS)}")
     family, _, params = spec.partition(":")
+    family = family.strip()
     if "=" not in params:
         raise ValidationError(f"unknown builtin {spec!r}; known: {', '.join(_PRESETS)}")
     kwargs = {}

@@ -175,9 +175,11 @@ class ExpertId:
 
 
 def loss_grid(alpha: Fraction, c: Fraction) -> tuple:
-    """The quantized threshold grid {0, alpha, ..., ceil(c/alpha)*alpha}, for alpha > 0."""
+    """The quantized threshold grid {0, alpha, ..., ceil(c/alpha)*alpha}, for alpha > 0 and c >= 0."""
     if alpha <= 0:
         raise ValidationError(f"loss_grid needs alpha > 0, got {alpha}")
+    if c < 0:
+        raise ValidationError(f"loss_grid needs a loss bound c >= 0, got {c}")
     steps = math.ceil(c / alpha)
     return tuple(i * alpha for i in range(steps + 1))
 

@@ -652,6 +652,39 @@ def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
     assert results == expected
 
 
+def test_value_readers_build_no_mixture(monkeypatch):
+    # The recursion, certificates and msdim_direct read only game values, so
+    # they build no Mixture; Mrsoa's mixture, read afterwards, is the one the
+    # solver gives for the rows of the game it plays.
+    built = []
+    real_check = Mixture.__post_init__
+    monkeypatch.setattr(Mixture, "__post_init__", lambda mu: built.append(mu) or real_check(mu))
+    solved = []
+    real_solve = dimensions.solve_min_max
+    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real_solve(rows))
+    engines = []
+    for gv in ORACLE_GAMMAS:
+        # Fresh objects at each margin, so every game is solved here.
+        for problem, cls in [make_builtin(name) for name in builtin_names()] + dim_cold_grids():
+            engine = DimensionEngine(problem, cls, gv)
+            full = VersionSpace.full(cls.num_hypotheses)
+            engine.smdim(full)
+            engine.certificate(full)
+            engines.append(engine)
+    rng = random.Random(29)
+    for problem, cls in [gen_setvalued(rng) for _ in range(6)] + [make_builtin("setvalued:pair")]:
+        for g in (GammaValue.strict_zero(), F(1, 4), F(1, 2)):
+            msdim_direct(problem, cls, VersionSpace.full(cls.num_hypotheses), g)
+    assert len(solved) >= 1000 and built == []
+    for engine in engines:
+        full = to_mask(range(engine.cls.num_hypotheses))
+        for x in range(engine.problem.num_instances):
+            mu = engine.mixture(full, x)
+            (ids,) = [ids for ids, sol in engine.games.items() if sol.mixture is mu]
+            assert mu == real_solve([engine.rows[i] for i in ids]).mixture
+    assert built
+
+
 def bound_cases():
     """The built-ins, the dim-cold-shaped grids and instances of every `verify`
     generator, as freshly built objects."""

@@ -7,6 +7,8 @@ elimination, and take the best feasible point. The optimum of a convex
 piecewise-linear function on a simplex is always among these points.
 """
 
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdim.core import Mixture, ValidationError
-from smdim.game import AffineRow, best_response, solve_min_max, solve_scaled
+from smdim.game import AffineRow, GameSolution, best_response, solve_min_max, solve_scaled
 
 F = Fraction
 
@@ -97,6 +99,43 @@ def test_single_row_picks_smallest_coefficient():
     sol = solve_min_max((row((3, 1, 2), 5),))
     assert sol.value == F(6)
     assert sol.mixture.weights[1] == 1
+
+
+def test_a_solution_builds_its_mixture_once_when_read(monkeypatch):
+    built = []
+    real_check = Mixture.__post_init__
+    monkeypatch.setattr(Mixture, "__post_init__", lambda mu: built.append(mu) or real_check(mu))
+    sol = solve_min_max((row((0, 1), F(-1, 4)), row((1, 0))))
+    copied = pickle.loads(pickle.dumps(sol))
+    assert sol.value == F(3, 8) and sol.tight_rows == (0, 1) and built == []
+    assert sol.mixture is sol.mixture
+    assert built == [sol.mixture]
+    expected = GameSolution(F(3, 8), Mixture((F(3, 8), F(5, 8))), (0, 1))
+    assert sol == expected == copied and hash(sol) == hash(expected)
+    assert repr(sol) == repr(expected)
+
+
+def test_a_solution_is_immutable():
+    sol = solve_min_max((row((0, 1)), row((1, 0))))
+    given_mixture = GameSolution(F(1, 2), Mixture.uniform(2), (0, 1))
+    for target in (sol, given_mixture):
+        for name in ("value", "mixture", "tight_rows"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(target, name)
+    assert sol == given_mixture
+    with pytest.raises(AttributeError, match="no attribute 'weights'"):
+        sol.weights
+
+
+def test_a_mixture_that_is_read_is_validated(monkeypatch):
+    # A broken simplex that returns a negative numerator is caught when the
+    # mixture is built from it.
+    monkeypatch.setattr("smdim.game._simplex_max_sum", lambda matrix, rhs: ([2, -1], 1))
+    sol = solve_scaled([[1, 1], [1, 1]], 1)
+    with pytest.raises(ValidationError, match="negative mixture weight"):
+        sol.mixture
 
 
 def test_dominated_row_changes_nothing():

@@ -59,6 +59,14 @@ class TestBuiltins:
         assert problem.num_labels == 3
         assert cls.num_hypotheses == 3
 
+    def test_family_and_keys_are_stripped_alike(self):
+        for spec, plain in (
+            (" multiclass : m=3", "multiclass:m=3"),
+            ("multiclass :m=3", "multiclass:m=3"),
+            (" list : n=4 , k=2", "list:n=4,k=2"),
+        ):
+            assert make_builtin(spec) == make_builtin(plain)
+
     def test_unknown_names_raise(self):
         with pytest.raises(ValidationError, match="known:"):
             make_builtin("nope")

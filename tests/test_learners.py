@@ -354,6 +354,11 @@ class TestExpertPool:
             with pytest.raises(ValidationError, match="alpha > 0"):
                 loss_grid(alpha, F(1))
 
+    def test_grid_needs_a_nonnegative_loss_bound(self):
+        with pytest.raises(ValidationError, match="c >= 0, got -1"):
+            loss_grid(F(1, 2), F(-1))
+        assert loss_grid(F(1, 2), F(0)) == (F(0),)
+
     def test_pool_matches_formula(self):
         pool = build_expert_pool(4, 1, F(1, 2), F(1))
         assert len(pool) == 13
