@@ -59,18 +59,30 @@ equal pairs parsed separately share nothing. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
 
 The recursion only needs whether a node's game reaches the margin, and most
-games are decided without an LP by two exact bounds on their value (LP
-duality). A pure prediction z gives an upper bound, max_i row_i(z): when it
-is under gamma (at most 0 when strict) the game fails. The adversary's
-uniform mixture over the rows gives a lower bound, min_z of their mean at z:
-when it reaches gamma (is above 0 when strict) the game passes. Both are
-tested on integer rows over the loss denominator, against one integer cut
-per engine. Every margin decision of the engine goes through one path,
-`_passes`: it reads the game table, then the bounds, and solves only the
-games they leave undecided. The recursion (`_branch`) and Mrsoa's level sweep
-(`mixture`) both call it. A decided game is not stored: `mixture()` solves
-only the game it plays, and `game()` and `certificate()` solve every game
-they read, so node values and Mrsoa's mixtures are the solved ones. The
+games are decided without an LP by exact bounds on their value (LP duality,
+as in Shapley and Snow's small kernels). Any learner mixture gives an upper
+bound, the best row's payoff against it, and any adversary mixture a lower
+bound, its least payoff over the pure predictions. The engine tries four
+mixtures, in this order:
+
+- a pure prediction z refutes the game when every row at z misses gamma
+  (is at most 0 when strict);
+- the uniform mixture over all the game's rows certifies it when their mean
+  reaches gamma (is above 0 when strict) at every z;
+- a uniform pair of predictions refutes it when every row's mean over the
+  pair misses gamma;
+- a uniform pair of the game's rows certifies it when their mean reaches
+  gamma at every z.
+
+All four are tested on integer rows over the loss denominator by one rule
+(`_cut`). They decided every game the recursion met on the dim-cold
+benchmark's seeds 1 and 3 and on the test grids of that shape. Every margin
+decision of the engine goes through one path, `_passes`: it reads the
+engine's verdict memo, then the bounds, and solves only the games they leave
+undecided, so each distinct game is decided once per engine. The recursion (`_branch`) and Mrsoa's level
+sweep (`mixture`) both call it. A decided game is not solved: `mixture()`
+solves only the game it plays, and `game()` and `certificate()` solve every
+game they read, so node values and Mrsoa's mixtures are the solved ones. The
 oracles below do not use the bounds.
 
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
@@ -108,6 +120,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
+from operator import add
 from typing import Optional, Union
 
 from .core import (
@@ -286,17 +300,20 @@ class DimensionEngine:
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
     the solved min-max games keyed by the tuple of row ids (`game`); the
     recursion and `mixture` both decide a game's margin by `_passes`, which
-    tries the pure bounds (`_pure_verdict`, module docstring) on a game
-    `games` does not hold, and solves it only when they leave it undecided;
-    the engine's own part of them is, per row, the mask of predictions where
-    the row is under the margin, built with the engine. `rows`, `games`,
-    the rows' integer values and the threshold steps are shared by every
-    engine built on the same `problem` and `cls` objects, at any margin
+    reads a private verdict memo keyed by the row ids, then tries the exact
+    bounds (`_pure_verdict`, module docstring), and solves the game only when
+    they leave it undecided. The engine's own part of the bounds is, per row,
+    the mask of predictions where the row is under the margin, built with the
+    engine; the pair bounds are computed per game, on first use. `rows`,
+    `games`, the rows' integer values and the threshold steps are shared by
+    every engine built on the same `problem` and `cls` objects, at any margin
     (`_tables`), and live while one of those engines does or while the pair
     is the last one an engine was built on.
     `mixture()` gives Mrsoa's mixture, which every learner on the engine
-    plays, from a private memo keyed by (mask, instance); like the memo, it
-    depends on gamma and lives as long as the engine.
+    plays, from a private memo keyed by (mask, instance). Like the memo, the
+    verdict memo and the mixture memo depend on gamma and live as long as
+    the engine; the verdict memo holds at most `num_instances` games per memo
+    entry, plus one per depth of each `mixture()` sweep (`_passes`).
 
     `problem` and `cls` are the objects the caller passed, so the engine, the
     learners built on it and `run_game` all read one loss bound `bound_c`.
@@ -312,11 +329,10 @@ class DimensionEngine:
         self.problem, self.cls = problem, cls
         tables = _tables(problem, cls)
         self._den, self._steps, self._scaled, self.rows, self._pure, self.games = tables
-        self.gamma = gv = GammaValue.of(gamma)
-        # The margin as an integer cut on the scale of `_pure`: a row is below
-        # it at z (under gamma, or at most 0 when strict) when its integer is
-        # under the cut. `_below[row_id]` is the mask of those z.
-        cut = 1 if gv.strict else -(-gv.gamma.numerator * self._den // gv.gamma.denominator)
+        self.gamma = GammaValue.of(gamma)
+        # `_below[row_id]` is the mask of the predictions z where the row
+        # alone misses the margin (`_cut` with k = 1).
+        cut = self._cut(1)
         self._below = [sum(1 << z for z, v in enumerate(row) if v < cut) for row in self._pure]
         if memo_cap is None:
             env = os.environ.get(MEMO_CAP_ENV)
@@ -328,6 +344,7 @@ class DimensionEngine:
             raise ValidationError(f"memo cap must be positive, got {memo_cap}")
         self.memo_cap = memo_cap
         self._memo = {}
+        self._verdicts = {}
         self._spaces = set()
         self._mixtures = {}
 
@@ -482,9 +499,9 @@ class DimensionEngine:
         margin and plays the last one that did not, the only game it solves.
         Under it, any over-margin feedback restricts to a child of dimension
         below the depth played. The top game (depth d) fails by the definition
-        of d, so a mixture always exists unless the memo and the game table
-        disagree, which raises RuntimeError. No depth's rows are empty: each
-        label's last candidate is `members` itself.
+        of d, so a mixture always exists unless the memo and the game
+        verdicts (`_passes`) disagree, which raises RuntimeError. No depth's
+        rows are empty: each label's last candidate is `members` itself.
 
         Memoized per (members, x): equal keys get the same Mixture object.
         """
@@ -500,7 +517,8 @@ class DimensionEngine:
                 kept = ids
             if kept is None:
                 raise RuntimeError(
-                    f"the depth-{dim} game passes at dimension {dim}: the memo and game table disagree"
+                    f"the depth-{dim} game passes at dimension {dim}: "
+                    "the memo and the game verdicts disagree"
                 )
             mu = self._mixtures[key] = self.game(kept).mixture
         return mu
@@ -541,7 +559,7 @@ class DimensionEngine:
 
     def _branch(self, members: int, depth: int):
         """(instance, LP row ids) at the first instance whose qualifying game
-        passes, else None. Games a pure bound decides are not solved."""
+        passes, else None. Games an exact bound decides are not solved."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -556,42 +574,69 @@ class DimensionEngine:
         return None
 
     def _passes(self, ids: tuple) -> bool:
-        """Whether the game over rows `ids` reaches the margin: from `games`
-        when it holds the game, else by a pure bound, else by solving it.
-        The recursion and `mixture` both decide their games here."""
-        sol = self.games.get(ids)
-        if sol is None:
+        """Whether the game over rows `ids` reaches the margin: from the
+        verdict memo when it holds the game, else by an exact bound, else by
+        solving it. The recursion and `mixture` both decide their games here,
+        so each distinct game is bounded once per engine.
+
+        The memo maps row ids to the verdict and, like `_memo`, depends on
+        the margin and lives with the engine. `_branch` runs once per memo
+        entry and decides at most `num_instances` games, so the verdict memo
+        holds at most that many entries per memo entry, plus the games of
+        Mrsoa's level sweeps, one per depth of each `mixture()` key.
+        """
+        verdict = self._verdicts.get(ids)
+        if verdict is None:
             verdict = self._pure_verdict(ids)
-            if verdict is not None:
-                return verdict
-            sol = self.game(ids)
-        return self.gamma.passes(sol.value)
+            if verdict is None:
+                verdict = self.gamma.passes(self.game(ids).value)
+            self._verdicts[ids] = verdict
+        return verdict
+
+    def _cut(self, k: int) -> int:
+        """The one margin rule of the bounds: the mean of k entries of `_pure`,
+        integers over `_den`, reaches the margin (gamma, or above 0 when
+        strict) exactly when their sum is at least this integer, which is
+        ceil(k * gamma * den), or 1 when strict."""
+        gv = self.gamma
+        if gv.strict:
+            return 1
+        return -(-k * gv.gamma.numerator * self._den // gv.gamma.denominator)
 
     def _pure_verdict(self, ids: tuple) -> Optional[bool]:
-        """False when a pure prediction refutes the game over rows `ids`,
-        True when the uniform adversary mixture certifies it, else None.
+        """False when a learner mixture over one or two predictions refutes
+        the game over rows `ids`, True when an adversary mixture over two of
+        its rows or all of them certifies it, else None.
 
-        Both are exact bounds on the game's value. Against a pure prediction
-        z the adversary gets max_i row_i(z), at least the value, so the game
-        fails when that is under the margin. Against any learner mixture the
-        adversary's uniform mixture over the rows gets at least the least,
-        over z, of the rows' mean at z, so the value is at least that, and
-        the game passes when that mean reaches the margin at every z. The
-        refutation ANDs the rows' masks in `_below`, built with the engine.
+        Each is an exact bound on the game's value (LP duality). Against a
+        learner mixture the adversary's best row is an upper bound on the
+        value, so the game fails when every row's mean at a pure prediction z,
+        or at a uniform pair of predictions, misses the margin. Against every
+        learner mixture an adversary mixture gets at least its least payoff
+        over the pure z, a lower bound on the value, so the game passes when
+        the mean of all its rows, or of a uniform pair of them, reaches the
+        margin at every z. The bounds are tried in that order, the pure z by
+        ANDing the rows' masks in `_below`; all four compare sums of k
+        integer entries with `_cut(k)`, and the other three are computed for
+        this game alone.
         """
-        below, pure, common = self._below, self._pure, -1
+        below, common = self._below, -1
         for i in ids:
             common &= below[i]
         if common:
             return False
-        # The rows' sum at the worst z: their mean there is low / (m * den).
-        low = min(map(sum, zip(*[pure[i] for i in ids])))
-        gv = self.gamma
-        if gv.strict:
-            certified = low > 0
-        else:
-            certified = low * gv.gamma.denominator >= len(ids) * gv.gamma.numerator * self._den
-        return True if certified else None
+        rows = [self._pure[i] for i in ids]
+        at = list(zip(*rows))  # at[z]: every row's integer at prediction z
+        if min(map(sum, at)) >= self._cut(len(ids)):
+            return True
+        cut = self._cut(2)
+        for a, b in combinations(at, 2):
+            if max(map(add, a, b)) < cut:
+                return False
+        for r, s in combinations(rows, 2):
+            if min(map(add, r, s)) >= cut:
+                return True
+        return None
 
 
 # The last (problem, class) pair's tables, as (problem, cls, tables): strong

@@ -51,8 +51,12 @@ integer numerators and builds its validated `Mixture` on the first read of
 `mixture` (`GameSolution`). Callers that meet the same game again memoize it
 themselves. Engines look their games up in a table keyed by LP row ids
 (`DimensionEngine.game`), shared by the engines built on one (problem, class)
-pair, and their recursion solves only the games that exact pure bounds leave
-undecided; `msdim_direct` keeps one table per call.
+pair. Their recursion solves only the games that exact bounds leave
+undecided: mixtures of support one or two for the learner, and of support
+two or all rows for the adversary. On the dim-cold benchmark's seeds 1 and 3
+that left none, so an engine there solves a game only to write a
+certificate's node value or to play Mrsoa's mixture. `msdim_direct` keeps
+one table per call.
 """
 
 from __future__ import annotations

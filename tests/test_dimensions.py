@@ -12,10 +12,10 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smdim import dimensions
 from smdim.core import (
@@ -616,7 +616,8 @@ def test_equal_documents_parsed_separately_do_not_share_tables():
     full = VersionSpace.full(2)
     pair = parse_instance_document(doc)
     first = DimensionEngine(*pair, F(1, 2))
-    first.smdim(full)
+    # The recursion decides this pair's games by bounds; a certificate solves them.
+    first.certificate(full)
     assert first.games
     again = parse_instance_document(doc)
     second = DimensionEngine(*again, F(1, 2))
@@ -665,7 +666,7 @@ def test_value_readers_build_no_mixture(monkeypatch):
     engines = []
     for gv in ORACLE_GAMMAS:
         # Fresh objects at each margin, so every game is solved here.
-        for problem, cls in [make_builtin(name) for name in builtin_names()] + dim_cold_grids():
+        for problem, cls in bound_cases():
             engine = DimensionEngine(problem, cls, gv)
             full = VersionSpace.full(cls.num_hypotheses)
             engine.smdim(full)
@@ -685,27 +686,43 @@ def test_value_readers_build_no_mixture(monkeypatch):
     assert built
 
 
+def dense_losses(rng):
+    """A random dense loss on 4 to 6 labels, each also a prediction, with
+    entries in quarters, on two instances and 5 to 8 hypotheses. Unlike the
+    other families its games often need a learner or adversary mixture of
+    support three or more, which the engine's bounds leave undecided."""
+    n = rng.randint(4, 6)
+    loss = [[F(rng.randint(0, 4), 4) for _ in range(n)] for _ in range(n)]
+    problem = make_problem(tuple(range(2)), tuple(range(n)), tuple(range(n)), loss)
+    rows = list(product(range(n), repeat=2))
+    cls = HypothesisClass(tuple(sorted(rng.sample(rows, rng.randint(5, 8)))))
+    return validate_problem(problem, cls)
+
+
 def bound_cases():
-    """The built-ins, the dim-cold-shaped grids and instances of every `verify`
-    generator, as freshly built objects."""
+    """The built-ins, the dim-cold-shaped grids, instances of every `verify`
+    generator and dense random losses, as freshly built objects."""
     rng = random.Random(67)
     cases = [make_builtin(name) for name in builtin_names()] + dim_cold_grids()
     for gen in (gen_multiclass, lambda r: gen_list(r, 2), gen_setvalued, gen_regression):
         cases += [gen(rng) for _ in range(8)]
-    return cases
+    return cases + [dense_losses(rng) for _ in range(16)]
 
 
 def pure_bound(rows, gv):
-    """The pure bounds on the game over `rows`, from the rows' Fractions:
-    False when some pure prediction's payoff max_i row_i(z) misses the
-    margin, True when the uniform adversary mixture's payoff reaches it at
-    every z, else None."""
+    """The exact bounds on the game over `rows`, from the rows' Fractions:
+    False when the best row's payoff misses the margin against a pure
+    prediction or a uniform pair of predictions, True when the payoff of the
+    uniform mixture over all the rows, or over two of them, reaches it at
+    every pure prediction, else None."""
     width = len(rows[0].coefficients)
     at = [[r.coefficients[z] + r.offset for r in rows] for z in range(width)]
-    if any(not gv.passes(max(payoffs)) for payoffs in at):
+    pairs = [[(p + q) / 2 for p, q in zip(a, b)] for a, b in combinations(at, 2)]
+    if any(not gv.passes(max(payoffs)) for payoffs in at + pairs):
         return False
-    if all(gv.passes(sum(payoffs) / len(rows)) for payoffs in at):
-        return True
+    for support in [range(len(rows))] + list(combinations(range(len(rows)), 2)):
+        if all(gv.passes(sum(payoffs[i] for i in support) / len(support)) for payoffs in at):
+            return True
     return None
 
 
@@ -780,6 +797,8 @@ def test_a_strict_game_with_an_all_zero_row_is_not_certified():
     # Label "a" costs 1 everywhere, so its row at threshold 1 is all zero;
     # the uniform adversary mixture pays 0 at z0 and z1 and no pure
     # prediction refutes the game, whose value is 0, so the strict game fails.
+    # The uniform pair of predictions (z0, z1) pays 0 on every row, which
+    # refutes it.
     problem = make_problem(
         ("x",), ("a", "b", "c"), ("z0", "z1", "z2", "z3"),
         [[1, 1, 1, 1], [2, 0, 1, 2], [0, 2, 2, 1]],
@@ -790,8 +809,128 @@ def test_a_strict_game_with_an_all_zero_row_is_not_certified():
     rows = [engine.rows[i] for i in ids]
     assert [c + rows[0].offset for c in rows[0].coefficients] == [0] * 4
     assert solve_min_max(rows).value == 0
-    assert engine._pure_verdict(ids) is None
+    assert engine._pure_verdict(ids) is False
     assert engine.smdim(VersionSpace.full(2)) == 0
+
+
+def test_pair_means_exactly_at_the_margin_certify_and_do_not_refute():
+    # Rows a = (0, 1, 1), b = (1, 0, 1) and c = (0, 0, 2); the game's value is
+    # 1/2. No pure prediction refutes it and the uniform mixture over all
+    # three rows pays 1/3 at z0. The uniform pair (z0, z1) pays at most 1/2
+    # on every row, exactly the margin, so it does not refute; the uniform
+    # pair of rows (a, b) pays at least 1/2 at every z, so it certifies.
+    problem = make_problem(
+        ("x",), ("a", "b", "c"), ("z0", "z1", "z2"), [[0, 1, 1], [1, 0, 1], [0, 0, 2]]
+    )
+    cls = HypothesisClass(((0,), (1,)))
+    engine = DimensionEngine(problem, cls, F(1, 2))
+    ids = engine.qualifying_rows(0b11, 0, 0)
+    rows = [engine.rows[i] for i in ids]
+    assert [[c + r.offset for c in r.coefficients] for r in rows] == [[0, 1, 1], [1, 0, 1], [0, 0, 2]]
+    assert solve_min_max(rows).value == F(1, 2)
+    assert engine._pure_verdict(ids) is True
+    assert engine.smdim(VersionSpace.full(2)) == 1
+
+
+def test_a_strict_row_pair_paying_exactly_zero_does_not_certify():
+    # Rows r = (1, -1, 0, 0), s = (-1, 1, 0, 0), c = (1, 1, 0, -2) and
+    # d = (-2, 0, 1, 1): every pure prediction and every uniform pair of
+    # predictions leaves some row above 0, and the uniform mixture over all
+    # four pays -1/4 at z0. The uniform pair (r, s) pays exactly 0 everywhere,
+    # as does the uniform learner against every row, so the value is 0 and
+    # the strict game fails, undecided by the bounds.
+    problem = make_problem(
+        ("x",), ("a", "b", "c", "d"), ("z0", "z1", "z2", "z3"),
+        [[2, 0, 1, 1], [0, 2, 1, 1], [3, 3, 2, 0], [0, 2, 3, 3]],
+    )
+    cls = HypothesisClass(((0,), (1,), (2,), (3,)))
+    engine = DimensionEngine(problem, cls, GammaValue.strict_zero())
+    thresholds = {0: 1, 1: 1, 2: 2, 3: 2}
+    ids = tuple(
+        row_id for y, eps, _, row_id in engine.candidate_rows(0b1111, 0) if thresholds[y] == eps
+    )
+    rows = [engine.rows[i] for i in ids]
+    assert [[c + r.offset for c in r.coefficients] for r in rows] == [
+        [1, -1, 0, 0], [-1, 1, 0, 0], [1, 1, 0, -2], [-2, 0, 1, 1]
+    ]
+    assert solve_min_max(rows).value == 0
+    assert engine._pure_verdict(ids) is None
+    assert engine._passes(ids) is False
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_every_decided_verdict_is_the_simplex_verdict(data):
+    # A random loss with entries in units of 1/q, a class predicting every z
+    # at one instance, so each (label, realized loss) is a row, and a game
+    # over some of those rows at a random margin.
+    q = data.draw(st.sampled_from((1, 2, 3, 4)))
+    num_labels = data.draw(st.integers(2, 4))
+    num_predictions = data.draw(st.integers(2, 5))
+    loss = data.draw(
+        st.lists(
+            st.lists(st.integers(0, 2 * q), min_size=num_predictions, max_size=num_predictions),
+            min_size=num_labels,
+            max_size=num_labels,
+        )
+    )
+    problem = make_problem(
+        ("x",), tuple(range(num_labels)), tuple(range(num_predictions)),
+        [[F(v, q) for v in row] for row in loss],
+    )
+    cls = HypothesisClass(tuple((z,) for z in range(num_predictions)))
+    gv = data.draw(
+        st.one_of(
+            st.just(GammaValue.strict_zero()),
+            st.builds(lambda a: GammaValue.of(F(a, 4)), st.integers(1, 6)),
+        )
+    )
+    engine = DimensionEngine(problem, cls, gv)
+    # One row per drawn label, at one of its realized thresholds, as in the
+    # recursion's games.
+    labels = data.draw(st.sets(st.integers(0, num_labels - 1), min_size=2))
+    steps = engine._steps[0]
+    ids = tuple(steps[y][data.draw(st.integers(0, len(steps[y]) - 1))][2] for y in sorted(labels))
+    rows = [engine.rows[i] for i in ids]
+    verdict = engine._pure_verdict(ids)
+    assert verdict == pure_bound(rows, gv)
+    passes = gv.passes(solve_min_max(rows).value)
+    assert verdict is None or verdict == passes
+    assert engine._passes(ids) == passes
+
+
+def test_the_recursion_solves_no_game_on_the_dim_cold_grids():
+    # At the dim-cold benchmark's margins every game the recursion meets on
+    # grids of its shape is decided by an exact bound.
+    for gamma in (F(1, 8), F(1, 4)):
+        # Fresh objects at each margin, so the game table is this engine's.
+        for problem, cls in dim_cold_grids():
+            engine = DimensionEngine(problem, cls, gamma)
+            assert engine.smdim(VersionSpace.full(cls.num_hypotheses)) >= 1
+            assert not engine.games
+
+
+def test_each_game_is_bounded_once_per_engine(monkeypatch):
+    # The recursion, certificates and Mrsoa's sweeps read each game's verdict
+    # from the engine's verdict memo after the first time.
+    met = []
+    real = DimensionEngine._pure_verdict
+    monkeypatch.setattr(
+        DimensionEngine, "_pure_verdict", lambda engine, ids: met.append((engine, ids)) or real(engine, ids)
+    )
+    engines = []
+    for gv in ORACLE_GAMMAS:
+        for problem, cls in bound_cases():
+            engine = DimensionEngine(problem, cls, gv)
+            full = VersionSpace.full(cls.num_hypotheses)
+            engine.smdim(full)
+            engine.certificate(full)
+            for x in range(problem.num_instances):
+                engine.mixture(to_mask(full.members), x)
+            engines.append(engine)
+    keys = [(id(engine), ids) for engine, ids in met]
+    assert len(keys) == len(set(keys)) >= 1000
+    assert sum(len(engine._verdicts) for engine in engines) == len(keys)
 
 
 def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):

@@ -22,7 +22,7 @@ from smdim.core import (
     validate_problem,
 )
 from smdim.dimensions import DimensionEngine, GammaValue, to_mask
-from smdim.game import GameSolution, solve_min_max
+from smdim.game import solve_min_max
 from smdim.instances import make_builtin
 from smdim.learners import (
     AgnosticLearner,
@@ -171,7 +171,7 @@ class TestMrsoa:
 
     def test_a_top_game_that_passes_the_margin_raises(self):
         # At dimension 1 the depth-1 game is below the margin, or the space
-        # would shatter to depth 2. A game table that says otherwise is
+        # would shatter to depth 2. A verdict memo that says otherwise is
         # inconsistent, and Mrsoa refuses to play rather than fall back to
         # the depth-0 mixture.
         problem, cls = make_builtin("list:singleton-constants")
@@ -179,8 +179,8 @@ class TestMrsoa:
         full = to_mask(range(cls.num_hypotheses))
         assert engine.dim_members(full) == 1
         ids = engine.qualifying_rows(full, 0, 1)
-        engine.games[ids] = GameSolution(F(1), Mixture.uniform(problem.num_predictions), ())
-        with pytest.raises(RuntimeError, match="memo and game table disagree"):
+        engine._verdicts[ids] = True
+        with pytest.raises(RuntimeError, match="memo and the game verdicts disagree"):
             Mrsoa(problem, cls, engine=engine).predict(0)
 
     def test_initial_play_on_binary_constants(self):
