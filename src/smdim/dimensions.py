@@ -50,8 +50,9 @@ realized threshold, for certificates and the `candidates` accessor, and
 Those tables do not depend on gamma: an LP row is fixed by (label,
 threshold), and gamma only decides which rows qualify. So `_tables` builds
 the margin-free part once per (problem, class) pair (the threshold steps, the
-LP rows, each row's integer values at the pure predictions and the table of
-solved games), and every engine on that pair shares it, whatever its margin;
+LP rows, each row's integer values at the pure predictions, the table of
+solved games and the table of game values kernels proved), and every engine
+on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
 solve each LP once. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
@@ -78,12 +79,23 @@ All four are tested on integer rows over the loss denominator by one rule
 (`_cut`). They decided every game the recursion met on the dim-cold
 benchmark's seeds 1 and 3 and on the test grids of that shape. Every margin
 decision of the engine goes through one path, `_passes`: it reads the
-engine's verdict memo, then the bounds, and solves only the games they leave
-undecided, so each distinct game is decided once per engine. The recursion (`_branch`) and Mrsoa's level
-sweep (`mixture`) both call it. A decided game is not solved: `mixture()`
-solves only the game it plays, and `game()` and `certificate()` solve every
-game they read, so node values and Mrsoa's mixtures are the solved ones. The
-oracles below do not use the bounds.
+engine's verdict memo, then the bounds, and reads the value of only the games
+they leave undecided, so each distinct game is decided once per engine. The
+recursion (`_branch`) and Mrsoa's level sweep (`mixture`) both call it.
+
+A decided game is not solved, and a game whose value is read is solved only
+when no small kernel proves that value. `value()`, which `certificate()`
+calls for each node and `_passes` for an undecided game, reads the solved
+game if there is one, else a value a kernel proved before, else proves it by
+`game.kernel_value` on the same integer rows (a learner mixture over two
+predictions and an adversary mixture over at most two rows that pay the same
+number, checked exactly at every prediction), and solves the game only when
+no such kernel exists. Node values are exact game values whichever route
+gave them. Only `mixture()` solves a game to read its mixture, the one it
+plays, so Mrsoa's mixtures are the simplex's. On the dim-cold benchmark's
+seeds 1 and 3 kernels proved every node value, so there the engine solves
+no game outside `mixture()`. The oracles below use neither the bounds nor
+the kernels.
 
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
@@ -137,7 +149,7 @@ from .core import (
     parse_rational,
     validate_problem,
 )
-from .game import AffineRow, GameSolution, solve_min_max
+from .game import AffineRow, GameSolution, kernel_value, solve_min_max
 from .instances import json_array, json_object, json_text
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
@@ -289,7 +301,7 @@ class DimensionEngine:
     prior work. Each entry is (instance, LP row ids) for the node chosen
     there, the ids being the key of its game in `games` (`qualifying_rows`),
     or None when the space is not shatterable to that depth. The node's value
-    is `game(ids).value`, and `certificate()` rebuilds its candidate list from
+    is `value(ids)`, and `certificate()` rebuilds its candidate list from
     the ids. Lookups are idempotent pure values:
     concurrent readers are safe, and a duplicated insert computes the same
     entry. The number of distinct version spaces visited is capped
@@ -298,17 +310,18 @@ class DimensionEngine:
 
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
-    the solved min-max games keyed by the tuple of row ids (`game`); the
-    recursion and `mixture` both decide a game's margin by `_passes`, which
-    reads a private verdict memo keyed by the row ids, then tries the exact
-    bounds (`_pure_verdict`, module docstring), and solves the game only when
-    they leave it undecided. The engine's own part of the bounds is, per row,
-    the mask of predictions where the row is under the margin, built with the
-    engine; the pair bounds are computed per game, on first use. `rows`,
-    `games`, the rows' integer values and the threshold steps are shared by
-    every engine built on the same `problem` and `cls` objects, at any margin
-    (`_tables`), and live while one of those engines does or while the pair
-    is the last one an engine was built on.
+    the solved min-max games keyed by the tuple of row ids (`game`), and
+    `values` the game values a two-point kernel proved, by the same keys
+    (`value`). The recursion and `mixture` both decide a game's margin by
+    `_passes`, which reads a private verdict memo keyed by the row ids, then
+    tries the exact bounds (`_pure_verdict`, module docstring), and reads the
+    game's value only when they leave it undecided. The engine's own part of
+    the bounds is, per row, the mask of predictions where the row is under
+    the margin, built with the engine; the pair bounds are computed per game,
+    on first use. `rows`, `games`, `values`, the rows' integer values and the
+    threshold steps are shared by every engine built on the same `problem`
+    and `cls` objects, at any margin (`_tables`), and live while one of those
+    engines does or while the pair is the last one an engine was built on.
     `mixture()` gives Mrsoa's mixture, which every learner on the engine
     plays, from a private memo keyed by (mask, instance). Like the memo, the
     verdict memo and the mixture memo depend on gamma and live as long as
@@ -327,8 +340,8 @@ class DimensionEngine:
         memo_cap: Optional[int] = None,
     ):
         self.problem, self.cls = problem, cls
-        tables = _tables(problem, cls)
-        self._den, self._steps, self._scaled, self.rows, self._pure, self.games = tables
+        (self._den, self._steps, self._scaled, self.rows, self._pure, self.games,
+         self.values) = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         # `_below[row_id]` is the mask of the predictions z where the row
         # alone misses the margin (`_cut` with k = 1).
@@ -364,7 +377,8 @@ class DimensionEngine:
 
         Each node's candidates are rebuilt from `candidate_rows`: a label
         qualifies from the candidate whose row id is in the memo entry's ids
-        onward, and the node's value is `game(ids).value`. Children that
+        onward, and the node's value is `value(ids)`, the exact game value,
+        proved by a two-point kernel where one exists. Children that
         threshold pruning never visited are shatterable by monotonicity; their
         nodes are computed here, on first use.
         """
@@ -384,7 +398,7 @@ class DimensionEngine:
             if not self._shatter(mask, d):
                 raise AssertionError("a child above a qualifying threshold is not shatterable")
             x, ids = self._memo[(mask, d)]
-            value = self.game(ids).value
+            value = self.value(ids)
             candidates = []
             found = -1
             for y, eps, child, row_id in self.candidate_rows(mask, x):
@@ -489,6 +503,21 @@ class DimensionEngine:
             sol = self.games[ids] = solve_min_max([self.rows[i] for i in ids])
         return sol
 
+    def value(self, ids: tuple) -> Fraction:
+        """The value of the game over the rows `ids`: a solved game's from
+        `games`, else from `values`, else the value a two-point kernel proves
+        (`kernel_value`), stored in `values`, else the solved game's."""
+        sol = self.games.get(ids)
+        if sol is not None:
+            return sol.value
+        value = self.values.get(ids)
+        if value is None:
+            value = kernel_value([self._pure[i] for i in ids], self._den)
+            if value is None:
+                return self.game(ids).value
+            self.values[ids] = value
+        return value
+
     def mixture(self, members: int, x: int) -> Mixture:
         """Mrsoa's mixture on bitmask `members` at instance x.
 
@@ -576,8 +605,9 @@ class DimensionEngine:
     def _passes(self, ids: tuple) -> bool:
         """Whether the game over rows `ids` reaches the margin: from the
         verdict memo when it holds the game, else by an exact bound, else by
-        solving it. The recursion and `mixture` both decide their games here,
-        so each distinct game is bounded once per engine.
+        its exact value (`value`: a two-point kernel, or the simplex). The
+        recursion and `mixture` both decide their games here, so each
+        distinct game is bounded once per engine.
 
         The memo maps row ids to the verdict and, like `_memo`, depends on
         the margin and lives with the engine. `_branch` runs once per memo
@@ -589,7 +619,7 @@ class DimensionEngine:
         if verdict is None:
             verdict = self._pure_verdict(ids)
             if verdict is None:
-                verdict = self.gamma.passes(self.game(ids).value)
+                verdict = self.gamma.passes(self.value(ids))
             self._verdicts[ids] = verdict
         return verdict
 
@@ -645,8 +675,9 @@ _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, scaled, rows, pure, games): the margin-free tables of every
-    engine built on these very objects, after checking that the pair fits.
+    """(den, steps, scaled, rows, pure, games, values): the margin-free tables
+    of every engine built on these very objects, after checking that the
+    pair fits.
 
     steps[x][y] holds the thresholds realized at (x, y) over the whole class,
     ascending, each with the mask of hypotheses within it and the id of its LP
@@ -654,8 +685,10 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     `rows[row_id]` is its `AffineRow`. scaled[x][y] holds the same thresholds
     times den, a common denominator of every loss, as ints, and pure[row_id]
     the row's value at each pure prediction z times den, (loss[y][z] - eps) *
-    den, as ints. games holds the solved games by row-id tuple. The one slot is keyed by identity, not
-    value: equal pairs parsed separately get tables of their own.
+    den, as ints. games holds the solved games by row-id tuple, and values
+    the values of games a two-point kernel proved (`kernel_value`), by the
+    same keys. The one slot is keyed by identity, not value: equal pairs
+    parsed separately get tables of their own.
     """
     global _last_tables
     last = _last_tables
@@ -691,7 +724,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                 label_steps.append((value_of[key], within, row_id))
             steps[x].append(tuple(label_steps))
             scaled[x].append(cuts)
-    tables = (den, steps, scaled, tuple(rows), tuple(pure), {})
+    tables = (den, steps, scaled, tuple(rows), tuple(pure), {}, {})
     _last_tables = (problem, cls, tables)
     return tables
 

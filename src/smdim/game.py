@@ -53,10 +53,16 @@ themselves. Engines look their games up in a table keyed by LP row ids
 (`DimensionEngine.game`), shared by the engines built on one (problem, class)
 pair. Their recursion solves only the games that exact bounds leave
 undecided: mixtures of support one or two for the learner, and of support
-two or all rows for the adversary. On the dim-cold benchmark's seeds 1 and 3
-that left none, so an engine there solves a game only to write a
-certificate's node value or to play Mrsoa's mixture. `msdim_direct` keeps
-one table per call.
+two or all rows for the adversary. A value the engine reads (a certificate's
+node value, or an undecided game's verdict) that its tables do not hold yet
+comes from `kernel_value(entries, scale)` (not exported), which proves it on
+the same integer rows by a kernel of at most two rows and two columns,
+checked exactly at every column (Shapley and Snow: a game's value is the
+value of a square kernel), and from the simplex only when no such kernel
+proves it. On the dim-cold benchmark's seeds 1 and 3 the bounds and the
+kernels leave no game to solve, so an engine there solves a game only to
+play Mrsoa's mixture. `msdim_direct` keeps one table per call and always
+solves.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import Mixture, ValidationError, weighted_sum
 
@@ -168,6 +174,54 @@ def solve_scaled(entries, scale: int) -> GameSolution:
         raise AssertionError("simplex optimum disagrees with recovered game value")
     tight = tuple(i for i, v in enumerate(values) if v == top)
     return GameSolution._deferred(Fraction(top, scale * total), u, tight)
+
+
+def kernel_value(entries, scale: int) -> Optional[Fraction]:
+    """The value of the game `solve_scaled(entries, scale)` solves, when a
+    kernel of at most two rows and two columns proves it, else None.
+
+    Let z0 be the first column with the least maximum, a that column and, for
+    each column z1 (z0 included, for a game of one column), b column z1 and
+    s = b - a. The learner's game on {z0, z1} has the value of its best
+    adversary mixture over at most two rows: a pure row i pays min(a_i, b_i),
+    and a pair of rows with s_i < 0 < s_j, weighted (s_j, -s_i), pays the
+    crossing (s_j a_i - s_i a_j) / (s_j - s_i) at both columns. The least of
+    those values over z1, U, bounds the game's value from above (LP duality:
+    it is a learner mixture's payoff). Every one of those row mixtures that
+    pays exactly U at its two columns is then checked at every column; the
+    first that pays at least U everywhere bounds the value from below, and
+    the value is U / scale. Rows that tie at z0 or z1 form pairs like any
+    others. No input is checked: callers pass at least one row, all of one
+    width.
+    """
+    columns = list(zip(*entries))
+    a = min(columns, key=max)
+    # U = num / den (den > 0): at most max(a), the pure z0's payoff.
+    num, den = max(a), 1
+    for b in columns:
+        # The two-column game's value, v / w.
+        v, w = max(map(min, a, b)), 1
+        diffs = [y - x for x, y in zip(a, b)]
+        for i, si in enumerate(diffs):
+            if si < 0:
+                for j, sj in enumerate(diffs):
+                    if sj > 0 and (sj * a[i] - si * a[j]) * w > v * (sj - si):
+                        v, w = sj * a[i] - si * a[j], sj - si
+        if v * den < num * w:
+            num, den = v, w
+    for b in columns:
+        diffs = [y - x for x, y in zip(a, b)]
+        for i, si in enumerate(diffs):
+            row = entries[i]
+            if min(a[i], b[i]) * den == num and min(row) * den >= num:
+                return Fraction(num, den * scale)
+            if si < 0:
+                for j, sj in enumerate(diffs):
+                    if sj > 0 and (sj * a[i] - si * a[j]) * den == num * (sj - si):
+                        paid = min(sj * x - si * y for x, y in zip(row, entries[j]))
+                        if paid * den >= num * (sj - si):
+                            return Fraction(num, den * scale)
+    return None
 
 
 def best_response(mixture: Mixture, rows: Sequence[AffineRow]):

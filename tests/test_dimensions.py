@@ -616,15 +616,20 @@ def test_equal_documents_parsed_separately_do_not_share_tables():
     full = VersionSpace.full(2)
     pair = parse_instance_document(doc)
     first = DimensionEngine(*pair, F(1, 2))
-    # The recursion decides this pair's games by bounds; a certificate solves them.
+    # The recursion decides this pair's games by bounds and a certificate
+    # values them by their kernels; Mrsoa's mixture solves the game it plays.
     first.certificate(full)
-    assert first.games
+    first.mixture(to_mask(full.members), 0)
+    assert first.games and first.values
     again = parse_instance_document(doc)
     second = DimensionEngine(*again, F(1, 2))
     assert second.games is not first.games and not second.games
-    assert DimensionEngine(*again, F(1, 4)).games is second.games
+    assert second.values is not first.values and not second.values
+    third = DimensionEngine(*again, F(1, 4))
+    assert third.games is second.games and third.values is second.values
     # One slot: the first pair's tables are built afresh once another took it.
-    assert DimensionEngine(*pair, F(1, 2)).games is not first.games
+    fourth = DimensionEngine(*pair, F(1, 2))
+    assert fourth.games is not first.games and fourth.values is not first.values
 
 
 def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
@@ -665,8 +670,11 @@ def test_value_readers_build_no_mixture(monkeypatch):
     monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real_solve(rows))
     engines = []
     for gv in ORACLE_GAMMAS:
-        # Fresh objects at each margin, so every game is solved here.
-        for problem, cls in bound_cases():
+        # Fresh objects at each margin, so every game is solved here. Most
+        # certified games are valued by their kernels, so 64 more dense losses
+        # bring the games the simplex solves to over 1000.
+        rng = random.Random(83)
+        for problem, cls in bound_cases() + [dense_losses(rng) for _ in range(64)]:
             engine = DimensionEngine(problem, cls, gv)
             full = VersionSpace.full(cls.num_hypotheses)
             engine.smdim(full)
@@ -901,13 +909,34 @@ def test_every_decided_verdict_is_the_simplex_verdict(data):
 
 def test_the_recursion_solves_no_game_on_the_dim_cold_grids():
     # At the dim-cold benchmark's margins every game the recursion meets on
-    # grids of its shape is decided by an exact bound.
+    # grids of its shape is decided by an exact bound, and every node value
+    # of their certificates is proved by a two-point kernel.
     for gamma in (F(1, 8), F(1, 4)):
         # Fresh objects at each margin, so the game table is this engine's.
         for problem, cls in dim_cold_grids():
             engine = DimensionEngine(problem, cls, gamma)
-            assert engine.smdim(VersionSpace.full(cls.num_hypotheses)) >= 1
+            full = VersionSpace.full(cls.num_hypotheses)
+            assert engine.smdim(full) >= 1
             assert not engine.games
+            assert engine.certificate(full).nodes
+            assert not engine.games and engine.values
+
+
+def test_certificate_node_values_are_the_solved_values():
+    # Whether a node's value comes from the game table, a kernel or the
+    # simplex, it is the solved value of the node's candidate rows.
+    kernel_valued = solved = 0
+    for problem, cls in bound_cases():
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in ORACLE_GAMMAS:
+            engine = DimensionEngine(problem, cls, gv)
+            for node in engine.certificate(full).nodes.values():
+                rows = [AffineRow(problem.loss[c.label], -c.threshold) for c, _ in node.candidates]
+                assert node.value == solve_min_max(rows).value
+        # The engines at every margin share these two tables.
+        kernel_valued += len(engine.values)
+        solved += len(engine.games)
+    assert kernel_valued >= 100 and solved >= 100
 
 
 def test_each_game_is_bounded_once_per_engine(monkeypatch):

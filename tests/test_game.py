@@ -13,10 +13,17 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smdim.core import Mixture, ValidationError
-from smdim.game import AffineRow, GameSolution, best_response, solve_min_max, solve_scaled
+from smdim.game import (
+    AffineRow,
+    GameSolution,
+    best_response,
+    kernel_value,
+    solve_min_max,
+    solve_scaled,
+)
 
 F = Fraction
 
@@ -294,3 +301,39 @@ def test_any_common_denominator_gives_the_same_solution(rows, k):
     entries = [[(c + r.offset) * scale for c in r.coefficients] for r in rows]
     assert all(v.denominator == 1 for row in entries for v in row)
     assert solve_scaled([[v.numerator for v in row] for row in entries], scale) == solve_min_max(rows)
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-4, 4), min_size=width, max_size=width), min_size=1, max_size=6
+        )
+    ),
+    st.integers(1, 12),
+)
+def test_a_kernel_value_is_the_solved_value(entries, scale):
+    # Entries in -4..4, so rows and columns often tie.
+    value = kernel_value(entries, scale)
+    assert value is None or value == solve_scaled(entries, scale).value
+
+
+def test_a_game_whose_learner_needs_three_predictions_has_no_kernel_value():
+    # Rock-paper-scissors: value 0 only at the uniform mixture over all three
+    # columns, while every two-column restriction is worth 1/3.
+    rps = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
+    assert solve_scaled(rps, 1).value == 0
+    assert kernel_value(rps, 1) is None
+
+
+def test_a_crossing_of_rows_tied_at_the_kernel_column_proves_the_value():
+    # The three-point game: column 1 has the least maximum, rows 0 and 2 tie
+    # there, and only their uniform pair pays the value 1 at every column.
+    entries = [[0, 1, 2], [0, -1, 0], [2, 1, 0]]
+    assert kernel_value(entries, 1) == 1 == solve_scaled(entries, 1).value
+    assert kernel_value(entries, 4) == F(1, 4)
+
+
+def test_a_saddle_point_and_a_single_column_are_kernels():
+    assert kernel_value([[3, 5], [1, 4]], 2) == F(3, 2)
+    assert kernel_value([[3], [-1], [2]], 1) == 3
