@@ -25,11 +25,11 @@ from .core import (
     Problem,
     ProtocolError,
     ValidationError,
+    expected_loss,
     make_stream,
     validate_problem,
 )
 from .dimensions import ShatteringCertificate
-from .game import AffineRow, best_response
 
 
 class ShatteringAdversary:
@@ -69,11 +69,13 @@ class ShatteringAdversary:
         if self._pending is None:
             raise ProtocolError("observe_mixture called before next_instance")
         node = self._pending
-        rows = tuple(
-            AffineRow(self.problem.loss[cand.label], -cand.threshold)
-            for cand, _ in node.candidates
-        )
-        index, value = best_response(mixture, rows)
+        # The first maximum of expected loss minus threshold: `best_response`
+        # over the candidates' rows, read in integers by `expected_loss`.
+        index, value = 0, None
+        for i, (cand, _) in enumerate(node.candidates):
+            v = expected_loss(self.problem, mixture, cand.label) - cand.threshold
+            if value is None or v > value:
+                index, value = i, v
         if value < node.value:
             raise RuntimeError(
                 f"best response reaches {value}, below the certificate game value "

@@ -8,6 +8,12 @@ would make reported dimensions depend on rounding. All types here are
 immutable after construction and safe to share between workers; the
 operations are pure functions of their arguments.
 
+Sums of many exact terms are taken in integers, which is just as exact: a
+problem's loss rows and a mixture's weights are each also kept as integers
+over one common denominator (`scaled_loss`, `Mixture.scaled`), so an
+expected loss sums integer products and builds one `Fraction` at the end,
+not one per term.
+
 Conventions: instances, labels, and predictions are addressed by index into
 the corresponding tuple of a `Problem`. The identifier objects themselves are
 opaque except where a computation needs structure (numeric labels for the
@@ -16,9 +22,12 @@ fat-shattering dimension, for example).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -118,6 +127,21 @@ class Problem:
         entries = [v for row in self.loss for v in row]
         object.__setattr__(self, "bound_c", max(entries, default=Fraction(0)))
 
+    @cached_property
+    def scaled_loss(self) -> tuple:
+        """`scaled_loss(self.loss)`, built on first read and kept.
+
+        Built lazily, since most problems parsed are never played on. The
+        cache is not a field: equality, hash and repr ignore it, and
+        pickles leave it out.
+        """
+        return scaled_loss(self.loss)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("scaled_loss", None)
+        return state
+
     @property
     def num_instances(self) -> int:
         return len(self.instances)
@@ -200,22 +224,31 @@ class VersionSpace:
 
 @dataclass(frozen=True)
 class Mixture:
-    """A probability mixture over prediction indices: exact weights summing to 1."""
+    """A probability mixture over prediction indices: exact weights summing to 1.
+
+    `den` is the lcm of the weights' denominators and `scaled` each weight
+    times it, as ints, so the scaled weights sum to `den`. Both are worked out
+    from `weights` and are not compared, hashed or shown.
+    """
 
     weights: tuple
+    den: int = field(init=False, repr=False, compare=False)
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights:
             raise ValidationError("mixture over an empty prediction space")
-        total = Fraction(0)
         for w in self.weights:
             if not isinstance(w, Fraction):
                 raise ValidationError(f"mixture weight {w!r} is not a Fraction")
-            if w < 0:
+            if w.numerator < 0:
                 raise ValidationError(f"negative mixture weight {w}")
-            total += w
-        if total != 1:
-            raise ValidationError(f"mixture weights sum to {total}, expected 1")
+        den, (scaled,) = scaled_loss((self.weights,))
+        total = sum(scaled)
+        if total != den:
+            raise ValidationError(f"mixture weights sum to {Fraction(total, den)}, expected 1")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
     def of(cls, weights: Iterable[RationalLike]) -> "Mixture":
@@ -344,20 +377,28 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
     return problem, cls
 
 
-def expected_loss(problem: Problem, mixture: Mixture, y: int) -> Fraction:
-    """Exact expected loss of a mixture against label index y."""
-    return weighted_sum(Fraction(0), mixture.weights, problem.loss[y])
+def scaled_loss(loss) -> tuple:
+    """(den, rows): den is the lcm of every loss entry's denominator, and
+    rows[y][z] is loss[y][z] * den, an int.
 
-
-def weighted_sum(start: Fraction, weights, values) -> Fraction:
-    """start + sum of w * v over paired entries, exactly, skipping zero weights.
-
-    Raises ValidationError when there are not exactly as many weights as values.
+    The one rule that puts Fractions over a common denominator: mixtures and
+    sums of losses use it as a table of one row.
     """
-    if len(weights) != len(values):
-        raise ValidationError(f"{len(weights)} mixture weights for {len(values)} values")
-    total = start
-    for w, v in zip(weights, values):
-        if w:
-            total += w * v
-    return total
+    den = math.lcm(*(v.denominator for row in loss for v in row))
+    return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in loss)
+
+
+def expected_loss(problem: Problem, mixture: Mixture, y: int) -> Fraction:
+    """Exact expected loss of a mixture against label index y.
+
+    Summed in integers over the mixture's and the loss table's common
+    denominators. Raises ValidationError when y is not a label index or the
+    mixture is not as wide as the problem has predictions.
+    """
+    if not 0 <= y < problem.num_labels:
+        raise ValidationError(f"label index {y} out of range")
+    den, rows = problem.scaled_loss
+    row = rows[y]
+    if len(mixture.scaled) != len(row):
+        raise ValidationError(f"{len(mixture.scaled)} mixture weights for {len(row)} values")
+    return Fraction(sum(map(mul, mixture.scaled, row)), mixture.den * den)

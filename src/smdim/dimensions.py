@@ -126,7 +126,6 @@ RecursionError.
 
 from __future__ import annotations
 
-import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -147,6 +146,7 @@ from .core import (
     VersionSpace,
     format_rational,
     parse_rational,
+    scaled_loss,
     validate_problem,
 )
 from .game import AffineRow, GameSolution, kernel_value, solve_min_max
@@ -695,12 +695,14 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     if last[0] is problem and last[1] is cls:
         return last[2]
     validate_problem(problem, cls)
-    den = math.lcm(*(v.denominator for row in problem.loss for v in row))
+    # Not the problem's cached table: that would pin it on every problem an
+    # engine was ever built on.
+    den, scaled_rows = scaled_loss(problem.loss)
     # Per label: its loss row, the row times den, and each scaled loss's Fraction.
-    labels = []
-    for loss_row in problem.loss:
-        scaled_row = [v.numerator * (den // v.denominator) for v in loss_row]
-        labels.append((loss_row, scaled_row, dict(zip(scaled_row, loss_row))))
+    labels = [
+        (loss_row, scaled_row, dict(zip(scaled_row, loss_row)))
+        for loss_row, scaled_row in zip(problem.loss, scaled_rows)
+    ]
     row_ids = {}
     rows, pure, steps, scaled = [], [], [], []
     for x in range(problem.num_instances):

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Mixture, ValidationError, weighted_sum
+from .core import Mixture, ValidationError
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,16 @@ class AffineRow:
             raise ValidationError(f"row offset {self.offset!r} is not a Fraction")
 
     def value_at(self, mixture: Mixture) -> Fraction:
-        return weighted_sum(self.offset, mixture.weights, self.coefficients)
+        """offset + sum of w * v over paired weights and coefficients, exactly,
+        skipping zero weights; raises ValidationError on a width mismatch."""
+        weights, values = mixture.weights, self.coefficients
+        if len(weights) != len(values):
+            raise ValidationError(f"{len(weights)} mixture weights for {len(values)} values")
+        total = self.offset
+        for w, v in zip(weights, values):
+            if w:
+                total += w * v
+        return total
 
 
 @dataclass(frozen=True)

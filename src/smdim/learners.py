@@ -253,20 +253,19 @@ def aggregate_mixture(weights: Sequence[RationalLike], mixtures: Sequence[Mixtur
         raise ValidationError("need equally many weights and mixtures, at least one")
     width = len(mixtures[0])
     total = 0
-    den = 1  # a common denominator of every mixture entry
     for w, m in zip(weights, mixtures):
         if w <= 0:
             raise ValidationError(f"non-positive weight {w}")
         if len(m) != width:
             raise ValidationError(f"mixtures of {width} and {len(m)} entries")
         total += w
-        for entry in m.weights:
-            den = math.lcm(den, entry.denominator)
+    den = math.lcm(*(m.den for m in mixtures))  # a common denominator of every entry
     sums = [0] * width
     for w, m in zip(weights, mixtures):
-        for j, entry in enumerate(m.weights):
+        factor = w * (den // m.den)
+        for j, entry in enumerate(m.scaled):
             if entry:
-                sums[j] += w * (entry.numerator * (den // entry.denominator))
+                sums[j] += factor * entry
     return Mixture(tuple(Fraction(s, total * den) for s in sums))
 
 

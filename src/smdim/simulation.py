@@ -30,6 +30,7 @@ from .core import (
     expected_loss,
     format_rational,
     make_stream,
+    scaled_loss,
     validate_problem,
     validate_stream,
 )
@@ -125,18 +126,22 @@ def transcript_rows(problem: Problem, report: RegretReport) -> list:
 def best_in_hindsight(
     problem: Problem, cls: HypothesisClass, stream: Sequence
 ) -> tuple:
-    """(index, loss) of the cumulative-loss-minimizing hypothesis (lowest index wins)."""
-    totals = [Fraction(0)] * cls.num_hypotheses
-    for item in stream:
+    """(index, loss) of the cumulative-loss-minimizing hypothesis (lowest index wins).
+
+    Each element's instance and label are checked by the rules
+    `validate_stream` uses; a bad one raises ValidationError with its 1-based
+    round. The totals are integers over the loss table's common denominator.
+    """
+    den, rows = problem.scaled_loss
+    totals = [0] * cls.num_hypotheses
+    for t, item in enumerate(stream, 1):
         x, y = (item.x, item.y) if isinstance(item, ThresholdedExample) else (item[0], item[1])
-        row = problem.loss[y]
-        for h in range(cls.num_hypotheses):
-            totals[h] += row[cls.table[h][x]]
-    best = 0
-    for h in range(1, cls.num_hypotheses):
-        if totals[h] < totals[best]:
-            best = h
-    return best, totals[best]
+        check_instance(problem, t, x)
+        check_feedback(problem, t, y, None)
+        row = rows[y]
+        totals = [total + row[h_row[x]] for total, h_row in zip(totals, cls.table)]
+    best = totals.index(min(totals))
+    return best, Fraction(totals[best], den)
 
 
 def run_game(
@@ -194,7 +199,8 @@ def run_game(
             raise type(exc)(f"round {t}: {exc}") from exc
         records.append(RoundRecord(t, x, y, eps, mixture, value))
 
-    cumulative = sum((r.expected for r in records), Fraction(0))
+    den, (scaled,) = scaled_loss((tuple(r.expected for r in records),))
+    cumulative = Fraction(sum(scaled), den)
     hindsight_index, hindsight_loss = best_in_hindsight(
         problem, cls, [(r.x, r.y) for r in records]
     )

@@ -1,6 +1,7 @@
 """Adversary behavior: certificate-driven play and the Rademacher witness."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,12 +19,14 @@ from smdim.core import (
     Mixture,
     ProtocolError,
     ValidationError,
+    VersionSpace,
     expected_loss,
     make_problem,
     validate_problem,
 )
 from smdim.dimensions import DimensionEngine, GammaValue
-from smdim.instances import make_builtin
+from smdim.game import AffineRow, best_response
+from smdim.instances import builtin_names, make_builtin
 from smdim.learners import UniformLearner
 from smdim.verify import gen_multiclass
 
@@ -31,8 +34,6 @@ F = Fraction
 
 
 def make_certificate(problem, cls, gamma):
-    from smdim.core import VersionSpace
-
     engine = DimensionEngine(problem, cls, gamma)
     return engine.certificate(VersionSpace.full(cls.num_hypotheses))
 
@@ -136,6 +137,50 @@ class TestShatteringAdversary:
                 hypothesis_loss = problem.loss[y][cls.table[h][x]]
                 assert expected_loss(problem, mixture, y) - hypothesis_loss >= gamma
             assert adv.remaining_depth == 0
+
+
+@pytest.mark.parametrize("gamma", [F(1, 8), F(1, 4), F(1, 2)])
+@pytest.mark.parametrize("name", builtin_names())
+def test_answer_is_the_best_response_over_the_node_rows(name, gamma):
+    # At every node, the adversary's (index, value) is what `best_response`
+    # finds over the node's candidate rows. The node is replayed from a forged
+    # copy in which candidate i leads to the space {i}, so the surviving
+    # hypothesis names the index, and whose node value is the floor: below
+    # every value the adversary answers, above every value it raises with the
+    # value it reached.
+    problem, cls = make_builtin(name)
+    cert = make_certificate(problem, cls, gamma)
+    width, bound = problem.num_predictions, problem.bound_c
+    rng = random.Random(5)
+    plays = [Mixture.uniform(width)] + [Mixture.dirac(width, z) for z in range(width)]
+    for _ in range(3):
+        raw = [F(rng.randrange(5), rng.choice((1, 3, 2**61))) for _ in range(width)]
+        raw[0] += 1
+        plays.append(Mixture(tuple(w / sum(raw) for w in raw)))
+
+    def answer(key, node, mixture, floor):
+        candidates = tuple((c, VersionSpace((i,))) for i, (c, _) in enumerate(node.candidates))
+        forged = replace(node, value=floor, candidates=candidates)
+        adv = ShatteringAdversary(
+            problem,
+            cls,
+            replace(cert, root=node.space, depth=node.depth, nodes={key: forged}),
+        )
+        adv.next_instance()
+        label, _ = adv.observe_mixture(mixture)
+        return adv.surviving_hypothesis(), label
+
+    checked = 0
+    for key, node in cert.nodes.items():
+        rows = [AffineRow(problem.loss[c.label], -c.threshold) for c, _ in node.candidates]
+        for mixture in plays:
+            index, value = best_response(mixture, rows)
+            label = node.candidates[index][0].label
+            assert answer(key, node, mixture, -bound - 1) == (index, label)
+            with pytest.raises(RuntimeError, match=re.escape(f"best response reaches {value},")):
+                answer(key, node, mixture, bound + 1)
+            checked += 1
+    assert checked == len(cert.nodes) * len(plays)
 
 
 class TestSqrtWitness:

@@ -1,5 +1,8 @@
 """Domain type construction, validation, and the small exact helpers."""
 
+import math
+import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -16,11 +19,52 @@ from smdim.core import (
     make_problem,
     make_stream,
     parse_rational,
+    scaled_loss,
     validate_problem,
     validate_stream,
 )
+from smdim.instances import make_builtin
 
 F = Fraction
+
+# Small mixed denominators, and big ones: a dyadic one past 2**60, and a
+# large odd one.
+DENOMINATORS = (1, 2, 3, 5, 7, 12, 2**61, 3**41)
+
+
+@st.composite
+def mixtures(draw, width):
+    """A Mixture of `width` weights: either dyadic over 2**62, cut at random
+    points, or random small fractions over mixed denominators, normalized."""
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, 2**62), min_size=width - 1, max_size=width - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [2**62])]
+        return Mixture(tuple(F(p, 2**62) for p in parts))
+    raw = draw(
+        st.lists(
+            st.builds(F, st.integers(0, 9), st.sampled_from(DENOMINATORS)),
+            min_size=width,
+            max_size=width,
+        )
+    )
+    if not any(raw):
+        raw[0] = F(1)
+    total = sum(raw)
+    return Mixture(tuple(w / total for w in raw))
+
+
+@st.composite
+def problems(draw, max_instances=1):
+    """A Problem of 1-3 labels and 1-4 predictions whose losses have mixed
+    denominators, some past 2**60."""
+    num_labels = draw(st.integers(1, 3))
+    num_predictions = draw(st.integers(1, 4))
+    entry = st.builds(F, st.integers(0, 2**62), st.sampled_from(DENOMINATORS))
+    loss = [[draw(entry) for _ in range(num_predictions)] for _ in range(num_labels)]
+    num_instances = draw(st.integers(1, max_instances))
+    return make_problem(
+        tuple(range(num_instances)), tuple(range(num_labels)), tuple(range(num_predictions)), loss
+    )
 
 
 def binary_problem():
@@ -170,6 +214,21 @@ class TestMixture:
     def test_support(self):
         assert Mixture.of((F(1, 2), 0, F(1, 2))).support() == (0, 2)
 
+    def test_integer_form_is_not_compared_shown_or_pickled_apart(self):
+        mixture = Mixture((F(1, 3), F(0), F(2, 3)))
+        assert (mixture.den, mixture.scaled) == (3, (1, 0, 2))
+        flags = {f.name: (f.init, f.repr, f.compare) for f in fields(Mixture)}
+        assert flags == {
+            "weights": (True, True, True),
+            "den": (False, False, False),
+            "scaled": (False, False, False),
+        }
+        assert repr(mixture) == "Mixture(weights=(Fraction(1, 3), Fraction(0, 1), Fraction(2, 3)))"
+        twin = Mixture.of(("1/3", 0, "2/3"))
+        assert twin == mixture and hash(twin) == hash(mixture)
+        copied = pickle.loads(pickle.dumps(mixture))
+        assert copied == mixture and (copied.den, copied.scaled) == (3, (1, 0, 2))
+
 
 class TestStreams:
     def test_all_or_none_thresholds(self):
@@ -203,6 +262,31 @@ class TestExpectedLossAndRestrict:
         with pytest.raises(ValidationError):
             expected_loss(problem, Mixture.uniform(1), 0)
 
+    @pytest.mark.parametrize("y", [-1, 3])
+    def test_label_out_of_range(self, y):
+        # -1 once read the last loss row; 3 raised a bare IndexError.
+        problem, _ = make_builtin("multiclass:m=3")
+        with pytest.raises(ValidationError, match=f"label index {y} out of range"):
+            expected_loss(problem, Mixture.uniform(3), y)
+
+
+class TestScaledLoss:
+    def test_common_denominator(self):
+        assert scaled_loss(((F(1, 2), F(0)), (F(1, 3), F(1)))) == (6, ((3, 0), (2, 6)))
+
+    def test_problem_caches_it_lazily_and_out_of_sight(self):
+        problem, _ = binary_problem()
+        twin, _ = binary_problem()
+        before = (repr(problem), hash(problem), pickle.dumps(problem))
+        assert "scaled_loss" not in problem.__dict__
+        assert problem.scaled_loss == (1, ((0, 1), (1, 0)))
+        assert problem.scaled_loss is problem.scaled_loss
+        assert (repr(problem), hash(problem), pickle.dumps(problem)) == before
+        assert problem == twin and hash(problem) == hash(twin)
+        copied = pickle.loads(before[2])
+        assert copied == problem and "scaled_loss" not in copied.__dict__
+        assert copied.scaled_loss == problem.scaled_loss
+
 
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8))
 def test_version_space_of_is_canonical(members):
@@ -224,3 +308,29 @@ def test_mixture_normalization_contract(raw):
         return
     mixture = Mixture.of(tuple(w / total for w in raw))
     assert sum(mixture.weights) == 1
+
+
+@given(st.data())
+def test_expected_loss_equals_a_fraction_sum(data):
+    problem = data.draw(problems())
+    mixture = data.draw(mixtures(problem.num_predictions))
+    for y, row in enumerate(problem.loss):
+        reference = sum((w * v for w, v in zip(mixture.weights, row)), F(0))
+        assert expected_loss(problem, mixture, y) == reference
+
+
+@given(st.data())
+def test_mixture_sum_check_equals_a_fraction_sum(data):
+    weights = list(data.draw(mixtures(data.draw(st.integers(1, 4)))).weights)
+    weights[0] += data.draw(st.sampled_from((F(0), F(1, 2**61), F(-1, 3 * 2**61), F(1, 7))))
+    weights = tuple(weights)
+    if weights[0] < 0:
+        with pytest.raises(ValidationError, match="negative mixture weight"):
+            Mixture(weights)
+    elif sum(weights) != 1:
+        with pytest.raises(ValidationError, match=f"sum to {sum(weights)}, expected 1"):
+            Mixture(weights)
+    else:
+        mixture = Mixture(weights)
+        assert tuple(F(s, mixture.den) for s in mixture.scaled) == weights
+        assert mixture.den == math.lcm(*(w.denominator for w in weights))

@@ -632,6 +632,17 @@ def test_equal_documents_parsed_separately_do_not_share_tables():
     assert fourth.games is not first.games and fourth.values is not first.values
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_the_recursion_leaves_the_integer_loss_table_uncached(name):
+    # Engines scale the losses for their own tables and do not fill the
+    # problem's cache: a workload that parses thousands of problems and only
+    # computes their dimensions would otherwise keep a second loss table on
+    # each of them.
+    problem, cls = parse_instance_document(serialize_instance(*make_builtin(name)))
+    smdim(problem, cls, VersionSpace.full(cls.num_hypotheses), F(1, 4))
+    assert "scaled_loss" not in problem.__dict__
+
+
 def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
     rng = random.Random(29)
     cases = [gen_setvalued(rng) for _ in range(15)] + [make_builtin("setvalued:pair")]

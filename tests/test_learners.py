@@ -38,6 +38,7 @@ from smdim.learners import (
 from smdim.simulation import run_game
 from smdim.verify import gen_multiclass, gen_regression
 
+from test_core import mixtures
 from test_dimensions import small_random_instance
 
 F = Fraction
@@ -427,6 +428,21 @@ class TestMultiplicativeWeights:
             aggregate_mixture([], [])
         with pytest.raises(ValidationError):
             aggregate_mixture([F(0)], [Mixture.dirac(2, 0)])
+
+    @given(st.data())
+    def test_aggregate_equals_a_fraction_sum(self, data):
+        width = data.draw(st.integers(1, 4))
+        mixed = data.draw(st.lists(mixtures(width), min_size=1, max_size=4))
+        weight = st.one_of(
+            st.integers(1, 2**70), st.builds(F, st.integers(1, 9), st.sampled_from((1, 3, 2**61)))
+        )
+        weights = data.draw(st.lists(weight, min_size=len(mixed), max_size=len(mixed)))
+        total = sum(weights, F(0))
+        reference = tuple(
+            sum((w * m.weights[j] for w, m in zip(weights, mixed)), F(0)) / total
+            for j in range(width)
+        )
+        assert aggregate_mixture(weights, mixed).weights == reference
 
     def test_aggregate_rejects_unequal_widths(self):
         # Wider second: an IndexError; narrower second: a wrong 3-entry mixture.

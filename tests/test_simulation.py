@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from smdim.adversaries import find_sqrt_witness, rademacher_stream
 from smdim.core import (
@@ -30,6 +31,7 @@ from smdim.simulation import (
 )
 from smdim.verify import gen_multiclass
 
+from test_core import problems
 from test_learners import UNIT_GAP, agnostic_enum_class
 
 F = Fraction
@@ -70,6 +72,48 @@ class TestBestInHindsight:
         problem, cls = make_builtin("multiclass:binary-constants")
         _, loss = best_in_hindsight(problem, cls, [(0, 1)] * 4)
         assert loss == 0
+
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            # (-1, -1) once wrapped round to the last instance and label.
+            ([(-1, -1)], "round 1: instance index -1 out of range"),
+            ([(0, 0), (5, 0)], "round 2: instance index 5 out of range"),
+            ([(0, -1)], "round 1: label index -1 out of range"),
+            ([(0, 0), (0, 1), (0, 3, F(1))], "round 3: label index 3 out of range"),
+        ],
+    )
+    def test_out_of_range_elements_are_refused_with_their_round(self, stream, message):
+        problem, cls = make_builtin("multiclass:m=3")
+        with pytest.raises(ValidationError, match=message):
+            best_in_hindsight(problem, cls, stream)
+
+
+@given(st.data())
+def test_best_in_hindsight_equals_a_fraction_sum(data):
+    problem = data.draw(problems(max_instances=3))
+    rows = data.draw(
+        st.sets(
+            st.tuples(*[st.integers(0, problem.num_predictions - 1)] * problem.num_instances),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    cls = HypothesisClass(tuple(sorted(rows)))
+    stream = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, problem.num_instances - 1), st.integers(0, problem.num_labels - 1)
+            ),
+            max_size=8,
+        )
+    )
+    totals = [
+        sum((problem.loss[y][cls.table[h][x]] for x, y in stream), F(0))
+        for h in range(cls.num_hypotheses)
+    ]
+    best = min(range(cls.num_hypotheses), key=lambda h: (totals[h], h))
+    assert best_in_hindsight(problem, cls, stream) == (best, totals[best])
 
 
 class TestRunGame:
