@@ -330,17 +330,29 @@ def validate_stream(problem: Problem, stream: Sequence[ThresholdedExample]) -> t
 
 
 def check_instance(problem: Problem, t: int, x: int):
-    """Check round t's instance index against a problem."""
-    if not 0 <= x < problem.num_instances:
-        raise ValidationError(f"round {t}: instance index {x} out of range")
+    """Check round t's instance index against a problem: an int in range."""
+    if type(x) is not int or not 0 <= x < problem.num_instances:
+        raise ValidationError(_index_error(t, "instance", x))
 
 
 def check_feedback(problem: Problem, t: int, y: int, eps: Optional[Fraction]):
-    """Check round t's label index and optional threshold against a problem."""
-    if not 0 <= y < problem.num_labels:
-        raise ValidationError(f"round {t}: label index {y} out of range")
-    if eps is not None and not 0 <= eps <= problem.bound_c:
+    """Check round t's label index, an int in range, and optional threshold,
+    a Fraction in [0, c], against a problem."""
+    if type(y) is not int or not 0 <= y < problem.num_labels:
+        raise ValidationError(_index_error(t, "label", y))
+    if eps is not None and not isinstance(eps, Fraction):
+        raise ValidationError(f"round {t}: threshold {eps!r} is not a Fraction")
+    # A Fraction's sign is its numerator's, which skips one Fraction comparison.
+    if eps is not None and (eps.numerator < 0 or eps > problem.bound_c):
         raise ValidationError(f"round {t}: threshold {eps} outside [0, {problem.bound_c}]")
+
+
+def _index_error(t: int, name: str, index) -> str:
+    """Why round t's index is refused. Its type must be int itself: a bool is
+    an int in Python, and is refused as in a JSON document
+    (`instances._decode_index`)."""
+    reason = "out of range" if type(index) is int else "is not an int"
+    return f"round {t}: {name} index {index!r} {reason}"
 
 
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:

@@ -47,12 +47,20 @@ previous threshold's. Two walks apply that rule: `candidate_rows` lists every
 realized threshold, for certificates and the `candidates` accessor, and
 `qualifying_rows` scans them without building a list.
 
+Every threshold and every LP row is kept once, as integers over `den`, a
+common denominator of the losses: a threshold as its key, the threshold times
+den, and a row as its values at the pure predictions times den. Every engine
+decision reads those integers, and Fractions meet them only at the edges:
+certificates and the `candidates` accessor make their thresholds from the
+keys, `restrict` turns a caller's threshold into an integer cut, and `game`
+builds the rows it hands to the simplex.
+
 Those tables do not depend on gamma: an LP row is fixed by (label,
 threshold), and gamma only decides which rows qualify. So `_tables` builds
-the margin-free part once per (problem, class) pair (the threshold steps, the
-LP rows, each row's integer values at the pure predictions, the table of
-solved games and the table of game values kernels proved), and every engine
-on that pair shares it, whatever its margin;
+the margin-free part once per (problem, class) pair (the threshold steps,
+each row's integer values at the pure predictions, the table of solved games
+and the table of game values kernels proved), and every engine on that pair
+shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
 solve each LP once. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
@@ -131,8 +139,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from operator import add
+from itertools import accumulate, combinations
+from operator import add, or_
 from typing import Optional, Union
 
 from .core import (
@@ -309,24 +317,27 @@ class DimensionEngine:
     cap raises BudgetError rather than thrashing.
 
     Each distinct LP row, one per (label, threshold) realized over the class,
-    has a small integer id: `rows[row_id]` is its `AffineRow`. `games` holds
-    the solved min-max games keyed by the tuple of row ids (`game`), and
-    `values` the game values a two-point kernel proved, by the same keys
-    (`value`). The recursion and `mixture` both decide a game's margin by
-    `_passes`, which reads a private verdict memo keyed by the row ids, then
-    tries the exact bounds (`_pure_verdict`, module docstring), and reads the
-    game's value only when they leave it undecided. The engine's own part of
-    the bounds is, per row, the mask of predictions where the row is under
-    the margin, built with the engine; the pair bounds are computed per game,
-    on first use. `rows`, `games`, `values`, the rows' integer values and the
-    threshold steps are shared by every engine built on the same `problem`
-    and `cls` objects, at any margin (`_tables`), and live while one of those
-    engines does or while the pair is the last one an engine was built on.
-    `mixture()` gives Mrsoa's mixture, which every learner on the engine
-    plays, from a private memo keyed by (mask, instance). Like the memo, the
-    verdict memo and the mixture memo depend on gamma and live as long as
-    the engine; the verdict memo holds at most `num_instances` games per memo
-    entry, plus one per depth of each `mixture()` sweep (`_passes`).
+    has a small integer id, and `_pure[row_id]` holds its values at the pure
+    predictions as integers over `_den`, the loss denominator; the threshold
+    steps hold each threshold as an integer over `_den` too, its key
+    (`_tables`). `games` holds the solved min-max games keyed by the tuple of
+    row ids (`game`), and `values` the game values a two-point kernel proved,
+    by the same keys (`value`). The recursion and `mixture` both decide a
+    game's margin by `_passes`, which reads a private verdict memo keyed by
+    the row ids, then tries the exact bounds (`_pure_verdict`, module
+    docstring), and reads the game's value only when they leave it undecided.
+    The engine's own part of the bounds is, per row, the mask of predictions
+    where the row is under the margin, built with the engine; the pair bounds
+    are computed per game, on first use. `games`, `values`, the rows' integer
+    values and the threshold steps are shared by every engine built on the
+    same `problem` and `cls` objects, at any margin (`_tables`), and live
+    while one of those engines does or while the pair is the last one an
+    engine was built on. `mixture()` gives Mrsoa's mixture, which every
+    learner on the engine plays, from a private memo keyed by (mask,
+    instance). Like the memo, the verdict memo and the mixture memo depend on
+    gamma and live as long as the engine; the verdict memo holds at most
+    `num_instances` games per memo entry, plus one per depth of each
+    `mixture()` sweep (`_passes`).
 
     `problem` and `cls` are the objects the caller passed, so the engine, the
     learners built on it and `run_game` all read one loss bound `bound_c`.
@@ -340,8 +351,7 @@ class DimensionEngine:
         memo_cap: Optional[int] = None,
     ):
         self.problem, self.cls = problem, cls
-        (self._den, self._steps, self._scaled, self.rows, self._pure, self.games,
-         self.values) = _tables(problem, cls)
+        self._den, self._steps, self._pure, self.games, self.values = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         # `_below[row_id]` is the mask of the predictions z where the row
         # alone misses the margin (`_cut` with k = 1).
@@ -368,8 +378,8 @@ class DimensionEngine:
 
     def shatterable(self, space: VersionSpace, depth: int) -> bool:
         members = self._mask(space)
-        if depth < 0:
-            raise ValidationError(f"negative depth {depth}")
+        if type(depth) is not int or depth < 0:
+            raise ValidationError(f"depth {depth!r} is not a non-negative int")
         return self._shatter(members, depth)
 
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
@@ -385,7 +395,7 @@ class DimensionEngine:
         root = self._mask(space)
         depth = self.dim_members(root)
         spaces = {}  # mask -> its VersionSpace
-        cands = {}  # (label, threshold) -> its Candidate
+        cands = {}  # (label, threshold times den) -> its Candidate
         nodes = {}
         stack = [(root, depth)] if depth else []
         while stack:
@@ -401,18 +411,16 @@ class DimensionEngine:
             value = self.value(ids)
             candidates = []
             found = -1
-            for y, eps, child, row_id in self.candidate_rows(mask, x):
+            for y, key, child, row_id in self.candidate_rows(mask, x):
                 # Row ids are unique per (label, threshold), so `ids` names
                 # each qualifying label's first candidate.
                 if y != found:
                     if row_id not in ids:
                         continue
                     found = y
-                # A Fraction's own hash is slow; its two ints hash fast.
-                key = (y, eps.numerator, eps.denominator)
-                cand = cands.get(key)
+                cand = cands.get((y, key))
                 if cand is None:
-                    cand = cands[key] = Candidate(y, eps)
+                    cand = cands[(y, key)] = Candidate(y, Fraction(key, self._den))
                 child_space = spaces.get(child)
                 if child_space is None:
                     child_space = spaces[child] = VersionSpace(to_members(child))
@@ -427,11 +435,11 @@ class DimensionEngine:
     def candidates(self, space: VersionSpace, x: int):
         """Every (Candidate, child) pair at the realized distinct thresholds."""
         members = self._mask(space)
-        if not 0 <= x < self.problem.num_instances:
-            raise ValidationError(f"instance index {x} out of range")
+        if type(x) is not int or not 0 <= x < self.problem.num_instances:
+            raise ValidationError(f"instance index {x!r} is not an int in range")
         return tuple(
-            (Candidate(y, eps), VersionSpace(to_members(child)))
-            for y, eps, child, _ in self.candidate_rows(members, x)
+            (Candidate(y, Fraction(key, self._den)), VersionSpace(to_members(child)))
+            for y, key, child, _ in self.candidate_rows(members, x)
         )
 
     # -- low-level API (bitmask version spaces, shared with the learners) ----
@@ -442,22 +450,25 @@ class DimensionEngine:
         return _max_depth(members, self._shatter)
 
     def candidate_rows(self, members: int, x: int) -> list:
-        """(label, threshold, child mask, LP row id) at each threshold realized on `members`.
+        """(label, threshold times den, child mask, LP row id) at each threshold
+        realized on `members`.
 
         A threshold is realized exactly when its child differs from the one at
         the label's previous threshold; labels ascend, thresholds ascend within
         a label, so each label's first entry has its smallest threshold and the
-        LP row that dominates the label's others. `rows[row_id]` is the row.
-        A label's list ends at its first child equal to `members`.
+        LP row that dominates the label's others. The threshold is given as
+        its integer key, the threshold itself being `Fraction(key, den)`, and
+        `_pure[row_id]` is the row's integer values. A label's list ends at
+        its first child equal to `members`.
         `qualifying_rows` walks the steps by the same rule without a list.
         """
         out = []
-        for y, steps in enumerate(self._steps[x]):
+        for y, (keys, steps) in enumerate(self._steps[x]):
             previous = 0
-            for eps, within, row_id in steps:
+            for i, (within, row_id) in enumerate(steps):
                 child = members & within
                 if child != previous:
-                    out.append((y, eps, child, row_id))
+                    out.append((y, keys[i], child, row_id))
                     if child == members:
                         break
                     previous = child
@@ -483,9 +494,9 @@ class DimensionEngine:
         """
         memo, branch = self._memo, self._branch
         ids = []
-        for steps in self._steps[x]:
+        for _, steps in self._steps[x]:
             previous = 0
-            for _, within, row_id in steps:
+            for within, row_id in steps:
                 child = members & within
                 if child != previous:
                     if _shatter_memo(memo, branch, child, child_depth):
@@ -497,10 +508,16 @@ class DimensionEngine:
         return tuple(ids)
 
     def game(self, ids: tuple) -> GameSolution:
-        """The solved min-max game over the rows `ids`, memoized in `games`."""
+        """The solved min-max game over the rows `ids`, memoized in `games`.
+
+        Each row is built here from its integers, as the `AffineRow` with
+        coefficients (loss[y][z] - eps) and offset 0: the same rationals as
+        loss[y] with offset -eps, and, by the simplex's scale invariance
+        (`game` module docstring), the same solution."""
         sol = self.games.get(ids)
         if sol is None:
-            sol = self.games[ids] = solve_min_max([self.rows[i] for i in ids])
+            rows = [tuple([Fraction(v, self._den) for v in self._pure[i]]) for i in ids]
+            sol = self.games[ids] = solve_min_max([AffineRow(row, Fraction(0)) for row in rows])
         return sol
 
     def value(self, ids: tuple) -> Fraction:
@@ -557,15 +574,16 @@ class DimensionEngine:
 
         eps=None takes the smallest loss realized on `members`. A threshold
         below every loss gives the empty space 0, one at or above every loss
-        gives `members` itself.
+        gives `members` itself. eps is the one Fraction read: it becomes the
+        integer floor(eps * den), and the step keys are bisected against it.
         """
-        steps = self._steps[x][y]
+        keys, steps = self._steps[x][y]
         if eps is not None:
-            # A threshold t is at most eps exactly when t * _den, an integer,
-            # is at most floor(eps * _den).
-            cut = bisect_right(self._scaled[x][y], eps.numerator * self._den // eps.denominator)
-            return members & steps[cut - 1][1] if cut else 0
-        for _, within, _ in steps:
+            # A threshold t is at most eps exactly when its key t * den, an
+            # integer, is at most floor(eps * den).
+            cut = bisect_right(keys, eps.numerator * self._den // eps.denominator)
+            return members & steps[cut - 1][0] if cut else 0
+        for within, _ in steps:
             child = members & within
             if child:
                 return child
@@ -675,20 +693,21 @@ _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, scaled, rows, pure, games, values): the margin-free tables
-    of every engine built on these very objects, after checking that the
-    pair fits.
+    """(den, steps, pure, games, values): the margin-free tables of every
+    engine built on these very objects, after checking that the pair fits.
 
-    steps[x][y] holds the thresholds realized at (x, y) over the whole class,
-    ascending, each with the mask of hypotheses within it and the id of its LP
-    row; a row depends only on (label, threshold), so instances share it, and
-    `rows[row_id]` is its `AffineRow`. scaled[x][y] holds the same thresholds
-    times den, a common denominator of every loss, as ints, and pure[row_id]
-    the row's value at each pure prediction z times den, (loss[y][z] - eps) *
-    den, as ints. games holds the solved games by row-id tuple, and values
-    the values of games a two-point kernel proved (`kernel_value`), by the
-    same keys. The one slot is keyed by identity, not value: equal pairs
-    parsed separately get tables of their own.
+    den is a common denominator of every loss, and every threshold and LP row
+    is kept once, as integers over it. steps[x][y] is (keys, steps) for the
+    thresholds realized at (x, y) over the whole class, ascending: keys[i] is
+    threshold i times den, and steps[i] is (within, row_id), the mask of the
+    hypotheses whose loss is at most the threshold and the id of its LP row.
+    The keys are a tuple of their own so that `restrict` bisects plain ints.
+    A row depends only on (label, threshold), so instances share it, and
+    pure[row_id] holds its value at each pure prediction z times den,
+    (loss[y][z] - eps) * den. games holds the solved games by row-id tuple,
+    and values the values of games a two-point kernel proved
+    (`kernel_value`), by the same keys. The one slot is keyed by identity,
+    not value: equal pairs parsed separately get tables of their own.
     """
     global _last_tables
     last = _last_tables
@@ -698,35 +717,25 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     # Not the problem's cached table: that would pin it on every problem an
     # engine was ever built on.
     den, scaled_rows = scaled_loss(problem.loss)
-    # Per label: its loss row, the row times den, and each scaled loss's Fraction.
-    labels = [
-        (loss_row, scaled_row, dict(zip(scaled_row, loss_row)))
-        for loss_row, scaled_row in zip(problem.loss, scaled_rows)
-    ]
     row_ids = {}
-    rows, pure, steps, scaled = [], [], [], []
+    pure, steps = [], []
     for x in range(problem.num_instances):
         steps.append([])
-        scaled.append([])
-        for y, (loss_row, scaled_row, value_of) in enumerate(labels):
+        for y, scaled_row in enumerate(scaled_rows):
             at = {}  # scaled loss -> mask of the hypotheses with that loss
             for h, h_row in enumerate(cls.table):
                 key = scaled_row[h_row[x]]
                 at[key] = at.get(key, 0) | 1 << h
-            cuts = tuple(sorted(at))
+            keys = tuple(sorted(at))
             label_steps = []
-            within = 0
-            for key in cuts:
-                within |= at[key]
-                row_id = row_ids.get((y, key))
-                if row_id is None:
-                    row_id = row_ids[(y, key)] = len(rows)
-                    rows.append(AffineRow(loss_row, -value_of[key]))
+            # within: the mask of the hypotheses whose loss is at most key.
+            for key, within in zip(keys, accumulate(map(at.get, keys), or_)):
+                row_id = row_ids.setdefault((y, key), len(row_ids))
+                if row_id == len(pure):
                     pure.append(tuple(v - key for v in scaled_row))
-                label_steps.append((value_of[key], within, row_id))
-            steps[x].append(tuple(label_steps))
-            scaled[x].append(cuts)
-    tables = (den, steps, scaled, tuple(rows), tuple(pure), {}, {})
+                label_steps.append((within, row_id))
+            steps[x].append((keys, tuple(label_steps)))
+    tables = (den, steps, tuple(pure), {}, {})
     _last_tables = (problem, cls, tables)
     return tables
 

@@ -33,12 +33,17 @@ read, become Fractions.
 The integer core has its own entry, `solve_scaled(entries, scale)` (not
 exported): the rows' entries, coefficient plus offset, as integers over a
 common multiple `scale` of their denominators. `solve_min_max` converts its
-`AffineRow`s over their least common denominator and calls it. Engines hold
-their rows' integer values over the problem's loss denominator as well, but
-still enter through `solve_min_max`, whose calls and rows the benchmark's
-tracer counts per layer. Any common multiple gives the same solution:
-replacing `scale` by k * scale multiplies every entry, the shift and the
-right-hand side by k, that is each constraint row of the LP by k. That leaves
+`AffineRow`s over their least common denominator and calls it. Engines keep
+each row once, as its integer values over the problem's loss denominator,
+but still enter through `solve_min_max`, whose calls and rows the
+benchmark's tracer counts per layer: `DimensionEngine.game` builds the
+`AffineRow`s of a game it solves from those integers, with the row's
+payoffs as coefficients and offset 0. Any common multiple of the rows'
+denominators gives the same solution, so those rows, the engine's integers
+over the loss denominator (a multiple of the rows' least one) and the rows
+loss[y] with offset -eps all give one solution. Replacing `scale` by
+k * scale multiplies every entry, the shift and the right-hand side by k,
+that is each constraint row of the LP by k. That leaves
 the feasible set, every ratio Bland's rule compares and every reduced cost of
 the rational tableau unchanged, so the pivots are the same and so are the
 value, the mixture and the tight rows.

@@ -128,14 +128,20 @@ def best_in_hindsight(
 ) -> tuple:
     """(index, loss) of the cumulative-loss-minimizing hypothesis (lowest index wins).
 
-    Each element's instance and label are checked by the rules
+    Each element is a ThresholdedExample or an (x, y) or (x, y, eps) tuple or
+    list, and its instance and label are checked by the rules
     `validate_stream` uses; a bad one raises ValidationError with its 1-based
     round. The totals are integers over the loss table's common denominator.
     """
     den, rows = problem.scaled_loss
     totals = [0] * cls.num_hypotheses
     for t, item in enumerate(stream, 1):
-        x, y = (item.x, item.y) if isinstance(item, ThresholdedExample) else (item[0], item[1])
+        if isinstance(item, ThresholdedExample):
+            x, y = item.x, item.y
+        elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
+            x, y = item[0], item[1]
+        else:
+            raise ValidationError(f"round {t}: stream element {item!r} is not (x, y) or (x, y, eps)")
         check_instance(problem, t, x)
         check_feedback(problem, t, y, None)
         row = rows[y]

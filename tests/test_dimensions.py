@@ -568,11 +568,36 @@ def lp_cases():
     return cases + [gen_regression(rng) for _ in range(6)]
 
 
+def row_table(engine):
+    """Each LP row id of `engine`, mapped to its row built from its (label,
+    threshold) as AffineRow(loss[y], -eps), not read from the engine's
+    integer rows. Every row is realized on the full class at some instance,
+    where `candidate_rows` gives its label and integer threshold."""
+    full = to_mask(range(engine.cls.num_hypotheses))
+    return {
+        row_id: AffineRow(engine.problem.loss[y], -F(key, engine._den))
+        for x in range(engine.problem.num_instances)
+        for y, key, _, row_id in engine.candidate_rows(full, x)
+    }
+
+
+def engine_rows(engine, ids):
+    """The rows `ids` of `row_table(engine)`, in order."""
+    table = row_table(engine)
+    return [table[i] for i in ids]
+
+
+def payoffs(rows):
+    """Each row's payoff at every pure prediction: coefficient plus offset."""
+    return [[c + r.offset for c in r.coefficients] for r in rows]
+
+
 def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
     # Engines at every margin on one (problem, class) pair share one game
     # table, which solves each distinct row-id tuple once, for the recursion,
     # certificates and Mrsoa's mixtures alike; the results equal those of the
-    # unpatched solver on separately built copies.
+    # unpatched solver on separately built copies. The rows handed to the
+    # solver pay what each row id's (label, threshold) pays.
     def run(problem, cls):
         engines, out = [], []
         for gv in ORACLE_GAMMAS:
@@ -596,7 +621,9 @@ def test_each_lp_is_solved_once_per_problem_and_class(monkeypatch):
         results.append(out)
         games = engines[0].games
         assert all(engine.games is games for engine in engines)
-        assert solved == [[engines[0].rows[i] for i in ids] for ids in games]
+        table = row_table(engines[0])
+        expected_rows = [payoffs([table[i] for i in ids]) for ids in games]
+        assert [payoffs(rows) for rows in solved] == expected_rows
     assert results == expected
 
 
@@ -641,6 +668,43 @@ def test_the_recursion_leaves_the_integer_loss_table_uncached(name):
     problem, cls = parse_instance_document(serialize_instance(*make_builtin(name)))
     smdim(problem, cls, VersionSpace.full(cls.num_hypotheses), F(1, 4))
     assert "scaled_loss" not in problem.__dict__
+
+
+def test_the_tables_hold_each_threshold_and_row_once_as_integers():
+    # steps[x][y] is (keys, steps): keys[i] is threshold i times den, and
+    # steps[i] is (within, row_id). Each realized (label, threshold) has one
+    # row id, and its row is (loss[y][z] - eps) * den at each pure prediction
+    # z. Solved games and kernel-proved values are keyed by row ids; the steps
+    # and rows hold ints only, no Fraction and no AffineRow.
+    def leaves(obj):
+        if isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from leaves(item)
+        else:
+            yield obj
+
+    for problem, cls in bound_cases():
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        full = VersionSpace.full(cls.num_hypotheses)
+        engine.certificate(full)
+        engine.mixture(to_mask(full.members), 0)
+        den, steps, pure, games, values = dimensions._tables(problem, cls)
+        assert engine._den == den and engine._steps is steps and engine._pure is pure
+        assert engine.games is games and engine.values is values and games
+        assert all(type(v) is int for v in leaves((den, steps, pure)))
+        row_of = {}  # (label, key) -> row id
+        for x, per_label in enumerate(steps):
+            for y, (keys, label_steps) in enumerate(per_label):
+                losses = [problem.loss[y][row[x]] for row in cls.table]
+                assert [F(key, den) for key in keys] == sorted(set(losses))
+                assert len(label_steps) == len(keys)
+                for key, (within, row_id) in zip(keys, label_steps):
+                    eps = F(key, den)
+                    assert within == to_mask(h for h, v in enumerate(losses) if v <= eps)
+                    assert pure[row_id] == tuple((v - eps) * den for v in problem.loss[y])
+                    assert row_of.setdefault((y, key), row_id) == row_id
+        assert sorted(row_of.values()) == list(range(len(pure)))
+        assert all(max(ids) < len(pure) for ids in [*games, *values])
 
 
 def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
@@ -701,7 +765,7 @@ def test_value_readers_build_no_mixture(monkeypatch):
         for x in range(engine.problem.num_instances):
             mu = engine.mixture(full, x)
             (ids,) = [ids for ids, sol in engine.games.items() if sol.mixture is mu]
-            assert mu == real_solve([engine.rows[i] for i in ids]).mixture
+            assert mu == real_solve(engine_rows(engine, ids)).mixture
     assert built
 
 
@@ -750,11 +814,14 @@ def test_pure_bounds_agree_with_the_simplex(monkeypatch):
     # bounds decide it exactly when the Fraction ones do, and a decided game
     # passes exactly when its solved value does.
     met = []
+    tables = {}  # engine -> its row_table
     real = DimensionEngine._pure_verdict
 
     def spy(engine, ids):
         verdict = real(engine, ids)
-        met.append((engine.gamma, tuple(engine.rows[i] for i in ids), verdict))
+        if engine not in tables:
+            tables[engine] = row_table(engine)
+        met.append((engine.gamma, tuple(tables[engine][i] for i in ids), verdict))
         return verdict
 
     monkeypatch.setattr(DimensionEngine, "_pure_verdict", spy)
@@ -784,8 +851,9 @@ def test_the_recursion_solves_no_game_a_pure_bound_decides():
         for problem, cls in bound_cases():
             engine = DimensionEngine(problem, cls, gv)
             engine.smdim(VersionSpace.full(cls.num_hypotheses))
+            table = row_table(engine)
             for ids in engine.games:
-                assert pure_bound([engine.rows[i] for i in ids], gv) is None
+                assert pure_bound([table[i] for i in ids], gv) is None
             solved += len(engine.games)
             full = to_mask(range(cls.num_hypotheses))
             spaces = range(1, full + 1) if cls.num_hypotheses <= 8 else (full,)
@@ -807,7 +875,7 @@ def test_a_pure_payoff_exactly_at_the_margin_does_not_refute():
     cls = HypothesisClass(((0,), (1,)))
     engine = DimensionEngine(problem, cls, F(1, 2))
     ids = engine.qualifying_rows(0b11, 0, 0)
-    assert solve_min_max([engine.rows[i] for i in ids]).value == F(1, 2)
+    assert solve_min_max(engine_rows(engine, ids)).value == F(1, 2)
     assert engine._pure_verdict(ids) is True
     assert engine.smdim(VersionSpace.full(2)) == 1
 
@@ -825,7 +893,7 @@ def test_a_strict_game_with_an_all_zero_row_is_not_certified():
     cls = HypothesisClass(((2,), (3,)))
     engine = DimensionEngine(problem, cls, GammaValue.strict_zero())
     ids = engine.qualifying_rows(0b11, 0, 0)
-    rows = [engine.rows[i] for i in ids]
+    rows = engine_rows(engine, ids)
     assert [c + rows[0].offset for c in rows[0].coefficients] == [0] * 4
     assert solve_min_max(rows).value == 0
     assert engine._pure_verdict(ids) is False
@@ -844,8 +912,8 @@ def test_pair_means_exactly_at_the_margin_certify_and_do_not_refute():
     cls = HypothesisClass(((0,), (1,)))
     engine = DimensionEngine(problem, cls, F(1, 2))
     ids = engine.qualifying_rows(0b11, 0, 0)
-    rows = [engine.rows[i] for i in ids]
-    assert [[c + r.offset for c in r.coefficients] for r in rows] == [[0, 1, 1], [1, 0, 1], [0, 0, 2]]
+    rows = engine_rows(engine, ids)
+    assert payoffs(rows) == [[0, 1, 1], [1, 0, 1], [0, 0, 2]]
     assert solve_min_max(rows).value == F(1, 2)
     assert engine._pure_verdict(ids) is True
     assert engine.smdim(VersionSpace.full(2)) == 1
@@ -866,10 +934,12 @@ def test_a_strict_row_pair_paying_exactly_zero_does_not_certify():
     engine = DimensionEngine(problem, cls, GammaValue.strict_zero())
     thresholds = {0: 1, 1: 1, 2: 2, 3: 2}
     ids = tuple(
-        row_id for y, eps, _, row_id in engine.candidate_rows(0b1111, 0) if thresholds[y] == eps
+        row_id
+        for y, key, _, row_id in engine.candidate_rows(0b1111, 0)
+        if thresholds[y] == F(key, engine._den)
     )
-    rows = [engine.rows[i] for i in ids]
-    assert [[c + r.offset for c in r.coefficients] for r in rows] == [
+    rows = engine_rows(engine, ids)
+    assert payoffs(rows) == [
         [1, -1, 0, 0], [-1, 1, 0, 0], [1, 1, 0, -2], [-2, 0, 1, 1]
     ]
     assert solve_min_max(rows).value == 0
@@ -908,9 +978,9 @@ def test_every_decided_verdict_is_the_simplex_verdict(data):
     # One row per drawn label, at one of its realized thresholds, as in the
     # recursion's games.
     labels = data.draw(st.sets(st.integers(0, num_labels - 1), min_size=2))
-    steps = engine._steps[0]
-    ids = tuple(steps[y][data.draw(st.integers(0, len(steps[y]) - 1))][2] for y in sorted(labels))
-    rows = [engine.rows[i] for i in ids]
+    steps = [label_steps for _, label_steps in engine._steps[0]]
+    ids = tuple(steps[y][data.draw(st.integers(0, len(steps[y]) - 1))][1] for y in sorted(labels))
+    rows = engine_rows(engine, ids)
     verdict = engine._pure_verdict(ids)
     assert verdict == pure_bound(rows, gv)
     passes = gv.passes(solve_min_max(rows).value)
@@ -1045,6 +1115,26 @@ def test_negative_hypothesis_index_is_a_validation_error():
 
 
 @pytest.mark.parametrize(
+    "method, argument, message",
+    [
+        ("shatterable", 1.5, "depth 1.5 is not a non-negative int"),
+        ("shatterable", True, "depth True is not a non-negative int"),
+        ("shatterable", -1, "depth -1 is not a non-negative int"),
+        ("candidates", 0.0, "instance index 0.0 is not an int in range"),
+        ("candidates", False, "instance index False is not an int in range"),
+        ("candidates", 1, "instance index 1 is not an int in range"),
+    ],
+)
+def test_engine_accessors_refuse_a_depth_or_instance_that_is_not_an_int(method, argument, message):
+    # A depth of 1.5 once answered False, and recursed at child depth 0.5 on
+    # larger spaces; an instance of 0.0 raised TypeError from the step table.
+    problem, cls = make_builtin("hilbert:orthonormal")
+    engine = DimensionEngine(problem, cls, F(1, 2))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        getattr(engine, method)(VersionSpace.full(cls.num_hypotheses), argument)
+
+
+@pytest.mark.parametrize(
     "builtin, route",
     [
         ("multiclass", ldim_k),
@@ -1128,14 +1218,14 @@ class TestRestrict:
         )
         x = data.draw(st.sampled_from(range(problem.num_instances)))
         first = {}
-        for y, eps, child, row_id in engine.candidate_rows(to_mask(members), x):
-            first.setdefault(y, (eps, child, row_id))
+        for y, key, child, row_id in engine.candidate_rows(to_mask(members), x):
+            first.setdefault(y, (key, child, row_id))
         for y in range(problem.num_labels):
             smallest = min(problem.loss[y][cls.table[h][x]] for h in members)
-            eps, child, row_id = first[y]
-            assert eps == smallest
+            key, child, row_id = first[y]
+            assert F(key, engine._den) == smallest
             assert child == engine.restrict(to_mask(members), x, y)
-            assert engine.rows[row_id] == AffineRow(problem.loss[y], -smallest)
+            assert engine_rows(engine, [row_id]) == [AffineRow(problem.loss[y], -smallest)]
 
     @given(st.randoms(use_true_random=False), st.data())
     def test_depth_zero_qualifying_rows_are_first_candidates(self, rng, data):

@@ -22,7 +22,7 @@ from smdim.core import (
     validate_problem,
 )
 from smdim.dimensions import DimensionEngine, GammaValue, to_mask
-from smdim.game import solve_min_max
+from smdim.game import AffineRow, solve_min_max
 from smdim.instances import make_builtin
 from smdim.learners import (
     AgnosticLearner,
@@ -129,8 +129,8 @@ def reference_mixture(engine, members, x):
 
     def first_rows(cands):
         rows = {}
-        for y, _, _, row_id in cands:
-            rows.setdefault(y, engine.rows[row_id])
+        for y, key, _, _ in cands:
+            rows.setdefault(y, AffineRow(engine.problem.loss[y], -F(key, engine._den)))
         return list(rows.values())
 
     cands = engine.candidate_rows(members, x)

@@ -14,6 +14,7 @@ from smdim.core import (
     Mixture,
     ProtocolError,
     RealizabilityError,
+    ThresholdedExample,
     ValidationError,
     expected_loss,
     make_problem,
@@ -81,6 +82,13 @@ class TestBestInHindsight:
             ([(0, 0), (5, 0)], "round 2: instance index 5 out of range"),
             ([(0, -1)], "round 1: label index -1 out of range"),
             ([(0, 0), (0, 1), (0, 3, F(1))], "round 3: label index 3 out of range"),
+            # A bool is an int in Python, and a float index reads the wrong row.
+            ([(True, 0)], "round 1: instance index True is not an int"),
+            ([(0, 0), (0, 1.0)], "round 2: label index 1.0 is not an int"),
+            # A short element once raised IndexError.
+            ([(0,)], r"round 1: stream element \(0,\) is not \(x, y\) or \(x, y, eps\)"),
+            ([(0, 0), 5], r"round 2: stream element 5 is not \(x, y\) or \(x, y, eps\)"),
+            ([[0, 0, None, 1]], r"round 1: stream element \[0, 0, None, 1\] is not \(x, y\)"),
         ],
     )
     def test_out_of_range_elements_are_refused_with_their_round(self, stream, message):
@@ -397,6 +405,18 @@ def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
     assert calls == []
 
 
+def test_a_stream_threshold_that_is_not_a_fraction_is_refused_before_the_learner_plays():
+    # A ThresholdedExample is kept as given, so its float threshold once
+    # reached the exact report as the round's eps, written out as "0.5".
+    problem, cls = make_builtin("multiclass:binary-constants")
+    learner = UniformLearner(problem)
+    calls = []
+    learner.predict = lambda *args: calls.append(("predict", args))
+    with pytest.raises(ValidationError, match=r"^round 1: threshold 0.5 is not a Fraction$"):
+        run_game(problem, cls, learner, [ThresholdedExample(0, 0, 0.5)])
+    assert calls == []
+
+
 ONE_ROUND = ["predict", "update"]
 
 
@@ -407,13 +427,25 @@ ONE_ROUND = ["predict", "update"]
         (2, (0, None), r"^round 2: instance index 2 out of range$", ONE_ROUND),
         (0, (-1, None), r"^round 2: label index -1 out of range$", ONE_ROUND + ["predict"]),
         (0, (0, F(2)), r"^round 2: threshold 2 outside \[0, 1\]$", ONE_ROUND + ["predict"]),
+        (0.0, (0, None), r"^round 2: instance index 0.0 is not an int$", ONE_ROUND),
+        (False, (0, None), r"^round 2: instance index False is not an int$", ONE_ROUND),
+        (0, (1.0, None), r"^round 2: label index 1.0 is not an int$", ONE_ROUND + ["predict"]),
+        (0, (True, None), r"^round 2: label index True is not an int$", ONE_ROUND + ["predict"]),
+        (0, (0, 0.5), r"^round 2: threshold 0.5 is not a Fraction$", ONE_ROUND + ["predict"]),
+        (0, (0, "1/2"), r"^round 2: threshold '1/2' is not a Fraction$", ONE_ROUND + ["predict"]),
     ],
-    ids=["negative-instance", "instance-past-the-end", "negative-label", "threshold-above-c"],
+    ids=[
+        "negative-instance", "instance-past-the-end", "negative-label", "threshold-above-c",
+        "float-instance", "bool-instance", "float-label", "bool-label", "float-threshold",
+        "string-threshold",
+    ],
 )
 def test_an_adversary_out_of_range_is_refused_before_it_is_read(instance, feedback, message, plays):
     # Round 1 is valid; round 2's bad instance is refused before the learner
     # predicts on it, and a bad label or threshold before the loss or the
-    # learner's update reads it (label -1 would wrap to the last label).
+    # learner's update reads it (label -1 would wrap to the last label). An
+    # index that is not an int, or a threshold that is not a Fraction, is
+    # refused too: a float threshold once reached the exact report as 0.5.
     problem, cls = make_builtin("multiclass:binary-constants")
 
     class Stub:
