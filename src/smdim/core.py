@@ -297,28 +297,39 @@ class ThresholdedExample:
 
 
 def make_stream(items: Iterable) -> tuple:
-    """Build a stream from (x, y) or (x, y, eps) tuples / ThresholdedExamples.
+    """Build a stream from (x, y) or (x, y, eps) tuples or lists and ThresholdedExamples.
 
-    Thresholds must be present on every element or on none; a mixed stream has
-    no consistent interpretation (realizable vs. agnostic protocol).
+    A malformed element, or a threshold that is not a rational, raises
+    ValidationError with its 1-based round. Thresholds must be present on
+    every element or on none; a mixed stream has no consistent
+    interpretation (realizable vs. agnostic protocol).
     """
     out = []
-    for item in items:
-        if isinstance(item, ThresholdedExample):
-            out.append(item)
-        else:
-            parts = tuple(item)
-            if len(parts) == 2:
-                out.append(ThresholdedExample(parts[0], parts[1]))
-            elif len(parts) == 3:
-                eps = None if parts[2] is None else parse_rational(parts[2])
-                out.append(ThresholdedExample(parts[0], parts[1], eps))
-            else:
-                raise ValidationError(f"stream element {item!r} is not (x, y) or (x, y, eps)")
+    for t, item in enumerate(items, 1):
+        if not isinstance(item, ThresholdedExample):
+            x, y, eps = stream_element(t, item)
+            if eps is not None:
+                try:
+                    eps = parse_rational(eps)
+                except ValidationError as exc:
+                    raise ValidationError(f"round {t}: {exc}") from exc
+            item = ThresholdedExample(x, y, eps)
+        out.append(item)
     with_eps = sum(1 for e in out if e.eps is not None)
     if with_eps not in (0, len(out)):
         raise ValidationError("thresholds must be present on every stream element or on none")
     return tuple(out)
+
+
+def stream_element(t: int, item) -> tuple:
+    """(x, y, eps) of round t's stream element, unchecked: a
+    ThresholdedExample, or an (x, y) or (x, y, eps) tuple or list (eps None
+    when absent). Any other element raises ValidationError with its round."""
+    if isinstance(item, ThresholdedExample):
+        return item.x, item.y, item.eps
+    if isinstance(item, (tuple, list)) and len(item) in (2, 3):
+        return item[0], item[1], item[2] if len(item) == 3 else None
+    raise ValidationError(f"round {t}: stream element {item!r} is not (x, y) or (x, y, eps)")
 
 
 def validate_stream(problem: Problem, stream: Sequence[ThresholdedExample]) -> tuple:

@@ -123,13 +123,20 @@ memoized recursion, `_shatter_memo`, which holds the depth-0 and |V| - 1 base
 cases and the memo, and one bottom-up depth loop, `_max_depth`. They differ
 only in their branching rule, which decides depth d+1 from depth-d children,
 and each builds its own child masks; keeping those rules separate keeps the
-oracles independent cross-checks. Each checks that the class fits the problem
-(`validate_problem`) before it recurses; the engine does so in `_tables`.
-The recursion is Python recursion: in the engine a depth level costs three
-frames (`_shatter_memo`, `_branch`, `qualifying_rows`), so under the default
-recursion limit of 1000 a query from a shallow stack reaches depth about 325
-(a depth-d query needs a limit of about 3d + 17) before it raises
-RecursionError.
+oracles independent cross-checks. The oracles build their masks once per
+call, from integers: `seqfat` compares grid values scaled by `scaled_loss`,
+and `ldim_k` and `msdim_direct` look predictions up in each label's set of
+zero-loss predictions (`_zero_loss_masks`). Each route checks that the class
+fits the problem (`validate_problem`; the engine does so in `_tables`) and
+converts the caller's space by one checked rule (`_space_mask`) before it
+recurses.
+The recursion is Python recursion. The engine enters it through
+`_shatter_memo`, and below that its scan (`qualifying_rows`) probes each
+child by the same base cases and memo without a call, so a depth level costs
+two frames (`_branch`, `qualifying_rows`). A depth-d query from a script's
+top level needs a recursion limit of about 2d + 11 (3d + 11 with one more
+frame per level), so the default limit of 1000 allows depth about 490 from a
+shallow stack before RecursionError.
 """
 
 from __future__ import annotations
@@ -374,10 +381,10 @@ class DimensionEngine:
     # -- public API ---------------------------------------------------------
 
     def smdim(self, space: VersionSpace) -> int:
-        return self.dim_members(self._mask(space))
+        return self.dim_members(_space_mask(self.cls, space))
 
     def shatterable(self, space: VersionSpace, depth: int) -> bool:
-        members = self._mask(space)
+        members = _space_mask(self.cls, space)
         if type(depth) is not int or depth < 0:
             raise ValidationError(f"depth {depth!r} is not a non-negative int")
         return self._shatter(members, depth)
@@ -392,7 +399,7 @@ class DimensionEngine:
         threshold pruning never visited are shatterable by monotonicity; their
         nodes are computed here, on first use.
         """
-        root = self._mask(space)
+        root = _space_mask(self.cls, space)
         depth = self.dim_members(root)
         spaces = {}  # mask -> its VersionSpace
         cands = {}  # (label, threshold times den) -> its Candidate
@@ -434,7 +441,7 @@ class DimensionEngine:
 
     def candidates(self, space: VersionSpace, x: int):
         """Every (Candidate, child) pair at the realized distinct thresholds."""
-        members = self._mask(space)
+        members = _space_mask(self.cls, space)
         if type(x) is not int or not 0 <= x < self.problem.num_instances:
             raise ValidationError(f"instance index {x!r} is not an int in range")
         return tuple(
@@ -488,20 +495,36 @@ class DimensionEngine:
         list. It stops each label at its first qualifying child: every larger
         realized threshold has a superset child, so it qualifies too (module
         docstring), and its LP row is dominated. At `child_depth` 0 every
-        candidate qualifies, so the rows are each label's first candidate.
-        Children are tested by `_shatter_memo` directly, so a depth level of
-        the engine's recursion is three frames (module docstring).
+        nonempty child qualifies, so the rows are each label's first step
+        with a nonempty child; there is one, since the last step holds the
+        whole class. Above depth 0 the scan probes each child without a
+        call, by `_shatter_memo`'s rules: a child of at most `child_depth`
+        members is capped (|V| - 1), else the memo entry under (child,
+        child_depth) decides, and `_branch` runs only on a miss. So a depth
+        level of the engine's recursion is two frames (module docstring).
         """
-        memo, branch = self._memo, self._branch
         ids = []
+        if not child_depth:
+            for _, steps in self._steps[x]:
+                for within, row_id in steps:
+                    if members & within:
+                        ids.append(row_id)
+                        break
+            return tuple(ids)
+        memo, branch = self._memo, self._branch
         for _, steps in self._steps[x]:
             previous = 0
             for within, row_id in steps:
                 child = members & within
                 if child != previous:
-                    if _shatter_memo(memo, branch, child, child_depth):
-                        ids.append(row_id)
-                        break
+                    if child.bit_count() > child_depth:
+                        key = (child, child_depth)
+                        hit = memo.get(key, _MISSING)
+                        if hit is _MISSING:
+                            hit = memo[key] = branch(child, child_depth)
+                        if hit:
+                            ids.append(row_id)
+                            break
                     if child == members:
                         break
                     previous = child
@@ -590,14 +613,6 @@ class DimensionEngine:
         return 0
 
     # -- internals ----------------------------------------------------------
-
-    def _mask(self, space: VersionSpace) -> int:
-        """The bitmask of a caller's `VersionSpace`, after checking it fits the class."""
-        if not isinstance(space, VersionSpace):
-            raise ValidationError(f"expected a VersionSpace, got {space!r}")
-        if space.members and space.members[-1] >= self.cls.num_hypotheses:
-            raise ValidationError(f"hypothesis index {space.members[-1]} out of range")
-        return to_mask(space.members)
 
     # A method, not a closure stored on the engine: that would be a reference
     # cycle, so engines would outlive their last reference until a gc pass.
@@ -760,17 +775,19 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
     otherwise the recursion has no finite value and the input is rejected.
     """
     validate_problem(problem, cls)
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    root = _space_mask(cls, space)
+    # A bool is an int in Python, and is refused as the engine's accessors refuse it.
+    if type(k) is not int or k < 1:
+        raise ValidationError(f"k must be an int >= 1, got {k!r}")
     _check_binary_loss(problem)
+    zeros, zero_loss = _zero_loss_masks(problem, cls)
     for z in range(problem.num_predictions):
-        zeros = sum(1 for y in range(problem.num_labels) if problem.loss[y][z] == 0)
-        if zeros > k:
+        count = sum(z in zero for zero in zeros)
+        if count > k:
             raise ValidationError(
-                f"prediction {z} has zero loss against {zeros} labels; "
+                f"prediction {z} has zero loss against {count} labels; "
                 f"the depth-{k + 1} branching recursion does not terminate"
             )
-    zero_loss = _zero_loss_masks(problem, cls)
 
     def branch(members, depth):
         for masks in zero_loss:
@@ -784,7 +801,7 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(to_mask(space.members), shatter)
+    return _max_depth(root, shatter)
 
 
 def seqfat(
@@ -798,8 +815,14 @@ def seqfat(
     Needs Y = Z (a regression grid); witnesses range over the grid itself.
     Depth d+1 needs an instance x and witness s with both {h : h(x) >= s+gamma}
     and {h : h(x) <= s-gamma} of depth d.
+
+    The grid values and gamma are put over one common denominator
+    (`scaled_loss`), so each hypothesis's value at an instance and each
+    witness's s + gamma and s - gamma are ints, worked out once, and every
+    split mask is built from int comparisons.
     """
     validate_problem(problem, cls)
+    root = _space_mask(cls, space)
     gamma = parse_rational(gamma)
     if gamma <= 0:
         raise ValidationError(f"seqfat needs gamma > 0, got {gamma}")
@@ -809,18 +832,23 @@ def seqfat(
         values = tuple(parse_rational(v) for v in problem.predictions)
     except ValidationError as exc:
         raise ValidationError(f"seqfat needs numeric labels: {exc}") from exc
+    _, (scaled,) = scaled_loss((values + (gamma,),))
+    *grid, g = scaled
+    witnesses = [(s + g, s - g) for s in grid]
     # (upper, lower) masks per instance and witness s: hypotheses predicting
     # at least s + gamma, and at most s - gamma.
-    splits = [
-        [
-            (
-                to_mask(h for h, row in enumerate(cls.table) if values[row[x]] >= s + gamma),
-                to_mask(h for h, row in enumerate(cls.table) if values[row[x]] <= s - gamma),
-            )
-            for s in values
-        ]
-        for x in range(problem.num_instances)
-    ]
+    splits = []
+    for x in range(problem.num_instances):
+        at = [grid[row[x]] for row in cls.table]  # each hypothesis's value at x
+        splits.append(
+            [
+                (
+                    to_mask(h for h, v in enumerate(at) if v >= high),
+                    to_mask(h for h, v in enumerate(at) if v <= low),
+                )
+                for high, low in witnesses
+            ]
+        )
 
     def branch(members, depth):
         for per_witness in splits:
@@ -836,7 +864,7 @@ def seqfat(
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(to_mask(space.members), shatter)
+    return _max_depth(root, shatter)
 
 
 def msdim(
@@ -870,10 +898,11 @@ def msdim_direct(
     enumeration used by `msdim`; used to cross-check it.
     """
     validate_problem(problem, cls)
+    root = _space_mask(cls, space)
     gv = GammaValue.of(gamma)
     _check_binary_loss(problem)
     rows = [AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss]
-    zero_loss = _zero_loss_masks(problem, cls)
+    _, zero_loss = _zero_loss_masks(problem, cls)
     values = {}  # qualifying labels -> the value of their game, for this call
 
     def branch(members, depth):
@@ -890,7 +919,7 @@ def msdim_direct(
         return False
 
     shatter = partial(_shatter_memo, {}, branch)
-    return _max_depth(to_mask(space.members), shatter)
+    return _max_depth(root, shatter)
 
 
 def _shatter_memo(memo, branch, members, depth) -> bool:
@@ -901,10 +930,12 @@ def _shatter_memo(memo, branch, members, depth) -> bool:
     truthy value exactly when some instance branches into children of depth
     `depth - 1`; it is stored in `memo` under (members, depth).
 
-    `branch` recurses by calling this function on the children, so each
-    depth level is a few Python frames: three in the engine (this function,
-    `DimensionEngine._branch` and `qualifying_rows`), which under the default
-    recursion limit of 1000 allows depth about 325 from a shallow stack.
+    The oracles' `branch` recurses by calling this function on the
+    children, so each of their depth levels is a few Python frames. The
+    engine calls it only through `_shatter`, from its entry points; below
+    them its scan (`qualifying_rows`) applies the same base cases and reads
+    the same memo inline, so each of its depth levels is two frames (module
+    docstring).
     """
     if depth == 0:
         return bool(members)
@@ -915,6 +946,16 @@ def _shatter_memo(memo, branch, members, depth) -> bool:
     if hit is _MISSING:
         hit = memo[key] = branch(members, depth)
     return bool(hit)
+
+
+def _space_mask(cls: HypothesisClass, space: VersionSpace) -> int:
+    """The bitmask of a caller's `VersionSpace`, after checking it fits the
+    class: the engine's entry points and the three oracles all convert here."""
+    if not isinstance(space, VersionSpace):
+        raise ValidationError(f"expected a VersionSpace, got {space!r}")
+    if space.members and space.members[-1] >= cls.num_hypotheses:
+        raise ValidationError(f"hypothesis index {space.members[-1]} out of range")
+    return to_mask(space.members)
 
 
 def to_mask(members) -> int:
@@ -945,15 +986,20 @@ def _max_depth(members, shatter) -> int:
     return depth
 
 
-def _zero_loss_masks(problem: Problem, cls: HypothesisClass) -> list:
-    """Per instance, per label: the mask of hypotheses with zero loss there."""
-    return [
-        [
-            to_mask(h for h, row in enumerate(cls.table) if loss_row[row[x]] == 0)
-            for loss_row in problem.loss
-        ]
-        for x in range(problem.num_instances)
-    ]
+def _zero_loss_masks(problem: Problem, cls: HypothesisClass) -> tuple:
+    """(zeros, masks): zeros[y] is the set of predictions with zero loss
+    against label y, and masks[x][y] the mask of the hypotheses whose
+    prediction at x is in zeros[y].
+
+    Each label's set is built once, from one comparison per loss entry, so
+    each (x, y, h) costs one int lookup in a set, not a Fraction comparison.
+    """
+    zeros = [frozenset(z for z, v in enumerate(row) if v == 0) for row in problem.loss]
+    masks = []
+    for x in range(problem.num_instances):
+        at = [row[x] for row in cls.table]  # each hypothesis's prediction at x
+        masks.append([to_mask(h for h, z in enumerate(at) if z in zero) for zero in zeros])
+    return zeros, masks
 
 
 def _check_binary_loss(problem: Problem):

@@ -23,7 +23,6 @@ from .core import (
     Problem,
     ProtocolError,
     RealizabilityError,
-    ThresholdedExample,
     ValidationError,
     check_feedback,
     check_instance,
@@ -31,6 +30,7 @@ from .core import (
     format_rational,
     make_stream,
     scaled_loss,
+    stream_element,
     validate_problem,
     validate_stream,
 )
@@ -133,17 +133,22 @@ def best_in_hindsight(
     `validate_stream` uses; a bad one raises ValidationError with its 1-based
     round. The totals are integers over the loss table's common denominator.
     """
-    den, rows = problem.scaled_loss
-    totals = [0] * cls.num_hypotheses
+    pairs = []
     for t, item in enumerate(stream, 1):
-        if isinstance(item, ThresholdedExample):
-            x, y = item.x, item.y
-        elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
-            x, y = item[0], item[1]
-        else:
-            raise ValidationError(f"round {t}: stream element {item!r} is not (x, y) or (x, y, eps)")
+        x, y, _ = stream_element(t, item)
         check_instance(problem, t, x)
         check_feedback(problem, t, y, None)
+        pairs.append((x, y))
+    return _hindsight(problem, cls, pairs)
+
+
+def _hindsight(problem: Problem, cls: HypothesisClass, pairs: Iterable) -> tuple:
+    """`best_in_hindsight` over (x, y) pairs already checked against the
+    problem: `run_game` and `exact_expectation_over_signs` check every round
+    once, before they play it."""
+    den, rows = problem.scaled_loss
+    totals = [0] * cls.num_hypotheses
+    for x, y in pairs:
         row = rows[y]
         totals = [total + row[h_row[x]] for total, h_row in zip(totals, cls.table)]
     best = totals.index(min(totals))
@@ -207,9 +212,7 @@ def run_game(
 
     den, (scaled,) = scaled_loss((tuple(r.expected for r in records),))
     cumulative = Fraction(sum(scaled), den)
-    hindsight_index, hindsight_loss = best_in_hindsight(
-        problem, cls, [(r.x, r.y) for r in records]
-    )
+    hindsight_index, hindsight_loss = _hindsight(problem, cls, [(r.x, r.y) for r in records])
     regret = cumulative - hindsight_loss
     sampled = {}
     if mode == "monte-carlo":
@@ -308,7 +311,7 @@ def exact_expectation_over_signs(
         branches: dict = {}
         for stream in group:
             if len(stream) == depth:
-                total += cumulative - best_in_hindsight(problem, cls, stream)[1]
+                total += cumulative - _hindsight(problem, cls, [(ex.x, ex.y) for ex in stream])[1]
             else:
                 branches.setdefault(stream[depth], []).append(stream)
         if branches:

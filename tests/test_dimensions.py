@@ -8,8 +8,11 @@ instead of the simplex solver.
 """
 
 import gc
+import inspect
 import json
 import random
+import re
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
@@ -1239,3 +1242,139 @@ class TestRestrict:
         for y, _, _, row_id in engine.candidate_rows(members, x):
             first.setdefault(y, row_id)
         assert engine.qualifying_rows(members, x, 0) == tuple(first.values())
+
+
+def seqfat_reference(problem, cls, gamma):
+    """The sequential fat-shattering dimension of the whole class, from the
+    definition: on member tuples, with Fraction comparisons, and no depth cap.
+
+    Depth d+1 needs an instance x and a grid witness s with both {h : h(x) >=
+    s + gamma} and {h : h(x) <= s - gamma} of depth d. The two sets are
+    disjoint for gamma > 0, so each is smaller than its parent and the
+    recursion ends."""
+    values = [F(v) for v in problem.predictions]
+    table = cls.table
+    memo = {}
+
+    def shatter(members, depth):
+        if depth == 0:
+            return bool(members)
+        key = (members, depth)
+        if key not in memo:
+            memo[key] = any(
+                upper and lower and shatter(upper, depth - 1) and shatter(lower, depth - 1)
+                for x in range(problem.num_instances)
+                for s in values
+                for upper, lower in [
+                    (
+                        tuple(h for h in members if values[table[h][x]] >= s + gamma),
+                        tuple(h for h in members if values[table[h][x]] <= s - gamma),
+                    )
+                ]
+            )
+        return memo[key]
+
+    members = tuple(range(cls.num_hypotheses))
+    depth = 0
+    while shatter(members, depth + 1):
+        depth += 1
+    return depth
+
+
+def fractional_grids(rng, count):
+    """Regression grids of three to five values with denominators 2, 3 and 5
+    in [-2, 2], absolute loss, one to three instances and two to eight
+    hypotheses; each with every gap between two grid values as a margin, so
+    that s + gamma and s - gamma land on grid values."""
+    points = sorted({F(k, d) for d in (2, 3, 5) for k in range(-2 * d, 2 * d + 1)})
+    cases = []
+    for _ in range(count):
+        grid = tuple(sorted(rng.sample(points, rng.randint(3, 5))))
+        loss = [[abs(y - z) for z in grid] for y in grid]
+        nx = rng.randint(1, 3)
+        rows = list(product(range(len(grid)), repeat=nx))
+        cls = HypothesisClass(tuple(sorted(rng.sample(rows, rng.randint(2, min(8, len(rows)))))))
+        problem = make_problem(tuple(range(nx)), grid, grid, loss)
+        gaps = sorted({b - a for a, b in combinations(grid, 2)})
+        cases.append((validate_problem(problem, cls), gaps))
+    return cases
+
+
+def test_seqfat_matches_the_definition_on_fractional_grids():
+    rng = random.Random(61)
+    nonzero = 0
+    for (problem, cls), gaps in fractional_grids(rng, 60):
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gamma in gaps:
+            expected = seqfat_reference(problem, cls, gamma)
+            assert seqfat(problem, cls, full, gamma) == expected
+            nonzero += expected > 0
+    assert nonzero >= 100
+
+
+def test_seqfat_split_bounds_are_closed():
+    # The witness 1/30 is exactly 11/30 from both hypotheses' values, -1/3
+    # and 2/5: at gamma = 11/30 both sides of the split hold, by >= and <=.
+    grid = ("-1/3", "1/30", "2/5")
+    loss = [[abs(F(y) - F(z)) for z in grid] for y in grid]
+    problem = make_problem((0,), grid, grid, loss)
+    cls = HypothesisClass(((0,), (2,)))
+    full = VersionSpace.full(2)
+    assert seqfat(problem, cls, full, F(11, 30)) == 1
+    assert seqfat(problem, cls, full, F(11, 30) + F(1, 10**9)) == 0
+
+
+@pytest.mark.parametrize(
+    "builtin, route",
+    [
+        ("setvalued:pair", lambda p, c, space: msdim(p, c, space, F(1, 4))),
+        ("setvalued:pair", lambda p, c, space: msdim_direct(p, c, space, F(1, 4))),
+        ("multiclass:binary-constants", ldim_k),
+        ("regression:three-point", lambda p, c, space: seqfat(p, c, space, F(1))),
+    ],
+    ids=["msdim", "msdim_direct", "ldim_k", "seqfat"],
+)
+def test_every_route_refuses_a_space_that_does_not_fit_the_class(builtin, route):
+    # The oracles once returned 0 for a member past the class, where the
+    # engine refuses it, and raised AttributeError for a plain tuple.
+    problem, cls = make_builtin(builtin)
+    assert cls.num_hypotheses == 2
+    with pytest.raises(ValidationError, match="^hypothesis index 7 out of range$"):
+        route(problem, cls, VersionSpace((0, 7)))
+    with pytest.raises(ValidationError, match=r"^expected a VersionSpace, got \(0, 1\)$"):
+        route(problem, cls, (0, 1))
+
+
+@pytest.mark.parametrize("k", [1.5, True, "2", None, 0, -1])
+def test_ldim_k_refuses_a_k_that_is_not_a_positive_int(k):
+    # k = 1.5 and k = True once returned a dimension, and k = "2" raised
+    # TypeError.
+    problem, cls = make_builtin("multiclass:binary-constants")
+    with pytest.raises(ValidationError, match=f"^k must be an int >= 1, got {re.escape(repr(k))}$"):
+        ldim_k(problem, cls, VersionSpace.full(2), k)
+
+
+def test_a_depth_level_of_the_engine_is_two_frames():
+    # On the binary cube over n instances smdim is n at the strict margin;
+    # the least recursion limit that lets a fresh engine reach it grows by
+    # two per depth level: `_branch` and `qualifying_rows`.
+    def least_limit(n):
+        problem = make_problem(tuple(range(n)), (0, 1), (0, 1), [[0, 1], [1, 0]])
+        cls = HypothesisClass(tuple(product((0, 1), repeat=n)))
+        full = VersionSpace.full(cls.num_hypotheses)
+        low, high = depth_here, depth_here + 200
+        while low < high:
+            limit = (low + high) // 2
+            sys.setrecursionlimit(limit)
+            try:
+                assert smdim(problem, cls, full, GammaValue.strict_zero()) == n
+                high = limit
+            except RecursionError:
+                low = limit + 1
+            finally:
+                sys.setrecursionlimit(saved)
+        return low
+
+    saved = sys.getrecursionlimit()
+    depth_here = len(inspect.stack(0)) + 5
+    assert least_limit(6) - least_limit(3) == 6

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from smdim import core, simulation
 from smdim.adversaries import find_sqrt_witness, rademacher_stream
 from smdim.core import (
     HypothesisClass,
@@ -494,3 +495,60 @@ def test_a_class_that_does_not_fit_the_problem_is_refused(call):
     for table, message in cases:
         with pytest.raises(ValidationError, match=message):
             call(problem, HypothesisClass(table))
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        # A bare int once raised TypeError from tuple(5).
+        ([5], r"^round 1: stream element 5 is not \(x, y\) or \(x, y, eps\)$"),
+        ([(0, 0), (0,)], r"^round 2: stream element \(0,\) is not \(x, y\) or \(x, y, eps\)$"),
+        ([(0, 0), (0, 1), "01"], r"^round 3: stream element '01' is not \(x, y\)"),
+        ([(0, 0, "1/2"), (0, 1, 0.5)], r"^round 2: refusing float 0.5"),
+        ([(0, 0, "half")], r"^round 1: not a rational literal: 'half'$"),
+    ],
+    ids=["int", "short-tuple", "string", "float-threshold", "bad-literal"],
+)
+def test_a_malformed_stream_element_is_refused_with_its_round(stream, message):
+    problem, cls = make_builtin("multiclass:binary-constants")
+    with pytest.raises(ValidationError, match=message):
+        run_game(problem, cls, UniformLearner(problem), stream)
+    with pytest.raises(ValidationError, match=message):
+        exact_expectation_over_signs(
+            problem, cls, lambda signs: stream, lambda: UniformLearner(problem), 1
+        )
+
+
+def test_stream_elements_may_be_examples_tuples_or_lists():
+    problem, cls = make_builtin("multiclass:binary-constants")
+    mixed = [ThresholdedExample(0, 1, F(0)), (0, 1, "0"), [0, 1, 0]]
+    report = run_game(problem, cls, UniformLearner(problem), mixed)
+    assert [(r.x, r.y, r.eps) for r in report.rounds] == [(0, 1, F(0))] * 3
+
+
+def test_each_round_is_checked_once(monkeypatch):
+    # run_game and the sign walk check every stream up front, and sum the
+    # hindsight totals without checking the rounds again.
+    checked = []
+    real = core.check_instance
+
+    def spy(problem, t, x):
+        checked.append(t)
+        real(problem, t, x)
+
+    monkeypatch.setattr(core, "check_instance", spy)
+    monkeypatch.setattr(simulation, "check_instance", spy)
+    problem, cls = make_builtin("multiclass:m=3")
+    stream = [(0, 0), (0, 1), (0, 2), (0, 1)]
+    report = run_game(problem, cls, UniformLearner(problem), stream)
+    assert checked == [1, 2, 3, 4]
+    assert (report.hindsight_index, report.hindsight_loss) == best_in_hindsight(problem, cls, stream)
+    checked.clear()
+    exact_expectation_over_signs(
+        problem,
+        cls,
+        lambda signs: [(0, 0 if s == 1 else 2) for s in signs],
+        lambda: UniformLearner(problem),
+        3,
+    )
+    assert checked == [1, 2, 3] * 8
