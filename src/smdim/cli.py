@@ -232,8 +232,6 @@ def _cmd_dim(args) -> int:
         elif name == "msdim":
             value = msdim(problem, cls, space, gv, args.memo_cap)
         else:
-            if gv.strict:
-                raise ValidationError("seqfat needs gamma > 0")
             value = seqfat(problem, cls, space, gv.gamma)
         results.append((gv, value))
     doc = {

@@ -302,7 +302,8 @@ def make_stream(items: Iterable) -> tuple:
     A malformed element, or a threshold that is not a rational, raises
     ValidationError with its 1-based round. Thresholds must be present on
     every element or on none; a mixed stream has no consistent
-    interpretation (realizable vs. agnostic protocol).
+    interpretation (realizable vs. agnostic protocol), and its error names the
+    round of the first element whose kind differs from the first element's.
     """
     out = []
     for t, item in enumerate(items, 1):
@@ -314,10 +315,9 @@ def make_stream(items: Iterable) -> tuple:
                 except ValidationError as exc:
                     raise ValidationError(f"round {t}: {exc}") from exc
             item = ThresholdedExample(x, y, eps)
+        if out and (item.eps is None) != (out[0].eps is None):
+            raise ValidationError(f"round {t}: thresholds must be present on every stream element or on none")
         out.append(item)
-    with_eps = sum(1 for e in out if e.eps is not None)
-    if with_eps not in (0, len(out)):
-        raise ValidationError("thresholds must be present on every stream element or on none")
     return tuple(out)
 
 
@@ -340,30 +340,31 @@ def validate_stream(problem: Problem, stream: Sequence[ThresholdedExample]) -> t
     return tuple(stream)
 
 
+def check_index(name: str, index, size: int, t: Optional[int] = None):
+    """Check an index of a problem's instances, labels or predictions: an int
+    in [0, size). Its type must be int itself: a bool is an int in Python,
+    and is refused as in a JSON document (`instances._decode_index`). The
+    error names round t when one is given."""
+    if type(index) is not int or not 0 <= index < size:
+        reason = "out of range" if type(index) is int else "is not an int"
+        where = "" if t is None else f"round {t}: "
+        raise ValidationError(f"{where}{name} index {index!r} {reason}")
+
+
 def check_instance(problem: Problem, t: int, x: int):
     """Check round t's instance index against a problem: an int in range."""
-    if type(x) is not int or not 0 <= x < problem.num_instances:
-        raise ValidationError(_index_error(t, "instance", x))
+    check_index("instance", x, problem.num_instances, t)
 
 
 def check_feedback(problem: Problem, t: int, y: int, eps: Optional[Fraction]):
     """Check round t's label index, an int in range, and optional threshold,
     a Fraction in [0, c], against a problem."""
-    if type(y) is not int or not 0 <= y < problem.num_labels:
-        raise ValidationError(_index_error(t, "label", y))
+    check_index("label", y, problem.num_labels, t)
     if eps is not None and not isinstance(eps, Fraction):
         raise ValidationError(f"round {t}: threshold {eps!r} is not a Fraction")
     # A Fraction's sign is its numerator's, which skips one Fraction comparison.
     if eps is not None and (eps.numerator < 0 or eps > problem.bound_c):
         raise ValidationError(f"round {t}: threshold {eps} outside [0, {problem.bound_c}]")
-
-
-def _index_error(t: int, name: str, index) -> str:
-    """Why round t's index is refused. Its type must be int itself: a bool is
-    an int in Python, and is refused as in a JSON document
-    (`instances._decode_index`)."""
-    reason = "out of range" if type(index) is int else "is not an int"
-    return f"round {t}: {name} index {index!r} {reason}"
 
 
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
@@ -415,11 +416,11 @@ def expected_loss(problem: Problem, mixture: Mixture, y: int) -> Fraction:
     """Exact expected loss of a mixture against label index y.
 
     Summed in integers over the mixture's and the loss table's common
-    denominators. Raises ValidationError when y is not a label index or the
-    mixture is not as wide as the problem has predictions.
+    denominators. Raises ValidationError when y is not a label index
+    (`check_index`) or the mixture is not as wide as the problem has
+    predictions.
     """
-    if not 0 <= y < problem.num_labels:
-        raise ValidationError(f"label index {y} out of range")
+    check_index("label", y, problem.num_labels)
     den, rows = problem.scaled_loss
     row = rows[y]
     if len(mixture.scaled) != len(row):

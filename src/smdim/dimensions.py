@@ -13,8 +13,10 @@ a step function of eps, so thresholds only need to be enumerated at the loss
 values actually realized on V; the inner min-max is a finite game solved
 exactly by `solve_min_max`. For a fixed label the qualifying row with the
 smallest threshold dominates the others pointwise (same coefficients, larger
-offset), so each LP is solved over one row per label while certificates record
-the full qualifying candidate list; both have the same value and minimizer.
+offset), so each LP is solved, and each certificate node is recorded, over one
+row per label. The dominated rows add nothing: the game without them has the
+same value and minimizer, every best response to a mixture is a dominant row,
+and their children are supersets of the dominant row's child.
 
 Shatterability is monotone under inclusion: if V is a subset of V' and V is
 shatterable to depth d, so is V'. By induction on d (depth 0 only needs a
@@ -32,10 +34,11 @@ the node value are the ones the unpruned recursion finds. This rule lives in
 first row id and builds no candidate list: it walks the threshold steps
 itself and stops each label at its first qualifying child.
 A memo entry keeps the instance and those row ids, and `certificate()`
-rebuilds a node's list from them: each label qualifies from its candidate
-whose row id the entry holds onward. The nodes of children that pruning
-skipped are computed when `certificate()` first walks into them, and the memo
-cap (`SMDIM_MEMO_CAP`) counts only the version spaces actually visited.
+reads each node from it: the node lists the candidates whose row ids the entry
+holds. Their children are the ones the scan stopped at, each a passing memo
+entry. So `certificate()` visits no version space that `smdim` on the same
+space did not, and a memo cap (`SMDIM_MEMO_CAP`, a bound on the version spaces
+visited) that suffices for one suffices for both.
 
 All four routes, and the learners, represent a version space as an `int`
 bitmask (bit h set when hypothesis h is a member); `to_mask` and `to_members`
@@ -165,7 +168,7 @@ from .core import (
     validate_problem,
 )
 from .game import AffineRow, GameSolution, kernel_value, solve_min_max
-from .instances import json_array, json_object, json_text
+from .instances import canonical_json
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
 DEFAULT_MEMO_CAP = 200_000
@@ -211,21 +214,19 @@ class GammaValue:
 
 @dataclass(frozen=True)
 class CertificateNode:
-    """One level of a shattering tree: the instance to play and the candidate fan-out."""
+    """One level of a shattering tree: the instance to play and the candidate fan-out.
+
+    `candidates` holds one (Candidate, child) pair per qualifying label, in
+    ascending label order: the label's smallest qualifying threshold, whose
+    row dominates the label's other qualifying rows. `value` is the value of
+    the game over their rows, which those other rows would not change.
+    """
 
     space: VersionSpace
     depth: int
     instance: int
     value: Fraction
     candidates: tuple  # ((Candidate, VersionSpace), ...)
-
-
-# Line breaks and indents of a certificate document's nested levels.
-_DOC_FIELDS = "\n  "
-_NODE = "\n    "
-_NODE_FIELDS = "\n      "
-_CANDIDATE = "\n        "
-_CANDIDATE_FIELDS = "\n          "
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,9 @@ class ShatteringCertificate:
     `nodes` maps (members, depth) to the CertificateNode chosen there; every
     child of a recorded node at depth >= 2 is itself recorded, so walking
     best responses from the root always stays inside the certificate. In a
-    certificate from `DimensionEngine.certificate`, nodes and candidates
-    share one `VersionSpace` per distinct mask and one `Candidate` per
-    distinct (label, threshold).
+    certificate from `DimensionEngine.certificate`, each node lists one
+    candidate per qualifying label, and nodes and candidates share one
+    `VersionSpace` per distinct mask.
     """
 
     gamma: GammaValue
@@ -252,59 +253,34 @@ class ShatteringCertificate:
         return self.nodes[key]
 
     def to_json(self) -> str:
-        """The certificate as canonical JSON text.
+        """The certificate as canonical JSON text (`canonical_json`).
 
         The document is {"gamma", "strict", "depth", "root", "nodes"}; "nodes"
         lists the nodes in sorted (members, depth) order, each as {"space",
         "depth", "x", "value", "candidates"}, and each candidate as {"y",
         "eps", "child"}; rationals are "p/q" strings and spaces are member
-        lists. The text is written straight from `nodes` and is byte-identical
-        to `canonical_json` of that document. Each child's member list and
-        each candidate's fields are written once per object, and
-        `DimensionEngine.certificate` shares one object per distinct value.
+        lists.
         """
-        # Keyed by identity, which is cheap to hash; `nodes` keeps every key
-        # object alive during the call.
-        children = {}  # id of a child VersionSpace -> its member list
-        cands = {}  # id of a Candidate -> its "eps" and "y" fields
-        entries = []
-        for members, depth in sorted(self.nodes):
-            node = self.nodes[(members, depth)]
-            candidates = []
-            for cand, child in node.candidates:
-                child_members = children.get(id(child))
-                if child_members is None:
-                    child_members = children[id(child)] = json_text(child.members, _CANDIDATE_FIELDS)
-                fields = cands.get(id(cand))
-                if fields is None:
-                    fields = cands[id(cand)] = (
-                        f'"eps": {json_text(format_rational(cand.threshold), _CANDIDATE_FIELDS)},'
-                        f'{_CANDIDATE_FIELDS}"y": {json_text(cand.label, _CANDIDATE_FIELDS)}'
-                    )
-                # The keys in sorted order: child, eps, y.
-                candidates.append(
-                    f'{{{_CANDIDATE_FIELDS}"child": {child_members},{_CANDIDATE_FIELDS}{fields}{_CANDIDATE}}}'
-                )
-            entries.append(
-                json_object(
-                    {
-                        "space": json_text(members, _NODE_FIELDS),
-                        "depth": json_text(depth, _NODE_FIELDS),
-                        "x": json_text(node.instance, _NODE_FIELDS),
-                        "value": json_text(format_rational(node.value), _NODE_FIELDS),
-                        "candidates": json_array(candidates, _NODE_FIELDS),
-                    },
-                    _NODE,
-                )
-            )
         doc = {
-            "gamma": json_text(format_rational(self.gamma.gamma), _DOC_FIELDS),
-            "strict": json_text(self.gamma.strict, _DOC_FIELDS),
-            "depth": json_text(self.depth, _DOC_FIELDS),
-            "root": json_text(self.root.members, _DOC_FIELDS),
-            "nodes": json_array(entries, _DOC_FIELDS),
+            "gamma": format_rational(self.gamma.gamma),
+            "strict": self.gamma.strict,
+            "depth": self.depth,
+            "root": self.root.members,
+            "nodes": [
+                {
+                    "space": members,
+                    "depth": depth,
+                    "x": node.instance,
+                    "value": format_rational(node.value),
+                    "candidates": [
+                        {"y": cand.label, "eps": format_rational(cand.threshold), "child": child.members}
+                        for cand, child in node.candidates
+                    ],
+                }
+                for (members, depth), node in sorted(self.nodes.items())
+            ],
         }
-        return json_object(doc, "\n") + "\n"
+        return canonical_json(doc)
 
 
 class DimensionEngine:
@@ -316,8 +292,8 @@ class DimensionEngine:
     prior work. Each entry is (instance, LP row ids) for the node chosen
     there, the ids being the key of its game in `games` (`qualifying_rows`),
     or None when the space is not shatterable to that depth. The node's value
-    is `value(ids)`, and `certificate()` rebuilds its candidate list from
-    the ids. Lookups are idempotent pure values:
+    is `value(ids)`, and `certificate()` lists the candidates of those ids.
+    Lookups are idempotent pure values:
     concurrent readers are safe, and a duplicated insert computes the same
     entry. The number of distinct version spaces visited is capped
     (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
@@ -392,50 +368,38 @@ class DimensionEngine:
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
         """Certificate for the full dimension of `space` (depth 0 gives no nodes).
 
-        Each node's candidates are rebuilt from `candidate_rows`: a label
-        qualifies from the candidate whose row id is in the memo entry's ids
-        onward, and the node's value is `value(ids)`, the exact game value,
-        proved by a two-point kernel where one exists. Children that
-        threshold pruning never visited are shatterable by monotonicity; their
-        nodes are computed here, on first use.
+        Every node is read from the memo. Its entry (x, ids) gives the
+        instance and the LP row ids of the node's game, and the node lists the
+        `candidate_rows` entries whose row id is in `ids`: one per qualifying
+        label, its first qualifying candidate. Their children are the ones
+        `qualifying_rows` stopped at, so each child of depth >= 1 is itself a
+        passing memo entry, and the walk visits no version space `smdim` did
+        not. The node's value is `value(ids)`, the exact game value, proved by
+        a two-point kernel where one exists.
         """
         root = _space_mask(self.cls, space)
         depth = self.dim_members(root)
-        spaces = {}  # mask -> its VersionSpace
-        cands = {}  # (label, threshold times den) -> its Candidate
+        spaces = {root: space}  # mask -> its VersionSpace
         nodes = {}
         stack = [(root, depth)] if depth else []
         while stack:
             mask, d = stack.pop()
-            node_space = spaces.get(mask)
-            if node_space is None:
-                node_space = spaces[mask] = VersionSpace(to_members(mask))
+            node_space = spaces[mask]
             if (node_space.members, d) in nodes:
                 continue
-            if not self._shatter(mask, d):
-                raise AssertionError("a child above a qualifying threshold is not shatterable")
             x, ids = self._memo[(mask, d)]
-            value = self.value(ids)
             candidates = []
-            found = -1
+            # Row ids are unique per (label, threshold), so each id names one entry.
             for y, key, child, row_id in self.candidate_rows(mask, x):
-                # Row ids are unique per (label, threshold), so `ids` names
-                # each qualifying label's first candidate.
-                if y != found:
-                    if row_id not in ids:
-                        continue
-                    found = y
-                cand = cands.get((y, key))
-                if cand is None:
-                    cand = cands[(y, key)] = Candidate(y, Fraction(key, self._den))
-                child_space = spaces.get(child)
-                if child_space is None:
-                    child_space = spaces[child] = VersionSpace(to_members(child))
-                candidates.append((cand, child_space))
-                if d > 1:
-                    stack.append((child, d - 1))
+                if row_id in ids:
+                    child_space = spaces.get(child)
+                    if child_space is None:
+                        child_space = spaces[child] = VersionSpace(to_members(child))
+                    candidates.append((Candidate(y, Fraction(key, self._den)), child_space))
+                    if d > 1:
+                        stack.append((child, d - 1))
             nodes[(node_space.members, d)] = CertificateNode(
-                space=node_space, depth=d, instance=x, value=value, candidates=tuple(candidates)
+                space=node_space, depth=d, instance=x, value=self.value(ids), candidates=tuple(candidates)
             )
         return ShatteringCertificate(gamma=self.gamma, root=space, depth=depth, nodes=nodes)
 
@@ -1005,5 +969,6 @@ def _zero_loss_masks(problem: Problem, cls: HypothesisClass) -> tuple:
 def _check_binary_loss(problem: Problem):
     for y, row in enumerate(problem.loss):
         for z, v in enumerate(row):
-            if v != 0 and v != 1:
+            # Integer reads: a loss is a Fraction in lowest terms.
+            if v.denominator != 1 or v.numerator not in (0, 1):
                 raise ValidationError(f"loss[{y}][{z}] = {v} is not in {{0, 1}}")

@@ -51,6 +51,7 @@ from .core import (
     RealizabilityError,
     ValidationError,
     VersionSpace,
+    check_index,
     expected_loss,
     parse_rational,
     validate_problem,
@@ -86,11 +87,6 @@ def _engine_for(problem: Problem, cls: HypothesisClass, gamma, engine) -> Dimens
     if engine.gamma.strict:
         raise ValidationError("version-space learners need gamma > 0, not the strict variant")
     return engine
-
-
-def _check_index(kind: str, index: int, size: int) -> None:
-    if not 0 <= index < size:
-        raise ValidationError(f"{kind} index {index} out of range")
 
 
 class Mrsoa:
@@ -136,12 +132,12 @@ class Mrsoa:
         self._space = state
 
     def predict(self, x: int) -> Mixture:
-        _check_index("instance", x, self.problem.num_instances)
+        check_index("instance", x, self.problem.num_instances)
         return self.engine.mixture(self._space, x)
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
-        _check_index("instance", x, self.problem.num_instances)
-        _check_index("label", y, self.problem.num_labels)
+        check_index("instance", x, self.problem.num_instances)
+        check_index("label", y, self.problem.num_labels)
         if eps is not None:
             eps = parse_rational(eps)
             if not 0 <= eps <= self.problem.bound_c:
@@ -338,7 +334,7 @@ class AgnosticLearner:
     def predict(self, x: int) -> Mixture:
         if self.round >= self.horizon:
             raise ProtocolError(f"horizon {self.horizon} exhausted")
-        _check_index("instance", x, self.problem.num_instances)
+        check_index("instance", x, self.problem.num_instances)
         groups: dict = {}
         for space, n in zip(self._spaces, self._numerators):
             groups[space] = groups.get(space, 0) + n
@@ -352,7 +348,7 @@ class AgnosticLearner:
         # it: experts use their own quantized thresholds.
         if self._pending is None or self._pending[0] != x:
             raise ProtocolError("update without a matching predict")
-        _check_index("label", y, self.problem.num_labels)
+        check_index("label", y, self.problem.num_labels)
         _, spaces, mixtures = self._pending
         self._pending = None
         factors = {}
@@ -418,7 +414,7 @@ class FollowTheLeader:
         return Mixture.dirac(len(self._cumulative), best)
 
     def update(self, x: int, y: int, eps=None) -> None:
-        _check_index("label", y, self.problem.num_labels)
+        check_index("label", y, self.problem.num_labels)
         row = self.problem.loss[y]
         for z in range(len(self._cumulative)):
             self._cumulative[z] += row[z]

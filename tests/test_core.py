@@ -237,6 +237,20 @@ class TestStreams:
         with pytest.raises(ValidationError):
             make_stream([(0, 1, F(1, 2)), (0, 0)])
 
+    @pytest.mark.parametrize(
+        "items, t",
+        [
+            ([(0, 0, "1/2"), (0, 1)], 2),
+            ([(0, 0), (0, 1), (0, 1, "1/2"), (0, 0, "1/2")], 3),
+            ([(0, 0, F(0)), (0, 1, F(1)), (0, 1)], 3),
+        ],
+    )
+    def test_a_mixed_stream_names_the_first_round_of_the_other_kind(self, items, t):
+        # The kind is the first element's: with or without a threshold.
+        message = f"^round {t}: thresholds must be present on every stream element or on none$"
+        with pytest.raises(ValidationError, match=message):
+            make_stream(items)
+
     def test_validate_stream_reports_one_based_round(self):
         problem, _ = binary_problem()
         stream = make_stream([(0, 0), (0, 5)])
@@ -267,6 +281,14 @@ class TestExpectedLossAndRestrict:
         # -1 once read the last loss row; 3 raised a bare IndexError.
         problem, _ = make_builtin("multiclass:m=3")
         with pytest.raises(ValidationError, match=f"label index {y} out of range"):
+            expected_loss(problem, Mixture.uniform(3), y)
+
+    @pytest.mark.parametrize("y", [0.0, 1.0, True, False])
+    def test_label_that_is_not_an_int(self, y):
+        # A float once raised a bare TypeError from the loss table, and a bool
+        # read a loss row; both are refused, as in a stream or a JSON document.
+        problem, _ = make_builtin("multiclass:m=3")
+        with pytest.raises(ValidationError, match=f"^label index {y!r} is not an int$"):
             expected_loss(problem, Mixture.uniform(3), y)
 
 

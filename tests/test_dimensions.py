@@ -14,13 +14,16 @@ import random
 import re
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smdim import dimensions
+from smdim.adversaries import ShatteringAdversary
 from smdim.core import (
     BudgetError,
     HypothesisClass,
@@ -44,7 +47,8 @@ from smdim.dimensions import (
 )
 from smdim.game import AffineRow, best_response, solve_min_max
 from smdim.instances import builtin_names, make_builtin, parse_instance_document, serialize_instance
-from smdim.learners import Mrsoa
+from smdim.learners import Mrsoa, UniformLearner
+from smdim.simulation import run_game
 from smdim.verify import gen_list, gen_multiclass, gen_regression, gen_setvalued
 
 from test_game import oracle_min_max
@@ -248,15 +252,15 @@ class TestCertificate:
         assert root.value == F(1, 2)
         # Every realized threshold qualifies at depth 1 (children only need to
         # be nonempty): both labels at eps 0 with singleton children, both at
-        # eps 1 with the full space.
-        listed = sorted((cand.label, cand.threshold) for cand, _ in root.candidates)
-        assert listed == [(0, F(0)), (0, F(1)), (1, F(0)), (1, F(1))]
-        children = {
-            (cand.label, cand.threshold): child.members for cand, child in root.candidates
-        }
-        assert children[(0, F(0))] == (0,)
-        assert children[(1, F(0))] == (1,)
-        assert children[(0, F(1))] == (0, 1)
+        # eps 1 with the full space. The node lists each label's first one,
+        # and the candidates accessor every one.
+        listed = [(cand.label, cand.threshold, child.members) for cand, child in root.candidates]
+        assert listed == [(0, F(0), (0,)), (1, F(0), (1,))]
+        every = [
+            (cand.label, cand.threshold, child.members)
+            for cand, child in engine.candidates(VersionSpace.full(2), root.instance)
+        ]
+        assert every == [(0, F(0), (0,)), (0, F(1), (0, 1)), (1, F(0), (1,)), (1, F(1), (0, 1))]
 
     def test_to_json_is_deterministic_and_loadable(self):
         problem, cls = make_builtin("hilbert:orthonormal")
@@ -302,7 +306,8 @@ class TestCertificate:
 
     def test_candidate_lists_match_unpruned_oracle(self):
         # The engine recurses on each label only up to its first qualifying
-        # threshold; the rest of every node's list is produced by monotonicity.
+        # threshold. A node lists that one, and by monotonicity each later
+        # threshold of the label, from the candidates accessor, qualifies too.
         # Regression grids add nodes of depth >= 2, where pruning takes effect.
         cases = [make_builtin(name) for name in BUILTIN_DIMENSIONS]
         rng = random.Random(29)
@@ -315,14 +320,23 @@ class TestCertificate:
                 cert = engine.certificate(VersionSpace.full(cls.num_hypotheses))
                 shatter = oracle_shatter(problem, cls, gv)
                 for (members, depth), node in cert.nodes.items():
+                    expected = oracle_qualifying(
+                        problem, cls, shatter, members, node.instance, depth
+                    )
+                    firsts = {}
+                    for y, eps, child in expected:
+                        firsts.setdefault(y, (y, eps, child))
                     listed = [
                         (cand.label, cand.threshold, child.members)
                         for cand, child in node.candidates
                     ]
-                    expected = oracle_qualifying(
-                        problem, cls, shatter, members, node.instance, depth
-                    )
-                    assert listed == expected
+                    assert listed == list(firsts.values())
+                    every = [
+                        (cand.label, cand.threshold, child.members)
+                        for cand, child in engine.candidates(VersionSpace(members), node.instance)
+                    ]
+                    later = [c for c in every if c[0] in firsts and c[1] >= firsts[c[0]][1]]
+                    assert later == expected
                     deep += depth >= 2
         assert deep >= 40
 
@@ -334,15 +348,18 @@ class TestCertificate:
         assert cert.nodes == {}
 
 
-def reference_certificate_nodes(engine, space):
+def reference_certificate_nodes(engine, space, full=False):
     """The nodes of `engine.certificate(space)`, walked from the memo with a new
     VersionSpace and Candidate for every node and candidate.
 
-    Only each node's instance and game come from the memo entry (x, row ids).
-    The candidate list is derived from the public `candidates` and
-    `shatterable`: each label qualifies from its first candidate whose child
-    is shatterable to d - 1 onward.
+    Only each node's instance comes from the memo entry (x, row ids). The
+    candidate list is derived from the public `candidates` and `shatterable`:
+    each label's first candidate whose child is shatterable to d - 1. With
+    `full`, each label lists every candidate from that one onward, the full
+    qualifying list, and the walk enters every listed child. A node's value is
+    the simplex's value of the game over its listed rows.
     """
+    problem = engine.problem
     root = to_mask(space.members)
     nodes = {}
     stack = [(root, engine.dim_members(root))]
@@ -354,18 +371,22 @@ def reference_certificate_nodes(engine, space):
         if (members, d) in nodes:
             continue
         assert engine._shatter(mask, d)
-        x, ids = engine._memo[(mask, d)]
+        x, _ = engine._memo[(mask, d)]
         qualified = set()
         candidates = []
         for cand, child in engine.candidates(VersionSpace(members), x):
-            if cand.label in qualified or engine.shatterable(child, d - 1):
+            if cand.label in qualified:
+                if full:
+                    candidates.append((cand, child))
+            elif engine.shatterable(child, d - 1):
                 qualified.add(cand.label)
                 candidates.append((cand, child))
+        rows = [AffineRow(problem.loss[cand.label], -cand.threshold) for cand, _ in candidates]
         nodes[(members, d)] = CertificateNode(
             space=VersionSpace(members),
             depth=d,
             instance=x,
-            value=engine.game(ids).value,
+            value=solve_min_max(rows).value,
             candidates=tuple(candidates),
         )
         for _, child in candidates:
@@ -380,19 +401,84 @@ def test_certificate_nodes_equal_a_walk_that_builds_every_candidate():
     for (problem, cls), gammas in cases:
         full = VersionSpace.full(cls.num_hypotheses)
         for gv in gammas:
-            # Separate engines, so the walk does not read memo entries that
-            # certificate() filled in.
+            # Separate engines, so the walks do not read memo entries that
+            # certificate() or the other walk filled in.
             expected = reference_certificate_nodes(DimensionEngine(problem, cls, gv), full)
             cert = DimensionEngine(problem, cls, gv).certificate(full)
             assert cert.nodes == expected
-            # Equal version spaces and equal candidates are one object each.
+            # Each label's first entry of the full qualifying list is the
+            # node's candidate, and the rows it dominates leave the value as
+            # it is.
+            wide = reference_certificate_nodes(DimensionEngine(problem, cls, gv), full, full=True)
+            for key, node in cert.nodes.items():
+                firsts = {}
+                for cand, child in wide[key].candidates:
+                    firsts.setdefault(cand.label, (cand, child))
+                assert node.candidates == tuple(firsts.values())
+                assert node.value == wide[key].value
+            # Equal version spaces are one object.
             spaces = [node.space for node in cert.nodes.values()]
             spaces += [child for node in cert.nodes.values() for _, child in node.candidates]
             assert len({id(s) for s in spaces}) == len(set(spaces))
-            cands = [cand for node in cert.nodes.values() for cand, _ in node.candidates]
-            assert len({id(c) for c in cands}) == len(set(cands))
             deep += cert.depth >= 3
     assert deep >= 5
+
+
+def test_certificates_read_every_node_from_the_memo():
+    # After smdim() the memo holds every node: certificate() adds no memo
+    # entry and visits no version space, and each node lists the candidates
+    # of its memo entry's row ids, one per qualifying label.
+    cases = [(make_builtin(name), ORACLE_GAMMAS[:4]) for name in builtin_names()]
+    cases += [(case, GRID_GAMMAS) for case in dim_cold_grids()]
+    nodes = 0
+    for (problem, cls), gammas in cases:
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in gammas:
+            engine = DimensionEngine(problem, cls, gv)
+            engine.smdim(full)
+            memo, spaces = dict(engine._memo), set(engine._spaces)
+            cert = engine.certificate(full)
+            assert engine._memo == memo and engine._spaces == spaces
+            for (members, depth), node in cert.nodes.items():
+                x, ids = memo[(to_mask(members), depth)]
+                assert node.instance == x
+                row_of = {
+                    (y, F(key, engine._den)): row_id
+                    for y, key, _, row_id in engine.candidate_rows(to_mask(members), x)
+                }
+                assert tuple(row_of[(c.label, c.threshold)] for c, _ in node.candidates) == ids
+                assert node.value == engine.value(ids)
+                nodes += 1
+    assert nodes >= 300
+
+
+def test_the_adversary_plays_the_same_transcripts_on_minimal_and_full_certificates():
+    # A label's later candidates pay less than its first against every
+    # mixture, so the adversary's first best response is a first candidate
+    # whether or not the others are listed.
+    cases = [(make_builtin(name), ORACLE_GAMMAS[1:]) for name in builtin_names()]
+    cases += [(case, GRID_GAMMAS[1:]) for case in dim_cold_grids()]
+    played = 0
+    for (problem, cls), gammas in cases:
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in gammas:
+            engine = DimensionEngine(problem, cls, gv)
+            cert = engine.certificate(full)
+            if not cert.depth:
+                continue
+            wide = replace(
+                cert, nodes=reference_certificate_nodes(DimensionEngine(problem, cls, gv), full, full=True)
+            )
+            for learner in (partial(Mrsoa, engine=engine), UniformLearner):
+                minimal, listed = [
+                    run_game(
+                        problem, cls, learner(problem, cls), ShatteringAdversary(problem, cls, c), rounds=cert.depth
+                    )
+                    for c in (cert, wide)
+                ]
+                assert minimal == listed
+                played += 1
+    assert played >= 60
 
 
 class TestMonotonicity:
@@ -1048,9 +1134,12 @@ def test_each_game_is_bounded_once_per_engine(monkeypatch):
 
 def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
     # `qualifying_rows` walks the threshold steps itself; at every (members,
-    # x, depth) the recursion, certificates and Mrsoa's mixtures meet, it
-    # gives each label's first candidate in `candidate_rows` whose child is
-    # shatterable to the child depth.
+    # x, depth) the recursion and Mrsoa's mixtures meet, it gives each label's
+    # first candidate in `candidate_rows` whose child is shatterable to the
+    # child depth. Besides the spaces of the recursion and of certificate(),
+    # the engine is asked about every node of a walk over the full candidate
+    # lists (`reference_certificate_nodes`), whose later children pruning
+    # skipped.
     met = []
     real = DimensionEngine.qualifying_rows
 
@@ -1064,11 +1153,12 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
         full = VersionSpace.full(cls.num_hypotheses)
         for gv in ORACLE_GAMMAS:
             engine = DimensionEngine(problem, cls, gv)
-            cert = engine.certificate(full)
+            engine.certificate(full)
+            nodes = reference_certificate_nodes(engine, full, full=True)
             if not gv.strict:
                 for x in range(problem.num_instances):
                     engine.mixture(to_mask(full.members), x)
-                for (members, _), node in cert.nodes.items():
+                for (members, _), node in nodes.items():
                     engine.mixture(to_mask(members), node.instance)
     monkeypatch.undo()
     deep = 0
@@ -1084,21 +1174,19 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
 
 
 def test_the_memo_cap_boundary_is_the_count_of_spaces_visited():
-    # On this grid smdim() visits 275 version spaces and certificate() one
-    # more, as before the qualifying scan walked the threshold steps itself:
-    # the scan visits no more and no fewer spaces than the candidate list.
+    # On this grid smdim() visits 275 version spaces, as before the qualifying
+    # scan walked the threshold steps itself, and certificate() reads its
+    # nodes from the memo, so a cap of 275 suffices for both calls.
     problem, cls = dim_cold_grids()[9]
     full = VersionSpace.full(cls.num_hypotheses)
-    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=276)
+    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=275)
     assert engine.smdim(full) == 4
-    engine.certificate(full)
-    assert len(engine._spaces) == 276
-    short = DimensionEngine(problem, cls, F(1, 8), memo_cap=275)
-    assert short.smdim(full) == 4
-    with pytest.raises(BudgetError):
-        short.certificate(full)
+    assert engine.certificate(full).depth == 4
+    assert len(engine._spaces) == 275
     with pytest.raises(BudgetError):
         DimensionEngine(problem, cls, F(1, 8), memo_cap=274).smdim(full)
+    with pytest.raises(BudgetError):
+        DimensionEngine(problem, cls, F(1, 8), memo_cap=274).certificate(full)
 
 
 def test_negative_hypothesis_index_is_a_validation_error():
@@ -1378,3 +1466,19 @@ def test_a_depth_level_of_the_engine_is_two_frames():
     saved = sys.getrecursionlimit()
     depth_here = len(inspect.stack(0)) + 5
     assert least_limit(6) - least_limit(3) == 6
+
+
+@pytest.mark.parametrize("bad", ["1/2", "2", "3/2"])
+def test_the_binary_routes_name_a_loss_outside_zero_and_one(bad):
+    # The check reads each entry's numerator and denominator as ints.
+    problem = make_problem((0,), (0, 1), (0, 1), [[0, 1], [1, bad]])
+    cls = HypothesisClass(((0,), (1,)))
+    routes = (
+        ldim_k,
+        lambda p, c, space: msdim(p, c, space, F(1, 4)),
+        lambda p, c, space: msdim_direct(p, c, space, F(1, 4)),
+    )
+    message = re.escape(f"loss[1][1] = {F(bad)} is not in {{0, 1}}")
+    for route in routes:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            route(problem, cls, VersionSpace.full(2))

@@ -685,6 +685,30 @@ class TestBaselines:
                 learner.update(0, y)
         assert learner.snapshot() == (F(0), F(0))
 
+    @pytest.mark.parametrize("index", [0.0, 1.0, True, False])
+    def test_learners_refuse_an_index_that_is_not_an_int(self, index):
+        # Each raised a bare TypeError, or read a bool as 0 or 1; the learners
+        # check their indices by the rule a stream's rounds are checked by.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        gamma = F(1, 4)
+
+        def agnostic_update(y):
+            learner = AgnosticLearner(problem, cls, gamma, 2)
+            learner.predict(0)
+            learner.update(0, y)
+
+        calls = [
+            ("instance", lambda i: Mrsoa(problem, cls, gamma).predict(i)),
+            ("instance", lambda i: Mrsoa(problem, cls, gamma).update(i, 0)),
+            ("instance", lambda i: AgnosticLearner(problem, cls, gamma, 2).predict(i)),
+            ("label", lambda i: Mrsoa(problem, cls, gamma).update(0, i)),
+            ("label", agnostic_update),
+            ("label", lambda i: FollowTheLeader(problem, cls).update(0, i)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValidationError, match=f"^{name} index {index!r} is not an int$"):
+                call(index)
+
     def test_ftl_requires_constant_hypotheses(self):
         problem = make_problem(
             ("x0", "x1"), (0, 1), (0, 1), [[0, 1], [1, 0]], bound_c=1
