@@ -256,8 +256,7 @@ class Mixture:
 
     @classmethod
     def dirac(cls, size: int, index: int) -> "Mixture":
-        if not 0 <= index < size:
-            raise ValidationError(f"dirac index {index} out of range for size {size}")
+        check_index("prediction", index, size)
         return cls(tuple(Fraction(1) if j == index else Fraction(0) for j in range(size)))
 
     @classmethod

@@ -11,7 +11,8 @@ threshold assignment) on a quantized loss grid, aggregated by multiplicative
 weights. `FollowTheLeader` and `UniformLearner` are baselines.
 
 Both version-space learners keep their version spaces as the engine's `int`
-bitmasks, restrict them with `DimensionEngine.restrict` and play
+bitmasks, restrict them with `DimensionEngine.restrict` (`AgnosticLearner`
+once per threshold, on the full space) and play
 `DimensionEngine.mixture`, Mrsoa's mixture rule, which the engine memoizes per
 (mask, instance), so every learner on one engine shares each mixture; it
 sweeps the dimension recursion's qualifying rows, decides each level's game
@@ -26,8 +27,10 @@ also given.
 
 All learners speak the same protocol: predict(x) -> Mixture, then
 update(x, y, eps) with eps optional; snapshot() returns the learner's state
-between rounds as an immutable value, and restore(state) returns to it, so a
-caller can replay several continuations of one prefix. Everything except the
+as an immutable value, and restore(state) returns to it, so a caller can
+replay several continuations of one prefix. A snapshot taken right after
+predict(x) holds that prediction, so after restoring it update(x, ...) may
+follow at once: several labels can answer one prediction. Everything except the
 MW learning rate (a double, by design) is exact rational arithmetic; the exp
 factors are converted exactly into Fractions so replays are bit-identical.
 """
@@ -224,14 +227,18 @@ def build_expert_pool(
 # pool it ever built.
 @lru_cache(maxsize=16)
 def _pool_plan(horizon: int, d_gamma: int, alpha: Fraction, c: Fraction) -> tuple:
-    """(pool, updates): updates[t - 1] lists (expert index, threshold) of the
-    experts that update in round t."""
+    """(pool, updates): updates[t - 1] lists (threshold, expert indices), one
+    entry per threshold, of the experts that update in round t, so a round
+    restricts by one mask per threshold."""
     pool = build_expert_pool(horizon, d_gamma, alpha, c)
-    updates = tuple([] for _ in range(horizon))
+    updates = tuple({} for _ in range(horizon))
     for i, ident in enumerate(pool):
         for t, threshold in zip(ident.timepoints, ident.thresholds):
-            updates[t - 1].append((i, threshold))
-    return pool, tuple(map(tuple, updates))
+            updates[t - 1].setdefault(threshold, []).append(i)
+    return pool, tuple(
+        tuple((threshold, tuple(experts)) for threshold, experts in round_.items())
+        for round_ in updates
+    )
 
 
 def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
@@ -283,6 +290,13 @@ class AgnosticLearner:
     round multiplies each numerator by a * 2**(K - k), with K the largest k of
     the round, and adds K to the exponent. `weights` gives the exact
     Fractions. The default alpha is min(1/T, c), or 1/T when c = 0.
+
+    A round restricts the full space once per threshold, and each expert
+    that updates with that threshold ANDs the child into its bitmask.
+    `snapshot` also carries the prediction awaiting its update (None between
+    rounds), so restoring a snapshot taken right after predict lets update
+    follow at once, and restoring one taken between rounds drops a pending
+    prediction.
     """
 
     def __init__(
@@ -306,7 +320,7 @@ class AgnosticLearner:
                 self.alpha = c
         else:
             self.alpha = parse_rational(alpha)
-        full = to_mask(range(self.cls.num_hypotheses))
+        self._full = full = to_mask(range(self.cls.num_hypotheses))
         self.dimension = engine.dim_members(full)
         self.pool, self._updates = _pool_plan(horizon, self.dimension, self.alpha, c)
         self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
@@ -324,12 +338,12 @@ class AgnosticLearner:
         return [Fraction(n, scale) for n in self._numerators]
 
     def snapshot(self) -> tuple:
-        """The state between rounds; `restore` returns to it."""
-        return (self._numerators, self._exponent, self._spaces, self.round)
+        """The state, with the prediction awaiting its update (None between
+        rounds); `restore` returns to it."""
+        return (self._numerators, self._exponent, self._spaces, self.round, self._pending)
 
     def restore(self, state: tuple) -> None:
-        self._numerators, self._exponent, self._spaces, self.round = state
-        self._pending = None
+        self._numerators, self._exponent, self._spaces, self.round, self._pending = state
 
     def predict(self, x: int) -> Mixture:
         if self.round >= self.horizon:
@@ -375,10 +389,13 @@ class AgnosticLearner:
         t = self.round + 1
         if self._updates[t - 1]:
             kept_spaces = list(self._spaces)
-            for i, threshold in self._updates[t - 1]:
-                kept = self.engine.restrict(kept_spaces[i], x, y, threshold)
-                if kept:
-                    kept_spaces[i] = kept
+            for threshold, experts in self._updates[t - 1]:
+                # restrict(space, ...) is space & restrict(full, ...).
+                within = self.engine.restrict(self._full, x, y, threshold)
+                for i in experts:
+                    kept = kept_spaces[i] & within
+                    if kept:
+                        kept_spaces[i] = kept
             self._spaces = tuple(kept_spaces)
         self.round = t
 

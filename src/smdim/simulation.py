@@ -275,8 +275,12 @@ def exact_expectation_over_signs(
     `learner_factory` suffers on each stream, as `run_game` reports it, but
     the factory is called once: the function walks the tree of stream
     prefixes depth-first, playing each distinct prefix once and returning
-    to a branch point with the learner's snapshot()/restore(). Capped at
-    SIGN_ENUM_CAP rounds because the cost doubles per round.
+    to a branch point with the learner's snapshot()/restore(). Children of
+    a branch point that play the same instance share one predict: the first
+    stores the mixture and the snapshot taken right after predict, and the
+    others restore that snapshot and only update, so sign streams on one
+    instance cost 2^rounds - 1 predictions. Capped at SIGN_ENUM_CAP rounds
+    because the cost doubles per round.
     """
     validate_problem(problem, cls)
     if rounds < 0:
@@ -294,18 +298,26 @@ def exact_expectation_over_signs(
     total = Fraction(0)
     # Depth-first over the tree of stream prefixes. An entry holds the streams
     # that share their first `depth` rounds, the last of which is `example`
-    # (None at the root), with the expected loss suffered and the learner's
-    # state before that round. Siblings are pushed in reverse, so they are
-    # played in the order their first stream appears.
-    pending = [(streams, 0, Fraction(0), None, None)]
+    # (None at the root), with the expected loss suffered, the learner's
+    # state before that round, and the plays its siblings share: per
+    # instance, the mixture and the state right after predict, stored by the
+    # first sibling on that instance. Siblings are pushed in reverse, so they
+    # are played in the order their first stream appears.
+    pending = [(streams, 0, Fraction(0), None, None, None)]
     while pending:
-        group, depth, cumulative, state, example = pending.pop()
+        group, depth, cumulative, state, example, plays = pending.pop()
         if example is not None:
-            learner.restore(state)
+            x = example.x
             try:
-                mixture = learner.predict(example.x)
+                if x in plays:
+                    mixture, predicted = plays[x]
+                    learner.restore(predicted)
+                else:
+                    learner.restore(state)
+                    mixture = learner.predict(x)
+                    plays[x] = mixture, learner.snapshot()
                 cumulative += expected_loss(problem, mixture, example.y)
-                learner.update(example.x, example.y, example.eps)
+                learner.update(x, example.y, example.eps)
             except (RealizabilityError, ProtocolError) as exc:
                 raise type(exc)(f"round {depth}: {exc}") from exc
         branches: dict = {}
@@ -315,7 +327,7 @@ def exact_expectation_over_signs(
             else:
                 branches.setdefault(stream[depth], []).append(stream)
         if branches:
-            state = learner.snapshot()
+            state, plays = learner.snapshot(), {}
             for step, rest in reversed(branches.items()):
-                pending.append((rest, depth + 1, cumulative, state, step))
+                pending.append((rest, depth + 1, cumulative, state, step, plays))
     return total / Fraction(2**rounds)

@@ -211,6 +211,14 @@ class TestMixture:
         assert Mixture.dirac(3, 1).weights == (0, 1, 0)
         assert Mixture.uniform(4).weights == (F(1, 4),) * 4
 
+    @pytest.mark.parametrize(
+        "index, message",
+        [(0.0, "is not an int"), (True, "is not an int"), (2, "out of range"), (-1, "out of range")],
+    )
+    def test_dirac_refuses_an_index_that_is_not_a_prediction(self, index, message):
+        with pytest.raises(ValidationError, match=f"prediction index {index!r} {message}"):
+            Mixture.dirac(2, index)
+
     def test_support(self):
         assert Mixture.of((F(1, 2), 0, F(1, 2))).support() == (0, 2)
 

@@ -663,6 +663,49 @@ class TestSnapshots:
             assert learner.snapshot() == fresh.snapshot()
             assert getattr(learner, "weights", None) == getattr(fresh, "weights", None)
 
+    def test_a_snapshot_after_predict_answers_each_label(self):
+        # Restoring an agnostic learner's snapshot taken right after predict
+        # and updating with one label, then again with another, leaves it
+        # where a fresh learner that played that label is: the same weights,
+        # next mixtures and state.
+        rng = random.Random(7)
+        cases = [make_builtin(n) for n in UNIT_GAP] + [agnostic_enum_class(rng) for _ in range(6)]
+        for problem, cls in cases:
+            engine = DimensionEngine(problem, cls, F(1, 4))
+            prefix = [
+                (rng.randrange(problem.num_instances), rng.randrange(problem.num_labels), None)
+                for _ in range(2)
+            ]
+            x = rng.randrange(problem.num_instances)
+
+            def make():
+                learner = AgnosticLearner(problem, cls, F(1, 4), 4, engine=engine)
+                play(learner, prefix)
+                return learner
+
+            learner = make()
+            mixture = learner.predict(x)
+            predicted = learner.snapshot()
+            for y in range(problem.num_labels):
+                learner.restore(predicted)
+                learner.update(x, y)
+                fresh = make()
+                assert fresh.predict(x) == mixture
+                fresh.update(x, y)
+                assert learner.weights == fresh.weights
+                for z in range(problem.num_instances):
+                    assert learner.predict(z) == fresh.predict(z)
+                assert learner.snapshot() == fresh.snapshot()
+
+    def test_restoring_a_snapshot_between_rounds_drops_the_prediction(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=2)
+        between = learner.snapshot()
+        learner.predict(0)
+        learner.restore(between)
+        with pytest.raises(ProtocolError, match="update without a matching predict"):
+            learner.update(0, 0)
+
 
 class TestBaselines:
     def test_ftl_breaks_ties_low_and_tracks_leader(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -387,6 +388,78 @@ class TestSignEnumeration:
                 exact_expectation_over_signs(*args)
             assert str(got.value) == str(expected.value)
             assert str(got.value).startswith(prefix)
+
+    def test_branches_on_one_instance_share_one_predict(self, monkeypatch):
+        # The sign streams all play the witness's one instance, so the two
+        # children of a prefix share its prediction: 2^T - 1 predictions for
+        # 2^(T+1) - 2 updates. An update restricts by one engine mask per
+        # threshold of its round; on the two-instance class of all four
+        # functions (dimension 2), a round's experts far outnumber its
+        # thresholds.
+        every_function = (
+            make_problem(("x0", "x1"), (0, 1), (0, 1), [["0", "1"], ["1", "0"]]),
+            HypothesisClass(((0, 0), (0, 1), (1, 0), (1, 1))),
+        )
+        calls = Counter()
+
+        class Counting(AgnosticLearner):
+            def predict(self, x):
+                calls["predict"] += 1
+                return super().predict(x)
+
+            def update(self, x, y, eps=None):
+                calls["update"] += 1
+                t = self.round + 1
+                updating = [
+                    ident.thresholds[ident.timepoints.index(t)]
+                    for ident in self.pool
+                    if t in ident.timepoints
+                ]
+                before = calls["restrict"]
+                super().update(x, y, eps)
+                assert calls["restrict"] - before <= len(set(updating))
+                calls["experts"] += len(updating)
+
+        for problem, cls in (make_builtin("multiclass:binary-constants"), every_function):
+            witness = find_sqrt_witness(problem, cls)
+            engine = DimensionEngine(problem, cls, F(1, 4))
+
+            def restrict(*args, engine=engine):
+                calls["restrict"] += 1
+                return DimensionEngine.restrict(engine, *args)
+
+            monkeypatch.setattr(engine, "restrict", restrict)
+            for horizon in (3, 4, 5):
+                calls.clear()
+                args = (
+                    problem,
+                    cls,
+                    lambda s: rademacher_stream(witness, s),
+                    lambda: Counting(problem, cls, F(1, 4), horizon, engine=engine),
+                    horizon,
+                )
+                value = exact_expectation_over_signs(*args)
+                assert (calls["predict"], calls["update"]) == (2**horizon - 1, 2 ** (horizon + 1) - 2)
+                assert 0 < calls["restrict"] <= calls["experts"]
+                if cls is every_function[1]:
+                    assert calls["restrict"] < calls["experts"]
+                assert value == reference_expectation(*args)
+
+    def test_siblings_on_different_instances_predict_apart(self):
+        # Round t plays instance (1 - s_t) / 2 with the label (1 - s_{t+1}) / 2,
+        # so a branch point has children on both instances, some sharing one:
+        # the walk predicts once per branch point and instance.
+        problem = make_problem(("x0", "x1"), (0, 1), (0, 1), [["0", "1"], ["1", "0"]])
+        cls = HypothesisClass(((0, 0), (1, 1)))
+
+        def streams(signs):
+            bits = [(1 - s) // 2 for s in signs]
+            return [(bits[t], bits[(t + 1) % len(bits)]) for t in range(len(bits))]
+
+        for horizon in (1, 2, 3, 4):
+            for factory in learner_factories(problem, cls, horizon):
+                args = (problem, cls, streams, factory, horizon)
+                assert exact_expectation_over_signs(*args) == reference_expectation(*args)
 
 
 def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
