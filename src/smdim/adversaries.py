@@ -5,7 +5,9 @@ the recorded instance, best-responds to the learner's mixture among the
 recorded (label, threshold) candidates, and descends into that child. By the
 certificate's game values, every round costs the learner at least gamma more
 than the threshold while some hypothesis stays eps-consistent, so after d
-rounds the realizable regret is at least gamma * d.
+rounds the realizable regret is at least gamma * d. The best response and
+its check against the node's value compare integers over one common
+denominator; a Fraction is built only for the error message.
 
 `find_sqrt_witness` searches a problem for the two-hypothesis, two-label
 pattern behind the sqrt(T) agnostic lower bound: a random sign stream over
@@ -25,8 +27,9 @@ from .core import (
     Problem,
     ProtocolError,
     ValidationError,
-    expected_loss,
+    check_count,
     make_stream,
+    scaled_expected_loss,
     validate_problem,
 )
 from .dimensions import ShatteringCertificate
@@ -69,17 +72,24 @@ class ShatteringAdversary:
         if self._pending is None:
             raise ProtocolError("observe_mixture called before next_instance")
         node = self._pending
-        # The first maximum of expected loss minus threshold: `best_response`
-        # over the candidates' rows, read in integers by `expected_loss`.
-        index, value = 0, None
+        # The first maximum of expected loss minus threshold, `best_response`
+        # over the candidates' rows, in integers: expected losses are
+        # integers over den (`scaled_expected_loss`), and every value is put
+        # over the lcm of den and the thresholds' denominators.
+        den = mixture.den * self.problem.scaled_loss[0]
+        common = math.lcm(den, *(cand.threshold.denominator for cand, _ in node.candidates))
+        scale = common // den
+        index, best = 0, None
         for i, (cand, _) in enumerate(node.candidates):
-            v = expected_loss(self.problem, mixture, cand.label) - cand.threshold
-            if value is None or v > value:
-                index, value = i, v
-        if value < node.value:
+            eps = cand.threshold
+            v = scaled_expected_loss(self.problem, mixture, cand.label) * scale
+            v -= eps.numerator * (common // eps.denominator)
+            if best is None or v > best:
+                index, best = i, v
+        if best * node.value.denominator < node.value.numerator * common:
             raise RuntimeError(
-                f"best response reaches {value}, below the certificate game value "
-                f"{node.value}; the certificate is inconsistent"
+                f"best response reaches {Fraction(best, common)}, below the certificate game "
+                f"value {node.value}; the certificate is inconsistent"
             )
         cand, child = node.candidates[index]
         self._pending = None
@@ -156,7 +166,8 @@ def rademacher_stream(witness: SqrtTWitness, signs: Sequence[int]) -> tuple:
     """Label stream on the witness instance: +1 plays y_plus, -1 plays y_minus."""
     examples = []
     for s in signs:
-        if s not in (1, -1):
+        # A bool equals 1 or 0 but is not a sign, as `check_count` refuses one.
+        if type(s) is not int or s not in (1, -1):
             raise ValidationError(f"signs must be +1 or -1, got {s!r}")
         examples.append((witness.x, witness.y_plus if s == 1 else witness.y_minus))
     return make_stream(examples)
@@ -164,7 +175,6 @@ def rademacher_stream(witness: SqrtTWitness, signs: Sequence[int]) -> tuple:
 
 def expected_abs_sign_sum(rounds: int) -> Fraction:
     """E|sum of T independent uniform signs|, exactly: sum_k C(T,k)|T-2k| / 2^T."""
-    if rounds < 0:
-        raise ValidationError(f"rounds must be >= 0, got {rounds}")
+    check_count("rounds", rounds)
     total = sum(math.comb(rounds, k) * abs(rounds - 2 * k) for k in range(rounds + 1))
     return Fraction(total, 2**rounds)

@@ -87,7 +87,8 @@ class Problem:
     """A finite online decision problem, checked when it is built.
 
     `loss[y][z]` is the loss of prediction index `z` against label index `y`:
-    a nonnegative `Fraction` no larger than `declared_bound`. Instances,
+    a nonnegative `Fraction` no larger than `declared_bound`, a `Fraction`
+    too; signs and bounds are read in integers (`exceeds`). Instances,
     labels and predictions are nonempty. `bound_c` is not a constructor
     argument: it is the largest loss entry, the bound c every regret
     guarantee uses; `declared_bound` is the bound the input stated, kept for
@@ -109,6 +110,9 @@ class Problem:
             raise ValidationError(
                 f"dimension mismatch: {len(self.loss)} loss rows for {len(self.labels)} labels"
             )
+        bound = self.declared_bound
+        if not isinstance(bound, Fraction):
+            raise ValidationError(f"declared bound {bound!r} is not a Fraction")
         for y, row in enumerate(self.loss):
             if len(row) != len(self.predictions):
                 raise ValidationError(
@@ -118,14 +122,11 @@ class Problem:
             for z, v in enumerate(row):
                 if not isinstance(v, Fraction):
                     raise ValidationError(f"loss[{y}][{z}] = {v!r} is not a Fraction")
-                if v < 0:
+                if v.numerator < 0:
                     raise ValidationError(f"negative loss at [{y}][{z}]: {v}")
-                if v > self.declared_bound:
-                    raise ValidationError(
-                        f"loss {v} at [{y}][{z}] exceeds declared bound {self.declared_bound}"
-                    )
-        entries = [v for row in self.loss for v in row]
-        object.__setattr__(self, "bound_c", max(entries, default=Fraction(0)))
+                if exceeds(v, bound):
+                    raise ValidationError(f"loss {v} at [{y}][{z}] exceeds declared bound {bound}")
+        object.__setattr__(self, "bound_c", largest(v for row in self.loss for v in row))
 
     @cached_property
     def scaled_loss(self) -> tuple:
@@ -282,7 +283,7 @@ class Candidate:
     def __post_init__(self):
         if not isinstance(self.threshold, Fraction):
             raise ValidationError(f"candidate threshold {self.threshold!r} is not a Fraction")
-        if self.threshold < 0:
+        if self.threshold.numerator < 0:
             raise ValidationError(f"negative candidate threshold {self.threshold}")
 
 
@@ -313,7 +314,7 @@ def make_stream(items: Iterable) -> tuple:
                     eps = parse_rational(eps)
                 except ValidationError as exc:
                     raise ValidationError(f"round {t}: {exc}") from exc
-            item = ThresholdedExample(x, y, eps)
+            item = make_record(ThresholdedExample, x=x, y=y, eps=eps)
         if out and (item.eps is None) != (out[0].eps is None):
             raise ValidationError(f"round {t}: thresholds must be present on every stream element or on none")
         out.append(item)
@@ -356,25 +357,80 @@ def check_instance(problem: Problem, t: int, x: int):
 
 
 def check_feedback(problem: Problem, t: int, y: int, eps: Optional[Fraction]):
-    """Check round t's label index, an int in range, and optional threshold,
-    a Fraction in [0, c], against a problem."""
+    """Check round t's label index, an int in range, and optional threshold
+    (`check_threshold`) against a problem."""
     check_index("label", y, problem.num_labels, t)
-    if eps is not None and not isinstance(eps, Fraction):
-        raise ValidationError(f"round {t}: threshold {eps!r} is not a Fraction")
-    # A Fraction's sign is its numerator's, which skips one Fraction comparison.
-    if eps is not None and (eps.numerator < 0 or eps > problem.bound_c):
-        raise ValidationError(f"round {t}: threshold {eps} outside [0, {problem.bound_c}]")
+    if eps is not None:
+        check_threshold(eps, problem.bound_c, t)
+
+
+def check_threshold(eps, bound: Fraction, t: Optional[int] = None):
+    """Check a loss threshold: a Fraction in [0, bound], the problem's c.
+
+    Read in integers: the sign is the numerator's, and the upper bound is a
+    cross-multiplied comparison (`exceeds`). The error names round t when one
+    is given.
+    """
+    where = "" if t is None else f"round {t}: "
+    if not isinstance(eps, Fraction):
+        raise ValidationError(f"{where}threshold {eps!r} is not a Fraction")
+    if eps.numerator < 0 or exceeds(eps, bound):
+        raise ValidationError(f"{where}threshold {eps} outside [0, {bound}]")
+
+
+def check_count(name: str, value, low: int = 0):
+    """Check a count (rounds, a horizon, a dimension): an int of at least
+    `low`. Its type must be int itself, as for `check_index`: a bool is an int
+    in Python, and is refused."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def exceeds(a: Fraction, b: Fraction) -> bool:
+    """Whether a > b, as the cross-multiplied ints a.num * b.den > b.num * a.den
+    (denominators are positive), without `Fraction`'s comparison."""
+    return a.numerator * b.denominator > b.numerator * a.denominator
+
+
+def largest(values: Iterable[Fraction]) -> Fraction:
+    """The largest of some nonnegative Fractions, compared by `exceeds`; 0
+    when there are none."""
+    top = Fraction(0)
+    for v in values:
+        if exceeds(v, top):
+            top = v
+    return top
+
+
+def make_record(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, made by
+    writing its `__dict__` once.
+
+    The generated `__init__` of a frozen dataclass sets each field through
+    `object.__setattr__`; this writes the dict once instead, so `cls` must
+    have no `__post_init__`, and the caller gives every field (`GameSolution`
+    gives all but the mixture it builds on first read, and its private
+    numerators). Equality, hash and repr read the fields, so the instance
+    equals its constructor-built twin.
+    """
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
 
 
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
     """Assemble a Problem from raw entries, parsing rationals.
 
-    `bound_c` is the declared bound; without one, it is the largest entry.
+    `bound_c` is the declared bound; without one, it is the largest entry
+    (`largest`: 0 above a negative one, which the Problem refuses anyway).
     The Problem checks itself, so a bad loss raises ValidationError here.
     """
     rows = tuple(tuple(parse_rational(v) for v in row) for row in loss)
-    declared = max((v for row in rows for v in row), default=Fraction(0))
-    if bound_c is not None:
+    if bound_c is None:
+        declared = largest(v for row in rows for v in row)
+    else:
         declared = parse_rational(bound_c)
     return Problem(
         tuple(instances), tuple(labels), tuple(predictions), rows, declared_bound=declared
@@ -412,16 +468,21 @@ def scaled_loss(loss) -> tuple:
 
 
 def expected_loss(problem: Problem, mixture: Mixture, y: int) -> Fraction:
-    """Exact expected loss of a mixture against label index y.
+    """Exact expected loss of a mixture against label index y: the integer
+    `scaled_expected_loss` over the mixture's and the loss table's
+    denominators."""
+    return Fraction(scaled_expected_loss(problem, mixture, y), mixture.den * problem.scaled_loss[0])
 
-    Summed in integers over the mixture's and the loss table's common
-    denominators. Raises ValidationError when y is not a label index
-    (`check_index`) or the mixture is not as wide as the problem has
-    predictions.
+
+def scaled_expected_loss(problem: Problem, mixture: Mixture, y: int) -> int:
+    """The expected loss of a mixture against label index y times
+    `mixture.den` and the loss table's denominator: a sum of integer products.
+
+    Raises ValidationError when y is not a label index (`check_index`) or the
+    mixture is not as wide as the problem has predictions.
     """
     check_index("label", y, problem.num_labels)
-    den, rows = problem.scaled_loss
-    row = rows[y]
+    row = problem.scaled_loss[1][y]
     if len(mixture.scaled) != len(row):
         raise ValidationError(f"{len(mixture.scaled)} mixture weights for {len(row)} values")
-    return Fraction(sum(map(mul, mixture.scaled, row)), mixture.den * den)
+    return sum(map(mul, mixture.scaled, row))

@@ -162,6 +162,7 @@ from .core import (
     RationalLike,
     ValidationError,
     VersionSpace,
+    exceeds,
     format_rational,
     parse_rational,
     scaled_loss,
@@ -185,11 +186,13 @@ class GammaValue:
     def __post_init__(self):
         if not isinstance(self.gamma, Fraction):
             raise ValidationError(f"gamma {self.gamma!r} is not a Fraction")
-        if self.gamma < 0:
+        # The sign of a Fraction is its numerator's.
+        sign = self.gamma.numerator
+        if sign < 0:
             raise ValidationError(f"negative gamma {self.gamma}")
-        if self.strict and self.gamma != 0:
+        if self.strict and sign:
             raise ValidationError("strict mode is only defined for gamma = 0")
-        if not self.strict and self.gamma == 0:
+        if not self.strict and not sign:
             raise ValidationError("gamma = 0 requires the strict variant")
 
     @classmethod
@@ -206,10 +209,11 @@ class GammaValue:
         return "0 (strict)" if self.strict else format_rational(self.gamma)
 
     def passes(self, value: Fraction) -> bool:
-        """Whether a game value reaches this margin: > 0 when strict, else >= gamma."""
+        """Whether a game value reaches this margin: > 0 when strict, else >=
+        gamma, read in integers (`exceeds`)."""
         if self.strict:
-            return value > 0
-        return value >= self.gamma
+            return value.numerator > 0
+        return not exceeds(self.gamma, value)
 
 
 @dataclass(frozen=True)
@@ -788,7 +792,7 @@ def seqfat(
     validate_problem(problem, cls)
     root = _space_mask(cls, space)
     gamma = parse_rational(gamma)
-    if gamma <= 0:
+    if gamma.numerator <= 0:
         raise ValidationError(f"seqfat needs gamma > 0, got {gamma}")
     if problem.labels != problem.predictions:
         raise ValidationError("seqfat needs a regression grid with Y = Z")

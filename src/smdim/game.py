@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Mixture, ValidationError
+from .core import Mixture, ValidationError, make_record
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,7 @@ class GameSolution:
 
     @classmethod
     def _deferred(cls, value: Fraction, numerators: list, tight_rows: tuple) -> "GameSolution":
-        sol = object.__new__(cls)
-        sol.__dict__.update(value=value, tight_rows=tight_rows, _numerators=numerators)
-        return sol
+        return make_record(cls, value=value, tight_rows=tight_rows, _numerators=numerators)
 
     def __getattr__(self, name):
         # Python calls this only for a name missing from the instance dict:

@@ -54,7 +54,10 @@ from .core import (
     RealizabilityError,
     ValidationError,
     VersionSpace,
+    check_count,
     check_index,
+    check_threshold,
+    exceeds,
     expected_loss,
     parse_rational,
     validate_problem,
@@ -143,8 +146,7 @@ class Mrsoa:
         check_index("label", y, self.problem.num_labels)
         if eps is not None:
             eps = parse_rational(eps)
-            if not 0 <= eps <= self.problem.bound_c:
-                raise ValidationError(f"threshold {eps} outside [0, {self.problem.bound_c}]")
+            check_threshold(eps, self.problem.bound_c)
         kept = self.engine.restrict(self._space, x, y, eps)
         if not kept:
             raise RealizabilityError("stream not eps_t-realizable")
@@ -200,10 +202,8 @@ def build_expert_pool(
     enumeration; the deterministic order is by timepoint-set size, then the
     sets lexicographically, then threshold assignments lexicographically.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    if d_gamma < 0:
-        raise ValidationError(f"d_gamma must be >= 0, got {d_gamma}")
+    check_count("horizon", horizon, 1)
+    check_count("d_gamma", d_gamma)
     alpha = parse_rational(alpha)
     c = parse_rational(c)
     if alpha <= 0 or alpha > c > 0:
@@ -308,15 +308,14 @@ class AgnosticLearner:
         alpha: Union[RationalLike, None] = None,
         engine: Optional[DimensionEngine] = None,
     ):
-        if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        check_count("horizon", horizon, 1)
         self.engine = engine = _engine_for(problem, cls, gamma, engine)
         self.problem, self.cls = problem, cls
         self.horizon = horizon
         c = self.problem.bound_c
         if alpha is None:
             self.alpha = Fraction(1, horizon)
-            if 0 < c < self.alpha:
+            if c.numerator and exceeds(self.alpha, c):  # 0 < c < 1/T; c >= 0
                 self.alpha = c
         else:
             self.alpha = parse_rational(alpha)
@@ -438,10 +437,10 @@ class FollowTheLeader:
 
 
 class UniformLearner:
-    """Plays the uniform mixture every round; never updates."""
+    """Plays the uniform mixture every round, one `Mixture` built once; never updates."""
 
     def __init__(self, problem: Problem, cls: Optional[HypothesisClass] = None):
-        self._size = problem.num_predictions
+        self._mixture = Mixture.uniform(problem.num_predictions)
 
     def snapshot(self) -> None:
         """This learner has no state."""
@@ -451,7 +450,7 @@ class UniformLearner:
         pass
 
     def predict(self, x: int) -> Mixture:
-        return Mixture.uniform(self._size)
+        return self._mixture
 
     def update(self, x: int, y: int, eps=None) -> None:
         pass

@@ -5,6 +5,12 @@ from the played mixtures, so regret statements are equalities and
 inequalities over Fractions, not float estimates. A monte-carlo mode samples
 prediction draws for the same transcript and reports mean and standard error,
 for eyeballing only.
+
+The per-round work around the learner is kept small: a stream's rounds are
+checked once, up front, by rules that compare in integers (`check_index`,
+`check_threshold`); records and reports are written with `make_record`, one
+`__dict__` each, not a frozen `__init__`'s setattr per field; hindsight
+totals are integers over the loss denominator.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from .core import (
     ProtocolError,
     RealizabilityError,
     ValidationError,
+    check_count,
     check_feedback,
     check_instance,
     expected_loss,
     format_rational,
+    make_record,
     make_stream,
     scaled_loss,
     stream_element,
@@ -183,12 +191,11 @@ def run_game(
         validate_stream(problem, stream)
         if rounds is None:
             rounds = len(stream)
-        if rounds > len(stream):
-            raise ValidationError(f"asked for {rounds} rounds but the stream has {len(stream)}")
     elif rounds is None:
         raise ValidationError("rounds is required when playing an adversary")
-    if rounds < 0:
-        raise ValidationError(f"rounds must be >= 0, got {rounds}")
+    check_count("rounds", rounds)
+    if is_stream and rounds > len(stream):
+        raise ValidationError(f"asked for {rounds} rounds but the stream has {len(stream)}")
 
     records = []
     for t in range(1, rounds + 1):
@@ -208,22 +215,24 @@ def run_game(
             learner.update(x, y, eps)
         except (RealizabilityError, ProtocolError) as exc:
             raise type(exc)(f"round {t}: {exc}") from exc
-        records.append(RoundRecord(t, x, y, eps, mixture, value))
+        records.append(
+            make_record(RoundRecord, index=t, x=x, y=y, eps=eps, mixture=mixture, expected=value)
+        )
 
     den, (scaled,) = scaled_loss((tuple(r.expected for r in records),))
     cumulative = Fraction(sum(scaled), den)
     hindsight_index, hindsight_loss = _hindsight(problem, cls, [(r.x, r.y) for r in records])
-    regret = cumulative - hindsight_loss
-    sampled = {}
+    sampled = dict(seed=None, trials=None, mc_mean=None, mc_stderr=None)
     if mode == "monte-carlo":
         mean, stderr = _sample_losses(problem, records, seed, trials)
         sampled = dict(seed=seed, trials=trials, mc_mean=mean, mc_stderr=stderr)
-    return RegretReport(
+    return make_record(
+        RegretReport,
         rounds=tuple(records),
         cumulative=cumulative,
         hindsight_index=hindsight_index,
         hindsight_loss=hindsight_loss,
-        regret=regret,
+        regret=cumulative - hindsight_loss,
         mode=mode,
         **sampled,
     )
@@ -270,44 +279,63 @@ def exact_expectation_over_signs(
     """Average regret over all 2^rounds sign streams, exactly.
 
     Each sign vector in {+1,-1}^rounds is mapped to a stream by
-    `make_stream_for_signs`; all streams are built and validated first. The
-    average is of the exact expected regret a fresh learner from
+    `make_stream_for_signs` and made by `make_stream`. Every stream is put
+    into a trie of stream prefixes as it is made, before the learner plays,
+    and a step (a round's element after a given prefix) is checked only when
+    the trie first meets it, with its round: one check per distinct step,
+    and the first bad step is the one a check of each stream in turn would
+    refuse. A node of the trie counts the streams that end there.
+
+    The average is of the exact expected regret a fresh learner from
     `learner_factory` suffers on each stream, as `run_game` reports it, but
-    the factory is called once: the function walks the tree of stream
-    prefixes depth-first, playing each distinct prefix once and returning
-    to a branch point with the learner's snapshot()/restore(). Children of
-    a branch point that play the same instance share one predict: the first
-    stores the mixture and the snapshot taken right after predict, and the
-    others restore that snapshot and only update, so sign streams on one
-    instance cost 2^rounds - 1 predictions. Capped at SIGN_ENUM_CAP rounds
-    because the cost doubles per round.
+    the factory is called once: the function walks the trie depth-first,
+    playing each distinct prefix once and returning to a branch point with
+    the learner's snapshot()/restore(). Children of a branch point that play
+    the same instance share one predict: the first stores the mixture and the
+    snapshot taken right after predict, and the others restore that snapshot
+    and only update, so sign streams on one instance cost 2^rounds - 1
+    predictions. Each hypothesis's loss in hindsight is carried down the
+    trie as an integer over the loss denominator. Capped at SIGN_ENUM_CAP
+    rounds because the cost doubles per round.
     """
     validate_problem(problem, cls)
-    if rounds < 0:
-        raise ValidationError(f"rounds must be >= 0, got {rounds}")
+    check_count("rounds", rounds)
     if rounds > SIGN_ENUM_CAP:
         raise ValidationError(
             f"sign enumeration over 2^{rounds} streams exceeds the cap of {SIGN_ENUM_CAP}"
         )
-    streams = []
+    # A trie node is [children, ends]: children maps the next step (a
+    # ThresholdedExample) to its node, in the order the steps were first met,
+    # and ends counts the streams that end at the node.
+    root = [{}, 0]
     for signs in product((1, -1), repeat=rounds):
-        stream = make_stream(list(make_stream_for_signs(signs)))
-        validate_stream(problem, stream)
-        streams.append(stream)
+        node = root
+        for t, step in enumerate(make_stream(make_stream_for_signs(signs)), 1):
+            child = node[0].get(step)
+            # A step equal to a checked one is checked again only when an
+            # index is not an int (True and 1.0 equal 1), which the checks refuse.
+            if child is None or type(step.x) is not int or type(step.y) is not int:
+                check_instance(problem, t, step.x)
+                check_feedback(problem, t, step.y, step.eps)
+                child = node[0][step] = [{}, 0]
+            node = child
+        node[1] += 1
     learner = learner_factory()
+    den, rows = problem.scaled_loss
+    table = cls.table
     total = Fraction(0)
-    # Depth-first over the tree of stream prefixes. An entry holds the streams
-    # that share their first `depth` rounds, the last of which is `example`
-    # (None at the root), with the expected loss suffered, the learner's
+    # Depth-first over the trie. An entry holds a node, reached by `step`
+    # (None at the root) at round `depth`, with the expected loss suffered and
+    # each hypothesis's loss on the prefix (integers over den), the learner's
     # state before that round, and the plays its siblings share: per
     # instance, the mixture and the state right after predict, stored by the
     # first sibling on that instance. Siblings are pushed in reverse, so they
-    # are played in the order their first stream appears.
-    pending = [(streams, 0, Fraction(0), None, None, None)]
+    # are played in the order they were first met.
+    pending = [(root, 0, Fraction(0), (0,) * cls.num_hypotheses, None, None, None)]
     while pending:
-        group, depth, cumulative, state, example, plays = pending.pop()
-        if example is not None:
-            x = example.x
+        (children, ends), depth, cumulative, hindsight, state, step, plays = pending.pop()
+        if step is not None:
+            x = step.x
             try:
                 if x in plays:
                     mixture, predicted = plays[x]
@@ -316,18 +344,16 @@ def exact_expectation_over_signs(
                     learner.restore(state)
                     mixture = learner.predict(x)
                     plays[x] = mixture, learner.snapshot()
-                cumulative += expected_loss(problem, mixture, example.y)
-                learner.update(x, example.y, example.eps)
+                cumulative += expected_loss(problem, mixture, step.y)
+                learner.update(x, step.y, step.eps)
             except (RealizabilityError, ProtocolError) as exc:
                 raise type(exc)(f"round {depth}: {exc}") from exc
-        branches: dict = {}
-        for stream in group:
-            if len(stream) == depth:
-                total += cumulative - _hindsight(problem, cls, [(ex.x, ex.y) for ex in stream])[1]
-            else:
-                branches.setdefault(stream[depth], []).append(stream)
-        if branches:
+            row = rows[step.y]
+            hindsight = tuple(loss + row[h_row[x]] for loss, h_row in zip(hindsight, table))
+        if ends:
+            total += ends * (cumulative - Fraction(min(hindsight), den))
+        if children:
             state, plays = learner.snapshot(), {}
-            for step, rest in reversed(branches.items()):
-                pending.append((rest, depth + 1, cumulative, state, step, plays))
+            for step, child in reversed(children.items()):
+                pending.append((child, depth + 1, cumulative, hindsight, state, step, plays))
     return total / Fraction(2**rounds)

@@ -224,6 +224,20 @@ class TestSqrtWitness:
         with pytest.raises(ValidationError):
             rademacher_stream(w, (0,))
 
+    @pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, F(1), 0, 2])
+    def test_a_sign_is_the_int_one_or_minus_one(self, sign):
+        # True equals 1 and once played y_plus.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        w = find_sqrt_witness(problem, cls)
+        message = rf"^signs must be \+1 or -1, got {re.escape(repr(sign))}$"
+        with pytest.raises(ValidationError, match=message):
+            rademacher_stream(w, (1, sign))
+
+    @pytest.mark.parametrize("rounds", [True, 2.0])
+    def test_expected_abs_sign_sum_needs_an_int(self, rounds):
+        with pytest.raises(ValidationError, match=rf"^rounds must be an int, got {rounds!r}$"):
+            expected_abs_sign_sum(rounds)
+
     def test_expected_abs_sign_sum_closed_values(self):
         assert expected_abs_sign_sum(0) == F(0)
         assert expected_abs_sign_sum(1) == F(1)

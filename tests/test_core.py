@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdim.core import (
+    Candidate,
     HypothesisClass,
     Mixture,
     Problem,
     ValidationError,
     VersionSpace,
+    check_threshold,
     expected_loss,
     format_rational,
     make_problem,
@@ -23,6 +25,7 @@ from smdim.core import (
     validate_problem,
     validate_stream,
 )
+from smdim.dimensions import GammaValue
 from smdim.instances import make_builtin
 
 F = Fraction
@@ -165,6 +168,48 @@ class TestProblem:
         with pytest.raises(ValidationError, match=message):
             Problem(instances, labels, predictions, loss, declared_bound=F(1))
 
+    def test_the_declared_bound_is_a_fraction(self):
+        loss = ((F(0), F(1)),)
+        with pytest.raises(ValidationError, match=r"^declared bound 1.0 is not a Fraction$"):
+            Problem(("x0",), (0,), (0, 1), loss, declared_bound=1.0)
+
+    def test_per_item_checks_make_no_fraction_ordering(self, monkeypatch):
+        # Signs come from numerators and bounds are cross-multiplied ints,
+        # with the messages a Fraction comparison gave.
+        calls = []
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(F, name, lambda a, b, name=name: calls.append(name))
+        problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "3/4"], ["1/3", "0"]])
+        assert problem.bound_c == F(3, 4) == problem.declared_bound
+        declared = make_problem(("x0",), (0,), (0, 1), [["2/3", "1/2"]], bound_c="2/3")
+        assert declared.bound_c == F(2, 3)
+        assert Candidate(0, F(0)).threshold == 0
+        gamma = GammaValue.of(F(1, 4))
+        passes = [gamma.passes(v) for v in (F(1, 4), F(1, 5), F(2, 7), F(-1))]
+        strict = [GammaValue.strict_zero().passes(v) for v in (F(0), F(1, 9), F(-1, 9))]
+        for call, message in (
+            (
+                lambda: make_problem(("x0",), (0,), (0,), [["-1/2"]]),
+                r"^negative loss at \[0\]\[0\]: -1/2$",
+            ),
+            (
+                lambda: make_problem(("x0",), (0,), (0, 1), [["0", "3/2"]], bound_c="4/3"),
+                r"^loss 3/2 at \[0\]\[1\] exceeds declared bound 4/3$",
+            ),
+            (lambda: Candidate(0, F(-1, 3)), r"^negative candidate threshold -1/3$"),
+            (lambda: GammaValue(F(-1, 3)), r"^negative gamma -1/3$"),
+            (
+                lambda: GammaValue(F(1, 3), strict=True),
+                r"^strict mode is only defined for gamma = 0$",
+            ),
+            (lambda: GammaValue(F(0)), r"^gamma = 0 requires the strict variant$"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                call()
+        assert calls == []
+        assert passes == [True, False, True, False]
+        assert strict == [False, True, False]
+
     def test_table_index_out_of_range(self):
         problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1, 0]])
         with pytest.raises(ValidationError):
@@ -270,6 +315,27 @@ class TestStreams:
         stream = make_stream([(0, 0, 2)])
         with pytest.raises(ValidationError):
             validate_stream(problem, stream)
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            (F(-1, 2), r"threshold -1/2 outside \[0, 1\]$"),
+            (F(3, 2), r"threshold 3/2 outside \[0, 1\]$"),
+            (F(1000001, 1000000), r"threshold 1000001/1000000 outside \[0, 1\]$"),
+            (0.5, r"threshold 0.5 is not a Fraction$"),
+            (1, r"threshold 1 is not a Fraction$"),
+        ],
+    )
+    def test_one_threshold_rule_with_an_optional_round(self, eps, message):
+        with pytest.raises(ValidationError, match="^" + message):
+            check_threshold(eps, F(1))
+        with pytest.raises(ValidationError, match="^round 3: " + message):
+            check_threshold(eps, F(1), 3)
+
+    def test_thresholds_at_the_ends_of_the_range_pass(self):
+        for eps in (F(0), F(1, 3), F(2, 3)):
+            check_threshold(eps, F(2, 3))
+            check_threshold(eps, F(2, 3), 1)
 
 
 class TestExpectedLossAndRestrict:

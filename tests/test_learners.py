@@ -150,6 +150,25 @@ def reference_mixture(engine, members, x):
 
 
 class TestMrsoa:
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ("3/4", r"^threshold 3/4 outside \[0, 1/2\]$"),
+            (F(-1, 4), r"^threshold -1/4 outside \[0, 1/2\]$"),
+            (1, r"^threshold 1 outside \[0, 1/2\]$"),
+        ],
+    )
+    def test_update_refuses_a_threshold_outside_zero_and_c(self, eps, message):
+        # Declared bound 1, largest loss c = 1/2; the space is left as it was.
+        problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "1/2"], ["1/2", "0"]], bound_c=1)
+        learner = Mrsoa(problem, HypothesisClass(((0,), (1,))), F(1, 8))
+        with pytest.raises(ValidationError, match=message):
+            learner.update(0, 0, eps)
+        assert learner.version_space.members == (0, 1)
+        learner.update(0, 0, "1/2")
+        learner.update(0, 0, 0)
+        assert learner.version_space.members == (0,)
+
     def test_mixtures_match_the_dimension_formula(self):
         # Over states reached by random realizable streams, Mrsoa plays the
         # mixture the per-child dimension formula gives, computed on a
@@ -387,6 +406,21 @@ class TestExpertPool:
         assert build_expert_pool(3, 0, F(1, 10**9), F(1)) == (ExpertId((), ()),)
         assert built == []
 
+    @pytest.mark.parametrize(
+        "horizon, d_gamma, message",
+        [
+            (2.0, 1, r"^horizon must be an int, got 2.0$"),
+            (True, 1, r"^horizon must be an int, got True$"),
+            (0, 1, r"^horizon must be >= 1, got 0$"),
+            (2, 1.0, r"^d_gamma must be an int, got 1.0$"),
+            (2, False, r"^d_gamma must be an int, got False$"),
+            (2, -1, r"^d_gamma must be >= 0, got -1$"),
+        ],
+    )
+    def test_pool_counts_are_ints(self, horizon, d_gamma, message):
+        with pytest.raises(ValidationError, match=message):
+            build_expert_pool(horizon, d_gamma, F(1, 2), F(1))
+
     def test_alpha_range_checked(self):
         with pytest.raises(ValidationError):
             build_expert_pool(4, 1, F(0), F(1))
@@ -453,6 +487,29 @@ class TestMultiplicativeWeights:
 
 
 class TestAgnosticLearner:
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            (True, r"^horizon must be an int, got True$"),
+            (2.0, r"^horizon must be an int, got 2.0$"),
+            (0, r"^horizon must be >= 1, got 0$"),
+        ],
+    )
+    def test_the_horizon_is_an_int(self, horizon, message):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        with pytest.raises(ValidationError, match=message):
+            AgnosticLearner(problem, cls, F(1, 4), horizon)
+
+    def test_default_alpha_is_c_below_one_over_horizon(self):
+        # 0 < c < 1/T takes alpha = c; c = 0 keeps 1/T.
+        cls = HypothesisClass(((0,), (1,)))
+        small = make_problem(("x0",), (0, 1), (0, 1), [["0", "1/8"], ["1/8", "0"]])
+        assert AgnosticLearner(small, cls, F(1, 32), 4).alpha == F(1, 8)
+        assert AgnosticLearner(small, cls, F(1, 32), 8).alpha == F(1, 8)
+        assert AgnosticLearner(small, cls, F(1, 32), 16).alpha == F(1, 16)
+        zero = make_problem(("x0",), (0,), (0, 1), [["0", "0"]])
+        assert AgnosticLearner(zero, cls, F(1, 32), 4).alpha == F(1, 4)
+
     def test_pool_uses_default_alpha_one_over_horizon(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         learner = AgnosticLearner(problem, cls, F(1, 4), horizon=4)

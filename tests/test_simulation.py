@@ -1,8 +1,10 @@
 """Game harness: exact regret accounting, transcripts, sign-stream averages."""
 
 import json
+import pickle
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdim import core, simulation
-from smdim.adversaries import find_sqrt_witness, rademacher_stream
+from smdim.adversaries import ShatteringAdversary, find_sqrt_witness, rademacher_stream
 from smdim.core import (
     HypothesisClass,
     Mixture,
@@ -18,6 +20,7 @@ from smdim.core import (
     RealizabilityError,
     ThresholdedExample,
     ValidationError,
+    VersionSpace,
     expected_loss,
     make_problem,
 )
@@ -600,8 +603,10 @@ def test_stream_elements_may_be_examples_tuples_or_lists():
 
 
 def test_each_round_is_checked_once(monkeypatch):
-    # run_game and the sign walk check every stream up front, and sum the
-    # hindsight totals without checking the rounds again.
+    # run_game checks every stream up front, and sums the hindsight totals
+    # without checking the rounds again. The sign walk checks each distinct
+    # step of its trie once, when a stream first meets it: for T = 3, the
+    # 2 + 4 + 8 = 14 nodes, in the order the streams are made.
     checked = []
     real = core.check_instance
 
@@ -624,4 +629,114 @@ def test_each_round_is_checked_once(monkeypatch):
         lambda: UniformLearner(problem),
         3,
     )
-    assert checked == [1, 2, 3] * 8
+    assert checked == [1, 2, 3, 3, 2, 3, 3] * 2
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((7, 0), r"^round 2: instance index 7 out of range$"),
+        ((0, 5), r"^round 2: label index 5 out of range$"),
+        ((0, 0, "2"), r"^round 2: threshold 2 outside \[0, 1\]$"),
+        # Equal to the checked step (1, 0) of the earlier streams, as a key.
+        ((True, 0), r"^round 2: instance index True is not an int$"),
+        ((1, 0.0), r"^round 2: label index 0.0 is not an int$"),
+    ],
+    ids=["instance", "label", "threshold", "bool-equal-to-a-checked-step", "float-label"],
+)
+def test_a_bad_step_first_met_in_a_later_stream_is_refused_before_the_factory(bad, message):
+    # Only the last of the four sign streams reaches the bad step: the first
+    # three share their first round, and the second round of every earlier
+    # stream is (1, 0) (with threshold 0 when the bad step has one). The walk
+    # refuses it before the learner is made.
+    problem = make_problem(("x0", "x1"), (0, 1), (0, 1), [["0", "1"], ["1", "0"]])
+    cls = HypothesisClass(((0, 0), (0, 1), (1, 0), (1, 1)))
+    good = (1, 0) if len(bad) == 2 else (1, 0, "0")
+    first = (0, 0) if len(bad) == 2 else (0, 0, "0")
+
+    def streams(signs):
+        return [first, bad if signs == (-1, -1) else good]
+
+    made = []
+    with pytest.raises(ValidationError, match=message):
+        exact_expectation_over_signs(problem, cls, streams, lambda: made.append(1), 2)
+    assert made == []
+
+
+@pytest.mark.parametrize("rounds", [True, 1.0, -1])
+def test_round_counts_are_ints(rounds):
+    problem, cls = make_builtin("multiclass:binary-constants")
+    if rounds == -1:
+        message = r"^rounds must be >= 0, got -1$"
+    else:
+        message = rf"^rounds must be an int, got {rounds!r}$"
+    witness = find_sqrt_witness(problem, cls)
+    with pytest.raises(ValidationError, match=message):
+        run_game(problem, cls, UniformLearner(problem), [(0, 0), (0, 1)], rounds=rounds)
+    with pytest.raises(ValidationError, match=message):
+        exact_expectation_over_signs(
+            problem,
+            cls,
+            lambda signs: rademacher_stream(witness, signs),
+            lambda: UniformLearner(problem),
+            rounds,
+        )
+
+
+def test_records_equal_their_constructor_built_twins():
+    # run_game and make_stream write each record's fields at once; equality,
+    # hash and repr are those of the same record built by its constructor.
+    problem, cls = make_builtin("multiclass:binary-constants")
+    stream = core.make_stream([(0, 0, "1/2"), [0, 0, 0], ThresholdedExample(0, 1, F(1))])
+    for example in stream:
+        twin = ThresholdedExample(example.x, example.y, example.eps)
+        assert (example, hash(example), repr(example)) == (twin, hash(twin), repr(twin))
+        assert vars(example) == vars(twin)
+    for mode in ("exact", "monte-carlo"):
+        report = run_game(problem, cls, Mrsoa(problem, cls, F(1, 4)), stream, mode=mode, trials=5)
+        for r in report.rounds:
+            twin = simulation.RoundRecord(r.index, r.x, r.y, r.eps, r.mixture, r.expected)
+            assert (r, hash(r), repr(r)) == (twin, hash(twin), repr(twin))
+            assert vars(r) == vars(twin)
+        twin = simulation.RegretReport(**vars(report))
+        assert (report, hash(report), repr(report)) == (twin, hash(twin), repr(twin))
+        assert vars(report) == vars(twin)
+        assert replace(report, mode="x") == replace(twin, mode="x")
+        assert pickle.loads(pickle.dumps(report)) == report
+        with pytest.raises(FrozenInstanceError):
+            report.rounds[0].expected = F(0)
+
+
+def test_games_with_mrsoa_make_no_fraction_ordering(monkeypatch):
+    # Thresholds, best responses and node values are compared as integers:
+    # a thresholded stream and an adversary game against Mrsoa make no call
+    # to Fraction's <, <=, > or >=.
+    problem, cls = make_builtin("regression:three-point")
+    engine = DimensionEngine(problem, cls, F(1, 4))
+    certificate = engine.certificate(VersionSpace.full(cls.num_hypotheses))
+    assert certificate.depth >= 1
+    stream = [(0, 0, problem.bound_c), (0, 1, problem.bound_c), (0, 2, F(1, 2))]
+    calls = Counter()
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        real = getattr(Fraction, name)
+
+        def spy(a, b, real=real, name=name):
+            calls[name] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, spy)
+    played = run_game(problem, cls, Mrsoa(problem, cls, engine=engine), stream)
+    adversary = ShatteringAdversary(problem, cls, certificate)
+    learner = Mrsoa(problem, cls, engine=engine)
+    forced = run_game(problem, cls, learner, adversary, rounds=certificate.depth)
+    assert calls == Counter()
+    assert played.num_rounds == 3
+    assert forced.regret >= F(1, 4) * certificate.depth
+
+
+def test_the_uniform_learner_plays_one_mixture():
+    problem, cls = make_builtin("multiclass:m=3")
+    learner = UniformLearner(problem, cls)
+    plays = {id(learner.predict(x)) for x in range(problem.num_instances) for _ in range(2)}
+    assert len(plays) == 1
+    assert learner.predict(0) == Mixture.uniform(problem.num_predictions)
