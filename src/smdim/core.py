@@ -161,11 +161,18 @@ class HypothesisClass:
     """A finite set of hypotheses, tabulated as prediction indices per instance.
 
     `table[h][x]` is the prediction index hypothesis `h` makes on instance
-    index `x`. Duplicate rows are rejected: two hypotheses that agree
-    everywhere would be indistinguishable to every computation downstream.
+    index `x`: an int of at least 0, its type int itself as for `check_index`.
+    Duplicate rows are rejected: two hypotheses that agree everywhere would be
+    indistinguishable to every computation downstream. The one walk that
+    checks the table also records `_width`, the number of instances every row
+    covers, and `_top`, the largest prediction index, so `validate_problem`
+    fits the class to a problem without reading the table. Both are worked
+    out from `table` and are not compared, hashed or shown.
     """
 
     table: tuple
+    _width: int = field(init=False, repr=False, compare=False)
+    _top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.table:
@@ -175,9 +182,16 @@ class HypothesisClass:
         for h, row in enumerate(self.table):
             if len(row) != width:
                 raise ValidationError(f"hypothesis {h} has {len(row)} entries, expected {width}")
+            # Entries first: (True,) and (1.0,) equal (1,), and would be named duplicates.
+            for x, z in enumerate(row):
+                if type(z) is not int or z < 0:
+                    reason = "out-of-range" if type(z) is int else "non-int"
+                    raise ValidationError(f"hypothesis {h} predicts {reason} index {z!r} at x={x}")
             if row in seen:
                 raise ValidationError(f"duplicate hypothesis rows {seen[row]} and {h}")
             seen[row] = h
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_top", max(map(max, self.table)) if width else -1)
 
     @property
     def num_hypotheses(self) -> int:
@@ -196,7 +210,7 @@ class VersionSpace:
     def __post_init__(self):
         prev = None
         for m in self.members:
-            if not isinstance(m, int):
+            if type(m) is not int:
                 raise ValidationError(f"hypothesis index {m!r} is not an int")
             if prev is not None and m <= prev:
                 raise ValidationError("version space members must be strictly increasing")
@@ -262,8 +276,7 @@ class Mixture:
 
     @classmethod
     def uniform(cls, size: int) -> "Mixture":
-        if size <= 0:
-            raise ValidationError("uniform mixture needs a positive size")
+        check_count("uniform mixture size", size, low=1)
         return cls(tuple(Fraction(1, size) for _ in range(size)))
 
     def __len__(self) -> int:
@@ -440,19 +453,24 @@ def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
 def validate_problem(problem: Problem, cls: HypothesisClass):
     """Check that a hypothesis table fits a problem; returns the pair as given.
 
-    The problem and the class each checked themselves when they were built;
-    what is left is that every hypothesis covers every instance with an
-    in-range prediction index.
+    The problem and the class each checked themselves when they were built,
+    and the class kept the number of instances its rows cover and its
+    largest prediction index. The pair fits when the first is the problem's
+    number of instances and the second is below its number of predictions:
+    two comparisons, which read no table entry. Only a misfit reads the
+    table, to name the first hypothesis at fault.
     """
     num_instances, num_predictions = problem.num_instances, problem.num_predictions
-    for h, row in enumerate(cls.table):
-        if len(row) != num_instances:
-            raise ValidationError(
-                f"hypothesis {h} covers {len(row)} instances, problem has {num_instances}"
-            )
-        for x, z in enumerate(row):
-            if not 0 <= z < num_predictions:
-                raise ValidationError(f"hypothesis {h} predicts out-of-range index {z} at x={x}")
+    if cls._width != num_instances:
+        # Every row is as wide as the first.
+        raise ValidationError(
+            f"hypothesis 0 covers {cls._width} instances, problem has {num_instances}"
+        )
+    if cls._top >= num_predictions:
+        for h, row in enumerate(cls.table):
+            for x, z in enumerate(row):
+                if z >= num_predictions:
+                    raise ValidationError(f"hypothesis {h} predicts out-of-range index {z} at x={x}")
     return problem, cls
 
 

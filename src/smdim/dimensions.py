@@ -130,9 +130,9 @@ oracles independent cross-checks. The oracles build their masks once per
 call, from integers: `seqfat` compares grid values scaled by `scaled_loss`,
 and `ldim_k` and `msdim_direct` look predictions up in each label's set of
 zero-loss predictions (`_zero_loss_masks`). Each route checks that the class
-fits the problem (`validate_problem`; the engine does so in `_tables`) and
-converts the caller's space by one checked rule (`_space_mask`) before it
-recurses.
+fits the problem (`validate_problem`, two comparisons against what the class
+recorded when it was built; the engine does so in `_tables`) and converts
+the caller's space by one checked rule (`_space_mask`) before it recurses.
 The recursion is Python recursion. The engine enters it through
 `_shatter_memo`, and below that its scan (`qualifying_rows`) probes each
 child by the same base cases and memo without a call, so a depth level costs
@@ -162,6 +162,8 @@ from .core import (
     RationalLike,
     ValidationError,
     VersionSpace,
+    check_count,
+    check_index,
     exceeds,
     format_rational,
     parse_rational,
@@ -350,8 +352,7 @@ class DimensionEngine:
                 memo_cap = int(env) if env else DEFAULT_MEMO_CAP
             except ValueError as exc:
                 raise ValidationError(f"{MEMO_CAP_ENV} must be an integer, got {env!r}") from exc
-        if memo_cap <= 0:
-            raise ValidationError(f"memo cap must be positive, got {memo_cap}")
+        check_count("memo cap", memo_cap, low=1)
         self.memo_cap = memo_cap
         self._memo = {}
         self._verdicts = {}
@@ -365,8 +366,7 @@ class DimensionEngine:
 
     def shatterable(self, space: VersionSpace, depth: int) -> bool:
         members = _space_mask(self.cls, space)
-        if type(depth) is not int or depth < 0:
-            raise ValidationError(f"depth {depth!r} is not a non-negative int")
+        check_count("depth", depth)
         return self._shatter(members, depth)
 
     def certificate(self, space: VersionSpace) -> ShatteringCertificate:
@@ -410,8 +410,7 @@ class DimensionEngine:
     def candidates(self, space: VersionSpace, x: int):
         """Every (Candidate, child) pair at the realized distinct thresholds."""
         members = _space_mask(self.cls, space)
-        if type(x) is not int or not 0 <= x < self.problem.num_instances:
-            raise ValidationError(f"instance index {x!r} is not an int in range")
+        check_index("instance", x, self.problem.num_instances)
         return tuple(
             (Candidate(y, Fraction(key, self._den)), VersionSpace(to_members(child)))
             for y, key, child, _ in self.candidate_rows(members, x)
@@ -677,7 +676,8 @@ _last_tables = (None, None, None)
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     """(den, steps, pure, games, values): the margin-free tables of every
-    engine built on these very objects, after checking that the pair fits.
+    engine built on these very objects, after checking that the pair fits
+    (`validate_problem`, which reads no table entry).
 
     den is a common denominator of every loss, and every threshold and LP row
     is kept once, as integers over it. steps[x][y] is (keys, steps) for the
@@ -744,9 +744,7 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
     """
     validate_problem(problem, cls)
     root = _space_mask(cls, space)
-    # A bool is an int in Python, and is refused as the engine's accessors refuse it.
-    if type(k) is not int or k < 1:
-        raise ValidationError(f"k must be an int >= 1, got {k!r}")
+    check_count("k", k, low=1)
     _check_binary_loss(problem)
     zeros, zero_loss = _zero_loss_masks(problem, cls)
     for z in range(problem.num_predictions):

@@ -4,8 +4,8 @@ Built-ins are small named instances used throughout the tests and the CLI:
 multiclass and list classification, set-valued prediction, regression on a
 rational grid, multilabel prediction under normalized Hamming loss, vector
 prediction under taxicab loss, and a three-point subset of a Hilbert ball
-under squared-norm loss. Each builder returns a validated
-(Problem, HypothesisClass) pair.
+under squared-norm loss. Each builder returns a (Problem, HypothesisClass)
+pair that fits by construction; each half checked itself when it was built.
 
 File formats: an instance document carries identifier lists, the loss matrix,
 an optional loss bound, and the hypothesis table (prediction index per
@@ -33,7 +33,6 @@ from .core import (
     make_problem,
     make_stream,
     parse_rational,
-    validate_problem,
     validate_stream,
 )
 
@@ -45,9 +44,7 @@ def multiclass_instance(num_labels: int = 2):
     ids = tuple(range(num_labels))
     loss = [[Fraction(0) if y == z else Fraction(1) for z in ids] for y in ids]
     cls = HypothesisClass(tuple((z,) for z in ids))
-    return validate_problem(
-        make_problem(("x0",), ids, ids, loss, bound_c=1), cls
-    )
+    return make_problem(("x0",), ids, ids, loss, bound_c=1), cls
 
 
 def list_instance(num_labels: int = 3, k: int = 2):
@@ -66,7 +63,7 @@ def list_instance(num_labels: int = 3, k: int = 2):
     loss = [[Fraction(0) if y in z else Fraction(1) for z in preds] for y in labels]
     singleton_index = {(y,): j for j, z in enumerate(preds) if len(z) == 1 for y in z}
     cls = HypothesisClass(tuple((singleton_index[(y,)],) for y in labels))
-    return validate_problem(make_problem(("x0",), labels, preds, loss, bound_c=1), cls)
+    return make_problem(("x0",), labels, preds, loss, bound_c=1), cls
 
 
 def setvalued_instance():
@@ -75,7 +72,7 @@ def setvalued_instance():
     labels = (("a",), ("b",))
     loss = [[Fraction(0) if z in y else Fraction(1) for z in preds] for y in labels]
     cls = HypothesisClass(((0,), (1,)))
-    return validate_problem(make_problem(("x0",), labels, preds, loss, bound_c=1), cls)
+    return make_problem(("x0",), labels, preds, loss, bound_c=1), cls
 
 
 def regression_instance(grid=("-1", "0", "1"), hypothesis_values=("-1", "1")):
@@ -92,7 +89,7 @@ def regression_instance(grid=("-1", "0", "1"), hypothesis_values=("-1", "1")):
         cls = HypothesisClass(tuple((index[v],) for v in hvals))
     except KeyError as exc:
         raise ValidationError(f"hypothesis value {exc.args[0]} not on the grid") from exc
-    return validate_problem(make_problem(("x0",), values, values, loss), cls)
+    return make_problem(("x0",), values, values, loss), cls
 
 
 def multilabel_instance(k: int = 2, constants=((0, 0), (1, 1))):
@@ -109,7 +106,7 @@ def multilabel_instance(k: int = 2, constants=((0, 0), (1, 1))):
         cls = HypothesisClass(tuple((index[tuple(cst)],) for cst in constants))
     except KeyError as exc:
         raise ValidationError(f"constant {exc.args[0]} is not a length-{k} binary tuple") from exc
-    return validate_problem(make_problem(("x0",), ids, ids, loss, bound_c=1), cls)
+    return make_problem(("x0",), ids, ids, loss, bound_c=1), cls
 
 
 def hilbert_instance():
@@ -134,7 +131,7 @@ def vector_instance(points=((0, 0), (1, 0), (0, 1)), p: int = 1):
     else:
         raise ValidationError(f"unsupported norm p={p}; only p=1 and squared p=2 stay rational")
     cls = HypothesisClass(tuple((j,) for j in range(len(ids))))
-    return validate_problem(make_problem(("x0",), ids, ids, loss), cls)
+    return make_problem(("x0",), ids, ids, loss), cls
 
 
 _PRESETS = {
@@ -299,7 +296,7 @@ def parse_instance_document(text: str):
         cls = HypothesisClass(tuple(table))
     except ValidationError as exc:
         raise ValidationError(f"/hypotheses: {exc}") from exc
-    return validate_problem(problem, cls)
+    return problem, cls
 
 
 def serialize_instance(problem: Problem, cls: HypothesisClass) -> str:

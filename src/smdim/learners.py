@@ -165,7 +165,7 @@ class ExpertId:
             raise ValidationError("timepoints and thresholds must have equal length")
         prev = 0
         for t in self.timepoints:
-            if not isinstance(t, int) or t <= prev:
+            if type(t) is not int or t <= prev:
                 raise ValidationError("timepoints must be strictly increasing and >= 1")
             prev = t
         for v in self.thresholds:

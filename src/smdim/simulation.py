@@ -136,11 +136,13 @@ def best_in_hindsight(
 ) -> tuple:
     """(index, loss) of the cumulative-loss-minimizing hypothesis (lowest index wins).
 
-    Each element is a ThresholdedExample or an (x, y) or (x, y, eps) tuple or
-    list, and its instance and label are checked by the rules
-    `validate_stream` uses; a bad one raises ValidationError with its 1-based
-    round. The totals are integers over the loss table's common denominator.
+    The class must fit the problem (`validate_problem`). Each element is a
+    ThresholdedExample or an (x, y) or (x, y, eps) tuple or list, and its
+    instance and label are checked by the rules `validate_stream` uses; a bad
+    one raises ValidationError with its 1-based round. The totals are
+    integers over the loss table's common denominator.
     """
+    validate_problem(problem, cls)
     pairs = []
     for t, item in enumerate(stream, 1):
         x, y, _ = stream_element(t, item)

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import (
-    HypothesisClass,
-    ValidationError,
-    VersionSpace,
-    make_problem,
-    validate_problem,
-)
+from .core import HypothesisClass, ValidationError, VersionSpace, check_count, make_problem
 from .dimensions import GammaValue, ldim_k, msdim, msdim_direct, seqfat, smdim
 
 PROP_NAMES = ("ldim", "seqfat", "list", "msdim")
@@ -60,7 +54,7 @@ def gen_multiclass(rng: random.Random):
     loss = [[int(y != z) for z in range(ny)] for y in range(ny)]
     problem = make_problem(tuple(range(nx)), tuple(range(ny)), tuple(range(ny)), loss)
     cls = HypothesisClass(_sample_rows(rng, ny, nx, MAX_HYPOTHESES))
-    return validate_problem(problem, cls)
+    return problem, cls
 
 
 def gen_list(rng: random.Random, k: int):
@@ -74,7 +68,7 @@ def gen_list(rng: random.Random, k: int):
         tuple(range(nx)), tuple(range(ny)), tuple(subsets), loss
     )
     cls = HypothesisClass(_sample_rows(rng, len(subsets), nx, MAX_HYPOTHESES))
-    return validate_problem(problem, cls)
+    return problem, cls
 
 
 def gen_setvalued(rng: random.Random):
@@ -86,7 +80,7 @@ def gen_setvalued(rng: random.Random):
     loss = [[int(z not in y) for z in range(nz)] for y in labels]
     problem = make_problem(tuple(range(nx)), labels, tuple(range(nz)), loss)
     cls = HypothesisClass(_sample_rows(rng, nz, nx, MAX_HYPOTHESES))
-    return validate_problem(problem, cls)
+    return problem, cls
 
 
 def gen_regression(rng: random.Random):
@@ -96,7 +90,7 @@ def gen_regression(rng: random.Random):
     nx = rng.randint(1, MAX_INSTANCES)
     problem = make_problem(tuple(range(nx)), grid, grid, loss)
     cls = HypothesisClass(_sample_rows(rng, len(grid), nx, MAX_HYPOTHESES))
-    return validate_problem(problem, cls)
+    return problem, cls
 
 
 _LDIM_GAMMAS = (
@@ -200,8 +194,7 @@ def normalize_prop(token: str) -> str:
 def run_verification(prop: str, seed: int = 0, cases: int = 20) -> list:
     """Run `cases` seeded checks of one named equivalence; results by case index."""
     name = normalize_prop(prop)
-    if cases < 1:
-        raise ValidationError(f"cases must be >= 1, got {cases}")
+    check_count("cases", cases, low=1)
     rng = random.Random(seed)
     results = []
     for index in range(cases):

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from smdim import cli, learners
-from smdim.core import HypothesisClass, make_problem, make_stream, validate_problem
+from smdim.core import HypothesisClass, ValidationError, make_problem, make_stream, validate_problem
 from smdim.instances import make_builtin, serialize_instance, serialize_stream
-from smdim.verify import CaseResult
+from smdim.verify import CaseResult, run_verification
 
 
 def run_cli(capsys, *argv):
@@ -424,6 +424,19 @@ class TestVerify:
         assert doc["prop"] == "msdim"
         assert doc["failures"] == 0
         assert len(doc["cases"]) == 3
+
+    @pytest.mark.parametrize(
+        "cases, message",
+        [
+            (True, "cases must be an int, got True"),
+            (2.0, "cases must be an int, got 2.0"),
+            (0, "cases must be >= 1, got 0"),
+        ],
+    )
+    def test_the_case_count_is_a_positive_int(self, cases, message):
+        # cases=True once ran one case.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            run_verification("ldim", cases=cases)
 
     def test_unknown_prop_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--prop", "7.9")

@@ -214,10 +214,60 @@ class TestProblem:
         problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1, 0]])
         with pytest.raises(ValidationError):
             validate_problem(problem, HypothesisClass(((0,), (2,))))
+        # A misfit names the first hypothesis at fault, and its instance.
+        wide = make_problem((0, 1), (0, 1), (0, 1), [[0, 1], [1, 0]])
+        cls = HypothesisClass(((0, 1), (1, 2), (2, 0)))
+        with pytest.raises(ValidationError, match=r"^hypothesis 1 predicts out-of-range index 2 at x=1$"):
+            validate_problem(wide, cls)
+        with pytest.raises(ValidationError, match=r"^hypothesis 0 covers 2 instances, problem has 1$"):
+            validate_problem(problem, cls)
 
     def test_duplicate_hypothesis_rows_rejected(self):
         with pytest.raises(ValidationError):
             HypothesisClass(((0,), (0,)))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (True, "non-int index True"),
+            (1.0, "non-int index 1.0"),
+            (-1, "out-of-range index -1"),
+        ],
+    )
+    def test_a_table_entry_is_a_nonnegative_int(self, entry, message):
+        # True once passed as prediction 1 and 1.0 reached a TypeError. Row 1
+        # equals row 0 when the entry is True or 1.0, so the entry is refused
+        # before the duplicate check could name the rows.
+        with pytest.raises(ValidationError, match=f"^hypothesis 1 predicts {message} at x=1$"):
+            HypothesisClass(((0, 1), (0, entry)))
+
+    def test_the_pair_check_reads_no_table_entry(self):
+        class Unreadable:
+            def __getattribute__(self, name):
+                raise AssertionError(f"table read: {name}")
+
+        cls = HypothesisClass(((0, 1), (1, 0), (1, 1)))
+        object.__setattr__(cls, "table", Unreadable())
+        fits = make_problem((0, 1), (0, 1), (0, 1), [[0, 1], [1, 0]])
+        assert validate_problem(fits, cls) == (fits, cls)
+        wider = make_problem((0, 1, 2), (0, 1), (0, 1), [[0, 1], [1, 0]])
+        with pytest.raises(ValidationError, match=r"^hypothesis 0 covers 2 instances, problem has 3$"):
+            validate_problem(wider, cls)
+
+    def test_the_recorded_shape_is_not_compared_shown_or_pickled_apart(self):
+        cls = HypothesisClass(((0, 2), (1, 0)))
+        assert (cls._width, cls._top) == (2, 2)
+        flags = {f.name: (f.init, f.repr, f.compare) for f in fields(HypothesisClass)}
+        assert flags == {
+            "table": (True, True, True),
+            "_width": (False, False, False),
+            "_top": (False, False, False),
+        }
+        assert repr(cls) == "HypothesisClass(table=((0, 2), (1, 0)))"
+        twin = HypothesisClass(((0, 2), (1, 0)))
+        assert twin == cls and hash(twin) == hash(cls)
+        copied = pickle.loads(pickle.dumps(cls))
+        assert copied == cls and (copied._width, copied._top) == (2, 2)
 
     def test_loss_at_and_predict(self):
         problem, cls = binary_problem()
@@ -235,6 +285,10 @@ class TestVersionSpace:
             VersionSpace((1, 0))
         with pytest.raises(ValidationError):
             VersionSpace((0, 0))
+        # A bool is an int in Python; (0, True) was once the space {0, 1}.
+        for members in ((0, True), (False, 1)):
+            with pytest.raises(ValidationError, match=r"^hypothesis index (True|False) is not an int$"):
+                VersionSpace(members)
 
     def test_full_and_contains(self):
         space = VersionSpace.full(3)
@@ -255,6 +309,13 @@ class TestMixture:
     def test_dirac_and_uniform(self):
         assert Mixture.dirac(3, 1).weights == (0, 1, 0)
         assert Mixture.uniform(4).weights == (F(1, 4),) * 4
+        for size, message in (
+            (2.0, "must be an int, got 2.0"),
+            (True, "must be an int, got True"),
+            (0, "must be >= 1, got 0"),
+        ):
+            with pytest.raises(ValidationError, match=f"^uniform mixture size {message}$"):
+                Mixture.uniform(size)
 
     @pytest.mark.parametrize(
         "index, message",

@@ -610,6 +610,20 @@ class TestEngineBudget:
         with pytest.raises(BudgetError):
             engine.smdim(VersionSpace.full(3))
 
+    @pytest.mark.parametrize(
+        "cap, message",
+        [
+            (True, "memo cap must be an int, got True"),
+            (2.5, "memo cap must be an int, got 2.5"),
+            (0, "memo cap must be >= 1, got 0"),
+        ],
+    )
+    def test_the_memo_cap_is_a_positive_int(self, cap, message):
+        # True and 2.5 were once taken as caps.
+        problem, cls = make_builtin("hilbert:orthonormal")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            DimensionEngine(problem, cls, F(1, 2), memo_cap=cap)
+
     def test_non_integer_env_cap_is_a_validation_error(self, monkeypatch):
         monkeypatch.setenv("SMDIM_MEMO_CAP", "1.5")
         problem, cls = make_builtin("hilbert:orthonormal")
@@ -1208,17 +1222,19 @@ def test_negative_hypothesis_index_is_a_validation_error():
 @pytest.mark.parametrize(
     "method, argument, message",
     [
-        ("shatterable", 1.5, "depth 1.5 is not a non-negative int"),
-        ("shatterable", True, "depth True is not a non-negative int"),
-        ("shatterable", -1, "depth -1 is not a non-negative int"),
-        ("candidates", 0.0, "instance index 0.0 is not an int in range"),
-        ("candidates", False, "instance index False is not an int in range"),
-        ("candidates", 1, "instance index 1 is not an int in range"),
+        ("shatterable", 1.5, "depth must be an int, got 1.5"),
+        ("shatterable", True, "depth must be an int, got True"),
+        ("shatterable", -1, "depth must be >= 0, got -1"),
+        ("candidates", 0.0, "instance index 0.0 is not an int"),
+        ("candidates", False, "instance index False is not an int"),
+        ("candidates", 1, "instance index 1 out of range"),
     ],
 )
 def test_engine_accessors_refuse_a_depth_or_instance_that_is_not_an_int(method, argument, message):
     # A depth of 1.5 once answered False, and recursed at child depth 0.5 on
     # larger spaces; an instance of 0.0 raised TypeError from the step table.
+    # Both go through the rules every other count and index does
+    # (`check_count`, `check_index`).
     problem, cls = make_builtin("hilbert:orthonormal")
     engine = DimensionEngine(problem, cls, F(1, 2))
     with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -1433,12 +1449,23 @@ def test_every_route_refuses_a_space_that_does_not_fit_the_class(builtin, route)
         route(problem, cls, (0, 1))
 
 
-@pytest.mark.parametrize("k", [1.5, True, "2", None, 0, -1])
-def test_ldim_k_refuses_a_k_that_is_not_a_positive_int(k):
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (1.5, "k must be an int, got 1.5"),
+        (True, "k must be an int, got True"),
+        ("2", "k must be an int, got '2'"),
+        (None, "k must be an int, got None"),
+        (0, "k must be >= 1, got 0"),
+        (-1, "k must be >= 1, got -1"),
+    ],
+    ids=["1.5", "True", "2", "None", "0", "-1"],
+)
+def test_ldim_k_refuses_a_k_that_is_not_a_positive_int(k, message):
     # k = 1.5 and k = True once returned a dimension, and k = "2" raised
     # TypeError.
     problem, cls = make_builtin("multiclass:binary-constants")
-    with pytest.raises(ValidationError, match=f"^k must be an int >= 1, got {re.escape(repr(k))}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         ldim_k(problem, cls, VersionSpace.full(2), k)
 
 

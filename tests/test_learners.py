@@ -449,6 +449,10 @@ class TestExpertPool:
             ExpertId((2, 1), (F(0), F(0)))
         with pytest.raises(ValidationError):
             ExpertId((1,), (F(0), F(0)))
+        # A bool is an int in Python; (True, 2) was once rounds 1 and 2.
+        for timepoints in ((True,), (True, 2)):
+            with pytest.raises(ValidationError, match="^timepoints must be strictly increasing"):
+                ExpertId(timepoints, (F(0),) * len(timepoints))
 
 
 class TestMultiplicativeWeights:

@@ -555,8 +555,15 @@ def test_an_adversary_out_of_range_is_refused_before_it_is_read(instance, feedba
         ),
         find_sqrt_witness,
         FollowTheLeader,
+        lambda p, c: best_in_hindsight(p, c, [(0, 1)]),
     ],
-    ids=["run_game", "exact_expectation_over_signs", "find_sqrt_witness", "FollowTheLeader"],
+    ids=[
+        "run_game",
+        "exact_expectation_over_signs",
+        "find_sqrt_witness",
+        "FollowTheLeader",
+        "best_in_hindsight",
+    ],
 )
 def test_a_class_that_does_not_fit_the_problem_is_refused(call):
     # A negative index would wrap to the last prediction (run_game would then
