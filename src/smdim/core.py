@@ -271,6 +271,7 @@ class Mixture:
 
     @classmethod
     def dirac(cls, size: int, index: int) -> "Mixture":
+        check_count("dirac mixture size", size, low=1)
         check_index("prediction", index, size)
         return cls(tuple(Fraction(1) if j == index else Fraction(0) for j in range(size)))
 

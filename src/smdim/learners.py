@@ -17,9 +17,10 @@ once per threshold, on the full space) and play
 (mask, instance), so every learner on one engine shares each mixture; it
 sweeps the dimension recursion's qualifying rows, decides each level's game
 by the recursion's own verdict (`DimensionEngine._passes`) and solves only
-the game it plays. `AgnosticLearner` groups its experts by bitmask: experts
-with equal masks play the same mixture, so each round costs one mixture, one
-expected loss and one summed weight per group, not per expert. Both take
+the game it plays. `AgnosticLearner` never walks its pool: it keeps one exact
+summed weight per (bitmask, timepoints used), so each round costs one
+mixture, one expected loss and one summed weight per bitmask, not per
+expert, and per-expert weights are replayed only when read. Both take
 their engine from one rule, `_engine_for`: a new engine at gamma when none is
 given, else the given one, which is refused when built on other problem or
 class objects than the learner's, or at another margin than a gamma it is
@@ -38,6 +39,7 @@ factors are converted exactly into Fractions so replays are bit-identical.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -204,16 +206,7 @@ def build_expert_pool(
     """
     check_count("horizon", horizon, 1)
     check_count("d_gamma", d_gamma)
-    alpha = parse_rational(alpha)
-    c = parse_rational(c)
-    if alpha <= 0 or alpha > c > 0:
-        raise ValidationError(f"alpha must be in (0, c], got alpha={alpha}, c={c}")
-    # Count the grid's points without building it: a tiny alpha makes it huge,
-    # and only experts with timepoints read it.
-    size = pool_size(horizon, d_gamma, math.ceil(c / alpha) + 1)
-    if size > POOL_BUDGET:
-        raise BudgetError(f"expert pool of {size} exceeds budget {POOL_BUDGET}")
-    grid = loss_grid(alpha, c) if d_gamma else ()
+    _, grid, _ = _pool_shape(horizon, d_gamma, parse_rational(alpha), parse_rational(c))
     pool = [ExpertId((), ())]
     for i in range(1, d_gamma + 1):
         for points in combinations(range(1, horizon + 1), i):
@@ -223,22 +216,29 @@ def build_expert_pool(
 
 
 # Learners with equal (horizon, dimension, alpha, c) share one immutable pool
-# and its update plan; the bound keeps a long-lived process from holding every
+# and one pool shape; the bound keeps a long-lived process from holding every
 # pool it ever built.
+_shared_pool = lru_cache(maxsize=16)(build_expert_pool)
+
+
 @lru_cache(maxsize=16)
-def _pool_plan(horizon: int, d_gamma: int, alpha: Fraction, c: Fraction) -> tuple:
-    """(pool, updates): updates[t - 1] lists (threshold, expert indices), one
-    entry per threshold, of the experts that update in round t, so a round
-    restricts by one mask per threshold."""
-    pool = build_expert_pool(horizon, d_gamma, alpha, c)
-    updates = tuple({} for _ in range(horizon))
-    for i, ident in enumerate(pool):
-        for t, threshold in zip(ident.timepoints, ident.thresholds):
-            updates[t - 1].setdefault(threshold, []).append(i)
-    return pool, tuple(
-        tuple((threshold, tuple(experts)) for threshold, experts in round_.items())
-        for round_ in updates
+def _pool_shape(horizon: int, d_gamma: int, alpha: Fraction, c: Fraction) -> tuple:
+    """(size, grid, counts) of `build_expert_pool`'s pool, without enumerating
+    it. An alpha outside (0, c] and a size over `POOL_BUDGET` are refused
+    before the grid is built (a tiny alpha makes it huge; only experts with
+    timepoints read it). counts[s][j] experts share each choice of j
+    timepoints up to round s with their thresholds."""
+    if alpha <= 0 or alpha > c > 0:
+        raise ValidationError(f"alpha must be in (0, c], got alpha={alpha}, c={c}")
+    size = pool_size(horizon, d_gamma, math.ceil(c / alpha) + 1)
+    if size > POOL_BUDGET:
+        raise BudgetError(f"expert pool of {size} exceeds budget {POOL_BUDGET}")
+    grid = loss_grid(alpha, c) if d_gamma else ()
+    counts = tuple(
+        tuple(pool_size(horizon - s, d_gamma - j, len(grid)) for j in range(d_gamma + 1))
+        for s in range(horizon + 1)
     )
+    return size, grid, counts
 
 
 def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
@@ -275,28 +275,40 @@ def aggregate_mixture(weights: Sequence[RationalLike], mixtures: Sequence[Mixtur
 class AgnosticLearner:
     """Multiplicative weights over the timepoint/threshold expert pool.
 
-    Each expert is an Mrsoa version space, kept as a bitmask beside its weight,
-    that only updates on its own timepoints, with its own quantized thresholds
-    in place of observed losses. Experts with equal bitmasks play the same
-    memoized mixture, so each round works per group of equal bitmasks: one
-    mixture, one summed weight and one expected loss per group. A grid
-    threshold at or above every loss (the grid can end above c when alpha
-    does not divide it) keeps the expert's space. An expert whose threshold turns out unrealizable
-    skips that update and keeps playing (only consistent experts matter for the
-    regret guarantee; the rest just need to be deterministic).
+    Each expert is an Mrsoa version space that only updates on its own
+    timepoints, with its own quantized thresholds in place of observed losses.
+    A grid threshold at or above every loss (the grid can end above c when
+    alpha does not divide it) keeps the expert's space. An expert whose
+    threshold turns out unrealizable skips that update and keeps playing (only
+    consistent experts matter for the regret guarantee; the rest just need to
+    be deterministic).
 
-    Every exp factor `Fraction(float)` is dyadic, a / 2**k, so the weights are
+    A round never walks the pool. After round s an expert's weight and
+    version space depend only on its timepoints up to s, `used` of them, and
+    their thresholds; the experts that share those differ only in later
+    timepoints, and there are counts[s][used] = pool_size(T - s, d - used, k)
+    of them, with d the dimension and k the grid's size. So the state maps
+    each (space, used) to the summed weight of one expert per such prefix,
+    and a space weighs sum_j state[(space, j)] * counts[s][j]. Each round plays
+    one memoized mixture, one expected loss and one summed weight per space.
+    An update multiplies each entry by its space's exp factor, keeps it there
+    (the experts with no timepoint this round) and, while used < d, adds it
+    once per grid threshold at (its space restricted by the threshold, used +
+    1), which is exact because counts[s - 1][j] = counts[s][j] + k *
+    counts[s][j + 1]. The state thus holds at most d + 1 entries per space.
+
+    Every exp factor `Fraction(float)` is dyadic, a / 2**e, so the weights are
     kept as integer numerators over one shared power of two, 2**exponent: a
-    round multiplies each numerator by a * 2**(K - k), with K the largest k of
-    the round, and adds K to the exponent. `weights` gives the exact
-    Fractions. The default alpha is min(1/T, c), or 1/T when c = 0.
+    round multiplies each numerator by a * 2**(E - e), with E the largest e of
+    the round, and adds E to the exponent. The default alpha is min(1/T, c),
+    or 1/T when c = 0.
 
-    A round restricts the full space once per threshold, and each expert
-    that updates with that threshold ANDs the child into its bitmask.
-    `snapshot` also carries the prediction awaiting its update (None between
-    rounds), so restoring a snapshot taken right after predict lets update
-    follow at once, and restoring one taken between rounds drops a pending
-    prediction.
+    `pool` and `weights` are the per-expert view, built only when read:
+    `weights` replays every expert through each round's threshold masks and
+    multipliers, which the state keeps, in O(pool * T). `snapshot` also
+    carries the prediction awaiting its update (None between rounds), so
+    restoring a snapshot taken right after predict lets update follow at once,
+    and restoring one taken between rounds drops a pending prediction.
     """
 
     def __init__(
@@ -321,40 +333,67 @@ class AgnosticLearner:
             self.alpha = parse_rational(alpha)
         self._full = full = to_mask(range(self.cls.num_hypotheses))
         self.dimension = engine.dim_members(full)
-        self.pool, self._updates = _pool_plan(horizon, self.dimension, self.alpha, c)
-        self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
-        self._numerators = (1,) * len(self.pool)
+        size, self._grid, self._counts = _pool_shape(horizon, self.dimension, self.alpha, c)
+        self.eta = math.sqrt(2.0 * math.log(size) / horizon)
+        self._groups = {(full, 0): 1}
         self._exponent = 0
-        self._spaces = (full,) * len(self.pool)
+        # Per round, newest first: (earlier rounds, threshold masks, multipliers).
+        self._history = None
         self._factor_cache: dict = {}
+        self._within_cache: dict = {}
         self.round = 0
         self._pending = None
 
     @property
+    def pool(self) -> tuple:
+        """The experts in `build_expert_pool`'s order, built on first read and
+        shared by learners with equal (horizon, dimension, alpha, c)."""
+        return _shared_pool(self.horizon, self.dimension, self.alpha, self.problem.bound_c)
+
+    @property
     def weights(self) -> list:
         """Each expert's weight, exactly: the product of its exp factors so far."""
-        scale = 1 << self._exponent
-        return [Fraction(n, scale) for n in self._numerators]
+        rounds = []
+        node = self._history
+        while node is not None:
+            node, masks, scale = node
+            rounds.append((masks, scale))
+        rounds.reverse()
+        index = {threshold: i for i, threshold in enumerate(self._grid)}
+        den = 1 << self._exponent
+        out = []
+        for ident in self.pool:
+            thresholds = dict(zip(ident.timepoints, ident.thresholds))
+            space, n = self._full, 1
+            for t, (masks, scale) in enumerate(rounds, start=1):
+                if scale is not None:
+                    n *= scale[space]
+                if t in thresholds:
+                    space = space & masks[index[thresholds[t]]] or space
+            out.append(Fraction(n, den))
+        return out
 
     def snapshot(self) -> tuple:
         """The state, with the prediction awaiting its update (None between
-        rounds); `restore` returns to it."""
-        return (self._numerators, self._exponent, self._spaces, self.round, self._pending)
+        rounds); `restore` returns to it. An update builds a new dict of
+        groups, never changing one in place."""
+        return (self._groups, self._exponent, self._history, self.round, self._pending)
 
     def restore(self, state: tuple) -> None:
-        self._numerators, self._exponent, self._spaces, self.round, self._pending = state
+        self._groups, self._exponent, self._history, self.round, self._pending = state
 
     def predict(self, x: int) -> Mixture:
         if self.round >= self.horizon:
             raise ProtocolError(f"horizon {self.horizon} exhausted")
         check_index("instance", x, self.problem.num_instances)
-        groups: dict = {}
-        for space, n in zip(self._spaces, self._numerators):
-            groups[space] = groups.get(space, 0) + n
-        spaces = tuple(groups)
+        counts = self._counts[self.round]
+        weights: dict = {}
+        for (space, used), n in self._groups.items():
+            weights[space] = weights.get(space, 0) + n * counts[used]
+        spaces = tuple(weights)
         mixtures = tuple(self.engine.mixture(space, x) for space in spaces)
         self._pending = (x, spaces, mixtures)
-        return aggregate_mixture(tuple(groups.values()), mixtures)
+        return aggregate_mixture(tuple(weights.values()), mixtures)
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
         # eps is part of the common learner protocol but this learner ignores
@@ -376,27 +415,38 @@ class AgnosticLearner:
                 )
             factors[space] = factor
         shift = max(f.denominator.bit_length() - 1 for f in factors.values())
+        scale = None
         if shift:
             scale = {
                 space: f.numerator << (shift - f.denominator.bit_length() + 1)
                 for space, f in factors.items()
             }
-            self._numerators = tuple(
-                n * scale[space] for n, space in zip(self._numerators, self._spaces)
-            )
             self._exponent += shift
-        t = self.round + 1
-        if self._updates[t - 1]:
-            kept_spaces = list(self._spaces)
-            for threshold, experts in self._updates[t - 1]:
-                # restrict(space, ...) is space & restrict(full, ...).
-                within = self.engine.restrict(self._full, x, y, threshold)
-                for i in experts:
-                    kept = kept_spaces[i] & within
-                    if kept:
-                        kept_spaces[i] = kept
-            self._spaces = tuple(kept_spaces)
-        self.round = t
+        # Per grid threshold, the hypotheses within it on (x, y) (restrict(space,
+        # ...) is space & restrict(full, ...)), and each distinct mask with how
+        # many thresholds give it. Dimension 0 has no grid.
+        within = self._within_cache.get((x, y))
+        if within is None:
+            masks = tuple(self.engine.restrict(self._full, x, y, v) for v in self._grid)
+            within = self._within_cache[x, y] = (masks, tuple(Counter(masks).items()))
+        masks, fan_out = within
+        d = self.dimension
+        groups: dict = {}
+        get = groups.get
+        for key, n in self._groups.items():
+            space, used = key
+            if scale is not None:
+                n *= scale[space]
+            groups[key] = get(key, 0) + n
+            if used < d:
+                used += 1
+                # One copy per grid threshold, counted once per distinct mask.
+                for mask, times in fan_out:
+                    key = (space & mask or space, used)
+                    groups[key] = get(key, 0) + n * times
+        self._groups = groups
+        self._history = (self._history, masks, scale)
+        self.round += 1
 
 
 class FollowTheLeader:

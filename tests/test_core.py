@@ -317,6 +317,12 @@ class TestMixture:
             with pytest.raises(ValidationError, match=f"^uniform mixture size {message}$"):
                 Mixture.uniform(size)
 
+    def test_dirac_refuses_a_size_that_is_not_a_count(self):
+        # True was the one-wide mixture (1,), and 2.0 a bare TypeError from range.
+        for size, message in ((True, "must be an int, got True"), (2.0, "must be an int, got 2.0")):
+            with pytest.raises(ValidationError, match=f"^dirac mixture size {message}$"):
+                Mixture.dirac(size, 0)
+
     @pytest.mark.parametrize(
         "index, message",
         [(0.0, "is not an int"), (True, "is not an int"), (2, "out of range"), (-1, "out of range")],

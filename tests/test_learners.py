@@ -77,6 +77,13 @@ def agnostic_enum_class(rng):
             return problem, cls
 
 
+def binary_pairs():
+    """All four 0/1 functions on two instances under 0/1 loss: dimension 2 at
+    gamma = 1/4, so agnostic pools grow like 17^2 * C(16, 2) at T = 16."""
+    problem = make_problem((0, 1), (0, 1), (0, 1), [[0, 1], [1, 0]])
+    return validate_problem(problem, HypothesisClass(((0, 0), (0, 1), (1, 0), (1, 1))))
+
+
 class ReferenceAgnosticLearner:
     """The per-expert multiplicative weights that `AgnosticLearner` groups:
     one Fraction weight and one mixture per expert, each reweighted by
@@ -556,7 +563,7 @@ class TestAgnosticLearner:
         learner.update(0, mixed_label)
         mixture = learner.predict(0)
         assert sum(mixture.weights) == 1
-        assert all(learner._spaces)
+        assert all(space for space, _ in learner._groups)
 
     def test_weights_follow_exact_exp_factors(self):
         # Each expert's weight is multiplied by Fraction(exp(-eta * loss / c))
@@ -667,6 +674,40 @@ class TestAgnosticLearner:
                     reference.update(x, y)
                     assert learner.weights == reference.weights
 
+    def test_the_state_holds_at_most_d_plus_one_entries_per_space(self):
+        # T = 16 and d = 2 make a pool of 34,953 experts; the state keeps one
+        # entry per (space, timepoints used), and the per-expert weights,
+        # replayed only when read, sum to the state's total.
+        problem, cls = binary_pairs()
+        learner = AgnosticLearner(problem, cls, F(1, 4), 16)
+        d = learner.dimension
+        assert (d, pool_size(16, d, len(loss_grid(learner.alpha, problem.bound_c)))) == (2, 34_953)
+        rng = random.Random(16)
+        for _ in range(16):
+            x, y = rng.randrange(2), rng.randrange(2)
+            assert sum(learner.predict(x).weights) == 1
+            learner.update(x, y)
+            spaces = {space for space, _ in learner._groups}
+            assert len(learner._groups) <= (d + 1) * len(spaces)
+        # After the last round each entry stands for exactly one expert.
+        total = F(sum(learner._groups.values()), 1 << learner._exponent)
+        assert sum(learner.weights) == total
+
+    def test_matches_per_expert_reference_at_dimension_two(self):
+        # At T = 6 the reference affords the 778 experts of a dimension-2 pool.
+        problem, cls = binary_pairs()
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        learner = AgnosticLearner(problem, cls, F(1, 4), 6, engine=engine)
+        reference = ReferenceAgnosticLearner(problem, cls, 6, learner.alpha, engine)
+        assert (len(learner.pool), learner.eta) == (778, reference.eta)
+        rng = random.Random(6)
+        for _ in range(6):
+            x, y = rng.randrange(2), rng.randrange(2)
+            assert learner.predict(x) == reference.predict(x)
+            learner.update(x, y)
+            reference.update(x, y)
+            assert learner.weights == reference.weights
+
     def test_deterministic_replay(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         stream = [(0, 1), (0, 0), (0, 1), (0, 1)]
@@ -757,6 +798,36 @@ class TestSnapshots:
                 for z in range(problem.num_instances):
                     assert learner.predict(z) == fresh.predict(z)
                 assert learner.snapshot() == fresh.snapshot()
+
+    def test_restored_weights_are_a_fresh_replay_of_the_prefix(self):
+        # The per-expert weights are rebuilt from the history a snapshot
+        # carries: after restoring a snapshot taken right after predict, or
+        # one taken between rounds, they are those of a fresh learner that
+        # played the same prefix, whatever was played in between.
+        problem, cls = binary_pairs()
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        rng = random.Random(12)
+        rounds = [(rng.randrange(2), rng.randrange(2), None) for _ in range(5)]
+
+        def fresh(prefix):
+            learner = AgnosticLearner(problem, cls, F(1, 4), 5, engine=engine)
+            play(learner, prefix)
+            return learner
+
+        learner = fresh(rounds[:2])
+        between = learner.snapshot()
+        x, y, _ = rounds[2]
+        learner.predict(x)
+        predicted = learner.snapshot()
+        learner.update(x, y)
+        play(learner, rounds[3:])
+        learner.restore(predicted)
+        learner.update(x, y)
+        assert learner.weights == fresh(rounds[:3]).weights
+        play(learner, rounds[3:])
+        learner.restore(between)
+        assert learner.round == 2
+        assert learner.weights == fresh(rounds[:2]).weights
 
     def test_restoring_a_snapshot_between_rounds_drops_the_prediction(self):
         problem, cls = make_builtin("multiclass:binary-constants")
