@@ -348,8 +348,6 @@ def _cmd_verify(args) -> int:
 def _cmd_sqrt_lower(args) -> int:
     problem, cls = _load_instance(args)
     rounds = args.rounds
-    if rounds < 0:
-        raise ValidationError(f"rounds must be >= 0, got {rounds}")
     witness = find_sqrt_witness(problem, cls)
     if witness is None:
         raise ValidationError("instance admits no two-point sign witness")

@@ -28,7 +28,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -310,48 +310,42 @@ class ThresholdedExample:
     eps: Optional[Fraction] = None
 
 
-def make_stream(items: Iterable) -> tuple:
-    """Build a stream from (x, y) or (x, y, eps) tuples or lists and ThresholdedExamples.
+def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
+    """Build a stream from (x, y) or (x, y, eps) tuples or lists and
+    ThresholdedExamples, checking each element as it is built: the one rule
+    that makes and checks a stream.
 
     A malformed element, or a threshold that is not a rational, raises
-    ValidationError with its 1-based round. Thresholds must be present on
+    ValidationError with its 1-based round. Given a problem, each element's
+    instance, label and threshold are checked against it too
+    (`check_instance`, `check_feedback`). Thresholds must be present on
     every element or on none; a mixed stream has no consistent
     interpretation (realizable vs. agnostic protocol), and its error names the
     round of the first element whose kind differs from the first element's.
+    Errors come in round order; within a round, the problem's checks come
+    before the mixed-stream rule.
     """
     out = []
     for t, item in enumerate(items, 1):
-        if not isinstance(item, ThresholdedExample):
-            x, y, eps = stream_element(t, item)
+        if isinstance(item, ThresholdedExample):
+            x, y, eps = item.x, item.y, item.eps
+        elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
+            x, y, eps = item[0], item[1], item[2] if len(item) == 3 else None
             if eps is not None:
                 try:
                     eps = parse_rational(eps)
                 except ValidationError as exc:
                     raise ValidationError(f"round {t}: {exc}") from exc
             item = make_record(ThresholdedExample, x=x, y=y, eps=eps)
-        if out and (item.eps is None) != (out[0].eps is None):
+        else:
+            raise ValidationError(f"round {t}: stream element {item!r} is not (x, y) or (x, y, eps)")
+        if problem is not None:
+            check_instance(problem, t, x)
+            check_feedback(problem, t, y, eps)
+        if out and (eps is None) != (out[0].eps is None):
             raise ValidationError(f"round {t}: thresholds must be present on every stream element or on none")
         out.append(item)
     return tuple(out)
-
-
-def stream_element(t: int, item) -> tuple:
-    """(x, y, eps) of round t's stream element, unchecked: a
-    ThresholdedExample, or an (x, y) or (x, y, eps) tuple or list (eps None
-    when absent). Any other element raises ValidationError with its round."""
-    if isinstance(item, ThresholdedExample):
-        return item.x, item.y, item.eps
-    if isinstance(item, (tuple, list)) and len(item) in (2, 3):
-        return item[0], item[1], item[2] if len(item) == 3 else None
-    raise ValidationError(f"round {t}: stream element {item!r} is not (x, y) or (x, y, eps)")
-
-
-def validate_stream(problem: Problem, stream: Sequence[ThresholdedExample]) -> tuple:
-    """Check stream indices and thresholds against a problem; returns the stream."""
-    for t, ex in enumerate(stream, 1):
-        check_instance(problem, t, ex.x)
-        check_feedback(problem, t, ex.y, ex.eps)
-    return tuple(stream)
 
 
 def check_index(name: str, index, size: int, t: Optional[int] = None):

@@ -33,7 +33,6 @@ from .core import (
     make_problem,
     make_stream,
     parse_rational,
-    validate_stream,
 )
 
 
@@ -312,7 +311,14 @@ def serialize_instance(problem: Problem, cls: HypothesisClass) -> str:
 
 
 def parse_stream_document(text: str, problem: Optional[Problem] = None):
-    """Parse a stream JSON document; validates indices when a problem is given."""
+    """Parse a stream JSON document into a stream.
+
+    Each entry's shape, indices and threshold literal are checked with its
+    JSON path; the stream is then made by `make_stream`, which checks it
+    against the problem when one is given, in the same pass, and whose errors
+    (a round's bad instance, label or threshold, or a mixed stream) are
+    prefixed with `/stream: `.
+    """
     doc = _loads(text)
     if not isinstance(doc, dict) or "stream" not in doc:
         raise ValidationError("/: stream document must be an object with a 'stream' key")
@@ -334,23 +340,19 @@ def parse_stream_document(text: str, problem: Optional[Problem] = None):
                 raise ValidationError(f"/stream/{t}/eps: negative threshold {eps}")
         items.append(ThresholdedExample(entry["x"], entry["y"], eps))
     try:
-        stream = make_stream(items)
+        return make_stream(items, problem)
     except ValidationError as exc:
         raise ValidationError(f"/stream: {exc}") from exc
-    if problem is not None:
-        try:
-            validate_stream(problem, stream)
-        except ValidationError as exc:
-            raise ValidationError(f"/stream: {exc}") from exc
-    return stream
 
 
 def serialize_stream(stream) -> str:
+    """Canonical stream document of any stream `make_stream` accepts:
+    ThresholdedExamples, and (x, y) or (x, y, eps) tuples or lists."""
     doc = {
         "stream": [
             {"x": ex.x, "y": ex.y}
             | ({} if ex.eps is None else {"eps": format_rational(ex.eps)})
-            for ex in stream
+            for ex in make_stream(stream)
         ]
     }
     return canonical_json(doc)

@@ -248,15 +248,21 @@ def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
     return Fraction(math.exp(-eta * float(loss / c)))
 
 
-def aggregate_mixture(weights: Sequence[RationalLike], mixtures: Sequence[Mixture]) -> Mixture:
+def aggregate_mixture(
+    weights: Sequence[Union[int, Fraction]], mixtures: Sequence[Mixture]
+) -> Mixture:
     """Weight-average of mixtures (exact); expected loss is linear, so playing
     this equals drawing an expert by weight and playing its mixture. Only the
-    ratios of the weights matter, so integer weights on any common scale work."""
+    ratios of the weights matter, so integer weights on any common scale work.
+    Each weight must be a positive int or Fraction: an int's type must be int
+    itself, as for `check_count` (a bool is refused)."""
     if not mixtures or len(weights) != len(mixtures):
         raise ValidationError("need equally many weights and mixtures, at least one")
     width = len(mixtures[0])
     total = 0
     for w, m in zip(weights, mixtures):
+        if type(w) is not int and not isinstance(w, Fraction):
+            raise ValidationError(f"weight {w!r} is not an int or a Fraction")
         if w <= 0:
             raise ValidationError(f"non-positive weight {w}")
         if len(m) != width:

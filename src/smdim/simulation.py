@@ -7,10 +7,11 @@ prediction draws for the same transcript and reports mean and standard error,
 for eyeballing only.
 
 The per-round work around the learner is kept small: a stream's rounds are
-checked once, up front, by rules that compare in integers (`check_index`,
-`check_threshold`); records and reports are written with `make_record`, one
-`__dict__` each, not a frozen `__init__`'s setattr per field; hindsight
-totals are integers over the loss denominator.
+made and checked in one pass, up front, by `make_stream(items, problem)`,
+whose rules compare in integers (`check_index`, `check_threshold`); records
+and reports are written with `make_record`, one `__dict__` each, not a
+frozen `__init__`'s setattr per field; hindsight totals are integers over
+the loss denominator.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from .core import (
     make_record,
     make_stream,
     scaled_loss,
-    stream_element,
     validate_problem,
-    validate_stream,
 )
 from .instances import encode_identifier
 
@@ -136,20 +135,14 @@ def best_in_hindsight(
 ) -> tuple:
     """(index, loss) of the cumulative-loss-minimizing hypothesis (lowest index wins).
 
-    The class must fit the problem (`validate_problem`). Each element is a
-    ThresholdedExample or an (x, y) or (x, y, eps) tuple or list, and its
-    instance and label are checked by the rules `validate_stream` uses; a bad
-    one raises ValidationError with its 1-based round. The totals are
+    The class must fit the problem (`validate_problem`). The stream is made
+    and checked against the problem by `make_stream`, as `run_game` makes
+    it: a malformed element, a bad instance, label or threshold, or a mixed
+    stream raises ValidationError with its 1-based round. The totals are
     integers over the loss table's common denominator.
     """
     validate_problem(problem, cls)
-    pairs = []
-    for t, item in enumerate(stream, 1):
-        x, y, _ = stream_element(t, item)
-        check_instance(problem, t, x)
-        check_feedback(problem, t, y, None)
-        pairs.append((x, y))
-    return _hindsight(problem, cls, pairs)
+    return _hindsight(problem, cls, ((ex.x, ex.y) for ex in make_stream(stream, problem)))
 
 
 def _hindsight(problem: Problem, cls: HypothesisClass, pairs: Iterable) -> tuple:
@@ -179,18 +172,22 @@ def run_game(
 
     A stream is a sequence of (x, y[, eps]) or ThresholdedExample; an
     adversary is anything with next_instance() and observe_mixture(mixture).
-    Rounds defaults to the stream length (mandatory for adversaries). An
-    adversary's instance and feedback are checked by the rules a stream's
-    are, each before the learner or the loss reads it.
+    Rounds defaults to the stream length (mandatory for adversaries). A
+    stream is made and checked against the problem in one pass by
+    `make_stream`, before the first round is played; an adversary's instance
+    and feedback are checked by the same rules, each before the learner or
+    the loss reads it. In monte-carlo mode, `trials` (at least 2) is checked
+    before the first round too.
     Realizability and protocol errors are re-raised with the 1-based round.
     """
     validate_problem(problem, cls)
     if mode not in ("exact", "monte-carlo"):
         raise ValidationError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}")
+    if mode == "monte-carlo":
+        check_count("trials", trials, low=2)
     is_stream = isinstance(source, (tuple, list))
     if is_stream:
-        stream = make_stream(source)
-        validate_stream(problem, stream)
+        stream = make_stream(source, problem)
         if rounds is None:
             rounds = len(stream)
     elif rounds is None:
@@ -241,8 +238,6 @@ def run_game(
 
 
 def _sample_losses(problem: Problem, records, seed: int, trials: int):
-    if trials < 2:
-        raise ValidationError(f"monte-carlo needs at least 2 trials, got {trials}")
     rng = random.Random(seed)
     cutoffs = []
     for r in records:

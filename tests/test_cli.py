@@ -509,3 +509,11 @@ class TestSqrtLower:
             capsys, "sqrt-lower", "--instance", str(path), "-T", "2"
         )
         assert code == 2 and "no two-point sign witness" in err
+
+    def test_negative_rounds_rejected(self, capsys):
+        # Refused by the sign enumeration's own count rule.
+        code, out, err = run_cli(
+            capsys, "sqrt-lower", "--builtin", "multiclass", "-T", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert "rounds must be >= 0, got -1" in err

@@ -23,7 +23,6 @@ from smdim.core import (
     parse_rational,
     scaled_loss,
     validate_problem,
-    validate_stream,
 )
 from smdim.dimensions import GammaValue
 from smdim.instances import make_builtin
@@ -371,17 +370,43 @@ class TestStreams:
         with pytest.raises(ValidationError, match=message):
             make_stream(items)
 
-    def test_validate_stream_reports_one_based_round(self):
+    def test_a_stream_checked_against_a_problem_reports_one_based_round(self):
         problem, _ = binary_problem()
-        stream = make_stream([(0, 0), (0, 5)])
         with pytest.raises(ValidationError, match="round 2"):
-            validate_stream(problem, stream)
+            make_stream([(0, 0), (0, 5)], problem)
 
     def test_threshold_above_bound_rejected(self):
         problem, _ = binary_problem()
-        stream = make_stream([(0, 0, 2)])
         with pytest.raises(ValidationError):
-            validate_stream(problem, stream)
+            make_stream([(0, 0, 2)], problem)
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            # Round 1's bad instance is met before round 2's malformed element.
+            ([(5, 0), (0,)], r"^round 1: instance index 5 out of range$"),
+            ([(0, 0), (0,), (5, 0)], r"^round 2: stream element \(0,\) is not \(x, y\)"),
+            # A bad literal in round 2 comes after round 1's bad label.
+            ([(0, 7, "1/2"), (0, 0, "abc")], r"^round 1: label index 7 out of range$"),
+            ([(0, 0, "1/2"), (0, 0, "abc")], r"^round 2: not a rational literal: 'abc'$"),
+            # Within a round, the problem's checks come before the mixed-stream rule.
+            ([(0, 0), (0, 1), (0, 3, F(1))], r"^round 3: label index 3 out of range$"),
+            ([(0, 0), (0, 1), (0, 1, F(2))], r"^round 3: threshold 2 outside \[0, 1\]$"),
+            ([(0, 0), (0, 1), (0, 1, F(1))], r"^round 3: thresholds must be present"),
+        ],
+    )
+    def test_one_pass_reports_errors_in_round_order(self, items, message):
+        problem, _ = binary_problem()
+        with pytest.raises(ValidationError, match=message):
+            make_stream(items, problem)
+
+    def test_without_a_problem_only_the_elements_are_checked(self):
+        problem, _ = binary_problem()
+        items = [(5, 0, "1/2"), [0, 9, 2]]
+        stream = make_stream(items)
+        assert [(ex.x, ex.y, ex.eps) for ex in stream] == [(5, 0, F(1, 2)), (0, 9, F(2))]
+        with pytest.raises(ValidationError, match="^round 1: instance index 5 out of range$"):
+            make_stream(items, problem)
 
     @pytest.mark.parametrize(
         "eps, message",

@@ -7,7 +7,13 @@ from itertools import product
 
 import pytest
 
-from smdim.core import ValidationError, VersionSpace, format_rational, validate_problem
+from smdim.core import (
+    ThresholdedExample,
+    ValidationError,
+    VersionSpace,
+    format_rational,
+    validate_problem,
+)
 from smdim.dimensions import DimensionEngine, GammaValue
 from smdim.instances import (
     builtin_names,
@@ -260,6 +266,30 @@ class TestStreamDocuments:
     def test_invalid_json_reported(self):
         with pytest.raises(ValidationError, match="invalid JSON"):
             parse_stream_document("{nope")
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ('{"x": 0, "y": 0}, {"x": 3, "y": 0}', r"round 2: instance index 3 out of range"),
+            ('{"x": 0, "y": 0, "eps": "1"}, {"x": 0, "y": 1, "eps": "3/2"}',
+             r"round 2: threshold 3/2 outside \[0, 1\]"),
+            ('{"x": 0, "y": 0}, {"x": 0, "y": 1, "eps": "1"}',
+             r"round 2: thresholds must be present on every stream element or on none"),
+        ],
+        ids=["instance", "threshold", "mixed"],
+    )
+    def test_stream_errors_carry_the_stream_path_and_round(self, entries, message):
+        problem, _ = make_builtin("multiclass:binary-constants")
+        with pytest.raises(ValidationError, match=f"^/stream: {message}$"):
+            parse_stream_document(f'{{"stream": [{entries}]}}', problem)
+
+    def test_tuples_lists_and_examples_serialize_alike(self):
+        # serialize_stream once read .x and .eps, and raised AttributeError on a tuple.
+        for rows in ([(0, 1), (0, 0)], [(0, 1, "1/2"), (0, 0, F(0))]):
+            examples = [ThresholdedExample(*row[:2], *map(F, row[2:])) for row in rows]
+            texts = {serialize_stream(stream) for stream in (rows, [list(r) for r in rows], examples)}
+            assert len(texts) == 1
+            assert parse_stream_document(texts.pop()) == tuple(examples)
 
 
 def reference_json(doc) -> str:

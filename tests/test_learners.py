@@ -473,6 +473,10 @@ class TestMultiplicativeWeights:
             aggregate_mixture([], [])
         with pytest.raises(ValidationError):
             aggregate_mixture([F(0)], [Mixture.dirac(2, 0)])
+        # True once weighed as 1; 0.5 and "1/2" once raised TypeError.
+        for weight in (True, 0.5, "1/2"):
+            with pytest.raises(ValidationError, match=f"^weight {weight!r} is not an int or a Fraction$"):
+                aggregate_mixture([weight], [Mixture.dirac(2, 0)])
 
     @given(st.data())
     def test_aggregate_equals_a_fraction_sum(self, data):

@@ -101,6 +101,23 @@ class TestBestInHindsight:
         with pytest.raises(ValidationError, match=message):
             best_in_hindsight(problem, cls, stream)
 
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            # c = 1: a threshold of 5 was once ignored, and hypothesis 0 named best.
+            ([(0, 0), (0, 1, F(5))], r"^round 2: threshold 5 outside \[0, 1\]$"),
+            ([(0, 0, "abc")], r"^round 1: not a rational literal: 'abc'$"),
+            ([(0, 0, "1/2"), (0, 1)], r"^round 2: thresholds must be present"),
+        ],
+        ids=["threshold-above-c", "bad-literal", "mixed"],
+    )
+    def test_thresholds_are_checked_as_run_game_checks_them(self, stream, message):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        with pytest.raises(ValidationError, match=message):
+            best_in_hindsight(problem, cls, stream)
+        with pytest.raises(ValidationError, match=message):
+            run_game(problem, cls, UniformLearner(problem), stream)
+
 
 @given(st.data())
 def test_best_in_hindsight_equals_a_fraction_sum(data):
@@ -246,6 +263,29 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="trials"):
             run_game(problem, cls, UniformLearner(problem), [(0, 0)],
                      mode="monte-carlo", trials=1)
+
+    @pytest.mark.parametrize(
+        "trials, message",
+        [
+            (1, r"^trials must be >= 2, got 1$"),
+            # 2.5 once played every round, then raised TypeError from range.
+            (2.5, r"^trials must be an int, got 2.5$"),
+            (True, r"^trials must be an int, got True$"),
+        ],
+    )
+    def test_trials_are_checked_before_the_first_predict(self, trials, message):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        learner = UniformLearner(problem)
+        predicted = []
+
+        def predict(x):
+            predicted.append(x)
+            return Mixture.uniform(problem.num_predictions)
+
+        learner.predict = predict
+        with pytest.raises(ValidationError, match=message):
+            run_game(problem, cls, learner, [(0, 0), (0, 1)], mode="monte-carlo", trials=trials)
+        assert predicted == []
 
 
 class TestReportsAndTranscripts:
