@@ -12,7 +12,10 @@ Sums of many exact terms are taken in integers, which is just as exact: a
 problem's loss rows and a mixture's weights are each also kept as integers
 over one common denominator (`scaled_loss`, `Mixture.scaled`), so an
 expected loss sums integer products and builds one `Fraction` at the end,
-not one per term.
+not one per term. A mixture worked out in integers (an aggregate of expert
+mixtures, a game's optimal mixture) is made from them by
+`Mixture.from_scaled`, which checks them as integers and builds its weight
+Fractions only when they are read.
 
 Conventions: instances, labels, and predictions are addressed by index into
 the corresponding tuple of a `Problem`. The identifier objects themselves are
@@ -243,7 +246,16 @@ class Mixture:
 
     `den` is the lcm of the weights' denominators and `scaled` each weight
     times it, as ints, so the scaled weights sum to `den`. Both are worked out
-    from `weights` and are not compared, hashed or shown.
+    from `weights` and are not compared, hashed or shown. `weights` is kept
+    as a tuple, whatever sequence it was given as, so a mixture equals and
+    hashes as its twin and cannot change after it is checked.
+
+    Every mixture is checked and stored by one integer rule, `_settle`:
+    `Mixture(weights)` puts its Fraction weights over their lcm
+    (`scaled_loss`) and hands it the integers, and `from_scaled(numerators,
+    den)` hands them over as given. A mixture made from integers builds its
+    `weights` Fractions on their first read and keeps them; its length,
+    support and expected losses read `scaled` alone.
     """
 
     weights: tuple
@@ -251,19 +263,49 @@ class Mixture:
     scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.weights:
-            raise ValidationError("mixture over an empty prediction space")
-        for w in self.weights:
+        weights = tuple(self.weights or ())
+        for w in weights:
             if not isinstance(w, Fraction):
                 raise ValidationError(f"mixture weight {w!r} is not a Fraction")
-            if w.numerator < 0:
-                raise ValidationError(f"negative mixture weight {w}")
-        den, (scaled,) = scaled_loss((self.weights,))
-        total = sum(scaled)
-        if total != den:
-            raise ValidationError(f"mixture weights sum to {Fraction(total, den)}, expected 1")
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "weights", weights)
+        den, (scaled,) = scaled_loss((weights,))
+        self._settle(scaled, den)
+
+    @classmethod
+    def from_scaled(cls, numerators, den: int) -> "Mixture":
+        """The mixture with weights numerators[j] / den, checked in integers:
+        each numerator an int (its type int itself) of at least 0, and their
+        sum den, an int of at least 1. No Fraction is built until `weights`
+        is read."""
+        return object.__new__(cls)._settle(numerators, den)
+
+    def _settle(self, numerators, den: int) -> "Mixture":
+        """Check integer weights over den, with `Mixture(weights)`'s
+        messages, store them as `scaled` over `den`, reduced by their gcd, and
+        return the mixture."""
+        if not numerators:
+            raise ValidationError("mixture over an empty prediction space")
+        check_count("mixture denominator", den, low=1)
+        for s in numerators:
+            if type(s) is not int:
+                raise ValidationError(f"mixture weight {s!r} is not a Fraction")
+            if s < 0:
+                raise ValidationError(f"negative mixture weight {Fraction(s, den)}")
+        if sum(numerators) != den:
+            raise ValidationError(f"mixture weights sum to {Fraction(sum(numerators), den)}, expected 1")
+        # The numerators sum to den, so their gcd divides it.
+        g = math.gcd(*numerators)
+        vars(self).update(den=den // g, scaled=tuple(s // g for s in numerators))
+        return self
+
+    def __getattr__(self, name):
+        # Python calls this only for a name missing from the instance dict:
+        # among the fields, only the unread weights of a mixture made from
+        # integers.
+        if name != "weights" or "scaled" not in vars(self):
+            raise AttributeError(f"'Mixture' object has no attribute {name!r}")
+        weights = vars(self)["weights"] = tuple(Fraction(s, self.den) for s in self.scaled)
+        return weights
 
     @classmethod
     def of(cls, weights: Iterable[RationalLike]) -> "Mixture":
@@ -273,18 +315,18 @@ class Mixture:
     def dirac(cls, size: int, index: int) -> "Mixture":
         check_count("dirac mixture size", size, low=1)
         check_index("prediction", index, size)
-        return cls(tuple(Fraction(1) if j == index else Fraction(0) for j in range(size)))
+        return cls.from_scaled(tuple(int(j == index) for j in range(size)), 1)
 
     @classmethod
     def uniform(cls, size: int) -> "Mixture":
         check_count("uniform mixture size", size, low=1)
-        return cls(tuple(Fraction(1, size) for _ in range(size)))
+        return cls.from_scaled((1,) * size, size)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.scaled)
 
     def support(self) -> tuple:
-        return tuple(j for j, w in enumerate(self.weights) if w > 0)
+        return tuple(j for j, s in enumerate(self.scaled) if s)
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,9 @@ There is no LP cache here: every call solves its LP, recovers the value and
 the tight rows and checks that the simplex optimum equals the recovered game
 value. Only the mixture waits: the engine's recursion, certificates and
 `msdim_direct` read a game's value alone, so a solution keeps the simplex's
-integer numerators and builds its validated `Mixture` on the first read of
-`mixture` (`GameSolution`). Callers that meet the same game again memoize it
-themselves. Engines look their games up in a table keyed by LP row ids
+integer numerators and builds its `Mixture` from them, checked in integers
+(`Mixture.from_scaled`), on the first read of `mixture` (`GameSolution`).
+Callers that meet the same game again memoize it themselves. Engines look their games up in a table keyed by LP row ids
 (`DimensionEngine.game`), shared by the engines built on one (problem, class)
 pair. Their recursion solves only the games that exact bounds leave
 undecided: mixtures of support one or two for the learner, and of support
@@ -115,9 +115,11 @@ class GameSolution:
 
     A solution from `solve_scaled` is made without its `mixture` field and
     holds the simplex's integer numerators u instead. The first read of
-    `mixture` builds `Mixture(u / sum(u))`, validated like any other, and
-    stores it, so every later read returns that same object. Equality, hash
-    and repr read the field, so they compare and show the built mixture.
+    `mixture` builds `Mixture.from_scaled(u, sum(u))`, checked in integers
+    like any other mixture, and stores it, so every later read returns that
+    same object; that mixture builds its weight Fractions only when they are
+    read. Equality, hash and repr read the field, so they compare and show
+    the built mixture.
     """
 
     value: Fraction
@@ -134,9 +136,7 @@ class GameSolution:
         u = self.__dict__.get("_numerators")
         if name != "mixture" or u is None:
             raise AttributeError(f"'GameSolution' object has no attribute {name!r}")
-        total = sum(u)
-        mu = Mixture(tuple(Fraction(x, total) for x in u))
-        object.__setattr__(self, "mixture", mu)
+        mu = vars(self)["mixture"] = Mixture.from_scaled(u, sum(u))
         return mu
 
 

@@ -62,6 +62,7 @@ from .core import (
     exceeds,
     expected_loss,
     parse_rational,
+    scaled_loss,
     validate_problem,
 )
 from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
@@ -255,27 +256,39 @@ def aggregate_mixture(
     this equals drawing an expert by weight and playing its mixture. Only the
     ratios of the weights matter, so integer weights on any common scale work.
     Each weight must be a positive int or Fraction: an int's type must be int
-    itself, as for `check_count` (a bool is refused)."""
+    itself, as for `check_count` (a bool is refused); each entry must be a
+    Mixture.
+
+    The sums are taken in integers: Fraction weights, when there are any, are
+    put over their lcm (`scaled_loss`) first, and every mixture's `scaled`
+    over the lcm of their `den`s. The result is made from those integers
+    (`Mixture.from_scaled`), so it builds no Fraction until its weights are
+    read."""
     if not mixtures or len(weights) != len(mixtures):
         raise ValidationError("need equally many weights and mixtures, at least one")
-    width = len(mixtures[0])
     total = 0
     for w, m in zip(weights, mixtures):
         if type(w) is not int and not isinstance(w, Fraction):
             raise ValidationError(f"weight {w!r} is not an int or a Fraction")
         if w <= 0:
             raise ValidationError(f"non-positive weight {w}")
-        if len(m) != width:
-            raise ValidationError(f"mixtures of {width} and {len(m)} entries")
+        if not isinstance(m, Mixture):
+            raise ValidationError(f"entry {m!r} is not a Mixture")
+        # The first entry is a Mixture by now.
+        if len(m.scaled) != len(mixtures[0].scaled):
+            raise ValidationError(f"mixtures of {len(mixtures[0])} and {len(m)} entries")
         total += w
+    if type(total) is not int:  # a Fraction weight: all of them over their lcm
+        _, (weights,) = scaled_loss((weights,))
+        total = sum(weights)
     den = math.lcm(*(m.den for m in mixtures))  # a common denominator of every entry
-    sums = [0] * width
+    sums = [0] * len(mixtures[0].scaled)
     for w, m in zip(weights, mixtures):
         factor = w * (den // m.den)
         for j, entry in enumerate(m.scaled):
             if entry:
                 sums[j] += factor * entry
-    return Mixture(tuple(Fraction(s, total * den) for s in sums))
+    return Mixture.from_scaled(sums, total * den)
 
 
 class AgnosticLearner:

@@ -292,8 +292,11 @@ def exact_expectation_over_signs(
     snapshot taken right after predict, and the others restore that snapshot
     and only update, so sign streams on one instance cost 2^rounds - 1
     predictions. Each hypothesis's loss in hindsight is carried down the
-    trie as an integer over the loss denominator. Capped at SIGN_ENUM_CAP
-    rounds because the cost doubles per round.
+    trie as an integer over the loss denominator, and the best of them at
+    each stream's end is summed apart as one such integer: the walk adds
+    `ends * cumulative` to a Fraction total and `ends * min(hindsight)` to
+    that integer, and divides their difference by 2^rounds once, at the end.
+    Capped at SIGN_ENUM_CAP rounds because the cost doubles per round.
     """
     validate_problem(problem, cls)
     check_count("rounds", rounds)
@@ -320,7 +323,9 @@ def exact_expectation_over_signs(
     learner = learner_factory()
     den, rows = problem.scaled_loss
     table = cls.table
-    total = Fraction(0)
+    # The sum over streams of cumulative loss, and of the best hypothesis's
+    # loss in hindsight as an integer over den.
+    total, best = Fraction(0), 0
     # Depth-first over the trie. An entry holds a node, reached by `step`
     # (None at the root) at round `depth`, with the expected loss suffered and
     # each hypothesis's loss on the prefix (integers over den), the learner's
@@ -348,9 +353,10 @@ def exact_expectation_over_signs(
             row = rows[step.y]
             hindsight = tuple(loss + row[h_row[x]] for loss, h_row in zip(hindsight, table))
         if ends:
-            total += ends * (cumulative - Fraction(min(hindsight), den))
+            total += ends * cumulative
+            best += ends * min(hindsight)
         if children:
             state, plays = learner.snapshot(), {}
             for step, child in reversed(children.items()):
                 pending.append((child, depth + 1, cumulative, hindsight, state, step, plays))
-    return total / Fraction(2**rounds)
+    return (total - Fraction(best, den)) / 2**rounds

@@ -348,6 +348,77 @@ class TestMixture:
         copied = pickle.loads(pickle.dumps(mixture))
         assert copied == mixture and (copied.den, copied.scaled) == (3, (1, 0, 2))
 
+    def test_a_list_of_weights_is_stored_as_a_tuple(self):
+        # A list was kept as given: unequal to its tuple twin, unhashable, and
+        # open to an append that `len` saw and `scaled` did not.
+        mixture = Mixture([F(1, 2), F(1, 2)])
+        assert mixture == Mixture.uniform(2) and hash(mixture) == hash(Mixture.uniform(2))
+        with pytest.raises(AttributeError):
+            mixture.weights.append(F(1))
+        assert len(mixture) == 2 and mixture.scaled == (1, 1)
+
+    @pytest.mark.parametrize(
+        "numerators, den, message",
+        [
+            ((), 1, "mixture over an empty prediction space"),
+            ((True, 0), 1, "mixture weight True is not a Fraction"),
+            ((1.0, 0), 1, "mixture weight 1.0 is not a Fraction"),
+            ((2, -1), 1, "negative mixture weight -1"),
+            ((1, 0, -1), 3, "negative mixture weight -1/3"),
+            ((1, 1), 3, "mixture weights sum to 2/3, expected 1"),
+        ],
+    )
+    def test_from_scaled_refuses_what_the_weights_constructor_refuses(self, numerators, den, message):
+        weights = tuple(F(s, den) if type(s) is int else s for s in numerators)
+        for build in (lambda: Mixture.from_scaled(numerators, den), lambda: Mixture(weights)):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                build()
+
+    def test_from_scaled_refuses_a_denominator_that_is_not_a_positive_int(self):
+        # (0,) over 0 would sum to its denominator.
+        for den, message in ((0, "must be >= 1, got 0"), (True, "must be an int, got True")):
+            with pytest.raises(ValidationError, match=f"^mixture denominator {message}$"):
+                Mixture.from_scaled((0,) if den == 0 else (1,), den)
+
+    @pytest.mark.parametrize(
+        "numerators, den", [((1,), 1), ((0, 3), 3), ((2, 4), 6), ((3, 0, 9), 12), ([1, 1, 2], 4)]
+    )
+    def test_a_mixture_from_integers_equals_its_fraction_twin(self, numerators, den):
+        mixture = Mixture.from_scaled(numerators, den)
+        twin = Mixture(tuple(F(s, den) for s in numerators))
+        # Reduced by the gcd, as the twin puts its weights over their lcm.
+        assert (mixture.den, mixture.scaled) == (twin.den, twin.scaled)
+        copied = pickle.loads(pickle.dumps(mixture))
+        assert "weights" not in vars(copied)
+        assert mixture == twin == copied and twin == mixture
+        assert hash(mixture) == hash(twin) == hash(copied)
+        assert repr(mixture) == repr(twin) == repr(copied)
+
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=5).filter(any))
+    def test_from_scaled_equals_the_fraction_twin_on_any_numerators(self, numerators):
+        den = sum(numerators)
+        mixture = Mixture.from_scaled(numerators, den)
+        twin = Mixture(tuple(F(s, den) for s in numerators))
+        assert (mixture.den, mixture.scaled) == (twin.den, twin.scaled)
+        assert mixture == twin and hash(mixture) == hash(twin)
+
+    def test_dirac_and_uniform_are_made_from_integers(self):
+        for mixture in (Mixture.dirac(3, 1), Mixture.uniform(3)):
+            assert "weights" not in vars(mixture)
+        assert (Mixture.uniform(3).den, Mixture.uniform(3).scaled) == (3, (1, 1, 1))
+        assert (Mixture.dirac(3, 1).den, Mixture.dirac(3, 1).scaled) == (1, (0, 1, 0))
+
+    def test_weights_are_built_once_on_first_read(self, monkeypatch):
+        built = []
+        real_build = Mixture.__getattr__
+        monkeypatch.setattr(Mixture, "__getattr__", lambda mu, name: built.append(name) or real_build(mu, name))
+        mixture = Mixture.from_scaled((1, 0, 2), 3)
+        assert len(mixture) == 3 and mixture.support() == (0, 2) and built == []
+        assert mixture.weights is mixture.weights == (F(1, 3), F(0), F(2, 3))
+        assert built == ["weights"]
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            mixture.missing
+
 
 class TestStreams:
     def test_all_or_none_thresholds(self):

@@ -841,8 +841,8 @@ def test_value_readers_build_no_mixture(monkeypatch):
     # they build no Mixture; Mrsoa's mixture, read afterwards, is the one the
     # solver gives for the rows of the game it plays.
     built = []
-    real_check = Mixture.__post_init__
-    monkeypatch.setattr(Mixture, "__post_init__", lambda mu: built.append(mu) or real_check(mu))
+    real_settle = Mixture._settle
+    monkeypatch.setattr(Mixture, "_settle", lambda mu, *args: built.append(mu) or real_settle(mu, *args))
     solved = []
     real_solve = dimensions.solve_min_max
     monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real_solve(rows))

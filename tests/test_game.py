@@ -110,8 +110,8 @@ def test_single_row_picks_smallest_coefficient():
 
 def test_a_solution_builds_its_mixture_once_when_read(monkeypatch):
     built = []
-    real_check = Mixture.__post_init__
-    monkeypatch.setattr(Mixture, "__post_init__", lambda mu: built.append(mu) or real_check(mu))
+    real_settle = Mixture._settle
+    monkeypatch.setattr(Mixture, "_settle", lambda mu, *args: built.append(mu) or real_settle(mu, *args))
     sol = solve_min_max((row((0, 1), F(-1, 4)), row((1, 0))))
     copied = pickle.loads(pickle.dumps(sol))
     assert sol.value == F(3, 8) and sol.tight_rows == (0, 1) and built == []
@@ -120,6 +120,13 @@ def test_a_solution_builds_its_mixture_once_when_read(monkeypatch):
     expected = GameSolution(F(3, 8), Mixture((F(3, 8), F(5, 8))), (0, 1))
     assert sol == expected == copied and hash(sol) == hash(expected)
     assert repr(sol) == repr(expected)
+
+
+def test_a_solution_mixture_holds_integers_until_its_weights_are_read():
+    mixture = solve_min_max((row((0, 1), F(-1, 4)), row((1, 0)))).mixture
+    assert vars(mixture) == {"den": 8, "scaled": (3, 5)}
+    assert len(mixture) == 2 and mixture.support() == (0, 1) and "weights" not in vars(mixture)
+    assert mixture.weights == (F(3, 8), F(5, 8)) and vars(mixture)["weights"] is mixture.weights
 
 
 def test_a_solution_is_immutable():

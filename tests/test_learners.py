@@ -477,6 +477,30 @@ class TestMultiplicativeWeights:
         for weight in (True, 0.5, "1/2"):
             with pytest.raises(ValidationError, match=f"^weight {weight!r} is not an int or a Fraction$"):
                 aggregate_mixture([weight], [Mixture.dirac(2, 0)])
+        # A tuple of weights was once read for its `den`: a bare AttributeError.
+        with pytest.raises(ValidationError, match=r"^entry \(Fraction\(1, 1\),\) is not a Mixture$"):
+            aggregate_mixture([1], [(F(1),)])
+        with pytest.raises(ValidationError, match="^entry None is not a Mixture$"):
+            aggregate_mixture([1, 1], [Mixture.dirac(2, 0), None])
+
+    def test_played_mixtures_build_no_weights(self, monkeypatch):
+        # Widths, supports, expected losses and the aggregate read the
+        # integers alone; the weights are built when something reads them.
+        built = []
+        real_build = Mixture.__getattr__
+        monkeypatch.setattr(Mixture, "__getattr__", lambda mu, name: built.append(id(mu)) or real_build(mu, name))
+        problem, _ = three_quarter_constants()
+        mixed = [Mixture.from_scaled((1, 3), 4), Mixture.dirac(2, 1), Mixture.uniform(2)]
+        out = aggregate_mixture([3, F(1, 2), 2**70], mixed)
+        for mixture in (*mixed, out):
+            assert len(mixture) == 2 and mixture.support() in ((0, 1), (1,))
+            expected_loss(problem, mixture, 0)
+        assert built == []
+        reference = tuple(
+            sum((w * m.weights[j] for w, m in zip((3, F(1, 2), 2**70), mixed)), F(0)) / (F(7, 2) + 2**70)
+            for j in range(2)
+        )
+        assert out.weights == reference and built.count(id(out)) == 1
 
     @given(st.data())
     def test_aggregate_equals_a_fraction_sum(self, data):

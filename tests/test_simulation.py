@@ -25,7 +25,7 @@ from smdim.core import (
     make_problem,
 )
 from smdim.dimensions import DimensionEngine
-from smdim.instances import canonical_json, make_builtin
+from smdim.instances import builtin_names, canonical_json, make_builtin
 from smdim.learners import AgnosticLearner, FollowTheLeader, Mrsoa, UniformLearner
 from smdim.simulation import (
     SIGN_ENUM_CAP,
@@ -359,6 +359,25 @@ class TestSignEnumeration:
                 for factory in learner_factories(problem, cls, horizon):
                     args = (problem, cls, lambda s: rademacher_stream(witness, s), factory, horizon)
                     assert exact_expectation_over_signs(*args) == reference_expectation(*args)
+
+    def test_walk_matches_per_stream_replay_on_every_builtin_with_a_witness(self):
+        # The walk sums the loss in hindsight apart, as an integer over the
+        # loss denominator; the aggregated mixtures are made from integers.
+        for name in builtin_names():
+            problem, cls = make_builtin(name)
+            witness = find_sqrt_witness(problem, cls)
+            if witness is None:
+                continue
+            engine = DimensionEngine(problem, cls, F(1, 4))
+            for horizon in range(1, 7):
+                args = (
+                    problem,
+                    cls,
+                    lambda s: rademacher_stream(witness, s),
+                    lambda: AgnosticLearner(problem, cls, F(1, 4), horizon, engine=engine),
+                    horizon,
+                )
+                assert exact_expectation_over_signs(*args) == reference_expectation(*args), (name, horizon)
 
     def test_walk_matches_per_stream_replay_on_random_classes(self):
         rng = random.Random(43)
