@@ -365,8 +365,13 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
     interpretation (realizable vs. agnostic protocol), and its error names the
     round of the first element whose kind differs from the first element's.
     Errors come in round order; within a round, the problem's checks come
-    before the mixed-stream rule.
+    before the mixed-stream rule. Items that are not iterable raise
+    ValidationError too.
     """
+    try:
+        items = iter(items)
+    except TypeError:
+        raise ValidationError(f"a stream must be iterable, got {items!r}") from None
     out = []
     for t, item in enumerate(items, 1):
         if isinstance(item, ThresholdedExample):
@@ -533,9 +538,12 @@ def scaled_expected_loss(problem: Problem, mixture: Mixture, y: int) -> int:
     """The expected loss of a mixture against label index y times
     `mixture.den` and the loss table's denominator: a sum of integer products.
 
-    Raises ValidationError when y is not a label index (`check_index`) or the
-    mixture is not as wide as the problem has predictions.
+    Raises ValidationError when the mixture is not a `Mixture`, y is not a
+    label index (`check_index`) or the mixture is not as wide as the problem
+    has predictions.
     """
+    if not isinstance(mixture, Mixture):
+        raise ValidationError(f"prediction {mixture!r} is not a Mixture")
     check_index("label", y, problem.num_labels)
     row = problem.scaled_loss[1][y]
     if len(mixture.scaled) != len(row):

@@ -11,7 +11,9 @@ made and checked in one pass, up front, by `make_stream(items, problem)`,
 whose rules compare in integers (`check_index`, `check_threshold`); records
 and reports are written with `make_record`, one `__dict__` each, not a
 frozen `__init__`'s setattr per field; hindsight totals are integers over
-the loss denominator.
+the loss denominator. The sign walk sums its expected losses in integers
+too: each trie node's loss, times the streams through the node, goes into
+one integer per mixture denominator, and only those become Fractions.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .core import (
     format_rational,
     make_record,
     make_stream,
+    scaled_expected_loss,
     scaled_loss,
     validate_problem,
 )
@@ -291,11 +294,17 @@ def exact_expectation_over_signs(
     the same instance share one predict: the first stores the mixture and the
     snapshot taken right after predict, and the others restore that snapshot
     and only update, so sign streams on one instance cost 2^rounds - 1
-    predictions. Each hypothesis's loss in hindsight is carried down the
-    trie as an integer over the loss denominator, and the best of them at
-    each stream's end is summed apart as one such integer: the walk adds
-    `ends * cumulative` to a Fraction total and `ends * min(hindsight)` to
-    that integer, and divides their difference by 2^rounds once, at the end.
+    predictions. A stream's expected loss is the sum of its nodes' losses,
+    so the sum over streams is the sum over nodes of each node's loss times
+    the streams through it: the walk adds `through * scaled_expected_loss`,
+    an integer over the mixture's and the loss table's denominators, to one
+    integer per mixture denominator, and builds one Fraction per distinct
+    mixture denominator, at the end. Each hypothesis's loss in hindsight is
+    carried down the trie as an integer over the loss denominator, and the
+    best of them at each stream's end, times the streams that end there, is
+    summed as one such integer. The difference is divided by 2^rounds once.
+    A non-iterable stream, a learner without snapshot() and restore(), or a
+    prediction that is not a Mixture raises ValidationError.
     Capped at SIGN_ENUM_CAP rounds because the cost doubles per round.
     """
     validate_problem(problem, cls)
@@ -304,10 +313,11 @@ def exact_expectation_over_signs(
         raise ValidationError(
             f"sign enumeration over 2^{rounds} streams exceeds the cap of {SIGN_ENUM_CAP}"
         )
-    # A trie node is [children, ends]: children maps the next step (a
-    # ThresholdedExample) to its node, in the order the steps were first met,
-    # and ends counts the streams that end at the node.
-    root = [{}, 0]
+    # A trie node is [children, ends, through]: children maps the next step
+    # (a ThresholdedExample) to its node, in the order the steps were first
+    # met, ends counts the streams that end at the node and through the
+    # streams that pass through it.
+    root = [{}, 0, 0]
     for signs in product((1, -1), repeat=rounds):
         node = root
         for t, step in enumerate(make_stream(make_stream_for_signs(signs)), 1):
@@ -317,25 +327,32 @@ def exact_expectation_over_signs(
             if child is None or type(step.x) is not int or type(step.y) is not int:
                 check_instance(problem, t, step.x)
                 check_feedback(problem, t, step.y, step.eps)
-                child = node[0][step] = [{}, 0]
+                child = node[0][step] = [{}, 0, 0]
             node = child
+            node[2] += 1
         node[1] += 1
     learner = learner_factory()
+    for method in ("snapshot", "restore"):
+        if not callable(getattr(learner, method, None)):
+            name = type(learner).__name__
+            raise ValidationError(f"the sign walk needs the learner's {method}(), and {name} has none")
     den, rows = problem.scaled_loss
     table = cls.table
-    # The sum over streams of cumulative loss, and of the best hypothesis's
-    # loss in hindsight as an integer over den.
-    total, best = Fraction(0), 0
+    # The sum over nodes of the streams through a node times its expected
+    # loss, as one integer over mixture.den * den per mixture denominator,
+    # and the sum over streams of the best hypothesis's loss in hindsight,
+    # as an integer over den.
+    losses, best = {}, 0
     # Depth-first over the trie. An entry holds a node, reached by `step`
-    # (None at the root) at round `depth`, with the expected loss suffered and
-    # each hypothesis's loss on the prefix (integers over den), the learner's
-    # state before that round, and the plays its siblings share: per
-    # instance, the mixture and the state right after predict, stored by the
-    # first sibling on that instance. Siblings are pushed in reverse, so they
-    # are played in the order they were first met.
-    pending = [(root, 0, Fraction(0), (0,) * cls.num_hypotheses, None, None, None)]
+    # (None at the root) at round `depth`, with each hypothesis's loss on the
+    # prefix (integers over den), the learner's state before that round, and
+    # the plays its siblings share: per instance, the mixture and the state
+    # right after predict, stored by the first sibling on that instance.
+    # Siblings are pushed in reverse, so they are played in the order they
+    # were first met.
+    pending = [(root, 0, (0,) * cls.num_hypotheses, None, None, None)]
     while pending:
-        (children, ends), depth, cumulative, hindsight, state, step, plays = pending.pop()
+        (children, ends, through), depth, hindsight, state, step, plays = pending.pop()
         if step is not None:
             x = step.x
             try:
@@ -346,17 +363,21 @@ def exact_expectation_over_signs(
                     learner.restore(state)
                     mixture = learner.predict(x)
                     plays[x] = mixture, learner.snapshot()
-                cumulative += expected_loss(problem, mixture, step.y)
+                scaled = through * scaled_expected_loss(problem, mixture, step.y)
+                losses[mixture.den] = losses.get(mixture.den, 0) + scaled
                 learner.update(x, step.y, step.eps)
             except (RealizabilityError, ProtocolError) as exc:
                 raise type(exc)(f"round {depth}: {exc}") from exc
             row = rows[step.y]
             hindsight = tuple(loss + row[h_row[x]] for loss, h_row in zip(hindsight, table))
         if ends:
-            total += ends * cumulative
             best += ends * min(hindsight)
         if children:
             state, plays = learner.snapshot(), {}
             for step, child in reversed(children.items()):
-                pending.append((child, depth + 1, cumulative, hindsight, state, step, plays))
-    return (total - Fraction(best, den)) / 2**rounds
+                pending.append((child, depth + 1, hindsight, state, step, plays))
+    # One Fraction per mixture denominator: putting them all over one lcm
+    # costs more at T = 12, where there are thousands. Starting from the
+    # Fraction -best keeps the result a Fraction when no round is played.
+    total = sum((Fraction(n, d) for d, n in losses.items()), Fraction(-best))
+    return total / (den * 2**rounds)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from smdim.core import (
     make_problem,
     make_stream,
     parse_rational,
+    scaled_expected_loss,
     scaled_loss,
     validate_problem,
 )
@@ -500,6 +502,15 @@ class TestStreams:
             check_threshold(eps, F(2, 3))
             check_threshold(eps, F(2, 3), 1)
 
+    @pytest.mark.parametrize("items", [None, 5])
+    def test_a_stream_that_is_not_iterable_is_refused(self, items):
+        # Both once raised a bare TypeError from the loop over the items.
+        problem, _ = binary_problem()
+        message = f"^a stream must be iterable, got {items!r}$"
+        for args in ((items,), (items, problem)):
+            with pytest.raises(ValidationError, match=message):
+                make_stream(*args)
+
 
 class TestExpectedLossAndRestrict:
     def test_uniform_expected_loss(self):
@@ -527,6 +538,15 @@ class TestExpectedLossAndRestrict:
         problem, _ = make_builtin("multiclass:m=3")
         with pytest.raises(ValidationError, match=f"^label index {y!r} is not an int$"):
             expected_loss(problem, Mixture.uniform(3), y)
+
+    @pytest.mark.parametrize("prediction", [(F(1, 2), F(1, 2)), [F(1, 2), F(1, 2)], None])
+    def test_a_prediction_that_is_not_a_mixture_is_refused(self, prediction):
+        # A tuple of weights once raised a bare AttributeError on `.scaled`.
+        problem, _ = binary_problem()
+        message = f"^prediction {re.escape(repr(prediction))} is not a Mixture$"
+        for loss in (expected_loss, scaled_expected_loss):
+            with pytest.raises(ValidationError, match=message):
+                loss(problem, prediction, 0)
 
 
 class TestScaledLoss:

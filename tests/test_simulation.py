@@ -523,6 +523,104 @@ class TestSignEnumeration:
                 args = (problem, cls, streams, factory, horizon)
                 assert exact_expectation_over_signs(*args) == reference_expectation(*args)
 
+    def test_the_walk_returns_a_fraction_at_every_horizon(self):
+        # The sums are integers until the end; at T = 0 there is no loss to
+        # sum, and an int total over an int denominator would be a float 0.0.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        witness = find_sqrt_witness(problem, cls)
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        for horizon in range(0, 7):
+            for factory in (
+                lambda: AgnosticLearner(problem, cls, F(1, 4), max(horizon, 1), engine=engine),
+                lambda: UniformLearner(problem),
+            ):
+                args = (problem, cls, lambda s: rademacher_stream(witness, s), factory, horizon)
+                value = exact_expectation_over_signs(*args)
+                assert type(value) is Fraction
+                assert value == reference_expectation(*args)
+
+    def test_the_walk_sums_integers_one_fraction_per_mixture_denominator(self, monkeypatch):
+        # Each node's loss, times the streams through it, goes into one
+        # integer per mixture denominator: no Fraction per node, and no
+        # expected_loss call. The truncated streams make some streams proper
+        # prefixes of others, so a node's streams through it and its streams
+        # ending there differ.
+        problem, cls = make_builtin("regression:three-point")
+        witness = find_sqrt_witness(problem, cls)
+        engine = DimensionEngine(problem, cls, F(1, 4))
+
+        def streams(signs):
+            return rademacher_stream(witness, signs)[: 1 + signs.count(1)]
+
+        args = (problem, cls, streams, lambda: AgnosticLearner(problem, cls, F(1, 4), 5, engine=engine), 5)
+        expected = reference_expectation(*args)
+        dens, made = set(), []
+        real_loss = simulation.scaled_expected_loss
+
+        def loss_spy(problem, mixture, y):
+            value = real_loss(problem, mixture, y)
+            dens.add(mixture.den)
+            return value
+
+        def fraction_spy(*args):
+            made.append(args)
+            return F(*args)
+
+        def no_expected_loss(*args):
+            raise AssertionError("the walk called expected_loss")
+
+        monkeypatch.setattr(simulation, "scaled_expected_loss", loss_spy)
+        monkeypatch.setattr(simulation, "Fraction", fraction_spy)
+        monkeypatch.setattr(simulation, "expected_loss", no_expected_loss)
+        assert exact_expectation_over_signs(*args) == expected
+        assert len(dens) > 1
+        assert len(made) == len(dens) + 1
+
+    def test_a_stream_callback_that_returns_no_stream_is_refused(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        made = []
+        with pytest.raises(ValidationError, match="^a stream must be iterable, got None$"):
+            exact_expectation_over_signs(
+                problem, cls, lambda signs: None, lambda: made.append(1), 2
+            )
+        assert made == []
+
+    @pytest.mark.parametrize("missing", ["snapshot", "restore"])
+    def test_a_learner_without_snapshot_and_restore_is_refused(self, missing):
+        # The walk once raised a bare AttributeError at the first branch point.
+        problem, cls = make_builtin("multiclass:binary-constants")
+        witness = find_sqrt_witness(problem, cls)
+
+        class Bad(UniformLearner):
+            pass
+
+        setattr(Bad, missing, None)
+        message = rf"^the sign walk needs the learner's {missing}\(\), and Bad has none$"
+        for rounds in (0, 2):
+            with pytest.raises(ValidationError, match=message):
+                exact_expectation_over_signs(
+                    problem, cls, lambda s: rademacher_stream(witness, s), lambda: Bad(problem), rounds
+                )
+
+
+def test_a_prediction_that_is_not_a_mixture_is_refused():
+    # A tuple of weights once raised a bare AttributeError on `.scaled`, in
+    # run_game and in the sign walk, which reads the mixture's denominator.
+    problem, cls = make_builtin("multiclass:binary-constants")
+    witness = find_sqrt_witness(problem, cls)
+
+    class Tuples(UniformLearner):
+        def predict(self, x):
+            return (F(1, 2), F(1, 2))
+
+    message = r"^prediction \(Fraction\(1, 2\), Fraction\(1, 2\)\) is not a Mixture$"
+    with pytest.raises(ValidationError, match=message):
+        run_game(problem, cls, Tuples(problem), [(0, 1)])
+    with pytest.raises(ValidationError, match=message):
+        exact_expectation_over_signs(
+            problem, cls, lambda s: rademacher_stream(witness, s), lambda: Tuples(problem), 2
+        )
+
 
 def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
     # Declared bound 1, largest loss 1/2: the engine, the learner and the
