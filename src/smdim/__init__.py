@@ -55,12 +55,10 @@ from .instances import (
 )
 from .learners import (
     AgnosticLearner,
-    ExpertId,
     FollowTheLeader,
     Mrsoa,
     UniformLearner,
     aggregate_mixture,
-    build_expert_pool,
     loss_grid,
     pool_size,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "CaseResult",
     "CertificateNode",
     "DimensionEngine",
-    "ExpertId",
     "FollowTheLeader",
     "GameSolution",
     "GammaValue",
@@ -106,7 +103,6 @@ __all__ = [
     "aggregate_mixture",
     "best_in_hindsight",
     "best_response",
-    "build_expert_pool",
     "builtin_names",
     "canonical_json",
     "encode_identifier",

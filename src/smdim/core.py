@@ -45,7 +45,7 @@ class RealizabilityError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """A configured work budget (memo table, expert pool) was exceeded."""
+    """A configured work budget (memo table, threshold grid) was exceeded."""
 
 
 class ProtocolError(RuntimeError):

@@ -20,7 +20,7 @@ by the recursion's own verdict (`DimensionEngine._passes`) and solves only
 the game it plays. `AgnosticLearner` never walks its pool: it keeps one exact
 summed weight per (bitmask, timepoints used), so each round costs one
 mixture, one expected loss and one summed weight per bitmask, not per
-expert, and per-expert weights are replayed only when read. Both take
+expert; no per-expert weight or list of experts is ever built. Both take
 their engine from one rule, `_engine_for`: a new engine at gamma when none is
 given, else the given one, which is refused when built on other problem or
 class objects than the learner's, or at another margin than a gamma it is
@@ -40,10 +40,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -70,8 +68,8 @@ from .dimensions import DimensionEngine, GammaValue, to_mask, to_members
 # benchmark's tests check that its tracer rebinds the solver on this module.
 from .game import solve_min_max  # noqa: F401
 
-# The most experts an AgnosticLearner pool may hold.
-POOL_BUDGET = 100_000
+# The most points an AgnosticLearner's threshold grid may hold.
+GRID_BUDGET = 100_000
 
 
 def _engine_for(problem: Problem, cls: HypothesisClass, gamma, engine) -> DimensionEngine:
@@ -156,30 +154,10 @@ class Mrsoa:
         self._space = kept
 
 
-@dataclass(frozen=True)
-class ExpertId:
-    """A timepoint subset (1-based rounds) with one grid threshold per timepoint."""
-
-    timepoints: tuple
-    thresholds: tuple
-
-    def __post_init__(self):
-        if len(self.timepoints) != len(self.thresholds):
-            raise ValidationError("timepoints and thresholds must have equal length")
-        prev = 0
-        for t in self.timepoints:
-            if type(t) is not int or t <= prev:
-                raise ValidationError("timepoints must be strictly increasing and >= 1")
-            prev = t
-        for v in self.thresholds:
-            # The sign of a Fraction is its numerator's; `v < 0` would go
-            # through the numbers ABCs, and pools build many experts.
-            if not isinstance(v, Fraction) or v.numerator < 0:
-                raise ValidationError(f"threshold {v!r} is not a nonnegative Fraction")
-
-
-def loss_grid(alpha: Fraction, c: Fraction) -> tuple:
-    """The quantized threshold grid {0, alpha, ..., ceil(c/alpha)*alpha}, for alpha > 0 and c >= 0."""
+def loss_grid(alpha: RationalLike, c: RationalLike) -> tuple:
+    """The quantized threshold grid {0, alpha, ..., ceil(c/alpha)*alpha}, for
+    alpha > 0 and c >= 0, each read by `parse_rational` (a float is refused)."""
+    alpha, c = parse_rational(alpha), parse_rational(c)
     if alpha <= 0:
         raise ValidationError(f"loss_grid needs alpha > 0, got {alpha}")
     if c < 0:
@@ -189,57 +167,34 @@ def loss_grid(alpha: Fraction, c: Fraction) -> tuple:
 
 
 def pool_size(horizon: int, d_gamma: int, grid_points: int) -> int:
-    return sum(grid_points**i * math.comb(horizon, i) for i in range(d_gamma + 1))
-
-
-def build_expert_pool(
-    horizon: int,
-    d_gamma: int,
-    alpha: RationalLike,
-    c: RationalLike,
-) -> tuple:
-    """All experts with at most d_gamma timepoints and grid thresholds.
-
-    alpha must lie in (0, c]; when c = 0 any alpha > 0 is accepted and the
-    grid is {0}. The pool size is checked against `POOL_BUDGET` before any
-    enumeration; the deterministic order is by timepoint-set size, then the
-    sets lexicographically, then threshold assignments lexicographically.
-    """
-    check_count("horizon", horizon, 1)
+    """The number of experts with at most d_gamma of `horizon` timepoints and
+    one of `grid_points` thresholds at each: sum_i grid_points**i * C(horizon, i).
+    Each argument is a count of at least 0."""
+    check_count("horizon", horizon)
     check_count("d_gamma", d_gamma)
-    _, grid, _ = _pool_shape(horizon, d_gamma, parse_rational(alpha), parse_rational(c))
-    pool = [ExpertId((), ())]
-    for i in range(1, d_gamma + 1):
-        for points in combinations(range(1, horizon + 1), i):
-            for thresholds in product(grid, repeat=i):
-                pool.append(ExpertId(points, thresholds))
-    return tuple(pool)
-
-
-# Learners with equal (horizon, dimension, alpha, c) share one immutable pool
-# and one pool shape; the bound keeps a long-lived process from holding every
-# pool it ever built.
-_shared_pool = lru_cache(maxsize=16)(build_expert_pool)
+    check_count("grid_points", grid_points)
+    return sum(grid_points**i * math.comb(horizon, i) for i in range(d_gamma + 1))
 
 
 @lru_cache(maxsize=16)
 def _pool_shape(horizon: int, d_gamma: int, alpha: Fraction, c: Fraction) -> tuple:
-    """(size, grid, counts) of `build_expert_pool`'s pool, without enumerating
-    it. An alpha outside (0, c] and a size over `POOL_BUDGET` are refused
-    before the grid is built (a tiny alpha makes it huge; only experts with
-    timepoints read it). counts[s][j] experts share each choice of j
-    timepoints up to round s with their thresholds."""
+    """(size, grid, counts) of the expert pool, which is never enumerated. An
+    alpha outside (0, c] is refused, and so, at d_gamma >= 1, is a grid of
+    more than `GRID_BUDGET` points, before the grid is built (a tiny alpha
+    makes it huge; at d_gamma = 0 no expert has a timepoint to read it).
+    counts[s][j] experts share each choice of j timepoints up to round s with
+    their thresholds."""
     if alpha <= 0 or alpha > c > 0:
         raise ValidationError(f"alpha must be in (0, c], got alpha={alpha}, c={c}")
-    size = pool_size(horizon, d_gamma, math.ceil(c / alpha) + 1)
-    if size > POOL_BUDGET:
-        raise BudgetError(f"expert pool of {size} exceeds budget {POOL_BUDGET}")
+    points = math.ceil(c / alpha) + 1
+    if d_gamma and points > GRID_BUDGET:
+        raise BudgetError(f"threshold grid of {points} points exceeds budget {GRID_BUDGET}")
     grid = loss_grid(alpha, c) if d_gamma else ()
     counts = tuple(
         tuple(pool_size(horizon - s, d_gamma - j, len(grid)) for j in range(d_gamma + 1))
         for s in range(horizon + 1)
     )
-    return size, grid, counts
+    return pool_size(horizon, d_gamma, points), grid, counts
 
 
 def _exp_factor(eta: float, c: Fraction, loss: Fraction) -> Fraction:
@@ -322,10 +277,11 @@ class AgnosticLearner:
     the round, and adds E to the exponent. The default alpha is min(1/T, c),
     or 1/T when c = 0.
 
-    `pool` and `weights` are the per-expert view, built only when read:
-    `weights` replays every expert through each round's threshold masks and
-    multipliers, which the state keeps, in O(pool * T). `snapshot` also
-    carries the prediction awaiting its update (None between rounds), so
+    There is no per-expert view: the pool's size N = pool_size(T, d, k) is
+    counted, never enumerated, and sets eta = sqrt(2 ln N / T). The one bound
+    is on what is built, the threshold grid: at d >= 1 a grid of more than
+    `GRID_BUDGET` points raises `BudgetError` before it is built. `snapshot`
+    also carries the prediction awaiting its update (None between rounds), so
     restoring a snapshot taken right after predict lets update follow at once,
     and restoring one taken between rounds drops a pending prediction.
     """
@@ -356,50 +312,19 @@ class AgnosticLearner:
         self.eta = math.sqrt(2.0 * math.log(size) / horizon)
         self._groups = {(full, 0): 1}
         self._exponent = 0
-        # Per round, newest first: (earlier rounds, threshold masks, multipliers).
-        self._history = None
         self._factor_cache: dict = {}
-        self._within_cache: dict = {}
+        self._fan_out_cache: dict = {}
         self.round = 0
         self._pending = None
-
-    @property
-    def pool(self) -> tuple:
-        """The experts in `build_expert_pool`'s order, built on first read and
-        shared by learners with equal (horizon, dimension, alpha, c)."""
-        return _shared_pool(self.horizon, self.dimension, self.alpha, self.problem.bound_c)
-
-    @property
-    def weights(self) -> list:
-        """Each expert's weight, exactly: the product of its exp factors so far."""
-        rounds = []
-        node = self._history
-        while node is not None:
-            node, masks, scale = node
-            rounds.append((masks, scale))
-        rounds.reverse()
-        index = {threshold: i for i, threshold in enumerate(self._grid)}
-        den = 1 << self._exponent
-        out = []
-        for ident in self.pool:
-            thresholds = dict(zip(ident.timepoints, ident.thresholds))
-            space, n = self._full, 1
-            for t, (masks, scale) in enumerate(rounds, start=1):
-                if scale is not None:
-                    n *= scale[space]
-                if t in thresholds:
-                    space = space & masks[index[thresholds[t]]] or space
-            out.append(Fraction(n, den))
-        return out
 
     def snapshot(self) -> tuple:
         """The state, with the prediction awaiting its update (None between
         rounds); `restore` returns to it. An update builds a new dict of
         groups, never changing one in place."""
-        return (self._groups, self._exponent, self._history, self.round, self._pending)
+        return (self._groups, self._exponent, self.round, self._pending)
 
     def restore(self, state: tuple) -> None:
-        self._groups, self._exponent, self._history, self.round, self._pending = state
+        self._groups, self._exponent, self.round, self._pending = state
 
     def predict(self, x: int) -> Mixture:
         if self.round >= self.horizon:
@@ -441,14 +366,13 @@ class AgnosticLearner:
                 for space, f in factors.items()
             }
             self._exponent += shift
-        # Per grid threshold, the hypotheses within it on (x, y) (restrict(space,
-        # ...) is space & restrict(full, ...)), and each distinct mask with how
-        # many thresholds give it. Dimension 0 has no grid.
-        within = self._within_cache.get((x, y))
-        if within is None:
-            masks = tuple(self.engine.restrict(self._full, x, y, v) for v in self._grid)
-            within = self._within_cache[x, y] = (masks, tuple(Counter(masks).items()))
-        masks, fan_out = within
+        # Each distinct mask of the hypotheses within a grid threshold on (x, y)
+        # (restrict(space, ...) is space & restrict(full, ...)), with how many
+        # thresholds give it. Dimension 0 has no grid.
+        fan_out = self._fan_out_cache.get((x, y))
+        if fan_out is None:
+            masks = (self.engine.restrict(self._full, x, y, v) for v in self._grid)
+            fan_out = self._fan_out_cache[x, y] = tuple(Counter(masks).items())
         d = self.dimension
         groups: dict = {}
         get = groups.get
@@ -464,7 +388,6 @@ class AgnosticLearner:
                     key = (space & mask or space, used)
                     groups[key] = get(key, 0) + n * times
         self._groups = groups
-        self._history = (self._history, masks, scale)
         self.round += 1
 
 

@@ -287,7 +287,7 @@ class TestLearn:
             "--gamma", "1/4", "--alpha", "1/1000000000", "--stream", stream,
         )
         assert (code, out, built) == (2, "", [])
-        assert err.startswith("error: expert pool of ")
+        assert err.startswith("error: threshold grid of ")
 
     def test_agnostic_on_zero_loss_matrix(self, capsys, tmp_path):
         # c = 0: the default alpha is 1/T and the pool is the empty expert.

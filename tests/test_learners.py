@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,12 +26,10 @@ from smdim.game import AffineRow, solve_min_max
 from smdim.instances import make_builtin
 from smdim.learners import (
     AgnosticLearner,
-    ExpertId,
     FollowTheLeader,
     Mrsoa,
     UniformLearner,
     aggregate_mixture,
-    build_expert_pool,
     loss_grid,
     pool_size,
 )
@@ -84,6 +82,44 @@ def binary_pairs():
     return validate_problem(problem, HypothesisClass(((0, 0), (0, 1), (1, 0), (1, 1))))
 
 
+def binary_triples():
+    """All eight 0/1 functions on three instances under 0/1 loss: dimension 3
+    at gamma = 1/4, so the pool at T = 12 holds 494,651 experts."""
+    problem = make_problem((0, 1, 2), (0, 1), (0, 1), [[0, 1], [1, 0]])
+    return validate_problem(problem, HypothesisClass(tuple(product((0, 1), repeat=3))))
+
+
+def expert_pool(horizon, d_gamma, grid):
+    """The experts `AgnosticLearner` groups, enumerated: each (timepoints,
+    thresholds) pair with at most d_gamma of the rounds 1..horizon and one grid
+    threshold per timepoint."""
+    return [
+        (points, thresholds)
+        for i in range(d_gamma + 1)
+        for points in combinations(range(1, horizon + 1), i)
+        for thresholds in product(grid, repeat=i)
+    ]
+
+
+def grid_points(learner):
+    """k, the number of thresholds in the learner's grid."""
+    return len(loss_grid(learner.alpha, learner.problem.bound_c))
+
+
+def state_weights(learner):
+    """Each version space's summed expert weight, read from the snapshot's
+    groups: after round s an entry (space, used) is the weight of one expert
+    per prefix, shared by the pool_size(T - s, d - used, k) experts that
+    differ only in later timepoints."""
+    groups, exponent, s, _ = learner.snapshot()
+    d, k = learner.dimension, grid_points(learner)
+    out = {}
+    for (space, used), n in groups.items():
+        weight = F(n * pool_size(learner.horizon - s, d - used, k), 1 << exponent)
+        out[space] = out.get(space, 0) + weight
+    return out
+
+
 class ReferenceAgnosticLearner:
     """The per-expert multiplicative weights that `AgnosticLearner` groups:
     one Fraction weight and one mixture per expert, each reweighted by
@@ -92,11 +128,19 @@ class ReferenceAgnosticLearner:
     def __init__(self, problem, cls, horizon, alpha, engine):
         self.problem, self.engine = problem, engine
         full = to_mask(range(cls.num_hypotheses))
-        self.pool = build_expert_pool(horizon, engine.dim_members(full), alpha, problem.bound_c)
+        d = engine.dim_members(full)
+        self.pool = expert_pool(horizon, d, loss_grid(alpha, problem.bound_c) if d else ())
         self.eta = math.sqrt(2.0 * math.log(len(self.pool)) / horizon)
         self.weights = [F(1)] * len(self.pool)
         self.spaces = [full] * len(self.pool)
         self.round = 0
+
+    def space_weights(self):
+        """Each version space's summed expert weight."""
+        out = {}
+        for space, weight in zip(self.spaces, self.weights):
+            out[space] = out.get(space, 0) + weight
+        return out
 
     def predict(self, x):
         self.mixtures = [self.engine.mixture(space, x) for space in self.spaces]
@@ -112,12 +156,24 @@ class ReferenceAgnosticLearner:
             loss = expected_loss(self.problem, mixture, y)
             if loss:
                 self.weights[i] *= F(math.exp(-self.eta * float(loss / self.problem.bound_c)))
-        for i, ident in enumerate(self.pool):
-            if self.round in ident.timepoints:
-                threshold = ident.thresholds[ident.timepoints.index(self.round)]
+        for i, (timepoints, thresholds) in enumerate(self.pool):
+            if self.round in timepoints:
+                threshold = thresholds[timepoints.index(self.round)]
                 kept = self.engine.restrict(self.spaces[i], x, y, threshold)
                 if kept:
                     self.spaces[i] = kept
+
+
+def assert_matches_reference(learner, reference, rounds):
+    """`learner` and `reference` play the same mixture each round and hold the
+    same summed weight per version space after it."""
+    size = pool_size(learner.horizon, learner.dimension, grid_points(learner))
+    assert (size, learner.eta) == (len(reference.pool), reference.eta)
+    for x, y in rounds:
+        assert learner.predict(x) == reference.predict(x)
+        learner.update(x, y)
+        reference.update(x, y)
+        assert state_weights(learner) == reference.space_weights()
 
 
 def play(learner, stream):
@@ -386,11 +442,39 @@ class TestExpertPool:
             loss_grid(F(1, 2), F(-1))
         assert loss_grid(F(1, 2), F(0)) == (F(0),)
 
-    def test_pool_matches_formula(self):
-        pool = build_expert_pool(4, 1, F(1, 2), F(1))
-        assert len(pool) == 13
-        assert pool[0] == ExpertId((), ())
-        assert len({e for e in pool}) == 13
+    def test_grid_reads_its_arguments_as_rationals(self):
+        # A float alpha once made the float grid (0.0, 0.5, 1.0), and a "p/q"
+        # string raised a bare TypeError.
+        for alpha, c in ((0.5, F(1)), (F(1, 2), 1.0)):
+            with pytest.raises(ValidationError, match="^refusing float "):
+                loss_grid(alpha, c)
+        assert loss_grid("1/2", 1) == loss_grid(F(1, 2), "1") == (F(0), F(1, 2), F(1))
+        assert all(type(v) is Fraction for v in loss_grid("1/3", "2/3"))
+
+    def test_pool_size_counts_the_enumerated_pool(self):
+        for horizon, d, grid in ((4, 1, (F(0), F(1, 2), F(1))), (5, 2, (F(0), F(1))), (3, 0, ())):
+            pool = expert_pool(horizon, d, grid)
+            assert len(pool) == len(set(pool)) == pool_size(horizon, d, len(grid))
+        assert pool_size(4, 1, 3) == 13 and pool_size(0, 2, 5) == 1
+
+    @pytest.mark.parametrize(
+        "horizon, d_gamma, grid_points, message",
+        [
+            (-1, 1, 3, r"^horizon must be >= 0, got -1$"),
+            (2.0, 1, 3, r"^horizon must be an int, got 2.0$"),
+            (True, 1, 3, r"^horizon must be an int, got True$"),
+            (3, True, 3, r"^d_gamma must be an int, got True$"),
+            (2, 1.0, 3, r"^d_gamma must be an int, got 1.0$"),
+            (2, -1, 3, r"^d_gamma must be >= 0, got -1$"),
+            (3, 1, -2, r"^grid_points must be >= 0, got -2$"),
+            (3, 1, False, r"^grid_points must be an int, got False$"),
+        ],
+    )
+    def test_pool_size_refuses_bad_counts(self, horizon, d_gamma, grid_points, message):
+        # pool_size(3, 1, -2) was once -5, pool_size(3, True, 3) was 10 and
+        # pool_size(-1, 1, 3) raised a bare ValueError.
+        with pytest.raises(ValidationError, match=message):
+            pool_size(horizon, d_gamma, grid_points)
 
     def test_pool_within_published_bound(self):
         # pool size <= (2cT/alpha)^d for d >= 1 on these parameters
@@ -399,67 +483,59 @@ class TestExpertPool:
             size = pool_size(horizon, d, len(grid))
             assert size <= (2 * c * horizon / alpha) ** d
 
-    def test_budget_enforced_before_enumeration(self):
-        with pytest.raises(BudgetError):
-            build_expert_pool(30, 3, F(1, 30), F(1))
+    def test_the_budget_bounds_the_grid(self):
+        # A pool of 121,370,426 experts (T = 30, d = 3, 31 grid points) was
+        # once refused; only a grid of more than GRID_BUDGET points is now.
+        problem, cls = binary_triples()
+        learner = AgnosticLearner(problem, cls, F(1, 4), 30, alpha=F(1, 30))
+        assert (learner.dimension, pool_size(30, 3, 31)) == (3, 121_370_426)
+        assert learner.eta == math.sqrt(2 * math.log(121_370_426) / 30)
+        problem, cls = make_builtin("multiclass:binary-constants")
+        top = learners.GRID_BUDGET - 1
+        assert len(AgnosticLearner(problem, cls, F(1, 4), 2, alpha=F(1, top))._grid) == top + 1
+        with pytest.raises(BudgetError, match=f"^threshold grid of {top + 2} points exceeds budget {top + 1}$"):
+            AgnosticLearner(problem, cls, F(1, 4), 2, alpha=F(1, top + 1))
 
     def test_budget_checked_before_the_grid_is_built(self, monkeypatch):
         # alpha = 1/10**9 would make a grid of a billion Fractions.
         built = []
         monkeypatch.setattr(learners, "loss_grid", lambda alpha, c: built.append((alpha, c)))
+        problem, cls = make_builtin("multiclass:binary-constants")
         with pytest.raises(BudgetError):
-            build_expert_pool(3, 1, F(1, 10**9), F(1))
-        # Only experts with timepoints read the grid.
-        assert build_expert_pool(3, 0, F(1, 10**9), F(1)) == (ExpertId((), ()),)
+            AgnosticLearner(problem, cls, F(1, 4), 3, alpha=F(1, 10**9))
+        # At dimension 0 no expert has a timepoint to read the grid.
+        learner = AgnosticLearner(problem, HypothesisClass(((0,),)), F(1, 4), 3, alpha=F(1, 10**9))
+        assert learner.dimension == 0
         assert built == []
 
-    @pytest.mark.parametrize(
-        "horizon, d_gamma, message",
-        [
-            (2.0, 1, r"^horizon must be an int, got 2.0$"),
-            (True, 1, r"^horizon must be an int, got True$"),
-            (0, 1, r"^horizon must be >= 1, got 0$"),
-            (2, 1.0, r"^d_gamma must be an int, got 1.0$"),
-            (2, False, r"^d_gamma must be an int, got False$"),
-            (2, -1, r"^d_gamma must be >= 0, got -1$"),
-        ],
-    )
-    def test_pool_counts_are_ints(self, horizon, d_gamma, message):
-        with pytest.raises(ValidationError, match=message):
-            build_expert_pool(horizon, d_gamma, F(1, 2), F(1))
-
     def test_alpha_range_checked(self):
-        with pytest.raises(ValidationError):
-            build_expert_pool(4, 1, F(0), F(1))
-        with pytest.raises(ValidationError):
-            build_expert_pool(4, 1, F(2), F(1))
-        with pytest.raises(ValidationError):
-            build_expert_pool(4, 1, F(-1), F(0))
+        problem, cls = make_builtin("multiclass:binary-constants")
+        for alpha in (F(0), F(2)):
+            with pytest.raises(ValidationError, match=r"^alpha must be in \(0, c\]"):
+                AgnosticLearner(problem, cls, F(1, 4), 4, alpha=alpha)
+        problem, cls = zero_loss_constants()
+        with pytest.raises(ValidationError, match=r"^alpha must be in \(0, c\]"):
+            AgnosticLearner(problem, cls, F(1, 4), 4, alpha=F(-1))
 
     def test_zero_loss_bound_takes_any_alpha(self):
-        # c = 0: the grid is {0} whatever alpha > 0 is.
+        # c = 0: the grid is {0} whatever alpha > 0 is, so a dimension-1 pool
+        # over 3 rounds holds 4 experts.
+        problem, cls = zero_loss_constants()
         for alpha in (F(1, 3), F(2)):
-            pool = build_expert_pool(3, 1, alpha, F(0))
-            assert pool == (ExpertId((), ()),) + tuple(ExpertId((t,), (F(0),)) for t in (1, 2, 3))
+            assert loss_grid(alpha, F(0)) == (F(0),)
+            assert AgnosticLearner(problem, cls, F(1, 4), 3, alpha=alpha).alpha == alpha
+        assert pool_size(3, 1, 1) == len(expert_pool(3, 1, (F(0),))) == 4
 
-    def test_learners_with_equal_parameters_share_one_pool(self):
+    def test_learners_with_equal_parameters_share_one_pool_shape(self):
+        # Equal (horizon, dimension, alpha, c) share one grid and one table of
+        # expert counts; another alpha gets its own grid.
         problem, cls = make_builtin("multiclass:binary-constants")
         first = AgnosticLearner(problem, cls, F(1, 4), horizon=4)
         second = AgnosticLearner(problem, cls, F(1, 4), horizon=4, engine=first.engine)
         other = AgnosticLearner(problem, cls, F(1, 4), horizon=4, alpha=F(1, 2))
-        assert second.pool is first.pool
-        assert first.pool == build_expert_pool(4, 1, F(1, 4), F(1))
-        assert other.pool == build_expert_pool(4, 1, F(1, 2), F(1))
-
-    def test_expert_id_validation(self):
-        with pytest.raises(ValidationError):
-            ExpertId((2, 1), (F(0), F(0)))
-        with pytest.raises(ValidationError):
-            ExpertId((1,), (F(0), F(0)))
-        # A bool is an int in Python; (True, 2) was once rounds 1 and 2.
-        for timepoints in ((True,), (True, 2)):
-            with pytest.raises(ValidationError, match="^timepoints must be strictly increasing"):
-                ExpertId(timepoints, (F(0),) * len(timepoints))
+        assert second._grid is first._grid and second._counts is first._counts
+        assert first._grid == loss_grid(F(1, 4), F(1))
+        assert other._grid == loss_grid(F(1, 2), F(1))
 
 
 class TestMultiplicativeWeights:
@@ -554,8 +630,9 @@ class TestAgnosticLearner:
         learner = AgnosticLearner(problem, cls, F(1, 4), horizon=4)
         assert learner.alpha == F(1, 4)
         assert learner.dimension == 1
-        assert len(learner.pool) == pool_size(4, 1, len(loss_grid(F(1, 4), F(1))))
-        assert learner.eta == math.sqrt(2 * math.log(len(learner.pool)) / 4)
+        size = pool_size(4, 1, len(loss_grid(F(1, 4), F(1))))
+        assert size == len(expert_pool(4, 1, loss_grid(F(1, 4), F(1)))) == 21
+        assert learner.eta == math.sqrt(2 * math.log(size) / 4)
 
     def test_play_is_exact_and_updates_advance(self):
         problem, cls = make_builtin("multiclass:binary-constants")
@@ -595,28 +672,31 @@ class TestAgnosticLearner:
 
     def test_weights_follow_exact_exp_factors(self):
         # Each expert's weight is multiplied by Fraction(exp(-eta * loss / c))
-        # of its own mixture's expected loss, and kept exactly at zero loss.
-        # Experts are replayed independently with Mrsoa; c = 3/4 here.
+        # of its own mixture's expected loss, and kept exactly at zero loss;
+        # each version space weighs the sum of its experts' weights. Experts
+        # are replayed independently with Mrsoa; c = 3/4 here.
         problem, cls = three_quarter_constants()
         engine = DimensionEngine(problem, cls, F(1, 4))
         learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3, alpha=F(1, 4), engine=engine)
         stream = [(0, 0), (0, 0), (0, 1)]
-        experts = [(ident, Mrsoa(problem, cls, engine=engine)) for ident in learner.pool]
+        pool = expert_pool(3, learner.dimension, loss_grid(F(1, 4), problem.bound_c))
+        experts = [(ident, Mrsoa(problem, cls, engine=engine), [F(1)]) for ident in pool]
         zero_losses = 0
         for t, (x, y) in enumerate(stream, start=1):
-            before = list(learner.weights)
             learner.predict(x)
             learner.update(x, y)
-            for i, (ident, expert) in enumerate(experts):
+            spaces = {}
+            for (timepoints, thresholds), expert, weight in experts:
                 loss = expected_loss(problem, expert.predict(x), y)
                 if loss == 0:
                     zero_losses += 1
-                    assert learner.weights[i] == before[i]
                 else:
-                    factor = F(math.exp(-learner.eta * float(loss / problem.bound_c)))
-                    assert learner.weights[i] == before[i] * factor
-                if t in ident.timepoints:
-                    expert.update(x, y, ident.thresholds[ident.timepoints.index(t)])
+                    weight[0] *= F(math.exp(-learner.eta * float(loss / problem.bound_c)))
+                if t in timepoints:
+                    expert.update(x, y, thresholds[timepoints.index(t)])
+                space = expert.snapshot()
+                spaces[space] = spaces.get(space, 0) + weight[0]
+            assert state_weights(learner) == spaces
         assert zero_losses > 0
 
     def test_zero_eta_keeps_weights(self):
@@ -627,24 +707,23 @@ class TestAgnosticLearner:
         assert learner.eta == 0.0
         learner.predict(0)
         learner.update(0, 1)  # loss 1 against the Dirac on prediction 0
-        assert learner.weights == [F(1)]
+        assert learner.snapshot() == ({(1, 0): 1}, 0, 1, None)
 
     def test_grid_threshold_above_c_keeps_the_space(self):
         # alpha = 1/3 does not divide c = 3/4, so the grid ends at 1 > c; an
-        # expert thresholding there keeps its whole version space, and plays
-        # exactly like the expert with no timepoints.
+        # expert thresholding there keeps its whole version space, and weighs
+        # exactly what the expert with no timepoints weighs. Thresholds 0, 1/3
+        # and 2/3 on label 0 keep hypothesis 0 alone.
         problem, cls = three_quarter_constants()
-        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3)
-        assert loss_grid(learner.alpha, problem.bound_c)[-1] == F(1)
-        for y in (0, 1, 1):
-            assert sum(learner.predict(0).weights) == 1
-            learner.update(0, y)
-        top = [
-            i for i, e in enumerate(learner.pool) if e.thresholds and max(e.thresholds) == F(1)
-        ]
-        assert top
-        for i in top:
-            assert learner.weights[i] == learner.weights[0]
+        engine = DimensionEngine(problem, cls, F(1, 4))
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3, engine=engine)
+        assert loss_grid(learner.alpha, problem.bound_c) == (F(0), F(1, 3), F(2, 3), F(1))
+        reference = ReferenceAgnosticLearner(problem, cls, 3, learner.alpha, engine)
+        assert_matches_reference(learner, reference, [(0, 0)])
+        groups = learner.snapshot()[0]
+        assert groups.keys() == {(0b11, 0), (0b01, 1), (0b11, 1)}
+        assert groups[0b11, 1] == groups[0b11, 0] and groups[0b01, 1] == 3 * groups[0b11, 0]
+        assert_matches_reference(learner, reference, [(0, 1), (0, 1)])
 
     def test_bad_indices_rejected(self):
         problem, cls = make_builtin("multiclass:binary-constants")
@@ -664,7 +743,8 @@ class TestAgnosticLearner:
         problem, cls = three_quarter_constants()
         learner = AgnosticLearner(problem, cls, F(1, 4), horizon=1)
         assert (learner.alpha, learner.dimension) == (F(3, 4), 1)
-        assert len(learner.pool) == 3
+        assert pool_size(1, 1, len(loss_grid(F(3, 4), F(3, 4)))) == 3
+        assert learner.eta == math.sqrt(2 * math.log(3))
         report = run_game(problem, cls, learner, [(0, 1)])
         assert report.rounds[0].mixture == Mixture.uniform(2)
         assert report.regret == F(3, 8)
@@ -675,15 +755,16 @@ class TestAgnosticLearner:
         problem, cls = zero_loss_constants()
         learner = AgnosticLearner(problem, cls, F(1, 4), horizon=3)
         assert (learner.alpha, learner.dimension, learner.eta) == (F(1, 3), 0, 0.0)
-        assert learner.pool == (ExpertId((), ()),)
+        assert pool_size(3, 0, 0) == 1
         report = run_game(problem, cls, learner, [(0, 0), (0, 1), (0, 1)])
         assert report.regret == 0
-        assert learner.weights == [F(1)]
+        assert learner.snapshot() == ({(0b11, 0): 1}, 0, 3, None)
 
     def test_matches_per_expert_reference(self):
         # Grouping experts by version space, with integer weight numerators
         # over a shared power of two, plays the same mixtures and keeps the
-        # same weights as per-expert Fraction MW, round by round.
+        # same summed weight per version space as per-expert Fraction MW,
+        # round by round.
         rng = random.Random(31)
         cases = [(make_builtin(n), range(1, 8)) for n in UNIT_GAP]
         cases.append((three_quarter_constants(), (1, 3)))
@@ -693,48 +774,63 @@ class TestAgnosticLearner:
             for horizon in horizons:
                 learner = AgnosticLearner(problem, cls, F(1, 4), horizon, engine=engine)
                 reference = ReferenceAgnosticLearner(problem, cls, horizon, learner.alpha, engine)
-                assert (learner.pool, learner.eta) == (reference.pool, reference.eta)
-                for _ in range(horizon):
-                    x = rng.randrange(problem.num_instances)
-                    y = rng.randrange(problem.num_labels)
-                    assert learner.predict(x) == reference.predict(x)
-                    learner.update(x, y)
-                    reference.update(x, y)
-                    assert learner.weights == reference.weights
+                rounds = [
+                    (rng.randrange(problem.num_instances), rng.randrange(problem.num_labels))
+                    for _ in range(horizon)
+                ]
+                assert_matches_reference(learner, reference, rounds)
 
-    def test_the_state_holds_at_most_d_plus_one_entries_per_space(self):
+    def test_the_state_holds_at_most_d_plus_one_entries_per_space(self, monkeypatch):
         # T = 16 and d = 2 make a pool of 34,953 experts; the state keeps one
-        # entry per (space, timepoints used), and the per-expert weights,
-        # replayed only when read, sum to the state's total.
+        # entry per (space, timepoints used). With every exp factor 1 each
+        # entry counts its experts' prefixes, so the entries, each times the
+        # experts per prefix, count the whole pool after every round.
         problem, cls = binary_pairs()
         learner = AgnosticLearner(problem, cls, F(1, 4), 16)
         d = learner.dimension
-        assert (d, pool_size(16, d, len(loss_grid(learner.alpha, problem.bound_c)))) == (2, 34_953)
+        assert (d, pool_size(16, d, grid_points(learner))) == (2, 34_953)
+        monkeypatch.setattr(learners, "_exp_factor", lambda eta, c, loss: F(1))
         rng = random.Random(16)
         for _ in range(16):
             x, y = rng.randrange(2), rng.randrange(2)
             assert sum(learner.predict(x).weights) == 1
             learner.update(x, y)
-            spaces = {space for space, _ in learner._groups}
-            assert len(learner._groups) <= (d + 1) * len(spaces)
-        # After the last round each entry stands for exactly one expert.
-        total = F(sum(learner._groups.values()), 1 << learner._exponent)
-        assert sum(learner.weights) == total
+            groups = learner.snapshot()[0]
+            spaces = {space for space, _ in groups}
+            assert len(groups) <= (d + 1) * len(spaces)
+            assert sum(state_weights(learner).values()) == 34_953
 
-    def test_matches_per_expert_reference_at_dimension_two(self):
-        # At T = 6 the reference affords the 778 experts of a dimension-2 pool.
-        problem, cls = binary_pairs()
+    @pytest.mark.parametrize(
+        "make, horizon, size", [(binary_pairs, 6, 778), (binary_triples, 4, 671)], ids=["d2", "d3"]
+    )
+    def test_matches_per_expert_reference_at_higher_dimension(self, make, horizon, size):
+        # The reference affords the 778 experts of a dimension-2 pool at
+        # T = 6 and the 671 of a dimension-3 pool at T = 4.
+        problem, cls = make()
         engine = DimensionEngine(problem, cls, F(1, 4))
-        learner = AgnosticLearner(problem, cls, F(1, 4), 6, engine=engine)
-        reference = ReferenceAgnosticLearner(problem, cls, 6, learner.alpha, engine)
-        assert (len(learner.pool), learner.eta) == (778, reference.eta)
-        rng = random.Random(6)
-        for _ in range(6):
-            x, y = rng.randrange(2), rng.randrange(2)
-            assert learner.predict(x) == reference.predict(x)
-            learner.update(x, y)
-            reference.update(x, y)
-            assert learner.weights == reference.weights
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon, engine=engine)
+        reference = ReferenceAgnosticLearner(problem, cls, horizon, learner.alpha, engine)
+        assert len(reference.pool) == size
+        rng = random.Random(horizon)
+        rounds = [
+            (rng.randrange(problem.num_instances), rng.randrange(2)) for _ in range(horizon)
+        ]
+        assert_matches_reference(learner, reference, rounds)
+
+    def test_plays_past_the_old_pool_budget(self):
+        # At T = 12 the dimension-3 pool holds 494,651 experts, which a budget
+        # of 100,000 experts once refused; the state plays it in groups.
+        problem, cls = binary_triples()
+        learner = AgnosticLearner(problem, cls, F(1, 4), horizon=12)
+        assert (learner.dimension, pool_size(12, 3, grid_points(learner))) == (3, 494_651)
+        assert learner.eta == math.sqrt(2 * math.log(494_651) / 12)
+        rng = random.Random(12)
+        stream = [(rng.randrange(3), rng.randrange(2)) for _ in range(12)]
+        report = run_game(problem, cls, learner, stream)
+        assert len(report.rounds) == learner.round == 12
+        assert all(sum(r.mixture.weights) == 1 for r in report.rounds)
+        groups = learner.snapshot()[0]
+        assert len(groups) <= 4 * len({space for space, _ in groups})
 
     def test_deterministic_replay(self):
         problem, cls = make_builtin("multiclass:binary-constants")
@@ -754,8 +850,8 @@ class TestSnapshots:
     @given(st.randoms(use_true_random=False))
     def test_restore_replays_like_a_fresh_learner(self, rng):
         # Play a prefix, snapshot, play another continuation, restore, and
-        # play the first continuation: the mixtures, weights and state are a
-        # fresh learner's on prefix + first continuation. Classes of dimension
+        # play the first continuation: the mixtures and state are a fresh
+        # learner's on prefix + first continuation. Classes of dimension
         # 0 are skipped: their agnostic pool is one expert that never updates.
         problem, cls = small_random_instance(rng)
         while not Mrsoa(problem, cls, F(1, 4)).dimension:
@@ -791,13 +887,12 @@ class TestSnapshots:
             learner.restore(state)
             assert play(learner, first) == expected
             assert learner.snapshot() == fresh.snapshot()
-            assert getattr(learner, "weights", None) == getattr(fresh, "weights", None)
 
     def test_a_snapshot_after_predict_answers_each_label(self):
         # Restoring an agnostic learner's snapshot taken right after predict
         # and updating with one label, then again with another, leaves it
-        # where a fresh learner that played that label is: the same weights,
-        # next mixtures and state.
+        # where a fresh learner that played that label is: the same summed
+        # weights, next mixtures and state.
         rng = random.Random(7)
         cases = [make_builtin(n) for n in UNIT_GAP] + [agnostic_enum_class(rng) for _ in range(6)]
         for problem, cls in cases:
@@ -822,16 +917,16 @@ class TestSnapshots:
                 fresh = make()
                 assert fresh.predict(x) == mixture
                 fresh.update(x, y)
-                assert learner.weights == fresh.weights
+                assert state_weights(learner) == state_weights(fresh)
                 for z in range(problem.num_instances):
                     assert learner.predict(z) == fresh.predict(z)
                 assert learner.snapshot() == fresh.snapshot()
 
     def test_restored_weights_are_a_fresh_replay_of_the_prefix(self):
-        # The per-expert weights are rebuilt from the history a snapshot
-        # carries: after restoring a snapshot taken right after predict, or
-        # one taken between rounds, they are those of a fresh learner that
-        # played the same prefix, whatever was played in between.
+        # After restoring a snapshot taken right after predict, or one taken
+        # between rounds, the state and its summed weights are those of a
+        # fresh learner that played the same prefix, whatever was played in
+        # between.
         problem, cls = binary_pairs()
         engine = DimensionEngine(problem, cls, F(1, 4))
         rng = random.Random(12)
@@ -851,11 +946,15 @@ class TestSnapshots:
         play(learner, rounds[3:])
         learner.restore(predicted)
         learner.update(x, y)
-        assert learner.weights == fresh(rounds[:3]).weights
+        replayed = fresh(rounds[:3])
+        assert learner.snapshot() == replayed.snapshot()
+        assert state_weights(learner) == state_weights(replayed)
         play(learner, rounds[3:])
         learner.restore(between)
         assert learner.round == 2
-        assert learner.weights == fresh(rounds[:2]).weights
+        replayed = fresh(rounds[:2])
+        assert learner.snapshot() == replayed.snapshot()
+        assert state_weights(learner) == state_weights(replayed)
 
     def test_restoring_a_snapshot_between_rounds_drops_the_prediction(self):
         problem, cls = make_builtin("multiclass:binary-constants")

@@ -26,7 +26,14 @@ from smdim.core import (
 )
 from smdim.dimensions import DimensionEngine
 from smdim.instances import builtin_names, canonical_json, make_builtin
-from smdim.learners import AgnosticLearner, FollowTheLeader, Mrsoa, UniformLearner
+from smdim.learners import (
+    AgnosticLearner,
+    FollowTheLeader,
+    Mrsoa,
+    UniformLearner,
+    loss_grid,
+    pool_size,
+)
 from smdim.simulation import (
     SIGN_ENUM_CAP,
     TRANSCRIPT_COLUMNS,
@@ -470,17 +477,16 @@ class TestSignEnumeration:
                 return super().predict(x)
 
             def update(self, x, y, eps=None):
+                # The experts with a timepoint at this round number
+                # pool_size(T, d, k) - pool_size(T - 1, d, k); at d >= 1 they
+                # use all k grid thresholds, at d = 0 there are none.
                 calls["update"] += 1
-                t = self.round + 1
-                updating = [
-                    ident.thresholds[ident.timepoints.index(t)]
-                    for ident in self.pool
-                    if t in ident.timepoints
-                ]
+                d, k = self.dimension, len(loss_grid(self.alpha, self.problem.bound_c))
+                updating = pool_size(self.horizon, d, k) - pool_size(self.horizon - 1, d, k)
                 before = calls["restrict"]
                 super().update(x, y, eps)
-                assert calls["restrict"] - before <= len(set(updating))
-                calls["experts"] += len(updating)
+                assert calls["restrict"] - before <= (k if updating else 0)
+                calls["experts"] += updating
 
         for problem, cls in (make_builtin("multiclass:binary-constants"), every_function):
             witness = find_sqrt_witness(problem, cls)
