@@ -40,6 +40,22 @@ entry. So `certificate()` visits no version space that `smdim` on the same
 space did not, and a memo cap (`SMDIM_MEMO_CAP`, a bound on the version spaces
 visited) that suffices for one suffices for both.
 
+Because children grow with the threshold, a node's game can also be bounded
+before any child is probed, as in branch and bound (Land and Doig). A child
+shatterable to depth d - 1 has more than d - 1
+members (the |V| - 1 cap below), so at depth d >= 2 each label's first
+threshold step whose child has that many members gives the label's
+optimistic row, and the optimistic game is the game over those rows. Each
+qualifying row is of a label the optimistic rows hold, at the same or a
+larger threshold, so it is pointwise at most that label's optimistic row,
+and the qualifying game's value is at most the optimistic game's. So
+`_branch` skips an instance whose optimistic game misses the margin and
+probes none of its children there; the instance it chooses, its rows and
+every dimension are the ones the full scan gives, and only the version
+spaces visited shrink: a skipped child is not visited and does not count
+against the memo cap. At depth 1 the optimistic rows are the qualifying
+rows (`_first_rows`).
+
 All four routes, and the learners, represent a version space as an `int`
 bitmask (bit h set when hypothesis h is a member); `to_mask` and `to_members`
 convert at the `VersionSpace` boundary. The engine precomputes, for each
@@ -139,7 +155,9 @@ child by the same base cases and memo without a call, so a depth level costs
 two frames (`_branch`, `qualifying_rows`). A depth-d query from a script's
 top level needs a recursion limit of about 2d + 11 (3d + 11 with one more
 frame per level), so the default limit of 1000 allows depth about 490 from a
-shallow stack before RecursionError.
+shallow stack before RecursionError. Where the instance prune skips the
+deepest chain of calls a query needs less: 14, not 16, for the binary cube
+over three instances at the strict margin.
 """
 
 from __future__ import annotations
@@ -325,7 +343,7 @@ class DimensionEngine:
     learner on the engine plays, from a private memo keyed by (mask,
     instance). Like the memo, the verdict memo and the mixture memo depend on
     gamma and live as long as the engine; the verdict memo holds at most
-    `num_instances` games per memo entry, plus one per depth of each
+    2 * `num_instances` games per memo entry, plus one per depth of each
     `mixture()` sweep (`_passes`).
 
     `problem` and `cls` are the objects the caller passed, so the engine, the
@@ -463,21 +481,17 @@ class DimensionEngine:
         realized threshold has a superset child, so it qualifies too (module
         docstring), and its LP row is dominated. At `child_depth` 0 every
         nonempty child qualifies, so the rows are each label's first step
-        with a nonempty child; there is one, since the last step holds the
-        whole class. Above depth 0 the scan probes each child without a
-        call, by `_shatter_memo`'s rules: a child of at most `child_depth`
-        members is capped (|V| - 1), else the memo entry under (child,
-        child_depth) decides, and `_branch` runs only on a miss. So a depth
-        level of the engine's recursion is two frames (module docstring).
+        with a nonempty child (`_first_rows` at k = 0); there is one, since
+        the last step holds the whole class. Above depth 0 the scan probes
+        each child without a call, by `_shatter_memo`'s rules: a child of at
+        most `child_depth` members is capped (|V| - 1), else the memo entry
+        under (child, child_depth) decides, and `_branch` runs only on a
+        miss. So a depth level of the engine's recursion is two frames
+        (module docstring).
         """
-        ids = []
         if not child_depth:
-            for _, steps in self._steps[x]:
-                for within, row_id in steps:
-                    if members & within:
-                        ids.append(row_id)
-                        break
-            return tuple(ids)
+            return self._first_rows(members, x, 0)
+        ids = []
         memo, branch = self._memo, self._branch
         for _, steps in self._steps[x]:
             previous = 0
@@ -588,7 +602,13 @@ class DimensionEngine:
 
     def _branch(self, members: int, depth: int):
         """(instance, LP row ids) at the first instance whose qualifying game
-        passes, else None. Games an exact bound decides are not solved."""
+        passes, else None. Games an exact bound decides are not solved.
+
+        At each instance the optimistic game (`_first_rows` at k = depth - 1)
+        is decided first. It bounds the qualifying game's value from above
+        (module docstring), so when it misses the margin the instance is
+        skipped and none of its children is probed. At depth 1 it is the
+        qualifying game itself."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -597,10 +617,29 @@ class DimensionEngine:
                 )
             self._spaces.add(members)
         for x in range(self.problem.num_instances):
-            ids = self.qualifying_rows(members, x, depth - 1)
-            if ids and self._passes(ids):
-                return x, ids
+            ids = self._first_rows(members, x, depth - 1)
+            if not self._passes(ids):
+                continue  # the optimistic game misses: no child at x is probed
+            if depth > 1:
+                ids = self.qualifying_rows(members, x, depth - 1)
+                if not (ids and self._passes(ids)):
+                    continue
+            return x, ids
         return None
+
+    def _first_rows(self, members: int, x: int, k: int) -> tuple:
+        """The row id of each label's first threshold step at x whose child
+        has more than k members, in ascending label order; a label with no
+        such step is left out. At k = 0 these are the qualifying rows at child
+        depth 0, and at k = depth - 1 the rows of `_branch`'s optimistic game
+        (module docstring). The scan recurses into no child."""
+        ids = []
+        for _, steps in self._steps[x]:
+            for within, row_id in steps:
+                if (members & within).bit_count() > k:
+                    ids.append(row_id)
+                    break
+        return tuple(ids)
 
     def _passes(self, ids: tuple) -> bool:
         """Whether the game over rows `ids` reaches the margin: from the
@@ -611,9 +650,10 @@ class DimensionEngine:
 
         The memo maps row ids to the verdict and, like `_memo`, depends on
         the margin and lives with the engine. `_branch` runs once per memo
-        entry and decides at most `num_instances` games, so the verdict memo
-        holds at most that many entries per memo entry, plus the games of
-        Mrsoa's level sweeps, one per depth of each `mixture()` key.
+        entry and decides at most two games per instance, the optimistic one
+        and the qualifying one, so the verdict memo holds at most 2 *
+        `num_instances` entries per memo entry, plus the games of Mrsoa's
+        level sweeps, one per depth of each `mixture()` key.
         """
         verdict = self._verdicts.get(ids)
         if verdict is None:

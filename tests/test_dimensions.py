@@ -10,6 +10,7 @@ instead of the simplex solver.
 import gc
 import inspect
 import json
+import operator
 import random
 import re
 import sys
@@ -128,11 +129,11 @@ def small_random_instance(rng):
     return validate_problem(problem, HypothesisClass(rows))
 
 
-def dim_cold_grids():
+def dim_cold_grids(seed=53):
     """Ten regression grids shaped like the dim-cold benchmark's items: absolute
     loss on five grid points (-1, 1 and three multiples of 1/8), three
     instances, and |H| from 8 to 17."""
-    rng = random.Random(53)
+    rng = random.Random(seed)
     interior = [F(k, 8) for k in range(-7, 8)]
     rows = list(product(range(5), repeat=3))
     cases = []
@@ -604,11 +605,14 @@ class TestMsdim:
 
 
 class TestEngineBudget:
+    # smdim of the binary cube over two instances visits three version spaces
+    # at margin 1/2; each built-in visits one, the instance prune skipping the
+    # others.
     def test_memo_cap_raises_budget_error(self):
-        problem, cls = make_builtin("hilbert:orthonormal")
+        problem, cls = binary_cube(2)
         engine = DimensionEngine(problem, cls, F(1, 2), memo_cap=1)
         with pytest.raises(BudgetError):
-            engine.smdim(VersionSpace.full(3))
+            engine.smdim(VersionSpace.full(4))
 
     @pytest.mark.parametrize(
         "cap, message",
@@ -632,11 +636,11 @@ class TestEngineBudget:
 
     def test_env_var_cap(self, monkeypatch):
         monkeypatch.setenv("SMDIM_MEMO_CAP", "1")
-        problem, cls = make_builtin("hilbert:orthonormal")
+        problem, cls = binary_cube(2)
         engine = DimensionEngine(problem, cls, F(1, 2))
         assert engine.memo_cap == 1
         with pytest.raises(BudgetError):
-            engine.smdim(VersionSpace.full(3))
+            engine.smdim(VersionSpace.full(4))
 
     def test_memo_shared_across_queries(self):
         problem, cls = make_builtin("hilbert:orthonormal")
@@ -849,10 +853,10 @@ def test_value_readers_build_no_mixture(monkeypatch):
     engines = []
     for gv in ORACLE_GAMMAS:
         # Fresh objects at each margin, so every game is solved here. Most
-        # certified games are valued by their kernels, so 64 more dense losses
+        # certified games are valued by their kernels, so 80 more dense losses
         # bring the games the simplex solves to over 1000.
         rng = random.Random(83)
-        for problem, cls in bound_cases() + [dense_losses(rng) for _ in range(64)]:
+        for problem, cls in bound_cases() + [dense_losses(rng) for _ in range(80)]:
             engine = DimensionEngine(problem, cls, gv)
             full = VersionSpace.full(cls.num_hypotheses)
             engine.smdim(full)
@@ -1153,17 +1157,28 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
     # child depth. Besides the spaces of the recursion and of certificate(),
     # the engine is asked about every node of a walk over the full candidate
     # lists (`reference_certificate_nodes`), whose later children pruning
-    # skipped.
+    # skipped. A scan at child depth 0 is `_first_rows` at k = 0, which
+    # `_branch` calls at depth 1 without `qualifying_rows`. Ten more grids of
+    # the dim-cold shape, where most deep scans are, keep the counts over
+    # their bars although the instance prune skips many scans.
     met = []
-    real = DimensionEngine.qualifying_rows
+    real, real_first = DimensionEngine.qualifying_rows, DimensionEngine._first_rows
 
     def spy(engine, members, x, child_depth):
         ids = real(engine, members, x, child_depth)
-        met.append((engine, members, x, child_depth, ids))
+        if child_depth:
+            met.append((engine, members, x, child_depth, ids))
+        return ids
+
+    def spy_first(engine, members, x, k):
+        ids = real_first(engine, members, x, k)
+        if not k:
+            met.append((engine, members, x, 0, ids))
         return ids
 
     monkeypatch.setattr(DimensionEngine, "qualifying_rows", spy)
-    for problem, cls in bound_cases():
+    monkeypatch.setattr(DimensionEngine, "_first_rows", spy_first)
+    for problem, cls in bound_cases() + dim_cold_grids(59):
         full = VersionSpace.full(cls.num_hypotheses)
         for gv in ORACLE_GAMMAS:
             engine = DimensionEngine(problem, cls, gv)
@@ -1187,20 +1202,67 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
     assert len(met) >= 20_000 and deep >= 4_000
 
 
+def test_the_instance_prune_skips_only_instances_whose_qualifying_game_fails(monkeypatch):
+    # At depth d >= 2 `_branch` reads the optimistic rows at x first, each
+    # label's first step whose child has more than d - 1 members, and probes
+    # no child at x when their game misses the margin. Each row of the
+    # qualifying scan is of a label the optimistic rows hold, and pointwise
+    # at most its row; at every instance `_branch` skipped without scanning,
+    # the scan finds no rows or a failing game.
+    # branched: (engine, members, depth, result, x scanned) per `_branch` call;
+    # scanned: the x scanned so far by each `_branch` call under way.
+    branched, scanned = [], []
+    real_branch, real_scan = DimensionEngine._branch, DimensionEngine.qualifying_rows
+
+    def spy_branch(engine, members, depth):
+        scanned.append(set())
+        result = real_branch(engine, members, depth)
+        branched.append((engine, members, depth, result, scanned.pop()))
+        return result
+
+    def spy_scan(engine, members, x, child_depth):
+        scanned[-1].add(x)
+        return real_scan(engine, members, x, child_depth)
+
+    monkeypatch.setattr(DimensionEngine, "_branch", spy_branch)
+    monkeypatch.setattr(DimensionEngine, "qualifying_rows", spy_scan)
+    for problem, cls in bound_cases() + dim_cold_grids(59):
+        full = VersionSpace.full(cls.num_hypotheses)
+        for gv in ORACLE_GAMMAS:
+            DimensionEngine(problem, cls, gv).certificate(full)
+    monkeypatch.undo()
+    skipped = 0
+    for engine, members, depth, result, probed in branched:
+        if depth < 2:
+            continue
+        for x in range(result[0] + 1 if result else engine.problem.num_instances):
+            label_of = {i: y for y, (_, steps) in enumerate(engine._steps[x]) for _, i in steps}
+            bound = {label_of[i]: engine._pure[i] for i in engine._first_rows(members, x, depth - 1)}
+            ids = engine.qualifying_rows(members, x, depth - 1)
+            for i in ids:
+                assert label_of[i] in bound
+                assert all(map(operator.le, engine._pure[i], bound[label_of[i]]))
+            if x not in probed:
+                skipped += 1
+                assert not ids or not engine._passes(ids)
+    assert skipped >= 1000
+
+
 def test_the_memo_cap_boundary_is_the_count_of_spaces_visited():
-    # On this grid smdim() visits 275 version spaces, as before the qualifying
-    # scan walked the threshold steps itself, and certificate() reads its
-    # nodes from the memo, so a cap of 275 suffices for both calls.
+    # On this grid smdim() visits 261 version spaces, and certificate() reads
+    # its nodes from the memo, so a cap of 261 suffices for both calls and a
+    # cap of 260 for neither.
     problem, cls = dim_cold_grids()[9]
     full = VersionSpace.full(cls.num_hypotheses)
-    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=275)
+    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=261)
     assert engine.smdim(full) == 4
     assert engine.certificate(full).depth == 4
-    assert len(engine._spaces) == 275
+    assert len(engine._spaces) == 261
+    assert DimensionEngine(problem, cls, F(1, 8), memo_cap=261).certificate(full).depth == 4
     with pytest.raises(BudgetError):
-        DimensionEngine(problem, cls, F(1, 8), memo_cap=274).smdim(full)
+        DimensionEngine(problem, cls, F(1, 8), memo_cap=260).smdim(full)
     with pytest.raises(BudgetError):
-        DimensionEngine(problem, cls, F(1, 8), memo_cap=274).certificate(full)
+        DimensionEngine(problem, cls, F(1, 8), memo_cap=260).certificate(full)
 
 
 def test_negative_hypothesis_index_is_a_validation_error():
@@ -1469,13 +1531,20 @@ def test_ldim_k_refuses_a_k_that_is_not_a_positive_int(k, message):
         ldim_k(problem, cls, VersionSpace.full(2), k)
 
 
+def binary_cube(n):
+    """Every 0/1 labelling of n instances, under the 0/1 loss."""
+    problem = make_problem(tuple(range(n)), (0, 1), (0, 1), [[0, 1], [1, 0]])
+    return problem, HypothesisClass(tuple(product((0, 1), repeat=n)))
+
+
 def test_a_depth_level_of_the_engine_is_two_frames():
     # On the binary cube over n instances smdim is n at the strict margin;
     # the least recursion limit that lets a fresh engine reach it grows by
-    # two per depth level: `_branch` and `qualifying_rows`.
+    # two per depth level: `_branch` and `qualifying_rows`. From n = 4 up,
+    # the deepest chain is not one the instance prune skips (at n = 3 it
+    # is, and the limit is two lower).
     def least_limit(n):
-        problem = make_problem(tuple(range(n)), (0, 1), (0, 1), [[0, 1], [1, 0]])
-        cls = HypothesisClass(tuple(product((0, 1), repeat=n)))
+        problem, cls = binary_cube(n)
         full = VersionSpace.full(cls.num_hypotheses)
         low, high = depth_here, depth_here + 200
         while low < high:
@@ -1492,7 +1561,7 @@ def test_a_depth_level_of_the_engine_is_two_frames():
 
     saved = sys.getrecursionlimit()
     depth_here = len(inspect.stack(0)) + 5
-    assert least_limit(6) - least_limit(3) == 6
+    assert least_limit(7) - least_limit(4) == 6
 
 
 @pytest.mark.parametrize("bad", ["1/2", "2", "3/2"])
