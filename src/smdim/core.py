@@ -93,9 +93,9 @@ class Problem:
     a nonnegative `Fraction` no larger than `declared_bound`, a `Fraction`
     too; signs and bounds are read in integers (`exceeds`). Instances,
     labels and predictions are nonempty. `bound_c` is not a constructor
-    argument: it is the largest loss entry, the bound c every regret
-    guarantee uses; `declared_bound` is the bound the input stated, kept for
-    reporting and serialization.
+    argument: it is the largest loss entry, found by the pass that checks
+    the entries, the bound c every regret guarantee uses; `declared_bound`
+    is the bound the input stated, kept for reporting and serialization.
     """
 
     instances: tuple
@@ -116,6 +116,10 @@ class Problem:
         bound = self.declared_bound
         if not isinstance(bound, Fraction):
             raise ValidationError(f"declared bound {bound!r} is not a Fraction")
+        # The largest entry so far, as `largest` finds it, and never above the
+        # bound, so an entry no larger than it is within the bound too. A
+        # negative bound starts it, so the first entry is checked against it.
+        top = bound if bound.numerator < 0 else Fraction(0)
         for y, row in enumerate(self.loss):
             if len(row) != len(self.predictions):
                 raise ValidationError(
@@ -127,9 +131,11 @@ class Problem:
                     raise ValidationError(f"loss[{y}][{z}] = {v!r} is not a Fraction")
                 if v.numerator < 0:
                     raise ValidationError(f"negative loss at [{y}][{z}]: {v}")
-                if exceeds(v, bound):
-                    raise ValidationError(f"loss {v} at [{y}][{z}] exceeds declared bound {bound}")
-        object.__setattr__(self, "bound_c", largest(v for row in self.loss for v in row))
+                if exceeds(v, top):
+                    if exceeds(v, bound):
+                        raise ValidationError(f"loss {v} at [{y}][{z}] exceeds declared bound {bound}")
+                    top = v
+        object.__setattr__(self, "bound_c", top)
 
     @cached_property
     def scaled_loss(self) -> tuple:

@@ -70,16 +70,16 @@ Every threshold and every LP row is kept once, as integers over `den`, a
 common denominator of the losses: a threshold as its key, the threshold times
 den, and a row as its values at the pure predictions times den. Every engine
 decision reads those integers, and Fractions meet them only at the edges:
-certificates and the `candidates` accessor make their thresholds from the
-keys, `restrict` turns a caller's threshold into an integer cut, and `game`
-builds the rows it hands to the simplex.
+certificates and the `candidates` accessor read one `Candidate` per row,
+made from its key on first use, `restrict` turns a caller's threshold into
+an integer cut, and `game` builds the rows it hands to the simplex.
 
 Those tables do not depend on gamma: an LP row is fixed by (label,
 threshold), and gamma only decides which rows qualify. So `_tables` builds
 the margin-free part once per (problem, class) pair (the threshold steps,
-each row's integer values at the pure predictions, the table of solved games
-and the table of game values kernels proved), and every engine on that pair
-shares it, whatever its margin;
+each row's integer values at the pure predictions, the table of solved
+games, the table of game values kernels proved and each row's `Candidate`),
+and every engine on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
 solve each LP once. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
@@ -336,15 +336,15 @@ class DimensionEngine:
     The engine's own part of the bounds is, per row, the mask of predictions
     where the row is under the margin, built with the engine; the pair bounds
     are computed per game, on first use. `games`, `values`, the rows' integer
-    values and the threshold steps are shared by every engine built on the
-    same `problem` and `cls` objects, at any margin (`_tables`), and live
-    while one of those engines does or while the pair is the last one an
-    engine was built on. `mixture()` gives Mrsoa's mixture, which every
-    learner on the engine plays, from a private memo keyed by (mask,
-    instance). Like the memo, the verdict memo and the mixture memo depend on
-    gamma and live as long as the engine; the verdict memo holds at most
-    2 * `num_instances` games per memo entry, plus one per depth of each
-    `mixture()` sweep (`_passes`).
+    values, their `Candidate`s and the threshold steps are shared by every
+    engine built on the same `problem` and `cls` objects, at any margin
+    (`_tables`), and live while one of those engines does or while the pair
+    is the last one an engine was built on. `mixture()` gives Mrsoa's
+    mixture, which every learner on the engine plays, from a private memo
+    keyed by (mask, instance). Like the memo, the verdict memo and the
+    mixture memo depend on gamma and live as long as the engine; the verdict
+    memo holds at most 2 * `num_instances` games per memo entry, plus one per
+    depth of each `mixture()` sweep (`_passes`).
 
     `problem` and `cls` are the objects the caller passed, so the engine, the
     learners built on it and `run_game` all read one loss bound `bound_c`.
@@ -358,7 +358,8 @@ class DimensionEngine:
         memo_cap: Optional[int] = None,
     ):
         self.problem, self.cls = problem, cls
-        self._den, self._steps, self._pure, self.games, self.values = _tables(problem, cls)
+        (self._den, self._steps, self._pure, self.games, self.values,
+         self._candidates) = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         # `_below[row_id]` is the mask of the predictions z where the row
         # alone misses the margin (`_cut` with k = 1).
@@ -397,7 +398,10 @@ class DimensionEngine:
         `qualifying_rows` stopped at, so each child of depth >= 1 is itself a
         passing memo entry, and the walk visits no version space `smdim` did
         not. The node's value is `value(ids)`, the exact game value, proved by
-        a two-point kernel where one exists.
+        a two-point kernel where one exists. Each candidate is its row's one
+        `Candidate` in the pair's tables (`_candidate`), so a node builds no
+        `Fraction` or `Candidate` for a row an earlier node, certificate or
+        engine on the pair already read.
         """
         root = _space_mask(self.cls, space)
         depth = self.dim_members(root)
@@ -417,7 +421,7 @@ class DimensionEngine:
                     child_space = spaces.get(child)
                     if child_space is None:
                         child_space = spaces[child] = VersionSpace(to_members(child))
-                    candidates.append((Candidate(y, Fraction(key, self._den)), child_space))
+                    candidates.append((self._candidate(y, key, row_id), child_space))
                     if d > 1:
                         stack.append((child, d - 1))
             nodes[(node_space.members, d)] = CertificateNode(
@@ -426,13 +430,22 @@ class DimensionEngine:
         return ShatteringCertificate(gamma=self.gamma, root=space, depth=depth, nodes=nodes)
 
     def candidates(self, space: VersionSpace, x: int):
-        """Every (Candidate, child) pair at the realized distinct thresholds."""
+        """Every (Candidate, child) pair at the realized distinct thresholds;
+        each Candidate is its row's one in the pair's tables (`_candidate`)."""
         members = _space_mask(self.cls, space)
         check_index("instance", x, self.problem.num_instances)
         return tuple(
-            (Candidate(y, Fraction(key, self._den)), VersionSpace(to_members(child)))
-            for y, key, child, _ in self.candidate_rows(members, x)
+            (self._candidate(y, key, row_id), VersionSpace(to_members(child)))
+            for y, key, child, row_id in self.candidate_rows(members, x)
         )
+
+    def _candidate(self, y: int, key: int, row_id: int) -> Candidate:
+        """The `Candidate` of LP row `row_id`, label y at threshold key / den,
+        built on first use and kept in the pair's tables (`_tables`)."""
+        cand = self._candidates.get(row_id)
+        if cand is None:
+            cand = self._candidates[row_id] = Candidate(y, Fraction(key, self._den))
+        return cand
 
     # -- low-level API (bitmask version spaces, shared with the learners) ----
     # No validation: callers pass masks within the class and indices in range.
@@ -715,9 +728,9 @@ _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, pure, games, values): the margin-free tables of every
-    engine built on these very objects, after checking that the pair fits
-    (`validate_problem`, which reads no table entry).
+    """(den, steps, pure, games, values, candidates): the margin-free tables
+    of every engine built on these very objects, after checking that the
+    pair fits (`validate_problem`, which reads no table entry).
 
     den is a common denominator of every loss, and every threshold and LP row
     is kept once, as integers over it. steps[x][y] is (keys, steps) for the
@@ -729,8 +742,12 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     pure[row_id] holds its value at each pure prediction z times den,
     (loss[y][z] - eps) * den. games holds the solved games by row-id tuple,
     and values the values of games a two-point kernel proved
-    (`kernel_value`), by the same keys. The one slot is keyed by identity,
-    not value: equal pairs parsed separately get tables of their own.
+    (`kernel_value`), by the same keys. candidates holds each row's
+    `Candidate(y, Fraction(key, den))` by row id, filled on first use
+    (`DimensionEngine._candidate`), so certificates and the `candidates`
+    accessor build one per row, and an engine that writes neither builds
+    none. The one slot is keyed by identity, not value: equal pairs parsed
+    separately get tables of their own.
     """
     global _last_tables
     last = _last_tables
@@ -758,7 +775,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                     pure.append(tuple(v - key for v in scaled_row))
                 label_steps.append((within, row_id))
             steps[x].append((keys, tuple(label_steps)))
-    tables = (den, steps, tuple(pure), {}, {})
+    tables = (den, steps, tuple(pure), {}, {}, {})
     _last_tables = (problem, cls, tables)
     return tables
 

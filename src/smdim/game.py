@@ -64,8 +64,11 @@ comes from `kernel_value(entries, scale)` (not exported), which proves it on
 the same integer rows by a kernel of at most two rows and two columns,
 checked exactly at every column (Shapley and Snow: a game's value is the
 value of a square kernel), and from the simplex only when no such kernel
-proves it. On the dim-cold benchmark's seeds 1 and 3 the bounds and the
-kernels leave no game to solve, so an engine there solves a game only to
+proves it. A two-column game is worth at least its best pure row, and
+crossing rows only raise it, so the kernel's search forms no row pairs on a
+column whose best pure row already pays the least value found so far: they
+could not lower it. On the dim-cold benchmark's seeds 1 and 3 the bounds and
+the kernels leave no game to solve, so an engine there solves a game only to
 play Mrsoa's mixture. `msdim_direct` keeps one table per call and always
 solves.
 """
@@ -199,20 +202,26 @@ def kernel_value(entries, scale: int) -> Optional[Fraction]:
     and a pair of rows with s_i < 0 < s_j, weighted (s_j, -s_i), pays the
     crossing (s_j a_i - s_i a_j) / (s_j - s_i) at both columns. The least of
     those values over z1, U, bounds the game's value from above (LP duality:
-    it is a learner mixture's payoff). Every one of those row mixtures that
-    pays exactly U at its two columns is then checked at every column; the
-    first that pays at least U everywhere bounds the value from below, and
-    the value is U / scale. Rows that tie at z0 or z1 form pairs like any
-    others. No input is checked: callers pass at least one row, all of one
-    width.
+    it is a learner mixture's payoff). A pair's value is at least its best
+    pure row's, max over i of min(a_i, b_i), and crossings only raise it, so
+    a column whose best pure row already pays the least value found so far
+    cannot lower it, and its row pairs are skipped; U is the same as with
+    every pair formed. Every one of those row mixtures that pays exactly U
+    at its two columns is then checked at every column; the first that pays
+    at least U everywhere bounds the value from below, and the value is
+    U / scale. Rows that tie at z0 or z1 form pairs like any others. No
+    input is checked: callers pass at least one row, all of one width.
     """
     columns = list(zip(*entries))
     a = min(columns, key=max)
     # U = num / den (den > 0): at most max(a), the pure z0's payoff.
     num, den = max(a), 1
     for b in columns:
-        # The two-column game's value, v / w.
+        # The two-column game's value, v / w: at least its best pure row's, so
+        # a pure row that reaches U leaves U as it is (docstring).
         v, w = max(map(min, a, b)), 1
+        if v * den >= num:
+            continue
         diffs = [y - x for x, y in zip(a, b)]
         for i, si in enumerate(diffs):
             if si < 0:

@@ -271,10 +271,22 @@ def parse_instance_document(text: str):
     if len(loss_rows) != len(labels):
         raise ValidationError(f"/loss: {len(loss_rows)} rows for {len(labels)} labels")
     loss = []
+    # Loss string -> its Fraction, stored once it parsed: a repeated literal
+    # is parsed once, and a bad one fails where it first occurs.
+    literals = {}
     for i, row in enumerate(loss_rows):
         if not isinstance(row, list) or len(row) != len(predictions):
             raise ValidationError(f"/loss/{i}: expected an array of {len(predictions)} entries")
-        loss.append([_decode_rational(v, f"/loss/{i}/{j}") for j, v in enumerate(row)])
+        entries = []
+        for j, v in enumerate(row):
+            # Strings only: other JSON values may be unhashable, and true
+            # would find 1's entry.
+            if type(v) is not str:
+                q = _decode_rational(v, f"/loss/{i}/{j}")
+            elif (q := literals.get(v)) is None:
+                q = literals[v] = _decode_rational(v, f"/loss/{i}/{j}")
+            entries.append(q)
+        loss.append(entries)
     bound = None
     if "bound_c" in doc:
         bound = _decode_rational(doc["bound_c"], "/bound_c")
@@ -358,8 +370,9 @@ def serialize_stream(stream) -> str:
     return canonical_json(doc)
 
 
-# json's own encoder for every value `json_text` does not handle itself. Built
-# once: json.dumps with non-default arguments builds a new encoder per call.
+# json's own encoder for every value `_write_json` does not handle itself.
+# Built once: json.dumps with non-default arguments builds a new encoder per
+# call.
 _encode_other = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).encode
 
 
@@ -371,41 +384,47 @@ def canonical_json(doc) -> str:
     encoder. Dicts with `str` keys, lists and tuples, strings and exact ints
     are written here; any other value (floats, bools, None, dicts with other
     keys) is written by json's own encoder and re-indented to its depth, so
-    json's rules hold for it.
+    json's rules hold for it. Every piece of text is appended to one list,
+    joined once at the end, so no value's text is copied into its parent's.
     """
-    return json_text(doc, "\n") + "\n"
+    out = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def json_text(value, newline: str) -> str:
-    """The canonical text of `value`, whose own line breaks are `newline`: a
-    line break followed by the indent of `value`'s depth in the document."""
+def _write_json(value, newline: str, out: list):
+    """Append the canonical text of `value` to `out`; its own line breaks are
+    `newline`, a line break followed by the indent of `value`'s depth."""
     if isinstance(value, str):
-        return encode_basestring(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
+        out.append(encode_basestring(value))
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
         if all(type(v) is int for v in value):
-            return json_array(map(int.__repr__, value), newline)
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            out.append("{}")
+            return
         inner = newline + "  "
-        return json_array([json_text(v, inner) for v in value], newline)
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        inner = newline + "  "
-        return json_object({k: json_text(v, inner) for k, v in value.items()}, newline)
-    # json's line breaks are all structural (strings escape theirs).
-    return _encode_other(value).replace("\n", newline)
-
-
-def json_array(items, newline: str) -> str:
-    """A JSON array of already written `items`, whose own line breaks are `newline`."""
-    inner = newline + "  "
-    # No written value is empty, so `text` is empty exactly when `items` is.
-    text = ("," + inner).join(items)
-    return f"[{inner}{text}{newline}]" if text else "[]"
-
-
-def json_object(fields: dict, newline: str) -> str:
-    """A JSON object of already written values, keys sorted, whose own line
-    breaks are `newline`."""
-    inner = newline + "  "
-    items = [f"{encode_basestring(k)}: {fields[k]}" for k in sorted(fields)]
-    return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+        sep = "{" + inner
+        for k in sorted(value):
+            out.append(f"{sep}{encode_basestring(k)}: ")
+            _write_json(value[k], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # json's line breaks are all structural (strings escape theirs).
+        out.append(_encode_other(value).replace("\n", newline))

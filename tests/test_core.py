@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from smdim import core
 from smdim.core import (
     Candidate,
     HypothesisClass,
@@ -19,6 +20,7 @@ from smdim.core import (
     check_threshold,
     expected_loss,
     format_rational,
+    largest,
     make_problem,
     make_stream,
     parse_rational,
@@ -210,6 +212,25 @@ class TestProblem:
         assert calls == []
         assert passes == [True, False, True, False]
         assert strict == [False, True, False]
+
+    def test_bound_c_is_found_by_the_checking_pass(self, monkeypatch):
+        # One exceeds call per entry, plus one against the bound for each
+        # entry that raises the largest so far; bound_c is that largest.
+        calls = []
+        real = core.exceeds
+        monkeypatch.setattr(core, "exceeds", lambda a, b: calls.append((a, b)) or real(a, b))
+        loss = tuple(tuple(F(abs(y - z), 4) for z in range(5)) for y in range(5))
+        problem = Problem(("x0",), tuple(range(5)), tuple(range(5)), loss, declared_bound=F(1))
+        assert len(calls) == 25 + 4
+        assert problem.bound_c == F(1) == largest(v for row in loss for v in row)
+        # A negative bound is exceeded by the first entry, and an entry over
+        # the bound fails before a later negative one.
+        for bound, rows, message in (
+            (F(-1), ((F(0), F(1)),), r"^loss 0 at \[0\]\[0\] exceeds declared bound -1$"),
+            (F(1, 2), ((F(0), F(1)), (F(-1), F(0))), r"^loss 1 at \[0\]\[1\] exceeds declared bound 1/2$"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                Problem(("x0",), tuple(range(len(rows))), (0, 1), rows, declared_bound=bound)
 
     def test_table_index_out_of_range(self):
         problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1, 0]])

@@ -27,6 +27,7 @@ from smdim import dimensions
 from smdim.adversaries import ShatteringAdversary
 from smdim.core import (
     BudgetError,
+    Candidate,
     HypothesisClass,
     Mixture,
     ValidationError,
@@ -52,7 +53,7 @@ from smdim.learners import Mrsoa, UniformLearner
 from smdim.simulation import run_game
 from smdim.verify import gen_list, gen_multiclass, gen_regression, gen_setvalued
 
-from test_game import oracle_min_max
+from test_game import check_kernel_against_unpruned, oracle_min_max
 
 F = Fraction
 
@@ -781,8 +782,9 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
     # steps[x][y] is (keys, steps): keys[i] is threshold i times den, and
     # steps[i] is (within, row_id). Each realized (label, threshold) has one
     # row id, and its row is (loss[y][z] - eps) * den at each pure prediction
-    # z. Solved games and kernel-proved values are keyed by row ids; the steps
-    # and rows hold ints only, no Fraction and no AffineRow.
+    # z. Solved games, kernel-proved values and the rows' Candidates are
+    # keyed by row ids; the steps and rows hold ints only, no Fraction and no
+    # AffineRow.
     def leaves(obj):
         if isinstance(obj, (tuple, list)):
             for item in obj:
@@ -790,14 +792,16 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
         else:
             yield obj
 
+    read = 0
     for problem, cls in bound_cases():
         engine = DimensionEngine(problem, cls, F(1, 4))
         full = VersionSpace.full(cls.num_hypotheses)
         engine.certificate(full)
         engine.mixture(to_mask(full.members), 0)
-        den, steps, pure, games, values = dimensions._tables(problem, cls)
+        den, steps, pure, games, values, candidates = dimensions._tables(problem, cls)
         assert engine._den == den and engine._steps is steps and engine._pure is pure
         assert engine.games is games and engine.values is values and games
+        assert engine._candidates is candidates
         assert all(type(v) is int for v in leaves((den, steps, pure)))
         row_of = {}  # (label, key) -> row id
         for x, per_label in enumerate(steps):
@@ -812,6 +816,12 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
                     assert row_of.setdefault((y, key), row_id) == row_id
         assert sorted(row_of.values()) == list(range(len(pure)))
         assert all(max(ids) < len(pure) for ids in [*games, *values])
+        for (y, key), row_id in row_of.items():
+            if row_id in candidates:
+                assert candidates[row_id] == Candidate(y, F(key, den))
+        assert set(candidates) <= set(row_of.values())
+        read += len(candidates)
+    assert read
 
 
 def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
@@ -1108,6 +1118,47 @@ def test_the_recursion_solves_no_game_on_the_dim_cold_grids():
             assert not engine.games
             assert engine.certificate(full).nodes
             assert not engine.games and engine.values
+
+
+def test_the_kernel_skips_columns_but_not_its_value_on_the_dim_cold_grids():
+    # Every game the recursion and the certificates meet on grids of the
+    # dim-cold benchmark's shape at its two margins: the kernel gives the
+    # unpruned kernel's value, and the pure-row skip leaves out some
+    # columns' row pairs.
+    games = {}
+    for gamma in (F(1, 8), F(1, 4)):
+        for problem, cls in dim_cold_grids():
+            engine = DimensionEngine(problem, cls, gamma)
+            full = VersionSpace.full(cls.num_hypotheses)
+            engine.smdim(full)
+            engine.certificate(full)
+            node_ids = [entry[1] for entry in engine._memo.values() if entry]
+            for ids in (*engine._verdicts, *node_ids):
+                games[tuple(engine._pure[i] for i in ids), engine._den] = None
+    _, skipped = check_kernel_against_unpruned(games)
+    assert len(games) >= 400 and skipped > 0
+
+
+def test_certificates_and_candidates_build_one_candidate_per_lp_row(monkeypatch):
+    # Engines on one pair share a Candidate per LP row, at every margin:
+    # certificates and the candidates accessor read the same objects.
+    built = []
+    real = dimensions.Candidate
+    monkeypatch.setattr(dimensions, "Candidate", lambda y, eps: built.append((y, eps)) or real(y, eps))
+    problem, cls = dim_cold_grids()[9]
+    full = VersionSpace.full(cls.num_hypotheses)
+    listed = {}
+    for gamma in GRID_GAMMAS:
+        engine = DimensionEngine(problem, cls, gamma)
+        nodes = engine.certificate(full).nodes.values()
+        assert nodes
+        for node in nodes:
+            for x in range(problem.num_instances):
+                for cand, _ in engine.candidates(node.space, x):
+                    assert listed.setdefault((cand.label, cand.threshold), cand) is cand
+            for cand, _ in node.candidates:
+                assert listed[cand.label, cand.threshold] is cand
+    assert len(built) == len(set(built)) == len(listed) <= len(engine._pure)
 
 
 def test_certificate_node_values_are_the_solved_values():

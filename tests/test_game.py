@@ -8,6 +8,7 @@ piecewise-linear function on a simplex is always among these points.
 """
 
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
@@ -344,3 +345,64 @@ def test_a_crossing_of_rows_tied_at_the_kernel_column_proves_the_value():
 def test_a_saddle_point_and_a_single_column_are_kernels():
     assert kernel_value([[3, 5], [1, 4]], 2) == F(3, 2)
     assert kernel_value([[3], [-1], [2]], 1) == 3
+
+
+def unpruned_kernel_value(entries, scale):
+    """`kernel_value` forming every column's row pairs, and the number of
+    columns whose pairs `kernel_value` skips: those whose best pure row
+    already pays the least value found so far. Returns (value, skipped)."""
+    columns = list(zip(*entries))
+    a = min(columns, key=max)
+    num, den = max(a), 1
+    skipped = 0
+    for b in columns:
+        v, w = max(map(min, a, b)), 1
+        skipped += v * den >= num
+        diffs = [y - x for x, y in zip(a, b)]
+        for i, si in enumerate(diffs):
+            if si < 0:
+                for j, sj in enumerate(diffs):
+                    if sj > 0 and (sj * a[i] - si * a[j]) * w > v * (sj - si):
+                        v, w = sj * a[i] - si * a[j], sj - si
+        if v * den < num * w:
+            num, den = v, w
+    for b in columns:
+        diffs = [y - x for x, y in zip(a, b)]
+        for i, si in enumerate(diffs):
+            row = entries[i]
+            if min(a[i], b[i]) * den == num and min(row) * den >= num:
+                return Fraction(num, den * scale), skipped
+            if si < 0:
+                for j, sj in enumerate(diffs):
+                    if sj > 0 and (sj * a[i] - si * a[j]) * den == num * (sj - si):
+                        paid = min(sj * x - si * y for x, y in zip(row, entries[j]))
+                        if paid * den >= num * (sj - si):
+                            return Fraction(num, den * scale), skipped
+    return None, skipped
+
+
+def check_kernel_against_unpruned(games):
+    """Assert `kernel_value` equals the unpruned kernel on every (entries,
+    scale) in `games`; returns (number of None results, columns skipped)."""
+    nones = skipped = 0
+    for entries, scale in games:
+        value, skips = unpruned_kernel_value(entries, scale)
+        assert kernel_value(entries, scale) == value
+        nones += value is None
+        skipped += skips
+    return nones, skipped
+
+
+def test_the_kernel_skips_columns_but_not_its_value_on_dense_games():
+    # Dense integer games of several shapes, wide entries so few rows or
+    # columns tie, and -2..2 so many do.
+    rng = random.Random(61)
+    games = [
+        ([[rng.randint(-spread, spread) for _ in range(width)] for _ in range(height)], scale)
+        for height, width in ((1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (5, 5), (4, 7), (7, 4))
+        for spread in (2, 40)
+        for scale in (1, 8)
+        for _ in range(40)
+    ]
+    nones, skipped = check_kernel_against_unpruned(games)
+    assert nones > 0 and skipped > 0

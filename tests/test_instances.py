@@ -14,6 +14,7 @@ from smdim.core import (
     format_rational,
     validate_problem,
 )
+from smdim import instances
 from smdim.dimensions import DimensionEngine, GammaValue
 from smdim.instances import (
     builtin_names,
@@ -193,6 +194,32 @@ class TestInstanceDocuments:
             with pytest.raises(ValidationError, match=f"^/loss/0/1: {message}$"):
                 parse_instance_document(json.dumps(doc))
 
+    def test_a_repeated_loss_literal_is_parsed_once(self, monkeypatch):
+        paths = []
+        real = instances._decode_rational
+        monkeypatch.setattr(
+            instances, "_decode_rational", lambda value, path: paths.append(path) or real(value, path)
+        )
+        doc = {
+            "instances": ["x0"],
+            "labels": [0, 1, 2],
+            "predictions": [0, 1, 2],
+            "loss": [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]],
+            "hypotheses": [[0], [1], [2]],
+        }
+        problem, _ = parse_instance_document(json.dumps(doc))
+        assert paths == ["/loss/0/0", "/loss/0/1", "/loss/0/2"]
+        assert problem.loss[0][1] is problem.loss[1][0] is problem.loss[2][1]
+        # A bad literal fails where it first occurs, however often it repeats;
+        # only strings are reused, so JSON true after 1 still fails.
+        for loss, message in (
+            ([["0", "x"], ["x", "0"]], "^/loss/0/1: not a rational literal: 'x'$"),
+            ([[0, 1], [True, 0]], "^/loss/1/0: cannot interpret True as a rational$"),
+        ):
+            doc = json.loads(P1_DOC) | {"loss": loss}
+            with pytest.raises(ValidationError, match=message):
+                parse_instance_document(json.dumps(doc))
+
     def test_non_index_entries_are_rejected_with_their_path(self):
         for entry in (True, "0", 0.5, None, [0]):
             doc = json.loads(P1_DOC)
@@ -359,7 +386,8 @@ class TestCanonicalJson:
             assert canonical_json(doc) == reference_json(doc), doc
 
     def test_errors_match_json_dumps(self):
-        for doc in ({"a": [F(1, 2)]}, {1: 2, "a": 3}, [object()]):
+        # Two bad values fail at the first in sorted key order, as in json.
+        for doc in ({"a": [F(1, 2)]}, {1: 2, "a": 3}, [object()], {"b": object(), "a": F(1, 2)}):
             with pytest.raises(TypeError) as ours:
                 canonical_json(doc)
             with pytest.raises(TypeError) as theirs:
