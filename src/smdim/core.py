@@ -69,7 +69,7 @@ def parse_rational(value: RationalLike) -> Fraction:
         raise ValidationError(
             f"refusing float {value!r}: pass a 'p/q' or decimal string to stay exact"
         )
-    raise ValidationError(f"cannot interpret {value!r} as a rational")
+    raise ValidationError(f"cannot interpret {format_value(value)} as a rational")
 
 
 def format_rational(q: Fraction) -> str:
@@ -83,6 +83,20 @@ def format_rational(q: Fraction) -> str:
     except ValueError:
         text = str(Decimal(q.numerator))
         return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
+def format_value(value) -> str:
+    """`repr(value)`, for an error message about a value of any type.
+
+    The repr of an int past `sys.get_int_max_str_digits()` digits raises
+    ValueError, and so does that of a Fraction or a container holding one
+    (a JSON number such as 1e5000 reads as such a Fraction); such a value is
+    named by its type instead.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
 
 
 @dataclass(frozen=True)
@@ -130,9 +144,10 @@ class Problem:
                 if not isinstance(v, Fraction):
                     raise ValidationError(f"loss[{y}][{z}] = {v!r} is not a Fraction")
                 if v.numerator < 0:
-                    raise ValidationError(f"negative loss at [{y}][{z}]: {v}")
+                    raise ValidationError(f"negative loss at [{y}][{z}]: {format_rational(v)}")
                 if exceeds(v, top):
                     if exceeds(v, bound):
+                        v, bound = format_rational(v), format_rational(bound)
                         raise ValidationError(f"loss {v} at [{y}][{z}] exceeds declared bound {bound}")
                     top = v
         object.__setattr__(self, "bound_c", top)
@@ -195,7 +210,7 @@ class HypothesisClass:
             for x, z in enumerate(row):
                 if type(z) is not int or z < 0:
                     reason = "out-of-range" if type(z) is int else "non-int"
-                    raise ValidationError(f"hypothesis {h} predicts {reason} index {z!r} at x={x}")
+                    raise ValidationError(f"hypothesis {h} predicts {reason} index {format_value(z)} at x={x}")
             if row in seen:
                 raise ValidationError(f"duplicate hypothesis rows {seen[row]} and {h}")
             seen[row] = h
@@ -404,12 +419,12 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
 def check_index(name: str, index, size: int, t: Optional[int] = None):
     """Check an index of a problem's instances, labels or predictions: an int
     in [0, size). Its type must be int itself: a bool is an int in Python,
-    and is refused as in a JSON document (`instances._decode_index`). The
-    error names round t when one is given."""
+    and JSON true reads as one, so it is refused. The error names round t
+    when one is given."""
     if type(index) is not int or not 0 <= index < size:
         reason = "out of range" if type(index) is int else "is not an int"
         where = "" if t is None else f"round {t}: "
-        raise ValidationError(f"{where}{name} index {index!r} {reason}")
+        raise ValidationError(f"{where}{name} index {format_value(index)} {reason}")
 
 
 def check_instance(problem: Problem, t: int, x: int):
@@ -436,7 +451,7 @@ def check_threshold(eps, bound: Fraction, t: Optional[int] = None):
     if not isinstance(eps, Fraction):
         raise ValidationError(f"{where}threshold {eps!r} is not a Fraction")
     if eps.numerator < 0 or exceeds(eps, bound):
-        raise ValidationError(f"{where}threshold {eps} outside [0, {bound}]")
+        raise ValidationError(f"{where}threshold {format_rational(eps)} outside [0, {format_rational(bound)}]")
 
 
 def check_count(name: str, value, low: int = 0):

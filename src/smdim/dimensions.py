@@ -209,7 +209,7 @@ class GammaValue:
         # The sign of a Fraction is its numerator's.
         sign = self.gamma.numerator
         if sign < 0:
-            raise ValidationError(f"negative gamma {self.gamma}")
+            raise ValidationError(f"negative gamma {format_rational(self.gamma)}")
         if self.strict and sign:
             raise ValidationError("strict mode is only defined for gamma = 0")
         if not self.strict and not sign:

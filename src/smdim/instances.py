@@ -9,7 +9,8 @@ pair that fits by construction; each half checked itself when it was built.
 
 File formats: an instance document carries identifier lists, the loss matrix,
 an optional loss bound, and the hypothesis table (prediction index per
-instance). A stream document is {"stream": [{"x": i, "y": j, "eps": "p/q"?}]}.
+instance). A stream document is {"stream": [{"x": i, "y": j, "eps": "p/q"?}]},
+read against the problem it is a stream of.
 Rationals are written as 'p/q' strings; decimal literals in input are
 converted exactly (never through a float). Serialization is canonical: sorted
 keys, two-space indent, trailing newline, so byte-identical output for equal
@@ -22,7 +23,6 @@ import json
 from fractions import Fraction
 from itertools import combinations, product
 from json.encoder import encode_basestring
-from typing import Optional
 
 from .core import (
     HypothesisClass,
@@ -30,9 +30,11 @@ from .core import (
     ThresholdedExample,
     ValidationError,
     format_rational,
+    format_value,
     make_problem,
     make_stream,
     parse_rational,
+    validate_problem,
 )
 
 
@@ -213,7 +215,7 @@ def _decode_id(value, path: str):
             return value
     if isinstance(value, list):
         return tuple(_decode_id(v, f"{path}/{i}") for i, v in enumerate(value))
-    raise ValidationError(f"{path}: {value!r} is not a valid identifier")
+    raise ValidationError(f"{path}: {format_value(value)} is not a valid identifier")
 
 
 def _decode_ids(doc, key: str) -> list:
@@ -241,15 +243,6 @@ def _decode_rational(value, path: str) -> Fraction:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _decode_index(value, *path) -> int:
-    # JSON true/false decode to bools, which are ints in Python. The JSON
-    # path comes in parts and is joined only for the error, since formatting
-    # it for every valid entry slows parsing measurably.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"/{'/'.join(map(str, path))}: expected an index")
-    return value
-
-
 def _expect_list(doc, key: str, path: str):
     if key not in doc:
         raise ValidationError(f"{path}: missing key {key!r}")
@@ -260,7 +253,15 @@ def _expect_list(doc, key: str, path: str):
 
 
 def parse_instance_document(text: str):
-    """Parse and validate an instance JSON document into (Problem, HypothesisClass)."""
+    """Parse and validate an instance JSON document into (Problem, HypothesisClass).
+
+    The document's shape, identifiers and loss literals are checked here, with
+    their JSON paths. The hypothesis table's entries are checked by the rules
+    every caller goes through: `HypothesisClass` (ints of at least 0, no
+    duplicate rows), then, once the problem is built, `validate_problem`
+    (each index below the number of predictions). Their errors are prefixed
+    with `/hypotheses: `.
+    """
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ValidationError("/: instance document must be a JSON object")
@@ -290,24 +291,19 @@ def parse_instance_document(text: str):
     bound = None
     if "bound_c" in doc:
         bound = _decode_rational(doc["bound_c"], "/bound_c")
-    table_rows = _expect_list(doc, "hypotheses", "")
-    table = []
-    for h, row in enumerate(table_rows):
+    table = _expect_list(doc, "hypotheses", "")
+    for h, row in enumerate(table):
         if not isinstance(row, list) or len(row) != len(instances):
             raise ValidationError(f"/hypotheses/{h}: expected an array of {len(instances)} entries")
-        entries = []
-        for x, v in enumerate(row):
-            index = _decode_index(v, "hypotheses", h, x)
-            if not 0 <= index < len(predictions):
-                raise ValidationError(f"/hypotheses/{h}/{x}: prediction index {index} out of range")
-            entries.append(index)
-        table.append(tuple(entries))
-    problem = make_problem(instances, labels, predictions, loss, bound_c=bound)
     try:
-        cls = HypothesisClass(tuple(table))
+        cls = HypothesisClass(tuple(map(tuple, table)))
     except ValidationError as exc:
         raise ValidationError(f"/hypotheses: {exc}") from exc
-    return problem, cls
+    problem = make_problem(instances, labels, predictions, loss, bound_c=bound)
+    try:
+        return validate_problem(problem, cls)
+    except ValidationError as exc:
+        raise ValidationError(f"/hypotheses: {exc}") from exc
 
 
 def serialize_instance(problem: Problem, cls: HypothesisClass) -> str:
@@ -322,14 +318,14 @@ def serialize_instance(problem: Problem, cls: HypothesisClass) -> str:
     return canonical_json(doc)
 
 
-def parse_stream_document(text: str, problem: Optional[Problem] = None):
-    """Parse a stream JSON document into a stream.
+def parse_stream_document(text: str, problem: Problem):
+    """Parse a stream JSON document into a stream of `problem`.
 
-    Each entry's shape, indices and threshold literal are checked with its
-    JSON path; the stream is then made by `make_stream`, which checks it
-    against the problem when one is given, in the same pass, and whose errors
-    (a round's bad instance, label or threshold, or a mixed stream) are
-    prefixed with `/stream: `.
+    Each entry's shape (an object with `x` and `y`) and threshold literal are
+    checked with their JSON paths. The stream is then made and checked
+    against the problem by `make_stream`, in round order: a round's bad
+    instance or label index, its threshold outside [0, c], or a mixed stream.
+    Its errors are prefixed with `/stream: `.
     """
     doc = _loads(text)
     if not isinstance(doc, dict) or "stream" not in doc:
@@ -344,12 +340,9 @@ def parse_stream_document(text: str, problem: Optional[Problem] = None):
         for key in ("x", "y"):
             if key not in entry:
                 raise ValidationError(f"/stream/{t}: missing key {key!r}")
-            _decode_index(entry[key], "stream", t, key)
         eps = None
         if "eps" in entry and entry["eps"] is not None:
             eps = _decode_rational(entry["eps"], f"/stream/{t}/eps")
-            if eps < 0:
-                raise ValidationError(f"/stream/{t}/eps: negative threshold {eps}")
         items.append(ThresholdedExample(entry["x"], entry["y"], eps))
     try:
         return make_stream(items, problem)

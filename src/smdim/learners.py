@@ -59,6 +59,7 @@ from .core import (
     check_threshold,
     exceeds,
     expected_loss,
+    format_rational,
     parse_rational,
     scaled_loss,
     validate_problem,
@@ -159,9 +160,9 @@ def loss_grid(alpha: RationalLike, c: RationalLike) -> tuple:
     alpha > 0 and c >= 0, each read by `parse_rational` (a float is refused)."""
     alpha, c = parse_rational(alpha), parse_rational(c)
     if alpha <= 0:
-        raise ValidationError(f"loss_grid needs alpha > 0, got {alpha}")
+        raise ValidationError(f"loss_grid needs alpha > 0, got {format_rational(alpha)}")
     if c < 0:
-        raise ValidationError(f"loss_grid needs a loss bound c >= 0, got {c}")
+        raise ValidationError(f"loss_grid needs a loss bound c >= 0, got {format_rational(c)}")
     steps = math.ceil(c / alpha)
     return tuple(i * alpha for i in range(steps + 1))
 
@@ -185,10 +186,11 @@ def _pool_shape(horizon: int, d_gamma: int, alpha: Fraction, c: Fraction) -> tup
     counts[s][j] experts share each choice of j timepoints up to round s with
     their thresholds."""
     if alpha <= 0 or alpha > c > 0:
+        alpha, c = format_rational(alpha), format_rational(c)
         raise ValidationError(f"alpha must be in (0, c], got alpha={alpha}, c={c}")
     points = math.ceil(c / alpha) + 1
     if d_gamma and points > GRID_BUDGET:
-        raise BudgetError(f"threshold grid of {points} points exceeds budget {GRID_BUDGET}")
+        raise BudgetError(f"threshold grid of {format_rational(points)} points exceeds budget {GRID_BUDGET}")
     grid = loss_grid(alpha, c) if d_gamma else ()
     counts = tuple(
         tuple(pool_size(horizon - s, d_gamma - j, len(grid)) for j in range(d_gamma + 1))

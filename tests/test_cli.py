@@ -517,3 +517,52 @@ class TestSqrtLower:
         )
         assert (code, out) == (2, "")
         assert "rounds must be >= 0, got -1" in err
+
+
+def binary_document(loss='[["0", "1"], ["1", "0"]]', hypotheses="[[0], [1]]", instances='["x0"]'):
+    return (
+        f'{{"instances": {instances}, "labels": [0, 1], "predictions": [0, 1], '
+        f'"bound_c": "1", "loss": {loss}, "hypotheses": {hypotheses}}}'
+    )
+
+
+class TestHugeLiterals:
+    # An exponent literal makes a number far past sys.get_int_max_str_digits()
+    # from short text; the refusal must still be printed, with exit 2.
+    @pytest.mark.parametrize(
+        "argv, instance, stream",
+        [
+            (["learn", "--learner", "mrsoa"], None, '{"x": 0, "y": 0, "eps": "1e5000"}'),
+            (["learn", "--learner", "mrsoa"], None, '{"x": 0, "y": 0, "eps": "-1e5000"}'),
+            (["learn", "--learner", "mrsoa"], None, '{"x": 0, "y": 0, "eps": [1e5000]}'),
+            (["learn", "--learner", "mrsoa"], None, '{"x": 1e5000, "y": 0}'),
+            (["learn", "--learner", "mrsoa"], None, '{"x": 0, "y": {"a": -1e5000}}'),
+            (["dim", "--dimension", "smdim"], binary_document('[["0", "1e5000"], ["1", "0"]]'), None),
+            (["dim", "--dimension", "smdim"], binary_document('[["0", "-1e5000"], ["1", "0"]]'), None),
+            (["dim", "--dimension", "smdim"], binary_document('[["0", [1e5000]], ["1", "0"]]'), None),
+            (["dim", "--dimension", "smdim"], binary_document(hypotheses="[[0], [1e5000]]"), None),
+            (["dim", "--dimension", "smdim"], binary_document(instances='[{"a": 1e5000}]'), None),
+            (["dim", "--dimension", "smdim", "--gamma=-1e5000"], None, None),
+            (["sqrt-lower", "-T", "2", "--alpha", "1e-5000"], None, None),
+            (["sqrt-lower", "-T", "2", "--alpha", "1e5000"], None, None),
+        ],
+        ids=[
+            "eps", "negative-eps", "eps-list", "stream-index", "stream-index-dict",
+            "loss-above-bound", "negative-loss", "loss-list", "table-index", "identifier-dict",
+            "negative-gamma", "tiny-alpha", "huge-alpha",
+        ],
+    )
+    def test_refusal_exits_2_without_a_traceback(self, capsys, tmp_path, argv, instance, stream):
+        argv = list(argv)
+        if instance is None:
+            argv += ["--builtin", "multiclass:binary-constants"]
+        else:
+            path = tmp_path / "instance.json"
+            path.write_text(instance, encoding="utf-8")
+            argv += ["--instance", str(path)]
+        if stream is not None:
+            path = tmp_path / "stream.json"
+            path.write_text(f'{{"stream": [{stream}]}}', encoding="utf-8")
+            argv += ["--stream", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error:")

@@ -20,6 +20,7 @@ from smdim.core import (
     check_threshold,
     expected_loss,
     format_rational,
+    format_value,
     largest,
     make_problem,
     make_stream,
@@ -129,6 +130,17 @@ class TestParseRational:
     def test_format_round_trip(self):
         for value in (F(0), F(1, 3), F(-5, 2), F(7)):
             assert parse_rational(format_rational(value)) == value
+
+    def test_format_value_names_what_repr_cannot_print(self):
+        for value in (True, "0", None, [0], F(1, 2), 10**100):
+            assert format_value(value) == repr(value)
+        huge = 10**5000
+        for value, shown in (
+            (huge, "<int>"), (F(huge), "<Fraction>"), ([F(1), F(-huge)], "<list>"), ({"a": huge}, "<dict>"),
+        ):
+            assert format_value(value) == shown
+        with pytest.raises(ValidationError, match=r"^cannot interpret <list> as a rational$"):
+            parse_rational([F(huge)])
 
 
 class TestProblem:

@@ -1,6 +1,7 @@
 """Built-in families and the JSON instance/stream formats."""
 
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -8,10 +9,12 @@ from itertools import product
 import pytest
 
 from smdim.core import (
+    HypothesisClass,
     ThresholdedExample,
     ValidationError,
     VersionSpace,
     format_rational,
+    make_stream,
     validate_problem,
 )
 from smdim import instances
@@ -36,6 +39,10 @@ from smdim.instances import (
 from test_dimensions import GRID_GAMMAS, dim_cold_grids
 
 F = Fraction
+
+# JSON entries that are no index of P1_DOC's problem: not an int (1e5000
+# reads as a Fraction too large to print), or out of range.
+REFUSED_INDEX_LITERALS = ["true", '"0"', "0.5", "null", "[0]", "-1", "7", "1e5000"]
 
 P1_DOC = """
 {
@@ -221,22 +228,47 @@ class TestInstanceDocuments:
                 parse_instance_document(json.dumps(doc))
 
     def test_non_index_entries_are_rejected_with_their_path(self):
-        for entry in (True, "0", 0.5, None, [0]):
+        problem, _ = make_builtin("multiclass:binary-constants")
+        for entry, shown, reason in (
+            (True, "True", "non-int"),
+            ("0", "'0'", "non-int"),
+            (0.5, "Fraction(1, 2)", "non-int"),
+            (None, "None", "non-int"),
+            ([0], "[0]", "non-int"),
+            (-1, "-1", "out-of-range"),
+            (7, "7", "out-of-range"),
+        ):
             doc = json.loads(P1_DOC)
             doc["hypotheses"][1] = [entry]
-            with pytest.raises(ValidationError, match="^/hypotheses/1/0: expected an index$"):
+            message = f"/hypotheses: hypothesis 1 predicts {reason} index {shown} at x=0"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 parse_instance_document(json.dumps(doc))
-            for key in ("x", "y"):
+            stream_reason = "out of range" if reason == "out-of-range" else "is not an int"
+            for key, name in (("x", "instance"), ("y", "label")):
                 item = {"x": 0, "y": 0} | {key: entry}
                 text = json.dumps({"stream": [{"x": 0, "y": 0}, item]})
-                with pytest.raises(ValidationError, match=f"^/stream/1/{key}: expected an index$"):
-                    parse_stream_document(text)
+                message = f"/stream: round 2: {name} index {shown} {stream_reason}"
+                with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                    parse_stream_document(text, problem)
 
     def test_hypothesis_index_out_of_range_path(self):
         doc = json.loads(P1_DOC)
         doc["hypotheses"][1] = [7]
-        with pytest.raises(ValidationError, match="/hypotheses/1/0"):
+        message = "^/hypotheses: hypothesis 1 predicts out-of-range index 7 at x=0$"
+        with pytest.raises(ValidationError, match=message):
             parse_instance_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("literal", REFUSED_INDEX_LITERALS)
+    def test_a_refused_table_entry_gets_the_class_rules_error(self, literal):
+        # The parser checks no table entry itself: the refusal is the one
+        # HypothesisClass or validate_problem gives, behind the JSON prefix.
+        problem, _ = make_builtin("multiclass:binary-constants")
+        value = json.loads(literal, parse_float=F)
+        with pytest.raises(ValidationError) as direct:
+            validate_problem(problem, HypothesisClass(((0,), (value,))))
+        with pytest.raises(ValidationError) as parsed:
+            parse_instance_document(P1_DOC.replace("[[0], [1]]", f"[[0], [{literal}]]"))
+        assert str(parsed.value) == f"/hypotheses: {direct.value}"
 
     def test_negative_loss_rejected(self):
         doc = json.loads(P1_DOC)
@@ -267,22 +299,25 @@ class TestStreamDocuments:
         assert [(ex.x, ex.y, ex.eps) for ex in stream] == [(0, 1, None), (0, 0, None)]
         canonical = serialize_stream(stream)
         assert parse_stream_document(canonical, problem) == stream
-        assert serialize_stream(parse_stream_document(canonical)) == canonical
+        assert serialize_stream(parse_stream_document(canonical, problem)) == canonical
 
     def test_thresholds_parse_exactly(self):
+        problem, _ = make_builtin("multiclass:binary-constants")
         text = '{"stream": [{"x": 0, "y": 1, "eps": "1/3"}]}'
-        stream = parse_stream_document(text)
+        stream = parse_stream_document(text, problem)
         assert stream[0].eps == F(1, 3)
 
     def test_missing_label_path(self):
+        problem, _ = make_builtin("multiclass:binary-constants")
         text = '{"stream": [{"x": 0, "y": 0}, {"x": 0, "y": 0}, {"x": 0}]}'
-        with pytest.raises(ValidationError, match="/stream/2"):
-            parse_stream_document(text)
+        with pytest.raises(ValidationError, match="^/stream/2: missing key 'y'$"):
+            parse_stream_document(text, problem)
 
     def test_negative_threshold_rejected(self):
+        problem, _ = make_builtin("multiclass:binary-constants")
         text = '{"stream": [{"x": 0, "y": 0, "eps": "-1/4"}]}'
-        with pytest.raises(ValidationError, match="/stream/0/eps"):
-            parse_stream_document(text)
+        with pytest.raises(ValidationError, match=r"^/stream: round 1: threshold -1/4 outside \[0, 1\]$"):
+            parse_stream_document(text, problem)
 
     def test_out_of_range_index_with_problem(self):
         problem, _ = make_builtin("multiclass:binary-constants")
@@ -291,8 +326,35 @@ class TestStreamDocuments:
             parse_stream_document(text, problem)
 
     def test_invalid_json_reported(self):
+        problem, _ = make_builtin("multiclass:binary-constants")
         with pytest.raises(ValidationError, match="invalid JSON"):
-            parse_stream_document("{nope")
+            parse_stream_document("{nope", problem)
+
+    @pytest.mark.parametrize("key", ["x", "y"])
+    @pytest.mark.parametrize("literal", REFUSED_INDEX_LITERALS)
+    def test_a_refused_stream_index_gets_the_stream_rules_error(self, literal, key):
+        # The parser checks no index itself: the refusal is the one
+        # make_stream(items, problem) gives, behind the JSON prefix.
+        problem, _ = make_builtin("multiclass:binary-constants")
+        value = json.loads(literal, parse_float=F)
+        example = {"x": 0, "y": 0} | {key: value}
+        with pytest.raises(ValidationError) as direct:
+            make_stream([ThresholdedExample(0, 0), ThresholdedExample(**example)], problem)
+        other = "y" if key == "x" else "x"
+        text = f'{{"stream": [{{"x": 0, "y": 0}}, {{"{key}": {literal}, "{other}": 0}}]}}'
+        with pytest.raises(ValidationError) as parsed:
+            parse_stream_document(text, problem)
+        assert str(parsed.value) == f"/stream: {direct.value}"
+
+    @pytest.mark.parametrize("eps", ["-1/4", "3/2", "-1e5000", "1e5000"])
+    def test_a_refused_threshold_gets_the_stream_rules_error(self, eps):
+        problem, _ = make_builtin("multiclass:binary-constants")
+        with pytest.raises(ValidationError) as direct:
+            make_stream([(0, 0, "1"), (0, 1, eps)], problem)
+        text = f'{{"stream": [{{"x": 0, "y": 0, "eps": "1"}}, {{"x": 0, "y": 1, "eps": "{eps}"}}]}}'
+        with pytest.raises(ValidationError) as parsed:
+            parse_stream_document(text, problem)
+        assert str(parsed.value) == f"/stream: {direct.value}"
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -302,8 +364,11 @@ class TestStreamDocuments:
              r"round 2: threshold 3/2 outside \[0, 1\]"),
             ('{"x": 0, "y": 0}, {"x": 0, "y": 1, "eps": "1"}',
              r"round 2: thresholds must be present on every stream element or on none"),
+            ('{"x": 0, "y": 9}, {"x": true, "y": 0}', r"round 1: label index 9 out of range"),
+            ('{"x": 0, "y": 9, "eps": "1"}, {"x": 0, "y": 0, "eps": "-1/4"}',
+             r"round 1: label index 9 out of range"),
         ],
-        ids=["instance", "threshold", "mixed"],
+        ids=["instance", "threshold", "mixed", "round-order-index", "round-order-threshold"],
     )
     def test_stream_errors_carry_the_stream_path_and_round(self, entries, message):
         problem, _ = make_builtin("multiclass:binary-constants")
@@ -312,11 +377,12 @@ class TestStreamDocuments:
 
     def test_tuples_lists_and_examples_serialize_alike(self):
         # serialize_stream once read .x and .eps, and raised AttributeError on a tuple.
+        problem, _ = make_builtin("multiclass:binary-constants")
         for rows in ([(0, 1), (0, 0)], [(0, 1, "1/2"), (0, 0, F(0))]):
             examples = [ThresholdedExample(*row[:2], *map(F, row[2:])) for row in rows]
             texts = {serialize_stream(stream) for stream in (rows, [list(r) for r in rows], examples)}
             assert len(texts) == 1
-            assert parse_stream_document(texts.pop()) == tuple(examples)
+            assert parse_stream_document(texts.pop(), problem) == tuple(examples)
 
 
 def reference_json(doc) -> str:
@@ -417,9 +483,10 @@ class TestCanonicalJson:
         certs += [sub, zero]
         for cert in certs:
             assert cert.to_json() == reference_json(certificate_document(cert))
+        binary, _ = make_builtin("multiclass:binary-constants")
         for items in ('{"x": 0, "y": 1, "eps": "1/3"}, {"x": 0, "y": 0, "eps": "0"}',
                       '{"x": 0, "y": 1}, {"x": 0, "y": 0}'):
-            text = serialize_stream(parse_stream_document(f'{{"stream": [{items}]}}'))
+            text = serialize_stream(parse_stream_document(f'{{"stream": [{items}]}}', binary))
             assert text == reference_json(json.loads(text))
 
     def test_encode_identifier_forms(self):
