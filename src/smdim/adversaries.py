@@ -28,6 +28,7 @@ from .core import (
     ProtocolError,
     ValidationError,
     check_count,
+    format_value,
     make_stream,
     scaled_expected_loss,
     validate_problem,
@@ -168,7 +169,7 @@ def rademacher_stream(witness: SqrtTWitness, signs: Sequence[int]) -> tuple:
     for s in signs:
         # A bool equals 1 or 0 but is not a sign, as `check_count` refuses one.
         if type(s) is not int or s not in (1, -1):
-            raise ValidationError(f"signs must be +1 or -1, got {s!r}")
+            raise ValidationError(f"signs must be +1 or -1, got {format_value(s)}")
         examples.append((witness.x, witness.y_plus if s == 1 else witness.y_minus))
     return make_stream(examples)
 

@@ -34,7 +34,6 @@ from .core import (
     ValidationError,
     VersionSpace,
     format_rational,
-    parse_rational,
 )
 from .dimensions import (
     DimensionEngine,
@@ -196,11 +195,7 @@ def _load_instance(args):
 def _parse_gammas(text: str):
     if not text:
         raise ValidationError("--gamma must not be empty")
-    out = []
-    for token in text.split(","):
-        value = parse_rational(token.strip())
-        out.append(GammaValue.strict_zero() if value == 0 else GammaValue.of(value))
-    return out
+    return [GammaValue.of(token) for token in text.split(",")]
 
 
 def _require_gamma(args, why: str) -> GammaValue:
@@ -232,7 +227,7 @@ def _cmd_dim(args) -> int:
         elif name == "msdim":
             value = msdim(problem, cls, space, gv, args.memo_cap)
         else:
-            value = seqfat(problem, cls, space, gv.gamma)
+            value = seqfat(problem, cls, space, gv)
         results.append((gv, value))
     doc = {
         "dimension": name,

@@ -129,7 +129,7 @@ class Problem:
             )
         bound = self.declared_bound
         if not isinstance(bound, Fraction):
-            raise ValidationError(f"declared bound {bound!r} is not a Fraction")
+            raise ValidationError(f"declared bound {format_value(bound)} is not a Fraction")
         # The largest entry so far, as `largest` finds it, and never above the
         # bound, so an entry no larger than it is within the bound too. A
         # negative bound starts it, so the first entry is checked against it.
@@ -142,7 +142,7 @@ class Problem:
                 )
             for z, v in enumerate(row):
                 if not isinstance(v, Fraction):
-                    raise ValidationError(f"loss[{y}][{z}] = {v!r} is not a Fraction")
+                    raise ValidationError(f"loss[{y}][{z}] = {format_value(v)} is not a Fraction")
                 if v.numerator < 0:
                     raise ValidationError(f"negative loss at [{y}][{z}]: {format_rational(v)}")
                 if exceeds(v, top):
@@ -235,13 +235,13 @@ class VersionSpace:
         prev = None
         for m in self.members:
             if type(m) is not int:
-                raise ValidationError(f"hypothesis index {m!r} is not an int")
+                raise ValidationError(f"hypothesis index {format_value(m)} is not an int")
             if prev is not None and m <= prev:
                 raise ValidationError("version space members must be strictly increasing")
             prev = m
         # Members ascend, so the first is the smallest.
         if self.members and self.members[0] < 0:
-            raise ValidationError(f"negative hypothesis index {self.members[0]}")
+            raise ValidationError(f"negative hypothesis index {format_rational(self.members[0])}")
 
     @classmethod
     def of(cls, members: Iterable[int]) -> "VersionSpace":
@@ -287,7 +287,7 @@ class Mixture:
         weights = tuple(self.weights or ())
         for w in weights:
             if not isinstance(w, Fraction):
-                raise ValidationError(f"mixture weight {w!r} is not a Fraction")
+                raise ValidationError(f"mixture weight {format_value(w)} is not a Fraction")
         object.__setattr__(self, "weights", weights)
         den, (scaled,) = scaled_loss((weights,))
         self._settle(scaled, den)
@@ -309,11 +309,12 @@ class Mixture:
         check_count("mixture denominator", den, low=1)
         for s in numerators:
             if type(s) is not int:
-                raise ValidationError(f"mixture weight {s!r} is not a Fraction")
+                raise ValidationError(f"mixture weight {format_value(s)} is not a Fraction")
             if s < 0:
-                raise ValidationError(f"negative mixture weight {Fraction(s, den)}")
+                raise ValidationError(f"negative mixture weight {format_rational(Fraction(s, den))}")
         if sum(numerators) != den:
-            raise ValidationError(f"mixture weights sum to {Fraction(sum(numerators), den)}, expected 1")
+            total = format_rational(Fraction(sum(numerators), den))
+            raise ValidationError(f"mixture weights sum to {total}, expected 1")
         # The numerators sum to den, so their gcd divides it.
         g = math.gcd(*numerators)
         vars(self).update(den=den // g, scaled=tuple(s // g for s in numerators))
@@ -359,9 +360,9 @@ class Candidate:
 
     def __post_init__(self):
         if not isinstance(self.threshold, Fraction):
-            raise ValidationError(f"candidate threshold {self.threshold!r} is not a Fraction")
+            raise ValidationError(f"candidate threshold {format_value(self.threshold)} is not a Fraction")
         if self.threshold.numerator < 0:
-            raise ValidationError(f"negative candidate threshold {self.threshold}")
+            raise ValidationError(f"negative candidate threshold {format_rational(self.threshold)}")
 
 
 @dataclass(frozen=True)
@@ -392,7 +393,7 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
     try:
         items = iter(items)
     except TypeError:
-        raise ValidationError(f"a stream must be iterable, got {items!r}") from None
+        raise ValidationError(f"a stream must be iterable, got {format_value(items)}") from None
     out = []
     for t, item in enumerate(items, 1):
         if isinstance(item, ThresholdedExample):
@@ -406,7 +407,7 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
                     raise ValidationError(f"round {t}: {exc}") from exc
             item = make_record(ThresholdedExample, x=x, y=y, eps=eps)
         else:
-            raise ValidationError(f"round {t}: stream element {item!r} is not (x, y) or (x, y, eps)")
+            raise ValidationError(f"round {t}: stream element {format_value(item)} is not (x, y) or (x, y, eps)")
         if problem is not None:
             check_instance(problem, t, x)
             check_feedback(problem, t, y, eps)
@@ -449,7 +450,7 @@ def check_threshold(eps, bound: Fraction, t: Optional[int] = None):
     """
     where = "" if t is None else f"round {t}: "
     if not isinstance(eps, Fraction):
-        raise ValidationError(f"{where}threshold {eps!r} is not a Fraction")
+        raise ValidationError(f"{where}threshold {format_value(eps)} is not a Fraction")
     if eps.numerator < 0 or exceeds(eps, bound):
         raise ValidationError(f"{where}threshold {format_rational(eps)} outside [0, {format_rational(bound)}]")
 
@@ -459,9 +460,9 @@ def check_count(name: str, value, low: int = 0):
     `low`. Its type must be int itself, as for `check_index`: a bool is an int
     in Python, and is refused."""
     if type(value) is not int:
-        raise ValidationError(f"{name} must be an int, got {value!r}")
+        raise ValidationError(f"{name} must be an int, got {format_value(value)}")
     if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
+        raise ValidationError(f"{name} must be >= {low}, got {format_rational(value)}")
 
 
 def exceeds(a: Fraction, b: Fraction) -> bool:
@@ -533,7 +534,9 @@ def validate_problem(problem: Problem, cls: HypothesisClass):
         for h, row in enumerate(cls.table):
             for x, z in enumerate(row):
                 if z >= num_predictions:
-                    raise ValidationError(f"hypothesis {h} predicts out-of-range index {z} at x={x}")
+                    raise ValidationError(
+                        f"hypothesis {h} predicts out-of-range index {format_rational(z)} at x={x}"
+                    )
     return problem, cls
 
 
@@ -564,7 +567,7 @@ def scaled_expected_loss(problem: Problem, mixture: Mixture, y: int) -> int:
     has predictions.
     """
     if not isinstance(mixture, Mixture):
-        raise ValidationError(f"prediction {mixture!r} is not a Mixture")
+        raise ValidationError(f"prediction {format_value(mixture)} is not a Mixture")
     check_index("label", y, problem.num_labels)
     row = problem.scaled_loss[1][y]
     if len(mixture.scaled) != len(row):

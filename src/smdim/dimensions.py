@@ -1,11 +1,11 @@
 """Shattering dimensions of finite hypothesis classes, with replayable certificates.
 
 The central notion: a version space V is shatterable to depth d >= 1 at margin
-gamma when some instance x lets an adversary keep the game going, meaning
+gamma >= 0 when some instance x lets an adversary keep the game going, meaning
 
     min over mixtures mu of  max over qualifying (y, eps) of
-        expected_loss(mu, y) - eps   reaches gamma
-    (strictly above 0 in the strict gamma = 0 variant),
+        expected_loss(mu, y) - eps   reaches gamma and is above 0
+    (so gamma = 0 is the strict margin: the value is above 0),
 
 where (y, eps) qualifies when the restricted child space {h in V :
 loss(y, h(x)) <= eps} is itself shatterable to depth d - 1. The restriction is
@@ -78,7 +78,7 @@ Those tables do not depend on gamma: an LP row is fixed by (label,
 threshold), and gamma only decides which rows qualify. So `_tables` builds
 the margin-free part once per (problem, class) pair (the threshold steps,
 each row's integer values at the pure predictions, the table of solved
-games, the table of game values kernels proved and each row's `Candidate`),
+games, the table of game values and each row's `Candidate`),
 and every engine on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
 solve each LP once. One module-level slot holds the last
@@ -93,41 +93,43 @@ bound, the best row's payoff against it, and any adversary mixture a lower
 bound, its least payoff over the pure predictions. The engine tries four
 mixtures, in this order:
 
-- a pure prediction z refutes the game when every row at z misses gamma
-  (is at most 0 when strict);
+- a pure prediction z refutes the game when every row at z misses the
+  margin;
 - the uniform mixture over all the game's rows certifies it when their mean
-  reaches gamma (is above 0 when strict) at every z;
+  reaches the margin at every z;
 - a uniform pair of predictions refutes it when every row's mean over the
-  pair misses gamma;
+  pair misses the margin;
 - a uniform pair of the game's rows certifies it when their mean reaches
-  gamma at every z.
+  the margin at every z.
 
-All four are tested on integer rows over the loss denominator by one rule
-(`_cut`). They decided every game the recursion met on the dim-cold
-benchmark's seeds 1 and 3 and on the test grids of that shape. Every margin
-decision of the engine goes through one path, `_passes`: it reads the
-engine's verdict memo, then the bounds, and reads the value of only the games
-they leave undecided, so each distinct game is decided once per engine. The
-recursion (`_branch`) and Mrsoa's level sweep (`mixture`) both call it.
+A value reaches the margin when it is at least gamma and above 0, which at
+gamma = 0 is above 0 alone. All four are tested on integer rows over the loss
+denominator by one rule (`_cut`). They decided every game the recursion met
+on the dim-cold benchmark's seeds 1 and 3 and on the test grids of that
+shape. Every margin decision of the engine goes through one path,
+`_passes`: it reads the engine's verdict memo, then the bounds, and reads the
+value of only the games they leave undecided, so each distinct game is
+decided once per engine. The recursion (`_branch`) and Mrsoa's level sweep
+(`mixture`) both call it.
 
 A decided game is not solved, and a game whose value is read is solved only
 when no small kernel proves that value. `value()`, which `certificate()`
-calls for each node and `_passes` for an undecided game, reads the solved
-game if there is one, else a value a kernel proved before, else proves it by
-`game.kernel_value` on the same integer rows (a learner mixture over two
-predictions and an adversary mixture over at most two rows that pay the same
-number, checked exactly at every prediction), and solves the game only when
-no such kernel exists. Node values are exact game values whichever route
-gave them. Only `mixture()` solves a game to read its mixture, the one it
-plays, so Mrsoa's mixtures are the simplex's. On the dim-cold benchmark's
-seeds 1 and 3 kernels proved every node value, so there the engine solves
-no game outside `mixture()`. The oracles below use neither the bounds nor
-the kernels.
+calls for each node and `_passes` for an undecided game, reads the pair's one
+table of values, and on a miss proves the value by `game.kernel_value` on the
+same integer rows (a learner mixture over two predictions and an adversary
+mixture over at most two rows that pay the same number, checked exactly at
+every prediction), solves the game only when no such kernel exists, and
+stores the value in that table either way. Node values are exact game values
+whichever route gave them. Only `mixture()` solves a game to read its
+mixture, the one it plays, so Mrsoa's mixtures are the simplex's. On the
+dim-cold benchmark's seeds 1 and 3 kernels proved every node value, so
+there the engine solves no game outside `mixture()`. The oracles below use
+neither the bounds nor the kernels.
 
 Depth is capped at |V| - 1: against the Dirac mixture on any surviving
 hypothesis's prediction, a qualifying candidate needs a loss strictly below
-(margin gamma below, in the non-strict case) the played one, so every branch
-excludes the played hypothesis. The same argument caps the strict variant.
+the played one (at least gamma below, and above 0), so every branch excludes
+the played hypothesis.
 
 `smdim` is the dimension under an arbitrary loss matrix, `ldim_k` the zero-loss
 branching dimension for {0,1} losses (k+1 labels per node), `seqfat` the
@@ -184,6 +186,7 @@ from .core import (
     check_index,
     exceeds,
     format_rational,
+    format_value,
     parse_rational,
     scaled_loss,
     validate_problem,
@@ -198,22 +201,23 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class GammaValue:
-    """A shattering margin: either a positive rational, or the strict-zero variant."""
+    """A shattering margin gamma >= 0. A game passes when its value reaches
+    gamma and is above 0, so gamma = 0 is the strict margin: the value must
+    be above 0."""
 
     gamma: Fraction
-    strict: bool = False
 
     def __post_init__(self):
         if not isinstance(self.gamma, Fraction):
-            raise ValidationError(f"gamma {self.gamma!r} is not a Fraction")
+            raise ValidationError(f"gamma {format_value(self.gamma)} is not a Fraction")
         # The sign of a Fraction is its numerator's.
-        sign = self.gamma.numerator
-        if sign < 0:
+        if self.gamma.numerator < 0:
             raise ValidationError(f"negative gamma {format_rational(self.gamma)}")
-        if self.strict and sign:
-            raise ValidationError("strict mode is only defined for gamma = 0")
-        if not self.strict and not sign:
-            raise ValidationError("gamma = 0 requires the strict variant")
+
+    @property
+    def strict(self) -> bool:
+        """Whether this is the strict margin, gamma = 0."""
+        return self.gamma.numerator == 0
 
     @classmethod
     def of(cls, value: Union["GammaValue", RationalLike]) -> "GammaValue":
@@ -223,17 +227,15 @@ class GammaValue:
 
     @classmethod
     def strict_zero(cls) -> "GammaValue":
-        return cls(Fraction(0), strict=True)
+        return cls(Fraction(0))
 
     def describe(self) -> str:
         return "0 (strict)" if self.strict else format_rational(self.gamma)
 
     def passes(self, value: Fraction) -> bool:
-        """Whether a game value reaches this margin: > 0 when strict, else >=
+        """Whether a game value reaches this margin: above 0 and at least
         gamma, read in integers (`exceeds`)."""
-        if self.strict:
-            return value.numerator > 0
-        return not exceeds(self.gamma, value)
+        return value.numerator > 0 and not exceeds(self.gamma, value)
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,8 @@ class ShatteringCertificate:
     def node(self, space: VersionSpace, depth: int) -> CertificateNode:
         key = (space.members, depth)
         if key not in self.nodes:
-            raise ValidationError(f"certificate has no node for space {space.members} depth {depth}")
+            members, depth = format_value(space.members), format_value(depth)
+            raise ValidationError(f"certificate has no node for space {members} depth {depth}")
         return self.nodes[key]
 
     def to_json(self) -> str:
@@ -314,25 +317,27 @@ class DimensionEngine:
     is keyed by (mask, depth) and is shared by every query against this
     engine, so learners that probe many sub-spaces of the same class reuse all
     prior work. Each entry is (instance, LP row ids) for the node chosen
-    there, the ids being the key of its game in `games` (`qualifying_rows`),
-    or None when the space is not shatterable to that depth. The node's value
-    is `value(ids)`, and `certificate()` lists the candidates of those ids.
-    Lookups are idempotent pure values:
-    concurrent readers are safe, and a duplicated insert computes the same
-    entry. The number of distinct version spaces visited is capped
-    (`memo_cap`, or the SMDIM_MEMO_CAP environment variable) and exceeding the
-    cap raises BudgetError rather than thrashing.
+    there, the ids being the key of its game in `games` and `values`
+    (`qualifying_rows`), or None when the space is not shatterable to that
+    depth. The node's value is `value(ids)`, and `certificate()` lists the
+    candidates of those ids. Lookups are idempotent pure values: concurrent
+    readers are safe, and a duplicated insert computes the same entry. The
+    number of distinct version spaces visited is capped (`memo_cap`, or the
+    SMDIM_MEMO_CAP environment variable) and exceeding the cap raises
+    BudgetError rather than thrashing.
 
     Each distinct LP row, one per (label, threshold) realized over the class,
     has a small integer id, and `_pure[row_id]` holds its values at the pure
     predictions as integers over `_den`, the loss denominator; the threshold
     steps hold each threshold as an integer over `_den` too, its key
     (`_tables`). `games` holds the solved min-max games keyed by the tuple of
-    row ids (`game`), and `values` the game values a two-point kernel proved,
-    by the same keys (`value`). The recursion and `mixture` both decide a
-    game's margin by `_passes`, which reads a private verdict memo keyed by
-    the row ids, then tries the exact bounds (`_pure_verdict`, module
-    docstring), and reads the game's value only when they leave it undecided.
+    row ids (`game`), for their mixtures, and `values` every game value the
+    engine worked out, by the same keys, whether a two-point kernel proved it
+    or the simplex solved the game (`value`). The recursion and `mixture`
+    both decide a game's margin by `_passes`, which reads a private verdict
+    memo keyed by the row ids, then tries the exact bounds (`_pure_verdict`,
+    module docstring), and reads the game's value only when they leave it
+    undecided.
     The engine's own part of the bounds is, per row, the mask of predictions
     where the row is under the margin, built with the engine; the pair bounds
     are computed per game, on first use. `games`, `values`, the rows' integer
@@ -538,17 +543,15 @@ class DimensionEngine:
         return sol
 
     def value(self, ids: tuple) -> Fraction:
-        """The value of the game over the rows `ids`: a solved game's from
-        `games`, else from `values`, else the value a two-point kernel proves
-        (`kernel_value`), stored in `values`, else the solved game's."""
-        sol = self.games.get(ids)
-        if sol is not None:
-            return sol.value
+        """The value of the game over the rows `ids`, read from `values`, the
+        one table of values. On a miss it is the value a two-point kernel
+        proves (`kernel_value`), else the solved game's (`game`), and is
+        stored in `values` either way."""
         value = self.values.get(ids)
         if value is None:
             value = kernel_value([self._pure[i] for i in ids], self._den)
             if value is None:
-                return self.game(ids).value
+                value = self.game(ids).value
             self.values[ids] = value
         return value
 
@@ -678,13 +681,12 @@ class DimensionEngine:
 
     def _cut(self, k: int) -> int:
         """The one margin rule of the bounds: the mean of k entries of `_pure`,
-        integers over `_den`, reaches the margin (gamma, or above 0 when
-        strict) exactly when their sum is at least this integer, which is
-        ceil(k * gamma * den), or 1 when strict."""
-        gv = self.gamma
-        if gv.strict:
-            return 1
-        return -(-k * gv.gamma.numerator * self._den // gv.gamma.denominator)
+        integers over `_den`, reaches the margin exactly when their sum is at
+        least this integer, max(1, ceil(k * gamma * den)). For gamma > 0 the
+        ceiling is already at least 1; at gamma = 0 it is 0, and the sum must
+        be above 0."""
+        gamma = self.gamma.gamma
+        return -(-k * gamma.numerator * self._den // gamma.denominator) or 1
 
     def _pure_verdict(self, ids: tuple) -> Optional[bool]:
         """False when a learner mixture over one or two predictions refutes
@@ -741,9 +743,9 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     A row depends only on (label, threshold), so instances share it, and
     pure[row_id] holds its value at each pure prediction z times den,
     (loss[y][z] - eps) * den. games holds the solved games by row-id tuple,
-    and values the values of games a two-point kernel proved
-    (`kernel_value`), by the same keys. candidates holds each row's
-    `Candidate(y, Fraction(key, den))` by row id, filled on first use
+    and values every game value an engine worked out, kernel-proved or
+    solved (`DimensionEngine.value`), by the same keys. candidates holds each
+    row's `Candidate(y, Fraction(key, den))` by row id, filled on first use
     (`DimensionEngine._candidate`), so certificates and the `candidates`
     accessor build one per row, and an engine that writes neither builds
     none. The one slot is keyed by identity, not value: equal pairs parsed
@@ -831,7 +833,7 @@ def seqfat(
     problem: Problem,
     cls: HypothesisClass,
     space: VersionSpace,
-    gamma: RationalLike,
+    gamma: Union[GammaValue, RationalLike],
 ) -> int:
     """Sequential fat-shattering dimension at width gamma on a numeric grid.
 
@@ -846,9 +848,10 @@ def seqfat(
     """
     validate_problem(problem, cls)
     root = _space_mask(cls, space)
-    gamma = parse_rational(gamma)
-    if gamma.numerator <= 0:
-        raise ValidationError(f"seqfat needs gamma > 0, got {gamma}")
+    gv = GammaValue.of(gamma)
+    if gv.strict:
+        raise ValidationError("seqfat needs gamma > 0, not the strict margin 0")
+    gamma = gv.gamma
     if problem.labels != problem.predictions:
         raise ValidationError("seqfat needs a regression grid with Y = Z")
     try:
@@ -916,8 +919,8 @@ def msdim_direct(
     """Set-valued-label dimension recomputed from its definition.
 
     Depth d+1 needs an instance x such that every mixture gives some label set
-    y with mass >= gamma outside y (> 0 in strict mode) whose member child
-    {h : loss(y, h(x)) = 0} has depth d. Independent of the threshold
+    y whose mass outside y reaches the margin (`GammaValue.passes`) and whose
+    member child {h : loss(y, h(x)) = 0} has depth d. Independent of the threshold
     enumeration used by `msdim`; used to cross-check it.
     """
     validate_problem(problem, cls)
@@ -975,9 +978,9 @@ def _space_mask(cls: HypothesisClass, space: VersionSpace) -> int:
     """The bitmask of a caller's `VersionSpace`, after checking it fits the
     class: the engine's entry points and the three oracles all convert here."""
     if not isinstance(space, VersionSpace):
-        raise ValidationError(f"expected a VersionSpace, got {space!r}")
+        raise ValidationError(f"expected a VersionSpace, got {format_value(space)}")
     if space.members and space.members[-1] >= cls.num_hypotheses:
-        raise ValidationError(f"hypothesis index {space.members[-1]} out of range")
+        raise ValidationError(f"hypothesis index {format_rational(space.members[-1])} out of range")
     return to_mask(space.members)
 
 
@@ -1030,4 +1033,4 @@ def _check_binary_loss(problem: Problem):
         for z, v in enumerate(row):
             # Integer reads: a loss is a Fraction in lowest terms.
             if v.denominator != 1 or v.numerator not in (0, 1):
-                raise ValidationError(f"loss[{y}][{z}] = {v} is not in {{0, 1}}")
+                raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Mixture, ValidationError, make_record
+from .core import Mixture, ValidationError, format_value, make_record
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class AffineRow:
             raise ValidationError("affine row with no coefficients")
         for v in self.coefficients:
             if not isinstance(v, Fraction):
-                raise ValidationError(f"row coefficient {v!r} is not a Fraction")
+                raise ValidationError(f"row coefficient {format_value(v)} is not a Fraction")
         if not isinstance(self.offset, Fraction):
-            raise ValidationError(f"row offset {self.offset!r} is not a Fraction")
+            raise ValidationError(f"row offset {format_value(self.offset)} is not a Fraction")
 
     def value_at(self, mixture: Mixture) -> Fraction:
         """offset + sum of w * v over paired weights and coefficients, exactly,

@@ -89,7 +89,7 @@ def regression_instance(grid=("-1", "0", "1"), hypothesis_values=("-1", "1")):
     try:
         cls = HypothesisClass(tuple((index[v],) for v in hvals))
     except KeyError as exc:
-        raise ValidationError(f"hypothesis value {exc.args[0]} not on the grid") from exc
+        raise ValidationError(f"hypothesis value {format_rational(exc.args[0])} not on the grid") from exc
     return make_problem(("x0",), values, values, loss), cls
 
 
@@ -106,7 +106,7 @@ def multilabel_instance(k: int = 2, constants=((0, 0), (1, 1))):
     try:
         cls = HypothesisClass(tuple((index[tuple(cst)],) for cst in constants))
     except KeyError as exc:
-        raise ValidationError(f"constant {exc.args[0]} is not a length-{k} binary tuple") from exc
+        raise ValidationError(f"constant {format_value(exc.args[0])} is not a length-{k} binary tuple") from exc
     return make_problem(("x0",), ids, ids, loss, bound_c=1), cls
 
 
@@ -130,7 +130,7 @@ def vector_instance(points=((0, 0), (1, 0), (0, 1)), p: int = 1):
     elif p == 2:
         loss = [[sum((a - b) ** 2 for a, b in zip(y, z)) for z in ids] for y in ids]
     else:
-        raise ValidationError(f"unsupported norm p={p}; only p=1 and squared p=2 stay rational")
+        raise ValidationError(f"unsupported norm p={format_value(p)}; only p=1 and squared p=2 stay rational")
     cls = HypothesisClass(tuple((j,) for j in range(len(ids))))
     return make_problem(("x0",), ids, ids, loss), cls
 

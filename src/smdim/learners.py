@@ -60,6 +60,7 @@ from .core import (
     exceeds,
     expected_loss,
     format_rational,
+    format_value,
     parse_rational,
     scaled_loss,
     validate_problem,
@@ -78,9 +79,10 @@ def _engine_for(problem: Problem, cls: HypothesisClass, gamma, engine) -> Dimens
     `gamma` when none is given.
 
     An engine on another (problem, class) pair or margin than the learner was
-    given is refused, and so is the strict margin, which has no safe
-    mixtures. The pair is compared by identity, the rule `dimensions._tables`
-    keys by, so the engine's problem and class are the learner's.
+    given is refused, and so is gamma = 0, the strict margin, which has no
+    safe mixtures. The pair is compared by identity, the rule
+    `dimensions._tables` keys by, so the engine's problem and class are the
+    learner's.
     """
     if engine is None:
         if gamma is None:
@@ -93,7 +95,7 @@ def _engine_for(problem: Problem, cls: HypothesisClass, gamma, engine) -> Dimens
             f"gamma {GammaValue.of(gamma).describe()} differs from the engine's {engine.gamma.describe()}"
         )
     if engine.gamma.strict:
-        raise ValidationError("version-space learners need gamma > 0, not the strict variant")
+        raise ValidationError("version-space learners need gamma > 0, not the strict margin 0")
     return engine
 
 
@@ -226,11 +228,11 @@ def aggregate_mixture(
     total = 0
     for w, m in zip(weights, mixtures):
         if type(w) is not int and not isinstance(w, Fraction):
-            raise ValidationError(f"weight {w!r} is not an int or a Fraction")
+            raise ValidationError(f"weight {format_value(w)} is not an int or a Fraction")
         if w <= 0:
-            raise ValidationError(f"non-positive weight {w}")
+            raise ValidationError(f"non-positive weight {format_rational(w)}")
         if not isinstance(m, Mixture):
-            raise ValidationError(f"entry {m!r} is not a Mixture")
+            raise ValidationError(f"entry {format_value(m)} is not a Mixture")
         # The first entry is a Mixture by now.
         if len(m.scaled) != len(mixtures[0].scaled):
             raise ValidationError(f"mixtures of {len(mixtures[0])} and {len(m)} entries")

@@ -38,6 +38,7 @@ from .core import (
     check_instance,
     expected_loss,
     format_rational,
+    format_value,
     make_record,
     make_stream,
     scaled_expected_loss,
@@ -185,7 +186,7 @@ def run_game(
     """
     validate_problem(problem, cls)
     if mode not in ("exact", "monte-carlo"):
-        raise ValidationError(f"mode must be 'exact' or 'monte-carlo', got {mode!r}")
+        raise ValidationError(f"mode must be 'exact' or 'monte-carlo', got {format_value(mode)}")
     if mode == "monte-carlo":
         check_count("trials", trials, low=2)
     is_stream = isinstance(source, (tuple, list))
@@ -197,7 +198,7 @@ def run_game(
         raise ValidationError("rounds is required when playing an adversary")
     check_count("rounds", rounds)
     if is_stream and rounds > len(stream):
-        raise ValidationError(f"asked for {rounds} rounds but the stream has {len(stream)}")
+        raise ValidationError(f"asked for {format_rational(rounds)} rounds but the stream has {len(stream)}")
 
     records = []
     for t in range(1, rounds + 1):

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import sys
 from dataclasses import fields
 from fractions import Fraction
 
@@ -29,8 +30,12 @@ from smdim.core import (
     scaled_loss,
     validate_problem,
 )
-from smdim.dimensions import GammaValue
-from smdim.instances import make_builtin
+from smdim.adversaries import find_sqrt_witness, rademacher_stream
+from smdim.dimensions import DimensionEngine, GammaValue, msdim, seqfat
+from smdim.game import AffineRow
+from smdim.instances import make_builtin, multilabel_instance, regression_instance, vector_instance
+from smdim.learners import UniformLearner, aggregate_mixture
+from smdim.simulation import run_game
 
 F = Fraction
 
@@ -201,7 +206,7 @@ class TestProblem:
         assert Candidate(0, F(0)).threshold == 0
         gamma = GammaValue.of(F(1, 4))
         passes = [gamma.passes(v) for v in (F(1, 4), F(1, 5), F(2, 7), F(-1))]
-        strict = [GammaValue.strict_zero().passes(v) for v in (F(0), F(1, 9), F(-1, 9))]
+        strict = [GammaValue(F(0)).passes(v) for v in (F(0), F(1, 9), F(-1, 9))]
         for call, message in (
             (
                 lambda: make_problem(("x0",), (0,), (0,), [["-1/2"]]),
@@ -213,11 +218,6 @@ class TestProblem:
             ),
             (lambda: Candidate(0, F(-1, 3)), r"^negative candidate threshold -1/3$"),
             (lambda: GammaValue(F(-1, 3)), r"^negative gamma -1/3$"),
-            (
-                lambda: GammaValue(F(1, 3), strict=True),
-                r"^strict mode is only defined for gamma = 0$",
-            ),
-            (lambda: GammaValue(F(0)), r"^gamma = 0 requires the strict variant$"),
         ):
             with pytest.raises(ValidationError, match=message):
                 call()
@@ -646,3 +646,71 @@ def test_mixture_sum_check_equals_a_fraction_sum(data):
         mixture = Mixture(weights)
         assert tuple(F(s, mixture.den) for s in mixture.scaled) == weights
         assert mixture.den == math.lcm(*(w.denominator for w in weights))
+
+
+def _one_point():
+    """A problem with one instance, label and prediction, its one hypothesis
+    and its full version space."""
+    return make_problem(("x0",), (0,), (0,), [[0]]), HypothesisClass(((0,),)), VersionSpace((0,))
+
+
+def _binary():
+    problem, cls = make_builtin("multiclass:binary-constants")
+    return problem, cls, VersionSpace.full(cls.num_hypotheses)
+
+
+def _binary_certificate():
+    problem, cls, full = _binary()
+    return DimensionEngine(problem, cls, F(1, 4)).certificate(full)
+
+
+# Every error message that names a value a library caller passed, each fed a
+# value whose str() raises past `sys.get_int_max_str_digits()`: an int of one
+# more digit, or a Fraction or tuple holding one.
+PAST_DIGIT_LIMIT = {
+    "Problem declared bound": lambda big: Problem(("x0",), (0,), (0,), ((F(0),),), declared_bound=big),
+    "Problem loss entry": lambda big: Problem(("x0",), (0,), (0,), ((big,),), declared_bound=F(1)),
+    "VersionSpace member type": lambda big: VersionSpace((F(big),)),
+    "VersionSpace negative member": lambda big: VersionSpace((-big,)),
+    "Mixture weight type": lambda big: Mixture((big,)),
+    "Mixture.from_scaled numerator type": lambda big: Mixture.from_scaled((F(big),), 1),
+    "Mixture.from_scaled negative numerator": lambda big: Mixture.from_scaled((-big, big + 1), 1),
+    "Mixture.from_scaled sum": lambda big: Mixture.from_scaled((big,), 1),
+    "Candidate threshold type": lambda big: Candidate(0, big),
+    "Candidate negative threshold": lambda big: Candidate(0, F(-big)),
+    "make_stream not iterable": lambda big: make_stream(big),
+    "make_stream element": lambda big: make_stream([big]),
+    "check_threshold type": lambda big: check_threshold(big, F(1)),
+    "check_count type": lambda big: core.check_count("rounds", F(big)),
+    "check_count low": lambda big: core.check_count("rounds", -big),
+    "validate_problem prediction": lambda big: validate_problem(_one_point()[0], HypothesisClass(((big,),))),
+    "scaled_expected_loss mixture": lambda big: core.scaled_expected_loss(_one_point()[0], big, 0),
+    "GammaValue type": lambda big: GammaValue(big),
+    "certificate node space": lambda big: _binary_certificate().node(VersionSpace((big,)), 1),
+    "certificate node depth": lambda big: _binary_certificate().node(VersionSpace((0, 1)), big),
+    "seqfat gamma": lambda big: seqfat(*make_builtin("regression:three-point"), VersionSpace((0,)), -big),
+    "space type": lambda big: DimensionEngine(*_binary()[:2], F(1, 4)).smdim(big),
+    "space member range": lambda big: DimensionEngine(*_binary()[:2], F(1, 4)).smdim(VersionSpace((big,))),
+    "binary loss": lambda big: msdim(
+        make_problem(("x0",), (0,), (0,), [[big]]), HypothesisClass(((0,),)), VersionSpace((0,)), F(1, 4)
+    ),
+    "AffineRow coefficient": lambda big: AffineRow((big,), F(0)),
+    "AffineRow offset": lambda big: AffineRow((F(0),), big),
+    "aggregate_mixture weight type": lambda big: aggregate_mixture(((big,),), (Mixture.uniform(2),)),
+    "aggregate_mixture weight sign": lambda big: aggregate_mixture((-big,), (Mixture.uniform(2),)),
+    "aggregate_mixture entry": lambda big: aggregate_mixture((1,), (big,)),
+    "run_game mode": lambda big: run_game(*_binary()[:2], UniformLearner(_binary()[0]), [(0, 0)], mode=big),
+    "run_game rounds": lambda big: run_game(*_binary()[:2], UniformLearner(_binary()[0]), [(0, 0)], rounds=big),
+    "rademacher_stream sign": lambda big: rademacher_stream(find_sqrt_witness(*_binary()[:2]), [big]),
+    "regression_instance value": lambda big: regression_instance(hypothesis_values=(F(1, big),)),
+    "multilabel_instance constant": lambda big: multilabel_instance(2, constants=((big, 0),)),
+    "vector_instance norm": lambda big: vector_instance(p=big),
+}
+
+
+@pytest.mark.parametrize("call", PAST_DIGIT_LIMIT.values(), ids=PAST_DIGIT_LIMIT.keys())
+def test_messages_name_values_past_the_int_digit_limit(call):
+    # With no limit set (0), a 4301-digit int stands in for one past it.
+    digits = sys.get_int_max_str_digits() or 4300
+    with pytest.raises(ValidationError):
+        call(10**digits)

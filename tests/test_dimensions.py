@@ -15,7 +15,7 @@ import random
 import re
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -215,15 +215,44 @@ def test_empty_space_rejected():
         engine.dim_members(0)
 
 
-class TestGammaValue:
-    def test_zero_requires_strict(self):
-        with pytest.raises(ValidationError):
-            GammaValue.of(0)
-        assert GammaValue.strict_zero().strict
+def _outcome(call):
+    """A route's value, or the message of the ValidationError it raised."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return str(exc)
 
-    def test_strict_requires_zero(self):
-        with pytest.raises(ValidationError):
-            GammaValue(F(1, 4), strict=True)
+
+class TestGammaValue:
+    def test_zero_is_the_strict_margin(self):
+        # gamma = 0 is the strict margin, however it is written; gamma is the
+        # one field, and `strict` is worked out from it.
+        assert GammaValue.of(0) == GammaValue(F(0)) == GammaValue.of("0") == GammaValue.strict_zero()
+        assert [f.name for f in fields(GammaValue)] == ["gamma"]
+        assert [GammaValue.of(g).strict for g in (0, F(1, 1000), F(1, 4), 2)] == [True, False, False, False]
+        with pytest.raises(TypeError):
+            GammaValue(F(0), strict=True)
+
+    def test_zero_and_strict_zero_give_the_same_bytes_on_every_builtin(self):
+        # Each margin gets engines of its own, so neither reads the other's
+        # memo or verdicts (the pair's margin-free tables are shared).
+        for name in builtin_names():
+            problem, cls = make_builtin(name)
+            full = VersionSpace.full(cls.num_hypotheses)
+            got = {}
+            for gamma in (0, GammaValue.strict_zero()):
+                got[gamma] = (
+                    smdim(problem, cls, full, gamma),
+                    _outcome(lambda: msdim(problem, cls, full, gamma)),
+                    DimensionEngine(problem, cls, gamma).certificate(full).to_json(),
+                )
+            assert got[0] == got[GammaValue.strict_zero()], name
+
+    @pytest.mark.parametrize("gamma", [0, "0", F(0), GammaValue.strict_zero(), -1, F(-1, 4)])
+    def test_seqfat_refuses_zero_and_negative_margins(self, gamma):
+        problem, cls = make_builtin("regression:three-point")
+        with pytest.raises(ValidationError, match=r"^(seqfat needs gamma > 0|negative gamma)"):
+            seqfat(problem, cls, VersionSpace.full(cls.num_hypotheses), gamma)
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -234,7 +263,7 @@ class TestGammaValue:
         assert GammaValue.of(F(1, 4)).describe() == "1/4"
 
     def test_passes_at_the_boundary(self):
-        # gamma itself passes; the strict variant needs a value above 0.
+        # gamma itself passes; the strict margin 0 needs a value above 0.
         gv = GammaValue.of(F(1, 4))
         assert gv.passes(F(1, 4)) and gv.passes(F(1, 2))
         assert not gv.passes(F(1, 4) - F(1, 1000))

@@ -296,9 +296,11 @@ class TestMrsoa:
             assert learner.version_space.members
 
     def test_strict_gamma_rejected(self):
+        # 0 is the strict margin, however it is given.
         problem, cls = make_builtin("multiclass:binary-constants")
-        with pytest.raises(ValidationError):
-            Mrsoa(problem, cls, GammaValue.strict_zero())
+        for gamma in (GammaValue.strict_zero(), 0, "0", F(0)):
+            with pytest.raises(ValidationError, match=r"^version-space learners need gamma > 0"):
+                Mrsoa(problem, cls, gamma)
 
     def test_needs_gamma_or_engine(self):
         problem, cls = make_builtin("multiclass:binary-constants")
