@@ -62,9 +62,11 @@ convert at the `VersionSpace` boundary. The engine precomputes, for each
 (x, y), the ascending thresholds realized over the whole class, each with the
 mask of hypotheses within it; a child of V is then `V & mask` (`restrict`),
 and a threshold is realized on V exactly when its child differs from the
-previous threshold's. Two walks apply that rule: `candidate_rows` lists every
-realized threshold, for certificates and the `candidates` accessor, and
-`qualifying_rows` scans them without building a list.
+previous threshold's. `candidate_rows` applies that rule to list every
+realized threshold, for certificates and the `candidates` accessor. The
+recursion's own scan, `qualifying_rows`, needs no such rule: a step whose
+child repeats the previous step's reads the memo entry that step wrote,
+which failed, so it adds nothing.
 
 Every threshold and every LP row is kept once, as integers over `den`, a
 common denominator of the losses: a threshold as its key, the threshold times
@@ -470,7 +472,6 @@ class DimensionEngine:
         its integer key, the threshold itself being `Fraction(key, den)`, and
         `_pure[row_id]` is the row's integer values. A label's list ends at
         its first child equal to `members`.
-        `qualifying_rows` walks the steps by the same rule without a list.
         """
         out = []
         for y, (keys, steps) in enumerate(self._steps[x]):
@@ -492,12 +493,16 @@ class DimensionEngine:
         label's other qualifying rows. The ids are those of each label's first
         entry in `candidate_rows` whose child is shatterable to `child_depth`.
 
-        The scan walks the threshold steps itself, by `candidate_rows`' rule
-        (a step counts when its child differs from the previous step's, and a
-        label ends at its first child equal to `members`), and builds no
-        list. It stops each label at its first qualifying child: every larger
-        realized threshold has a superset child, so it qualifies too (module
-        docstring), and its LP row is dominated. At `child_depth` 0 every
+        The scan walks every threshold step itself and builds no list. It
+        stops each label at its first qualifying child: every larger realized
+        threshold has a superset child, so it qualifies too (module
+        docstring), and its LP row is dominated. It also stops a label at its
+        first child equal to `members`, as `candidate_rows` does. A step whose
+        child equals the previous step's is no realized threshold, and needs
+        no test for it: it reads the memo key the previous step just wrote,
+        whose entry failed or the label would have stopped, or it is as small
+        as that child and skipped like it. So it adds no id, no memo entry
+        and no `_branch` call. At `child_depth` 0 every
         nonempty child qualifies, so the rows are each label's first step
         with a nonempty child (`_first_rows` at k = 0); there is one, since
         the last step holds the whole class. Above depth 0 the scan probes
@@ -512,21 +517,18 @@ class DimensionEngine:
         ids = []
         memo, branch = self._memo, self._branch
         for _, steps in self._steps[x]:
-            previous = 0
             for within, row_id in steps:
                 child = members & within
-                if child != previous:
-                    if child.bit_count() > child_depth:
-                        key = (child, child_depth)
-                        hit = memo.get(key, _MISSING)
-                        if hit is _MISSING:
-                            hit = memo[key] = branch(child, child_depth)
-                        if hit:
-                            ids.append(row_id)
-                            break
-                    if child == members:
+                if child.bit_count() > child_depth:
+                    key = (child, child_depth)
+                    hit = memo.get(key, _MISSING)
+                    if hit is _MISSING:
+                        hit = memo[key] = branch(child, child_depth)
+                    if hit:
+                        ids.append(row_id)
                         break
-                    previous = child
+                if child == members:
+                    break
         return tuple(ids)
 
     def game(self, ids: tuple) -> GameSolution:

@@ -6,6 +6,9 @@ rational grid, multilabel prediction under normalized Hamming loss, vector
 prediction under taxicab loss, and a three-point subset of a Hilbert ball
 under squared-norm loss. Each builder returns a (Problem, HypothesisClass)
 pair that fits by construction; each half checked itself when it was built.
+A family's preset is its builder called with no arguments, and its integer
+parameters are the builder's keywords (`make_builtin`). The builders that
+take a size refuse one past `BUILTIN_BUDGET` loss entries before building.
 
 File formats: an instance document carries identifier lists, the loss matrix,
 an optional loss bound, and the hypothesis table (prediction index per
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from json.encoder import encode_basestring
+from math import comb
 
 from .core import (
+    BudgetError,
     HypothesisClass,
     Problem,
     ThresholdedExample,
@@ -38,24 +43,42 @@ from .core import (
 )
 
 
-def multiclass_instance(num_labels: int = 2):
+# Most loss entries (labels x predictions) a parametric built-in may have;
+# each builder checks its size before it builds anything.
+BUILTIN_BUDGET = 1_000_000
+
+
+def _over_budget(name: str, entries: str) -> BudgetError:
+    return BudgetError(f"builtin {name} has {entries} loss entries, over the budget of {BUILTIN_BUDGET}")
+
+
+def multiclass_instance(m: int = 2):
     """0-1 loss over Y = Z = {0..m-1}; hypotheses are the m constant maps."""
-    if num_labels < 2:
+    if m < 2:
         raise ValidationError("multiclass needs at least two labels")
-    ids = tuple(range(num_labels))
+    if m * m > BUILTIN_BUDGET:
+        raise _over_budget(f"multiclass:m={format_rational(m)}", format_rational(m * m))
+    ids = tuple(range(m))
     loss = [[Fraction(0) if y == z else Fraction(1) for z in ids] for y in ids]
     cls = HypothesisClass(tuple((z,) for z in ids))
     return make_problem(("x0",), ids, ids, loss, bound_c=1), cls
 
 
-def list_instance(num_labels: int = 3, k: int = 2):
-    """List prediction: Z is the nonempty size-<=k subsets of Y, loss 1{y not in z}.
+def list_instance(n: int = 3, k: int = 2):
+    """List prediction: Z is the nonempty size-<=k subsets of Y = {0..n-1},
+    loss 1{y not in z}.
 
     Hypotheses are the singleton constants, one per label.
     """
-    if not 1 <= k < num_labels:
+    if not 1 <= k < n:
         raise ValidationError("list instance needs 1 <= k < |Y|")
-    labels = tuple(range(num_labels))
+    # Counted size by size, stopping past the budget: the first count, n
+    # singletons, is already past it for any n > 1000.
+    for count in accumulate(comb(n, size) for size in range(1, k + 1)):
+        if n * count > BUILTIN_BUDGET:
+            name = f"list:n={format_rational(n)},k={format_rational(k)}"
+            raise _over_budget(name, f"at least {format_rational(n * count)}")
+    labels = tuple(range(n))
     preds = tuple(
         subset
         for size in range(1, k + 1)
@@ -93,10 +116,16 @@ def regression_instance(grid=("-1", "0", "1"), hypothesis_values=("-1", "1")):
     return make_problem(("x0",), values, values, loss), cls
 
 
-def multilabel_instance(k: int = 2, constants=((0, 0), (1, 1))):
-    """Normalized Hamming loss over Y = Z = {0,1}^k; hypotheses are constants."""
+def multilabel_instance(k: int = 2, constants=None):
+    """Normalized Hamming loss over Y = Z = {0,1}^k; hypotheses are constants,
+    by default all zeros and all ones."""
     if k < 1:
         raise ValidationError("multilabel needs k >= 1")
+    # 4**k is computed only once k is small enough to be cheap.
+    if k > BUILTIN_BUDGET.bit_length() or 4**k > BUILTIN_BUDGET:
+        raise _over_budget(f"multilabel:k={format_rational(k)}", f"4^{format_rational(k)}")
+    if constants is None:
+        constants = ((0,) * k, (1,) * k)
     ids = tuple(product((0, 1), repeat=k))
     loss = [
         [Fraction(sum(1 for a, b in zip(y, z) if a != b), k) for z in ids]
@@ -135,38 +164,35 @@ def vector_instance(points=((0, 0), (1, 0), (0, 1)), p: int = 1):
     return make_problem(("x0",), ids, ids, loss), cls
 
 
-_PRESETS = {
-    "multiclass:binary-constants": lambda: multiclass_instance(2),
-    "list:singleton-constants": lambda: list_instance(3, 2),
-    "setvalued:pair": setvalued_instance,
-    "regression:three-point": lambda: regression_instance(("-1", "0", "1"), ("-1", "1")),
-    "multilabel:pair-constants": lambda: multilabel_instance(2, ((0, 0), (1, 1))),
-    "hilbert:orthonormal": hilbert_instance,
-    "vector:taxicab-triangle": lambda: vector_instance(((0, 0), (1, 0), (0, 1)), p=1),
+# Each family's preset is its builder called with no arguments.
+_FAMILIES = {
+    "multiclass": ("binary-constants", multiclass_instance),
+    "list": ("singleton-constants", list_instance),
+    "setvalued": ("pair", setvalued_instance),
+    "regression": ("three-point", regression_instance),
+    "multilabel": ("pair-constants", multilabel_instance),
+    "hilbert": ("orthonormal", hilbert_instance),
+    "vector": ("taxicab-triangle", vector_instance),
 }
-
-_DEFAULT_PRESET = {name.partition(":")[0]: name for name in _PRESETS}
 
 
 def builtin_names() -> tuple:
-    return tuple(_PRESETS)
+    return tuple(f"{family}:{preset}" for family, (preset, _) in _FAMILIES.items())
 
 
 def make_builtin(spec: str):
-    """Resolve 'family', 'family:preset', or 'family:key=value,...' to an instance."""
+    """Resolve 'family', 'family:preset', or 'family:key=int,...' to an instance.
+
+    The first two call the family's builder with no arguments, the last with
+    the parameters as keywords.
+    """
     spec = spec.strip()
-    if spec in _PRESETS:
-        return _PRESETS[spec]()
-    if ":" not in spec:
-        if spec in _DEFAULT_PRESET:
-            return _PRESETS[_DEFAULT_PRESET[spec]]()
-        raise ValidationError(f"unknown builtin {spec!r}; known: {', '.join(_PRESETS)}")
-    family, _, params = spec.partition(":")
-    family = family.strip()
-    if "=" not in params:
-        raise ValidationError(f"unknown builtin {spec!r}; known: {', '.join(_PRESETS)}")
+    family, colon, params = (part.strip() for part in spec.partition(":"))
+    preset, builder = _FAMILIES.get(family, (None, None))
+    if builder is None or (colon and params != preset and "=" not in params):
+        raise ValidationError(f"unknown builtin {spec!r}; known: {', '.join(builtin_names())}")
     kwargs = {}
-    for part in params.split(","):
+    for part in params.split(",") if "=" in params else ():
         key, _, raw = part.partition("=")
         if not key or not raw:
             raise ValidationError(f"malformed builtin parameter {part!r} in {spec!r}")
@@ -178,15 +204,9 @@ def make_builtin(spec: str):
         except ValueError as exc:
             raise ValidationError(f"builtin parameter {part!r} is not an integer") from exc
     try:
-        if family == "multiclass":
-            return multiclass_instance(kwargs.pop("m", 2), **kwargs)
-        if family == "list":
-            return list_instance(kwargs.pop("n", 3), kwargs.pop("k", 2), **kwargs)
-        if family == "multilabel":
-            return multilabel_instance(kwargs.pop("k", 2), **kwargs)
+        return builder(**kwargs)
     except TypeError as exc:
         raise ValidationError(f"bad parameters for builtin family {family!r}: {exc}") from exc
-    raise ValidationError(f"builtin family {family!r} takes no parameters or is unknown")
 
 
 # --- file formats ----------------------------------------------------------

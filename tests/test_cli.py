@@ -133,6 +133,23 @@ class TestDimErrors:
         )
         assert code == 2 and out == "" and "'m' repeated" in err
 
+    def test_multilabel_with_three_coordinates(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dim", "--builtin", "multilabel:k=3", "--dimension", "smdim",
+            "--gamma", "1/4",
+        )
+        assert (code, out) == (0, "1\n")
+
+    @pytest.mark.parametrize(
+        "spec", ["multiclass:m=99999999999999999999", "multilabel:k=40", "list:n=40,k=20"]
+    )
+    def test_oversized_builtin_exits_2(self, capsys, spec):
+        code, out, err = run_cli(
+            capsys, "dim", "--builtin", spec, "--dimension", "smdim", "--gamma", "1/4",
+        )
+        assert code == 2 and out == "" and err.startswith("error: builtin ")
+        assert "over the budget of" in err
+
     def test_unparseable_gamma(self, capsys):
         code, _, err = run_cli(
             capsys, "dim", "--builtin", "multiclass", "--dimension", "smdim",

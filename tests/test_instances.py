@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from smdim.core import (
+    BudgetError,
     HypothesisClass,
     ThresholdedExample,
     ValidationError,
@@ -18,7 +19,7 @@ from smdim.core import (
     validate_problem,
 )
 from smdim import instances
-from smdim.dimensions import DimensionEngine, GammaValue
+from smdim.dimensions import DimensionEngine, GammaValue, ldim_k, smdim
 from smdim.instances import (
     builtin_names,
     canonical_json,
@@ -33,6 +34,7 @@ from smdim.instances import (
     regression_instance,
     serialize_instance,
     serialize_stream,
+    setvalued_instance,
     vector_instance,
 )
 
@@ -43,6 +45,30 @@ F = Fraction
 # JSON entries that are no index of P1_DOC's problem: not an int (1e5000
 # reads as a Fraction too large to print), or out of range.
 REFUSED_INDEX_LITERALS = ["true", '"0"', "0.5", "null", "[0]", "-1", "7", "1e5000"]
+
+# Each family's preset as the explicit builder call it stands for.
+PRESET_CALLS = {
+    "multiclass": lambda: multiclass_instance(2),
+    "list": lambda: list_instance(3, 2),
+    "setvalued": setvalued_instance,
+    "regression": lambda: regression_instance(("-1", "0", "1"), ("-1", "1")),
+    "multilabel": lambda: multilabel_instance(2, ((0, 0), (1, 1))),
+    "hilbert": lambda: vector_instance(((1, 0), (0, 1), (0, 0)), p=2),
+    "vector": lambda: vector_instance(((0, 0), (1, 0), (0, 1)), p=1),
+}
+
+# Built-in specs past the loss-entry budget; the huge ones would take far
+# longer than a test to enumerate, so they pass only if refused up front.
+OVER_BUDGET_SPECS = [
+    "multiclass:m=1001",
+    "multiclass:m=99999999999999999999",
+    "multilabel:k=10",
+    "multilabel:k=40",
+    "multilabel:k=99999999999999999999",
+    "list:n=1001,k=1",
+    "list:n=40,k=20",
+    "list:n=99999999999999999999,k=99999999999999999998",
+]
 
 P1_DOC = """
 {
@@ -65,8 +91,51 @@ class TestBuiltins:
             assert problem.num_instances >= 1
             assert cls.num_hypotheses >= 2
 
-    def test_family_name_maps_to_default_preset(self):
-        assert make_builtin("multiclass") == make_builtin("multiclass:binary-constants")
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_family_and_preset_are_the_builder_called_bare(self, name):
+        family = name.partition(":")[0]
+        builder = instances._FAMILIES[family][1]
+        assert make_builtin(family) == make_builtin(name) == builder() == PRESET_CALLS[family]()
+
+    def test_multilabel_with_one_coordinate_is_multiclass(self):
+        multilabel, multiclass = make_builtin("multilabel:k=1"), make_builtin("multiclass")
+        full = VersionSpace.full(2)
+        for gamma in ("0", "1/4", "1/2", "1"):
+            assert smdim(*multilabel, full, gamma) == smdim(*multiclass, full, gamma)
+        assert ldim_k(*multilabel, full) == ldim_k(*multiclass, full) == 1
+
+    def test_multilabel_constants_default_to_all_zeros_and_all_ones(self):
+        problem, cls = make_builtin("multilabel:k=3")
+        assert problem.num_labels == len(problem.predictions) == 8
+        assert cls.table == ((0,), (7,))
+        assert (problem.predictions[0], problem.predictions[7]) == ((0, 0, 0), (1, 1, 1))
+
+    def test_vector_takes_its_norm(self):
+        problem, _ = make_builtin("vector:p=2")
+        assert problem.loss[1][2] == 2  # squared distance from (1, 0) to (0, 1)
+
+    @pytest.mark.parametrize(
+        "spec", ["vector:p=3", "regression:grid=3", "multilabel:constants=1", "multiclass:"]
+    )
+    def test_bad_builder_parameters_raise(self, spec):
+        with pytest.raises(ValidationError):
+            make_builtin(spec)
+
+    @pytest.mark.parametrize("spec", OVER_BUDGET_SPECS)
+    def test_over_budget_is_refused_before_building(self, spec):
+        with pytest.raises(BudgetError, match=r"loss entries, over the budget of 1000000$"):
+            make_builtin(spec)
+
+    def test_budget_bounds_each_family_at_its_loss_entries(self, monkeypatch):
+        monkeypatch.setattr(instances, "BUILTIN_BUDGET", 9)
+        for within, over in (
+            ("multiclass:m=3", "multiclass:m=4"),  # 9 and 16 entries
+            ("list:n=3,k=1", "list:n=3,k=2"),  # 3 x 3 and 3 x 6
+            ("multilabel:k=1", "multilabel:k=2"),  # 4 and 16
+        ):
+            make_builtin(within)
+            with pytest.raises(BudgetError, match="over the budget of 9"):
+                make_builtin(over)
 
     def test_parameterized_builtin(self):
         problem, cls = make_builtin("multiclass:m=3")
