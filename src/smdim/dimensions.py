@@ -63,10 +63,11 @@ convert at the `VersionSpace` boundary. The engine precomputes, for each
 mask of hypotheses within it; a child of V is then `V & mask` (`restrict`),
 and a threshold is realized on V exactly when its child differs from the
 previous threshold's. `candidate_rows` applies that rule to list every
-realized threshold, for certificates and the `candidates` accessor. The
-recursion's own scan, `qualifying_rows`, needs no such rule: a step whose
-child repeats the previous step's reads the memo entry that step wrote,
-which failed, so it adds nothing.
+realized threshold, for the `candidates` accessor; a certificate node reads
+only the steps of the rows its memo entry holds. The recursion's own
+scan, `qualifying_rows`, needs no such rule: a step whose child repeats the
+previous step's reads the memo entry that step wrote, which failed, so it
+adds nothing.
 
 Every threshold and every LP row is kept once, as integers over `den`, a
 common denominator of the losses: a threshold as its key, the threshold times
@@ -167,7 +168,7 @@ over three instances at the strict margin.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -365,7 +366,7 @@ class DimensionEngine:
         memo_cap: Optional[int] = None,
     ):
         self.problem, self.cls = problem, cls
-        (self._den, self._steps, self._pure, self.games, self.values,
+        (self._den, self._steps, self._pure, self._rows, self.games, self.values,
          self._candidates) = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         # `_below[row_id]` is the mask of the predictions z where the row
@@ -399,16 +400,19 @@ class DimensionEngine:
         """Certificate for the full dimension of `space` (depth 0 gives no nodes).
 
         Every node is read from the memo. Its entry (x, ids) gives the
-        instance and the LP row ids of the node's game, and the node lists the
-        `candidate_rows` entries whose row id is in `ids`: one per qualifying
-        label, its first qualifying candidate. Their children are the ones
-        `qualifying_rows` stopped at, so each child of depth >= 1 is itself a
-        passing memo entry, and the walk visits no version space `smdim` did
-        not. The node's value is `value(ids)`, the exact game value, proved by
-        a two-point kernel where one exists. Each candidate is its row's one
-        `Candidate` in the pair's tables (`_candidate`), so a node builds no
-        `Fraction` or `Candidate` for a row an earlier node, certificate or
-        engine on the pair already read.
+        instance and the LP row ids of the node's game: one per qualifying
+        label, its first qualifying candidate. Each id gives its (label,
+        threshold key) (`_tables`), and the node bisects the key in the
+        label's threshold steps at x for its child, so it reads no step of a
+        row outside `ids`; the entry is the one `candidate_rows` gives for the
+        row. Its children are the ones `qualifying_rows` stopped at, so each
+        child of depth >= 1 is itself a passing memo entry, and the walk
+        visits no version space `smdim` did not. The node's value is
+        `value(ids)`, the exact game value, proved by a two-point kernel where
+        one exists. Each candidate is its row's one `Candidate` in the pair's
+        tables (`_candidate`), so a node builds no `Fraction` or `Candidate`
+        for a row an earlier node, certificate or engine on the pair already
+        read.
         """
         root = _space_mask(self.cls, space)
         depth = self.dim_members(root)
@@ -422,15 +426,16 @@ class DimensionEngine:
                 continue
             x, ids = self._memo[(mask, d)]
             candidates = []
-            # Row ids are unique per (label, threshold), so each id names one entry.
-            for y, key, child, row_id in self.candidate_rows(mask, x):
-                if row_id in ids:
-                    child_space = spaces.get(child)
-                    if child_space is None:
-                        child_space = spaces[child] = VersionSpace(to_members(child))
-                    candidates.append((self._candidate(y, key, row_id), child_space))
-                    if d > 1:
-                        stack.append((child, d - 1))
+            for row_id in ids:
+                y, key = self._rows[row_id]
+                keys, steps = self._steps[x][y]
+                child = mask & steps[bisect_left(keys, key)][0]
+                child_space = spaces.get(child)
+                if child_space is None:
+                    child_space = spaces[child] = VersionSpace(to_members(child))
+                candidates.append((self._candidate(y, key, row_id), child_space))
+                if d > 1:
+                    stack.append((child, d - 1))
             nodes[(node_space.members, d)] = CertificateNode(
                 space=node_space, depth=d, instance=x, value=self.value(ids), candidates=tuple(candidates)
             )
@@ -732,9 +737,9 @@ _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, pure, games, values, candidates): the margin-free tables
-    of every engine built on these very objects, after checking that the
-    pair fits (`validate_problem`, which reads no table entry).
+    """(den, steps, pure, rows, games, values, candidates): the margin-free
+    tables of every engine built on these very objects, after checking that
+    the pair fits (`validate_problem`, which reads no table entry).
 
     den is a common denominator of every loss, and every threshold and LP row
     is kept once, as integers over it. steps[x][y] is (keys, steps) for the
@@ -744,14 +749,16 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     The keys are a tuple of their own so that `restrict` bisects plain ints.
     A row depends only on (label, threshold), so instances share it, and
     pure[row_id] holds its value at each pure prediction z times den,
-    (loss[y][z] - eps) * den. games holds the solved games by row-id tuple,
-    and values every game value an engine worked out, kernel-proved or
-    solved (`DimensionEngine.value`), by the same keys. candidates holds each
-    row's `Candidate(y, Fraction(key, den))` by row id, filled on first use
-    (`DimensionEngine._candidate`), so certificates and the `candidates`
-    accessor build one per row, and an engine that writes neither builds
-    none. The one slot is keyed by identity, not value: equal pairs parsed
-    separately get tables of their own.
+    (loss[y][z] - eps) * den, and rows[row_id] its (y, key), so a
+    certificate finds each of its rows' steps by bisecting the key. games
+    holds the solved games by row-id tuple, and values every game value an
+    engine worked out, kernel-proved or solved (`DimensionEngine.value`), by
+    the same keys. candidates holds each row's `Candidate(y, Fraction(key,
+    den))` by row id, filled on first use (`DimensionEngine._candidate`), so
+    certificates and the `candidates` accessor build one per row, and an
+    engine that writes neither builds none. The one slot is keyed by
+    identity, not value: equal pairs parsed separately get tables of their
+    own.
     """
     global _last_tables
     last = _last_tables
@@ -779,7 +786,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                     pure.append(tuple(v - key for v in scaled_row))
                 label_steps.append((within, row_id))
             steps[x].append((keys, tuple(label_steps)))
-    tables = (den, steps, tuple(pure), {}, {}, {})
+    tables = (den, steps, tuple(pure), tuple(row_ids), {}, {}, {})
     _last_tables = (problem, cls, tables)
     return tables
 

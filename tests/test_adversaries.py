@@ -183,7 +183,85 @@ def test_answer_is_the_best_response_over_the_node_rows(name, gamma):
     assert checked == len(cert.nodes) * len(plays)
 
 
+def reference_witnesses(problem, cls):
+    """Every witness pattern in lex order of (x, h_minus, h_plus, y_minus,
+    y_plus), by the definition read literally in Fraction arithmetic: each
+    candidate takes its own min over the predictions."""
+    table, loss = cls.table, problem.loss
+    for x in range(problem.num_instances):
+        for h_minus in range(cls.num_hypotheses):
+            z_minus = table[h_minus][x]
+            for h_plus in range(cls.num_hypotheses):
+                if h_plus == h_minus:
+                    continue
+                z_plus = table[h_plus][x]
+                for y_minus in range(problem.num_labels):
+                    for y_plus in range(problem.num_labels):
+                        gap_plus = loss[y_minus][z_plus] - loss[y_plus][z_plus]
+                        gap_minus = loss[y_plus][z_minus] - loss[y_minus][z_minus]
+                        eta = min(gap_plus, gap_minus)
+                        if eta <= 0:
+                            continue
+                        combined = min(loss[y_minus][z] + loss[y_plus][z] for z in range(problem.num_predictions))
+                        endpoint_avg = (
+                            loss[y_minus][z_minus]
+                            + loss[y_minus][z_plus]
+                            + loss[y_plus][z_minus]
+                            + loss[y_plus][z_plus]
+                        ) / F(2)
+                        if combined >= endpoint_avg:
+                            yield SqrtTWitness(x, h_minus, h_plus, y_minus, y_plus, eta)
+
+
+def reference_sqrt_witness(problem, cls):
+    """The lex-first witness of the largest eta, from `reference_witnesses`."""
+    best = None
+    for w in reference_witnesses(problem, cls):
+        if best is None or w.eta > best.eta:
+            best = w
+    return best
+
+
+def random_witness_problem(rng, den):
+    """A small problem with losses in {0, 1/den, ..., 1} and 2 to 5 hypotheses,
+    whose predictions often repeat across instances and hypothesis pairs."""
+    labels, predictions, instances = rng.randint(2, 3), rng.randint(2, 4), rng.randint(1, 3)
+    loss = [[F(rng.randint(0, den), den) for _ in range(predictions)] for _ in range(labels)]
+    problem = make_problem(tuple(range(instances)), tuple(range(labels)), tuple(range(predictions)), loss, bound_c=1)
+    rows = {tuple(rng.randrange(predictions) for _ in range(instances)) for _ in range(rng.randint(2, 5))}
+    return validate_problem(problem, HypothesisClass(tuple(sorted(rows))))
+
+
 class TestSqrtWitness:
+    @pytest.mark.parametrize(
+        "name",
+        [*builtin_names(), *(f"multilabel:k={k}" for k in range(1, 7)), "multiclass:m=4"],
+    )
+    def test_equals_the_reference_on_built_ins(self, name):
+        problem, cls = make_builtin(name)
+        assert find_sqrt_witness(problem, cls) == reference_sqrt_witness(problem, cls)
+
+    def test_equals_the_reference_on_random_problems(self):
+        # Ties in eta decide the lex-first rule, and a prediction pair met
+        # again at a later (x, h_minus, h_plus) is the search's pair skip, so
+        # the sweep must hold both. Every witness ties at least with its
+        # mirror (x, h_plus, h_minus, y_plus, y_minus), which comes later.
+        rng = random.Random(37)
+        found = ties = repeats = 0
+        for trial in range(600):
+            problem, cls = random_witness_problem(rng, (1, 2, 4)[trial % 3])
+            witnesses = list(reference_witnesses(problem, cls))
+            expected = reference_sqrt_witness(problem, cls)
+            assert find_sqrt_witness(problem, cls) == expected
+            if expected is None:
+                continue
+            found += 1
+            ties += sum(w.eta == expected.eta for w in witnesses) > 1
+            triples = {(w.x, w.h_minus, w.h_plus) for w in witnesses}
+            pairs = {(cls.table[h_minus][x], cls.table[h_plus][x]) for x, h_minus, h_plus in triples}
+            repeats += len(pairs) < len(triples)
+        assert (found, ties, repeats) == (102, 102, 56)
+
     def test_binary_constants_witness(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         w = find_sqrt_witness(problem, cls)

@@ -827,11 +827,12 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
         full = VersionSpace.full(cls.num_hypotheses)
         engine.certificate(full)
         engine.mixture(to_mask(full.members), 0)
-        den, steps, pure, games, values, candidates = dimensions._tables(problem, cls)
+        den, steps, pure, rows, games, values, candidates = dimensions._tables(problem, cls)
         assert engine._den == den and engine._steps is steps and engine._pure is pure
+        assert engine._rows is rows and len(rows) == len(pure)
         assert engine.games is games and engine.values is values and games
         assert engine._candidates is candidates
-        assert all(type(v) is int for v in leaves((den, steps, pure)))
+        assert all(type(v) is int for v in leaves((den, steps, pure, rows)))
         row_of = {}  # (label, key) -> row id
         for x, per_label in enumerate(steps):
             for y, (keys, label_steps) in enumerate(per_label):
@@ -843,6 +844,7 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
                     assert within == to_mask(h for h, v in enumerate(losses) if v <= eps)
                     assert pure[row_id] == tuple((v - eps) * den for v in problem.loss[y])
                     assert row_of.setdefault((y, key), row_id) == row_id
+                    assert rows[row_id] == (y, key)
         assert sorted(row_of.values()) == list(range(len(pure)))
         assert all(max(ids) < len(pure) for ids in [*games, *values])
         for (y, key), row_id in row_of.items():
