@@ -173,6 +173,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, combinations
+from json.encoder import encode_basestring
 from operator import add, or_
 from typing import Optional, Union
 
@@ -195,7 +196,7 @@ from .core import (
     validate_problem,
 )
 from .game import AffineRow, GameSolution, kernel_value, solve_min_max
-from .instances import canonical_json
+from .instances import _write_json
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
 DEFAULT_MEMO_CAP = 200_000
@@ -283,34 +284,66 @@ class ShatteringCertificate:
         return self.nodes[key]
 
     def to_json(self) -> str:
-        """The certificate as canonical JSON text (`canonical_json`).
+        """The certificate as canonical JSON text: byte for byte what
+        `canonical_json` writes for the document below, written in one pass.
 
-        The document is {"gamma", "strict", "depth", "root", "nodes"}; "nodes"
-        lists the nodes in sorted (members, depth) order, each as {"space",
-        "depth", "x", "value", "candidates"}, and each candidate as {"y",
-        "eps", "child"}; rationals are "p/q" strings and spaces are member
-        lists.
+        The document is {"depth", "gamma", "nodes", "root", "strict"}; "nodes"
+        lists the nodes in sorted (members, depth) order, each as
+        {"candidates", "depth", "space", "value", "x"}, and each candidate as
+        {"child", "eps", "y"}; rationals are "p/q" strings (`format_rational`)
+        and spaces are member lists. The shape is fixed, and so is every
+        indent: each node's text, constant pieces around its leaves, is
+        appended to one list that is joined once. A candidate's text
+        is its child's part ("child") and its own part ("eps", "y"), each built
+        once per call for each distinct child and Candidate, keyed by the
+        object's identity (the certificate keeps both alive for the call), so
+        each threshold is formatted once. Leaves the engine writes as exact
+        ints (depths, instances, labels) are written by `int.__repr__`, and
+        member lists by `_write_json`'s all-int join; any other value in those
+        places, such as a bool or a float in a hand-built certificate, is
+        written by `canonical_json`'s own rules (`_write_json`), so every
+        certificate gets the text `canonical_json` would give its document.
         """
-        doc = {
-            "gamma": format_rational(self.gamma.gamma),
-            "strict": self.gamma.strict,
-            "depth": self.depth,
-            "root": self.root.members,
-            "nodes": [
-                {
-                    "space": members,
-                    "depth": depth,
-                    "x": node.instance,
-                    "value": format_rational(node.value),
-                    "candidates": [
-                        {"y": cand.label, "eps": format_rational(cand.threshold), "child": child.members}
-                        for cand, child in node.candidates
-                    ],
-                }
-                for (members, depth), node in sorted(self.nodes.items())
-            ],
-        }
-        return canonical_json(doc)
+        gamma = encode_basestring(format_rational(self.gamma.gamma))
+        out = [f'{{\n  "depth": {_json_leaf(self.depth, 2)},\n  "gamma": {gamma},\n  "nodes": [']
+        heads = {}  # id(child) -> a candidate's text through that child's member list
+        tails = {}  # id(candidate) -> a candidate's text from its threshold on
+        sep = ""
+        for (members, depth), node in sorted(self.nodes.items()):
+            texts = []
+            for cand, child in node.candidates:
+                head = heads.get(id(child))
+                if head is None:
+                    head = heads[id(child)] = f'\n        {{\n          "child": {_json_leaf(child.members, 10)}'
+                tail = tails.get(id(cand))
+                if tail is None:
+                    eps = encode_basestring(format_rational(cand.threshold))
+                    label = _json_leaf(cand.label, 10)
+                    tail = tails[id(cand)] = f',\n          "eps": {eps},\n          "y": {label}\n        }}'
+                texts.append(head + tail)
+            candidates = f"[{','.join(texts)}\n      ]" if texts else "[]"
+            value = encode_basestring(format_rational(node.value))
+            out.append(
+                f'{sep}\n    {{\n      "candidates": {candidates},\n      "depth": {_json_leaf(depth, 6)},'
+                f'\n      "space": {_json_leaf(members, 6)},\n      "value": {value},'
+                f'\n      "x": {_json_leaf(node.instance, 6)}\n    }}'
+            )
+            sep = ","
+        close = "\n  ]" if self.nodes else "]"
+        root, strict = _json_leaf(self.root.members, 2), _json_leaf(self.gamma.strict, 2)
+        out.append(f'{close},\n  "root": {root},\n  "strict": {strict}\n}}\n')
+        return "".join(out)
+
+
+def _json_leaf(value, indent: int) -> str:
+    """`canonical_json`'s text of `value` as the value of a key indented by
+    `indent` spaces: `int.__repr__` for an exact int, `_write_json`'s rules
+    for the rest (among them the all-int join of a member list)."""
+    if type(value) is int:
+        return int.__repr__(value)
+    out = []
+    _write_json(value, "\n" + " " * indent, out)
+    return "".join(out)
 
 
 class DimensionEngine:

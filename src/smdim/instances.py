@@ -399,6 +399,11 @@ def canonical_json(doc) -> str:
     keys) is written by json's own encoder and re-indented to its depth, so
     json's rules hold for it. Every piece of text is appended to one list,
     joined once at the end, so no value's text is copied into its parent's.
+
+    It writes every document but the certificate, whose fixed shape
+    `ShatteringCertificate.to_json` writes itself, byte for byte the same,
+    handing `_write_json` only its member lists and any leaf that is not an
+    exact int.
     """
     out = []
     _write_json(doc, "\n", out)

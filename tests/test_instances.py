@@ -1,25 +1,36 @@
 """Built-in families and the JSON instance/stream formats."""
 
 import json
+import random
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
 from smdim.core import (
     BudgetError,
+    Candidate,
     HypothesisClass,
     ThresholdedExample,
     ValidationError,
     VersionSpace,
     format_rational,
+    make_problem,
     make_stream,
     validate_problem,
 )
 from smdim import instances
-from smdim.dimensions import DimensionEngine, GammaValue, ldim_k, smdim
+from smdim.dimensions import (
+    CertificateNode,
+    DimensionEngine,
+    GammaValue,
+    ShatteringCertificate,
+    ldim_k,
+    smdim,
+)
 from smdim.instances import (
     builtin_names,
     canonical_json,
@@ -37,6 +48,7 @@ from smdim.instances import (
     setvalued_instance,
     vector_instance,
 )
+from smdim.verify import gen_list, gen_multiclass, gen_regression, gen_setvalued
 
 from test_dimensions import GRID_GAMMAS, dim_cold_grids
 
@@ -557,6 +569,65 @@ class TestCanonicalJson:
                       '{"x": 0, "y": 1}, {"x": 0, "y": 0}'):
             text = serialize_stream(parse_stream_document(f'{{"stream": [{items}]}}', binary))
             assert text == reference_json(json.loads(text))
+
+    def test_hand_built_certificates_equal_json_dumps(self):
+        # The engine writes exact ints at depths, instances and labels; a
+        # bool, a float or a string there, an int node value, a node without
+        # candidates and a certificate of depth 0 get json's text too.
+        half, pair = F(1, 2), VersionSpace((0, 1))
+        nodes = {
+            ((0, 1), True): CertificateNode(pair, True, True, half, ((Candidate(True, half), VersionSpace((1,))),)),
+            ((0, 1), 2): CertificateNode(
+                pair,
+                2,
+                0,
+                3,
+                ((Candidate(0, F(0)), VersionSpace((0,))), (Candidate('y"\u00e9', F(1, 4)), pair)),
+            ),
+            ((1,), 1): CertificateNode(VersionSpace((1,)), 1, 1.5, F(1, 3), ()),
+        }
+        certs = [
+            ShatteringCertificate(GammaValue.of(F(1, 8)), pair, True, nodes),
+            ShatteringCertificate(GammaValue.strict_zero(), VersionSpace((2,)), 0, {}),
+        ]
+        texts = [cert.to_json() for cert in certs]
+        assert texts == [reference_json(certificate_document(cert)) for cert in certs]
+        assert '"x": true' in texts[0] and '"y": true' in texts[0]
+
+    def test_certificates_of_random_classes_at_proper_subspaces_equal_json_dumps(self):
+        rng = random.Random(61)
+        generators = (gen_multiclass, partial(gen_list, k=2), gen_setvalued, gen_regression)
+        depths = set()
+        for i in range(40):
+            problem, cls = generators[i % len(generators)](rng)
+            n = cls.num_hypotheses
+            root = VersionSpace.of(rng.sample(range(n), rng.randint(1, n - 1)))
+            for gamma in GRID_GAMMAS:
+                cert = DimensionEngine(problem, cls, gamma).certificate(root)
+                depths.add(cert.depth)
+                assert cert.to_json() == reference_json(certificate_document(cert))
+        assert {0, 1, 2} <= depths
+
+    def test_certificates_with_numbers_past_the_int_digit_limit_equal_json_dumps(self):
+        # Thresholds and node values whose numerators and denominators have
+        # more digits than str() may write; format_rational writes them.
+        digits = max(sys.get_int_max_str_digits(), 640) + 60
+        near_one = 1 - F(1, 10**digits)
+        grid = (F(-1), -near_one / 3, near_one / 3, F(1))
+        loss = [[abs(y - z) / 2 for z in grid] for y in grid]
+        problem = make_problem((0, 1), grid, grid, loss)
+        problem, cls = validate_problem(problem, HypothesisClass(tuple(product(range(4), repeat=2))))
+        certs = [
+            DimensionEngine(problem, cls, gamma).certificate(VersionSpace.full(cls.num_hypotheses))
+            for gamma in (GammaValue.strict_zero(), GammaValue.of(F(1, 8)))
+        ]
+        node = CertificateNode(VersionSpace((0, 1)), 1, 0, near_one, ((Candidate(1, near_one), VersionSpace((1,))),))
+        certs.append(ShatteringCertificate(GammaValue.of(near_one), VersionSpace((0, 1)), 1, {((0, 1), 1): node}))
+        for cert in certs:
+            nodes = cert.nodes.values()
+            big = [n.value for n in nodes] + [c.threshold for n in nodes for c, _ in n.candidates]
+            assert any(q.denominator >= 10**digits for q in big)
+            assert cert.to_json() == reference_json(certificate_document(cert))
 
     def test_encode_identifier_forms(self):
         assert encode_identifier("x0") == "x0"
