@@ -36,6 +36,7 @@ from .core import (
     ProtocolError,
     ValidationError,
     check_count,
+    check_iterable,
     format_value,
     make_stream,
     scaled_expected_loss,
@@ -190,7 +191,7 @@ def find_sqrt_witness(problem: Problem, cls: HypothesisClass) -> Optional[SqrtTW
 def rademacher_stream(witness: SqrtTWitness, signs: Sequence[int]) -> tuple:
     """Label stream on the witness instance: +1 plays y_plus, -1 plays y_minus."""
     examples = []
-    for s in signs:
+    for s in check_iterable("signs", signs):
         # A bool equals 1 or 0 but is not a sign, as `check_count` refuses one.
         if type(s) is not int or s not in (1, -1):
             raise ValidationError(f"signs must be +1 or -1, got {format_value(s)}")

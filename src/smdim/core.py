@@ -186,6 +186,7 @@ class HypothesisClass:
 
     `table[h][x]` is the prediction index hypothesis `h` makes on instance
     index `x`: an int of at least 0, its type int itself as for `check_index`.
+    The table and each of its rows are tuples.
     Duplicate rows are rejected: two hypotheses that agree everywhere would be
     indistinguishable to every computation downstream. The one walk that
     checks the table also records `_width`, the number of instances every row
@@ -199,13 +200,19 @@ class HypothesisClass:
     _top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.table, tuple):
+            raise ValidationError(f"hypothesis table must be a tuple of tuples, got {format_value(self.table)}")
         if not self.table:
             raise ValidationError("hypothesis class is empty")
-        width = len(self.table[0])
+        width = -1  # every row's length, set by row 0
         seen = {}
         for h, row in enumerate(self.table):
+            if not isinstance(row, tuple):
+                raise ValidationError(f"hypothesis {h} is {format_value(row)}, not a tuple")
             if len(row) != width:
-                raise ValidationError(f"hypothesis {h} has {len(row)} entries, expected {width}")
+                if h:
+                    raise ValidationError(f"hypothesis {h} has {len(row)} entries, expected {width}")
+                width = len(row)
             # Entries first: (True,) and (1.0,) equal (1,), and would be named duplicates.
             for x, z in enumerate(row):
                 if type(z) is not int or z < 0:
@@ -245,10 +252,19 @@ class VersionSpace:
 
     @classmethod
     def of(cls, members: Iterable[int]) -> "VersionSpace":
-        return cls(tuple(sorted(set(members))))
+        """The space of some hypothesis indices, in any order and with
+        repeats. Each must be an int itself, checked before they are sorted:
+        a bool would equal 0 or 1."""
+        out = set()
+        for m in check_iterable("version space members", members):
+            if type(m) is not int:
+                raise ValidationError(f"hypothesis index {format_value(m)} is not an int")
+            out.add(m)
+        return cls(tuple(sorted(out)))
 
     @classmethod
     def full(cls, num_hypotheses: int) -> "VersionSpace":
+        check_count("number of hypotheses", num_hypotheses)
         return cls(tuple(range(num_hypotheses)))
 
     def __len__(self) -> int:
@@ -284,7 +300,7 @@ class Mixture:
     scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(self.weights or ())
+        weights = tuple(check_iterable("mixture weights", self.weights or ()))
         for w in weights:
             if not isinstance(w, Fraction):
                 raise ValidationError(f"mixture weight {format_value(w)} is not a Fraction")
@@ -390,12 +406,8 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
     before the mixed-stream rule. Items that are not iterable raise
     ValidationError too.
     """
-    try:
-        items = iter(items)
-    except TypeError:
-        raise ValidationError(f"a stream must be iterable, got {format_value(items)}") from None
     out = []
-    for t, item in enumerate(items, 1):
+    for t, item in enumerate(check_iterable("a stream", items), 1):
         if isinstance(item, ThresholdedExample):
             x, y, eps = item.x, item.y, item.eps
         elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
@@ -415,6 +427,15 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
             raise ValidationError(f"round {t}: thresholds must be present on every stream element or on none")
         out.append(item)
     return tuple(out)
+
+
+def check_iterable(name: str, items):
+    """An iterator over `items`, or ValidationError naming them when they are
+    not iterable (`iter` raises TypeError)."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {format_value(items)}") from None
 
 
 def check_index(name: str, index, size: int, t: Optional[int] = None):
@@ -504,7 +525,10 @@ def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
     (`largest`: 0 above a negative one, which the Problem refuses anyway).
     The Problem checks itself, so a bad loss raises ValidationError here.
     """
-    rows = tuple(tuple(parse_rational(v) for v in row) for row in loss)
+    rows = tuple(
+        tuple(parse_rational(v) for v in check_iterable(f"loss row {y}", row))
+        for y, row in enumerate(check_iterable("the loss", loss))
+    )
     if bound_c is None:
         declared = largest(v for row in rows for v in row)
     else:

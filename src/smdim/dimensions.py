@@ -84,7 +84,9 @@ each row's integer values at the pure predictions, the table of solved
 games, the table of game values and each row's `Candidate`),
 and every engine on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
-solve each LP once. One module-level slot holds the last
+solve each LP once. The same tables hold one dict for the 0/1 routes
+(`_zero_one_routes`), so repeated `msdim_direct` calls solve each label
+tuple's game once too. One module-level slot holds the last
 pair's tables, keyed by the identity of the problem and class objects, so
 equal pairs parsed separately share nothing. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
@@ -147,13 +149,17 @@ memoized recursion, `_shatter_memo`, which holds the depth-0 and |V| - 1 base
 cases and the memo, and one bottom-up depth loop, `_max_depth`. They differ
 only in their branching rule, which decides depth d+1 from depth-d children,
 and each builds its own child masks; keeping those rules separate keeps the
-oracles independent cross-checks. The oracles build their masks once per
-call, from integers: `seqfat` compares grid values scaled by `scaled_loss`,
-and `ldim_k` and `msdim_direct` look predictions up in each label's set of
-zero-loss predictions (`_zero_loss_masks`). Each route checks that the class
-fits the problem (`validate_problem`, two comparisons against what the class
-recorded when it was built; the engine does so in `_tables`) and converts
-the caller's space by one checked rule (`_space_mask`) before it recurses.
+oracles independent cross-checks. The oracles build their masks from
+integers: `seqfat` compares grid values scaled by `scaled_loss`, once per
+call, and `ldim_k` and `msdim_direct` look predictions up in each label's set
+of zero-loss predictions, once per (problem, class) pair. Those two keep
+their masks, and `msdim_direct` its label-tuple game values, in a dict of the
+pair's tables (`_zero_one_routes`): they share the slot and its lifetime with
+the engine, and read none of its steps, rows, games or values.
+Each route checks that the class fits the problem (`validate_problem`, two
+comparisons against what the class recorded when it was built; the engine
+and the 0/1 routes do so in `_tables`, on a slot miss) and converts the
+caller's space by one checked rule (`_space_mask`) before it recurses.
 The recursion is Python recursion. The engine enters it through
 `_shatter_memo`, and below that its scan (`qualifying_rows`) probes each
 child by the same base cases and memo without a call, so a depth level costs
@@ -380,9 +386,9 @@ class DimensionEngine:
     values, their `Candidate`s and the threshold steps are shared by every
     engine built on the same `problem` and `cls` objects, at any margin
     (`_tables`), and live while one of those engines does or while the pair
-    is the last one an engine was built on. `mixture()` gives Mrsoa's
-    mixture, which every learner on the engine plays, from a private memo
-    keyed by (mask, instance). Like the memo, the verdict memo and the
+    is the last one an engine or a 0/1 route was called on. `mixture()`
+    gives Mrsoa's mixture, which every learner on the engine plays, from a
+    private memo keyed by (mask, instance). Like the memo, the verdict memo and the
     mixture memo depend on gamma and live as long as the engine; the verdict
     memo holds at most 2 * `num_instances` games per memo entry, plus one per
     depth of each `mixture()` sweep (`_passes`).
@@ -400,7 +406,7 @@ class DimensionEngine:
     ):
         self.problem, self.cls = problem, cls
         (self._den, self._steps, self._pure, self._rows, self.games, self.values,
-         self._candidates) = _tables(problem, cls)
+         self._candidates, _) = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         # `_below[row_id]` is the mask of the predictions z where the row
         # alone misses the margin (`_cut` with k = 1).
@@ -770,9 +776,10 @@ _last_tables = (None, None, None)
 
 
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, pure, rows, games, values, candidates): the margin-free
-    tables of every engine built on these very objects, after checking that
-    the pair fits (`validate_problem`, which reads no table entry).
+    """(den, steps, pure, rows, games, values, candidates, routes): the
+    margin-free tables of every engine and 0/1 route called on these very
+    objects, after checking that the pair fits (`validate_problem`, which
+    reads no table entry).
 
     den is a common denominator of every loss, and every threshold and LP row
     is kept once, as integers over it. steps[x][y] is (keys, steps) for the
@@ -789,9 +796,10 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     the same keys. candidates holds each row's `Candidate(y, Fraction(key,
     den))` by row id, filled on first use (`DimensionEngine._candidate`), so
     certificates and the `candidates` accessor build one per row, and an
-    engine that writes neither builds none. The one slot is keyed by
-    identity, not value: equal pairs parsed separately get tables of their
-    own.
+    engine that writes neither builds none. routes is the 0/1 routes' dict,
+    empty until `_zero_one_routes` fills it; engines never read it, and the
+    routes read nothing else here. The one slot is keyed by identity, not
+    value: equal pairs parsed separately get tables of their own.
     """
     global _last_tables
     last = _last_tables
@@ -819,7 +827,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                     pure.append(tuple(v - key for v in scaled_row))
                 label_steps.append((within, row_id))
             steps[x].append((keys, tuple(label_steps)))
-    tables = (den, steps, tuple(pure), tuple(row_ids), {}, {}, {})
+    tables = (den, steps, tuple(pure), tuple(row_ids), {}, {}, {}, {})
     _last_tables = (problem, cls, tables)
     return tables
 
@@ -843,11 +851,10 @@ def ldim_k(problem: Problem, cls: HypothesisClass, space: VersionSpace, k: int =
     more than k labels (multiclass and size-<=k list losses satisfy this);
     otherwise the recursion has no finite value and the input is rejected.
     """
-    validate_problem(problem, cls)
+    routes = _zero_one_routes(problem, cls)
     root = _space_mask(cls, space)
     check_count("k", k, low=1)
-    _check_binary_loss(problem)
-    zeros, zero_loss = _zero_loss_masks(problem, cls)
+    zeros, zero_loss = routes["zeros"], routes["masks"]
     for z in range(problem.num_predictions):
         count = sum(z in zero for zero in zeros)
         if count > k:
@@ -948,7 +955,7 @@ def msdim(
     set is exactly the mass placed outside the set, so the general minimax
     dimension on the tabulated matrix computes this dimension directly.
     """
-    _check_binary_loss(problem)
+    _zero_one_routes(problem, cls)
     return DimensionEngine(problem, cls, gamma, memo_cap).smdim(space)
 
 
@@ -964,14 +971,16 @@ def msdim_direct(
     y whose mass outside y reaches the margin (`GammaValue.passes`) and whose
     member child {h : loss(y, h(x)) = 0} has depth d. Independent of the threshold
     enumeration used by `msdim`; used to cross-check it.
+
+    A game's value does not depend on the margin, so each label tuple's game
+    is solved once per (problem, class) pair, by `solve_min_max` over one
+    `AffineRow` per label (`_zero_one_routes`), whatever margins the calls
+    ask for.
     """
-    validate_problem(problem, cls)
+    routes = _zero_one_routes(problem, cls)
     root = _space_mask(cls, space)
     gv = GammaValue.of(gamma)
-    _check_binary_loss(problem)
-    rows = [AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss]
-    _, zero_loss = _zero_loss_masks(problem, cls)
-    values = {}  # qualifying labels -> the value of their game, for this call
+    rows, zero_loss, values = routes["rows"], routes["masks"], routes["values"]
 
     def branch(members, depth):
         for masks in zero_loss:
@@ -1054,25 +1063,37 @@ def _max_depth(members, shatter) -> int:
     return depth
 
 
-def _zero_loss_masks(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(zeros, masks): zeros[y] is the set of predictions with zero loss
-    against label y, and masks[x][y] the mask of the hypotheses whose
-    prediction at x is in zeros[y].
+def _zero_one_routes(problem: Problem, cls: HypothesisClass) -> dict:
+    """The pair's tables for the 0/1 routes (`msdim`, `ldim_k`,
+    `msdim_direct`): the last entry of `_tables`, which checks that the pair
+    fits on a miss, filled on the pair's first call once every loss is
+    checked to be 0 or 1. None of its entries depends on the margin.
 
-    Each label's set is built once, from one comparison per loss entry, so
-    each (x, y, h) costs one int lookup in a set, not a Fraction comparison.
+    "zeros"[y] is the set of predictions with zero loss against label y, and
+    "masks"[x][y] the mask of the hypotheses whose prediction at x is in
+    zeros[y]: each label's set is built from one integer read per loss
+    entry, so each (x, y, h) costs one int lookup in a set, not a Fraction
+    comparison. "rows" holds msdim_direct's `AffineRow(loss[y], 0)` per label
+    and "values" each label tuple's game value it solved. A loss that is not
+    0/1 stores nothing, so every call on it raises ValidationError.
     """
-    zeros = [frozenset(z for z, v in enumerate(row) if v == 0) for row in problem.loss]
-    masks = []
-    for x in range(problem.num_instances):
-        at = [row[x] for row in cls.table]  # each hypothesis's prediction at x
-        masks.append([to_mask(h for h, z in enumerate(at) if z in zero) for zero in zeros])
-    return zeros, masks
-
-
-def _check_binary_loss(problem: Problem):
-    for y, row in enumerate(problem.loss):
-        for z, v in enumerate(row):
-            # Integer reads: a loss is a Fraction in lowest terms.
-            if v.denominator != 1 or v.numerator not in (0, 1):
-                raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")
+    routes = _tables(problem, cls)[7]
+    if not routes:
+        for y, row in enumerate(problem.loss):
+            for z, v in enumerate(row):
+                # Integer reads: a loss is a Fraction in lowest terms.
+                if v.denominator != 1 or v.numerator not in (0, 1):
+                    raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")
+        zeros = [frozenset(z for z, v in enumerate(row) if not v.numerator) for row in problem.loss]
+        masks = []
+        for x in range(problem.num_instances):
+            at = [row[x] for row in cls.table]  # each hypothesis's prediction at x
+            masks.append([to_mask(h for h, z in enumerate(at) if z in zero) for zero in zeros])
+        # One update: no reader sees a partly filled dict.
+        routes.update(
+            zeros=zeros,
+            masks=masks,
+            rows=[AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss],
+            values={},
+        )
+    return routes

@@ -275,6 +275,24 @@ class TestProblem:
         with pytest.raises(ValidationError, match=f"^hypothesis 1 predicts {message} at x=1$"):
             HypothesisClass(((0, 1), (0, entry)))
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (5, "hypothesis table must be a tuple of tuples, got 5"),
+            ([(0,), (1,)], "hypothesis table must be a tuple of tuples, got [(0,), (1,)]"),
+            ((0, 1), "hypothesis 0 is 0, not a tuple"),
+            (([0], [1]), "hypothesis 0 is [0], not a tuple"),
+            (((0,), [1]), "hypothesis 1 is [1], not a tuple"),
+            (("ab",), "hypothesis 0 is 'ab', not a tuple"),
+        ],
+        ids=["int", "list", "int-rows", "list-rows", "list-row-1", "str-row"],
+    )
+    def test_a_table_that_is_not_a_tuple_of_tuples_is_refused(self, table, message):
+        # ([0], [1]) once failed the duplicate check with "unhashable type",
+        # and 5 and (0, 1) raised TypeError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            HypothesisClass(table)
+
     def test_the_pair_check_reads_no_table_entry(self):
         class Unreadable:
             def __getattribute__(self, name):
@@ -329,6 +347,39 @@ class TestVersionSpace:
         assert len(space) == 3
         assert 2 in space
         assert 3 not in space
+        assert VersionSpace.full(0).members == ()
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (-1, "number of hypotheses must be >= 0, got -1"),
+            (True, "number of hypotheses must be an int, got True"),
+            ("a", "number of hypotheses must be an int, got 'a'"),
+            (2.0, "number of hypotheses must be an int, got 2.0"),
+        ],
+    )
+    def test_full_refuses_a_count_that_is_not_a_count(self, count, message):
+        # -1 once gave the empty space, True the space {0}, and "a" raised
+        # TypeError.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            VersionSpace.full(count)
+
+    @pytest.mark.parametrize(
+        "members, message",
+        [
+            ([1, "a"], "hypothesis index 'a' is not an int"),
+            ([[1]], "hypothesis index [1] is not an int"),
+            ([1, True], "hypothesis index True is not an int"),
+            ([0.0], "hypothesis index 0.0 is not an int"),
+            (5, "version space members must be iterable, got 5"),
+            (None, "version space members must be iterable, got None"),
+        ],
+    )
+    def test_of_refuses_members_that_are_not_ints_before_sorting(self, members, message):
+        # [1, "a"], [[1]] and 5 once raised TypeError from the sort or the
+        # set, and [1, True] gave {1}, True equal to 1.
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            VersionSpace.of(members)
 
 
 class TestMixture:
@@ -600,6 +651,26 @@ class TestScaledLoss:
         assert copied.scaled_loss == problem.scaled_loss
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Mixture(5), "mixture weights must be iterable, got 5"),
+        (lambda: make_problem(("x0",), (0, 1), (0, 1), [5, [1, 0]]), "loss row 0 must be iterable, got 5"),
+        (lambda: make_problem(("x0",), (0, 1), (0, 1), 5), "the loss must be iterable, got 5"),
+        (
+            lambda: rademacher_stream(find_sqrt_witness(*make_builtin("multiclass:binary-constants")), 5),
+            "signs must be iterable, got 5",
+        ),
+    ],
+    ids=["Mixture", "make_problem-row", "make_problem-loss", "rademacher_stream"],
+)
+def test_an_argument_that_is_not_iterable_is_refused(call, message):
+    # Each once raised TypeError from the loop over it; make_stream's rule,
+    # `check_iterable`, names it instead.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8))
 def test_version_space_of_is_canonical(members):
     space = VersionSpace.of(members)
@@ -672,7 +743,13 @@ PAST_DIGIT_LIMIT = {
     "Problem loss entry": lambda big: Problem(("x0",), (0,), (0,), ((big,),), declared_bound=F(1)),
     "VersionSpace member type": lambda big: VersionSpace((F(big),)),
     "VersionSpace negative member": lambda big: VersionSpace((-big,)),
+    "VersionSpace.of member type": lambda big: VersionSpace.of((F(big),)),
+    "VersionSpace.of not iterable": lambda big: VersionSpace.of(big),
+    "VersionSpace.full count": lambda big: VersionSpace.full(-big),
+    "HypothesisClass table type": lambda big: HypothesisClass(big),
+    "HypothesisClass row type": lambda big: HypothesisClass((big,)),
     "Mixture weight type": lambda big: Mixture((big,)),
+    "Mixture not iterable": lambda big: Mixture(big),
     "Mixture.from_scaled numerator type": lambda big: Mixture.from_scaled((F(big),), 1),
     "Mixture.from_scaled negative numerator": lambda big: Mixture.from_scaled((-big, big + 1), 1),
     "Mixture.from_scaled sum": lambda big: Mixture.from_scaled((big,), 1),
@@ -691,6 +768,7 @@ PAST_DIGIT_LIMIT = {
     "seqfat gamma": lambda big: seqfat(*make_builtin("regression:three-point"), VersionSpace((0,)), -big),
     "space type": lambda big: DimensionEngine(*_binary()[:2], F(1, 4)).smdim(big),
     "space member range": lambda big: DimensionEngine(*_binary()[:2], F(1, 4)).smdim(VersionSpace((big,))),
+    "make_problem loss row": lambda big: make_problem(("x0",), (0,), (0,), [big]),
     "binary loss": lambda big: msdim(
         make_problem(("x0",), (0,), (0,), [[big]]), HypothesisClass(((0,),)), VersionSpace((0,)), F(1, 4)
     ),
@@ -702,6 +780,7 @@ PAST_DIGIT_LIMIT = {
     "run_game mode": lambda big: run_game(*_binary()[:2], UniformLearner(_binary()[0]), [(0, 0)], mode=big),
     "run_game rounds": lambda big: run_game(*_binary()[:2], UniformLearner(_binary()[0]), [(0, 0)], rounds=big),
     "rademacher_stream sign": lambda big: rademacher_stream(find_sqrt_witness(*_binary()[:2]), [big]),
+    "rademacher_stream not iterable": lambda big: rademacher_stream(find_sqrt_witness(*_binary()[:2]), big),
     "regression_instance value": lambda big: regression_instance(hypothesis_values=(F(1, big),)),
     "multilabel_instance constant": lambda big: multilabel_instance(2, constants=((big, 0),)),
     "vector_instance norm": lambda big: vector_instance(p=big),

@@ -813,7 +813,7 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
     # row id, and its row is (loss[y][z] - eps) * den at each pure prediction
     # z. Solved games, kernel-proved values and the rows' Candidates are
     # keyed by row ids; the steps and rows hold ints only, no Fraction and no
-    # AffineRow.
+    # AffineRow. The 0/1 routes' dict is left empty by engines.
     def leaves(obj):
         if isinstance(obj, (tuple, list)):
             for item in obj:
@@ -827,7 +827,8 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
         full = VersionSpace.full(cls.num_hypotheses)
         engine.certificate(full)
         engine.mixture(to_mask(full.members), 0)
-        den, steps, pure, rows, games, values, candidates = dimensions._tables(problem, cls)
+        den, steps, pure, rows, games, values, candidates, routes = dimensions._tables(problem, cls)
+        assert routes == {}
         assert engine._den == den and engine._steps is steps and engine._pure is pure
         assert engine._rows is rows and len(rows) == len(pure)
         assert engine.games is games and engine.values is values and games
@@ -855,7 +856,19 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
     assert read
 
 
-def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
+def counting_solver(monkeypatch):
+    """Patch `dimensions.solve_min_max` to count its calls; returns the list
+    of the rows each call was given."""
+    solved = []
+    real = dimensions.solve_min_max
+    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
+    return solved
+
+
+def test_msdim_direct_solves_each_label_tuple_once_per_pair(monkeypatch):
+    # A label tuple's game value does not depend on the margin, so the calls
+    # on one (problem, class) pair at all four margins solve each tuple once,
+    # and give what they gave unpatched.
     rng = random.Random(29)
     cases = [gen_setvalued(rng) for _ in range(15)] + [make_builtin("setvalued:pair")]
     margins = (GammaValue.strict_zero(), F(1, 4), F(1, 2), F(1))
@@ -868,17 +881,95 @@ def test_msdim_direct_solves_each_label_tuple_once_per_call(monkeypatch):
         ]
 
     expected = run()
-    solved = []
-    real = dimensions.solve_min_max
-    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real(rows))
-    results = []
+    solved = counting_solver(monkeypatch)
+    # The slot holds the last case's tables; the first case takes it.
+    results, total = [], 0
     for problem, cls in cases:
+        solved.clear()
         for g in margins:
-            solved.clear()
             results.append(msdim_direct(problem, cls, VersionSpace.full(cls.num_hypotheses), g))
-            keys = [tuple(rows) for rows in solved]
-            assert len(keys) == len(set(keys))
-    assert results == expected
+        keys = [tuple(rows) for rows in solved]
+        assert len(keys) == len(set(keys))
+        total += len(keys)
+    assert results == expected and total
+
+
+def test_equal_pairs_parsed_separately_share_no_route_memo(monkeypatch):
+    # The slot is keyed by identity: calls on one pair reuse its label-tuple
+    # values, and the same document parsed again solves them afresh.
+    doc = serialize_instance(*make_builtin("setvalued:pair"))
+    full = VersionSpace.full(2)
+    solved = counting_solver(monkeypatch)
+    pair = parse_instance_document(doc)
+    first = msdim_direct(*pair, full, F(1, 4))
+    routes = dimensions._zero_one_routes(*pair)
+    assert routes["values"] and solved
+    count = len(solved)
+    assert msdim_direct(*pair, full, F(1, 4)) == first and len(solved) == count
+    again = parse_instance_document(doc)
+    assert msdim_direct(*again, full, F(1, 4)) == first
+    assert len(solved) == 2 * count
+    assert dimensions._zero_one_routes(*again) is not routes
+
+
+def test_another_pairs_engine_or_route_evicts_the_route_memo(monkeypatch):
+    # One slot: an engine, `ldim_k` or `msdim_direct` on another pair takes
+    # it, so the first pair's label tuples are solved again afterwards.
+    problem, cls = make_builtin("setvalued:pair")
+    other, other_cls = make_builtin("multiclass:binary-constants")
+    full = VersionSpace.full(2)
+    solved = counting_solver(monkeypatch)
+    evictions = (
+        lambda: DimensionEngine(other, other_cls, F(1, 2)),
+        lambda: ldim_k(other, other_cls, full, 1),
+        lambda: msdim_direct(other, other_cls, full, F(1, 2)),
+    )
+    dim = msdim_direct(problem, cls, full, F(1, 4))
+    count = len(solved)
+    assert count
+    for evict in evictions:
+        routes = dimensions._zero_one_routes(problem, cls)
+        assert routes["values"]
+        evict()
+        solved.clear()
+        assert msdim_direct(problem, cls, full, F(1, 4)) == dim and len(solved) == count
+        assert dimensions._zero_one_routes(problem, cls) is not routes
+
+
+def test_a_loss_outside_zero_and_one_is_refused_on_every_call():
+    # Nothing is stored for a loss that is not 0/1, so the check runs, and
+    # raises, on every call, also once an engine holds the pair's tables.
+    problem = make_problem((0,), (0, 1), (0, 1), [[0, 1], [1, "1/2"]])
+    cls = HypothesisClass(((0,), (1,)))
+    full = VersionSpace.full(2)
+    routes = (
+        ldim_k,
+        lambda p, c, space: msdim(p, c, space, F(1, 4)),
+        lambda p, c, space: msdim_direct(p, c, space, F(1, 4)),
+    )
+    message = re.escape("loss[1][1] = 1/2 is not in {0, 1}")
+    for _ in range(2):
+        for route in routes:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                route(problem, cls, full)
+    assert dimensions._tables(problem, cls)[7] == {}
+    assert smdim(problem, cls, full, F(1, 4)) == 1
+    for route in routes:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            route(problem, cls, full)
+
+
+def test_msdim_equals_msdim_direct_with_margins_in_descending_order():
+    # The shared label-tuple values are read at margins in either order; each
+    # call equals msdim and msdim_direct on a copy parsed for it alone.
+    rng = random.Random(31)
+    margins = (F(1), F(1, 2), F(1, 4), GammaValue.strict_zero())
+    for problem, cls in [gen_setvalued(rng) for _ in range(15)] + [make_builtin("setvalued:pair")]:
+        full = VersionSpace.full(cls.num_hypotheses)
+        direct = [msdim_direct(problem, cls, full, g) for g in margins]
+        assert direct == [msdim(problem, cls, full, g) for g in margins]
+        doc = serialize_instance(problem, cls)
+        assert direct == [msdim_direct(*parse_instance_document(doc), full, g) for g in margins]
 
 
 def test_value_readers_build_no_mixture(monkeypatch):
