@@ -26,6 +26,7 @@ fat-shattering dimension, for example).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -103,10 +104,11 @@ def format_value(value) -> str:
 class Problem:
     """A finite online decision problem, checked when it is built.
 
-    `loss[y][z]` is the loss of prediction index `z` against label index `y`:
-    a nonnegative `Fraction` no larger than `declared_bound`, a `Fraction`
-    too; signs and bounds are read in integers (`exceeds`). Instances,
-    labels and predictions are nonempty. `bound_c` is not a constructor
+    `loss` is a sequence of label rows, each a sequence, and `loss[y][z]` is
+    the loss of prediction index `z` against label index `y`: a nonnegative
+    `Fraction` no larger than `declared_bound`, a `Fraction` too; signs and
+    bounds are read in integers (`exceeds`). Instances, labels and
+    predictions are nonempty. `bound_c` is not a constructor
     argument: it is the largest loss entry, found by the pass that checks
     the entries, the bound c every regret guarantee uses; `declared_bound`
     is the bound the input stated, kept for reporting and serialization.
@@ -123,6 +125,8 @@ class Problem:
         for name in ("instances", "labels", "predictions"):
             if not getattr(self, name):
                 raise ValidationError(f"problem has no {name}")
+        if not isinstance(self.loss, Sequence):
+            raise ValidationError(f"the loss must be a sequence, got {format_value(self.loss)}")
         if len(self.loss) != len(self.labels):
             raise ValidationError(
                 f"dimension mismatch: {len(self.loss)} loss rows for {len(self.labels)} labels"
@@ -135,6 +139,8 @@ class Problem:
         # negative bound starts it, so the first entry is checked against it.
         top = bound if bound.numerator < 0 else Fraction(0)
         for y, row in enumerate(self.loss):
+            if not isinstance(row, Sequence):
+                raise ValidationError(f"loss row {y} must be a sequence, got {format_value(row)}")
             if len(row) != len(self.predictions):
                 raise ValidationError(
                     f"dimension mismatch: loss row {y} has {len(row)} entries "

@@ -84,11 +84,13 @@ each row's integer values at the pure predictions, the table of solved
 games, the table of game values and each row's `Candidate`),
 and every engine on that pair shares it, whatever its margin;
 `dim --gamma a,b,c`, `verify` and repeated top-level `smdim`/`msdim` calls
-solve each LP once. The same tables hold one dict for the 0/1 routes
+solve each LP once. The 0/1 routes keep a part of their own beside it
 (`_zero_one_routes`), so repeated `msdim_direct` calls solve each label
-tuple's game once too. One module-level slot holds the last
-pair's tables, keyed by the identity of the problem and class objects, so
-equal pairs parsed separately share nothing. The memo, the visited spaces,
+tuple's game once too. One module-level slot (`_pair_parts`) holds the last
+pair's parts, keyed by the identity of the problem and class objects, so
+equal pairs parsed separately share nothing, and builds each part on its
+reader's first call: an engine builds no zero-loss masks, and `ldim_k` and
+`msdim_direct` build no threshold steps or LP rows. The memo, the visited spaces,
 the memo cap and the mixture memo depend on gamma and stay on each engine.
 
 The recursion only needs whether a node's game reaches the margin, and most
@@ -153,12 +155,12 @@ oracles independent cross-checks. The oracles build their masks from
 integers: `seqfat` compares grid values scaled by `scaled_loss`, once per
 call, and `ldim_k` and `msdim_direct` look predictions up in each label's set
 of zero-loss predictions, once per (problem, class) pair. Those two keep
-their masks, and `msdim_direct` its label-tuple game values, in a dict of the
-pair's tables (`_zero_one_routes`): they share the slot and its lifetime with
-the engine, and read none of its steps, rows, games or values.
+their masks, and `msdim_direct` its label-tuple game values, in their part of
+the pair's tables (`_zero_one_routes`): they share the slot and its lifetime
+with the engine, and read none of its steps, rows, games or values.
 Each route checks that the class fits the problem (`validate_problem`, two
 comparisons against what the class recorded when it was built; the engine
-and the 0/1 routes do so in `_tables`, on a slot miss) and converts the
+and the 0/1 routes do so in `_pair_parts`, on a slot miss) and converts the
 caller's space by one checked rule (`_space_mask`) before it recurses.
 The recursion is Python recursion. The engine enters it through
 `_shatter_memo`, and below that its scan (`qualifying_rows`) probes each
@@ -202,7 +204,7 @@ from .core import (
     validate_problem,
 )
 from .game import AffineRow, GameSolution, kernel_value, solve_min_max
-from .instances import _write_json
+from .instances import canonical_json
 
 MEMO_CAP_ENV = "SMDIM_MEMO_CAP"
 DEFAULT_MEMO_CAP = 200_000
@@ -305,10 +307,11 @@ class ShatteringCertificate:
         object's identity (the certificate keeps both alive for the call), so
         each threshold is formatted once. Leaves the engine writes as exact
         ints (depths, instances, labels) are written by `int.__repr__`, and
-        member lists by `_write_json`'s all-int join; any other value in those
-        places, such as a bool or a float in a hand-built certificate, is
-        written by `canonical_json`'s own rules (`_write_json`), so every
-        certificate gets the text `canonical_json` would give its document.
+        member lists, tuples of exact ints, by one join (`_json_leaf`); any
+        other value in those places, such as a bool, a float or a list in a
+        hand-built certificate, is written by `canonical_json`, that is by
+        json itself, so every certificate gets the text `canonical_json`
+        would give its document.
         """
         gamma = encode_basestring(format_rational(self.gamma.gamma))
         out = [f'{{\n  "depth": {_json_leaf(self.depth, 2)},\n  "gamma": {gamma},\n  "nodes": [']
@@ -343,13 +346,16 @@ class ShatteringCertificate:
 
 def _json_leaf(value, indent: int) -> str:
     """`canonical_json`'s text of `value` as the value of a key indented by
-    `indent` spaces: `int.__repr__` for an exact int, `_write_json`'s rules
-    for the rest (among them the all-int join of a member list)."""
+    `indent` spaces: `int.__repr__` for an exact int, one join at the fixed
+    indent for a tuple of exact ints (a member list), and `canonical_json`'s
+    own text, re-indented to that depth, for any other value."""
     if type(value) is int:
         return int.__repr__(value)
-    out = []
-    _write_json(value, "\n" + " " * indent, out)
-    return "".join(out)
+    if type(value) is tuple and value and all(type(v) is int for v in value):
+        inner = "\n" + " " * (indent + 2)
+        return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}\n{' ' * indent}]"
+    # json's line breaks are all structural (strings escape theirs).
+    return canonical_json(value)[:-1].replace("\n", "\n" + " " * indent)
 
 
 class DimensionEngine:
@@ -406,7 +412,7 @@ class DimensionEngine:
     ):
         self.problem, self.cls = problem, cls
         (self._den, self._steps, self._pure, self._rows, self.games, self.values,
-         self._candidates, _) = _tables(problem, cls)
+         self._candidates) = _tables(problem, cls)
         self.gamma = GammaValue.of(gamma)
         # `_below[row_id]` is the mask of the predictions z where the row
         # alone misses the margin (`_cut` with k = 1).
@@ -770,16 +776,33 @@ class DimensionEngine:
         return None
 
 
-# The last (problem, class) pair's tables, as (problem, cls, tables): strong
-# references, so neither id can be reused while the slot holds it.
+# The last (problem, class) pair and its parts, as (problem, cls, parts):
+# strong references, so neither id can be reused while the slot holds it.
 _last_tables = (None, None, None)
 
 
+def _pair_parts(problem: Problem, cls: HypothesisClass) -> dict:
+    """The parts of the margin-free tables of these very objects, by reader:
+    "engine" (`_tables`) and "routes" (`_zero_one_routes`), each built on its
+    reader's first call. One slot holds the last pair's parts; on a miss it
+    checks that the pair fits (`validate_problem`, which reads no table
+    entry) and starts empty. It is keyed by identity, not value: equal pairs
+    parsed separately get parts of their own.
+    """
+    global _last_tables
+    last = _last_tables
+    if last[0] is problem and last[1] is cls:
+        return last[2]
+    validate_problem(problem, cls)
+    parts = {}
+    _last_tables = (problem, cls, parts)
+    return parts
+
+
 def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
-    """(den, steps, pure, rows, games, values, candidates, routes): the
-    margin-free tables of every engine and 0/1 route called on these very
-    objects, after checking that the pair fits (`validate_problem`, which
-    reads no table entry).
+    """(den, steps, pure, rows, games, values, candidates): the engine's part
+    of the pair's tables (`_pair_parts`), shared by every engine called on
+    these very objects, whatever its margin.
 
     den is a common denominator of every loss, and every threshold and LP row
     is kept once, as integers over it. steps[x][y] is (keys, steps) for the
@@ -796,16 +819,12 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
     the same keys. candidates holds each row's `Candidate(y, Fraction(key,
     den))` by row id, filled on first use (`DimensionEngine._candidate`), so
     certificates and the `candidates` accessor build one per row, and an
-    engine that writes neither builds none. routes is the 0/1 routes' dict,
-    empty until `_zero_one_routes` fills it; engines never read it, and the
-    routes read nothing else here. The one slot is keyed by identity, not
-    value: equal pairs parsed separately get tables of their own.
+    engine that writes neither builds none. The 0/1 routes read none of it.
     """
-    global _last_tables
-    last = _last_tables
-    if last[0] is problem and last[1] is cls:
-        return last[2]
-    validate_problem(problem, cls)
+    parts = _pair_parts(problem, cls)
+    tables = parts.get("engine")
+    if tables is not None:
+        return tables
     # Not the problem's cached table: that would pin it on every problem an
     # engine was ever built on.
     den, scaled_rows = scaled_loss(problem.loss)
@@ -827,8 +846,7 @@ def _tables(problem: Problem, cls: HypothesisClass) -> tuple:
                     pure.append(tuple(v - key for v in scaled_row))
                 label_steps.append((within, row_id))
             steps[x].append((keys, tuple(label_steps)))
-    tables = (den, steps, tuple(pure), tuple(row_ids), {}, {}, {}, {})
-    _last_tables = (problem, cls, tables)
+    tables = parts["engine"] = (den, steps, tuple(pure), tuple(row_ids), {}, {}, {})
     return tables
 
 
@@ -1064,10 +1082,10 @@ def _max_depth(members, shatter) -> int:
 
 
 def _zero_one_routes(problem: Problem, cls: HypothesisClass) -> dict:
-    """The pair's tables for the 0/1 routes (`msdim`, `ldim_k`,
-    `msdim_direct`): the last entry of `_tables`, which checks that the pair
-    fits on a miss, filled on the pair's first call once every loss is
-    checked to be 0 or 1. None of its entries depends on the margin.
+    """The 0/1 routes' part of the pair's tables (`_pair_parts`), read by
+    `msdim`, `ldim_k` and `msdim_direct`: built on the pair's first such call
+    once every loss is checked to be 0 or 1. None of its entries depends on
+    the margin, and it reads none of the engine's part.
 
     "zeros"[y] is the set of predictions with zero loss against label y, and
     "masks"[x][y] the mask of the hypotheses whose prediction at x is in
@@ -1077,23 +1095,24 @@ def _zero_one_routes(problem: Problem, cls: HypothesisClass) -> dict:
     and "values" each label tuple's game value it solved. A loss that is not
     0/1 stores nothing, so every call on it raises ValidationError.
     """
-    routes = _tables(problem, cls)[7]
-    if not routes:
-        for y, row in enumerate(problem.loss):
-            for z, v in enumerate(row):
-                # Integer reads: a loss is a Fraction in lowest terms.
-                if v.denominator != 1 or v.numerator not in (0, 1):
-                    raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")
-        zeros = [frozenset(z for z, v in enumerate(row) if not v.numerator) for row in problem.loss]
-        masks = []
-        for x in range(problem.num_instances):
-            at = [row[x] for row in cls.table]  # each hypothesis's prediction at x
-            masks.append([to_mask(h for h, z in enumerate(at) if z in zero) for zero in zeros])
-        # One update: no reader sees a partly filled dict.
-        routes.update(
-            zeros=zeros,
-            masks=masks,
-            rows=[AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss],
-            values={},
-        )
+    parts = _pair_parts(problem, cls)
+    routes = parts.get("routes")
+    if routes is not None:
+        return routes
+    for y, row in enumerate(problem.loss):
+        for z, v in enumerate(row):
+            # Integer reads: a loss is a Fraction in lowest terms.
+            if v.denominator != 1 or v.numerator not in (0, 1):
+                raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")
+    zeros = [frozenset(z for z, v in enumerate(row) if not v.numerator) for row in problem.loss]
+    masks = []
+    for x in range(problem.num_instances):
+        at = [row[x] for row in cls.table]  # each hypothesis's prediction at x
+        masks.append([to_mask(h for h, z in enumerate(at) if z in zero) for zero in zeros])
+    routes = parts["routes"] = {
+        "zeros": zeros,
+        "masks": masks,
+        "rows": [AffineRow(loss_row, Fraction(0)) for loss_row in problem.loss],
+        "values": {},
+    }
     return routes

@@ -70,8 +70,9 @@ column whose best pure row already pays the least value found so far: they
 could not lower it. On the dim-cold benchmark's seeds 1 and 3 the bounds and
 the kernels leave no game to solve, so an engine there solves a game only to
 play Mrsoa's mixture. `msdim_direct` uses neither: it keeps one table of
-label-tuple values per (problem, class) pair, in the dict `dimensions._tables`
-holds for the 0/1 routes, and solves each game it meets once by the simplex.
+label-tuple values per (problem, class) pair, in the 0/1 routes' part of the
+pair's tables (`dimensions._zero_one_routes`), and solves each game it meets
+once by the simplex.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from json.encoder import encode_basestring
 from math import comb
 
 from .core import (
@@ -383,66 +382,12 @@ def serialize_stream(stream) -> str:
     return canonical_json(doc)
 
 
-# json's own encoder for every value `_write_json` does not handle itself.
-# Built once: json.dumps with non-default arguments builds a new encoder per
-# call.
-_encode_other = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).encode
-
-
 def canonical_json(doc) -> str:
     """Canonical text form: sorted keys, two-space indent, trailing newline.
 
-    The text is byte-identical to `json.dumps(doc, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\n"`, which with `indent` runs json's pure-Python
-    encoder. Dicts with `str` keys, lists and tuples, strings and exact ints
-    are written here; any other value (floats, bools, None, dicts with other
-    keys) is written by json's own encoder and re-indented to its depth, so
-    json's rules hold for it. Every piece of text is appended to one list,
-    joined once at the end, so no value's text is copied into its parent's.
-
-    It writes every document but the certificate, whose fixed shape
+    It is `json.dumps` with those arguments, so json's rules hold for every
+    value. It writes every document but the certificate, whose fixed shape
     `ShatteringCertificate.to_json` writes itself, byte for byte the same,
-    handing `_write_json` only its member lists and any leaf that is not an
-    exact int.
+    handing this function only the leaves it does not write itself.
     """
-    out = []
-    _write_json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _write_json(value, newline: str, out: list):
-    """Append the canonical text of `value` to `out`; its own line breaks are
-    `newline`, a line break followed by the indent of `value`'s depth."""
-    if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif type(value) is int:
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        if all(type(v) is int for v in value):
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
-            return
-        sep = "[" + inner
-        for v in value:
-            out.append(sep)
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k in sorted(value):
-            out.append(f"{sep}{encode_basestring(k)}: ")
-            _write_json(value[k], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        # json's line breaks are all structural (strings escape theirs).
-        out.append(_encode_other(value).replace("\n", newline))
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

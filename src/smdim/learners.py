@@ -80,9 +80,9 @@ def _engine_for(problem: Problem, cls: HypothesisClass, gamma, engine) -> Dimens
 
     An engine on another (problem, class) pair or margin than the learner was
     given is refused, and so is gamma = 0, the strict margin, which has no
-    safe mixtures. The pair is compared by identity, the rule
-    `dimensions._tables` keys by, so the engine's problem and class are the
-    learner's.
+    safe mixtures. The pair is compared by identity, the rule the slot of
+    the pair's tables keys by (`dimensions._pair_parts`), so the engine's
+    problem and class are the learner's.
     """
     if engine is None:
         if gamma is None:

@@ -180,6 +180,8 @@ class TestProblem:
             (("x0",), (), (0,), (), "no labels"),
             (("x0",), (0,), (), ((),), "no predictions"),
             (("x0",), (0,), (0,), ((1,),), "is not a Fraction"),
+            (("x0",), (0,), (0,), 5, "^the loss must be a sequence, got 5$"),
+            (("x0",), (0,), (0,), (5,), "^loss row 0 must be a sequence, got 5$"),
         ],
     )
     def test_problem_checks_itself_when_built(

@@ -813,7 +813,7 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
     # row id, and its row is (loss[y][z] - eps) * den at each pure prediction
     # z. Solved games, kernel-proved values and the rows' Candidates are
     # keyed by row ids; the steps and rows hold ints only, no Fraction and no
-    # AffineRow. The 0/1 routes' dict is left empty by engines.
+    # AffineRow. Engines build no part for the 0/1 routes.
     def leaves(obj):
         if isinstance(obj, (tuple, list)):
             for item in obj:
@@ -827,8 +827,8 @@ def test_the_tables_hold_each_threshold_and_row_once_as_integers():
         full = VersionSpace.full(cls.num_hypotheses)
         engine.certificate(full)
         engine.mixture(to_mask(full.members), 0)
-        den, steps, pure, rows, games, values, candidates, routes = dimensions._tables(problem, cls)
-        assert routes == {}
+        den, steps, pure, rows, games, values, candidates = dimensions._tables(problem, cls)
+        assert dimensions._last_tables[2].keys() == {"engine"}
         assert engine._den == den and engine._steps is steps and engine._pure is pure
         assert engine._rows is rows and len(rows) == len(pure)
         assert engine.games is games and engine.values is values and games
@@ -952,11 +952,38 @@ def test_a_loss_outside_zero_and_one_is_refused_on_every_call():
         for route in routes:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 route(problem, cls, full)
-    assert dimensions._tables(problem, cls)[7] == {}
+    assert dimensions._last_tables[0] is problem and "routes" not in dimensions._last_tables[2]
     assert smdim(problem, cls, full, F(1, 4)) == 1
     for route in routes:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             route(problem, cls, full)
+
+
+def test_the_zero_one_routes_and_engines_build_only_their_own_part(monkeypatch):
+    # On a fresh pair, `ldim_k` and `msdim_direct` build no threshold steps
+    # or LP rows (their only call of `scaled_loss`), and an engine builds no
+    # zero-loss masks; `msdim`, which reads both, builds both, once.
+    scaled = []
+    real = dimensions.scaled_loss
+    monkeypatch.setattr(dimensions, "scaled_loss", lambda loss: scaled.append(loss) or real(loss))
+    doc = serialize_instance(*make_builtin("setvalued:pair"))
+    full = VersionSpace.full(2)
+    routes = (
+        lambda pair: ldim_k(*pair, full, 1),
+        lambda pair: msdim_direct(*pair, full, F(1, 4)),
+    )
+    for route in routes:
+        pair = parse_instance_document(doc)
+        route(pair)
+        assert not scaled and dimensions._last_tables[2].keys() == {"routes"}
+    pair = parse_instance_document(doc)
+    DimensionEngine(*pair, F(1, 4)).smdim(full)
+    assert len(scaled) == 1 and dimensions._last_tables[2].keys() == {"engine"}
+    pair = parse_instance_document(doc)
+    for _ in range(2):
+        msdim(*pair, full, F(1, 4))
+        ldim_k(*pair, full, 1)
+    assert len(scaled) == 2 and dimensions._last_tables[2].keys() == {"engine", "routes"}
 
 
 def test_msdim_equals_msdim_direct_with_margins_in_descending_order():

@@ -571,10 +571,12 @@ class TestCanonicalJson:
             assert text == reference_json(json.loads(text))
 
     def test_hand_built_certificates_equal_json_dumps(self):
-        # The engine writes exact ints at depths, instances and labels; a
-        # bool, a float or a string there, an int node value, a node without
-        # candidates and a certificate of depth 0 get json's text too.
-        half, pair = F(1, 2), VersionSpace((0, 1))
+        # The engine writes exact ints at depths, instances and labels, and
+        # tuples of them as member lists; a bool, a float or a string there,
+        # an int node value, a node without candidates, a certificate of
+        # depth 0, an empty root and member lists held as lists get json's
+        # text too.
+        half, pair, listed = F(1, 2), VersionSpace((0, 1)), VersionSpace([0, 1])
         nodes = {
             ((0, 1), True): CertificateNode(pair, True, True, half, ((Candidate(True, half), VersionSpace((1,))),)),
             ((0, 1), 2): CertificateNode(
@@ -589,6 +591,13 @@ class TestCanonicalJson:
         certs = [
             ShatteringCertificate(GammaValue.of(F(1, 8)), pair, True, nodes),
             ShatteringCertificate(GammaValue.strict_zero(), VersionSpace((2,)), 0, {}),
+            ShatteringCertificate(GammaValue.strict_zero(), VersionSpace(()), 0, {}),
+            ShatteringCertificate(
+                GammaValue.of(half),
+                listed,
+                1,
+                {((0, 1), 1): CertificateNode(listed, 1, 0, half, ((Candidate(1, half), VersionSpace([1])),))},
+            ),
         ]
         texts = [cert.to_json() for cert in certs]
         assert texts == [reference_json(certificate_document(cert)) for cert in certs]
