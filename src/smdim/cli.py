@@ -361,6 +361,7 @@ def _cmd_sqrt_lower(args) -> int:
         rounds,
     )
     khinchine = witness.eta * expected_abs_sign_sum(rounds) / 2
+    # eta * sqrt(T/8), shown as a float; `satisfied` compares squares exactly.
     bound = float(witness.eta) * math.sqrt(rounds / 8.0)
     doc = {
         "rounds": rounds,
@@ -375,7 +376,7 @@ def _cmd_sqrt_lower(args) -> int:
         "expected_regret": format_rational(expected),
         "khinchine_term": format_rational(khinchine),
         "bound": bound,
-        "satisfied": float(expected) >= bound,
+        "satisfied": expected >= 0 and 8 * expected**2 >= witness.eta**2 * rounds,
     }
     rows = [
         ["rounds", "eta", "expected_regret", "khinchine_term", "bound", "satisfied"],

@@ -54,18 +54,26 @@ class ProtocolError(RuntimeError):
 
 
 def parse_rational(value: RationalLike) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a 'p/q' / decimal string."""
-    if isinstance(value, Fraction):
+    """Parse an exact rational from an int, a Fraction, or a 'p/q' / decimal string.
+
+    A Fraction's exact type is tested first, and strings before the numbers:
+    Fraction's metaclass is ABCMeta, so `isinstance(value, Fraction)` runs
+    the ABC machinery, which only a subclass of Fraction needs. No value is
+    both a string or an int and a Fraction, so the order decides nothing.
+    """
+    if type(value) is Fraction:
         return value
-    if isinstance(value, bool):
-        raise ValidationError(f"cannot interpret {value!r} as a rational")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational literal: {value!r}") from exc
+    if isinstance(value, bool):
+        raise ValidationError(f"cannot interpret {value!r} as a rational")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise ValidationError(
             f"refusing float {value!r}: pass a 'p/q' or decimal string to stay exact"
@@ -134,7 +142,7 @@ class Problem:
         bound = self.declared_bound
         if not isinstance(bound, Fraction):
             raise ValidationError(f"declared bound {format_value(bound)} is not a Fraction")
-        # The largest entry so far, as `largest` finds it, and never above the
+        # The largest entry so far, compared by `exceeds`, and never above the
         # bound, so an entry no larger than it is within the bound too. A
         # negative bound starts it, so the first entry is checked against it.
         top = bound if bound.numerator < 0 else Fraction(0)
@@ -403,8 +411,8 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
 
     A malformed element, or a threshold that is not a rational, raises
     ValidationError with its 1-based round. Given a problem, each element's
-    instance, label and threshold are checked against it too
-    (`check_instance`, `check_feedback`). Thresholds must be present on
+    instance, label and threshold are checked against it too, by the round
+    rule (`check_round`). Thresholds must be present on
     every element or on none; a mixed stream has no consistent
     interpretation (realizable vs. agnostic protocol), and its error names the
     round of the first element whose kind differs from the first element's.
@@ -427,8 +435,7 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
         else:
             raise ValidationError(f"round {t}: stream element {format_value(item)} is not (x, y) or (x, y, eps)")
         if problem is not None:
-            check_instance(problem, t, x)
-            check_feedback(problem, t, y, eps)
+            check_round(problem, t, x, y, eps)
         if out and (eps is None) != (out[0].eps is None):
             raise ValidationError(f"round {t}: thresholds must be present on every stream element or on none")
         out.append(item)
@@ -455,17 +462,26 @@ def check_index(name: str, index, size: int, t: Optional[int] = None):
         raise ValidationError(f"{where}{name} index {format_value(index)} {reason}")
 
 
-def check_instance(problem: Problem, t: int, x: int):
-    """Check round t's instance index against a problem: an int in range."""
-    check_index("instance", x, problem.num_instances, t)
+def check_round(problem: Problem, t: Optional[int], x, y, eps) -> None:
+    """Check round t's instance index x, label index y and optional threshold
+    eps against a problem: the one rule every round goes through.
 
-
-def check_feedback(problem: Problem, t: int, y: int, eps: Optional[Fraction]):
-    """Check round t's label index, an int in range, and optional threshold
-    (`check_threshold`) against a problem."""
-    check_index("label", y, problem.num_labels, t)
+    The happy path is read inline, in integers: each index an int itself in
+    range, the threshold a Fraction whose numerator is at least 0 and that
+    does not exceed the problem's c. Only a value that fails goes on to
+    `check_index` or `check_threshold`, which decide it and write the
+    message, so a refused round reads as from those rules, in the order
+    instance, label, threshold. The error names round t when one is given.
+    """
+    if type(x) is not int or not 0 <= x < len(problem.instances):
+        check_index("instance", x, problem.num_instances, t)
+    if type(y) is not int or not 0 <= y < len(problem.labels):
+        check_index("label", y, problem.num_labels, t)
     if eps is not None:
-        check_threshold(eps, problem.bound_c, t)
+        c = problem.bound_c
+        # c's denominator is positive: the first bound is eps's sign.
+        if type(eps) is not Fraction or not 0 <= eps.numerator * c.denominator <= c.numerator * eps.denominator:
+            check_threshold(eps, c, t)
 
 
 def check_threshold(eps, bound: Fraction, t: Optional[int] = None):
@@ -498,16 +514,6 @@ def exceeds(a: Fraction, b: Fraction) -> bool:
     return a.numerator * b.denominator > b.numerator * a.denominator
 
 
-def largest(values: Iterable[Fraction]) -> Fraction:
-    """The largest of some nonnegative Fractions, compared by `exceeds`; 0
-    when there are none."""
-    top = Fraction(0)
-    for v in values:
-        if exceeds(v, top):
-            top = v
-    return top
-
-
 def make_record(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields`, made by
     writing its `__dict__` once.
@@ -527,20 +533,22 @@ def make_record(cls, **fields):
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
     """Assemble a Problem from raw entries, parsing rationals.
 
-    `bound_c` is the declared bound; without one, it is the largest entry
-    (`largest`: 0 above a negative one, which the Problem refuses anyway).
+    `bound_c` is the declared bound; without one, it is the largest entry,
+    compared by `exceeds` in the pass that parses the entries and floored at
+    0 (a negative entry, which the Problem refuses anyway, never raises it).
     The Problem checks itself, so a bad loss raises ValidationError here.
     """
-    rows = tuple(
-        tuple(parse_rational(v) for v in check_iterable(f"loss row {y}", row))
-        for y, row in enumerate(check_iterable("the loss", loss))
-    )
-    if bound_c is None:
-        declared = largest(v for row in rows for v in row)
-    else:
-        declared = parse_rational(bound_c)
+    rows, top = [], Fraction(0)
+    for y, row in enumerate(check_iterable("the loss", loss)):
+        entries = tuple(map(parse_rational, check_iterable(f"loss row {y}", row)))
+        if bound_c is None:
+            for v in entries:
+                if exceeds(v, top):
+                    top = v
+        rows.append(entries)
+    declared = top if bound_c is None else parse_rational(bound_c)
     return Problem(
-        tuple(instances), tuple(labels), tuple(predictions), rows, declared_bound=declared
+        tuple(instances), tuple(labels), tuple(predictions), tuple(rows), declared_bound=declared
     )
 
 
@@ -594,11 +602,19 @@ def scaled_expected_loss(problem: Problem, mixture: Mixture, y: int) -> int:
 
     Raises ValidationError when the mixture is not a `Mixture`, y is not a
     label index (`check_index`) or the mixture is not as wide as the problem
-    has predictions.
+    has predictions, in that order.
     """
+    if isinstance(mixture, Mixture):
+        check_index("label", y, problem.num_labels)
+    return scaled_round_loss(problem, mixture, y)
+
+
+def scaled_round_loss(problem: Problem, mixture: Mixture, y: int) -> int:
+    """`scaled_expected_loss` against the label of a round the round rule
+    (`check_round`) has checked: only the mixture is checked here, its type
+    and its width. The one copy of the integer loss formula."""
     if not isinstance(mixture, Mixture):
         raise ValidationError(f"prediction {format_value(mixture)} is not a Mixture")
-    check_index("label", y, problem.num_labels)
     row = problem.scaled_loss[1][y]
     if len(mixture.scaled) != len(row):
         raise ValidationError(f"{len(mixture.scaled)} mixture weights for {len(row)} values")

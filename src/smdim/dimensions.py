@@ -89,9 +89,11 @@ solve each LP once. The 0/1 routes keep a part of their own beside it
 tuple's game once too. One module-level slot (`_pair_parts`) holds the last
 pair's parts, keyed by the identity of the problem and class objects, so
 equal pairs parsed separately share nothing, and builds each part on its
-reader's first call: an engine builds no zero-loss masks, and `ldim_k` and
-`msdim_direct` build no threshold steps or LP rows. The memo, the visited spaces,
-the memo cap and the mixture memo depend on gamma and stay on each engine.
+reader's first call: an engine builds no zero-loss masks, nor does `msdim`,
+which checks its loss is 0/1 by the routes' own rule (`_check_zero_one`),
+and `ldim_k` and `msdim_direct` build no threshold steps or LP rows. The
+memo, the visited spaces, the memo cap and the mixture memo depend on gamma
+and stay on each engine.
 
 The recursion only needs whether a node's game reaches the margin, and most
 games are decided without an LP by exact bounds on their value (LP duality,
@@ -971,9 +973,12 @@ def msdim(
 
     For the 0/1 membership loss the expected loss of a mixture against a label
     set is exactly the mass placed outside the set, so the general minimax
-    dimension on the tabulated matrix computes this dimension directly.
+    dimension on the tabulated matrix computes this dimension directly. The
+    loss is checked to be 0/1 (`_check_zero_one`) on every call, once the
+    pair fits, and nothing of the 0/1 routes' part is built.
     """
-    _zero_one_routes(problem, cls)
+    validate_problem(problem, cls)
+    _check_zero_one(problem)
     return DimensionEngine(problem, cls, gamma, memo_cap).smdim(space)
 
 
@@ -1081,11 +1086,21 @@ def _max_depth(members, shatter) -> int:
     return depth
 
 
+def _check_zero_one(problem: Problem) -> None:
+    """Refuse a problem with a loss entry other than 0 or 1: the check of
+    `msdim` and of the 0/1 routes' part."""
+    for y, row in enumerate(problem.loss):
+        for z, v in enumerate(row):
+            # Integer reads: a loss is a Fraction in lowest terms.
+            if v.denominator != 1 or v.numerator not in (0, 1):
+                raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")
+
+
 def _zero_one_routes(problem: Problem, cls: HypothesisClass) -> dict:
     """The 0/1 routes' part of the pair's tables (`_pair_parts`), read by
-    `msdim`, `ldim_k` and `msdim_direct`: built on the pair's first such call
-    once every loss is checked to be 0 or 1. None of its entries depends on
-    the margin, and it reads none of the engine's part.
+    `ldim_k` and `msdim_direct`: built on the pair's first such call once
+    every loss is checked to be 0 or 1 (`_check_zero_one`). None of its
+    entries depends on the margin, and it reads none of the engine's part.
 
     "zeros"[y] is the set of predictions with zero loss against label y, and
     "masks"[x][y] the mask of the hypotheses whose prediction at x is in
@@ -1099,11 +1114,7 @@ def _zero_one_routes(problem: Problem, cls: HypothesisClass) -> dict:
     routes = parts.get("routes")
     if routes is not None:
         return routes
-    for y, row in enumerate(problem.loss):
-        for z, v in enumerate(row):
-            # Integer reads: a loss is a Fraction in lowest terms.
-            if v.denominator != 1 or v.numerator not in (0, 1):
-                raise ValidationError(f"loss[{y}][{z}] = {format_rational(v)} is not in {{0, 1}}")
+    _check_zero_one(problem)
     zeros = [frozenset(z for z, v in enumerate(row) if not v.numerator) for row in problem.loss]
     masks = []
     for x in range(problem.num_instances):

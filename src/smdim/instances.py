@@ -223,17 +223,20 @@ def _loads(text: str):
 
 
 def _decode_id(value, path: str):
-    if isinstance(value, bool):
-        raise ValidationError(f"{path}: boolean is not a valid identifier")
-    if isinstance(value, (int, Fraction)):
-        return value
-    if isinstance(value, str):
+    # JSON values come as exact types (Fractions from parse_float), tested by
+    # `type`: `isinstance(value, Fraction)` would run the ABC machinery.
+    kind = type(value)
+    if kind is str:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             return value
-    if isinstance(value, list):
+    if kind is int or kind is Fraction:
+        return value
+    if kind is list:
         return tuple(_decode_id(v, f"{path}/{i}") for i, v in enumerate(value))
+    if kind is bool:
+        raise ValidationError(f"{path}: boolean is not a valid identifier")
     raise ValidationError(f"{path}: {format_value(value)} is not a valid identifier")
 
 

@@ -56,7 +56,7 @@ from .core import (
     VersionSpace,
     check_count,
     check_index,
-    check_threshold,
+    check_round,
     exceeds,
     expected_loss,
     format_rational,
@@ -113,6 +113,13 @@ class Mrsoa:
     update(x, y, eps): keep hypotheses with loss(y, h(x)) <= eps. An explicit
     eps that empties the space raises RealizabilityError; eps=None
     self-thresholds at the smallest realizable loss (for label-only games).
+
+    Both check their arguments against the problem, each with one call on a
+    valid round: predict tests its instance index inline, and update goes
+    through the round rule (`check_round`), which refuses, in order, a bad
+    instance, a bad label and a threshold outside [0, c]. A threshold that is
+    not a Fraction is parsed (`parse_rational`) after the two indices are
+    checked.
     """
 
     def __init__(
@@ -142,15 +149,17 @@ class Mrsoa:
         self._space = state
 
     def predict(self, x: int) -> Mixture:
-        check_index("instance", x, self.problem.num_instances)
+        # The round rule's inline happy path: only a bad index reaches the call.
+        if type(x) is not int or not 0 <= x < len(self.problem.instances):
+            check_index("instance", x, self.problem.num_instances)
         return self.engine.mixture(self._space, x)
 
     def update(self, x: int, y: int, eps: Union[RationalLike, None] = None) -> None:
-        check_index("instance", x, self.problem.num_instances)
-        check_index("label", y, self.problem.num_labels)
-        if eps is not None:
+        if eps is not None and type(eps) is not Fraction:
+            # The instance and the label are checked before the literal is parsed.
+            check_round(self.problem, None, x, y, None)
             eps = parse_rational(eps)
-            check_threshold(eps, self.problem.bound_c)
+        check_round(self.problem, None, x, y, eps)
         kept = self.engine.restrict(self._space, x, y, eps)
         if not kept:
             raise RealizabilityError("stream not eps_t-realizable")

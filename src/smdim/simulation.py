@@ -8,7 +8,9 @@ for eyeballing only.
 
 The per-round work around the learner is kept small: a stream's rounds are
 made and checked in one pass, up front, by `make_stream(items, problem)`,
-whose rules compare in integers (`check_index`, `check_threshold`); records
+one call of the round rule (`check_round`) each, which reads a valid round
+in integers inline; a round's loss is then read with only the mixture
+checked (`scaled_round_loss`), its label already checked; records
 and reports are written with `make_record`, one `__dict__` each, not a
 frozen `__init__`'s setattr per field; hindsight totals are integers over
 the loss denominator. The sign walk sums its expected losses in integers
@@ -34,15 +36,14 @@ from .core import (
     RealizabilityError,
     ValidationError,
     check_count,
-    check_feedback,
-    check_instance,
-    expected_loss,
+    check_index,
+    check_round,
     format_rational,
     format_value,
     make_record,
     make_stream,
-    scaled_expected_loss,
     scaled_loss,
+    scaled_round_loss,
     validate_problem,
 )
 from .instances import encode_identifier
@@ -178,10 +179,12 @@ def run_game(
     adversary is anything with next_instance() and observe_mixture(mixture).
     Rounds defaults to the stream length (mandatory for adversaries). A
     stream is made and checked against the problem in one pass by
-    `make_stream`, before the first round is played; an adversary's instance
-    and feedback are checked by the same rules, each before the learner or
-    the loss reads it. In monte-carlo mode, `trials` (at least 2) is checked
-    before the first round too.
+    `make_stream`, before the first round is played, so each round's loss is
+    read with only the learner's mixture checked (`scaled_round_loss`). An
+    adversary's instance is checked before the learner reads it, and its
+    round by the round rule (`check_round`) before the loss reads it. In
+    monte-carlo mode, `trials` (at least 2) is checked before the first round
+    too.
     Realizability and protocol errors are re-raised with the 1-based round.
     """
     validate_problem(problem, cls)
@@ -200,21 +203,21 @@ def run_game(
     if is_stream and rounds > len(stream):
         raise ValidationError(f"asked for {format_rational(rounds)} rounds but the stream has {len(stream)}")
 
+    loss_den = problem.scaled_loss[0]
     records = []
     for t in range(1, rounds + 1):
         try:
             if is_stream:
                 example = stream[t - 1]
-                x = example.x
+                x, y, eps = example.x, example.y, example.eps
                 mixture = learner.predict(x)
-                y, eps = example.y, example.eps
             else:
                 x = source.next_instance()
-                check_instance(problem, t, x)
+                check_index("instance", x, problem.num_instances, t)
                 mixture = learner.predict(x)
                 y, eps = source.observe_mixture(mixture)
-                check_feedback(problem, t, y, eps)
-            value = expected_loss(problem, mixture, y)
+                check_round(problem, t, x, y, eps)
+            value = Fraction(scaled_round_loss(problem, mixture, y), mixture.den * loss_den)
             learner.update(x, y, eps)
         except (RealizabilityError, ProtocolError) as exc:
             raise type(exc)(f"round {t}: {exc}") from exc
@@ -283,7 +286,8 @@ def exact_expectation_over_signs(
     `make_stream_for_signs` and made by `make_stream`. Every stream is put
     into a trie of stream prefixes as it is made, before the learner plays,
     and a step (a round's element after a given prefix) is checked only when
-    the trie first meets it, with its round: one check per distinct step,
+    the trie first meets it, by the round rule (`check_round`) with its
+    round: one check per distinct step,
     and the first bad step is the one a check of each stream in turn would
     refuse. A node of the trie counts the streams that end there.
 
@@ -297,7 +301,7 @@ def exact_expectation_over_signs(
     and only update, so sign streams on one instance cost 2^rounds - 1
     predictions. A stream's expected loss is the sum of its nodes' losses,
     so the sum over streams is the sum over nodes of each node's loss times
-    the streams through it: the walk adds `through * scaled_expected_loss`,
+    the streams through it: the walk adds `through * scaled_round_loss`,
     an integer over the mixture's and the loss table's denominators, to one
     integer per mixture denominator, and builds one Fraction per distinct
     mixture denominator, at the end. Each hypothesis's loss in hindsight is
@@ -326,8 +330,7 @@ def exact_expectation_over_signs(
             # A step equal to a checked one is checked again only when an
             # index is not an int (True and 1.0 equal 1), which the checks refuse.
             if child is None or type(step.x) is not int or type(step.y) is not int:
-                check_instance(problem, t, step.x)
-                check_feedback(problem, t, step.y, step.eps)
+                check_round(problem, t, step.x, step.y, step.eps)
                 child = node[0][step] = [{}, 0, 0]
             node = child
             node[2] += 1
@@ -364,7 +367,7 @@ def exact_expectation_over_signs(
                     learner.restore(state)
                     mixture = learner.predict(x)
                     plays[x] = mixture, learner.snapshot()
-                scaled = through * scaled_expected_loss(problem, mixture, step.y)
+                scaled = through * scaled_round_loss(problem, mixture, step.y)
                 losses[mixture.den] = losses.get(mixture.den, 0) + scaled
                 learner.update(x, step.y, step.eps)
             except (RealizabilityError, ProtocolError) as exc:

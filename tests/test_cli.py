@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -526,6 +527,29 @@ class TestSqrtLower:
             capsys, "sqrt-lower", "--instance", str(path), "-T", "2"
         )
         assert code == 2 and "no two-point sign witness" in err
+
+    @pytest.mark.parametrize(
+        "rounds, expected, satisfied",
+        [
+            (2, Fraction(1, 2), True),
+            (8, Fraction(1), True),
+            # float(expected) is 0.5, so a float comparison would say true.
+            (2, Fraction(1, 2) - Fraction(1, 10**20), False),
+            # Its square reaches the target's, but the regret is negative.
+            (8, Fraction(-1), False),
+        ],
+        ids=["T=2-equal", "T=8-equal", "T=2-just-below", "T=8-negative"],
+    )
+    def test_satisfied_is_decided_exactly_at_the_target(self, capsys, monkeypatch, rounds, expected, satisfied):
+        # T/8 is a rational square, so with eta = 1 the target eta*sqrt(T/8)
+        # is the rational sqrt(T/8): satisfied reads 8 * expected^2 >= eta^2 * T.
+        monkeypatch.setattr(cli, "exact_expectation_over_signs", lambda *args: expected)
+        code, out, _ = run_cli(
+            capsys, "sqrt-lower", "--builtin", "multiclass", "-T", str(rounds), "--format", "json"
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["witness"]["eta"] == "1"
+        assert (doc["bound"], doc["satisfied"]) == ((rounds / 8) ** 0.5, satisfied)
 
     def test_negative_rounds_rejected(self, capsys):
         # Refused by the sign enumeration's own count rule.

@@ -6,6 +6,7 @@ import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,13 +17,13 @@ from smdim.core import (
     HypothesisClass,
     Mixture,
     Problem,
+    ThresholdedExample,
     ValidationError,
     VersionSpace,
     check_threshold,
     expected_loss,
     format_rational,
     format_value,
-    largest,
     make_problem,
     make_stream,
     parse_rational,
@@ -236,7 +237,7 @@ class TestProblem:
         loss = tuple(tuple(F(abs(y - z), 4) for z in range(5)) for y in range(5))
         problem = Problem(("x0",), tuple(range(5)), tuple(range(5)), loss, declared_bound=F(1))
         assert len(calls) == 25 + 4
-        assert problem.bound_c == F(1) == largest(v for row in loss for v in row)
+        assert problem.bound_c == F(1) == max(v for row in loss for v in row)
         # A negative bound is exceeded by the first entry, and an entry over
         # the bound fails before a later negative one.
         for bound, rows, message in (
@@ -596,6 +597,79 @@ class TestStreams:
         for args in ((items,), (items, problem)):
             with pytest.raises(ValidationError, match=message):
                 make_stream(*args)
+
+
+# An int whose repr raises: one digit past `sys.get_int_max_str_digits()`
+# (a 4301-digit int when no limit is set).
+BIG = 10 ** (sys.get_int_max_str_digits() or 4300)
+
+# For each argument of the round rule: a bool, a wrong type, a negative value,
+# an out-of-range value and an int past the digit limit, with the message the
+# rules `check_index` and `check_threshold` give it.
+BAD_ROUND_VALUES = {
+    "x": [
+        (True, "instance index True is not an int"),
+        ("0", "instance index '0' is not an int"),
+        (-1, "instance index -1 out of range"),
+        (2, "instance index 2 out of range"),
+        (BIG, "instance index <int> out of range"),
+    ],
+    "y": [
+        (False, "label index False is not an int"),
+        (1.0, "label index 1.0 is not an int"),
+        (-1, "label index -1 out of range"),
+        (3, "label index 3 out of range"),
+        (BIG, "label index <int> out of range"),
+    ],
+    "eps": [
+        (True, "threshold True is not a Fraction"),
+        (0.5, "threshold 0.5 is not a Fraction"),
+        (F(-1, 2), "threshold -1/2 outside [0, 2]"),
+        (F(5, 2), "threshold 5/2 outside [0, 2]"),
+        (BIG, "threshold <int> is not a Fraction"),
+    ],
+}
+
+
+class TestRoundRule:
+    # Two instances, three labels, c = 2.
+    problem = make_problem(("x0", "x1"), (0, 1, 2), (0, 1), [[0, 1], [1, 2], [2, 0]])
+
+    @pytest.mark.parametrize(
+        "arg, value, message",
+        [(arg, value, message) for arg, cases in BAD_ROUND_VALUES.items() for value, message in cases],
+        ids=[f"{arg}-{kind}" for arg in BAD_ROUND_VALUES for kind in ("bool", "type", "negative", "range", "big")],
+    )
+    def test_a_bad_value_gets_its_rules_message(self, arg, value, message):
+        args = {"x": 1, "y": 2, "eps": F(2), arg: value}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            core.check_round(self.problem, None, *args.values())
+        with pytest.raises(ValidationError, match=f"^round 4: {re.escape(message)}$"):
+            core.check_round(self.problem, 4, *args.values())
+        # A stream made against the problem names the element's round.
+        stream = [ThresholdedExample(0, 0, F(0)), ThresholdedExample(*args.values())]
+        with pytest.raises(ValidationError, match=f"^round 2: {re.escape(message)}$"):
+            make_stream(stream, self.problem)
+
+    @pytest.mark.parametrize(
+        "x, y, eps, first",
+        [
+            (True, 3, F(5, 2), "instance index True is not an int"),
+            (0, BIG, 0.5, "label index <int> out of range"),
+            (2, 0, F(-1), "instance index 2 out of range"),
+            (0, -1, None, "label index -1 out of range"),
+            (1, 0, F(-1), "threshold -1 outside [0, 2]"),
+        ],
+        ids=["all-three", "label-and-threshold", "instance-and-threshold", "label-alone", "threshold-alone"],
+    )
+    def test_the_instance_comes_first_then_the_label_then_the_threshold(self, x, y, eps, first):
+        with pytest.raises(ValidationError, match=f"^round 1: {re.escape(first)}$"):
+            core.check_round(self.problem, 1, x, y, eps)
+
+    def test_valid_rounds_pass_at_the_ends_of_every_range(self):
+        for x, y, eps in product((0, 1), (0, 2), (None, F(0), F(2), F(4, 2), F(1, 3))):
+            core.check_round(self.problem, None, x, y, eps)
+            core.check_round(self.problem, 7, x, y, eps)
 
 
 class TestExpectedLossAndRestrict:

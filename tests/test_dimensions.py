@@ -962,7 +962,7 @@ def test_a_loss_outside_zero_and_one_is_refused_on_every_call():
 def test_the_zero_one_routes_and_engines_build_only_their_own_part(monkeypatch):
     # On a fresh pair, `ldim_k` and `msdim_direct` build no threshold steps
     # or LP rows (their only call of `scaled_loss`), and an engine builds no
-    # zero-loss masks; `msdim`, which reads both, builds both, once.
+    # zero-loss masks; `msdim` and `ldim_k` on one pair build both, once.
     scaled = []
     real = dimensions.scaled_loss
     monkeypatch.setattr(dimensions, "scaled_loss", lambda loss: scaled.append(loss) or real(loss))
@@ -984,6 +984,23 @@ def test_the_zero_one_routes_and_engines_build_only_their_own_part(monkeypatch):
         msdim(*pair, full, F(1, 4))
         ldim_k(*pair, full, 1)
     assert len(scaled) == 2 and dimensions._last_tables[2].keys() == {"engine", "routes"}
+
+
+def test_msdim_checks_the_loss_without_building_the_zero_one_routes():
+    # msdim reads the engine's part alone: its 0/1 check builds no zero-loss
+    # masks or rows, and a loss outside {0, 1} is refused on every call.
+    doc = serialize_instance(*make_builtin("setvalued:pair"))
+    full = VersionSpace.full(2)
+    problem, cls = parse_instance_document(doc)
+    dim = msdim(problem, cls, full, F(1, 4))
+    assert dimensions._last_tables[0] is problem and dimensions._last_tables[2].keys() == {"engine"}
+    assert dim == msdim_direct(*parse_instance_document(doc), full, F(1, 4))
+    problem = make_problem((0,), (0, 1), (0, 1), [[0, 1], [1, "1/2"]])
+    cls = HypothesisClass(((0,), (1,)))
+    message = re.escape("loss[1][1] = 1/2 is not in {0, 1}")
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            msdim(problem, cls, full, F(1, 4))
 
 
 def test_msdim_equals_msdim_direct_with_margins_in_descending_order():

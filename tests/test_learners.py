@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -231,6 +232,22 @@ class TestMrsoa:
         learner.update(0, 0, "1/2")
         learner.update(0, 0, 0)
         assert learner.version_space.members == (0,)
+
+    @pytest.mark.parametrize(
+        "x, y, eps, message",
+        [
+            (2, 5, "nonsense", "instance index 2 out of range"),
+            (0, 5, "nonsense", "label index 5 out of range"),
+            (0, 1, "nonsense", "not a rational literal: 'nonsense'"),
+            (0, 1, "3/4", "threshold 3/4 outside [0, 1/2]"),
+        ],
+    )
+    def test_update_checks_the_instance_the_label_the_literal_then_the_threshold(self, x, y, eps, message):
+        problem = make_problem(("x0",), (0, 1), (0, 1), [["0", "1/2"], ["1/2", "0"]], bound_c=1)
+        learner = Mrsoa(problem, HypothesisClass(((0,), (1,))), F(1, 8))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            learner.update(x, y, eps)
+        assert learner.version_space.members == (0, 1)
 
     def test_mixtures_match_the_dimension_formula(self):
         # Over states reached by random realizable streams, Mrsoa plays the

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from smdim import core, simulation
+from smdim import core, dimensions, learners, simulation
 from smdim.adversaries import ShatteringAdversary, find_sqrt_witness, rademacher_stream
 from smdim.core import (
     HypothesisClass,
@@ -548,9 +548,9 @@ class TestSignEnumeration:
     def test_the_walk_sums_integers_one_fraction_per_mixture_denominator(self, monkeypatch):
         # Each node's loss, times the streams through it, goes into one
         # integer per mixture denominator: no Fraction per node, and no
-        # expected_loss call. The truncated streams make some streams proper
-        # prefixes of others, so a node's streams through it and its streams
-        # ending there differ.
+        # expected_loss call (the module does not bind it). The truncated
+        # streams make some streams proper prefixes of others, so a node's
+        # streams through it and its streams ending there differ.
         problem, cls = make_builtin("regression:three-point")
         witness = find_sqrt_witness(problem, cls)
         engine = DimensionEngine(problem, cls, F(1, 4))
@@ -561,7 +561,7 @@ class TestSignEnumeration:
         args = (problem, cls, streams, lambda: AgnosticLearner(problem, cls, F(1, 4), 5, engine=engine), 5)
         expected = reference_expectation(*args)
         dens, made = set(), []
-        real_loss = simulation.scaled_expected_loss
+        real_loss = simulation.scaled_round_loss
 
         def loss_spy(problem, mixture, y):
             value = real_loss(problem, mixture, y)
@@ -572,12 +572,9 @@ class TestSignEnumeration:
             made.append(args)
             return F(*args)
 
-        def no_expected_loss(*args):
-            raise AssertionError("the walk called expected_loss")
-
-        monkeypatch.setattr(simulation, "scaled_expected_loss", loss_spy)
+        monkeypatch.setattr(simulation, "scaled_round_loss", loss_spy)
         monkeypatch.setattr(simulation, "Fraction", fraction_spy)
-        monkeypatch.setattr(simulation, "expected_loss", no_expected_loss)
+        assert not hasattr(simulation, "expected_loss")
         assert exact_expectation_over_signs(*args) == expected
         assert len(dens) > 1
         assert len(made) == len(dens) + 1
@@ -778,14 +775,14 @@ def test_each_round_is_checked_once(monkeypatch):
     # step of its trie once, when a stream first meets it: for T = 3, the
     # 2 + 4 + 8 = 14 nodes, in the order the streams are made.
     checked = []
-    real = core.check_instance
+    real = core.check_round
 
-    def spy(problem, t, x):
+    def spy(problem, t, x, y, eps):
         checked.append(t)
-        real(problem, t, x)
+        real(problem, t, x, y, eps)
 
-    monkeypatch.setattr(core, "check_instance", spy)
-    monkeypatch.setattr(simulation, "check_instance", spy)
+    monkeypatch.setattr(core, "check_round", spy)
+    monkeypatch.setattr(simulation, "check_round", spy)
     problem, cls = make_builtin("multiclass:m=3")
     stream = [(0, 0), (0, 1), (0, 2), (0, 1)]
     report = run_game(problem, cls, UniformLearner(problem), stream)
@@ -800,6 +797,36 @@ def test_each_round_is_checked_once(monkeypatch):
         3,
     )
     assert checked == [1, 2, 3, 3, 2, 3, 3] * 2
+
+
+def test_mrsoa_on_a_stream_checks_each_round_with_two_calls_of_the_round_rule(monkeypatch):
+    # make_stream and Mrsoa.update each check a round with one call of the
+    # round rule. On valid input its inline path, Mrsoa.predict's index test
+    # and run_game's loss read call no check_index, check_threshold or
+    # exceeds. A first game warms the engine, so its mixtures are memoized.
+    problem = make_problem(("x0", "x1"), (0, 1, 2), (0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    cls = HypothesisClass(((0, 0), (0, 2), (2, 0), (1, 1)))
+    kept = cls.table[1]
+    rounds = ((0, 2), (1, 0), (1, 1), (0, 0), (1, 2), (0, 1))
+    stream = [(x, y, str(problem.loss[y][kept[x]])) for x, y in rounds]
+    engine = DimensionEngine(problem, cls, F(1, 4))
+    expected = run_game(problem, cls, Mrsoa(problem, cls, engine=engine), stream)
+    calls = Counter()
+
+    def counted(name, real):
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for module in (core, dimensions, learners, simulation):
+        for name in ("check_round", "check_index", "check_threshold", "exceeds"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    report = run_game(problem, cls, Mrsoa(problem, cls, engine=engine), stream)
+    assert report == expected and report.rounds[-1].eps == F(1)
+    assert set(calls) == {"check_round"} and calls["check_round"] <= 2 * len(stream)
 
 
 @pytest.mark.parametrize(
