@@ -34,11 +34,12 @@ from .core import (
     HypothesisClass,
     Problem,
     ProtocolError,
+    ThresholdedExample,
     ValidationError,
     check_count,
     check_iterable,
     format_value,
-    make_stream,
+    make_record,
     scaled_expected_loss,
     validate_problem,
 )
@@ -85,15 +86,17 @@ class ShatteringAdversary:
         # The first maximum of expected loss minus threshold, `best_response`
         # over the candidates' rows, in integers: expected losses are
         # integers over den (`scaled_expected_loss`), and every value is put
-        # over the lcm of den and the thresholds' denominators.
+        # over the lcm of den and the thresholds' denominators. The losses
+        # come first, so a prediction that is not a Mixture is refused as a
+        # stream's round refuses it, before its `den` is read.
+        losses = [scaled_expected_loss(self.problem, mixture, cand.label) for cand, _ in node.candidates]
         den = mixture.den * self.problem.scaled_loss[0]
         common = math.lcm(den, *(cand.threshold.denominator for cand, _ in node.candidates))
         scale = common // den
         index, best = 0, None
-        for i, (cand, _) in enumerate(node.candidates):
+        for i, ((cand, _), loss) in enumerate(zip(node.candidates, losses)):
             eps = cand.threshold
-            v = scaled_expected_loss(self.problem, mixture, cand.label) * scale
-            v -= eps.numerator * (common // eps.denominator)
+            v = loss * scale - eps.numerator * (common // eps.denominator)
             if best is None or v > best:
                 index, best = i, v
         if best * node.value.denominator < node.value.numerator * common:
@@ -189,14 +192,22 @@ def find_sqrt_witness(problem: Problem, cls: HypothesisClass) -> Optional[SqrtTW
 
 
 def rademacher_stream(witness: SqrtTWitness, signs: Sequence[int]) -> tuple:
-    """Label stream on the witness instance: +1 plays y_plus, -1 plays y_minus."""
+    """Label stream on the witness instance: +1 plays y_plus, -1 plays y_minus.
+
+    The stream holds the witness's two `ThresholdedExample`s, each built
+    once per call (`make_record`), and checks only the signs: a caller that
+    plays it makes and checks it against its problem (`make_stream`), as the
+    sign walk does.
+    """
+    plus = make_record(ThresholdedExample, x=witness.x, y=witness.y_plus, eps=None)
+    minus = make_record(ThresholdedExample, x=witness.x, y=witness.y_minus, eps=None)
     examples = []
     for s in check_iterable("signs", signs):
         # A bool equals 1 or 0 but is not a sign, as `check_count` refuses one.
         if type(s) is not int or s not in (1, -1):
             raise ValidationError(f"signs must be +1 or -1, got {format_value(s)}")
-        examples.append((witness.x, witness.y_plus if s == 1 else witness.y_minus))
-    return make_stream(examples)
+        examples.append(plus if s == 1 else minus)
+    return tuple(examples)
 
 
 def expected_abs_sign_sum(rounds: int) -> Fraction:

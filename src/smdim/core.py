@@ -117,16 +117,18 @@ class Problem:
     `Fraction` no larger than `declared_bound`, a `Fraction` too; signs and
     bounds are read in integers (`exceeds`). Instances, labels and
     predictions are nonempty. `bound_c` is not a constructor
-    argument: it is the largest loss entry, found by the pass that checks
-    the entries, the bound c every regret guarantee uses; `declared_bound`
-    is the bound the input stated, kept for reporting and serialization.
+    argument: it is the largest loss entry (0 when every entry is), found by
+    the pass that checks the entries, the bound c every regret guarantee
+    uses; `declared_bound` is the bound the input stated, kept for reporting
+    and serialization. A `declared_bound` of None declares that largest
+    entry: the same pass records it as both, comparing each entry once.
     """
 
     instances: tuple
     labels: tuple
     predictions: tuple
     loss: tuple
-    declared_bound: Fraction
+    declared_bound: Optional[Fraction]
     bound_c: Fraction = field(init=False)
 
     def __post_init__(self):
@@ -140,12 +142,12 @@ class Problem:
                 f"dimension mismatch: {len(self.loss)} loss rows for {len(self.labels)} labels"
             )
         bound = self.declared_bound
-        if not isinstance(bound, Fraction):
+        if bound is not None and not isinstance(bound, Fraction):
             raise ValidationError(f"declared bound {format_value(bound)} is not a Fraction")
         # The largest entry so far, compared by `exceeds`, and never above the
         # bound, so an entry no larger than it is within the bound too. A
         # negative bound starts it, so the first entry is checked against it.
-        top = bound if bound.numerator < 0 else Fraction(0)
+        top = bound if bound is not None and bound.numerator < 0 else Fraction(0)
         for y, row in enumerate(self.loss):
             if not isinstance(row, Sequence):
                 raise ValidationError(f"loss row {y} must be a sequence, got {format_value(row)}")
@@ -160,11 +162,13 @@ class Problem:
                 if v.numerator < 0:
                     raise ValidationError(f"negative loss at [{y}][{z}]: {format_rational(v)}")
                 if exceeds(v, top):
-                    if exceeds(v, bound):
+                    if bound is not None and exceeds(v, bound):
                         v, bound = format_rational(v), format_rational(bound)
                         raise ValidationError(f"loss {v} at [{y}][{z}] exceeds declared bound {bound}")
                     top = v
         object.__setattr__(self, "bound_c", top)
+        if bound is None:
+            object.__setattr__(self, "declared_bound", top)
 
     @cached_property
     def scaled_loss(self) -> tuple:
@@ -533,20 +537,16 @@ def make_record(cls, **fields):
 def make_problem(instances, labels, predictions, loss, bound_c=None) -> Problem:
     """Assemble a Problem from raw entries, parsing rationals.
 
-    `bound_c` is the declared bound; without one, it is the largest entry,
-    compared by `exceeds` in the pass that parses the entries and floored at
-    0 (a negative entry, which the Problem refuses anyway, never raises it).
-    The Problem checks itself, so a bad loss raises ValidationError here.
+    `bound_c` is the declared bound; without one, the Problem declares its
+    largest entry (`Problem`'s `declared_bound=None`), found by the pass
+    that checks the entries. The Problem checks itself, so a bad loss raises
+    ValidationError here.
     """
-    rows, top = [], Fraction(0)
-    for y, row in enumerate(check_iterable("the loss", loss)):
-        entries = tuple(map(parse_rational, check_iterable(f"loss row {y}", row)))
-        if bound_c is None:
-            for v in entries:
-                if exceeds(v, top):
-                    top = v
-        rows.append(entries)
-    declared = top if bound_c is None else parse_rational(bound_c)
+    rows = [
+        tuple(map(parse_rational, check_iterable(f"loss row {y}", row)))
+        for y, row in enumerate(check_iterable("the loss", loss))
+    ]
+    declared = None if bound_c is None else parse_rational(bound_c)
     return Problem(
         tuple(instances), tuple(labels), tuple(predictions), tuple(rows), declared_bound=declared
     )

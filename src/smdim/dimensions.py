@@ -161,9 +161,10 @@ their masks, and `msdim_direct` its label-tuple game values, in their part of
 the pair's tables (`_zero_one_routes`): they share the slot and its lifetime
 with the engine, and read none of its steps, rows, games or values.
 Each route checks that the class fits the problem (`validate_problem`, two
-comparisons against what the class recorded when it was built; the engine
-and the 0/1 routes do so in `_pair_parts`, on a slot miss) and converts the
-caller's space by one checked rule (`_space_mask`) before it recurses.
+comparisons against what the class recorded when it was built; the engine,
+`msdim` and the 0/1 routes do so in `_pair_parts`, on a slot miss) and
+converts the caller's space by one checked rule (`_space_mask`) before it
+recurses.
 The recursion is Python recursion. The engine enters it through
 `_shatter_memo`, and below that its scan (`qualifying_rows`) probes each
 child by the same base cases and memo without a call, so a depth level costs
@@ -974,10 +975,12 @@ def msdim(
     For the 0/1 membership loss the expected loss of a mixture against a label
     set is exactly the mass placed outside the set, so the general minimax
     dimension on the tabulated matrix computes this dimension directly. The
-    loss is checked to be 0/1 (`_check_zero_one`) on every call, once the
-    pair fits, and nothing of the 0/1 routes' part is built.
+    pair is checked through the slot of its tables (`_pair_parts`), once
+    per slot miss, and the engine built on it reads the same slot; the loss
+    is checked to be 0/1 (`_check_zero_one`) on every call, and nothing of
+    the 0/1 routes' part is built.
     """
-    validate_problem(problem, cls)
+    _pair_parts(problem, cls)
     _check_zero_one(problem)
     return DimensionEngine(problem, cls, gamma, memo_cap).smdim(space)
 

@@ -26,9 +26,9 @@ becomes p. That quotient is always exact: by Sylvester's determinant identity
 it is a minor of the initial integer tableau, so it is an integer. Entering
 and leaving variables are chosen by the same Bland's rule, with ratios
 compared by integer cross-multiplication, so the pivot sequence is the one
-rational arithmetic takes. The game value and tight rows are recovered from
-the final integers and checked exactly; only they, and the mixture when it is
-read, become Fractions.
+rational arithmetic takes. The game value is recovered from the final
+integers and checked exactly; only it, and the mixture when it is read,
+become Fractions.
 
 The integer core has its own entry, `solve_scaled(entries, scale)` (not
 exported): the rows' entries, coefficient plus offset, as integers over a
@@ -46,11 +46,11 @@ k * scale multiplies every entry, the shift and the right-hand side by k,
 that is each constraint row of the LP by k. That leaves
 the feasible set, every ratio Bland's rule compares and every reduced cost of
 the rational tableau unchanged, so the pivots are the same and so are the
-value, the mixture and the tight rows.
+value and the mixture.
 
-There is no LP cache here: every call solves its LP, recovers the value and
-the tight rows and checks that the simplex optimum equals the recovered game
-value. Only the mixture waits: the engine's recursion, certificates and
+There is no LP cache here: every call solves its LP, recovers the value
+and checks that the simplex optimum equals the recovered game value. Only
+the mixture waits: the engine's recursion, certificates and
 `msdim_direct` read a game's value alone, so a solution keeps the simplex's
 integer numerators and builds its `Mixture` from them, checked in integers
 (`Mixture.from_scaled`), on the first read of `mixture` (`GameSolution`).
@@ -116,7 +116,7 @@ class AffineRow:
 
 @dataclass(frozen=True)
 class GameSolution:
-    """Minimax value, an optimal mixture, and the indices of rows tight at it.
+    """Minimax value and an optimal mixture.
 
     A solution from `solve_scaled` is made without its `mixture` field and
     holds the simplex's integer numerators u instead. The first read of
@@ -129,11 +129,10 @@ class GameSolution:
 
     value: Fraction
     mixture: Mixture
-    tight_rows: tuple
 
     @classmethod
-    def _deferred(cls, value: Fraction, numerators: list, tight_rows: tuple) -> "GameSolution":
-        return make_record(cls, value=value, tight_rows=tight_rows, _numerators=numerators)
+    def _deferred(cls, value: Fraction, numerators: list) -> "GameSolution":
+        return make_record(cls, value=value, _numerators=numerators)
 
     def __getattr__(self, name):
         # Python calls this only for a name missing from the instance dict:
@@ -189,8 +188,7 @@ def solve_scaled(entries, scale: int) -> GameSolution:
     # game value det/total - (scale - low)/scale must equal top/(scale*total).
     if top != det * scale - (scale - low) * total:
         raise AssertionError("simplex optimum disagrees with recovered game value")
-    tight = tuple(i for i, v in enumerate(values) if v == top)
-    return GameSolution._deferred(Fraction(top, scale * total), u, tight)
+    return GameSolution._deferred(Fraction(top, scale * total), u)
 
 
 def kernel_value(entries, scale: int) -> Optional[Fraction]:

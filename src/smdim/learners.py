@@ -42,6 +42,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -409,6 +410,9 @@ class FollowTheLeader:
 
     Only defined for constant-function hypothesis classes, where the best
     prediction in hindsight and the best hypothesis in hindsight coincide.
+    The cumulative losses are integers over the loss table's common
+    denominator (`Problem.scaled_loss`), and the play is their first argmin,
+    the rule the hindsight totals of `simulation` use.
     """
 
     def __init__(self, problem: Problem, cls: HypothesisClass):
@@ -418,27 +422,23 @@ class FollowTheLeader:
                 raise ValidationError(f"hypothesis {h} is not constant; follow-the-leader undefined")
         self.problem = problem
         self.cls = cls
-        self._cumulative = [Fraction(0)] * problem.num_predictions
+        self._cumulative = (0,) * problem.num_predictions
 
     def snapshot(self) -> tuple:
         """The cumulative losses; `restore` returns to them."""
-        return tuple(self._cumulative)
+        return self._cumulative
 
     def restore(self, state: tuple) -> None:
-        self._cumulative = list(state)
+        self._cumulative = state
 
     def predict(self, x: int) -> Mixture:
-        best = 0
-        for z in range(1, len(self._cumulative)):
-            if self._cumulative[z] < self._cumulative[best]:
-                best = z
-        return Mixture.dirac(len(self._cumulative), best)
+        totals = self._cumulative
+        return Mixture.dirac(len(totals), totals.index(min(totals)))
 
     def update(self, x: int, y: int, eps=None) -> None:
         check_index("label", y, self.problem.num_labels)
-        row = self.problem.loss[y]
-        for z in range(len(self._cumulative)):
-            self._cumulative[z] += row[z]
+        row = self.problem.scaled_loss[1][y]
+        self._cumulative = tuple(map(add, self._cumulative, row))
 
 
 class UniformLearner:

@@ -283,7 +283,9 @@ def exact_expectation_over_signs(
     """Average regret over all 2^rounds sign streams, exactly.
 
     Each sign vector in {+1,-1}^rounds is mapped to a stream by
-    `make_stream_for_signs` and made by `make_stream`. Every stream is put
+    `make_stream_for_signs` and made by `make_stream`, once: a stream maker
+    such as `rademacher_stream` hands back the elements unmade, so the walk
+    makes 2^rounds streams in all. Every stream is put
     into a trie of stream prefixes as it is made, before the learner plays,
     and a step (a round's element after a given prefix) is checked only when
     the trie first meets it, by the round rule (`check_round`) with its

@@ -22,6 +22,7 @@ from smdim.core import (
     VersionSpace,
     expected_loss,
     make_problem,
+    make_stream,
     validate_problem,
 )
 from smdim.dimensions import DimensionEngine, GammaValue
@@ -99,6 +100,12 @@ class TestShatteringAdversary:
         adv.observe_mixture(Mixture.uniform(2))
         with pytest.raises(ValidationError, match="certificate has no node"):
             adv.next_instance()
+
+    def test_a_certificate_rooted_outside_the_class_is_refused(self):
+        problem, cls = make_builtin("multiclass:binary-constants")
+        cert = make_certificate(problem, cls, F(1, 4))
+        with pytest.raises(ValidationError, match="^certificate root does not fit the hypothesis class$"):
+            ShatteringAdversary(problem, HypothesisClass(((0,),)), cert)
 
     def test_zero_depth_certificate_plays_nothing(self):
         problem, cls = make_builtin("multiclass:binary-constants")
@@ -298,6 +305,8 @@ class TestSqrtWitness:
         w = find_sqrt_witness(problem, cls)
         stream = rademacher_stream(w, (1, -1, 1))
         assert [(e.x, e.y, e.eps) for e in stream] == [(0, 1, None), (0, 0, None), (0, 1, None)]
+        # Each of the witness's two examples is built once per call.
+        assert stream[0] is stream[2] and stream == make_stream(stream, problem)
         assert rademacher_stream(w, ()) == ()
         with pytest.raises(ValidationError):
             rademacher_stream(w, (0,))

@@ -120,6 +120,23 @@ class TestDimErrors:
         assert code == 2
         assert err.startswith("error:") and "--gamma" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dim", "--dimension", "smdim", "--gamma", ""], "--gamma must not be empty"),
+            (["adversary", "--learner", "uniform", "--gamma", ""], "--gamma must not be empty"),
+            (["learn", "--learner", "mrsoa"], "--gamma is required for mrsoa"),
+        ],
+        ids=["dim-empty", "adversary-empty", "learn-mrsoa-without"],
+    )
+    def test_a_refused_gamma_exits_2_with_its_message(self, capsys, tmp_path, argv, message):
+        argv = [*argv, "--builtin", "multiclass:binary-constants"]
+        if argv[0] == "learn":
+            path = tmp_path / "stream.json"
+            path.write_text('{"stream": [{"x": 0, "y": 0}]}', encoding="utf-8")
+            argv += ["--stream", str(path)]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_unknown_builtin(self, capsys):
         code, _, err = run_cli(
             capsys, "dim", "--builtin", "nonesuch", "--dimension", "smdim",

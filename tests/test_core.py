@@ -183,6 +183,7 @@ class TestProblem:
             (("x0",), (0,), (0,), ((1,),), "is not a Fraction"),
             (("x0",), (0,), (0,), 5, "^the loss must be a sequence, got 5$"),
             (("x0",), (0,), (0,), (5,), "^loss row 0 must be a sequence, got 5$"),
+            (("x0",), (0, 1), (0,), ((F(0),),), "^dimension mismatch: 1 loss rows for 2 labels$"),
         ],
     )
     def test_problem_checks_itself_when_built(
@@ -247,6 +248,24 @@ class TestProblem:
             with pytest.raises(ValidationError, match=message):
                 Problem(("x0",), tuple(range(len(rows))), (0, 1), rows, declared_bound=bound)
 
+    def test_without_a_declared_bound_each_entry_is_compared_once(self, monkeypatch):
+        # make_problem hands the Problem no bound, and the Problem's checking
+        # pass declares the largest entry: one exceeds call per entry.
+        calls = []
+        real = core.exceeds
+        monkeypatch.setattr(core, "exceeds", lambda a, b: calls.append((a, b)) or real(a, b))
+        raw = [[f"{abs(y - z)}/4" for z in range(5)] for y in range(5)]
+        problem = make_problem(("x0",), tuple(range(5)), tuple(range(5)), raw)
+        assert len(calls) == 25
+        assert problem.declared_bound == problem.bound_c == F(1)
+        direct = Problem(("x0",), tuple(range(5)), tuple(range(5)), problem.loss, declared_bound=None)
+        assert len(calls) == 50
+        declared = Problem(("x0",), tuple(range(5)), tuple(range(5)), problem.loss, declared_bound=F(1))
+        assert direct == problem == declared
+        assert make_problem(("x0",), (0,), (0, 1), [["0", "0"]]).declared_bound == 0
+        with pytest.raises(ValidationError, match=r"^negative loss at \[0\]\[1\]: -1$"):
+            Problem(("x0",), (0,), (0, 1), ((F(1), F(-1)),), declared_bound=None)
+
     def test_table_index_out_of_range(self):
         problem = make_problem(("x0",), (0, 1), (0, 1), [[0, 1], [1, 0]])
         with pytest.raises(ValidationError):
@@ -287,8 +306,10 @@ class TestProblem:
             (([0], [1]), "hypothesis 0 is [0], not a tuple"),
             (((0,), [1]), "hypothesis 1 is [1], not a tuple"),
             (("ab",), "hypothesis 0 is 'ab', not a tuple"),
+            ((), "hypothesis class is empty"),
+            (((0,), (0, 1)), "hypothesis 1 has 2 entries, expected 1"),
         ],
-        ids=["int", "list", "int-rows", "list-rows", "list-row-1", "str-row"],
+        ids=["int", "list", "int-rows", "list-rows", "list-row-1", "str-row", "empty", "ragged"],
     )
     def test_a_table_that_is_not_a_tuple_of_tuples_is_refused(self, table, message):
         # ([0], [1]) once failed the duplicate check with "unhashable type",

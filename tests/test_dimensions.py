@@ -587,12 +587,15 @@ class TestSeqfat:
             seqfat(problem, cls, VersionSpace.full(2), 0)
 
     def test_needs_numeric_grid(self):
-        problem, cls = make_builtin("multiclass:binary-constants")
-        # labels equal predictions here and are numeric, so this passes shape
-        # checks; use the set-valued builtin for the non-numeric rejection.
-        problem2, cls2 = make_builtin("setvalued:pair")
-        with pytest.raises(ValidationError):
-            seqfat(problem2, cls2, VersionSpace.full(2), F(1, 2))
+        # The set-valued built-in's labels are not its predictions; a grid of
+        # strings is Y = Z but not numeric.
+        problem, cls = make_builtin("setvalued:pair")
+        with pytest.raises(ValidationError, match="^seqfat needs a regression grid with Y = Z$"):
+            seqfat(problem, cls, VersionSpace.full(2), F(1, 2))
+        problem = make_problem(("x0",), ("a", "b"), ("a", "b"), [[0, 1], [1, 0]])
+        message = "^seqfat needs numeric labels: not a rational literal: 'a'$"
+        with pytest.raises(ValidationError, match=message):
+            seqfat(problem, HypothesisClass(((0,), (1,))), VersionSpace.full(2), F(1, 2))
 
     def test_lower_bound_vs_smdim_on_random_grids(self):
         rng = random.Random(5)
@@ -1001,6 +1004,23 @@ def test_msdim_checks_the_loss_without_building_the_zero_one_routes():
     for _ in range(2):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             msdim(problem, cls, full, F(1, 4))
+
+
+def test_msdim_checks_a_fresh_pair_once(monkeypatch):
+    # The pair is checked through the slot of its tables, which the engine
+    # msdim builds reads again: one validate_problem call on a fresh pair,
+    # none on a pair the slot holds.
+    calls = []
+    real = dimensions.validate_problem
+    monkeypatch.setattr(dimensions, "validate_problem", lambda p, c: calls.append(p) or real(p, c))
+    problem, cls = parse_instance_document(serialize_instance(*make_builtin("setvalued:pair")))
+    full = VersionSpace.full(2)
+    assert [msdim(problem, cls, full, g) for g in (F(1, 4), F(1, 2))] == [1, 1]
+    assert calls == [problem]
+    misfit = HypothesisClass(((0, 0), (1, 1)))
+    with pytest.raises(ValidationError, match="^hypothesis 0 covers 2 instances, problem has 1$"):
+        msdim(problem, misfit, full, F(1, 4))
+    assert calls == [problem, problem]
 
 
 def test_msdim_equals_msdim_direct_with_margins_in_descending_order():

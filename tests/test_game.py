@@ -33,6 +33,11 @@ def row(coeffs, offset=0):
     return AffineRow(tuple(F(c) for c in coeffs), F(offset))
 
 
+def tight_rows(rows, sol):
+    """The indices of the rows whose value at the solution's mixture is the game value."""
+    return tuple(i for i, r in enumerate(rows) if r.value_at(sol.mixture) == sol.value)
+
+
 def _gauss_solve(matrix, rhs):
     n = len(matrix)
     a = [list(r) + [v] for r, v in zip(matrix, rhs)]
@@ -100,7 +105,7 @@ def test_symmetric_binary_game():
     sol = solve_min_max(rows)
     assert sol.value == F(1, 2)
     assert sol.mixture.weights == (F(1, 2), F(1, 2))
-    assert sol.tight_rows == (0, 1)
+    assert tight_rows(rows, sol) == (0, 1)
 
 
 def test_single_row_picks_smallest_coefficient():
@@ -115,10 +120,10 @@ def test_a_solution_builds_its_mixture_once_when_read(monkeypatch):
     monkeypatch.setattr(Mixture, "_settle", lambda mu, *args: built.append(mu) or real_settle(mu, *args))
     sol = solve_min_max((row((0, 1), F(-1, 4)), row((1, 0))))
     copied = pickle.loads(pickle.dumps(sol))
-    assert sol.value == F(3, 8) and sol.tight_rows == (0, 1) and built == []
+    assert sol.value == F(3, 8) and built == []
     assert sol.mixture is sol.mixture
     assert built == [sol.mixture]
-    expected = GameSolution(F(3, 8), Mixture((F(3, 8), F(5, 8))), (0, 1))
+    expected = GameSolution(F(3, 8), Mixture((F(3, 8), F(5, 8))))
     assert sol == expected == copied and hash(sol) == hash(expected)
     assert repr(sol) == repr(expected)
 
@@ -132,9 +137,9 @@ def test_a_solution_mixture_holds_integers_until_its_weights_are_read():
 
 def test_a_solution_is_immutable():
     sol = solve_min_max((row((0, 1)), row((1, 0))))
-    given_mixture = GameSolution(F(1, 2), Mixture.uniform(2), (0, 1))
+    given_mixture = GameSolution(F(1, 2), Mixture.uniform(2))
     for target in (sol, given_mixture):
-        for name in ("value", "mixture", "tight_rows"):
+        for name in ("value", "mixture"):
             with pytest.raises(FrozenInstanceError):
                 setattr(target, name, None)
             with pytest.raises(FrozenInstanceError):
@@ -189,11 +194,11 @@ def test_dominated_row_changes_nothing():
 def test_degenerate_game_keeps_blands_pivots(rows, value, weights, tight):
     # Every optimal vertex gives the value; Bland's pivot sequence (lowest
     # entering column, lowest basic index on ratio ties) picks this mixture
-    # and these tight rows.
+    # and so these tight rows.
     sol = solve_min_max(rows)
     assert sol.value == value == oracle_min_max(rows)
     assert sol.mixture.weights == weights
-    assert sol.tight_rows == tight
+    assert tight_rows(rows, sol) == tight
 
 
 def test_grid_search_brackets_the_value():
@@ -206,11 +211,19 @@ def test_grid_search_brackets_the_value():
     assert F(3, 8) <= grid_best <= F(3, 8) + F(1, 64)
 
 
-def test_validation_errors():
-    with pytest.raises(ValidationError):
-        solve_min_max(())
-    with pytest.raises(ValidationError):
-        solve_min_max((row((1, 2)), row((1, 2, 3))))
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_min_max(()), "solve_min_max needs at least one row"),
+        (lambda: solve_min_max((row((1, 2)), row((1, 2, 3)))), "rows have mismatched coefficient widths"),
+        (lambda: AffineRow((), F(0)), "affine row with no coefficients"),
+        (lambda: best_response(Mixture.uniform(2), ()), "best_response needs at least one row"),
+    ],
+    ids=["no-rows", "ragged-rows", "empty-row", "no-response-rows"],
+)
+def test_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 def test_best_response_lowest_index_tie():
@@ -264,8 +277,6 @@ def test_matches_support_enumeration_oracle(rows):
 def test_value_is_achieved_exactly(rows):
     sol = solve_min_max(rows)
     assert max(r.value_at(sol.mixture) for r in rows) == sol.value
-    for i in sol.tight_rows:
-        assert rows[i].value_at(sol.mixture) == sol.value
 
 
 @given(_row_sets())
@@ -298,13 +309,12 @@ def test_deterministic(rows):
     second = solve_min_max(tuple(rows))
     assert first.value == second.value
     assert first.mixture == second.mixture
-    assert first.tight_rows == second.tight_rows
 
 
 @given(_row_sets(), st.sampled_from([1, 3, 8, 105]))
 def test_any_common_denominator_gives_the_same_solution(rows, k):
     # The integer core over k times the least common denominator takes the
-    # same pivots: the same value, mixture and tight rows.
+    # same pivots: the same value and mixture.
     scale = 8 * k  # every entry's denominator divides 8
     entries = [[(c + r.offset) * scale for c in r.coefficients] for r in rows]
     assert all(v.denominator == 1 for row in entries for v in row)

@@ -133,6 +133,21 @@ class TestBuiltins:
         with pytest.raises(ValidationError):
             make_builtin(spec)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: make_builtin("multilabel:k=0"), "multilabel needs k >= 1"),
+            (lambda: make_builtin("multiclass:m="), "malformed builtin parameter 'm=' in 'multiclass:m='"),
+            (lambda: make_builtin("multiclass:=3"), "malformed builtin parameter '=3' in 'multiclass:=3'"),
+            (lambda: make_builtin("multiclass:m=x"), "builtin parameter 'm=x' is not an integer"),
+            (lambda: vector_instance(((0, 0), (0, "0"))), "vector points must be distinct"),
+        ],
+        ids=["multilabel-k-0", "no-value", "no-key", "not-an-integer", "repeated-point"],
+    )
+    def test_a_refused_builtin_gets_its_message(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
     @pytest.mark.parametrize("spec", OVER_BUDGET_SPECS)
     def test_over_budget_is_refused_before_building(self, spec):
         with pytest.raises(BudgetError, match=r"loss entries, over the budget of 1000000$"):
@@ -351,6 +366,29 @@ class TestInstanceDocuments:
             parse_instance_document(P1_DOC.replace("[[0], [1]]", f"[[0], [{literal}]]"))
         assert str(parsed.value) == f"/hypotheses: {direct.value}"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: [doc], "/: instance document must be a JSON object"),
+            (lambda doc: doc | {"instances": [True]}, "/instances/0: boolean is not a valid identifier"),
+            (lambda doc: doc | {"labels": []}, "/labels: expected a nonempty array"),
+            (lambda doc: doc | {"predictions": "01"}, "/predictions: expected a nonempty array"),
+            (lambda doc: doc | {"loss": [["0", "1"]]}, "/loss: 1 rows for 2 labels"),
+            (lambda doc: doc | {"loss": [["0", "1"], ["1"]]}, "/loss/1: expected an array of 2 entries"),
+            (lambda doc: doc | {"loss": [["0", "1"], "10"]}, "/loss/1: expected an array of 2 entries"),
+            (lambda doc: doc | {"hypotheses": [[0], [1, 0]]}, "/hypotheses/1: expected an array of 1 entries"),
+            (lambda doc: doc | {"hypotheses": [0, [1]]}, "/hypotheses/0: expected an array of 1 entries"),
+        ],
+        ids=[
+            "array", "boolean-identifier", "empty-labels", "string-predictions", "loss-rows",
+            "loss-row-length", "loss-row-string", "hypothesis-length", "hypothesis-int",
+        ],
+    )
+    def test_a_malformed_shape_is_refused_with_its_path(self, change, message):
+        text = json.dumps(change(json.loads(P1_DOC)))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_instance_document(text)
+
     def test_negative_loss_rejected(self):
         doc = json.loads(P1_DOC)
         doc["loss"][0][1] = "-1/2"
@@ -410,6 +448,21 @@ class TestStreamDocuments:
         problem, _ = make_builtin("multiclass:binary-constants")
         with pytest.raises(ValidationError, match="invalid JSON"):
             parse_stream_document("{nope", problem)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[{"x": 0, "y": 0}]', "/: stream document must be an object with a 'stream' key"),
+            ('{"rounds": []}', "/: stream document must be an object with a 'stream' key"),
+            ('{"stream": {"x": 0, "y": 0}}', "/stream: expected an array"),
+            ('{"stream": [{"x": 0, "y": 0}, [0, 0]]}', "/stream/1: expected an object"),
+        ],
+        ids=["array", "no-stream-key", "object-stream", "array-entry"],
+    )
+    def test_a_malformed_shape_is_refused_with_its_path(self, text, message):
+        problem, _ = make_builtin("multiclass:binary-constants")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_stream_document(text, problem)
 
     @pytest.mark.parametrize("key", ["x", "y"])
     @pytest.mark.parametrize("literal", REFUSED_INDEX_LITERALS)

@@ -1006,6 +1006,22 @@ class TestBaselines:
                 learner.update(0, y)
         assert learner.snapshot() == (F(0), F(0))
 
+    def test_ftl_sums_integers_over_the_loss_denominator(self):
+        # The totals are ints over the loss table's denominator, and the play
+        # is their first argmin, as it is of the Fraction sums.
+        problem, cls = make_builtin("multilabel:pair-constants")
+        den = problem.scaled_loss[0]
+        learner = FollowTheLeader(problem, cls)
+        totals = [F(0)] * problem.num_predictions
+        for y in (1, 3, 0, 2, 1, 1, 3):
+            best = totals.index(min(totals))
+            assert learner.predict(0) == Mixture.dirac(problem.num_predictions, best)
+            learner.update(0, y)
+            totals = [total + v for total, v in zip(totals, problem.loss[y])]
+            assert all(type(total) is int for total in learner.snapshot())
+            assert [F(total, den) for total in learner.snapshot()] == totals
+        assert den == 2
+
     @pytest.mark.parametrize("index", [0.0, 1.0, True, False])
     def test_learners_refuse_an_index_that_is_not_an_int(self, index):
         # Each raised a bare TypeError, or read a bool as 0 or 1; the learners

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from smdim import core, dimensions, learners, simulation
+from smdim import adversaries, core, dimensions, learners, simulation
 from smdim.adversaries import ShatteringAdversary, find_sqrt_witness, rademacher_stream
 from smdim.core import (
     HypothesisClass,
@@ -579,6 +579,26 @@ class TestSignEnumeration:
         assert len(dens) > 1
         assert len(made) == len(dens) + 1
 
+    def test_the_walk_makes_each_sign_stream_once(self, monkeypatch):
+        # rademacher_stream hands the walk the witness's examples, and the
+        # walk's make_stream makes each stream: 2^T calls over the 2^T sign
+        # vectors, whichever module a call goes through.
+        made = []
+        real = core.make_stream
+
+        def spy(items, problem=None):
+            made.append(items)
+            return real(items, problem)
+
+        for module in (core, simulation, adversaries):
+            monkeypatch.setattr(module, "make_stream", spy, raising=False)
+        problem, cls = make_builtin("multiclass:binary-constants")
+        witness = find_sqrt_witness(problem, cls)
+        exact_expectation_over_signs(
+            problem, cls, lambda s: rademacher_stream(witness, s), lambda: UniformLearner(problem), 4
+        )
+        assert len(made) == 2**4
+
     def test_a_stream_callback_that_returns_no_stream_is_refused(self):
         problem, cls = make_builtin("multiclass:binary-constants")
         made = []
@@ -608,9 +628,11 @@ class TestSignEnumeration:
 
 def test_a_prediction_that_is_not_a_mixture_is_refused():
     # A tuple of weights once raised a bare AttributeError on `.scaled`, in
-    # run_game and in the sign walk, which reads the mixture's denominator.
+    # run_game and in the sign walk, which reads the mixture's denominator,
+    # and on `.den` against the certificate adversary.
     problem, cls = make_builtin("multiclass:binary-constants")
     witness = find_sqrt_witness(problem, cls)
+    cert = DimensionEngine(problem, cls, F(1, 4)).certificate(VersionSpace.full(2))
 
     class Tuples(UniformLearner):
         def predict(self, x):
@@ -619,6 +641,8 @@ def test_a_prediction_that_is_not_a_mixture_is_refused():
     message = r"^prediction \(Fraction\(1, 2\), Fraction\(1, 2\)\) is not a Mixture$"
     with pytest.raises(ValidationError, match=message):
         run_game(problem, cls, Tuples(problem), [(0, 1)])
+    with pytest.raises(ValidationError, match=message):
+        run_game(problem, cls, Tuples(problem), ShatteringAdversary(problem, cls, cert), rounds=1)
     with pytest.raises(ValidationError, match=message):
         exact_expectation_over_signs(
             problem, cls, lambda s: rademacher_stream(witness, s), lambda: Tuples(problem), 2
