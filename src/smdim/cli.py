@@ -34,6 +34,7 @@ from .core import (
     ValidationError,
     VersionSpace,
     format_rational,
+    parse_rational,
 )
 from .dimensions import (
     DimensionEngine,
@@ -157,6 +158,13 @@ def main(argv=None) -> int:
         "sqrt-lower": _cmd_sqrt_lower,
     }[args.command]
     try:
+        # Rational options are parsed before any command runs, so a malformed
+        # one is refused even where the run would not read it. Their ranges
+        # are checked where the engine or the learner is built.
+        if getattr(args, "alpha", None) is not None:
+            args.alpha = parse_rational(args.alpha)
+        if getattr(args, "gamma", None) is not None:
+            args.gamma = _parse_gammas(args.gamma)
         return handler(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -201,10 +209,9 @@ def _parse_gammas(text: str):
 def _require_gamma(args, why: str) -> GammaValue:
     if args.gamma is None:
         raise ValidationError(f"--gamma is required for {why}")
-    gammas = _parse_gammas(args.gamma)
-    if len(gammas) != 1:
+    if len(args.gamma) != 1:
         raise ValidationError(f"{why} takes a single gamma")
-    return gammas[0]
+    return args.gamma[0]
 
 
 def _cmd_dim(args) -> int:
@@ -219,9 +226,8 @@ def _cmd_dim(args) -> int:
         return 0
     if args.gamma is None:
         raise ValidationError(f"--gamma is required for {name}")
-    gammas = _parse_gammas(args.gamma)
     results = []
-    for gv in gammas:
+    for gv in args.gamma:
         if name == "smdim":
             value = smdim(problem, cls, space, gv, args.memo_cap)
         elif name == "msdim":

@@ -9,12 +9,13 @@ immutable after construction and safe to share between workers; the
 operations are pure functions of their arguments.
 
 Sums of many exact terms are taken in integers, which is just as exact: a
-problem's loss rows and a mixture's weights are each also kept as integers
-over one common denominator (`scaled_loss`, `Mixture.scaled`), so an
-expected loss sums integer products and builds one `Fraction` at the end,
-not one per term. A mixture worked out in integers (an aggregate of expert
-mixtures, a game's optimal mixture) is made from them by
-`Mixture.from_scaled`, which checks them as integers and builds its weight
+problem's loss rows are also kept as integers over one common denominator
+(`scaled_loss`), and a mixture is its integers (`Mixture.scaled` over
+`Mixture.den`), so an expected loss sums integer products and builds one
+`Fraction` at the end, not one per term. A mixture worked out in integers
+(an aggregate of expert mixtures, a game's optimal mixture) is made from
+them by the constructor, which checks them as integers; `Mixture.of` puts
+rational weights over their lcm first. A mixture builds its weight
 Fractions only when they are read.
 
 Conventions: instances, labels, and predictions are addressed by index into
@@ -299,84 +300,65 @@ class VersionSpace:
 class Mixture:
     """A probability mixture over prediction indices: exact weights summing to 1.
 
-    `den` is the lcm of the weights' denominators and `scaled` each weight
-    times it, as ints, so the scaled weights sum to `den`. Both are worked out
-    from `weights` and are not compared, hashed or shown. `weights` is kept
-    as a tuple, whatever sequence it was given as, so a mixture equals and
-    hashes as its twin and cannot change after it is checked.
-
-    Every mixture is checked and stored by one integer rule, `_settle`:
-    `Mixture(weights)` puts its Fraction weights over their lcm
-    (`scaled_loss`) and hands it the integers, and `from_scaled(numerators,
-    den)` hands them over as given. A mixture made from integers builds its
-    `weights` Fractions on their first read and keeps them; its length,
-    support and expected losses read `scaled` alone.
+    The mixture is its integers: weight j is `scaled[j] / den`. The
+    constructor checks them in integers, each numerator an int (its type int
+    itself) of at least 0 and their sum `den`, an int of at least 1, and
+    stores them reduced by their gcd, so equal mixtures have equal fields and
+    a mixture equals and hashes as its twin. `scaled` is kept as a tuple,
+    whatever iterable it was given as. Rational weights come in through
+    `Mixture.of`. `weights`, the Fractions, are built on their first read
+    and kept; length, support and expected losses read `scaled` alone.
     """
 
-    weights: tuple
-    den: int = field(init=False, repr=False, compare=False)
-    scaled: tuple = field(init=False, repr=False, compare=False)
+    scaled: tuple
+    den: int
 
     def __post_init__(self):
-        weights = tuple(check_iterable("mixture weights", self.weights or ()))
-        for w in weights:
-            if not isinstance(w, Fraction):
-                raise ValidationError(f"mixture weight {format_value(w)} is not a Fraction")
-        object.__setattr__(self, "weights", weights)
-        den, (scaled,) = scaled_loss((weights,))
-        self._settle(scaled, den)
-
-    @classmethod
-    def from_scaled(cls, numerators, den: int) -> "Mixture":
-        """The mixture with weights numerators[j] / den, checked in integers:
-        each numerator an int (its type int itself) of at least 0, and their
-        sum den, an int of at least 1. No Fraction is built until `weights`
-        is read."""
-        return object.__new__(cls)._settle(numerators, den)
-
-    def _settle(self, numerators, den: int) -> "Mixture":
-        """Check integer weights over den, with `Mixture(weights)`'s
-        messages, store them as `scaled` over `den`, reduced by their gcd, and
-        return the mixture."""
-        if not numerators:
+        scaled, den = self.scaled, self.den
+        if type(scaled) is not tuple:
+            scaled = tuple(check_iterable("mixture weights", scaled))
+        if not scaled:
             raise ValidationError("mixture over an empty prediction space")
         check_count("mixture denominator", den, low=1)
-        for s in numerators:
+        for s in scaled:
             if type(s) is not int:
-                raise ValidationError(f"mixture weight {format_value(s)} is not a Fraction")
+                raise ValidationError(f"mixture weight {format_value(s)} is not an int")
             if s < 0:
                 raise ValidationError(f"negative mixture weight {format_rational(Fraction(s, den))}")
-        if sum(numerators) != den:
-            total = format_rational(Fraction(sum(numerators), den))
+        if sum(scaled) != den:
+            total = format_rational(Fraction(sum(scaled), den))
             raise ValidationError(f"mixture weights sum to {total}, expected 1")
         # The numerators sum to den, so their gcd divides it.
-        g = math.gcd(*numerators)
-        vars(self).update(den=den // g, scaled=tuple(s // g for s in numerators))
-        return self
+        g = math.gcd(*scaled)
+        if g != 1:
+            scaled, den = tuple(s // g for s in scaled), den // g
+        if scaled is not self.scaled:
+            vars(self).update(scaled=scaled, den=den)
 
-    def __getattr__(self, name):
-        # Python calls this only for a name missing from the instance dict:
-        # among the fields, only the unread weights of a mixture made from
-        # integers.
-        if name != "weights" or "scaled" not in vars(self):
-            raise AttributeError(f"'Mixture' object has no attribute {name!r}")
-        weights = vars(self)["weights"] = tuple(Fraction(s, self.den) for s in self.scaled)
-        return weights
+    @cached_property
+    def weights(self) -> tuple:
+        """The weights `scaled[j] / den` as Fractions, built on first read and
+        kept. The cache is not a field: equality, hash and repr ignore it."""
+        return tuple(Fraction(s, self.den) for s in self.scaled)
 
     @classmethod
     def of(cls, weights: Iterable[RationalLike]) -> "Mixture":
-        return cls(tuple(parse_rational(w) for w in weights))
+        """The mixture of some rational weights (`parse_rational`), put over
+        their lcm (`scaled_loss`) and checked by the constructor."""
+        weights = tuple(map(parse_rational, check_iterable("mixture weights", weights)))
+        den, (scaled,) = scaled_loss((weights,))
+        return cls(scaled, den)
 
     @classmethod
     def dirac(cls, size: int, index: int) -> "Mixture":
         check_count("dirac mixture size", size, low=1)
         check_index("prediction", index, size)
-        return cls.from_scaled(tuple(int(j == index) for j in range(size)), 1)
+        return cls(tuple(int(j == index) for j in range(size)), 1)
 
     @classmethod
     def uniform(cls, size: int) -> "Mixture":
         check_count("uniform mixture size", size, low=1)
-        return cls.from_scaled((1,) * size, size)
+        return cls((1,) * size, size)
 
     def __len__(self) -> int:
         return len(self.scaled)
@@ -413,7 +395,10 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
     ThresholdedExamples, checking each element as it is built: the one rule
     that makes and checks a stream.
 
-    A malformed element, or a threshold that is not a rational, raises
+    A threshold that is not a Fraction, in a tuple or a ThresholdedExample
+    alike, is parsed (`parse_rational`) before the element is checked, and a
+    record holding one is rebuilt with the parsed value. A malformed
+    element, or a threshold that is not a rational, raises
     ValidationError with its 1-based round. Given a problem, each element's
     instance, label and threshold are checked against it too, by the round
     rule (`check_round`). Thresholds must be present on
@@ -430,14 +415,15 @@ def make_stream(items: Iterable, problem: Optional[Problem] = None) -> tuple:
             x, y, eps = item.x, item.y, item.eps
         elif isinstance(item, (tuple, list)) and len(item) in (2, 3):
             x, y, eps = item[0], item[1], item[2] if len(item) == 3 else None
-            if eps is not None:
-                try:
-                    eps = parse_rational(eps)
-                except ValidationError as exc:
-                    raise ValidationError(f"round {t}: {exc}") from exc
-            item = make_record(ThresholdedExample, x=x, y=y, eps=eps)
         else:
             raise ValidationError(f"round {t}: stream element {format_value(item)} is not (x, y) or (x, y, eps)")
+        if eps is not None and type(eps) is not Fraction:
+            try:
+                eps = parse_rational(eps)
+            except ValidationError as exc:
+                raise ValidationError(f"round {t}: {exc}") from exc
+        if not isinstance(item, ThresholdedExample) or eps is not item.eps:
+            item = make_record(ThresholdedExample, x=x, y=y, eps=eps)
         if problem is not None:
             check_round(problem, t, x, y, eps)
         if out and (eps is None) != (out[0].eps is None):
@@ -524,10 +510,10 @@ def make_record(cls, **fields):
 
     The generated `__init__` of a frozen dataclass sets each field through
     `object.__setattr__`; this writes the dict once instead, so `cls` must
-    have no `__post_init__`, and the caller gives every field (`GameSolution`
-    gives all but the mixture it builds on first read, and its private
-    numerators). Equality, hash and repr read the fields, so the instance
-    equals its constructor-built twin.
+    have no `__post_init__`, and the caller gives every field, already
+    checked (`solve_scaled` gives a `GameSolution` its value and its
+    constructor-built `Mixture`). Equality, hash and repr read the fields,
+    so the instance equals its constructor-built twin.
     """
     record = object.__new__(cls)
     object.__setattr__(record, "__dict__", fields)

@@ -27,8 +27,8 @@ it is a minor of the initial integer tableau, so it is an integer. Entering
 and leaving variables are chosen by the same Bland's rule, with ratios
 compared by integer cross-multiplication, so the pivot sequence is the one
 rational arithmetic takes. The game value is recovered from the final
-integers and checked exactly; only it, and the mixture when it is read,
-become Fractions.
+integers and checked exactly; only it, and the mixture's weights when
+they are read, become Fractions.
 
 The integer core has its own entry, `solve_scaled(entries, scale)` (not
 exported): the rows' entries, coefficient plus offset, as integers over a
@@ -49,11 +49,11 @@ the rational tableau unchanged, so the pivots are the same and so are the
 value and the mixture.
 
 There is no LP cache here: every call solves its LP, recovers the value
-and checks that the simplex optimum equals the recovered game value. Only
-the mixture waits: the engine's recursion, certificates and
-`msdim_direct` read a game's value alone, so a solution keeps the simplex's
-integer numerators and builds its `Mixture` from them, checked in integers
-(`Mixture.from_scaled`), on the first read of `mixture` (`GameSolution`).
+and checks that the simplex optimum equals the recovered game value. A
+solution holds its `Mixture`, made from the simplex's integer numerators
+and checked in integers by its constructor. The engine's recursion,
+certificates and `msdim_direct` read a game's value alone, and a mixture
+builds its weight Fractions only when they are read, so they build none.
 Callers that meet the same game again memoize it themselves. Engines look their games up in a table keyed by LP row ids
 (`DimensionEngine.game`), shared by the engines built on one (problem, class)
 pair. Their recursion solves only the games that exact bounds leave
@@ -118,30 +118,14 @@ class AffineRow:
 class GameSolution:
     """Minimax value and an optimal mixture.
 
-    A solution from `solve_scaled` is made without its `mixture` field and
-    holds the simplex's integer numerators u instead. The first read of
-    `mixture` builds `Mixture.from_scaled(u, sum(u))`, checked in integers
-    like any other mixture, and stores it, so every later read returns that
-    same object; that mixture builds its weight Fractions only when they are
-    read. Equality, hash and repr read the field, so they compare and show
-    the built mixture.
+    `solve_scaled` makes its mixture from the simplex's integer numerators
+    u, `Mixture(u, sum(u))`, checked in integers like any other mixture; that
+    mixture builds its weight Fractions only when they are read, so a caller
+    that reads only the value builds none.
     """
 
     value: Fraction
     mixture: Mixture
-
-    @classmethod
-    def _deferred(cls, value: Fraction, numerators: list) -> "GameSolution":
-        return make_record(cls, value=value, _numerators=numerators)
-
-    def __getattr__(self, name):
-        # Python calls this only for a name missing from the instance dict:
-        # among the fields, only a deferred solution's unread mixture.
-        u = self.__dict__.get("_numerators")
-        if name != "mixture" or u is None:
-            raise AttributeError(f"'GameSolution' object has no attribute {name!r}")
-        mu = vars(self)["mixture"] = Mixture.from_scaled(u, sum(u))
-        return mu
 
 
 def solve_min_max(rows: Sequence[AffineRow]) -> GameSolution:
@@ -179,7 +163,7 @@ def solve_scaled(entries, scale: int) -> GameSolution:
     low = min(min(row) for row in entries)
     u, det = _simplex_max_sum([[v - low + scale for v in row] for row in entries], scale)
     # total > 0: any single coordinate can be raised above zero while staying
-    # feasible. The mixture u/total is built only when read (GameSolution).
+    # feasible. The mixture is u/total.
     total = sum(u)
     # Row i's value at the mixture, times scale * total (the weights sum to 1).
     values = [sum(v * x for v, x in zip(row, u)) for row in entries]
@@ -188,7 +172,7 @@ def solve_scaled(entries, scale: int) -> GameSolution:
     # game value det/total - (scale - low)/scale must equal top/(scale*total).
     if top != det * scale - (scale - low) * total:
         raise AssertionError("simplex optimum disagrees with recovered game value")
-    return GameSolution._deferred(Fraction(top, scale * total), u)
+    return make_record(GameSolution, value=Fraction(top, scale * total), mixture=Mixture(u, total))
 
 
 def kernel_value(entries, scale: int) -> Optional[Fraction]:

@@ -231,8 +231,8 @@ def aggregate_mixture(
     The sums are taken in integers: Fraction weights, when there are any, are
     put over their lcm (`scaled_loss`) first, and every mixture's `scaled`
     over the lcm of their `den`s. The result is made from those integers
-    (`Mixture.from_scaled`), so it builds no Fraction until its weights are
-    read."""
+    (the `Mixture` constructor), so it builds no Fraction until its weights
+    are read."""
     if not mixtures or len(weights) != len(mixtures):
         raise ValidationError("need equally many weights and mixtures, at least one")
     total = 0
@@ -257,7 +257,7 @@ def aggregate_mixture(
         for j, entry in enumerate(m.scaled):
             if entry:
                 sums[j] += factor * entry
-    return Mixture.from_scaled(sums, total * den)
+    return Mixture(sums, total * den)
 
 
 class AgnosticLearner:

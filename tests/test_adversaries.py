@@ -135,7 +135,7 @@ class TestShatteringAdversary:
                 if sum(weights) == 0:
                     weights[0] = F(1)
                 total = sum(weights)
-                mixture = Mixture(tuple(w / total for w in weights))
+                mixture = Mixture.of(tuple(w / total for w in weights))
                 y, eps = adv.observe_mixture(mixture)
                 assert eps is None
                 rounds.append((x, y, mixture))
@@ -163,7 +163,7 @@ def test_answer_is_the_best_response_over_the_node_rows(name, gamma):
     for _ in range(3):
         raw = [F(rng.randrange(5), rng.choice((1, 3, 2**61))) for _ in range(width)]
         raw[0] += 1
-        plays.append(Mixture(tuple(w / sum(raw) for w in raw)))
+        plays.append(Mixture.of(tuple(w / sum(raw) for w in raw)))
 
     def answer(key, node, mixture, floor):
         candidates = tuple((c, VersionSpace((i,))) for i, (c, _) in enumerate(node.candidates))

@@ -69,6 +69,10 @@ class TestDim:
             capsys, "dim", "--builtin", "multiclass", "--dimension", "ldim"
         )
         assert (code, out) == (0, "1\n")
+        # A well-formed gamma, which ldim does not read, is accepted.
+        assert run_cli(capsys, "dim", "--builtin", "multiclass", "--dimension", "ldim", "--gamma", "1/4,0") == (
+            0, "1\n", ""
+        )
         code, out, _ = run_cli(
             capsys, "dim", "--builtin", "list", "--dimension", "ldimk", "--k", "2",
             "--format", "json",
@@ -126,10 +130,20 @@ class TestDimErrors:
             (["dim", "--dimension", "smdim", "--gamma", ""], "--gamma must not be empty"),
             (["adversary", "--learner", "uniform", "--gamma", ""], "--gamma must not be empty"),
             (["learn", "--learner", "mrsoa"], "--gamma is required for mrsoa"),
+            # A malformed option is refused even where the run never reads it.
+            (["sqrt-lower", "-T", "0", "--alpha", "abc"], "not a rational literal: 'abc'"),
+            (["adversary", "--learner", "mrsoa", "--gamma", "1/4", "--alpha", "abc"], "not a rational literal: 'abc'"),
+            (["learn", "--learner", "ftl", "--gamma", "abc"], "not a rational literal: 'abc'"),
+            (["learn", "--learner", "mrsoa", "--gamma", "1/4", "--alpha", "abc"], "not a rational literal: 'abc'"),
+            (["dim", "--dimension", "ldimk", "--gamma", "1/4,x"], "not a rational literal: 'x'"),
         ],
-        ids=["dim-empty", "adversary-empty", "learn-mrsoa-without"],
+        ids=[
+            "dim-empty", "adversary-empty", "learn-mrsoa-without", "sqrt-lower-unread-alpha",
+            "adversary-mrsoa-unread-alpha", "learn-ftl-unread-gamma", "learn-mrsoa-unread-alpha",
+            "dim-ldimk-unread-gamma",
+        ],
     )
-    def test_a_refused_gamma_exits_2_with_its_message(self, capsys, tmp_path, argv, message):
+    def test_a_refused_rational_option_exits_2_with_its_message(self, capsys, tmp_path, argv, message):
         argv = [*argv, "--builtin", "multiclass:binary-constants"]
         if argv[0] == "learn":
             path = tmp_path / "stream.json"

@@ -34,7 +34,13 @@ from smdim.core import (
 from smdim.adversaries import find_sqrt_witness, rademacher_stream
 from smdim.dimensions import DimensionEngine, GammaValue, msdim, seqfat
 from smdim.game import AffineRow
-from smdim.instances import make_builtin, multilabel_instance, regression_instance, vector_instance
+from smdim.instances import (
+    make_builtin,
+    multilabel_instance,
+    regression_instance,
+    serialize_stream,
+    vector_instance,
+)
 from smdim.learners import UniformLearner, aggregate_mixture
 from smdim.simulation import run_game
 
@@ -52,7 +58,7 @@ def mixtures(draw, width):
     if draw(st.booleans()):
         cuts = sorted(draw(st.lists(st.integers(0, 2**62), min_size=width - 1, max_size=width - 1)))
         parts = [b - a for a, b in zip([0] + cuts, cuts + [2**62])]
-        return Mixture(tuple(F(p, 2**62) for p in parts))
+        return Mixture.of(tuple(F(p, 2**62) for p in parts))
     raw = draw(
         st.lists(
             st.builds(F, st.integers(0, 9), st.sampled_from(DENOMINATORS)),
@@ -63,7 +69,7 @@ def mixtures(draw, width):
     if not any(raw):
         raw[0] = F(1)
     total = sum(raw)
-    return Mixture(tuple(w / total for w in raw))
+    return Mixture.of(tuple(w / total for w in raw))
 
 
 @st.composite
@@ -443,59 +449,79 @@ class TestMixture:
     def test_support(self):
         assert Mixture.of((F(1, 2), 0, F(1, 2))).support() == (0, 2)
 
-    def test_integer_form_is_not_compared_shown_or_pickled_apart(self):
-        mixture = Mixture((F(1, 3), F(0), F(2, 3)))
-        assert (mixture.den, mixture.scaled) == (3, (1, 0, 2))
+    def test_the_integers_are_the_fields_and_the_weights_a_cached_view(self):
+        mixture = Mixture((1, 0, 2), 3)
         flags = {f.name: (f.init, f.repr, f.compare) for f in fields(Mixture)}
-        assert flags == {
-            "weights": (True, True, True),
-            "den": (False, False, False),
-            "scaled": (False, False, False),
-        }
-        assert repr(mixture) == "Mixture(weights=(Fraction(1, 3), Fraction(0, 1), Fraction(2, 3)))"
+        assert flags == {"scaled": (True, True, True), "den": (True, True, True)}
+        assert repr(mixture) == "Mixture(scaled=(1, 0, 2), den=3)"
         twin = Mixture.of(("1/3", 0, "2/3"))
+        assert (twin.den, twin.scaled) == (3, (1, 0, 2))
         assert twin == mixture and hash(twin) == hash(mixture)
+        # Reading the weights changes no field: equality, hash and repr ignore the cache.
+        before = (repr(twin), hash(twin))
+        assert twin.weights == (F(1, 3), F(0), F(2, 3))
+        assert (repr(twin), hash(twin)) == before and twin == mixture
         copied = pickle.loads(pickle.dumps(mixture))
         assert copied == mixture and (copied.den, copied.scaled) == (3, (1, 0, 2))
 
-    def test_a_list_of_weights_is_stored_as_a_tuple(self):
+    def test_a_list_of_numerators_or_weights_is_stored_as_a_tuple(self):
         # A list was kept as given: unequal to its tuple twin, unhashable, and
         # open to an append that `len` saw and `scaled` did not.
-        mixture = Mixture([F(1, 2), F(1, 2)])
-        assert mixture == Mixture.uniform(2) and hash(mixture) == hash(Mixture.uniform(2))
-        with pytest.raises(AttributeError):
-            mixture.weights.append(F(1))
-        assert len(mixture) == 2 and mixture.scaled == (1, 1)
+        for mixture in (Mixture([1, 1], 2), Mixture([2, 2], 4), Mixture.of([F(1, 2), F(1, 2)])):
+            assert mixture == Mixture.uniform(2) and hash(mixture) == hash(Mixture.uniform(2))
+            assert type(mixture.scaled) is tuple and mixture.scaled == (1, 1) and mixture.den == 2
+            with pytest.raises(AttributeError):
+                mixture.scaled.append(1)
+            with pytest.raises(AttributeError):
+                mixture.weights.append(F(1))
+            assert len(mixture) == 2
+
+    def test_a_tuple_in_lowest_terms_is_stored_as_given(self):
+        numerators = (1, 0, 2)
+        assert Mixture(numerators, 3).scaled is numerators
+        assert Mixture((2, 0, 4), 6).scaled == numerators
 
     @pytest.mark.parametrize(
         "numerators, den, message",
         [
             ((), 1, "mixture over an empty prediction space"),
-            ((True, 0), 1, "mixture weight True is not a Fraction"),
-            ((1.0, 0), 1, "mixture weight 1.0 is not a Fraction"),
             ((2, -1), 1, "negative mixture weight -1"),
             ((1, 0, -1), 3, "negative mixture weight -1/3"),
             ((1, 1), 3, "mixture weights sum to 2/3, expected 1"),
         ],
     )
-    def test_from_scaled_refuses_what_the_weights_constructor_refuses(self, numerators, den, message):
-        weights = tuple(F(s, den) if type(s) is int else s for s in numerators)
-        for build in (lambda: Mixture.from_scaled(numerators, den), lambda: Mixture(weights)):
+    def test_the_constructor_and_of_refuse_alike(self, numerators, den, message):
+        weights = tuple(F(s, den) for s in numerators)
+        for build in (lambda: Mixture(numerators, den), lambda: Mixture.of(weights)):
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 build()
 
-    def test_from_scaled_refuses_a_denominator_that_is_not_a_positive_int(self):
+    @pytest.mark.parametrize("numerator", [True, 1.0, F(1), "1"])
+    def test_a_numerator_that_is_not_an_int_is_refused(self, numerator):
+        with pytest.raises(ValidationError, match=f"^mixture weight {re.escape(repr(numerator))} is not an int$"):
+            Mixture((numerator, 0), 1)
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [(True, "cannot interpret True as a rational"), (0.5, "refusing float 0.5"), ("x", "not a rational literal")],
+    )
+    def test_of_parses_each_weight(self, weight, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            Mixture.of((weight, F(1, 2)))
+        assert Mixture.of(("1/2", F(1, 4), "0.25")) == Mixture((2, 1, 1), 4)
+
+    def test_the_constructor_refuses_a_denominator_that_is_not_a_positive_int(self):
         # (0,) over 0 would sum to its denominator.
         for den, message in ((0, "must be >= 1, got 0"), (True, "must be an int, got True")):
             with pytest.raises(ValidationError, match=f"^mixture denominator {message}$"):
-                Mixture.from_scaled((0,) if den == 0 else (1,), den)
+                Mixture((0,) if den == 0 else (1,), den)
 
     @pytest.mark.parametrize(
         "numerators, den", [((1,), 1), ((0, 3), 3), ((2, 4), 6), ((3, 0, 9), 12), ([1, 1, 2], 4)]
     )
     def test_a_mixture_from_integers_equals_its_fraction_twin(self, numerators, den):
-        mixture = Mixture.from_scaled(numerators, den)
-        twin = Mixture(tuple(F(s, den) for s in numerators))
+        mixture = Mixture(numerators, den)
+        twin = Mixture.of(F(s, den) for s in numerators)
         # Reduced by the gcd, as the twin puts its weights over their lcm.
         assert (mixture.den, mixture.scaled) == (twin.den, twin.scaled)
         copied = pickle.loads(pickle.dumps(mixture))
@@ -504,13 +530,17 @@ class TestMixture:
         assert hash(mixture) == hash(twin) == hash(copied)
         assert repr(mixture) == repr(twin) == repr(copied)
 
-    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=5).filter(any))
-    def test_from_scaled_equals_the_fraction_twin_on_any_numerators(self, numerators):
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=5).filter(any), st.integers(1, 2**40))
+    def test_the_constructor_equals_the_fraction_twin_on_any_numerators(self, numerators, k):
         den = sum(numerators)
-        mixture = Mixture.from_scaled(numerators, den)
-        twin = Mixture(tuple(F(s, den) for s in numerators))
+        mixture = Mixture(numerators, den)
+        twin = Mixture.of(F(s, den) for s in numerators)
         assert (mixture.den, mixture.scaled) == (twin.den, twin.scaled)
         assert mixture == twin and hash(mixture) == hash(twin)
+        # The same weights over a k times larger denominator are the same mixture.
+        scaled_up = Mixture(tuple(k * s for s in numerators), k * den)
+        assert scaled_up == mixture and hash(scaled_up) == hash(mixture)
+        assert mixture.weights == tuple(F(s, den) for s in numerators)
 
     def test_dirac_and_uniform_are_made_from_integers(self):
         for mixture in (Mixture.dirac(3, 1), Mixture.uniform(3)):
@@ -518,19 +548,30 @@ class TestMixture:
         assert (Mixture.uniform(3).den, Mixture.uniform(3).scaled) == (3, (1, 1, 1))
         assert (Mixture.dirac(3, 1).den, Mixture.dirac(3, 1).scaled) == (1, (0, 1, 0))
 
-    def test_weights_are_built_once_on_first_read(self, monkeypatch):
-        built = []
-        real_build = Mixture.__getattr__
-        monkeypatch.setattr(Mixture, "__getattr__", lambda mu, name: built.append(name) or real_build(mu, name))
-        mixture = Mixture.from_scaled((1, 0, 2), 3)
-        assert len(mixture) == 3 and mixture.support() == (0, 2) and built == []
+    def test_weights_are_built_once_on_first_read(self):
+        mixture = Mixture((1, 0, 2), 3)
+        assert len(mixture) == 3 and mixture.support() == (0, 2) and "weights" not in vars(mixture)
         assert mixture.weights is mixture.weights == (F(1, 3), F(0), F(2, 3))
-        assert built == ["weights"]
+        assert vars(mixture)["weights"] is mixture.weights
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             mixture.missing
 
 
 class TestStreams:
+    @pytest.mark.parametrize("record", [False, True], ids=["tuple", "record"])
+    def test_a_threshold_is_parsed_alike_in_a_tuple_and_a_record(self, record):
+        # A record's threshold was kept as given: a float passed, and was
+        # written out as "0.5".
+        make = ThresholdedExample if record else lambda *fields: fields
+        for call in (make_stream, serialize_stream):
+            with pytest.raises(ValidationError, match=r"^round 1: refusing float 0\.5: "):
+                call([make(0, 0, 0.5)])
+        assert make_stream([make(0, 0, "1/2")]) == (ThresholdedExample(0, 0, F(1, 2)),)
+        assert '"eps": "1/2"' in serialize_stream([make(0, 0, " 1/2")])
+        given = make(0, 0, F(1, 2))
+        (made,) = make_stream([given])
+        assert made == ThresholdedExample(0, 0, F(1, 2)) and (made is given) == record
+
     def test_all_or_none_thresholds(self):
         make_stream([(0, 1), (0, 0)])
         make_stream([(0, 1, F(1, 2)), (0, 0, 0)])
@@ -667,10 +708,19 @@ class TestRoundRule:
             core.check_round(self.problem, None, *args.values())
         with pytest.raises(ValidationError, match=f"^round 4: {re.escape(message)}$"):
             core.check_round(self.problem, 4, *args.values())
-        # A stream made against the problem names the element's round.
-        stream = [ThresholdedExample(0, 0, F(0)), ThresholdedExample(*args.values())]
-        with pytest.raises(ValidationError, match=f"^round 2: {re.escape(message)}$"):
-            make_stream(stream, self.problem)
+        # A stream made against the problem names the element's round, and a
+        # record reads as its tuple. A threshold that is not a Fraction is
+        # parsed first (`parse_rational`), so only a Fraction one reaches the
+        # round rule.
+        refused = set()
+        for element in (ThresholdedExample(*args.values()), tuple(args.values())):
+            with pytest.raises(ValidationError) as raised:
+                make_stream([ThresholdedExample(0, 0, F(0)), element], self.problem)
+            refused.add(str(raised.value))
+        if arg != "eps" or isinstance(value, F):
+            assert refused == {f"round 2: {message}"}
+        else:
+            assert len(refused) == 1 and refused.pop().startswith("round 2: ")
 
     @pytest.mark.parametrize(
         "x, y, eps, first",
@@ -751,7 +801,8 @@ class TestScaledLoss:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: Mixture(5), "mixture weights must be iterable, got 5"),
+        (lambda: Mixture(5, 1), "mixture weights must be iterable, got 5"),
+        (lambda: Mixture.of(5), "mixture weights must be iterable, got 5"),
         (lambda: make_problem(("x0",), (0, 1), (0, 1), [5, [1, 0]]), "loss row 0 must be iterable, got 5"),
         (lambda: make_problem(("x0",), (0, 1), (0, 1), 5), "the loss must be iterable, got 5"),
         (
@@ -759,7 +810,7 @@ class TestScaledLoss:
             "signs must be iterable, got 5",
         ),
     ],
-    ids=["Mixture", "make_problem-row", "make_problem-loss", "rademacher_stream"],
+    ids=["Mixture", "Mixture.of", "make_problem-row", "make_problem-loss", "rademacher_stream"],
 )
 def test_an_argument_that_is_not_iterable_is_refused(call, message):
     # Each once raised TypeError from the loop over it; make_stream's rule,
@@ -806,12 +857,12 @@ def test_mixture_sum_check_equals_a_fraction_sum(data):
     weights = tuple(weights)
     if weights[0] < 0:
         with pytest.raises(ValidationError, match="negative mixture weight"):
-            Mixture(weights)
+            Mixture.of(weights)
     elif sum(weights) != 1:
         with pytest.raises(ValidationError, match=f"sum to {sum(weights)}, expected 1"):
-            Mixture(weights)
+            Mixture.of(weights)
     else:
-        mixture = Mixture(weights)
+        mixture = Mixture.of(weights)
         assert tuple(F(s, mixture.den) for s in mixture.scaled) == weights
         assert mixture.den == math.lcm(*(w.denominator for w in weights))
 
@@ -845,11 +896,14 @@ PAST_DIGIT_LIMIT = {
     "VersionSpace.full count": lambda big: VersionSpace.full(-big),
     "HypothesisClass table type": lambda big: HypothesisClass(big),
     "HypothesisClass row type": lambda big: HypothesisClass((big,)),
-    "Mixture weight type": lambda big: Mixture((big,)),
-    "Mixture not iterable": lambda big: Mixture(big),
-    "Mixture.from_scaled numerator type": lambda big: Mixture.from_scaled((F(big),), 1),
-    "Mixture.from_scaled negative numerator": lambda big: Mixture.from_scaled((-big, big + 1), 1),
-    "Mixture.from_scaled sum": lambda big: Mixture.from_scaled((big,), 1),
+    "Mixture numerator type": lambda big: Mixture((F(big),), 1),
+    "Mixture not iterable": lambda big: Mixture(big, 1),
+    "Mixture negative numerator": lambda big: Mixture((-big, big + 1), 1),
+    "Mixture sum": lambda big: Mixture((big,), 1),
+    "Mixture denominator": lambda big: Mixture((1,), -big),
+    "Mixture.of weight type": lambda big: Mixture.of(((big,),)),
+    "Mixture.of not iterable": lambda big: Mixture.of(big),
+    "Mixture.of sum": lambda big: Mixture.of((F(big),)),
     "Candidate threshold type": lambda big: Candidate(0, big),
     "Candidate negative threshold": lambda big: Candidate(0, F(-big)),
     "make_stream not iterable": lambda big: make_stream(big),

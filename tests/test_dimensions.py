@@ -8,6 +8,7 @@ instead of the simplex solver.
 """
 
 import gc
+import hashlib
 import inspect
 import json
 import operator
@@ -32,6 +33,7 @@ from smdim.core import (
     Mixture,
     ValidationError,
     VersionSpace,
+    format_rational,
     make_problem,
     validate_problem,
 )
@@ -322,7 +324,7 @@ class TestCertificate:
                 if sum(weights) == 0:
                     weights[0] = F(1)
                 total = sum(weights)
-                mixture = Mixture(tuple(w / total for w in weights))
+                mixture = Mixture.of(tuple(w / total for w in weights))
                 rows = tuple(
                     AffineRow(problem.loss[cand.label], -cand.threshold)
                     for cand, _ in node.candidates
@@ -1036,16 +1038,19 @@ def test_msdim_equals_msdim_direct_with_margins_in_descending_order():
         assert direct == [msdim_direct(*parse_instance_document(doc), full, g) for g in margins]
 
 
-def test_value_readers_build_no_mixture(monkeypatch):
+def test_value_readers_build_no_weights(monkeypatch):
     # The recursion, certificates and msdim_direct read only game values, so
-    # they build no Mixture; Mrsoa's mixture, read afterwards, is the one the
-    # solver gives for the rows of the game it plays.
-    built = []
-    real_settle = Mixture._settle
-    monkeypatch.setattr(Mixture, "_settle", lambda mu, *args: built.append(mu) or real_settle(mu, *args))
+    # the mixtures of the games they solve build no weight Fractions; Mrsoa's
+    # mixture, read afterwards, is the one the solver gives for the rows of
+    # the game it plays.
     solved = []
     real_solve = dimensions.solve_min_max
-    monkeypatch.setattr(dimensions, "solve_min_max", lambda rows: solved.append(rows) or real_solve(rows))
+
+    def solve(rows):
+        solved.append(real_solve(rows))
+        return solved[-1]
+
+    monkeypatch.setattr(dimensions, "solve_min_max", solve)
     engines = []
     for gv in ORACLE_GAMMAS:
         # Fresh objects at each margin, so every game is solved here. Most
@@ -1062,14 +1067,15 @@ def test_value_readers_build_no_mixture(monkeypatch):
     for problem, cls in [gen_setvalued(rng) for _ in range(6)] + [make_builtin("setvalued:pair")]:
         for g in (GammaValue.strict_zero(), F(1, 4), F(1, 2)):
             msdim_direct(problem, cls, VersionSpace.full(cls.num_hypotheses), g)
-    assert len(solved) >= 1000 and built == []
+    assert len(solved) >= 1000
+    assert not any("weights" in vars(sol.mixture) for sol in solved)
     for engine in engines:
         full = to_mask(range(engine.cls.num_hypotheses))
         for x in range(engine.problem.num_instances):
             mu = engine.mixture(full, x)
             (ids,) = [ids for ids, sol in engine.games.items() if sol.mixture is mu]
             assert mu == real_solve(engine_rows(engine, ids)).mixture
-    assert built
+            assert "weights" not in vars(mu)
 
 
 def dense_losses(rng):
@@ -1304,6 +1310,27 @@ def test_the_recursion_solves_no_game_on_the_dim_cold_grids():
             assert not engine.games
             assert engine.certificate(full).nodes
             assert not engine.games and engine.values
+
+
+def test_mrsoa_plays_the_pinned_root_mixtures_on_the_dim_cold_grids():
+    # A game's value is unique, but its optimal mixture is not: Mrsoa plays
+    # the vertex Bland's rule reaches. Another pivot rule (the largest
+    # reduced cost entering) gives every value and dimension unchanged and
+    # plays other mixtures here, so they are pinned, as "p/q" text, one
+    # mixture a line: two seeds of grids, each grid at 1/8 and 1/4, each
+    # instance at the root.
+    lines = []
+    for seed in (53, 59):
+        for problem, cls in dim_cold_grids(seed):
+            for gamma in (F(1, 8), F(1, 4)):
+                learner = Mrsoa(problem, cls, gamma)
+                for x in range(problem.num_instances):
+                    lines.append(",".join(format_rational(w) for w in learner.predict(x).weights))
+    text = "".join(line + "\n" for line in lines)
+    assert len(lines) == 120
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aad03b538d90e383caf0296d6240fd7ad54a67974646ca2844ede5c7bb9214be"
+    )
 
 
 def test_the_kernel_skips_columns_but_not_its_value_on_the_dim_cold_grids():

@@ -114,16 +114,12 @@ def test_single_row_picks_smallest_coefficient():
     assert sol.mixture.weights[1] == 1
 
 
-def test_a_solution_builds_its_mixture_once_when_read(monkeypatch):
-    built = []
-    real_settle = Mixture._settle
-    monkeypatch.setattr(Mixture, "_settle", lambda mu, *args: built.append(mu) or real_settle(mu, *args))
+def test_a_solution_holds_its_checked_mixture():
     sol = solve_min_max((row((0, 1), F(-1, 4)), row((1, 0))))
     copied = pickle.loads(pickle.dumps(sol))
-    assert sol.value == F(3, 8) and built == []
-    assert sol.mixture is sol.mixture
-    assert built == [sol.mixture]
-    expected = GameSolution(F(3, 8), Mixture((F(3, 8), F(5, 8))))
+    assert sol.value == F(3, 8) and sol.mixture is sol.mixture
+    assert vars(sol) == {"value": F(3, 8), "mixture": Mixture((3, 5), 8)}
+    expected = GameSolution(F(3, 8), Mixture.of((F(3, 8), F(5, 8))))
     assert sol == expected == copied and hash(sol) == hash(expected)
     assert repr(sol) == repr(expected)
 
@@ -149,13 +145,12 @@ def test_a_solution_is_immutable():
         sol.weights
 
 
-def test_a_mixture_that_is_read_is_validated(monkeypatch):
+def test_a_solution_mixture_is_validated(monkeypatch):
     # A broken simplex that returns a negative numerator is caught when the
-    # mixture is built from it.
+    # solution's mixture is built from it.
     monkeypatch.setattr("smdim.game._simplex_max_sum", lambda matrix, rhs: ([2, -1], 1))
-    sol = solve_scaled([[1, 1], [1, 1]], 1)
-    with pytest.raises(ValidationError, match="negative mixture weight"):
-        sol.mixture
+    with pytest.raises(ValidationError, match="^negative mixture weight -1$"):
+        solve_scaled([[1, 1], [1, 1]], 1)
 
 
 def test_dominated_row_changes_nothing():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smdim import learners
-from smdim.adversaries import find_sqrt_witness
+from smdim.adversaries import find_sqrt_witness, rademacher_stream
 from smdim.core import (
     BudgetError,
     HypothesisClass,
@@ -34,7 +34,7 @@ from smdim.learners import (
     loss_grid,
     pool_size,
 )
-from smdim.simulation import run_game
+from smdim.simulation import exact_expectation_over_signs, run_game, transcript_rows
 from smdim.verify import gen_multiclass, gen_regression
 
 from test_core import mixtures
@@ -146,7 +146,7 @@ class ReferenceAgnosticLearner:
     def predict(self, x):
         self.mixtures = [self.engine.mixture(space, x) for space in self.spaces]
         total = sum(self.weights)
-        return Mixture(tuple(
+        return Mixture.of(tuple(
             sum(w * m.weights[z] for w, m in zip(self.weights, self.mixtures)) / total
             for z in range(self.problem.num_predictions)
         ))
@@ -578,24 +578,21 @@ class TestMultiplicativeWeights:
         with pytest.raises(ValidationError, match="^entry None is not a Mixture$"):
             aggregate_mixture([1, 1], [Mixture.dirac(2, 0), None])
 
-    def test_played_mixtures_build_no_weights(self, monkeypatch):
+    def test_played_mixtures_build_no_weights(self):
         # Widths, supports, expected losses and the aggregate read the
         # integers alone; the weights are built when something reads them.
-        built = []
-        real_build = Mixture.__getattr__
-        monkeypatch.setattr(Mixture, "__getattr__", lambda mu, name: built.append(id(mu)) or real_build(mu, name))
         problem, _ = three_quarter_constants()
-        mixed = [Mixture.from_scaled((1, 3), 4), Mixture.dirac(2, 1), Mixture.uniform(2)]
+        mixed = [Mixture((1, 3), 4), Mixture.dirac(2, 1), Mixture.uniform(2)]
         out = aggregate_mixture([3, F(1, 2), 2**70], mixed)
         for mixture in (*mixed, out):
             assert len(mixture) == 2 and mixture.support() in ((0, 1), (1,))
             expected_loss(problem, mixture, 0)
-        assert built == []
+            assert "weights" not in vars(mixture)
         reference = tuple(
             sum((w * m.weights[j] for w, m in zip((3, F(1, 2), 2**70), mixed)), F(0)) / (F(7, 2) + 2**70)
             for j in range(2)
         )
-        assert out.weights == reference and built.count(id(out)) == 1
+        assert out.weights == reference and vars(out)["weights"] is out.weights
 
     @given(st.data())
     def test_aggregate_equals_a_fraction_sum(self, data):
@@ -633,6 +630,26 @@ class TestAgnosticLearner:
         problem, cls = make_builtin("multiclass:binary-constants")
         with pytest.raises(ValidationError, match=message):
             AgnosticLearner(problem, cls, F(1, 4), horizon)
+
+    def test_a_played_sign_walk_builds_no_weights_until_a_writer_reads_them(self):
+        # The walk, the learner's aggregate and the expected losses read the
+        # integers alone; a transcript writer builds the weights it writes.
+        problem, cls = make_builtin("regression:three-point")
+        witness = find_sqrt_witness(problem, cls)
+        played = []
+
+        def factory():
+            learner = AgnosticLearner(problem, cls, F(1, 4), 6)
+            predict = learner.predict
+            learner.predict = lambda x: played.append(predict(x)) or played[-1]
+            return learner
+
+        streams = lambda signs: rademacher_stream(witness, signs)
+        exact_expectation_over_signs(problem, cls, streams, factory, 6)
+        report = run_game(problem, cls, factory(), streams((1, -1, -1, 1, 1, -1)))
+        assert len(played) > 6 and not any("weights" in vars(mu) for mu in played)
+        rows = transcript_rows(problem, report)
+        assert all("weights" in vars(r.mixture) for r in report.rounds) and len(rows) == 7
 
     def test_default_alpha_is_c_below_one_over_horizon(self):
         # 0 < c < 1/T takes alpha = c; c = 0 keeps 1/T.

@@ -667,13 +667,14 @@ def test_threshold_above_the_largest_loss_is_refused_before_the_learner_plays():
 
 
 def test_a_stream_threshold_that_is_not_a_fraction_is_refused_before_the_learner_plays():
-    # A ThresholdedExample is kept as given, so its float threshold once
-    # reached the exact report as the round's eps, written out as "0.5".
+    # A ThresholdedExample was kept as given, so its float threshold once
+    # reached the exact report as the round's eps, written out as "0.5". It
+    # is parsed like a tuple's, and refused as a float.
     problem, cls = make_builtin("multiclass:binary-constants")
     learner = UniformLearner(problem)
     calls = []
     learner.predict = lambda *args: calls.append(("predict", args))
-    with pytest.raises(ValidationError, match=r"^round 1: threshold 0.5 is not a Fraction$"):
+    with pytest.raises(ValidationError, match=r"^round 1: refusing float 0\.5: "):
         run_game(problem, cls, learner, [ThresholdedExample(0, 0, 0.5)])
     assert calls == []
 
