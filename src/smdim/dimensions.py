@@ -50,11 +50,16 @@ qualifying row is of a label the optimistic rows hold, at the same or a
 larger threshold, so it is pointwise at most that label's optimistic row,
 and the qualifying game's value is at most the optimistic game's. So
 `_branch` skips an instance whose optimistic game misses the margin and
-probes none of its children there; the instance it chooses, its rows and
-every dimension are the ones the full scan gives, and only the version
-spaces visited shrink: a skipped child is not visited and does not count
-against the memo cap. At depth 1 the optimistic rows are the qualifying
-rows (`_first_rows`).
+probes none of its children there. At depth 1 the optimistic rows are the
+qualifying rows (`_first_rows`). When the optimistic game passes, `_branch`
+hands its rows to the scan, which bounds the qualifying game as it goes:
+before each probe at a label j it ANDs the pure-prediction masks (`_below`)
+of the rows found so far, of the row at hand and of the optimistic rows of
+the labels after j, and stops with no rows when some prediction is left,
+since that prediction refutes every game the scan could still finish with.
+Either way the instance `_branch` chooses, its rows and every dimension are
+the ones the full scan gives, and only the version spaces visited shrink: a
+skipped child is not visited and does not count against the memo cap.
 
 All four routes, and the learners, represent a version space as an `int`
 bitmask (bit h set when hypothesis h is a member); `to_mask` and `to_members`
@@ -538,13 +543,30 @@ class DimensionEngine:
                     previous = child
         return out
 
-    def qualifying_rows(self, members: int, x: int, child_depth: int) -> tuple:
-        """The LP row ids of the qualifying game at x, a key of `game`.
+    def qualifying_rows(
+        self, members: int, x: int, child_depth: int, optimistic: Optional[tuple] = None
+    ) -> tuple:
+        """The LP row ids of the qualifying game at x, a key of `game`, or ()
+        once the bound below shows that game fails.
 
         There is one id per qualifying label, in ascending label order: the
         row of the label's first qualifying candidate, which dominates the
         label's other qualifying rows. The ids are those of each label's first
         entry in `candidate_rows` whose child is shatterable to `child_depth`.
+
+        `optimistic` is `_branch`'s optimistic rows at x (`_first_rows` at k =
+        `child_depth`). Given them, before each probe at a step of label j the
+        scan ANDs the `_below` masks of the rows found so far, of the step's
+        row and of the optimistic rows of the labels after j, and returns ()
+        when some prediction z is left: every row the qualifying game could
+        still hold is under the margin at z, so the pure z refutes it
+        (`_pure_verdict`). The game's row of label j, if any, is at this step
+        or a later one, and a later one is pointwise lower, so its mask holds
+        the step's; the row of a later label is at or after its optimistic
+        row; and a label with no qualifying child adds no row. A game that
+        passes is never cut short, so the memo entries it writes and the
+        certificates read from them do not change. `mixture()` passes no
+        rows: it plays the game it finds, passing or not.
 
         The scan walks every threshold step itself and builds no list. It
         stops each label at its first qualifying child: every larger realized
@@ -567,18 +589,33 @@ class DimensionEngine:
         """
         if not child_depth:
             return self._first_rows(members, x, 0)
-        ids = []
+        labels, below = self._steps[x], self._below
+        # tails[y]: the AND of `_below` over the optimistic rows of the labels
+        # after y. A label the scan probes has an optimistic row, its first
+        # probed step; the others keep 0, as every label does without
+        # optimistic rows, so no mask is ever left there.
+        tails = [0] * len(labels)
+        if optimistic is not None:
+            tail = -1
+            for row_id in reversed(optimistic):
+                tails[self._rows[row_id][0]] = tail
+                tail &= below[row_id]
+        ids, found = [], -1  # found: the AND of `_below` over ids
         memo, branch = self._memo, self._branch
-        for _, steps in self._steps[x]:
+        for (_, steps), tail in zip(labels, tails):
+            bound = found & tail
             for within, row_id in steps:
                 child = members & within
                 if child.bit_count() > child_depth:
+                    if bound & below[row_id]:
+                        return ()  # the game fails whatever the probes find
                     key = (child, child_depth)
                     hit = memo.get(key, _MISSING)
                     if hit is _MISSING:
                         hit = memo[key] = branch(child, child_depth)
                     if hit:
                         ids.append(row_id)
+                        found &= below[row_id]
                         break
                 if child == members:
                     break
@@ -679,7 +716,9 @@ class DimensionEngine:
         is decided first. It bounds the qualifying game's value from above
         (module docstring), so when it misses the margin the instance is
         skipped and none of its children is probed. At depth 1 it is the
-        qualifying game itself."""
+        qualifying game itself. Above depth 1 its rows go to the scan
+        (`qualifying_rows`), which stops probing once they and the rows it
+        found refute the qualifying game."""
         if members not in self._spaces:
             if len(self._spaces) >= self.memo_cap:
                 raise BudgetError(
@@ -692,7 +731,7 @@ class DimensionEngine:
             if not self._passes(ids):
                 continue  # the optimistic game misses: no child at x is probed
             if depth > 1:
-                ids = self.qualifying_rows(members, x, depth - 1)
+                ids = self.qualifying_rows(members, x, depth - 1, ids)
                 if not (ids and self._passes(ids)):
                     continue
             return x, ids

@@ -18,7 +18,7 @@ import sys
 import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, product
 
 import pytest
@@ -1156,8 +1156,11 @@ def test_the_recursion_solves_no_game_a_pure_bound_decides():
     solved = played = 0
     for gv in ORACLE_GAMMAS:
         # Fresh objects at each margin, so the game table holds only this
-        # engine's games.
-        for problem, cls in bound_cases():
+        # engine's games. The scan's bound refutes some games before they
+        # are complete, so eight more dense losses keep the counts over
+        # their bars.
+        rng = random.Random(89)
+        for problem, cls in bound_cases() + [dense_losses(rng) for _ in range(8)]:
             engine = DimensionEngine(problem, cls, gv)
             engine.smdim(VersionSpace.full(cls.num_hypotheses))
             table = row_table(engine)
@@ -1377,8 +1380,11 @@ def test_certificates_and_candidates_build_one_candidate_per_lp_row(monkeypatch)
 def test_certificate_node_values_are_the_solved_values():
     # Whether a node's value comes from the game table, a kernel or the
     # simplex, it is the solved value of the node's candidate rows.
+    # The scan's bound refutes some games before they are complete, so
+    # eight more dense losses keep the counts over their bars.
     kernel_valued = solved = 0
-    for problem, cls in bound_cases():
+    rng = random.Random(89)
+    for problem, cls in bound_cases() + [dense_losses(rng) for _ in range(8)]:
         full = VersionSpace.full(cls.num_hypotheses)
         for gv in ORACLE_GAMMAS:
             engine = DimensionEngine(problem, cls, gv)
@@ -1422,14 +1428,17 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
     # the engine is asked about every node of a walk over the full candidate
     # lists (`reference_certificate_nodes`), whose later children pruning
     # skipped. A scan at child depth 0 is `_first_rows` at k = 0, which
-    # `_branch` calls at depth 1 without `qualifying_rows`. Ten more grids of
-    # the dim-cold shape, where most deep scans are, keep the counts over
-    # their bars although the instance prune skips many scans.
+    # `_branch` calls at depth 1 without `qualifying_rows`. Twenty more grids
+    # of the dim-cold shape, where most deep scans are, keep the counts over
+    # their bars although the instance prune skips many scans. Given
+    # `_branch`'s optimistic rows, the scan may stop early and give (), but
+    # only when the definition's game fails by a pure prediction: the AND of
+    # `_below` over its rows is nonzero.
     met = []
     real, real_first = DimensionEngine.qualifying_rows, DimensionEngine._first_rows
 
-    def spy(engine, members, x, child_depth):
-        ids = real(engine, members, x, child_depth)
+    def spy(engine, members, x, child_depth, optimistic=None):
+        ids = real(engine, members, x, child_depth, optimistic)
         if child_depth:
             met.append((engine, members, x, child_depth, ids))
         return ids
@@ -1442,7 +1451,7 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
 
     monkeypatch.setattr(DimensionEngine, "qualifying_rows", spy)
     monkeypatch.setattr(DimensionEngine, "_first_rows", spy_first)
-    for problem, cls in bound_cases() + dim_cold_grids(59):
+    for problem, cls in bound_cases() + dim_cold_grids(59) + dim_cold_grids(61):
         full = VersionSpace.full(cls.num_hypotheses)
         for gv in ORACLE_GAMMAS:
             engine = DimensionEngine(problem, cls, gv)
@@ -1454,16 +1463,19 @@ def test_the_qualifying_scan_is_the_candidate_list_definition(monkeypatch):
                 for (members, _), node in nodes.items():
                     engine.mixture(to_mask(members), node.instance)
     monkeypatch.undo()
-    deep = 0
+    deep = cut = 0
     for engine, members, x, child_depth, ids in met:
         expected, found = [], set()
         for y, _, child, row_id in engine.candidate_rows(members, x):
             if y not in found and engine._shatter(child, child_depth):
                 found.add(y)
                 expected.append(row_id)
-        assert ids == tuple(expected)
+        if ids != tuple(expected):
+            assert ids == ()
+            assert reduce(operator.and_, (engine._below[i] for i in expected), -1)
+            cut += 1
         deep += child_depth >= 2
-    assert len(met) >= 20_000 and deep >= 4_000
+    assert len(met) >= 20_000 and deep >= 4_000 and cut >= 1_000
 
 
 def test_the_instance_prune_skips_only_instances_whose_qualifying_game_fails(monkeypatch):
@@ -1471,8 +1483,10 @@ def test_the_instance_prune_skips_only_instances_whose_qualifying_game_fails(mon
     # label's first step whose child has more than d - 1 members, and probes
     # no child at x when their game misses the margin. Each row of the
     # qualifying scan is of a label the optimistic rows hold, and pointwise
-    # at most its row; at every instance `_branch` skipped without scanning,
-    # the scan finds no rows or a failing game.
+    # at most its row; at every instance `_branch` skipped, whether without
+    # scanning or by the scan's own bound, the full scan (no optimistic rows)
+    # finds no rows or a failing game, and at the instance it chose the full
+    # scan finds the rows it kept.
     # branched: (engine, members, depth, result, x scanned) per `_branch` call;
     # scanned: the x scanned so far by each `_branch` call under way.
     branched, scanned = [], []
@@ -1484,9 +1498,9 @@ def test_the_instance_prune_skips_only_instances_whose_qualifying_game_fails(mon
         branched.append((engine, members, depth, result, scanned.pop()))
         return result
 
-    def spy_scan(engine, members, x, child_depth):
+    def spy_scan(engine, members, x, child_depth, optimistic=None):
         scanned[-1].add(x)
-        return real_scan(engine, members, x, child_depth)
+        return real_scan(engine, members, x, child_depth, optimistic)
 
     monkeypatch.setattr(DimensionEngine, "_branch", spy_branch)
     monkeypatch.setattr(DimensionEngine, "qualifying_rows", spy_scan)
@@ -1506,27 +1520,72 @@ def test_the_instance_prune_skips_only_instances_whose_qualifying_game_fails(mon
             for i in ids:
                 assert label_of[i] in bound
                 assert all(map(operator.le, engine._pure[i], bound[label_of[i]]))
-            if x not in probed:
-                skipped += 1
+            if result and x == result[0]:
+                assert ids == result[1]
+            else:
                 assert not ids or not engine._passes(ids)
+            skipped += x not in probed
     assert skipped >= 1000
 
 
 def test_the_memo_cap_boundary_is_the_count_of_spaces_visited():
-    # On this grid smdim() visits 261 version spaces, and certificate() reads
-    # its nodes from the memo, so a cap of 261 suffices for both calls and a
-    # cap of 260 for neither.
+    # On this grid smdim() visits 80 version spaces, and certificate() reads
+    # its nodes from the memo, so a cap of 80 suffices for both calls and a
+    # cap of 79 for neither. The spaces the instance prune and the scan's
+    # bound skip are not visited, so they do not count.
     problem, cls = dim_cold_grids()[9]
     full = VersionSpace.full(cls.num_hypotheses)
-    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=261)
+    engine = DimensionEngine(problem, cls, F(1, 8), memo_cap=80)
     assert engine.smdim(full) == 4
     assert engine.certificate(full).depth == 4
-    assert len(engine._spaces) == 261
-    assert DimensionEngine(problem, cls, F(1, 8), memo_cap=261).certificate(full).depth == 4
+    assert len(engine._spaces) == 80
+    assert DimensionEngine(problem, cls, F(1, 8), memo_cap=80).certificate(full).depth == 4
     with pytest.raises(BudgetError):
-        DimensionEngine(problem, cls, F(1, 8), memo_cap=260).smdim(full)
+        DimensionEngine(problem, cls, F(1, 8), memo_cap=79).smdim(full)
     with pytest.raises(BudgetError):
-        DimensionEngine(problem, cls, F(1, 8), memo_cap=260).certificate(full)
+        DimensionEngine(problem, cls, F(1, 8), memo_cap=79).certificate(full)
+
+
+def hamming_class(instances, hypotheses, seed):
+    """Normalized Hamming loss over Y = Z = {0,1}^3, the words of
+    `product((0, 1), repeat=3)` in that order, and a class drawn by
+    `random.Random(seed)`: one row of `instances` word indices per
+    hypothesis, duplicates dropped and the rows sorted."""
+    rng = random.Random(seed)
+    words = tuple(product((0, 1), repeat=3))
+    loss = [[F(sum(a != b for a, b in zip(y, z)), 3) for z in words] for y in words]
+    problem = make_problem(tuple(range(instances)), words, words, loss)
+    rows = {tuple(rng.randrange(len(words)) for _ in range(instances)) for _ in range(hypotheses)}
+    return validate_problem(problem, HypothesisClass(tuple(sorted(rows))))
+
+
+# (hypotheses, seed) -> (dimension, sha256 of the certificate JSON) at gamma
+# 1/8 of the Hamming classes over three instances, taken from the scan
+# that probed every label to its first qualifying child. Their games have
+# eight labels, unlike the grids' five, so the scan's bound (`qualifying_rows`)
+# ANDs the masks of many later labels' optimistic rows at each probe.
+HAMMING_CERTIFICATES = {
+    (16, 1): (4, "31327fa5963d857a6593320b051a97309f134394fe3ef5f79631e059447f9bd7"),
+    (16, 2): (4, "946b40527316090ddf2030417ca3daa71d61059b757c7174a95761bfbbce3c3b"),
+    (16, 3): (4, "06cf86aa8673f76997bda6eabb8568fa99e4a1571010f1344819462f3b338ebe"),
+    (16, 4): (4, "ff2cb24491e8adf961fe7228b764a7d4390caf0702a96645e89fcaab8a70f892"),
+    (16, 5): (4, "5d1e0149b71dd76e1253b10217096ec104ec1ed140d6e2fc249cb914b350dbde"),
+    (24, 1): (4, "622d842c6fd158abcfb868a81d2c3f694425dd970c2b4c162400240a7f729493"),
+    (24, 2): (4, "cc24d99088574977818ee54039ee796cf31996c6763392dc6232cb674b539b83"),
+    (24, 3): (5, "6a96dcf1f73aa0c0336bb4abdd2a06fcff35b16035de2cb1512d4cbcdc679c4b"),
+    (24, 4): (4, "ae513298f3c9a7d83c1fe5e017dff7598ac478d6aae07db0e38f3a93a1a1c8cb"),
+    (24, 5): (4, "0835b47c6d16571402141773c4d580222e7562f193245ec060ea17fd9ba7f1ca"),
+}
+
+
+@pytest.mark.parametrize("hypotheses, seed", sorted(HAMMING_CERTIFICATES))
+def test_hamming_dimensions_and_certificates_are_pinned(hypotheses, seed):
+    problem, cls = hamming_class(3, hypotheses, seed)
+    full = VersionSpace.full(cls.num_hypotheses)
+    engine = DimensionEngine(problem, cls, F(1, 8))
+    dim, digest = HAMMING_CERTIFICATES[hypotheses, seed]
+    assert engine.smdim(full) == dim
+    assert hashlib.sha256(engine.certificate(full).to_json().encode()).hexdigest() == digest
 
 
 def test_negative_hypothesis_index_is_a_validation_error():
